@@ -259,26 +259,36 @@ int RunBenchmark(const Args& args) {
   Tracer tracer(traced);
   Tracer sink_tracer(traced);  // producer path: emissions on the sequencer
 
-  // Set-up, timed several times; the last one is kept for the replays.
+  // Set-up, timed several times: a few before the replays (the last one is
+  // kept for them) and a few in every measured cycle, so the median samples
+  // the host across the whole run rather than one moment of it.
   constexpr int kSetupWarm = 2;
-  constexpr int kSetupReps = 31;
+  constexpr int kSetupFirst = 11;
+  constexpr int kSetupPerCycle = 4;
   std::vector<double> setup_s, parse_s, analyze_s, open_s;
-  Setup setup;
-  for (int rep = 0; rep < kSetupWarm + kSetupReps; ++rep) {
-    Setup s;
-    std::string error;
-    if (!TimedSetup(spec, tracer, &s, &error)) {
-      std::fprintf(stderr, "set-up failed: %s\n", error.c_str());
-      return 1;
-    }
-    if (rep >= kSetupWarm) {
+  auto time_setups = [&](int reps, Setup* keep) {
+    for (int rep = 0; rep < reps; ++rep) {
+      Setup s;
+      std::string error;
+      if (!TimedSetup(spec, tracer, &s, &error)) {
+        std::fprintf(stderr, "set-up failed: %s\n", error.c_str());
+        return false;
+      }
       setup_s.push_back(s.total());
       parse_s.push_back(s.parse_s);
       analyze_s.push_back(s.analyze_s);
       open_s.push_back(s.open_s);
+      if (keep != nullptr) *keep = std::move(s);
     }
-    setup = std::move(s);
-  }
+    return true;
+  };
+  Setup setup;
+  if (!time_setups(kSetupWarm, nullptr)) return 1;
+  setup_s.clear();
+  parse_s.clear();
+  analyze_s.clear();
+  open_s.clear();
+  if (!time_setups(kSetupFirst, &setup)) return 1;
 
   // Churn ops at fixed stream positions, parsed outside the timed replays.
   std::vector<hamlet::Query> churn_queries;
@@ -338,22 +348,35 @@ int RunBenchmark(const Args& args) {
     r.emissions = {};
   };
 
-  // Measured cycles until --seconds are spent. Untraced: two closed-loop
-  // replays and one open-loop replay (which runs at about a quarter of
-  // capacity, so it takes the larger part of each cycle). Traced: an untraced and a traced closed
-  // loop, plus the same job at one shard for sharded workloads.
+  // Measured cycles until --seconds are spent. Untraced: the workload's
+  // closed_per_open closed-loop replays and one open-loop replay (which
+  // runs below capacity, so it takes the larger part of each cycle), then a
+  // few set-ups. Traced: an untraced and a traced closed loop, plus the
+  // same job at one shard for sharded workloads.
+  // A plain Session runs on the calling thread, so each of its replays is
+  // pinned to the next CPU in turn (CpuRotation); sharded sessions start
+  // their threads in Open, which would inherit the pin, so they stay free.
   std::vector<ReplayResult> closed, traced_closed, one_shard;
   LogHistogram latency, lateness;
   size_t open_replays = 0;
+  CpuRotation rotation;
+  auto next_cpu = [&] {
+    if (spec.ingest == Ingest::kSession) rotation.Next();
+  };
   const double deadline = NowSeconds() + args.seconds;
   double last_cycle = 0.0;
   while (closed.empty() || NowSeconds() + last_cycle <= deadline) {
     const double cycle_start = NowSeconds();
+    next_cpu();
     closed.push_back(ClosedLoop(env, sink));
     settle(closed.back(), "closed-loop");
     if (!traced) {
-      closed.push_back(ClosedLoop(env, sink));
-      settle(closed.back(), "closed-loop");
+      for (int k = 1; k < spec.closed_per_open; ++k) {
+        next_cpu();
+        closed.push_back(ClosedLoop(env, sink));
+        settle(closed.back(), "closed-loop");
+      }
+      next_cpu();
       ReplayResult o = OpenLoop(env, spec.open_loop_eps, sink);
       for (double v : o.latency_s) latency.Add(v);
       for (double v : o.lateness_s) lateness.Add(v);
@@ -364,6 +387,7 @@ int RunBenchmark(const Args& args) {
       tenv.tracer = &tracer;
       tenv.sink_tracer = &sink_tracer;
       tracer.NewRun();
+      next_cpu();
       traced_closed.push_back(ClosedLoop(tenv, sink));
       settle(traced_closed.back(), "traced closed-loop");
       if (spec.config.num_shards > 1) {
@@ -373,8 +397,10 @@ int RunBenchmark(const Args& args) {
         settle(one_shard.back(), "one-shard closed-loop");
       }
     }
+    if (!time_setups(kSetupPerCycle, nullptr)) return 1;
     last_cycle = NowSeconds() - cycle_start;
   }
+  rotation.Restore();
   const int64_t peak_rss = PeakRssBytes();
 
   // Reference: GRETA prefix on a plain Session, same stream and churn.
@@ -417,6 +443,11 @@ int RunBenchmark(const Args& args) {
               one_shard.size(), stream.size(), baseline.size(), greta_eps,
               max_rel, kRelTolerance);
   std::printf("metric error_rate %.6g ratio\n", error_rate);
+  std::printf("# closed-loop events/s per replay:");
+  for (const ReplayResult& r : closed) {
+    std::printf(" %.0f", static_cast<double>(r.events) / r.wall_s);
+  }
+  std::printf("\n");
 
   auto med = [](const std::vector<ReplayResult>& rs, auto fn) {
     std::vector<double> v;

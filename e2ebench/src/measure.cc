@@ -1,6 +1,9 @@
 #include "e2ebench/src/measure.h"
 
 #include <sys/resource.h>
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -27,6 +30,40 @@ int64_t PeakRssBytes() {
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<int64_t>(usage.ru_maxrss) * 1024;  // Linux: KiB
 }
+
+#ifdef __linux__
+CpuRotation::CpuRotation() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus_.push_back(c);
+  }
+}
+
+void CpuRotation::Next() {
+  if (cpus_.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpus_[next_ % cpus_.size()], &set);
+  ++next_;
+  if (sched_setaffinity(0, sizeof(set), &set) == 0) pinned_ = true;
+}
+
+void CpuRotation::Restore() {
+  if (!pinned_) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int c : cpus_) CPU_SET(c, &set);
+  if (sched_setaffinity(0, sizeof(set), &set) == 0) pinned_ = false;
+}
+#else
+CpuRotation::CpuRotation() = default;
+void CpuRotation::Next() {}
+void CpuRotation::Restore() {}
+#endif
+
+CpuRotation::~CpuRotation() { Restore(); }
 
 double Quantile(std::vector<double> samples, double q) {
   if (samples.empty()) return 0.0;

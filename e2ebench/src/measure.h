@@ -22,6 +22,33 @@ double ProcessCpuSeconds();
 /// Resident-set high-water mark of this process, in bytes.
 int64_t PeakRssBytes();
 
+/// Moves the calling thread round-robin over the CPUs it may run on, one
+/// CPU per Next() call, and gives it back its original CPU set on
+/// Restore() or destruction. On a shared host each vCPU runs at its own
+/// speed at any moment (the host's other tenants contend per core), and the
+/// kernel keeps a busy thread on one CPU for seconds, so an unpinned
+/// single-threaded replay measures whichever vCPU it landed on. Rotating
+/// lets every run sample all of them alike. A no-op off Linux.
+class CpuRotation {
+ public:
+  CpuRotation();
+  ~CpuRotation();
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+
+  /// Pins the calling thread to the next CPU of the original set.
+  void Next();
+  /// Restores the original CPU set.
+  void Restore();
+  /// CPUs in the original set (0 when affinity is unavailable).
+  size_t cpus() const { return cpus_.size(); }
+
+ private:
+  std::vector<int> cpus_;
+  size_t next_ = 0;
+  bool pinned_ = false;
+};
+
 /// The q-quantile (0 <= q <= 1) of `samples` by linear interpolation between
 /// closest ranks. Sorts a copy; 0 for an empty sample.
 double Quantile(std::vector<double> samples, double q);

@@ -41,10 +41,12 @@ struct WorkloadSpec {
   hamlet::RunConfig config;
   Ingest ingest = Ingest::kSession;
   std::vector<ChurnOp> churn;
-  /// Open-loop arrival rate in events per wall second: about a quarter of
-  /// the closed-loop capacity measured when the benchmark was defined, so
-  /// a slow phase of a shared host does not saturate it.
+  /// Open-loop arrival rate in events per wall second: a quarter to a half
+  /// of the closed-loop capacity measured when the benchmark was defined,
+  /// so a slow phase of a shared host does not saturate it.
   double open_loop_eps = 0.0;
+  /// Closed-loop replays per open-loop replay in an untraced run.
+  int closed_per_open = 2;
 };
 
 /// Every workload, in BENCHMARK.json order.

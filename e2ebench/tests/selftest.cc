@@ -1,9 +1,15 @@
 // Self-tests of the benchmark's measurement code (no session involved):
 // percentiles and their sample-count rule, open-loop lateness under an
-// injected clock, error_rate on corrupted emissions, and span self time.
+// injected clock, error_rate on corrupted emissions, span self time and the
+// CPU rotation of single-threaded replays.
 // Run with `python3 e2ebench/run.py --selftest`; exits nonzero on failure.
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -145,6 +151,34 @@ void TestSelfTime() {
   Expect(off.spans().empty(), "a disabled tracer records nothing");
 }
 
+void TestCpuRotation() {
+#ifdef __linux__
+  cpu_set_t before;
+  CPU_ZERO(&before);
+  Expect(sched_getaffinity(0, sizeof(before), &before) == 0, "read affinity");
+  {
+    CpuRotation rotation;
+    Expect(rotation.cpus() == static_cast<size_t>(CPU_COUNT(&before)),
+           "rotation covers every allowed CPU");
+    std::set<int> seen;
+    for (size_t i = 0; i < 2 * rotation.cpus(); ++i) {
+      rotation.Next();
+      cpu_set_t now;
+      CPU_ZERO(&now);
+      Expect(sched_getaffinity(0, sizeof(now), &now) == 0 && CPU_COUNT(&now) == 1,
+             "Next pins to one CPU");
+      seen.insert(sched_getcpu());
+    }
+    Expect(seen.size() == rotation.cpus(), "two rounds visit every CPU");
+  }
+  cpu_set_t after;
+  CPU_ZERO(&after);
+  Expect(sched_getaffinity(0, sizeof(after), &after) == 0 &&
+             CPU_EQUAL(&before, &after),
+         "destruction restores the original CPU set");
+#endif
+}
+
 }  // namespace
 }  // namespace e2ebench
 
@@ -153,6 +187,7 @@ int main() {
   e2ebench::TestOpenLoopLateness();
   e2ebench::TestErrorRate();
   e2ebench::TestSelfTime();
+  e2ebench::TestCpuRotation();
   if (e2ebench::failures > 0) {
     std::fprintf(stderr, "%d self-test check(s) failed\n", e2ebench::failures);
     return 1;
