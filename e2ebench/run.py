@@ -63,7 +63,7 @@ def main():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--workload")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=36)
+    p.add_argument("--seconds", type=int, default=56)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--selftest", action="store_true")
     args = p.parse_args()
