@@ -1,9 +1,9 @@
 // Google-benchmark micro-kernels for the hot paths: expression algebra,
 // snapshot store access, GRETA per-event propagation, HAMLET shared
-// propagation, the row-vs-columnar predicate pipeline, and row-vs-run
-// engine propagation. These are the constants behind the paper's cost
-// model terms; the row/columnar and row/run pairs are the CI guard for
-// the columnar layer's speedup claims (see docs/BENCHMARKS.md).
+// propagation, the row-vs-columnar predicate pipeline, and 1-row vs
+// maximal-run engine propagation. These are the constants behind the
+// paper's cost model terms; the row/columnar and row/run pairs are the CI
+// guard for the columnar layer's speedup claims (see docs/BENCHMARKS.md).
 //
 // Flags: `--json` is shorthand for --benchmark_format=json (the CI
 // artifact); all other arguments pass through to google-benchmark.
@@ -219,14 +219,15 @@ void BM_MaskedAggRowPath(benchmark::State& state) {
 BENCHMARK(BM_MaskedAggRowPath)->Arg(1000)->Arg(10000);
 
 // Row vs run propagation into the HAMLET engine: the same pre-filtered
-// bursty stream, fed per event (OnEventFiltered — one lane transition,
-// negation check and graphlet append per row) vs as contiguous runs
-// (OnRunFiltered — transitions hoisted to the run head, node-free fast
-// appends for the tail). CI asserts run >= row on this pair; the stream's
-// 8-long B bursts are the shape the run path is built for.
+// bursty stream, fed through OnRunFiltered as 1-row runs (what per-event
+// Push dispatches — one lane transition, negation check and graphlet append
+// per row) vs as maximal runs (transitions hoisted to the run head,
+// node-free fast appends for the tail). CI asserts run >= row on this pair;
+// the stream's 8-long B bursts are the shape the run path is built for.
 struct PropagationSetup : EngineSetup {
   EventBatch batch;
   std::vector<RunSpan> runs;
+  std::vector<RunSpan> row_runs;
   QuerySet all;
 
   explicit PropagationSetup(int num_events) : EngineSetup(num_events) {
@@ -234,6 +235,13 @@ struct PropagationSetup : EngineSetup {
     all = QuerySet::FirstN(plan->num_exec());
     SegmentRuns(batch, batch.size(), /*pane_size=*/0, all,
                 /*predicated_queries=*/{}, /*masks=*/{}, &runs);
+    for (int i = 0; i < batch.size(); ++i) {
+      RunSpan& row = row_runs.emplace_back();
+      row.type = batch.types()[static_cast<size_t>(i)];
+      row.row_begin = i;
+      row.row_end = i + 1;
+      row.passes = all;
+    }
   }
 };
 
@@ -259,7 +267,8 @@ void RunPropagationBench(benchmark::State& state, PropagationSetup& setup,
 void BM_RowPropagation(benchmark::State& state) {
   PropagationSetup setup(static_cast<int>(state.range(0)));
   RunPropagationBench(state, setup, [&](HamletEngine& engine) {
-    for (const Event& e : setup.events) engine.OnEventFiltered(e, setup.all);
+    for (const RunSpan& r : setup.row_runs)
+      engine.OnRunFiltered(setup.batch, r);
   });
 }
 BENCHMARK(BM_RowPropagation)->Arg(1000)->Arg(10000);

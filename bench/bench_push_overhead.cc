@@ -218,14 +218,14 @@ void RunScaling(const BenchWorkload& bw, const EventVector& events,
 }
 
 // ---------------------------------------------------------------------------
-// Part 2b: run-granular vs row-granular dispatch on the bursty preset.
+// Part 2b: run-granular dispatch on the bursty preset.
 // ---------------------------------------------------------------------------
 
-/// Same stream, same session, PushBatch(512) chunks — run_propagation on
-/// (segment each staged batch into maximal same-type/same-pass-set runs,
-/// one engine call per run) vs off (one engine call per row). Also reports
-/// the run-shape metrics the knob exposes: total runs, runs per pane, and
-/// the log2 run-length histogram (bucket i = runs of length [2^i, 2^(i+1))).
+/// PushBatch(512) chunks through one session: each staged batch is
+/// segmented into maximal same-type/same-pass-set runs, one engine call per
+/// run. Reports the throughput and the run-shape metrics: total runs, runs
+/// per pane, and the log2 run-length histogram (bucket i = runs of length
+/// [2^i, 2^(i+1))).
 void RunRunPropagation(const BenchWorkload& bw, const EventVector& events,
                        bool json) {
   // Pane count of the replayed stream: runs are pane-confined, so this is
@@ -244,69 +244,54 @@ void RunRunPropagation(const BenchWorkload& bw, const EventVector& events,
       }
     }
   }
+  RunConfig config;
+  config.kind = EngineKind::kHamletDynamic;
+  // Best of 3 replays: a single pass is below the noise floor of the wall
+  // clock.
+  RunMetrics m;
+  for (int rep = 0; rep < 3; ++rep) {
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*bw.plan, config, /*sink=*/nullptr);
+    HAMLET_CHECK(session.ok());
+    constexpr size_t kChunk = 512;
+    for (size_t i = 0; i < events.size(); i += kChunk) {
+      const size_t len = std::min(kChunk, events.size() - i);
+      HAMLET_CHECK(session.value()
+                       ->PushBatch(std::span<const Event>(
+                           events.data() + i, len))
+                       .ok());
+    }
+    RunMetrics rm = session.value()->Close().value();
+    if (rep == 0 || rm.throughput_eps > m.throughput_eps) m = std::move(rm);
+  }
+  const double rpp = panes <= 0 ? 0.0
+                                : static_cast<double>(m.runs) /
+                                      static_cast<double>(panes);
+  char rpp_str[32];
+  std::snprintf(rpp_str, sizeof(rpp_str), "%.1f", rpp);
+  std::string hist = "[";
+  for (size_t b = 0; b < m.run_len_hist.size(); ++b) {
+    if (b > 0) hist += ",";
+    hist += std::to_string(m.run_len_hist[b]);
+  }
+  hist += "]";
   Table table({"dispatch", "PushBatch eps", "runs", "runs/pane",
                "run len hist (log2)"});
-  std::string json_rows;
-  for (bool runs_on : {true, false}) {
-    RunConfig config;
-    config.kind = EngineKind::kHamletDynamic;
-    config.columnar = true;
-    config.run_propagation = runs_on;
-    // Best of 3 replays: the dispatch paths differ by only a few percent,
-    // so a single pass is below the noise floor of the wall clock.
-    RunMetrics m;
-    for (int rep = 0; rep < 3; ++rep) {
-      Result<std::unique_ptr<Session>> session =
-          Session::Open(*bw.plan, config, /*sink=*/nullptr);
-      HAMLET_CHECK(session.ok());
-      constexpr size_t kChunk = 512;
-      for (size_t i = 0; i < events.size(); i += kChunk) {
-        const size_t len = std::min(kChunk, events.size() - i);
-        HAMLET_CHECK(session.value()
-                         ->PushBatch(std::span<const Event>(
-                             events.data() + i, len))
-                         .ok());
-      }
-      RunMetrics rm = session.value()->Close().value();
-      if (rep == 0 || rm.throughput_eps > m.throughput_eps) m = std::move(rm);
-    }
-    const double rpp = panes <= 0 ? 0.0
-                                  : static_cast<double>(m.runs) /
-                                        static_cast<double>(panes);
-    char rpp_str[32];
-    std::snprintf(rpp_str, sizeof(rpp_str), "%.1f", rpp);
-    std::string hist = "[";
-    for (size_t b = 0; b < m.run_len_hist.size(); ++b) {
-      if (b > 0) hist += ",";
-      hist += std::to_string(m.run_len_hist[b]);
-    }
-    hist += "]";
-    table.AddRow({runs_on ? "runs" : "rows",
-                  bench::Eps(m.throughput_eps), std::to_string(m.runs),
-                  rpp_str, hist});
-    if (json) {
-      char row[512];
-      std::snprintf(row, sizeof(row),
-                    "%s{\"mode\":\"%s\",\"push_eps\":%.1f,\"runs\":%lld,"
-                    "\"panes\":%lld,\"runs_per_pane\":%.2f,"
-                    "\"run_len_hist\":%s}",
-                    json_rows.empty() ? "" : ",", runs_on ? "runs" : "rows",
-                    m.throughput_eps, static_cast<long long>(m.runs),
-                    static_cast<long long>(panes), rpp, hist.c_str());
-      json_rows += row;
-    }
-  }
+  table.AddRow({"runs", bench::Eps(m.throughput_eps), std::to_string(m.runs),
+                rpp_str, hist});
   bench::PrintFigure(
       "Run propagation (bursty preset)",
-      "run-granular engine dispatch vs per-row dispatch, same staged "
-      "batches; runs/pane and the run-length histogram describe the "
-      "stream's burst shape",
+      "run-granular engine dispatch of staged batches; runs/pane and the "
+      "run-length histogram describe the stream's burst shape",
       table);
   if (json) {
     std::printf(
         "JSON: {\"bench\":\"push_overhead\",\"table\":\"run_propagation\","
-        "\"events\":%zu,\"rows\":[%s]}\n",
-        events.size(), json_rows.c_str());
+        "\"events\":%zu,\"rows\":[{\"mode\":\"runs\",\"push_eps\":%.1f,"
+        "\"runs\":%lld,\"panes\":%lld,\"runs_per_pane\":%.2f,"
+        "\"run_len_hist\":%s}]}\n",
+        events.size(), m.throughput_eps, static_cast<long long>(m.runs),
+        static_cast<long long>(panes), rpp, hist.c_str());
     std::fflush(stdout);
   }
 }

@@ -9,7 +9,7 @@ BatchResult EvalHamletBatch(const WorkloadPlan& plan,
 
 namespace {
 
-/// Shared epilogue: close contexts, compose query values, fold stats.
+/// Epilogue: close contexts, compose query values, fold stats.
 BatchResult FinishBatch(const WorkloadPlan& plan, HamletEngine& engine,
                         const std::vector<ContextId>& ctxs) {
   BatchResult out;
@@ -36,33 +36,11 @@ BatchResult FinishBatch(const WorkloadPlan& plan, HamletEngine& engine,
 BatchResult EvalHamletBatch(const WorkloadPlan& plan,
                             const EventVector& events, SharingPolicy* policy,
                             HamletEngine::Options options) {
-  HamletEngine engine(plan, QuerySet::FirstN(plan.num_exec()), policy,
-                      options);
-  const Timestamp start = events.empty() ? 0 : events.front().time;
-  const Timestamp end = events.empty() ? 1 : events.back().time + 1;
-  std::vector<ContextId> ctxs;
-  for (int e = 0; e < plan.num_exec(); ++e)
-    ctxs.push_back(engine.OpenContext(e, start, end));
-  engine.OnPaneStart(start);
-  for (const Event& ev : events) engine.OnEvent(ev);
-  engine.OnPaneEnd();
-  return FinishBatch(plan, engine, ctxs);
-}
-
-BatchResult EvalHamletBatchColumnar(const WorkloadPlan& plan,
-                                    const EventBatch& batch,
-                                    SharingPolicy* policy) {
-  return EvalHamletBatchColumnar(plan, batch, policy,
-                                 HamletEngine::Options());
-}
-
-BatchResult EvalHamletBatchColumnar(const WorkloadPlan& plan,
-                                    const EventBatch& batch,
-                                    SharingPolicy* policy,
-                                    HamletEngine::Options options) {
   Result<PredicateProgram> program = CompilePredicateProgram(plan);
   HAMLET_CHECK(program.ok());
   const PredicateProgram& prog = program.value();
+  const EventBatch batch =
+      EventBatch::FromRows(events, plan.workload->schema()->num_attrs());
   BatchSelection selection;
   prog.EvalBatch(batch, &selection);
   const QuerySet all = QuerySet::FirstN(plan.num_exec());
@@ -77,12 +55,11 @@ BatchResult EvalHamletBatchColumnar(const WorkloadPlan& plan,
   // Run-granular dispatch: segment the selection bitmaps + type column into
   // maximal same-type, same-pass-set runs (pane_size <= 0: single pane, no
   // pane splits) and feed each through the engine's run entry point — the
-  // same code path Session's batch ingress uses.
+  // same code path Session's ingress uses.
   std::vector<RunSpan> runs;
   SegmentRuns(batch, batch.size(), /*pane_size=*/0, all,
               prog.predicated_queries(), selection.masks, &runs);
-  // The per-row loop used to rely on the engine dropping irrelevant types;
-  // the run entry point makes that filter the dispatcher's job.
+  // The run entry point leaves dropping irrelevant types to the dispatcher.
   const int num_types = plan.workload->schema()->num_types();
   std::vector<bool> relevant(static_cast<size_t>(num_types), false);
   for (const ExecQuery& eq : plan.exec_queries) {

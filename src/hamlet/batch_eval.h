@@ -28,27 +28,17 @@ struct BatchResult {
   int64_t memory_bytes = 0;
 };
 
-/// Runs one HamletEngine over the whole stream (single pane & window).
+/// Runs one HamletEngine over the whole stream (single pane & window) the
+/// way the runtime does: stages the rows into an EventBatch, evaluates the
+/// plan's event predicates batch-wide, segments the batch into runs and
+/// feeds each through HamletEngine::OnRunFiltered. The plan's predicate
+/// lists must compile (they do if Session::Open would accept the plan) —
+/// CHECK-fails otherwise.
 BatchResult EvalHamletBatch(const WorkloadPlan& plan, const EventVector& events,
                             SharingPolicy* policy,
                             HamletEngine::Options options);
 BatchResult EvalHamletBatch(const WorkloadPlan& plan, const EventVector& events,
                             SharingPolicy* policy);
-
-/// Columnar variant: evaluates the plan's event predicates batch-wide over
-/// the SoA `batch` (one kernel pass per predicate over contiguous columns),
-/// then feeds each row with its precomputed pass-set through
-/// HamletEngine::OnEventFiltered. Results are bit-identical to
-/// EvalHamletBatch over the same rows; the plan's predicate lists must have
-/// compiled (they did if Session::Open would accept the plan) — CHECK-fails
-/// otherwise.
-BatchResult EvalHamletBatchColumnar(const WorkloadPlan& plan,
-                                    const EventBatch& batch,
-                                    SharingPolicy* policy,
-                                    HamletEngine::Options options);
-BatchResult EvalHamletBatchColumnar(const WorkloadPlan& plan,
-                                    const EventBatch& batch,
-                                    SharingPolicy* policy);
 
 }  // namespace hamlet
 

@@ -104,9 +104,9 @@ class Expr {
   /// (count(e) = u + x + R, Algorithm 1 Line 18), performed without
   /// materializing a stored GraphletNode. The run-granular propagation path
   /// calls this once per row of a run; because the virtual node is built with
-  /// the same AddVar/AddExpr/ApplyTargetEvent calls the row path uses, the
+  /// the same AddVar/AddExpr/ApplyTargetEvent calls per-row appends use, the
   /// resulting running sum is bit-identical to appending row by row. Returns
-  /// the virtual node's term count (the row path's ops charge).
+  /// the virtual node's term count (the per-row ops charge).
   int AppendFastSumEvent(SnapshotId start_var, SnapshotId entry_var,
                          bool is_target, double val, bool need_sum,
                          bool need_count_e);

@@ -226,10 +226,8 @@ void HamletEngine::OnPaneEnd() {
 }
 
 void HamletEngine::OnEvent(const Event& e) {
-  // Row path: evaluate this event's predicates here, then join the shared
-  // body. The columnar path computed the same passes-set batch-wide and
-  // calls OnEventFiltered directly; keeping one body is what makes the two
-  // paths bit-identical.
+  // Evaluate this event's predicates here, then join the shared body that
+  // OnRunFiltered feeds with batch-computed pass-sets.
   if (e.type < 0 || e.type >= num_types_ ||
       !type_relevant_[static_cast<size_t>(e.type)]) {
     HAMLET_DCHECK(e.time > last_time_);
@@ -243,13 +241,6 @@ void HamletEngine::OnEvent(const Event& e) {
         if (PassesEventPredicates(Exec(q).event_predicates, e))
           passes.Insert(q);
       });
-  OnEventFiltered(e, passes);
-}
-
-void HamletEngine::OnEventFiltered(const Event& e, const QuerySet& passes) {
-  // A single-row run: ProcessRun is exactly the old per-event body, which
-  // is what keeps the row and run paths one body and their emissions
-  // bit-identical.
   ProcessRun(e, passes);
 }
 
@@ -264,17 +255,15 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
     return;
   }
   // Precondition: the run-granular dispatchers (run segmenter + Session's
-  // component type gate, EvalHamletBatchColumnar's relevance filter) drop
+  // component type gate, EvalHamletBatch's relevance filter) drop
   // irrelevant types before calling.
   HAMLET_DCHECK(e0.type >= 0 && e0.type < num_types_ &&
                 type_relevant_[static_cast<size_t>(e0.type)]);
 
-  QuerySet matched =
+  const QuerySet matched =
       positive_of_type_[static_cast<size_t>(e0.type)].Intersect(run.passes);
-  QuerySet neg_matched =
+  const QuerySet neg_matched =
       negated_of_type_[static_cast<size_t>(e0.type)].Intersect(run.passes);
-  QuerySet touched = matched.Union(neg_matched);
-
   if (!matched.Intersect(neg_matched).Empty()) {
     // Some query both matches this type positively and negates it: its
     // negation state interleaves with its own appends row by row, so the
@@ -285,32 +274,14 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
     return;
   }
 
-  HAMLET_DCHECK(e0.time > last_time_);
+  // Row 0 takes the per-row body: the run's one lane transition (after row
+  // 0 no foreign lane can become active — only lanes of the run's type
+  // activate — so the remaining rows' sweeps would be no-ops), and the pane
+  // counter staged the way per-row processing observes it at the burst
+  // open, its only mid-run reader (WindowEventsEstimate()).
+  ProcessRun(e0, run.passes);
   last_time_ = batch.time(run.row_end - 1);
-  stats_.events += n;
-  if (touched.Empty()) {
-    events_this_pane_ += n;
-    return;
-  }
-  // Stage the pane counter the way the row path observes it: the only
-  // mid-run reader is WindowEventsEstimate() at the burst open (row 0),
-  // which the row path reaches with exactly one event counted.
-  ++events_this_pane_;
-
-  // One lane transition per run: after row 0 no foreign lane can become
-  // active (only lanes of the run's type activate), so the remaining rows'
-  // sweeps are no-ops in the row path.
-  CloseForeignLanes(e0, touched);
-  ApplyNegation(e0, neg_matched);
-
-  if (!matched.Empty()) {
-    for (Lane& lane : lanes_) {
-      if (lane.type != e0.type) continue;
-      QuerySet m = lane.static_members.Intersect(matched);
-      if (m.Empty()) continue;
-      InsertIntoLane(lane, e0, m);
-    }
-  }
+  stats_.events += n - 1;
 
   // matched and neg_matched are disjoint here, so negation writes (per
   // negated query) and appends (per matched query) touch disjoint state
@@ -348,11 +319,8 @@ void HamletEngine::ProcessRun(const Event& e, const QuerySet& passes) {
   HAMLET_DCHECK(e.time > last_time_);
   last_time_ = e.time;
   ++stats_.events;
-  if (touched.Empty()) {
-    ++events_this_pane_;
-    return;
-  }
   ++events_this_pane_;
+  if (touched.Empty()) return;
 
   CloseForeignLanes(e, touched);
   ApplyNegation(e, neg_matched);
@@ -453,10 +421,10 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
     g->extra_events += n;
   });
 
-  // Slow sub-targets replay row-major, preserving the row path's within-row
-  // order (shared append, then solos in id order): a scanning append reads
-  // this lane's live graphlet nodes with no future-time filter, so it must
-  // never observe rows later than its own.
+  // Slow sub-targets replay row-major, preserving per-row processing's
+  // within-row order (shared append, then solos in id order): a scanning
+  // append reads this lane's live graphlet nodes with no future-time
+  // filter, so it must never observe rows later than its own.
   const bool shared_slow = shared != nullptr && !shared_fast;
   if (shared_slow || !slow_solo.Empty()) {
     const Event* rows = MaterializedRows(batch, begin, end);

@@ -98,21 +98,22 @@ class HamletEngine {
   /// Pane lifecycle. Events must arrive strictly increasing in time and
   /// within [pane start, pane end).
   void OnPaneStart(Timestamp pane_start);
+  /// Per-event entry for engine unit tests and the worked-example bench:
+  /// evaluates `e`'s event predicates itself and feeds it as a 1-row run
+  /// (irrelevant types are dropped). The runtime dispatches through
+  /// OnRunFiltered only.
   void OnEvent(const Event& e);
-  /// Columnar dispatch: like OnEvent, but event-predicate evaluation already
-  /// happened batch-wide (src/query/columnar_predicate.h) — `passes` holds
-  /// every exec query whose predicates `e` satisfies (bits for queries
-  /// outside this engine's members are ignored). OnEvent is a thin wrapper
-  /// computing `passes` per row, so the two paths are bit-identical.
-  void OnEventFiltered(const Event& e, const QuerySet& passes);
   /// Run-granular dispatch: feeds one segmented run (same type, same
   /// pass-set, one pane — see src/query/run_segmenter.h) in a single call.
-  /// Lane transitions (CloseForeignLanes / ApplyNegation / burst open +
-  /// sharing decision) happen once per run, and write-only graphlets take
-  /// hoisted snapshot-count propagation loops over the whole run instead of
-  /// per-event dispatch. Emissions are bit-identical to feeding the span's
-  /// rows through OnEventFiltered one by one: both are the same ProcessRun
-  /// body, and every hoist replays the row path's exact FP op sequence.
+  /// Event-predicate evaluation already happened batch-wide
+  /// (src/query/columnar_predicate.h): `run.passes` holds every exec query
+  /// whose predicates all rows satisfy (bits for queries outside this
+  /// engine's members are ignored). Lane transitions (CloseForeignLanes /
+  /// ApplyNegation / burst open + sharing decision) happen once per run,
+  /// and write-only graphlets take hoisted snapshot-count propagation loops
+  /// over the whole run. Emissions are bit-identical to feeding the span's
+  /// rows as 1-row runs: both are the same ProcessRun body, and every
+  /// hoist replays the per-row FP op sequence exactly.
   void OnRunFiltered(const EventBatch& batch, const RunSpan& run);
   void OnPaneEnd();
 
@@ -181,8 +182,8 @@ class HamletEngine {
 
   // --- event path ---
   /// One filtered event through the full per-event pipeline (transition,
-  /// negation, lane inserts): the old OnEventFiltered body, shared with
-  /// OnRunFiltered's run-head row and its per-row fallback.
+  /// negation, lane inserts): OnEvent's body, and OnRunFiltered's for a
+  /// run's head row and its per-row fallback.
   void ProcessRun(const Event& e, const QuerySet& passes);
   /// Appends batch rows [begin, end) (the run's tail: the head row went
   /// through InsertIntoLane) to the lane's open graphlets. Write-only

@@ -105,9 +105,6 @@ class PredicateProgram {
   static Result<PredicateProgram> Compile(const Schema& schema,
                                           std::span<const PredicateList> lists);
 
-  /// True when no exec query has event predicates (EvalBatch is a no-op).
-  bool trivial() const { return queries_.empty(); }
-
   /// Exec ids with at least one predicate, in mask order.
   const std::vector<int>& predicated_queries() const { return pred_execs_; }
 

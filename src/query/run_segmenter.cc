@@ -42,46 +42,42 @@ void SegmentRuns(const EventBatch& batch, int rows, Timestamp pane_size,
   out->clear();
   if (rows <= 0) return;
 
-  // Pre-merge all mask flips into one boundary bitmap so the row scan below
-  // does one bit test instead of one Test() per predicated query.
-  static thread_local std::vector<uint64_t> flip_words;
-  BuildFlipBitmap(masks, rows, &flip_words);
-
   std::span<const TypeId> types = batch.types();
   std::span<const Timestamp> times = batch.times();
 
-  auto passes_at = [&](int i) {
-    QuerySet passes = all_execs;
+  int begin = 0;
+  // Closes the run [begin, end) and starts the next one at `end`.
+  auto close_run = [&](int end) {
+    RunSpan& run = out->emplace_back();
+    run.type = types[static_cast<size_t>(begin)];
+    run.row_begin = begin;
+    run.row_end = end;
+    run.passes = all_execs;
     for (size_t k = 0; k < predicated_queries.size(); ++k) {
-      if (!masks[k].Test(i)) passes.Erase(predicated_queries[k]);
+      if (!masks[k].Test(begin)) run.passes.Erase(predicated_queries[k]);
     }
-    return passes;
+    begin = end;
   };
 
-  int begin = 0;
-  TypeId run_type = types[0];
-  Timestamp run_pane = pane_size > 0 ? times[0] / pane_size : 0;
-  for (int i = 1; i < rows; ++i) {
-    const bool type_break = types[static_cast<size_t>(i)] != run_type;
-    const bool pane_break =
-        pane_size > 0 &&
-        times[static_cast<size_t>(i)] / pane_size != run_pane;
-    if (type_break || pane_break || TestBit(flip_words, i)) {
-      RunSpan& run = out->emplace_back();
-      run.type = run_type;
-      run.row_begin = begin;
-      run.row_end = i;
-      run.passes = passes_at(begin);
-      begin = i;
-      run_type = types[static_cast<size_t>(i)];
-      if (pane_size > 0) run_pane = times[static_cast<size_t>(i)] / pane_size;
+  // A lone row (per-event Push) is one run: no flip bitmap, no scan.
+  if (rows > 1) {
+    // Pre-merge all mask flips into one boundary bitmap so the row scan
+    // does one bit test instead of one Test() per predicated query.
+    static thread_local std::vector<uint64_t> flip_words;
+    BuildFlipBitmap(masks, rows, &flip_words);
+    Timestamp run_pane = pane_size > 0 ? times[0] / pane_size : 0;
+    for (int i = 1; i < rows; ++i) {
+      const bool type_break =
+          types[static_cast<size_t>(i)] != types[static_cast<size_t>(begin)];
+      const Timestamp pane =
+          pane_size > 0 ? times[static_cast<size_t>(i)] / pane_size : 0;
+      if (type_break || pane != run_pane || TestBit(flip_words, i)) {
+        close_run(i);
+        run_pane = pane;
+      }
     }
   }
-  RunSpan& run = out->emplace_back();
-  run.type = run_type;
-  run.row_begin = begin;
-  run.row_end = rows;
-  run.passes = passes_at(begin);
+  close_run(rows);
 }
 
 }  // namespace hamlet

@@ -41,9 +41,8 @@ struct RunSpan {
 /// `masks` / `predicated_queries` are PredicateProgram::EvalBatch output and
 /// PredicateProgram::predicated_queries() (both may be empty for a trivial
 /// program: every run then passes `all_execs`). Each run's `passes` is
-/// `all_execs` minus the predicated queries whose mask is 0 on the run —
-/// bit-identical to the per-row PassesForRow computation, hoisted to once
-/// per run.
+/// `all_execs` minus the predicated queries whose mask is 0 on the run,
+/// computed once per run.
 ///
 /// `pane_size` > 0 splits runs at pane boundaries using the same integer
 /// quotient the runtime's pane advance uses (`time / pane_size`);

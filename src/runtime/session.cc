@@ -134,20 +134,13 @@ Status ValidateRunConfig(const RunConfig& config) {
   //   requires reoptimize_threshold > 0 and a HAMLET kind with a sharing
   //   plan the optimizer can act on (dynamic or static — no-share and the
   //   baselines have no share groups to re-plan, so reopt is Unsupported).
-  //   Re-optimization IS supported under both columnar settings (each plan
-  //   epoch compiles its own predicate program / self-filters on the row
-  //   path) and any shard count (only the ShardedSession front decides;
-  //   shards mirror its swaps) — neither combination is rejected.
+  //   Re-optimization IS supported at any shard count (only the
+  //   ShardedSession front decides; shards mirror its swaps).
   // reoptimize_threshold: checked even while reopt is off, so flipping
   //   reoptimize_every_panes on later can never trip a latent bad value.
   // evict_idle_groups: engine-agnostic, no cross-checks; together with
   //   shard_rebalance_threshold > 0 it enables router-map draining
   //   (RunMetrics::rebalance_map_size).
-  // run_propagation: no cross-checks — valid for every engine kind, shard
-  //   count, producer count, churn and re-optimization. It only takes
-  //   effect on columnar-staged PushBatch ingestion (columnar == false or
-  //   the row path make it inert, never invalid), and emission sets are
-  //   bit-identical either way.
   // work_stealing: requires steal_imbalance_ratio > 1.0 (checked even
   //   while off, mirroring reoptimize_threshold). Unsupported with
   //   evict_idle_groups — eviction erases the very runner state the steal
@@ -379,8 +372,8 @@ struct Session::Runtime {
   std::shared_ptr<const Workload> workload_keepalive;
   std::unique_ptr<WorkloadPlan> owned_plan;
   const WorkloadPlan* plan = nullptr;
-  /// Schema-resolved predicate kernels, compiled once per epoch (for both
-  /// paths: compile-time validation is how unresolved names surface early).
+  /// Schema-resolved predicate kernels, compiled once per epoch (compile-time
+  /// validation is how unresolved names surface early).
   PredicateProgram pred_program;
   /// All exec query ids — the starting pass-set every row narrows down.
   QuerySet all_execs;
@@ -389,8 +382,8 @@ struct Session::Runtime {
   /// batch is growing past all previous sizes.
   EventBatch batch_scratch;
   BatchSelection selection;
-  /// Staged run list over batch_scratch (RunConfig::run_propagation);
-  /// capacity reused across batches like the staging scratch above.
+  /// Staged run list over batch_scratch; capacity reused across batches
+  /// like the staging scratch above.
   std::vector<RunSpan> run_spans;
   std::vector<std::unique_ptr<Component>> components;
   /// Per exec query: which event types its pattern mentions. Drives latency
@@ -420,10 +413,9 @@ Result<std::unique_ptr<Session>> Session::Open(const WorkloadPlan& plan,
                                                EmissionSink* sink) {
   Status valid = ValidateRunConfig(config);
   if (!valid.ok()) return valid;
-  // Resolve every event predicate against the schema ONCE, regardless of the
-  // columnar setting: an unresolved type/attribute name fails Open with
-  // kInvalidArgument here instead of tripping a per-event DCHECK (or reading
-  // a zero) deep inside an engine.
+  // Resolve every event predicate against the schema ONCE: an unresolved
+  // type/attribute name fails Open with kInvalidArgument here instead of
+  // tripping a per-event DCHECK (or reading a zero) deep inside an engine.
   Result<PredicateProgram> program = CompilePredicateProgram(plan);
   if (!program.ok()) return program.status();
   auto session = std::unique_ptr<Session>(new Session(plan, config, sink));
@@ -546,17 +538,6 @@ void Session::InitRuntime(Runtime& rt) {
 }
 
 Session::~Session() = default;
-
-bool Session::UseColumnar(const Runtime& rt) const {
-  return config_.columnar && !rt.pred_program.trivial();
-}
-
-bool Session::UseRunPath() const {
-  // Unlike UseColumnar, a trivial predicate program does NOT opt out: run
-  // dispatch pays for the staging even with nothing to filter (every run
-  // then passes all_execs), because the amortized engine calls are the win.
-  return config_.columnar && config_.run_propagation;
-}
 
 void Session::OpenDueWindows(Runtime& rt, GroupRunner& runner,
                              Timestamp pane_start, bool retroactive) {
@@ -811,131 +792,33 @@ void Session::AdvancePaneTo(Runtime& rt, Timestamp new_pane_start) {
   }
 }
 
-QuerySet Session::PassesForRow(const Runtime& rt, int i) const {
-  QuerySet passes = rt.all_execs;
-  const std::vector<int>& pq = rt.pred_program.predicated_queries();
-  for (size_t k = 0; k < pq.size(); ++k) {
-    if (!rt.selection.masks[k].Test(i)) passes.Erase(pq[k]);
+Session::GroupRunner& Session::NewGroupRunner(
+    Runtime& rt, Component& comp, int64_t key, Timestamp emit_from,
+    std::span<const HamletLaneStats> lane_stats) {
+  auto created = std::make_unique<GroupRunner>();
+  created->comp = &comp;
+  created->group_key = key;
+  created->last_event_time = emit_from;
+  created->emit_from = emit_from;
+  if (config_.kind == EngineKind::kHamletDynamic ||
+      config_.kind == EngineKind::kHamletStatic ||
+      config_.kind == EngineKind::kHamletNoShare) {
+    created->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
+                                                     comp.policy.get());
+    created->hamlet->SeedLaneStats(lane_stats);
   }
-  return passes;
-}
-
-void Session::ProcessEvent(Runtime& rt, const Event& e, double arrival,
-                           const QuerySet* passes) {
-  const Timestamp pane = rt.plan->pane_size;
-  const Timestamp event_pane = (e.time / pane) * pane;
-  if (!rt.pane_started || event_pane > rt.pane_start) {
-    AdvancePaneTo(rt, event_pane);
-  }
-  if (arrival < 0) arrival = ClockNow(config_.clock_override);
-  for (auto& compp : rt.components) {
-    Component& comp = *compp;
-    if (e.type < 0 || e.type >= static_cast<TypeId>(comp.type_mask.size()) ||
-        !comp.type_mask[static_cast<size_t>(e.type)])
-      continue;
-    const int64_t key =
-        comp.group_by == Schema::kInvalidId
-            ? 0
-            : static_cast<int64_t>(std::llround(e.attr(comp.group_by)));
-    auto it = comp.groups.find(key);
-    GroupRunner* runner;
-    if (it == comp.groups.end()) {
-      // Steal-fenced key (victim side): boundary events duplicated to this
-      // shard feed only runners that already exist — a fresh runner would
-      // open retroactive windows the thief already owns.
-      if (!group_bounds_.empty() &&
-          group_bounds_.find(key) != group_bounds_.end()) {
-        continue;
-      }
-      auto created = std::make_unique<GroupRunner>();
-      created->comp = &comp;
-      created->group_key = key;
-      created->last_event_time = e.time;
-      if (config_.kind == EngineKind::kHamletDynamic ||
-          config_.kind == EngineKind::kHamletStatic ||
-          config_.kind == EngineKind::kHamletNoShare) {
-        created->hamlet = std::make_unique<HamletEngine>(
-            *rt.plan, comp.members, comp.policy.get());
-      }
-      runner = created.get();
-      comp.groups[key] = std::move(created);
-      OpenDueWindows(rt, *runner, rt.pane_start, /*retroactive=*/true);
-      if (runner->hamlet) runner->hamlet->OnPaneStart(rt.pane_start);
-    } else {
-      runner = it->second.get();
-      runner->last_event_time = e.time;
-    }
-    // Latency attribution: an event resets the arrival clock only of
-    // windows it can contribute to — it must fall inside the window span
-    // and its type must appear in the owner query's (or cohort's) pattern.
-    // Stamping every open slot would under-report the emission latency of
-    // sibling queries and sliding instances the event does not belong to.
-    const bool cohort_kind = config_.kind == EngineKind::kTwoStep ||
-                             config_.kind == EngineKind::kSharon;
-    auto stamp_if_relevant = [&](WindowSlot& w) {
-      const std::vector<bool>& owner_mask =
-          cohort_kind ? comp.cohort_type_masks[static_cast<size_t>(w.owner)]
-                      : rt.exec_type_masks[static_cast<size_t>(w.owner)];
-      if (owner_mask[static_cast<size_t>(e.type)]) {
-        w.last_arrival_wall = arrival;
-      }
-    };
-    if (runner->hamlet) {
-      for (WindowSlot& w : runner->windows) {
-        if (e.time < w.ws || e.time >= w.we) continue;
-        stamp_if_relevant(w);
-      }
-      if (passes != nullptr) {
-        runner->hamlet->OnEventFiltered(e, *passes);
-      } else {
-        runner->hamlet->OnEvent(e);
-      }
-    } else {
-      // One pass: stamp and dispatch share the window-span check.
-      for (WindowSlot& w : runner->windows) {
-        if (e.time < w.ws || e.time >= w.we) continue;
-        stamp_if_relevant(w);
-        if (w.greta) w.greta->OnEvent(e);
-        if (w.two_step) w.two_step->OnEvent(e);
-        if (w.sharon) w.sharon->OnEvent(e);
-      }
-    }
-  }
+  GroupRunner& runner = *created;
+  comp.groups[key] = std::move(created);
+  OpenDueWindows(rt, runner, rt.pane_start, /*retroactive=*/true);
+  if (runner.hamlet) runner.hamlet->OnPaneStart(rt.pane_start);
+  return runner;
 }
 
 Status Session::Push(const Event& event) {
-  // Rejected calls accrue no busy time: they do no engine work, and
-  // charging them would deflate the reported throughput of a caller that
-  // retries after errors.
   if (closed_) {
     return Status::FailedPrecondition("Push on a closed session");
   }
-  Status ordered = gate_.CheckEvent(event.time);
-  if (!ordered.ok()) return ordered;
-  BusyScope busy(&busy_seconds_, config_.clock_override);
-  gate_.CommitEvent(event.time);
-  ++events_;
-  if (reopt_enabled_) collector_.CountEvent(event.type);
-  // The scope-entry wall doubles as the event's arrival time, keeping the
-  // per-event Push hot path at two clock reads total.
-  for (auto& rtp : runtimes_) {
-    Runtime& rt = *rtp;
-    if (UseColumnar(rt)) {
-      // Thin wrapper over the batch machinery: a single-row batch through
-      // the same staging + kernels as PushBatch, so both entry points share
-      // one predicate code path.
-      rt.batch_scratch.Clear();
-      rt.batch_scratch.Append(event);
-      rt.pred_program.EvalBatch(rt.batch_scratch, &rt.selection);
-      QuerySet passes = PassesForRow(rt, 0);
-      ProcessEvent(rt, event, busy.start(), &passes);
-    } else {
-      ProcessEvent(rt, event, busy.start());
-    }
-  }
-  ReapRuntimes();
-  MaybeReoptimize();
-  return Status::Ok();
+  return Ingest(std::span<const Event>(&event, 1), /*per_event=*/true);
 }
 
 Status Session::PushBatch(std::span<const Event> events) {
@@ -943,73 +826,53 @@ Status Session::PushBatch(std::span<const Event> events) {
     return Status::FailedPrecondition("PushBatch on a closed session");
   }
   if (events.empty()) return Status::Ok();
-  // A batch rejected at its first event accrues no busy time; a mid-batch
-  // rejection keeps the time already spent on the valid prefix (that work
-  // was real and its effects stand).
-  Status first = gate_.CheckEvent(events.front().time);
-  if (!first.ok()) return first;
+  return Ingest(events, /*per_event=*/false);
+}
+
+Status Session::Ingest(std::span<const Event> events, bool per_event) {
+  // Rejected calls accrue no busy time: they do no engine work, and
+  // charging them would deflate the reported throughput of a caller that
+  // retries after errors. A mid-batch rejection keeps the time already
+  // spent on the valid prefix (that work was real and its effects stand).
+  Status result = gate_.CheckEvent(events.front().time);
+  if (!result.ok()) return result;
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  // Columnar epochs: transpose the run into each epoch's SoA staging batch
-  // and run its predicate kernels batch-wide up front. A mid-batch ordering
-  // violation stops exactly where the row path would — kernels touched the
-  // invalid suffix but no engine did. The run path stages even
-  // trivial-program epochs: the segmenter consumes the staged batch.
+  // Transpose the events into each epoch's SoA staging batch and run its
+  // predicate kernels batch-wide up front. A mid-batch ordering violation
+  // stops dispatch at the valid prefix — kernels touched the invalid suffix
+  // but no engine does.
   for (auto& rtp : runtimes_) {
     Runtime& rt = *rtp;
-    if (!UseColumnar(rt) && !UseRunPath()) continue;
-    rt.batch_scratch.Clear();
-    rt.batch_scratch.AppendRows(events);
+    rt.batch_scratch.Assign(events);
     rt.pred_program.EvalBatch(rt.batch_scratch, &rt.selection);
   }
-  Status result = Status::Ok();
-  if (UseRunPath()) {
-    // Ordering-gate pre-pass: commit the valid prefix before dispatch. The
-    // final gate state, counters and engine-visible events are identical to
-    // the per-event interleaving (engines never see the invalid suffix
-    // either way; the only mid-batch gate reader is the idle-eviction
-    // horizon, whose event-triggered checks are insensitive to it).
-    int valid = 0;
-    for (const Event& e : events) {
-      Status ordered = gate_.CheckEvent(e.time);
-      if (!ordered.ok()) {
-        result = ordered;
-        break;
-      }
-      gate_.CommitEvent(e.time);
-      ++events_;
-      if (reopt_enabled_) collector_.CountEvent(e.type);
-      ++valid;
+  // Ordering-gate pre-pass: commit the valid prefix before dispatch. The
+  // final gate state, counters and engine-visible events are identical to
+  // a per-event interleaving (engines never see the invalid suffix; the
+  // only mid-batch gate reader is the idle-eviction horizon, whose
+  // event-triggered checks are insensitive to it).
+  int valid = 0;
+  for (const Event& e : events) {
+    if (valid > 0) {
+      result = gate_.CheckEvent(e.time);
+      if (!result.ok()) break;
     }
-    for (auto& rtp : runtimes_) DispatchRuns(*rtp, events, valid);
-  } else {
-    for (size_t i = 0; i < events.size(); ++i) {
-      const Event& e = events[i];
-      Status ordered = gate_.CheckEvent(e.time);
-      if (!ordered.ok()) {
-        result = ordered;
-        break;
-      }
-      gate_.CommitEvent(e.time);
-      ++events_;
-      if (reopt_enabled_) collector_.CountEvent(e.type);
-      for (auto& rtp : runtimes_) {
-        Runtime& rt = *rtp;
-        if (UseColumnar(rt)) {
-          QuerySet passes = PassesForRow(rt, static_cast<int>(i));
-          ProcessEvent(rt, e, /*arrival=*/-1.0, &passes);
-        } else {
-          ProcessEvent(rt, e, /*arrival=*/-1.0);
-        }
-      }
-    }
+    gate_.CommitEvent(e.time);
+    ++events_;
+    if (reopt_enabled_) collector_.CountEvent(e.type);
+    ++valid;
   }
+  // A per-event Push is a 1-row run whose arrival time is the scope-entry
+  // wall, keeping that hot path at two clock reads total.
+  const double arrival = per_event ? busy.start() : -1.0;
+  for (auto& rtp : runtimes_) DispatchRuns(*rtp, events, valid, arrival);
   ReapRuntimes();
   MaybeReoptimize();
   return result;
 }
 
 void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
-                           int rows) {
+                           int rows, double arrival) {
   if (rows <= 0) return;
   SegmentRuns(rt.batch_scratch, rows, rt.plan->pane_size, rt.all_execs,
               rt.pred_program.predicated_queries(), rt.selection.masks,
@@ -1033,9 +896,10 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
     if (!rt.pane_started || event_pane > rt.pane_start) {
       AdvancePaneTo(rt, event_pane);
     }
-    // One arrival sample per run (the row path samples per event; latency
+    // One arrival sample per run unless the caller passed one (latency
     // attribution is a wall-clock metric, not part of emission values).
-    const double arrival = ClockNow(config_.clock_override);
+    const double run_arrival =
+        arrival >= 0 ? arrival : ClockNow(config_.clock_override);
     for (auto& compp : rt.components) {
       Component& comp = *compp;
       if (run.type < 0 ||
@@ -1045,63 +909,50 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
       // Sub-split at group-key changes: runs are segmented globally, group
       // partitioning is per component (group-by attrs differ), so the
       // per-group spans are carved here, straight off the key column.
+      // Without a key column (no GROUPBY, or no row carried the
+      // attribute) every row is group 0.
       const double* key_col = comp.group_by == Schema::kInvalidId
                                   ? nullptr
                                   : rt.batch_scratch.column_data(comp.group_by);
+      auto key_at = [&](int row) {
+        return static_cast<int64_t>(
+            std::llround(key_col[static_cast<size_t>(row)]));
+      };
       int sub = run.row_begin;
       while (sub < run.row_end) {
-        int64_t key = 0;
-        int sub_end = run.row_end;
-        if (comp.group_by != Schema::kInvalidId) {
-          key = static_cast<int64_t>(
-              std::llround(key_col == nullptr
-                               ? 0.0
-                               : key_col[static_cast<size_t>(sub)]));
-          sub_end = sub + 1;
-          while (sub_end < run.row_end &&
-                 static_cast<int64_t>(std::llround(
-                     key_col == nullptr
-                         ? 0.0
-                         : key_col[static_cast<size_t>(sub_end)])) == key) {
-            ++sub_end;
-          }
-        }
+        const int64_t key = key_col == nullptr ? 0 : key_at(sub);
+        int sub_end = key_col == nullptr ? run.row_end : sub + 1;
+        while (sub_end < run.row_end && key_at(sub_end) == key) ++sub_end;
         const Event& e0 = events[static_cast<size_t>(sub)];
         auto it = comp.groups.find(key);
         GroupRunner* runner = nullptr;
         if (it == comp.groups.end()) {
-          // Steal-fenced key (victim side): duplicated boundary events feed
-          // only runners that already exist — same rule as ProcessEvent.
+          // Steal-fenced key (victim side): boundary events duplicated to
+          // this shard feed only runners that already exist — a fresh
+          // runner would open retroactive windows the thief already owns.
           if (!group_bounds_.empty() &&
               group_bounds_.find(key) != group_bounds_.end()) {
             sub = sub_end;
             continue;
           }
-          auto created = std::make_unique<GroupRunner>();
-          created->comp = &comp;
-          created->group_key = key;
-          created->last_event_time = e0.time;
-          if (config_.kind == EngineKind::kHamletDynamic ||
-              config_.kind == EngineKind::kHamletStatic ||
-              config_.kind == EngineKind::kHamletNoShare) {
-            created->hamlet = std::make_unique<HamletEngine>(
-                *rt.plan, comp.members, comp.policy.get());
-          }
-          runner = created.get();
-          comp.groups[key] = std::move(created);
-          OpenDueWindows(rt, *runner, rt.pane_start, /*retroactive=*/true);
-          if (runner->hamlet) runner->hamlet->OnPaneStart(rt.pane_start);
+          runner = &NewGroupRunner(rt, comp, key, /*emit_from=*/0, {});
         } else {
           runner = it->second.get();
         }
         runner->last_event_time = events[static_cast<size_t>(sub_end - 1)].time;
+        // Latency attribution: an event resets the arrival clock only of
+        // windows it can contribute to — it must fall inside the window
+        // span and its type must appear in the owner query's (or cohort's)
+        // pattern. Stamping every open slot would under-report the
+        // emission latency of sibling queries and sliding instances the
+        // event does not belong to.
         auto stamp_if_relevant = [&](WindowSlot& w, TypeId type) {
           const std::vector<bool>& owner_mask =
               cohort_kind
                   ? comp.cohort_type_masks[static_cast<size_t>(w.owner)]
                   : rt.exec_type_masks[static_cast<size_t>(w.owner)];
           if (owner_mask[static_cast<size_t>(type)]) {
-            w.last_arrival_wall = arrival;
+            w.last_arrival_wall = run_arrival;
           }
         };
         if (runner->hamlet) {
@@ -1120,8 +971,9 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
           runner->hamlet->OnRunFiltered(rt.batch_scratch, group_run);
         } else {
           // Non-HAMLET engines are per-window and consume rows one at a
-          // time; the run path still amortizes the pane advance, type gate
-          // and group lookup across the span.
+          // time; the run still amortizes the pane advance, type gate and
+          // group lookup across the span. One pass per row: stamp and
+          // dispatch share the window-span check.
           for (int i = sub; i < sub_end; ++i) {
             const Event& e = events[static_cast<size_t>(i)];
             for (WindowSlot& w : runner->windows) {
@@ -1376,22 +1228,8 @@ void Session::AdoptGroup(int64_t group_key, Timestamp emit_from,
     // runner can exist here (a fenced leftover dropped during the advance
     // above).
     HAMLET_CHECK(comp.groups.find(group_key) == comp.groups.end());
-    auto created = std::make_unique<GroupRunner>();
-    created->comp = &comp;
-    created->group_key = group_key;
-    created->last_event_time = emit_from;
-    created->emit_from = emit_from;
-    if (config_.kind == EngineKind::kHamletDynamic ||
-        config_.kind == EngineKind::kHamletStatic ||
-        config_.kind == EngineKind::kHamletNoShare) {
-      created->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
-                                                       comp.policy.get());
-      created->hamlet->SeedLaneStats(migration.components[c].lane_stats);
-    }
-    GroupRunner* runner = created.get();
-    comp.groups[group_key] = std::move(created);
-    OpenDueWindows(rt, *runner, rt.pane_start, /*retroactive=*/true);
-    if (runner->hamlet) runner->hamlet->OnPaneStart(rt.pane_start);
+    NewGroupRunner(rt, comp, group_key, emit_from,
+                   migration.components[c].lane_stats);
   }
 }
 

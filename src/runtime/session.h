@@ -103,43 +103,16 @@ struct RunConfig {
   /// Assignments are sticky, so per-group window order is preserved. 0
   /// disables (pure hash); must be >= 0.
   int64_t shard_rebalance_threshold = 0;
-  /// Columnar hot path: stage pushed events into a structure-of-arrays
-  /// EventBatch and evaluate every exec query's event predicates batch-wide
-  /// through the compiled column kernels (src/query/columnar_predicate.h)
-  /// before dispatch; HAMLET engines then receive pre-filtered events via
-  /// OnEventFiltered. false forces the legacy per-event row path. Emission
-  /// sets are BIT-IDENTICAL either way, for every engine kind
-  /// (CTest-enforced by tests/columnar_test.cc) — the knob trades dispatch
-  /// strategy, never results. Predicate names are resolved against the
-  /// schema once at Session::Open under BOTH settings, so unknown
-  /// attributes fail Open with kInvalidArgument instead of tripping a
-  /// per-event DCHECK later.
-  bool columnar = true;
-  /// Run-granular propagation: segment each staged batch into maximal
-  /// same-type, same-pass-set, pane-confined runs (src/query/
-  /// run_segmenter.h) and dispatch each run through the engines in ONE call
-  /// — one pane advance, one group lookup and one latency-stamp window scan
-  /// per run, and HamletEngine::OnRunFiltered amortizes lane transitions
-  /// and snapshot-count propagation across the run's rows. Valid for every
-  /// engine kind (non-HAMLET engines keep per-row dispatch inside the run
-  /// loop) and composes with shards, producers, churn and re-optimization.
-  /// Emission sets are BIT-IDENTICAL on or off (CTest-enforced by
-  /// tests/run_propagation_test.cc): the run body replays the row path's
-  /// exact FP op sequence. Requires `columnar` (the segmenter consumes the
-  /// staged batch + selection bitmaps); ignored on the row path. Affects
-  /// PushBatch-fed ingestion (ShardedSession workers included); single-row
-  /// Push stays on per-event dispatch, which is the same body.
-  bool run_propagation = true;
   /// Online plan re-optimization cadence, in panes: every this many pane
   /// boundaries the session re-derives the cost-model inputs from live
   /// statistics (src/optimizer/online_optimizer.h), re-runs the pruned plan
   /// search, and hot-swaps the sharing plan at the next pane boundary when
   /// the observed cost drifts past reoptimize_threshold. 0 (default)
   /// freezes the plan chosen at Open. Requires a HAMLET engine kind with a
-  /// sharing plan to act on (kHamletDynamic or kHamletStatic); works under
-  /// BOTH columnar settings (each plan epoch compiles its own predicate
-  /// program). In a ShardedSession only the FRONT re-optimizes and
-  /// broadcasts the swap, so all shards always run the identical plan.
+  /// sharing plan to act on (kHamletDynamic or kHamletStatic); each plan
+  /// epoch compiles its own predicate program. In a ShardedSession only the
+  /// FRONT re-optimizes and broadcasts the swap, so all shards always run
+  /// the identical plan.
   int reoptimize_every_panes = 0;
   /// Relative cost drift that triggers a plan swap: swap when
   /// (observed - best) / observed exceeds this. Must be > 0 — a zero or
@@ -291,10 +264,10 @@ struct RunMetrics {
   HamletStats hamlet;
   /// Sharing decisions taken (dynamic policy only).
   int64_t decisions = 0;
-  /// Runs dispatched by RunConfig::run_propagation (0 when off or on the
-  /// per-event row path): the number of segmented batch spans fed through
-  /// the engines in one call each. events / runs is the mean amortization
-  /// the run path achieved.
+  /// Runs dispatched to the engines: every pushed batch is segmented into
+  /// same-type, same-pass-set, pane-confined spans fed through the engines
+  /// in one call each, and every per-event Push is a 1-row run. events /
+  /// runs is the mean amortization the segmentation achieved.
   int64_t runs = 0;
   /// Histogram of dispatched run lengths: bucket i counts runs of length in
   /// [2^i, 2^(i+1)). Bucket 0 dominating means the stream interleaves types
@@ -567,26 +540,24 @@ class Session {
   void MaybeReoptimize();
   HamletStats AggregateHamletStats() const;
 
-  /// `arrival` is the event's arrival wall time; pass a negative value to
-  /// sample it internally (batch path). `passes` (columnar path) carries the
-  /// batch-computed predicate pass-set for `e` — HAMLET engines then skip
-  /// their per-event predicate loop; nullptr (row path) lets them
-  /// self-filter. Non-HAMLET engines always self-filter, so `passes` only
-  /// changes where the same predicate math runs, never the results.
-  void ProcessEvent(Runtime& rt, const Event& e, double arrival,
-                    const QuerySet* passes = nullptr);
-  /// True when pushes should flow through the columnar batch path.
-  bool UseColumnar(const Runtime& rt) const;
-  /// True when PushBatch should flow through run-granular dispatch
-  /// (requires columnar staging; see RunConfig::run_propagation).
-  bool UseRunPath() const;
-  /// Run-granular batch dispatch: segments staged rows [0, rows) of
+  /// Shared body of Push and PushBatch (`events` non-empty): stages
+  /// `events` into every epoch's SoA batch, runs the predicate kernels,
+  /// commits the time-ordered prefix and dispatches it as runs.
+  /// `per_event` (Push) stamps the lone run with the call's entry time.
+  Status Ingest(std::span<const Event> events, bool per_event);
+  /// Run-granular dispatch: segments staged rows [0, rows) of
   /// `rt.batch_scratch` into runs and feeds each through the engines in one
   /// call (`events` are the same rows, used where whole Events are needed).
-  void DispatchRuns(Runtime& rt, std::span<const Event> events, int rows);
-  /// Pass-set for staged row `i` after EvalBatch: all exec queries, minus
-  /// predicated ones whose selection bit for `i` is clear.
-  QuerySet PassesForRow(const Runtime& rt, int i) const;
+  /// `arrival` is the rows' arrival wall time; a negative value samples it
+  /// once per run.
+  void DispatchRuns(Runtime& rt, std::span<const Event> events, int rows,
+                    double arrival);
+  /// Creates the runner for `key` in `comp`, opening every window instance
+  /// covering the current pane from `emit_from` on, and seeds its HAMLET
+  /// engine's sharing statistics from `lane_stats` (work-stealing adopt).
+  GroupRunner& NewGroupRunner(Runtime& rt, Component& comp, int64_t key,
+                              Timestamp emit_from,
+                              std::span<const HamletLaneStats> lane_stats);
   void AdvancePaneTo(Runtime& rt, Timestamp new_pane_start);
   void CloseExpiredWindows(Runtime& rt, GroupRunner& runner, Timestamp now);
   void OpenDueWindows(Runtime& rt, GroupRunner& runner, Timestamp pane_start,
@@ -614,7 +585,7 @@ class Session {
   Timestamp last_reopt_pane_ = 0;
   bool reopt_pane_seen_ = false;
   /// Fenced group keys (victim side of a steal): while a key is present,
-  /// ProcessEvent creates NO new runner for it — duplicated boundary
+  /// DispatchRuns creates NO new runner for it — duplicated boundary
   /// events feed only the fenced runners that already exist. The value is
   /// the fence's drop_after; entries sweep once a pane boundary reaches
   /// it. Empty except on steal victims, so the hot path pays one

@@ -1305,12 +1305,14 @@ Result<RunMetrics> ShardedSession::Close() {
   // thread is the front again for the final sweep.
   ThreadRoleGuard role(front_role_);
   FlushAllShards();
-  // Idle-group eviction keys off each session's own max seen event time,
-  // and shards each saw only a subset of the stream. Broadcasting the
-  // front's max as a final watermark aligns every shard's eviction horizon
-  // with the single-threaded reference before the Close flush sweep, so
-  // the same groups evict at the same boundaries at any shard count.
-  if (config_.evict_idle_groups && gate_.any_seen()) {
+  // Each shard saw only a subset of the stream, so its own max seen time
+  // can trail the front's. Broadcasting the front's max as a final
+  // watermark (never a regression: max_seen includes every watermark)
+  // brings every shard to the same final pane before the Close flush
+  // sweep: a shard with no event in that pane still opens its windows,
+  // and idle-group eviction horizons align with the single-threaded
+  // reference, so emissions match it at any shard count.
+  if (gate_.any_seen()) {
     for (auto& shard : shards_) {
       ShardMsg msg;
       msg.kind = ShardMsg::Kind::kWatermark;

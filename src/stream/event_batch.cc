@@ -18,14 +18,6 @@ void EventBatch::Clear() {
   for (auto& col : cols_) col.clear();
 }
 
-void EventBatch::Reserve(int rows) {
-  const size_t n = static_cast<size_t>(rows);
-  times_.reserve(n);
-  types_.reserve(n);
-  num_attrs_.reserve(n);
-  for (auto& col : cols_) col.reserve(n);
-}
-
 void EventBatch::WidenTo(int want) {
   const size_t rows = times_.size();
   while (num_attr_columns() < want) {
@@ -35,19 +27,33 @@ void EventBatch::WidenTo(int want) {
 }
 
 void EventBatch::Append(const Event& e) {
-  if (e.num_attrs > num_attr_columns()) WidenTo(e.num_attrs);
-  times_.push_back(e.time);
-  types_.push_back(e.type);
-  num_attrs_.push_back(e.num_attrs);
-  const int n = num_attr_columns();
-  for (int a = 0; a < n; ++a) {
-    cols_[static_cast<size_t>(a)].push_back(
-        a < e.num_attrs ? e.attrs[static_cast<size_t>(a)] : 0.0);
-  }
+  WriteRows(times_.size(), std::span<const Event>(&e, 1));
 }
 
 void EventBatch::AppendRows(std::span<const Event> rows) {
-  for (const Event& e : rows) Append(e);
+  WriteRows(times_.size(), rows);
+}
+
+void EventBatch::Assign(std::span<const Event> rows) { WriteRows(0, rows); }
+
+void EventBatch::WriteRows(size_t at, std::span<const Event> rows) {
+  const size_t n = at + rows.size();
+  times_.resize(n);
+  types_.resize(n);
+  num_attrs_.resize(n);
+  for (const Event& e : rows) {
+    if (e.num_attrs > num_attr_columns()) WidenTo(e.num_attrs);
+  }
+  for (auto& col : cols_) col.resize(n);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Event& e = rows[i];
+    times_[at + i] = e.time;
+    types_[at + i] = e.type;
+    num_attrs_[at + i] = e.num_attrs;
+    for (size_t a = 0; a < cols_.size(); ++a) {
+      cols_[a][at + i] = static_cast<int>(a) < e.num_attrs ? e.attrs[a] : 0.0;
+    }
+  }
 }
 
 void EventBatch::CopyRow(int i, Event* out) const {
@@ -65,8 +71,7 @@ void EventBatch::CopyRow(int i, Event* out) const {
 EventBatch EventBatch::FromRows(std::span<const Event> rows,
                                 int num_attr_columns) {
   EventBatch batch(num_attr_columns);
-  batch.Reserve(static_cast<int>(rows.size()));
-  batch.AppendRows(rows);
+  batch.Assign(rows);
   return batch;
 }
 

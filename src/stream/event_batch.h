@@ -35,12 +35,16 @@ class EventBatch {
   /// Drops all rows, keeps column count and capacities.
   void Clear();
 
-  void Reserve(int rows);
-
   void Append(const Event& e);
 
   /// Appends every row of `rows` (convenience over a caller-side loop).
   void AppendRows(std::span<const Event> rows);
+
+  /// Replaces the contents with `rows`: Clear() + AppendRows(rows), but
+  /// overwriting rows in place, so re-staging a batch of the previous
+  /// size (a per-event Push stages one row every call) moves no column
+  /// ends.
+  void Assign(std::span<const Event> rows);
 
   int size() const { return static_cast<int>(times_.size()); }
   bool empty() const { return times_.empty(); }
@@ -99,6 +103,9 @@ class EventBatch {
 
  private:
   void WidenTo(int want);
+  /// Resizes to `at + rows.size()` rows and writes `rows` from row `at` on
+  /// (widening first if a row carries more attributes than the columns).
+  void WriteRows(size_t at, std::span<const Event> rows);
 
   std::vector<Timestamp> times_;
   std::vector<TypeId> types_;

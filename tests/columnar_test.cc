@@ -1,9 +1,9 @@
 // Columnar hot-path tests.
 //
-// Pins down the three contracts the columnar refactor introduced:
-//  1. EQUIVALENCE — for every engine kind and shard count, running a stream
-//     with RunConfig::columnar on yields the BIT-IDENTICAL emission set the
-//     row path produces (values compared with EXPECT_EQ, not tolerances).
+// Pins down the three contracts of the columnar hot path:
+//  1. EQUIVALENCE — for every engine kind and shard count, a ShardedSession
+//     yields the BIT-IDENTICAL emission set of a plain single-threaded
+//     Session (values compared with EXPECT_EQ, not tolerances).
 //  2. KERNEL SEMANTICS — CmpColumnKernel/TypeGateAnd/PackMask/
 //     MaskedLinAggKernel agree element-for-element with the scalar row path
 //     (EvalCmp), including IEEE NaN behaviour and empty/full selections.
@@ -137,39 +137,27 @@ std::vector<Emission> RunSharded(const WorkloadPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// 1. Row-vs-columnar emission equivalence, all engines x shard counts.
+// 1. Sharded-vs-plain emission equivalence, all engines x shard counts.
 
 void CheckRowColumnarEquivalence(const BenchWorkload& bw,
                                  const EventVector& ev,
                                  const std::string& workload_label) {
   for (EngineKind kind : kAllKinds) {
-    // Row-path baseline: plain Session, columnar off.
-    RunConfig row;
-    row.kind = kind;
-    row.columnar = false;
-    StreamExecutor row_exec(*bw.plan, row);
-    RunOutput baseline = row_exec.Run(ev);
+    // Baseline: plain single-threaded Session.
+    RunConfig config;
+    config.kind = kind;
+    StreamExecutor executor(*bw.plan, config);
+    RunOutput baseline = executor.Run(ev);
     ASSERT_TRUE(baseline.status.ok()) << baseline.status.ToString();
     ASSERT_GT(baseline.emissions.size(), 0u)
         << workload_label << "/" << EngineKindName(kind);
 
-    RunConfig columnar = row;
-    columnar.columnar = true;
     for (int shards : {1, 2, 4, 8}) {
-      std::vector<Emission> got =
-          RunSharded(*bw.plan, columnar, shards, ev);
-      ExpectSameEmissionSet(
-          baseline.emissions, got,
-          workload_label + "/" + EngineKindName(kind) + "/columnar/N=" +
-              std::to_string(shards));
+      std::vector<Emission> got = RunSharded(*bw.plan, config, shards, ev);
+      ExpectSameEmissionSet(baseline.emissions, got,
+                            workload_label + "/" + EngineKindName(kind) +
+                                "/N=" + std::to_string(shards));
     }
-    // And the row path itself must be shard-invariant with columnar off
-    // (guards against the equivalence holding only because both paths
-    // took the batch branch).
-    std::vector<Emission> row_sharded = RunSharded(*bw.plan, row, 2, ev);
-    ExpectSameEmissionSet(
-        baseline.emissions, row_sharded,
-        workload_label + "/" + EngineKindName(kind) + "/row/N=2");
   }
 }
 
@@ -191,8 +179,8 @@ TEST(RowColumnarEquivalence, Workload1WithPredicatesAllEnginesAllShards) {
 TEST(RowColumnarEquivalence, Workload2DiverseAllEnginesAllShards) {
   BenchWorkload bw = MakeWorkload2(6);
   // Kept deliberately small: the two-step baseline's trend enumeration is
-  // superlinear in Kleene-run length, and this sweep runs it 10 times
-  // (row + 4 shard counts + guards) under ASan in CI.
+  // superlinear in Kleene-run length, and this sweep runs it 5 times
+  // (baseline + 4 shard counts) under ASan in CI.
   GeneratorConfig gen;
   gen.seed = 99;
   gen.events_per_minute = 150;
@@ -202,43 +190,6 @@ TEST(RowColumnarEquivalence, Workload2DiverseAllEnginesAllShards) {
   gen.max_burst = 4;
   EventVector ev = bw.generator->Generate(gen);
   CheckRowColumnarEquivalence(bw, ev, "w2");
-}
-
-// Engine-level batch equivalence: EvalHamletBatchColumnar over the SoA batch
-// vs EvalHamletBatch over the rows, for a workload with event predicates.
-TEST(RowColumnarEquivalence, EvalHamletBatchColumnarMatchesRowPath) {
-  Schema schema;
-  Workload workload{&schema};
-  for (const char* text :
-       {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.x > 2 WITHIN 1 s",
-        "RETURN SUM(B.x) PATTERN SEQ(C, B+) WHERE B.x <= 5 WITHIN 1 s"}) {
-    workload.Add(ParseQuery(text).value()).ok();
-  }
-  WorkloadPlan plan = AnalyzeWorkload(workload).value();
-
-  // "x" is the first attribute the workload registers -> attr id 0.
-  StreamBuilder sb(&schema);
-  sb.Add("A", {1.0});
-  sb.AddRun(4, "B", {3.0});
-  sb.Add("C", {4.0});
-  sb.AddRun(3, "B", {7.0});
-  sb.AddRun(2, "B", {1.0});
-  EventVector ev = sb.Take();
-
-  AlwaysSharePolicy policy_row;
-  BatchResult row = EvalHamletBatch(plan, ev, &policy_row);
-  AlwaysSharePolicy policy_col;
-  EventBatch batch = EventBatch::FromRows(ev, schema.num_attrs());
-  BatchResult col = EvalHamletBatchColumnar(plan, batch, &policy_col);
-
-  ASSERT_EQ(row.exec_values.size(), col.exec_values.size());
-  for (size_t i = 0; i < row.exec_values.size(); ++i) {
-    ExpectSameValue(row.exec_values[i], col.exec_values[i],
-                    "exec #" + std::to_string(i));
-  }
-  EXPECT_EQ(row.stats.events, col.stats.events);
-  EXPECT_EQ(row.stats.graphlets_opened, col.stats.graphlets_opened);
-  EXPECT_EQ(row.stats.snapshots_created, col.stats.snapshots_created);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +278,6 @@ TEST(PredicateKernels, ProgramEvalBatchEmptyAndFullSelections) {
       .ok();
   WorkloadPlan plan = AnalyzeWorkload(workload).value();
   PredicateProgram program = CompilePredicateProgram(plan).value();
-  ASSERT_FALSE(program.trivial());
   ASSERT_EQ(program.predicated_queries().size(), 2u);
 
   StreamBuilder sb(&schema);
@@ -379,29 +329,42 @@ TEST(EventBatchTest, RoundTripIsBitIdentical) {
   rows.push_back(wide);
   for (const Event& r : rows) batch.Append(r);
 
-  ASSERT_EQ(batch.size(), 3);
-  EXPECT_EQ(batch.num_attr_columns(), 4);  // widened by the third row
-  for (int i = 0; i < batch.size(); ++i) {
-    Event got;
-    batch.CopyRow(i, &got);
-    const Event& want = rows[static_cast<size_t>(i)];
-    EXPECT_EQ(got.time, want.time) << i;
-    EXPECT_EQ(got.type, want.type) << i;
-    EXPECT_EQ(got.num_attrs, want.num_attrs) << i;
-    for (int a = 0; a < Event::kMaxAttrs; ++a) {
-      ExpectSameValue(got.attrs[static_cast<size_t>(a)],
-                      want.attrs[static_cast<size_t>(a)],
-                      "row " + std::to_string(i) + " attr " +
-                          std::to_string(a));
+  auto expect_rows = [&](const std::string& label) {
+    ASSERT_EQ(batch.size(), 3) << label;
+    EXPECT_EQ(batch.num_attr_columns(), 4) << label;  // widened by row 3
+    for (int i = 0; i < batch.size(); ++i) {
+      Event got;
+      batch.CopyRow(i, &got);
+      const Event& want = rows[static_cast<size_t>(i)];
+      EXPECT_EQ(got.time, want.time) << label << i;
+      EXPECT_EQ(got.type, want.type) << label << i;
+      EXPECT_EQ(got.num_attrs, want.num_attrs) << label << i;
+      for (int a = 0; a < Event::kMaxAttrs; ++a) {
+        ExpectSameValue(got.attrs[static_cast<size_t>(a)],
+                        want.attrs[static_cast<size_t>(a)],
+                        label + " row " + std::to_string(i) + " attr " +
+                            std::to_string(a));
+      }
     }
-  }
-  // Widening zero-padded the earlier rows' new columns.
-  EXPECT_EQ(batch.column(3)[0], 0.0);
-  EXPECT_EQ(batch.column(3)[1], 0.0);
+    // Widening zero-padded the earlier rows' new columns.
+    EXPECT_EQ(batch.column(3)[0], 0.0) << label;
+    EXPECT_EQ(batch.column(3)[1], 0.0) << label;
+  };
+  expect_rows("append");
   // Clear keeps the shape.
   batch.Clear();
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.num_attr_columns(), 4);
+  // Assign re-stages in place: the same rows as Clear + Append, and a
+  // shorter batch shrinks it.
+  batch = EventBatch(2);
+  batch.Assign(rows);
+  expect_rows("assign");
+  batch.Assign(std::span<const Event>(&narrow, 1));
+  ASSERT_EQ(batch.size(), 1);
+  EXPECT_EQ(batch.time(0), 6);
+  EXPECT_EQ(batch.column(0)[0], 42.0);
+  EXPECT_EQ(batch.column(3)[0], 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,16 +384,12 @@ TEST(OpenValidation, UnresolvedPredicateAttrFailsOpen) {
   ASSERT_FALSE(plan.exec_queries[0].event_predicates.empty());
   plan.exec_queries[0].event_predicates[0].attr = 99;
 
-  for (bool columnar : {true, false}) {
-    RunConfig config;
-    config.columnar = columnar;
-    CollectingSink sink;
-    Result<std::unique_ptr<Session>> session =
-        Session::Open(plan, config, &sink);
-    ASSERT_FALSE(session.ok()) << "columnar=" << columnar;
-    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
-        << session.status().ToString();
-  }
+  CollectingSink sink;
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, RunConfig(), &sink);
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument)
+      << session.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -500,10 +459,11 @@ TEST(ObjectPoolTest, AcquireReleaseRecyclesWithCapacitiesKept) {
 //
 // Warm a session until every capacity (staging batch, selection bitmaps,
 // pooled graphlet node vectors, snapshot store) has seen its steady-state
-// size, then assert that pushing another same-pane burst through the
-// columnar hot path performs ZERO heap allocations. Kleene bursts are the
-// paper's stress axis, so this is exactly the loop that used to pay one
-// malloc/free per graphlet and several per event.
+// size, then assert that pushing another same-pane burst — half as one
+// PushBatch, half as per-event Push calls (1-row runs) — performs ZERO heap
+// allocations. Kleene bursts are the paper's stress axis, so this is
+// exactly the loop that used to pay one malloc/free per graphlet and
+// several per event.
 
 void CheckZeroSteadyStateAllocations(EngineKind kind) {
   Schema schema;
@@ -517,7 +477,6 @@ void CheckZeroSteadyStateAllocations(EngineKind kind) {
 
   RunConfig config;
   config.kind = kind;
-  config.columnar = true;
   // No sink: emissions drop, so window closes cannot allocate in a sink
   // buffer (closures happen outside the measured region anyway).
   Result<std::unique_ptr<Session>> opened =
@@ -553,9 +512,10 @@ void CheckZeroSteadyStateAllocations(EngineKind kind) {
   push_run(1005, "C", 1, 1.0);
   push_run(1010, "B", 600, 1.0);
 
-  // Measured region: one more same-pane burst, staged and dispatched through
-  // the columnar path. Events stay inside pane 1, so no windows open or
-  // close and no graphlets are acquired — pure steady-state appends.
+  // Measured region: one more same-pane burst, the first half staged and
+  // dispatched as one batch, the rest pushed one event at a time. Events
+  // stay inside pane 1, so no windows open or close and no graphlets are
+  // acquired — pure steady-state appends.
   EventVector burst;
   for (int i = 0; i < 200; ++i) {
     Event e;
@@ -567,7 +527,11 @@ void CheckZeroSteadyStateAllocations(EngineKind kind) {
   }
   g_allocation_count.store(0);
   g_count_allocations.store(true);
-  Status pushed = session.PushBatch(burst);
+  const size_t half = burst.size() / 2;
+  Status pushed = session.PushBatch(std::span<const Event>(burst.data(), half));
+  for (size_t i = half; i < burst.size() && pushed.ok(); ++i) {
+    pushed = session.Push(burst[i]);
+  }
   g_count_allocations.store(false);
   ASSERT_TRUE(pushed.ok()) << pushed.ToString();
   EXPECT_EQ(g_allocation_count.load(), 0)

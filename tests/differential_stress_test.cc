@@ -2,10 +2,9 @@
 // seeded random sample of runtime configurations — engine kind x shard
 // count x ingest mode (session-level batches of varying size, or 1/2/4
 // concurrent producers, optionally with mid-stream producer churn) x
-// staging batch size x adaptive batching x columnar x run propagation x
-// work stealing x queue capacity — asserting the emission set is
-// bit-identical to the
-// single-threaded batch reference every time. Every documented
+// staging batch size x adaptive batching x work stealing x queue capacity
+// — asserting the emission set is bit-identical to the single-threaded
+// batch reference every time. Every documented
 // emission-neutral knob has to actually be neutral, in combination, under
 // real concurrency.
 //
@@ -47,8 +46,6 @@ struct StressConfig {
   int shard_batch = 128;
   int queue_capacity = 8192;
   bool adaptive = false;
-  bool columnar = true;
-  bool run_propagation = true;
   bool stealing = false;
   bool churn = false;  // producer handles leave/join at mid-stream
 
@@ -60,8 +57,6 @@ struct StressConfig {
     s += "/stage=" + std::to_string(shard_batch);
     s += "/q=" + std::to_string(queue_capacity);
     if (adaptive) s += "/adaptive";
-    if (!columnar) s += "/scalar";
-    if (!run_propagation) s += "/rowpath";
     if (stealing) s += "/steal";
     if (churn) s += "/churn";
     return s;
@@ -81,8 +76,6 @@ StressConfig SampleConfig(Rng& rng) {
   const int queue_choices[] = {64, 8192};
   c.queue_capacity = queue_choices[rng.NextBelow(2)];
   c.adaptive = rng.NextBelow(2) == 1;
-  c.columnar = rng.NextBelow(2) == 1;
-  c.run_propagation = rng.NextBelow(2) == 1;
   c.stealing = rng.NextBelow(2) == 1;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
   return c;
@@ -182,8 +175,6 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     config.shard_batch_size = sc.shard_batch;
     config.shard_queue_capacity = sc.queue_capacity;
     config.adaptive_batching = sc.adaptive;
-    config.columnar = sc.columnar;
-    config.run_propagation = sc.run_propagation;
     config.work_stealing = sc.stealing;
     CollectingSink sink;
     Result<std::unique_ptr<ShardedSession>> opened =

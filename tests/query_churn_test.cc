@@ -12,8 +12,8 @@
 // exact, empty windows included.
 //
 // Also covers: plan hot swaps (explicit ApplySharingOverrides and the
-// online re-optimizer under a burst-shifted stream, both columnar
-// settings, with RunConfig::clock_override pinning the clock) leaving
+// online re-optimizer under a burst-shifted stream, with
+// RunConfig::clock_override pinning the clock) leaving
 // emissions identical to a frozen plan; the lifecycle error contracts
 // (unnamed/duplicate adds, schema-extending adds, unknown/last-query
 // removes, the kMaxLiveEpochs backpressure cap and recovery); the
@@ -311,8 +311,8 @@ TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
 
 // Hot-swap under burst: with the re-optimizer checking every 2 panes over
 // a stream whose dominant burst type flips mid-run, emissions stay
-// bit-identical to a frozen plan (sharing never changes values), under
-// both columnar settings, single-threaded and sharded. clock_override
+// bit-identical to a frozen plan (sharing never changes values),
+// single-threaded and sharded. clock_override
 // pins the clock so latency accounting cannot perturb scheduling-visible
 // state under sanitizer load.
 TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
@@ -323,63 +323,59 @@ TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
 
   for (EngineKind kind :
        {EngineKind::kHamletDynamic, EngineKind::kHamletStatic}) {
-    for (bool columnar : {true, false}) {
-      const std::string label = std::string(EngineKindName(kind)) +
-                                (columnar ? " columnar" : " row");
-      RunConfig frozen;
-      frozen.kind = kind;
-      frozen.columnar = columnar;
-      frozen.clock_override = [] { return 0.0; };
-      RunConfig reopt = frozen;
-      reopt.reoptimize_every_panes = 2;
-      reopt.reoptimize_threshold = 0.05;
+    const std::string label = EngineKindName(kind);
+    RunConfig frozen;
+    frozen.kind = kind;
+    frozen.clock_override = [] { return 0.0; };
+    RunConfig reopt = frozen;
+    reopt.reoptimize_every_panes = 2;
+    reopt.reoptimize_threshold = 0.05;
 
-      const RunOut frozen_out = RunPlain(*w.plan, frozen, ev);
+    const RunOut frozen_out = RunPlain(*w.plan, frozen, ev);
 
-      CollectingSink sink;
-      Result<std::unique_ptr<Session>> s =
-          Session::Open(*w.plan, reopt, &sink);
-      ASSERT_TRUE(s.ok()) << label;
-      PushRange(*s.value(), ev, 0, ev.size());
-      ASSERT_TRUE(s.value()->AdvanceTo(ev.back().time).ok()) << label;
-      Result<RunMetrics> m = s.value()->Close();
-      ASSERT_TRUE(m.ok()) << label;
+    CollectingSink sink;
+    Result<std::unique_ptr<Session>> s =
+        Session::Open(*w.plan, reopt, &sink);
+    ASSERT_TRUE(s.ok()) << label;
+    PushRange(*s.value(), ev, 0, ev.size());
+    ASSERT_TRUE(s.value()->AdvanceTo(ev.back().time).ok()) << label;
+    Result<RunMetrics> m = s.value()->Close();
+    ASSERT_TRUE(m.ok()) << label;
 
-      ExpectSameTuples(Tuples(frozen_out.emissions), Tuples(sink.Take()),
-                       label);
-      EXPECT_GT(m.value().reopt_checks, 0) << label;
-      EXPECT_EQ(m.value().reopt_swaps,
-                static_cast<int64_t>([&] {
-                  int64_t swapped = 0;
-                  for (const ReoptDecision& d : s.value()->reopt_log()) {
-                    if (d.swapped) ++swapped;
-                  }
-                  return swapped;
-                }()))
-          << label;
-      EXPECT_GE(m.value().plan_swaps, m.value().reopt_swaps) << label;
+    ExpectSameTuples(Tuples(frozen_out.emissions), Tuples(sink.Take()),
+                     label);
+    EXPECT_GT(m.value().reopt_checks, 0) << label;
+    EXPECT_EQ(m.value().reopt_swaps,
+              static_cast<int64_t>([&] {
+                int64_t swapped = 0;
+                for (const ReoptDecision& d : s.value()->reopt_log()) {
+                  if (d.swapped) ++swapped;
+                }
+                return swapped;
+              }()))
+        << label;
+    EXPECT_GE(m.value().plan_swaps, m.value().reopt_swaps) << label;
 
-      // Sharded: only the front re-optimizes and broadcasts the swap. The
-      // mid-stream watermark is the checkpoint where the front waits for
-      // the shards' statistics, so the later drift checks are guaranteed
-      // to see real evidence.
-      RunConfig sharded = reopt;
-      sharded.num_shards = 2;
-      CollectingSink ssink;
-      Result<std::unique_ptr<ShardedSession>> sh =
-          ShardedSession::Open(*w.plan, sharded, &ssink);
-      ASSERT_TRUE(sh.ok()) << label;
-      PushRange(*sh.value(), ev, 0, ev.size() / 2);
-      ASSERT_TRUE(sh.value()->AdvanceTo(ev[ev.size() / 2 - 1].time).ok())
-          << label;
-      PushRange(*sh.value(), ev, ev.size() / 2, ev.size());
-      ASSERT_TRUE(sh.value()->AdvanceTo(ev.back().time).ok()) << label;
-      Result<RunMetrics> sm = sh.value()->Close();
-      ASSERT_TRUE(sm.ok()) << label;
-      ExpectSameTuples(Tuples(frozen_out.emissions), Tuples(ssink.Take()),
-                       label + " sharded");
-      EXPECT_GT(sm.value().reopt_checks, 0) << label;
-    }
+    // Sharded: only the front re-optimizes and broadcasts the swap. The
+    // mid-stream watermark is the checkpoint where the front waits for
+    // the shards' statistics, so the later drift checks are guaranteed
+    // to see real evidence.
+    RunConfig sharded = reopt;
+    sharded.num_shards = 2;
+    CollectingSink ssink;
+    Result<std::unique_ptr<ShardedSession>> sh =
+        ShardedSession::Open(*w.plan, sharded, &ssink);
+    ASSERT_TRUE(sh.ok()) << label;
+    PushRange(*sh.value(), ev, 0, ev.size() / 2);
+    ASSERT_TRUE(sh.value()->AdvanceTo(ev[ev.size() / 2 - 1].time).ok())
+        << label;
+    PushRange(*sh.value(), ev, ev.size() / 2, ev.size());
+    ASSERT_TRUE(sh.value()->AdvanceTo(ev.back().time).ok()) << label;
+    Result<RunMetrics> sm = sh.value()->Close();
+    ASSERT_TRUE(sm.ok()) << label;
+    ExpectSameTuples(Tuples(frozen_out.emissions), Tuples(ssink.Take()),
+                     label + " sharded");
+    EXPECT_GT(sm.value().reopt_checks, 0) << label;
   }
 }
 
@@ -561,17 +557,13 @@ TEST(RunConfigValidation, ReoptimizeKnobMatrix) {
         << EngineKindName(kind);
   }
 
-  // Supported combinations, including re-optimization over the row path.
+  // Supported combinations.
   for (EngineKind kind :
        {EngineKind::kHamletDynamic, EngineKind::kHamletStatic}) {
-    for (bool columnar : {true, false}) {
-      RunConfig ok = config;
-      ok.kind = kind;
-      ok.columnar = columnar;
-      ok.reoptimize_every_panes = 4;
-      EXPECT_TRUE(ValidateRunConfig(ok).ok())
-          << EngineKindName(kind) << " columnar=" << columnar;
-    }
+    RunConfig ok = config;
+    ok.kind = kind;
+    ok.reoptimize_every_panes = 4;
+    EXPECT_TRUE(ValidateRunConfig(ok).ok()) << EngineKindName(kind);
   }
 }
 

@@ -1,9 +1,8 @@
-// Run-granular propagation: segmenter unit tests plus the knob's
-// end-to-end contract — emissions are bit-identical with run_propagation
-// on and off, for every engine kind, across shard counts and concurrent
-// producer counts. The baseline for every cell is the single-threaded
-// row-path StreamExecutor run, so the matrix also re-proves the columnar
-// and sharding equivalences it composes with.
+// Run-granular propagation: segmenter unit tests plus the end-to-end
+// contract — emissions of chunked, sharded and multi-producer ingestion are
+// bit-identical for every engine kind, across shard counts and concurrent
+// producer counts. The baseline for every cell is a plain single-threaded
+// Session fed the whole stream as one batch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -153,7 +152,7 @@ void FeedProducers(ShardedSession* session, const EventVector& ev,
   for (std::thread& t : threads) t.join();
 }
 
-TEST(RunPropagation, EmissionsIdenticalOnAndOffAcrossShardsAndProducers) {
+TEST(RunPropagation, EmissionsIdenticalAcrossShardsAndProducers) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
   GeneratorConfig gen;
@@ -167,7 +166,7 @@ TEST(RunPropagation, EmissionsIdenticalOnAndOffAcrossShardsAndProducers) {
   ASSERT_FALSE(ev.empty());
 
   for (EngineKind kind : kAllKinds) {
-    // Baseline: single-threaded row-path batch run of the same stream.
+    // Baseline: plain single-threaded Session, one batch.
     RunConfig ref_config;
     ref_config.kind = kind;
     StreamExecutor executor(*bw.plan, ref_config);
@@ -177,56 +176,46 @@ TEST(RunPropagation, EmissionsIdenticalOnAndOffAcrossShardsAndProducers) {
 
     for (int shards : {1, 2, 4}) {
       for (int producers : {0, 1, 2}) {
-        for (bool run_propagation : {false, true}) {
-          const std::string label =
-              std::string(EngineKindName(kind)) +
-              "/N=" + std::to_string(shards) +
-              (producers == 0 ? "/session" : "/P=" + std::to_string(producers)) +
-              (run_propagation ? "/runs" : "/rows");
-          SCOPED_TRACE(label);
-          RunConfig config;
-          config.kind = kind;
-          config.num_shards = shards;
-          config.columnar = true;
-          config.run_propagation = run_propagation;
-          CollectingSink sink;
-          Result<std::unique_ptr<ShardedSession>> opened =
-              ShardedSession::Open(*bw.plan, config, &sink);
-          ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-          ShardedSession& session = *opened.value();
-          if (producers == 0) {
-            // Session-level chunked PushBatch: chunk length 48 keeps most
-            // bursts whole while still exercising mid-burst chunk seams.
-            for (size_t j = 0; j < ev.size(); j += 48) {
-              const size_t len = std::min<size_t>(48, ev.size() - j);
-              ASSERT_TRUE(
-                  session
-                      .PushBatch(std::span<const Event>(ev.data() + j, len))
-                      .ok());
-            }
-            ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok());
-          } else {
-            FeedProducers(&session, ev, producers);
+        const std::string label =
+            std::string(EngineKindName(kind)) +
+            "/N=" + std::to_string(shards) +
+            (producers == 0 ? "/session" : "/P=" + std::to_string(producers));
+        SCOPED_TRACE(label);
+        RunConfig config;
+        config.kind = kind;
+        config.num_shards = shards;
+        CollectingSink sink;
+        Result<std::unique_ptr<ShardedSession>> opened =
+            ShardedSession::Open(*bw.plan, config, &sink);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        ShardedSession& session = *opened.value();
+        if (producers == 0) {
+          // Session-level chunked PushBatch: chunk length 48 keeps most
+          // bursts whole while still exercising mid-burst chunk seams.
+          for (size_t j = 0; j < ev.size(); j += 48) {
+            const size_t len = std::min<size_t>(48, ev.size() - j);
+            ASSERT_TRUE(
+                session
+                    .PushBatch(std::span<const Event>(ev.data() + j, len))
+                    .ok());
           }
-          Result<RunMetrics> metrics = session.Close();
-          ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-          ExpectSameEmissionSet(ref.emissions, sink.Take(), label);
-          EXPECT_EQ(ref.metrics.events, metrics.value().events) << label;
-          EXPECT_EQ(ref.metrics.emissions, metrics.value().emissions)
-              << label;
-          // Run-shape metrics flow only from the run path, and the log2
-          // length histogram partitions exactly the dispatched runs.
-          int64_t hist_total = 0;
-          for (int64_t bucket : metrics.value().run_len_hist)
-            hist_total += bucket;
-          if (run_propagation) {
-            EXPECT_GT(metrics.value().runs, 0) << label;
-            EXPECT_EQ(hist_total, metrics.value().runs) << label;
-          } else {
-            EXPECT_EQ(metrics.value().runs, 0) << label;
-            EXPECT_EQ(hist_total, 0) << label;
-          }
+          ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok());
+        } else {
+          FeedProducers(&session, ev, producers);
         }
+        Result<RunMetrics> metrics = session.Close();
+        ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+        ExpectSameEmissionSet(ref.emissions, sink.Take(), label);
+        EXPECT_EQ(ref.metrics.events, metrics.value().events) << label;
+        EXPECT_EQ(ref.metrics.emissions, metrics.value().emissions)
+            << label;
+        // The log2 length histogram partitions exactly the dispatched
+        // runs.
+        int64_t hist_total = 0;
+        for (int64_t bucket : metrics.value().run_len_hist)
+          hist_total += bucket;
+        EXPECT_GT(metrics.value().runs, 0) << label;
+        EXPECT_EQ(hist_total, metrics.value().runs) << label;
       }
     }
   }

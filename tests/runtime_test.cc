@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
+#include <span>
 
 #include "src/brute/enumerator.h"
 #include "src/common/rng.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
+#include "src/runtime/sharded_session.h"
 #include "src/stream/stream_builder.h"
 
 namespace hamlet {
@@ -234,6 +237,87 @@ TEST_F(RuntimeFixture, OrCompositionAcrossComponents) {
   config.kind = EngineKind::kHamletDynamic;
   StreamExecutor executor(plan, config);
   ExpectEmissionsMatch(executor.Run(ev), ref, "or_composition");
+}
+
+// How a stream reaches the session: per-event Push, one PushBatch, or
+// ragged PushBatch chunks of 1-7 events.
+enum class Feed { kPerEvent, kOneBatch, kRagged };
+
+template <typename SessionT>
+RunOutput FeedAndClose(SessionT& session, CollectingSink& sink,
+                       const EventVector& ev, Feed feed) {
+  size_t i = 0;
+  int chunk = 0;
+  while (i < ev.size()) {
+    Status s;
+    if (feed == Feed::kPerEvent) {
+      s = session.Push(ev[i]);
+      ++i;
+    } else {
+      const size_t len = feed == Feed::kOneBatch
+                             ? ev.size()
+                             : std::min<size_t>(chunk % 7 + 1, ev.size() - i);
+      s = session.PushBatch(std::span<const Event>(ev.data() + i, len));
+      i += len;
+      ++chunk;
+    }
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  RunOutput out;
+  out.metrics = session.Close().value();
+  out.emissions = sink.Take();
+  return out;
+}
+
+// The runtime's one dispatch path against the oracle: event predicates
+// (the stream carries a NaN predicate attribute, which fails every
+// comparison but !=), sliding windows and GROUPBY, for every engine kind,
+// fed per event (1-row runs), as one batch, and in ragged chunks, on a
+// plain Session and on 2 shards.
+TEST_F(RuntimeFixture, PredicatedStreamEveryFeedMatchesOracle) {
+  schema_.AddAttr("v");
+  schema_.AddAttr("g");
+  Add("RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v > 3 GROUPBY g "
+      "WITHIN 30 ms SLIDE 10 ms");
+  Add("RETURN SUM(B.v) PATTERN SEQ(C, B+) WHERE B.v <= 7 GROUPBY g "
+      "WITHIN 30 ms SLIDE 10 ms");
+  Add("RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v != 5 GROUPBY g "
+      "WITHIN 30 ms SLIDE 10 ms");
+  WorkloadPlan plan = Analyze();
+  Rng rng(4242);
+  EventVector ev = RandomStream(rng, 90, {"A", "B", "C"}, 3, 2);
+  const TypeId b = schema_.FindType("B");
+  auto nan_b =
+      std::find_if(ev.begin() + static_cast<std::ptrdiff_t>(ev.size() / 2),
+                   ev.end(), [&](const Event& e) { return e.type == b; });
+  ASSERT_NE(nan_b, ev.end());
+  nan_b->set_attr(0, std::numeric_limits<double>::quiet_NaN());
+  auto ref = Reference(plan, ev);
+  for (EngineKind kind :
+       {EngineKind::kHamletDynamic, EngineKind::kHamletStatic,
+        EngineKind::kHamletNoShare, EngineKind::kGretaGraph,
+        EngineKind::kGretaPrefix, EngineKind::kTwoStep, EngineKind::kSharon}) {
+    for (Feed feed : {Feed::kPerEvent, Feed::kOneBatch, Feed::kRagged}) {
+      const std::string label = std::string(EngineKindName(kind)) + "/feed" +
+                                std::to_string(static_cast<int>(feed));
+      RunConfig config;
+      config.kind = kind;
+      CollectingSink plain_sink;
+      Result<std::unique_ptr<Session>> plain =
+          Session::Open(plan, config, &plain_sink);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      RunOutput single = FeedAndClose(*plain.value(), plain_sink, ev, feed);
+      ExpectEmissionsMatch(single, ref, label + "/session");
+      config.num_shards = 2;
+      CollectingSink sharded_sink;
+      Result<std::unique_ptr<ShardedSession>> sharded =
+          ShardedSession::Open(plan, config, &sharded_sink);
+      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+      RunOutput two = FeedAndClose(*sharded.value(), sharded_sink, ev, feed);
+      ExpectEmissionsMatch(two, ref, label + "/N=2");
+      EXPECT_EQ(single.emissions.size(), two.emissions.size()) << label;
+    }
+  }
 }
 
 TEST_F(RuntimeFixture, TwoStepBudgetProducesDnf) {

@@ -188,6 +188,55 @@ TEST(ShardCountInvariance, SlidingWindowsAcrossShards) {
 
 // A two-slot ingress queue forces the producer through the backpressure
 // path on nearly every push; results must not change.
+// Close without a trailing AdvanceTo: a shard that saw no event in the
+// final pane must still open (and flush) that pane's sliding windows for
+// its groups, exactly like a plain Session whose pane clock the last
+// event advanced for every group.
+TEST(ShardCountInvariance, CloseFlushesTrailingWindowsOnIdleShards) {
+  Schema schema;
+  schema.AddAttr("v");
+  schema.AddAttr("g");
+  Workload workload{&schema};
+  ASSERT_TRUE(workload
+                  .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
+                                  "GROUPBY g WITHIN 40 ms SLIDE 10 ms")
+                           .value())
+                  .ok());
+  WorkloadPlan plan = AnalyzeWorkload(workload).value();
+  ASSERT_EQ(plan.pane_size, 10);
+  // 16 groups active before t=100; only group 0 reaches the final pane.
+  EventVector ev;
+  Timestamp t = 1;
+  for (const char* type : {"A", "B", "B"}) {
+    for (int g = 0; g < 16; ++g) {
+      Event e(t, schema.AddType(type));
+      e.set_attr(0, 1.0);
+      e.set_attr(1, static_cast<double>(g));
+      ev.push_back(e);
+      t += 2;
+    }
+  }
+  Event last(155, schema.AddType("B"));
+  last.set_attr(0, 1.0);
+  last.set_attr(1, 0.0);
+  ev.push_back(last);
+
+  StreamExecutor executor(plan, RunConfig());
+  RunOutput plain = executor.Run(ev);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  ASSERT_GT(plain.emissions.size(), 0u);
+
+  RunConfig config;
+  config.num_shards = 2;
+  CollectingSink sink;
+  Result<std::unique_ptr<ShardedSession>> session =
+      ShardedSession::Open(plan, config, &sink);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session.value()->PushBatch(ev).ok());
+  ASSERT_TRUE(session.value()->Close().ok());
+  ExpectSameEmissionSet(plain.emissions, sink.Take(), "close/N=2");
+}
+
 TEST(ShardCountInvariance, TinyQueueBackpressure) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 4, /*window_ms=*/2 * kMillisPerSecond);
