@@ -30,8 +30,11 @@ struct GraphletNode {
   QuerySet members;
   /// Symbolic payload (shared graphlets). Zero-const invariant: start
   /// contributions go through the graphlet's start variable, so evaluating
-  /// in a context that predates none of the referenced variables yields 0 —
-  /// this is what scopes stored nodes to window instances for free.
+  /// in a context that predates none of the referenced variables yields 0.
+  /// Scans still bound themselves explicitly: a graphlet is confined to one
+  /// pane and windows start on pane boundaries, so ScanPredecessors skips
+  /// retained graphlets opened before the context's window start instead of
+  /// visiting nodes that would evaluate to 0 there.
   Expr expr;
   /// Numeric payload per context (solo graphlets).
   CtxMap<NodeValue> values;
@@ -80,7 +83,9 @@ struct Graphlet {
   std::vector<std::pair<std::vector<double>, Expr>> key_running;
   std::vector<std::pair<std::vector<double>, SnapshotId>> key_entry;
 
-  /// Numeric per-context running sums (solo path).
+  /// Numeric per-context running sums: the solo path's, and on a
+  /// per-event-snapshot shared graphlet the plain (edge-predicate-free)
+  /// sharers' R of count(e) = u + x + R.
   CtxMap<LinAgg> solo_sums;
   /// Numeric per-context start/entry values (solo path), fixed at open.
   CtxMap<LinAgg> solo_entry;
@@ -92,12 +97,16 @@ struct Graphlet {
   CtxMap<MinMax> run_mm;
 
   std::vector<GraphletNode> nodes;
-  /// Events appended WITHOUT a stored node: the run-granular fast paths skip
-  /// node materialization when the graphlet is provably write-only (never
-  /// scanned, no min/max, not retained). num_events() must still count them
+  /// Events appended WITHOUT a stored node: node materialization is skipped
+  /// when no scan can ever read the node — a solo graphlet of a query
+  /// without edge predicates, or a kFastSum shared graphlet without min/max
+  /// on a lane that keeps no history. num_events() must still count them
   /// — the burst-size averages and FoldGraphlet's empty guard depend on it.
   int extra_events = 0;
   Timestamp open_time = 0;
+  /// MemoryBytes() of a closed history graphlet, cached when it is retained
+  /// (it never changes after the close); -1 while open or free-listed.
+  int64_t closed_bytes = -1;
 
   int num_events() const {
     return static_cast<int>(nodes.size()) + extra_events;
@@ -126,6 +135,7 @@ struct Graphlet {
     nodes.clear();
     extra_events = 0;
     open_time = 0;
+    closed_bytes = -1;
   }
 
   /// Heap-held payload only. The Graphlet object itself lives in the

@@ -19,9 +19,12 @@ HamletEngine::HamletEngine(const WorkloadPlan& plan, QuerySet members,
   last_leading_.assign(static_cast<size_t>(plan.num_exec()), -1);
   last_boundary_neg_.resize(static_cast<size_t>(plan.num_exec()));
   open_ctxs_.resize(static_cast<size_t>(plan.num_exec()));
+  profiles_.resize(static_cast<size_t>(plan.num_exec()));
 
   members_.ForEach([&](QueryId q) {
     const ExecQuery& eq = Exec(q);
+    profiles_[static_cast<size_t>(q)] = AggProfile::For(eq.aggregate);
+    if (eq.has_edge_predicates()) edge_queries_.Insert(q);
     for (const SeqElement& el : eq.tmpl.pattern.elements) {
       positive_of_type_[static_cast<size_t>(el.type)].Insert(q);
       type_relevant_[static_cast<size_t>(el.type)] = true;
@@ -50,9 +53,14 @@ void HamletEngine::BuildLanes() {
       const ExecQuery& eq = Exec(q);
       for (TypeId t : eq.tmpl.pattern.AllTypes())
         lane.relevant[static_cast<size_t>(t)] = true;
-      lane.profile.MergeWith(AggProfile::For(eq.aggregate));
+      lane.profile.MergeWith(Profile(q));
       lane.member_list.push_back(q);
-      if (eq.has_edge_predicates()) lane.retain_history = true;
+      // Only a query with edge predicates scans stored nodes, and it scans
+      // exactly its own lanes (LaneOf), so those alone retain closed
+      // graphlets within the window horizon. kSharedScan members have edge
+      // predicates by construction; plain members of a per-event-snapshot
+      // group take the fast-sum recurrence (AppendShared) and read no node.
+      if (edge_queries_.Contains(q)) lane.retain_history = true;
       if (lane.shared_edge_preds == nullptr) {
         lane.shared_edge_preds = &eq.edge_predicates;
         lane.scan_all_equality = !eq.edge_predicates.empty();
@@ -116,26 +124,6 @@ void HamletEngine::BuildLanes() {
 
   if (options_.force_retain_history) {
     for (Lane& lane : lanes_) lane.retain_history = true;
-  } else {
-    // A query that participates in any scan path (edge predicates, or
-    // membership of a per-event-snapshot share group) reads stored nodes of
-    // all its predecessor-type lanes, so those lanes must retain closed
-    // graphlets within the window horizon.
-    QuerySet scanners;
-    members_.ForEach([&](QueryId q) {
-      if (Exec(q).has_edge_predicates()) scanners.Insert(q);
-    });
-    for (const Lane& lane : lanes_) {
-      if (lane.mode != PropagationMode::kFastSum)
-        scanners = scanners.Union(lane.static_members);
-    }
-    scanners.ForEach([&](QueryId q) {
-      for (TypeId t : Exec(q).tmpl.pattern.AllTypes()) {
-        int lane_idx = lane_of_[static_cast<size_t>(q)][static_cast<size_t>(t)];
-        if (lane_idx >= 0)
-          lanes_[static_cast<size_t>(lane_idx)].retain_history = true;
-      }
-    });
   }
 }
 
@@ -352,8 +340,9 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
   // Row 0 already went through InsertIntoLane: the burst is open, the
   // sharing decision is made, and every graphlet this run appends to exists.
   // Classify each append sub-target as fast (write-only: provably never
-  // scanned, no min/max, not retained -> node materialization and per-row
-  // dispatch overhead can be skipped) or slow (replayed row-major below).
+  // scanned, no min/max, and for the shared graphlet not retained -> node
+  // materialization and per-row dispatch overhead can be skipped) or slow
+  // (replayed row-major below).
   const bool lane_mm = lane.profile.need_min || lane.profile.need_max;
   const bool is_target = lane.type == lane.profile.target_type;
   const AttrId target_attr = lane.profile.target_attr;
@@ -381,10 +370,8 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
 
   QuerySet slow_solo;
   matched.Minus(lane.current_shared).ForEach([&](QueryId q) {
-    const ExecQuery& eq = Exec(q);
-    const AggProfile profile = AggProfile::For(eq.aggregate);
-    if (eq.has_edge_predicates() || profile.need_min || profile.need_max ||
-        lane.retain_history) {
+    const AggProfile& profile = Profile(q);
+    if (edge_queries_.Contains(q) || profile.need_min || profile.need_max) {
       slow_solo.Insert(q);
       return;
     }
@@ -629,19 +616,24 @@ Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
   g->open_time = e.time;
   g->start_var = store_.Create();
   ++stats_.snapshots_created;
+  // The entry snapshot x is read by every kFastSum sharer and otherwise by
+  // the sharers without edge predicates (count(e) = u + x + R in a
+  // per-event-snapshot graphlet); edge-predicate sharers scan instead.
   const bool fast = lane.mode == PropagationMode::kFastSum;
-  if (fast) {
+  const QuerySet entry_readers = fast ? sharers : sharers.Minus(edge_queries_);
+  if (!entry_readers.Empty()) {
     g->entry_var = store_.Create();
     ++stats_.snapshots_created;
   }
   const bool need_mm = lane.profile.need_min || lane.profile.need_max;
   sharers.ForEach([&](QueryId q) {
+    const bool reads_entry = entry_readers.Contains(q);
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
       const ContextState& ctx = contexts_[static_cast<size_t>(c)];
       LinAgg start;
       start.count = StartValue(q, lane.type, ctx);
       if (start.count != 0.0) store_.Set(g->start_var, c, start);
-      if (fast) {
+      if (reads_entry) {
         LinAgg entry = EntryValue(q, lane.type, ctx);
         if (!entry.IsZero()) store_.Set(g->entry_var, c, entry);
       }
@@ -667,7 +659,7 @@ Graphlet* HamletEngine::OpenSoloGraphlet(Lane& lane, const Event& e,
   for (int pp : eq.tmpl.pred_positions[static_cast<size_t>(pos)])
     self |= pp == pos;
   g->self_loop = self;
-  const AggProfile profile = AggProfile::For(eq.aggregate);
+  const AggProfile& profile = Profile(exec_id);
   const bool need_mm = profile.need_min || profile.need_max;
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
     const ContextState& ctx = contexts_[static_cast<size_t>(c)];
@@ -686,7 +678,6 @@ NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
                                          const ContextState& ctx,
                                          const Lane& own_lane,
                                          bool exclude_own_type) {
-  (void)ctx;
   const ExecQuery& eq = Exec(exec_id);
   const int pos = eq.tmpl.pattern.PositionOf(e.type);
   NodeValue out;
@@ -712,7 +703,9 @@ NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
     const Lane* lane2 = ptype == own_lane.type ? &own_lane
                                                : LaneOf(exec_id, ptype);
     if (lane2 == nullptr) continue;
-    for (const Graphlet* g : lane2->history) scan_graphlet(*g, blocked_after);
+    for (const Graphlet* g : lane2->history) {
+      if (g->open_time >= ctx.window_start) scan_graphlet(*g, blocked_after);
+    }
     if (lane2->shared_graphlet)
       scan_graphlet(*lane2->shared_graphlet, blocked_after);
     for (const auto& [id, g] : lane2->solo_graphlets) {
@@ -783,6 +776,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
           // scan below; fold them into the per-query snapshot.
           if (lane.history_has_numeric) {
             for (const Graphlet* gg : lane.history) {
+              if (gg->open_time < cs.window_start) continue;
               for (const GraphletNode& n : gg->nodes) {
                 ++stats_.ops;
                 if (!n.numeric || !n.members.Contains(q)) continue;
@@ -859,11 +853,16 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     }
   } else {
     // Event-level snapshot (Algorithm 1, Lines 19-20 / Definition 9):
-    // evaluate per (query, context) and publish as a fresh variable.
+    // evaluate per (query, context) and publish as a fresh variable. Only
+    // edge-predicate sharers scan stored nodes; a plain sharer of a
+    // per-event-snapshot graphlet takes count(e) = u + x + R with R kept
+    // per context in solo_sums, so its share of the snapshot is O(1).
     SnapshotId z = store_.Create();
     ++stats_.snapshots_created;
     ++stats_.event_snapshots;
     g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
+      const bool plain = g.mode == PropagationMode::kPerEventSnapshot &&
+                         !edge_queries_.Contains(q);
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
         const ContextState& cs = contexts_[static_cast<size_t>(c)];
         LinAgg lin;
@@ -872,6 +871,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
           lin.Add(store_.Get(g.entry_var, c));
           lin.Add(g.running_sum.Eval(store_, c));
           stats_.ops += g.running_sum.num_terms();
+        } else if (plain) {
+          lin = store_.Get(g.start_var, c);
+          lin.Add(store_.Get(g.entry_var, c));
+          lin.Add(g.solo_sums.Get(c, LinAgg()));
+          ++stats_.ops;
         } else {
           NodeValue scanned = ScanPredecessors(q, e, c, cs, lane);
           lin = scanned.lin;
@@ -882,6 +886,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
           if (lane.profile.need_sum) lin.sum += val * lin.count;
         }
         store_.Set(z, c, lin);
+        if (plain) g.solo_sums.Mut(c).Add(lin);
       }
     });
     node.expr.AddVar(z, 1.0);
@@ -946,8 +951,8 @@ void HamletEngine::FoldNodeMinMax(Lane& lane, Graphlet& g,
 
 void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
                               int exec_id) {
-  const ExecQuery& eq = Exec(exec_id);
-  const AggProfile profile = AggProfile::For(eq.aggregate);
+  const AggProfile& profile = Profile(exec_id);
+  const bool scans = edge_queries_.Contains(exec_id);
   const bool need_mm = profile.need_min || profile.need_max;
   const bool is_target = e.type == profile.target_type;
   const double val =
@@ -955,11 +960,12 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
           ? 0.0
           : (is_target ? e.attr(profile.target_attr) : 0.0);
 
-  if (!eq.has_edge_predicates() && !need_mm && !lane.retain_history) {
-    // Node-free append, mirroring AppendShared's fast branch: the numeric
-    // per-context values land in solo_sums only. Same conditions as
-    // AppendRun's hoisted solo loop, so head rows and run tails make
-    // identical materialization decisions.
+  if (!scans) {
+    // Node-free append, mirroring AppendShared's fast branch: only an
+    // edge-predicate query's scan reads solo nodes (its own), so a plain
+    // query's per-context values land in solo_sums (and run_mm) only, on
+    // retained lanes too. AppendRun's hoisted solo loop computes the same
+    // FP sequence for the min/max-free case.
     for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
       LinAgg v = g.solo_entry.Get(c, LinAgg());
       if (g.self_loop) v.Add(g.solo_sums.Get(c, LinAgg()));
@@ -968,6 +974,12 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
       if (is_target) {
         v.count_e += v.count;
         v.sum += val * v.count;
+      }
+      if (need_mm) {
+        MinMax mm = g.entry_mm.Get(c, MinMax());
+        if (g.self_loop) mm.Fold(g.run_mm.Get(c, MinMax()));
+        if (is_target && v.count > 0.0) mm.FoldValue(val);
+        g.run_mm.Mut(c).Fold(mm);
       }
       g.solo_sums.Mut(c).Add(v);
     }
@@ -981,25 +993,13 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
   node.numeric = true;
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
     const ContextState& ctx = contexts_[static_cast<size_t>(c)];
-    NodeValue v;
-    MinMax pred_mm = g.entry_mm.Get(c, MinMax());
-    if (!eq.has_edge_predicates()) {
-      v.lin = g.solo_entry.Get(c, LinAgg());
-      if (g.self_loop) v.lin.Add(g.solo_sums.Get(c, LinAgg()));
-      if (g.self_loop) pred_mm.Fold(g.run_mm.Get(c, MinMax()));
-      ++stats_.ops;
-    } else {
-      NodeValue scanned = ScanPredecessors(exec_id, e, c, ctx, lane);
-      v.lin = scanned.lin;
-      pred_mm = scanned.mm;
-    }
+    NodeValue v = ScanPredecessors(exec_id, e, c, ctx, lane);
     v.lin.count += g.solo_start.Get(c, 0.0);
     if (is_target) {
       v.lin.count_e += v.lin.count;
       v.lin.sum += val * v.lin.count;
     }
     if (need_mm) {
-      v.mm = pred_mm;
       if (is_target && v.lin.count > 0.0) v.mm.FoldValue(val);
       g.run_mm.Mut(c).Fold(v.mm);
     }
@@ -1068,10 +1068,12 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
   if (lane.shared_graphlet != nullptr) {
     had_any = true;
     FoldGraphlet(lane, *lane.shared_graphlet);
-    if (lane.retain_history)
+    if (lane.retain_history) {
+      lane.shared_graphlet->closed_bytes = lane.shared_graphlet->MemoryBytes();
       lane.history.push_back(lane.shared_graphlet);
-    else
+    } else {
       graphlet_pool_.Release(lane.shared_graphlet);
+    }
     lane.shared_graphlet = nullptr;
   }
   for (auto& [id, g] : lane.solo_graphlets) {
@@ -1080,6 +1082,7 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
     FoldGraphlet(lane, *g);
     if (lane.retain_history) {
       if (!g->nodes.empty()) lane.history_has_numeric = true;
+      g->closed_bytes = g->MemoryBytes();
       lane.history.push_back(g);
     } else {
       graphlet_pool_.Release(g);
@@ -1112,9 +1115,14 @@ int64_t HamletEngine::MemoryBytes() const {
   // (what the allocator actually holds) once, then each object's dynamic
   // payload — free-listed graphlets keep their warmed capacities, which are
   // real memory, so the sweep covers live and recycled objects alike.
+  // Retained history graphlets are immutable, so their payload was cached
+  // at the close instead of being re-swept node by node here.
   int64_t bytes = static_cast<int64_t>(sizeof(HamletEngine));
   bytes += graphlet_pool_.bytes_reserved();
-  for (const Graphlet* g : graphlet_pool_.objects()) bytes += g->MemoryBytes();
+  for (const Graphlet* g : graphlet_pool_.objects()) {
+    HAMLET_DCHECK(g->closed_bytes < 0 || g->closed_bytes == g->MemoryBytes());
+    bytes += g->closed_bytes >= 0 ? g->closed_bytes : g->MemoryBytes();
+  }
   bytes += store_.MemoryBytes();
   for (const ContextState& ctx : contexts_) {
     if (ctx.open) bytes += ctx.MemoryBytes();

@@ -214,10 +214,12 @@ class HamletEngine {
   LinAgg EntryValue(int exec_id, TypeId type, const ContextState& ctx) const;
   MinMax EntryMinMax(int exec_id, TypeId type, const ContextState& ctx) const;
   double StartValue(int exec_id, TypeId type, const ContextState& ctx) const;
-  /// Scan-based predecessor accumulation for query `exec_id` (per-event
-  /// snapshot mode and solo lanes with edge predicates). With
-  /// `exclude_own_type`, only cross-type predecessors are folded (the
-  /// per-query part of shared-scan propagation).
+  /// Scan-based predecessor accumulation for an edge-predicate query
+  /// `exec_id` (its per-event snapshots and its solo graphlets). Retained
+  /// graphlets opened before ctx's window start are skipped: their nodes
+  /// evaluate to 0 for ctx. With `exclude_own_type`, only cross-type
+  /// predecessors are folded (the per-query part of shared-scan
+  /// propagation).
   NodeValue ScanPredecessors(int exec_id, const Event& e, ContextId ctx_id,
                              const ContextState& ctx, const Lane& own_lane,
                              bool exclude_own_type = false);
@@ -231,6 +233,9 @@ class HamletEngine {
   const ExecQuery& Exec(int exec_id) const {
     return plan_->exec_queries[static_cast<size_t>(exec_id)];
   }
+  const AggProfile& Profile(int exec_id) const {
+    return profiles_[static_cast<size_t>(exec_id)];
+  }
 
   // --- members ---
   const WorkloadPlan* plan_;
@@ -238,6 +243,12 @@ class HamletEngine {
   SharingPolicy* policy_;
   Options options_;
   int num_types_;
+  /// AggProfile::For of each member's aggregate, indexed by exec id.
+  std::vector<AggProfile> profiles_;
+  /// Members with edge predicates: the only queries whose predecessor
+  /// values need a stored-node scan, hence the only ones that force
+  /// history retention.
+  QuerySet edge_queries_;
 
   /// Arena-backed graphlet storage (see src/common/arena.h): steady-state
   /// opens recycle pool objects — with warmed vector capacities — instead of

@@ -41,8 +41,10 @@ enum class PropagationMode {
   kSharedScan,
   /// Divergent edge predicates: predecessor validity is per-(query, event),
   /// so every event becomes an event-level snapshot valued per (query,
-  /// window) by scanning stored nodes — the Definition 9 fallback.
-  /// Expensive; the dynamic optimizer usually splits such bursts.
+  /// window) — the Definition 9 fallback. Only sharers with edge predicates
+  /// scan stored nodes for their values (from their window's start); plain
+  /// sharers take the fast-sum recurrence u + x + R in O(1). The scans
+  /// make it expensive; the dynamic optimizer usually splits such bursts.
   kPerEventSnapshot,
 };
 

@@ -6,6 +6,9 @@
 // term operations); these tests check its growth orders, not wall time.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/greta/greta_engine.h"
 #include "src/hamlet/batch_eval.h"
 #include "src/optimizer/policies.h"
@@ -130,6 +133,56 @@ TEST_F(ComplexityFixture, SharedWorkIsSublinearInQueries) {
   EXPECT_LT(shared_growth, solo_growth);
   // And at k=16 the shared total is below the non-shared total.
   EXPECT_LT(shared_ops[2], solo_ops[2]);
+}
+
+TEST_F(ComplexityFixture, PlainSharersOfEdgeQueryCostLinearOps) {
+  // One edge-predicate query shares B+ with 8 plain queries, which puts the
+  // group in per-event-snapshot mode. Only the edge query scans stored
+  // nodes (O(n) per event); each plain sharer values its event snapshots by
+  // u + x + R in O(1). So the ops beyond the edge query alone grow linearly
+  // in the events, not quadratically.
+  const char* edge =
+      "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= next.v WITHIN 1 min";
+  auto ops = [&](bool with_plain, int n) {
+    Schema schema;
+    schema.AddAttr("v");
+    Workload workload(&schema);
+    std::vector<std::string> texts = {edge};
+    if (with_plain) {
+      for (const char* p :
+           {"SEQ(A, B+)", "SEQ(C, B+)", "B+", "SEQ(B+, A)", "SEQ(B+, C)",
+            "SEQ(A, B+, C)", "SEQ(C, B+, A)", "SEQ(A, C, B+)"}) {
+        texts.push_back(std::string("RETURN COUNT(*) PATTERN ") + p +
+                        " WITHIN 1 min");
+      }
+    }
+    for (const std::string& text : texts)
+      HAMLET_CHECK(workload.Add(ParseQuery(text).value()).ok());
+    WorkloadPlan plan = AnalyzeWorkload(workload).value();
+    if (with_plain) {
+      HAMLET_CHECK(plan.share_groups.size() == 1);
+      HAMLET_CHECK(plan.share_groups[0].members.Count() == 9);
+      HAMLET_CHECK(plan.share_groups[0].mode ==
+                   PropagationMode::kPerEventSnapshot);
+    }
+    // v = 0 everywhere: the edge predicate holds for every B pair.
+    StreamBuilder sb(&schema);
+    int emitted = 0;
+    while (emitted < n) {
+      sb.Add("A", {0.0}).Add("C", {0.0});
+      sb.AddRun(10, "B", {0.0});
+      emitted += 12;
+    }
+    AlwaysSharePolicy always;
+    return EvalHamletBatch(plan, sb.Take(), &always).stats.ops;
+  };
+  const int64_t extra_small = ops(true, 200) - ops(false, 200);
+  const int64_t extra_large = ops(true, 800) - ops(false, 800);
+  ASSERT_GT(extra_small, 0);
+  // 4x the events: linear extra work grows ~4x, a scan per plain sharer
+  // ~16x.
+  EXPECT_GT(extra_large, 3 * extra_small);
+  EXPECT_LT(extra_large, 6 * extra_small);
 }
 
 TEST_F(ComplexityFixture, SnapshotCountTracksBurstsNotEvents) {

@@ -5,6 +5,7 @@
 // and stream mixes; any mismatch prints the full repro (seed, stream).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
 #include "src/brute/enumerator.h"
@@ -22,6 +23,8 @@ struct WorkloadCase {
   const char* name;
   std::vector<const char*> queries;
   std::vector<const char*> alphabet;
+  /// When set, the plan must share B+ across all queries in this mode.
+  std::optional<PropagationMode> b_mode = std::nullopt;
 };
 
 std::string StreamToScript(const EventVector& ev, const Schema& s) {
@@ -50,6 +53,12 @@ TEST_P(HamletEquivTest, AllEnginesAgree) {
       ASSERT_TRUE(workload.Add(q).ok());
     }
     WorkloadPlan plan = AnalyzeWorkload(workload).value();
+    if (c.b_mode.has_value()) {
+      ASSERT_EQ(plan.share_groups.size(), 1u);
+      EXPECT_EQ(plan.share_groups[0].type, schema.FindType("B"));
+      EXPECT_EQ(plan.share_groups[0].members, plan.AllExec());
+      EXPECT_EQ(plan.share_groups[0].mode, *c.b_mode);
+    }
 
     EventVector ev;
     const int len = static_cast<int>(rng.NextInt(1, 16));
@@ -202,7 +211,53 @@ INSTANTIATE_TEST_SUITE_P(
                       "RETURN COUNT(*) PATTERN B+ WITHIN 1 min",
                       "RETURN COUNT(*) PATTERN SEQ(A, C) WITHIN 1 min",
                       "RETURN COUNT(*) PATTERN SEQ(B+, F) WITHIN 1 min"},
-                     {"A", "B", "C", "D", "E", "F"}}),
+                     {"A", "B", "C", "D", "E", "F"}},
+        // One edge-predicate query shares B+ with plain queries, which puts
+        // the group in kPerEventSnapshot: the edge query scans stored nodes,
+        // the plain sharers take u + x + R per event snapshot.
+        WorkloadCase{"edge_sharer_count",
+                     {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= "
+                      "next.v WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN SEQ(C, B+) WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN B+ WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN SEQ(A, B+, C) WITHIN 1 min"},
+                     {"A", "B", "C"},
+                     PropagationMode::kPerEventSnapshot},
+        WorkloadCase{"edge_sharer_sum_avg_family",
+                     {"RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE prev.v < "
+                      "next.v WITHIN 1 min",
+                      "RETURN AVG(B.v) PATTERN SEQ(C, B+) WITHIN 1 min",
+                      "RETURN SUM(B.v) PATTERN SEQ(A, B+) WITHIN 1 min",
+                      "RETURN COUNT(B) PATTERN B+ WITHIN 1 min"},
+                     {"A", "B", "C"},
+                     PropagationMode::kPerEventSnapshot},
+        WorkloadCase{"edge_sharer_event_pred_divergence",
+                     {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= "
+                      "next.v AND B.v > 2 WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE B.v > 4 "
+                      "WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v != 3 "
+                      "WITHIN 1 min"},
+                     {"A", "B", "C"},
+                     PropagationMode::kPerEventSnapshot},
+        WorkloadCase{"edge_sharer_negation",
+                     {"RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE prev.v <= "
+                      "next.v WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN SEQ(A, NOT N, B+) WITHIN 1 "
+                      "min",
+                      "RETURN COUNT(*) PATTERN SEQ(A, B+, NOT N) WITHIN 1 "
+                      "min",
+                      "RETURN COUNT(*) PATTERN SEQ(NOT N, C, B+) WITHIN 1 "
+                      "min"},
+                     {"A", "B", "C", "N"},
+                     PropagationMode::kPerEventSnapshot},
+        WorkloadCase{"edge_sharer_equality",
+                     {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE [driver] "
+                      "WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN SEQ(C, B+) WITHIN 1 min",
+                      "RETURN COUNT(*) PATTERN B+ WITHIN 1 min"},
+                     {"A", "B", "C"},
+                     PropagationMode::kPerEventSnapshot}),
     [](const ::testing::TestParamInfo<WorkloadCase>& info) {
       return info.param.name;
     });

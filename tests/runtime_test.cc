@@ -320,6 +320,48 @@ TEST_F(RuntimeFixture, PredicatedStreamEveryFeedMatchesOracle) {
   }
 }
 
+// Window-bounded scans: one edge-predicate query shares B+ with plain
+// queries (a kPerEventSnapshot group) under mixed tumbling and sliding
+// windows of 10-40 ms over ~18 panes, so retained history spans several
+// panes and each scan must start exactly at its own window's first pane.
+// Fed per event and as one batch, under every HAMLET sharing policy.
+TEST_F(RuntimeFixture, EdgeSharerScansAcrossPanesMatchOracle) {
+  schema_.AddAttr("v");
+  schema_.AddAttr("g");
+  Add("RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= next.v "
+      "WITHIN 40 ms SLIDE 10 ms");
+  Add("RETURN COUNT(*) PATTERN SEQ(C, B+) WITHIN 20 ms");
+  Add("RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v > 2 "
+      "WITHIN 30 ms SLIDE 10 ms");
+  Add("RETURN COUNT(*) PATTERN B+ WITHIN 10 ms");
+  WorkloadPlan plan = Analyze();
+  EXPECT_EQ(plan.pane_size, 10);
+  ASSERT_EQ(plan.share_groups.size(), 1u);
+  EXPECT_EQ(plan.share_groups[0].mode, PropagationMode::kPerEventSnapshot);
+  Rng rng(1414);
+  EventVector ev = RandomStream(rng, 120, {"A", "B", "C"}, 1, 2);
+  ASSERT_GT(ev.back().time, 150);
+  auto ref = Reference(plan, ev);
+  for (EngineKind kind : {EngineKind::kHamletDynamic, EngineKind::kHamletStatic,
+                          EngineKind::kHamletNoShare}) {
+    for (Feed feed : {Feed::kPerEvent, Feed::kOneBatch}) {
+      const std::string label = std::string(EngineKindName(kind)) + "/feed" +
+                                std::to_string(static_cast<int>(feed));
+      RunConfig config;
+      config.kind = kind;
+      CollectingSink sink;
+      Result<std::unique_ptr<Session>> session =
+          Session::Open(plan, config, &sink);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      RunOutput run = FeedAndClose(*session.value(), sink, ev, feed);
+      ExpectEmissionsMatch(run, ref, label);
+      if (kind == EngineKind::kHamletStatic) {
+        EXPECT_GT(run.metrics.hamlet.event_snapshots, 0) << label;
+      }
+    }
+  }
+}
+
 TEST_F(RuntimeFixture, TwoStepBudgetProducesDnf) {
   schema_.AddAttr("v");
   schema_.AddAttr("g");
