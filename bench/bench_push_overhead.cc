@@ -48,8 +48,7 @@
 // work stealing off vs on. Pure hash routing, so stealing is the only
 // balancer — this is the PR 5 gap the steal protocol closes: the
 // rebalancer only places NEW keys, a steal migrates a hot key that is
-// already placed. Reported: wall events/s both ways, executed steals, and
-// duplication-window double-staged events (the protocol's overhead).
+// already placed. Reported: wall events/s both ways and executed steals.
 //
 // Pass --json to append one machine-readable `JSON: {...}` line per table
 // so future PRs can track the scaling numbers.
@@ -547,7 +546,7 @@ double MultiProducerWallEps(const WorkloadPlan& plan, const RunConfig& config,
 void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
                       int max_shards, int producers, bool json) {
   Table table({"shards", "steal off eps", "steal on eps", "stolen panes",
-               "dup events", "on speedup vs 1"});
+               "on speedup vs 1"});
   std::string json_rows;
   double base_on = 0;
   for (int shards = 1; shards <= max_shards; shards *= 2) {
@@ -566,17 +565,15 @@ void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
                   base_on <= 0 ? 0.0 : on_eps / base_on);
     table.AddRow({std::to_string(shards), bench::Eps(off_eps),
                   bench::Eps(on_eps),
-                  std::to_string(on_metrics.stolen_panes),
-                  std::to_string(on_metrics.duplicated_events), speedup});
+                  std::to_string(on_metrics.stolen_panes), speedup});
     if (json) {
       char row[320];
       std::snprintf(row, sizeof(row),
                     "%s{\"shards\":%d,\"steal_off_eps\":%.1f,"
                     "\"steal_on_eps\":%.1f,\"stolen_panes\":%lld,"
-                    "\"duplicated_events\":%lld,\"speedup_on\":%.3f}",
+                    "\"speedup_on\":%.3f}",
                     json_rows.empty() ? "" : ",", shards, off_eps, on_eps,
                     static_cast<long long>(on_metrics.stolen_panes),
-                    static_cast<long long>(on_metrics.duplicated_events),
                     base_on <= 0 ? 0.0 : on_eps / base_on);
       json_rows += row;
     }
@@ -584,7 +581,7 @@ void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
   bench::PrintFigure(
       "Concurrent ingest + work stealing (hot-key preset)",
       "strided stream over " + std::to_string(producers) +
-          " producer handles, pure hash routing; stealing migrates the "
+          " producer handles, pure hash routing; stealing moves the "
           "already-placed hot keys the PR 5 rebalancer cannot move",
       table);
   if (json) {

@@ -171,7 +171,8 @@ std::string Expr::ToString() const {
   const ExprTerm* data = terms_data();
   const int n = num_terms();
   for (int i = 0; i < n; ++i) {
-    std::snprintf(buf, sizeof(buf), " + %g*x%d", data[i].alpha, data[i].var);
+    std::snprintf(buf, sizeof(buf), " + %g*x%lld", data[i].alpha,
+                  static_cast<long long>(data[i].var));
     out += buf;
   }
   return out;

@@ -23,8 +23,9 @@
 
 namespace hamlet {
 
-/// Snapshot variable id (paper's x, y, z...).
-using SnapshotId = int32_t;
+/// Snapshot variable id (paper's x, y, z...). 64-bit: an engine's ids
+/// never repeat, and a long-lived group creates about one per event.
+using SnapshotId = int64_t;
 
 /// Dense id of an open (exec query, window instance) pair. Snapshot *values*
 /// are per context: the paper stores value(x, q) per query; contexts refine

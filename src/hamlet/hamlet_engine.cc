@@ -190,6 +190,20 @@ void HamletEngine::OnPaneStart(Timestamp pane_start) {
     }
   }
   pane_start_ = pane_start;
+  // Snapshots take values only for the contexts open when they are
+  // created, so no context still open has a value in one created in a pane
+  // before the cutoff: drop them. Shared-scan expressions fold in older
+  // graphlets' terms and may still name them; they read zero, as the
+  // emptied columns did.
+  pane_first_snapshot_.emplace_back(pane_start, store_.next_id());
+  size_t expired = 0;
+  while (pane_first_snapshot_[expired].first < cutoff) ++expired;
+  if (expired > 0) {
+    store_.DropBefore(pane_first_snapshot_[expired].second);
+    pane_first_snapshot_.erase(
+        pane_first_snapshot_.begin(),
+        pane_first_snapshot_.begin() + static_cast<std::ptrdiff_t>(expired));
+  }
   for (Lane& lane : lanes_) {
     auto& h = lane.history;
     size_t keep = 0;
@@ -1128,33 +1142,6 @@ int64_t HamletEngine::MemoryBytes() const {
     if (ctx.open) bytes += ctx.MemoryBytes();
   }
   return bytes;
-}
-
-std::vector<HamletLaneStats> HamletEngine::ExportLaneStats() const {
-  std::vector<HamletLaneStats> out;
-  out.reserve(lanes_.size());
-  for (const Lane& lane : lanes_) {
-    HamletLaneStats s;
-    s.type = lane.type;
-    s.avg_burst = lane.avg_burst;
-    s.avg_graphlet = lane.avg_graphlet;
-    s.avg_sc = lane.avg_sc;
-    s.avg_sp = lane.avg_sp;
-    out.push_back(s);
-  }
-  return out;
-}
-
-void HamletEngine::SeedLaneStats(std::span<const HamletLaneStats> stats) {
-  const size_t n = std::min(lanes_.size(), stats.size());
-  for (size_t i = 0; i < n; ++i) {
-    Lane& lane = lanes_[i];
-    if (stats[i].type != lane.type) continue;
-    lane.avg_burst = stats[i].avg_burst;
-    lane.avg_graphlet = stats[i].avg_graphlet;
-    lane.avg_sc = stats[i].avg_sc;
-    lane.avg_sp = stats[i].avg_sp;
-  }
 }
 
 }  // namespace hamlet

@@ -21,7 +21,6 @@
 #define HAMLET_HAMLET_HAMLET_ENGINE_H_
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -44,19 +43,6 @@ struct HamletStats {
   int64_t splits = 0;
   int64_t merges = 0;
   int64_t ops = 0;  ///< node visits + expr term ops (cost-model unit)
-};
-
-/// One lane's moving-average sharing statistics, exportable for the
-/// sharded runtime's work-stealing hand-off: when a group migrates shards,
-/// the thief's fresh engine seeds these instead of re-learning the burst
-/// shape from the defaults. Sharing decisions never change emission
-/// values, so the seed is purely a performance warm-start.
-struct HamletLaneStats {
-  TypeId type = Schema::kInvalidId;
-  double avg_burst = 4.0;
-  double avg_graphlet = 4.0;
-  double avg_sc = 0.0;
-  double avg_sp = 1.0;
 };
 
 /// Result of a closed window instance.
@@ -124,14 +110,10 @@ class HamletEngine {
   const HamletStats& stats() const { return stats_; }
   const SnapshotStore& snapshot_store() const { return store_; }
 
-  /// Work-stealing hand-off: the per-lane sharing statistics, in the
-  /// engine's deterministic lane order (BuildLanes is a pure function of
-  /// plan + members, so two engines over the same component agree).
-  std::vector<HamletLaneStats> ExportLaneStats() const;
-  /// Seeds this engine's lanes from a sibling engine's ExportLaneStats.
-  /// Lanes match by index; an entry whose type disagrees (layouts from
-  /// different plans) is skipped rather than misapplied.
-  void SeedLaneStats(std::span<const HamletLaneStats> stats);
+  /// Re-points the engine at another session's policy when its group
+  /// runner moves there (work stealing): policies carry per-session
+  /// decision counters, and sharing decisions never change values.
+  void set_policy(SharingPolicy* policy) { policy_ = policy; }
 
  private:
   /// One per (type, share group) and per (type, solo query).
@@ -284,6 +266,10 @@ class HamletEngine {
   /// "events per window" factor n.
   std::vector<std::pair<Timestamp, int64_t>> pane_event_counts_;
   int64_t events_this_pane_ = 0;
+  /// (pane start, first snapshot id created in it) for the panes inside
+  /// the horizon, oldest first: OnPaneStart drops the store's ids of every
+  /// pane before the horizon cutoff.
+  std::vector<std::pair<Timestamp, SnapshotId>> pane_first_snapshot_;
   HamletStats stats_;
   /// OnRunFiltered's row materialization scratch (capacity reused); valid
   /// for the current run only when run_scratch_valid_ — reset per call so

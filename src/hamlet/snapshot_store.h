@@ -7,6 +7,7 @@
 #ifndef HAMLET_HAMLET_SNAPSHOT_STORE_H_
 #define HAMLET_HAMLET_SNAPSHOT_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,19 +16,36 @@
 
 namespace hamlet {
 
-/// Per-variable, per-context value storage with small flat maps.
+/// Per-variable, per-context value storage with small flat maps. Ids grow
+/// forever; DropBefore releases a prefix of them, so the store holds only
+/// the variables its owner can still read.
 class SnapshotStore {
  public:
   /// Allocates a fresh snapshot variable.
   SnapshotId Create() {
     values_.emplace_back();
-    ++total_created_;
-    return static_cast<SnapshotId>(values_.size() - 1);
+    return next_id() - 1;
+  }
+
+  /// The id the next Create returns.
+  SnapshotId next_id() const {
+    return base_ + static_cast<SnapshotId>(values_.size());
+  }
+
+  /// Releases every variable with an id below `id`. The caller guarantees
+  /// no open context holds a value in them, so they read as zero; writing
+  /// one is a bug.
+  void DropBefore(SnapshotId id) {
+    HAMLET_DCHECK(id >= base_ && id <= next_id());
+    values_.erase(values_.begin(),
+                  values_.begin() + static_cast<std::ptrdiff_t>(id - base_));
+    base_ = id;
   }
 
   /// Sets the value of `var` for `ctx` (inserts or overwrites).
   void Set(SnapshotId var, ContextId ctx, const LinAgg& value) {
-    auto& column = values_[static_cast<size_t>(var)];
+    HAMLET_DCHECK(var >= base_ && var < next_id());
+    auto& column = values_[static_cast<size_t>(var - base_)];
     for (auto& [c, v] : column) {
       if (c == ctx) {
         v = value;
@@ -38,9 +56,11 @@ class SnapshotStore {
   }
 
   /// Value of `var` in `ctx`; zero when never set (e.g. a membership
-  /// snapshot for a query the event is invisible to).
+  /// snapshot for a query the event is invisible to) or released.
   LinAgg Get(SnapshotId var, ContextId ctx) const {
-    const auto& column = values_[static_cast<size_t>(var)];
+    HAMLET_DCHECK(var < next_id());
+    if (var < base_) return LinAgg();
+    const auto& column = values_[static_cast<size_t>(var - base_)];
     for (const auto& [c, v] : column) {
       if (c == ctx) return v;
     }
@@ -62,7 +82,7 @@ class SnapshotStore {
   }
 
   /// Number of variables ever created (the paper's snapshot-count metric).
-  int64_t total_created() const { return total_created_; }
+  int64_t total_created() const { return next_id(); }
 
   /// Current (variable, context) value entries.
   int64_t num_entries() const {
@@ -82,8 +102,9 @@ class SnapshotStore {
   }
 
  private:
+  /// values_[i] holds variable base_ + i.
   std::vector<std::vector<std::pair<ContextId, LinAgg>>> values_;
-  int64_t total_created_ = 0;
+  SnapshotId base_ = 0;
 };
 
 }  // namespace hamlet

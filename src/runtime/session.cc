@@ -143,11 +143,11 @@ Status ValidateRunConfig(const RunConfig& config) {
   //   (RunMetrics::rebalance_map_size).
   // work_stealing: requires steal_imbalance_ratio > 1.0 (checked even
   //   while off, mirroring reoptimize_threshold). Unsupported with
-  //   evict_idle_groups — eviction erases the very runner state the steal
-  //   fence/adopt hand-off reasons about, and a key evicted on the victim
-  //   but live on the thief would re-route ambiguously — and with online
-  //   re-optimization (reoptimize_every_panes > 0), whose epoch swaps
-  //   would race the fence's single-epoch invariant. Query churn on a
+  //   evict_idle_groups — eviction erases the very runner state a steal
+  //   moves, and a key evicted on the victim but live on the thief would
+  //   re-route ambiguously — and with online re-optimization
+  //   (reoptimize_every_panes > 0), whose epoch swaps would break the
+  //   runner hand-off's single-epoch invariant. Query churn on a
   //   stealing ShardedSession is rejected per call, not here. Allowed at
   //   num_shards == 1, where it is inert (no second shard to steal to).
   // producer_queue_capacity: only the multi-producer sharded ingest reads
@@ -187,14 +187,14 @@ Status ValidateRunConfig(const RunConfig& config) {
   if (config.work_stealing && config.evict_idle_groups) {
     return Status::Unsupported(
         "work_stealing is incompatible with evict_idle_groups: eviction "
-        "erases the runner state the steal fence/adopt hand-off migrates, "
-        "and an evicted-then-reappearing key would re-route ambiguously");
+        "erases the runner state a steal moves, and an "
+        "evicted-then-reappearing key would re-route ambiguously");
   }
   if (config.work_stealing && config.reoptimize_every_panes > 0) {
     return Status::Unsupported(
         "work_stealing is incompatible with online re-optimization: plan "
-        "epoch swaps would race the steal protocol's single-epoch "
-        "fence/adopt invariant");
+        "epoch swaps would break the steal protocol's single-epoch runner "
+        "hand-off");
   }
   return Status::Ok();
 }
@@ -223,6 +223,33 @@ Status OrderingGate::CheckWatermark(Timestamp watermark) const {
         std::to_string(has_watermark_
                            ? std::max(watermark_, last_event_time_)
                            : last_event_time_));
+  }
+  return Status::Ok();
+}
+
+void AddGroupByAttrs(const WorkloadPlan& plan, std::vector<AttrId>* attrs) {
+  for (const ExecQuery& eq : plan.exec_queries) {
+    if (eq.group_by != Schema::kInvalidId &&
+        std::find(attrs->begin(), attrs->end(), eq.group_by) == attrs->end()) {
+      attrs->push_back(eq.group_by);
+    }
+  }
+}
+
+Status CheckGroupKeys(const Event& event, std::span<const AttrId> key_attrs,
+                      const Schema& schema) {
+  for (AttrId a : key_attrs) {
+    // An event without the attribute is group 0.
+    if (a >= event.num_attrs) continue;
+    const double v = event.attr(a);
+    // std::llround is defined only inside int64; NaN fails both tests.
+    if (v >= -0x1p63 && v < 0x1p63) continue;
+    char value[32];
+    std::snprintf(value, sizeof(value), "%g", v);
+    return Status::InvalidArgument(
+        "invalid group-by value at t=" + std::to_string(event.time) +
+        ": attribute '" + schema.AttrName(a) + "' is " + value +
+        " (must be finite and within int64)");
   }
   return Status::Ok();
 }
@@ -352,16 +379,6 @@ struct Session::GroupRunner {
   /// Time of the group's last relevant event (seeded by the creating
   /// event); idle eviction compares pane boundaries against it.
   Timestamp last_event_time = 0;
-  /// Work-stealing emission bounds (the per-RUNNER analogue of
-  /// Runtime::emit_from/emit_until): the runner only OPENS windows with ws
-  /// in [emit_from, emit_until). A stolen key's victim runner fences at
-  /// the steal boundary, the thief's adopted runner starts there, so each
-  /// window belongs to exactly one shard. Defaults cover everything.
-  Timestamp emit_from = 0;
-  Timestamp emit_until = std::numeric_limits<Timestamp>::max();
-  /// Pane boundary at which a fenced runner's windows have provably all
-  /// closed; AdvancePaneTo then folds its stats and erases it.
-  Timestamp drop_after = std::numeric_limits<Timestamp>::max();
   std::unique_ptr<HamletEngine> hamlet;
   std::vector<WindowSlot> windows;
 };
@@ -440,6 +457,7 @@ Session::Session(const WorkloadPlan& plan, const RunConfig& config,
 
 void Session::InitRuntime(Runtime& rt) {
   const WorkloadPlan& plan = *rt.plan;
+  AddGroupByAttrs(plan, &group_by_attrs_);
   // Connected components over share groups (union-find).
   const int n = plan.num_exec();
   std::vector<int> parent(static_cast<size_t>(n));
@@ -549,9 +567,6 @@ void Session::OpenDueWindows(Runtime& rt, GroupRunner& runner,
     // Epoch emission bounds: windows starting outside [emit_from,
     // emit_until) belong to another epoch — the handover invariant.
     if (ws < rt.emit_from || ws >= rt.emit_until) return;
-    // Runner emission bounds: windows outside a stolen key's ownership
-    // interval belong to the other shard (see GroupRunner::emit_from).
-    if (ws < runner.emit_from || ws >= runner.emit_until) return;
     WindowSlot slot;
     slot.owner = owner;
     slot.ws = ws;
@@ -761,16 +776,6 @@ void Session::AdvancePaneTo(Runtime& rt, Timestamp new_pane_start) {
           it = comp->groups.erase(it);
           continue;
         }
-        // A steal-fenced runner whose last possible window end has passed:
-        // everything it owned emitted above, so fold its stats and erase.
-        // Unlike idle eviction this is driven purely by the steal
-        // protocol's boundaries, hence deterministic in event time.
-        if (runner.drop_after <= boundary) {
-          HAMLET_DCHECK(runner.windows.empty());
-          if (runner.hamlet) AddStats(retired_stats_, runner.hamlet->stats());
-          it = comp->groups.erase(it);
-          continue;
-        }
         OpenDueWindows(rt, runner, boundary, /*retroactive=*/false);
         if (runner.hamlet) runner.hamlet->OnPaneStart(boundary);
         ++it;
@@ -779,33 +784,22 @@ void Session::AdvancePaneTo(Runtime& rt, Timestamp new_pane_start) {
     // All engines for windows ending at `boundary` have now emitted or
     // declined; whatever composition entries remain for them are dead.
     EvictDeadCompositions(rt, boundary);
-    // Steal fences whose duplication interval has fully passed: the key's
-    // events now arrive on the thief only, so a future steal BACK may
-    // create a fresh runner here.
-    if (!group_bounds_.empty()) {
-      std::erase_if(group_bounds_,
-                    [&](const auto& kv) { return kv.second <= boundary; });
-    }
     rt.pane_start = boundary;
     rt.pane_started = true;
     peak_memory_ = std::max(peak_memory_, CurrentMemory());
   }
 }
 
-Session::GroupRunner& Session::NewGroupRunner(
-    Runtime& rt, Component& comp, int64_t key, Timestamp emit_from,
-    std::span<const HamletLaneStats> lane_stats) {
+Session::GroupRunner& Session::NewGroupRunner(Runtime& rt, Component& comp,
+                                              int64_t key) {
   auto created = std::make_unique<GroupRunner>();
   created->comp = &comp;
   created->group_key = key;
-  created->last_event_time = emit_from;
-  created->emit_from = emit_from;
   if (config_.kind == EngineKind::kHamletDynamic ||
       config_.kind == EngineKind::kHamletStatic ||
       config_.kind == EngineKind::kHamletNoShare) {
     created->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
                                                      comp.policy.get());
-    created->hamlet->SeedLaneStats(lane_stats);
   }
   GroupRunner& runner = *created;
   comp.groups[key] = std::move(created);
@@ -829,12 +823,19 @@ Status Session::PushBatch(std::span<const Event> events) {
   return Ingest(events, /*per_event=*/false);
 }
 
+Status Session::CheckEvent(const Event& event) const {
+  Status ordered = gate_.CheckEvent(event.time);
+  if (!ordered.ok()) return ordered;
+  return CheckGroupKeys(event, group_by_attrs_,
+                        *runtimes_.back()->plan->workload->schema());
+}
+
 Status Session::Ingest(std::span<const Event> events, bool per_event) {
   // Rejected calls accrue no busy time: they do no engine work, and
   // charging them would deflate the reported throughput of a caller that
   // retries after errors. A mid-batch rejection keeps the time already
   // spent on the valid prefix (that work was real and its effects stand).
-  Status result = gate_.CheckEvent(events.front().time);
+  Status result = CheckEvent(events.front());
   if (!result.ok()) return result;
   BusyScope busy(&busy_seconds_, config_.clock_override);
   // Transpose the events into each epoch's SoA staging batch and run its
@@ -854,7 +855,7 @@ Status Session::Ingest(std::span<const Event> events, bool per_event) {
   int valid = 0;
   for (const Event& e : events) {
     if (valid > 0) {
-      result = gate_.CheckEvent(e.time);
+      result = CheckEvent(e);
       if (!result.ok()) break;
     }
     gate_.CommitEvent(e.time);
@@ -925,20 +926,9 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
         while (sub_end < run.row_end && key_at(sub_end) == key) ++sub_end;
         const Event& e0 = events[static_cast<size_t>(sub)];
         auto it = comp.groups.find(key);
-        GroupRunner* runner = nullptr;
-        if (it == comp.groups.end()) {
-          // Steal-fenced key (victim side): boundary events duplicated to
-          // this shard feed only runners that already exist — a fresh
-          // runner would open retroactive windows the thief already owns.
-          if (!group_bounds_.empty() &&
-              group_bounds_.find(key) != group_bounds_.end()) {
-            sub = sub_end;
-            continue;
-          }
-          runner = &NewGroupRunner(rt, comp, key, /*emit_from=*/0, {});
-        } else {
-          runner = it->second.get();
-        }
+        GroupRunner* runner = it == comp.groups.end()
+                                  ? &NewGroupRunner(rt, comp, key)
+                                  : it->second.get();
         runner->last_event_time = events[static_cast<size_t>(sub_end - 1)].time;
         // Latency attribution: an event resets the arrival clock only of
         // windows it can contribute to — it must fall inside the window
@@ -1162,74 +1152,54 @@ Result<Timestamp> Session::ApplySharingOverrides(
   return activated;
 }
 
-Session::GroupMigration Session::FenceGroup(int64_t group_key,
-                                            Timestamp emit_until,
-                                            Timestamp drop_after) {
+Session::DetachedGroup::DetachedGroup() = default;
+Session::DetachedGroup::DetachedGroup(DetachedGroup&&) noexcept = default;
+Session::DetachedGroup& Session::DetachedGroup::operator=(
+    DetachedGroup&&) noexcept = default;
+Session::DetachedGroup::~DetachedGroup() = default;
+
+Session::DetachedGroup Session::DetachGroup(int64_t group_key,
+                                            Timestamp boundary) {
   // Stealing excludes query churn and re-optimization, so exactly one plan
-  // epoch can be live — the fence/adopt hand-off reasons about one
-  // component list on both shards.
+  // epoch is live, with the same component list on both shards.
   HAMLET_CHECK(runtimes_.size() == 1);
   Runtime& rt = *runtimes_.back();
-  GroupMigration migration;
-  migration.components.resize(rt.components.size());
+  // Every event of the key before the boundary is already here, so the
+  // runners leave with all their windows before it closed and all windows
+  // starting at it open: exactly the state the thief's pane clock expects.
+  if (!rt.pane_started || rt.pane_start < boundary) AdvancePaneTo(rt, boundary);
+  HAMLET_DCHECK(rt.pane_start == boundary);
+  DetachedGroup group;
+  group.runners.resize(rt.components.size());
   for (size_t c = 0; c < rt.components.size(); ++c) {
-    Component& comp = *rt.components[c];
-    auto it = comp.groups.find(group_key);
-    if (it == comp.groups.end()) continue;
-    GroupRunner& runner = *it->second;
-    migration.components[c].runner_exists = true;
-    if (runner.hamlet != nullptr) {
-      migration.components[c].lane_stats = runner.hamlet->ExportLaneStats();
-    }
-    runner.emit_until = std::min(runner.emit_until, emit_until);
-    runner.drop_after = std::min(runner.drop_after, drop_after);
-    // Cancel windows already open at/after the fence, unemitted: the
-    // victim has processed nothing at or past the boundary (a watermark
-    // may merely have opened them early), so they hold no events, and the
-    // thief opens its own instances — emitting here would double them.
-    for (size_t i = 0; i < runner.windows.size();) {
-      WindowSlot& w = runner.windows[i];
-      if (w.ws < emit_until) {
-        ++i;
-        continue;
-      }
-      if (runner.hamlet != nullptr) runner.hamlet->CloseContext(w.ctx);
-      runner.windows[i] = std::move(runner.windows.back());
-      runner.windows.pop_back();
-    }
+    auto& groups = rt.components[c]->groups;
+    auto it = groups.find(group_key);
+    if (it == groups.end()) continue;
+    group.runners[c] = std::move(it->second);
+    groups.erase(it);
   }
-  group_bounds_[group_key] = drop_after;
-  return migration;
+  return group;
 }
 
-void Session::AdoptGroup(int64_t group_key, Timestamp emit_from,
-                         const GroupMigration& migration) {
+void Session::AttachGroup(int64_t group_key, Timestamp boundary,
+                          DetachedGroup group) {
   HAMLET_CHECK(runtimes_.size() == 1);
   Runtime& rt = *runtimes_.back();
-  // Advance to the handover boundary BEFORE creating the adopted runners:
-  // every window this shard previously owned is then already open or
-  // closed (boundaries in between are visited while any old fenced
-  // incarnation of the key is still bounded, so no window leaks open in
-  // the gap), and that incarnation — whose drop_after provably precedes a
-  // re-steal boundary — has dropped. Pane advancement is deterministic in
-  // event time, so doing it at the adopt point just moves work the next
-  // event would trigger anyway.
-  if (!rt.pane_started || rt.pane_start < emit_from) {
-    AdvancePaneTo(rt, emit_from);
-  }
-  HAMLET_DCHECK(rt.pane_start == emit_from);
-  group_bounds_.erase(group_key);
-  const size_t n =
-      std::min(rt.components.size(), migration.components.size());
-  for (size_t c = 0; c < n; ++c) {
-    if (!migration.components[c].runner_exists) continue;
+  // Pane advancement is deterministic in event time: doing it here only
+  // moves work the key's next event would trigger anyway.
+  if (!rt.pane_started || rt.pane_start < boundary) AdvancePaneTo(rt, boundary);
+  HAMLET_DCHECK(rt.pane_start == boundary);
+  HAMLET_CHECK(group.runners.size() == rt.components.size());
+  for (size_t c = 0; c < rt.components.size(); ++c) {
+    if (group.runners[c] == nullptr) continue;
     Component& comp = *rt.components[c];
-    // The router owned the key elsewhere until this boundary, so no live
-    // runner can exist here (a fenced leftover dropped during the advance
-    // above).
-    HAMLET_CHECK(comp.groups.find(group_key) == comp.groups.end());
-    NewGroupRunner(rt, comp, group_key, emit_from,
-                   migration.components[c].lane_stats);
+    GroupRunner& runner = *group.runners[c];
+    runner.comp = &comp;
+    // The dynamic policy counts decisions per session.
+    if (runner.hamlet) runner.hamlet->set_policy(comp.policy.get());
+    // The router sent the key elsewhere until this boundary.
+    HAMLET_CHECK(comp.groups.emplace(group_key, std::move(group.runners[c]))
+                     .second);
   }
 }
 

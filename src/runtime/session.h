@@ -133,13 +133,12 @@ struct RunConfig {
   /// Pane-boundary work stealing (ShardedSession only): when an existing
   /// group key's shard is overloaded (by more than steal_imbalance_ratio x
   /// the least-loaded shard over a sliding window of staged events), the
-  /// front migrates whole group keys to the least-loaded shard at the next
-  /// event-time pane boundary — the victim's runner is fenced (emits only
-  /// windows starting before the boundary), the thief adopts the group
-  /// (emits windows from the boundary on, graphlet sharing statistics
-  /// handed over), and events near the boundary are duplicated to both
-  /// sides so every window sees its full event set. This closes the gap
-  /// that shard_rebalance_threshold only places NEW keys. Steal decisions
+  /// front moves whole group keys to the least-loaded shard at the next
+  /// event-time pane boundary. The key's group runners (HAMLET engine, open
+  /// windows, per-window baseline engines) leave the victim's Session and
+  /// join the thief's, and the key's events from the boundary on route to
+  /// the thief; no event is processed twice. This closes the gap that
+  /// shard_rebalance_threshold only places NEW keys. Steal decisions
   /// derive purely from the merged event stream, so emission sets stay
   /// bit-identical across stealing on/off, shard counts and producer
   /// counts. Incompatible with evict_idle_groups, online re-optimization
@@ -235,6 +234,18 @@ class OrderingGate {
   bool has_watermark_ = false;
 };
 
+/// Appends the group-by attributes of `plan`'s exec queries that `attrs`
+/// does not hold yet.
+void AddGroupByAttrs(const WorkloadPlan& plan, std::vector<AttrId>* attrs);
+
+/// Checks that `event` carries a usable group key in each of `key_attrs`
+/// it has: finite and inside int64 once rounded (the group key is the
+/// rounded value). Otherwise kInvalidArgument naming the event's timestamp
+/// and the attribute. Ingest runs it next to the OrderingGate, so a
+/// rejected event leaves the session as an out-of-order one does.
+Status CheckGroupKeys(const Event& event, std::span<const AttrId> key_attrs,
+                      const Schema& schema);
+
 struct RunMetrics {
   int64_t events = 0;
   int64_t emissions = 0;
@@ -313,11 +324,9 @@ struct RunMetrics {
   /// (RunConfig::work_stealing; counted on the ShardedSession front, 0
   /// elsewhere). Deterministic for a fixed stream and shard count.
   int64_t stolen_panes = 0;
-  /// Events staged to BOTH the victim and the thief during a steal's
-  /// duplication window (the victim's fenced windows still need them).
-  /// The front subtracts this from the summed per-shard `events` so that
-  /// counter always equals the ingested stream length; this field keeps
-  /// the double-processing cost visible.
+  /// Always 0: a steal moves the key's runners instead of staging its
+  /// events to two shards. Kept only because the end-to-end benchmark
+  /// reports it.
   int64_t duplicated_events = 0;
 };
 
@@ -400,6 +409,8 @@ class CsvSink : public EmissionSink {
 /// See file comment. The plan must outlive the session; the sink (if any)
 /// must outlive every Push/AdvanceTo/Close call.
 class Session {
+  struct GroupRunner;
+
  public:
   /// Validates `config` and builds the component/engine state. `sink` may be
   /// nullptr to drop emissions (metrics-only runs, e.g. throughput benches).
@@ -466,44 +477,31 @@ class Session {
   /// The session's CURRENT query set (reflects Add/RemoveQuery).
   const std::vector<Query>& queries() const { return lifecycle_.queries(); }
 
-  /// Work-stealing hand-off payload for one group key: per component (in
-  /// the session's deterministic component order), whether the victim held
-  /// a runner — the thief eagerly creates runners exactly for those, so
-  /// retroactive window opening matches the single-threaded reference —
-  /// plus the runner's HAMLET per-type sharing statistics, which warm-start
-  /// the thief's burst/graphlet moving averages (sharing decisions never
-  /// change emission values, so the seed is a pure performance carry-over).
-  struct GroupMigration {
-    struct ComponentState {
-      bool runner_exists = false;
-      std::vector<HamletLaneStats> lane_stats;
-    };
-    std::vector<ComponentState> components;
+  /// A group key's runners taken out of a session by DetachGroup, for
+  /// AttachGroup on another session over the same plan (work stealing):
+  /// one slot per component in the deterministic component order, null
+  /// where the session held no runner for the key.
+  struct DetachedGroup {
+    DetachedGroup();
+    DetachedGroup(DetachedGroup&&) noexcept;
+    DetachedGroup& operator=(DetachedGroup&&) noexcept;
+    ~DetachedGroup();
+    std::vector<std::unique_ptr<GroupRunner>> runners;
   };
 
-  /// Victim side of a pane-boundary group steal (ShardedSession steal
-  /// protocol; requires a single live plan epoch — stealing excludes query
-  /// churn). Bounds the key's existing runners to windows starting before
-  /// `emit_until` (windows already open at/after it are cancelled unemitted
-  /// — they hold no events yet and the thief re-opens them), blocks NEW
-  /// runner creation for the key until `drop_after` (events near the
-  /// boundary are duplicated to both shards; a fresh victim-side runner
-  /// would double the thief's retroactive windows), and schedules the
-  /// fenced runners to be dropped once a pane boundary reaches
-  /// `drop_after`, by which time all their windows have closed. Returns
-  /// the hand-off payload for AdoptGroup.
-  GroupMigration FenceGroup(int64_t group_key, Timestamp emit_until,
-                            Timestamp drop_after);
+  /// Victim side of a pane-boundary group steal (ShardedSession; requires
+  /// a single live plan epoch, so stealing excludes query churn). The
+  /// caller has pushed every event of the key before `boundary`. Advances
+  /// panes to `boundary`, then takes the key's runners out of every
+  /// component: HAMLET engine, open windows and per-window engines move
+  /// whole.
+  DetachedGroup DetachGroup(int64_t group_key, Timestamp boundary);
 
-  /// Thief side: first advances panes to `emit_from` (every window the
-  /// victim still owns is then already open or closed here, and any
-  /// previously fenced incarnation of the key has dropped), then eagerly
-  /// creates runners for exactly the components the victim had, emitting
-  /// windows from `emit_from` on. Components without a victim runner are
-  /// left to create naturally on their first event — unbounded, exactly
-  /// like the reference.
-  void AdoptGroup(int64_t group_key, Timestamp emit_from,
-                  const GroupMigration& migration);
+  /// Thief side: advances panes to `boundary` and installs the runners a
+  /// DetachGroup(group_key, boundary) on another session returned. The
+  /// key's events from `boundary` on then feed them here.
+  void AttachGroup(int64_t group_key, Timestamp boundary,
+                   DetachedGroup group);
 
   /// Flushes all remaining open windows and returns the final metrics.
   /// A second Close returns kFailedPrecondition (the first call's metrics
@@ -516,7 +514,6 @@ class Session {
 
  private:
   struct Component;
-  struct GroupRunner;
   /// One plan epoch: a compiled plan plus ALL state that depends on it
   /// (predicate program, components, engines, columnar staging, pane
   /// clock), bounded to emitting windows starting in [emit_from,
@@ -540,6 +537,8 @@ class Session {
   void MaybeReoptimize();
   HamletStats AggregateHamletStats() const;
 
+  /// The ordering gate plus CheckGroupKeys over group_by_attrs_.
+  Status CheckEvent(const Event& event) const;
   /// Shared body of Push and PushBatch (`events` non-empty): stages
   /// `events` into every epoch's SoA batch, runs the predicate kernels,
   /// commits the time-ordered prefix and dispatches it as runs.
@@ -553,11 +552,8 @@ class Session {
   void DispatchRuns(Runtime& rt, std::span<const Event> events, int rows,
                     double arrival);
   /// Creates the runner for `key` in `comp`, opening every window instance
-  /// covering the current pane from `emit_from` on, and seeds its HAMLET
-  /// engine's sharing statistics from `lane_stats` (work-stealing adopt).
-  GroupRunner& NewGroupRunner(Runtime& rt, Component& comp, int64_t key,
-                              Timestamp emit_from,
-                              std::span<const HamletLaneStats> lane_stats);
+  /// covering the current pane.
+  GroupRunner& NewGroupRunner(Runtime& rt, Component& comp, int64_t key);
   void AdvancePaneTo(Runtime& rt, Timestamp new_pane_start);
   void CloseExpiredWindows(Runtime& rt, GroupRunner& runner, Timestamp now);
   void OpenDueWindows(Runtime& rt, GroupRunner& runner, Timestamp pane_start,
@@ -574,6 +570,9 @@ class Session {
 
   RunConfig config_;
   EmissionSink* sink_;
+  /// Group-by attributes of every plan epoch this session has run: ingest
+  /// rejects events whose key in one of them is unusable.
+  std::vector<AttrId> group_by_attrs_;
   /// Live query set + epoch compiler (tentpole subsystem).
   QueryLifecycle lifecycle_;
   /// Live plan epochs, oldest first; back() is the lead (newest) epoch.
@@ -584,13 +583,6 @@ class Session {
   bool reopt_enabled_ = false;
   Timestamp last_reopt_pane_ = 0;
   bool reopt_pane_seen_ = false;
-  /// Fenced group keys (victim side of a steal): while a key is present,
-  /// DispatchRuns creates NO new runner for it — duplicated boundary
-  /// events feed only the fenced runners that already exist. The value is
-  /// the fence's drop_after; entries sweep once a pane boundary reaches
-  /// it. Empty except on steal victims, so the hot path pays one
-  /// empty-check.
-  std::map<int64_t, Timestamp> group_bounds_;
   /// Accumulators for state that no longer exists: retired epochs' and
   /// evicted idle groups' engine stats and policy decisions.
   HamletStats retired_stats_;

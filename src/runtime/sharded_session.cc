@@ -31,8 +31,8 @@ struct ShardMsg {
     kAddQuery,
     kRemoveQuery,
     kSwapPlan,
-    kStealFence,
-    kStealAdopt
+    kStealDetach,
+    kStealAttach
   };
   Kind kind = Kind::kBatch;
   EventVector batch;
@@ -45,14 +45,12 @@ struct ShardMsg {
   Query query;                             ///< kAddQuery
   std::string query_name;                  ///< kRemoveQuery
   std::vector<SharingOverride> overrides;  ///< kSwapPlan
-  /// Steal payload (kStealFence/kStealAdopt). `steal_boundary` is the pane
-  /// boundary B: the victim fences to windows starting before it, the
-  /// thief adopts windows starting at or after it.
+  /// Steal payload (kStealDetach/kStealAttach): the key's runners move
+  /// from the victim to the thief at pane boundary `steal_boundary`.
   int64_t steal_key = 0;
   Timestamp steal_boundary = 0;
-  Timestamp steal_drop_after = 0;          ///< kStealFence: B + max WITHIN
-  uint64_t steal_seq = 0;                  ///< kStealFence: ack token
-  Session::GroupMigration migration;       ///< kStealAdopt: fence's payload
+  uint64_t steal_seq = 0;                  ///< kStealDetach: ack token
+  Session::DetachedGroup moved;            ///< kStealAttach: the runners
 };
 
 /// Worker-local emission buffer. Only the shard's worker thread touches it
@@ -90,7 +88,7 @@ constexpr int kMemSampleEveryFlushes = 16;
 
 /// Work stealing only triggers when the max-loaded shard exceeds
 /// ratio * min + this floor: tiny absolute imbalances (a few events) never
-/// justify a migration's fence/adopt round-trip.
+/// justify a migration's synchronous round-trip.
 constexpr int64_t kStealLoadFloor = 64;
 /// Migrations per pane boundary are capped; persistent imbalance re-fires
 /// at the next crossing.
@@ -156,12 +154,12 @@ struct ShardedSession::Shard {
   /// Last watermark the worker has fully applied (after refreshing the
   /// snapshot) — the re-optimizing front's checkpoint acknowledgement.
   std::atomic<Timestamp> watermark_applied{-1};
-  /// Steal-fence reply: the worker stores the hand-off payload under
-  /// steal_mu, then acks the fence's sequence number; the front spins on
-  /// steal_ack, then takes the payload. One fence is in flight at a time
+  /// Steal-detach reply: the worker stores the detached runners under
+  /// steal_mu, then acks the request's sequence number; the front spins on
+  /// steal_ack, then takes the runners. One detach is in flight at a time
   /// (the front is synchronous), so one reply slot suffices.
   Mutex steal_mu;
-  Session::GroupMigration steal_payload HAMLET_GUARDED_BY(steal_mu);
+  Session::DetachedGroup steal_payload HAMLET_GUARDED_BY(steal_mu);
   std::atomic<uint64_t> steal_ack{0};
   /// Written by the worker on stop, read by the front after Join() — the
   /// join IS the synchronization, which TSA cannot model; unannotated.
@@ -278,6 +276,7 @@ Result<std::unique_ptr<ShardedSession>> ShardedSession::Open(
   for (const ExecQuery& eq : plan.exec_queries) {
     s->within_high_water_ = std::max(s->within_high_water_, eq.window.within);
   }
+  AddGroupByAttrs(plan, &s->group_by_attrs_);
   s->reopt_enabled_ = config.reoptimize_every_panes > 0;
   if (s->reopt_enabled_) {
     s->collector_.Reset(plan.workload->schema()->num_types());
@@ -414,23 +413,22 @@ void ShardedSession::WorkerLoop(Shard* shard) {
         ++since_snapshot;
         break;
       }
-      case ShardMsg::Kind::kStealFence: {
-        // Victim side of a migration: bound the key's runners, cancel its
-        // unfed windows at/after the boundary, and hand the runner layout
-        // + HAMLET lane statistics back to the front for the thief.
-        Session::GroupMigration m = shard->session->FenceGroup(
-            msg.steal_key, msg.steal_boundary, msg.steal_drop_after);
+      case ShardMsg::Kind::kStealDetach: {
+        // Victim side of a migration: hand the key's runners, advanced to
+        // the boundary, back to the front for the thief.
+        Session::DetachedGroup moved =
+            shard->session->DetachGroup(msg.steal_key, msg.steal_boundary);
         {
           MutexLock lock(shard->steal_mu);
-          shard->steal_payload = std::move(m);
+          shard->steal_payload = std::move(moved);
         }
         shard->steal_ack.store(msg.steal_seq, std::memory_order_release);
         ++since_snapshot;
         break;
       }
-      case ShardMsg::Kind::kStealAdopt: {
-        shard->session->AdoptGroup(msg.steal_key, msg.steal_boundary,
-                                   msg.migration);
+      case ShardMsg::Kind::kStealAttach: {
+        shard->session->AttachGroup(msg.steal_key, msg.steal_boundary,
+                                    std::move(msg.moved));
         ++since_snapshot;
         break;
       }
@@ -464,35 +462,17 @@ void ShardedSession::StageEvent(const Event& event, double now_seconds) {
     return;
   }
   // Work-stealing staging path. Order matters for determinism: pane
-  // crossings retire finished migrations and evaluate steal triggers
-  // BEFORE this event is routed, so the triggering event itself already
-  // lands on the thief — every decision is a pure function of the event
-  // stream prefix.
+  // crossings evaluate steal triggers BEFORE this event is routed, so the
+  // triggering event itself already lands on the thief — every decision
+  // is a pure function of the event stream prefix.
   const Timestamp pane = front_pane_size_ > 0 ? front_pane_size_ : 1;
   const Timestamp event_pane = (event.time / pane) * pane;
-  if (staged_any_ && event_pane > last_staged_pane_) {
-    if (!active_migrations_.empty()) {
-      std::erase_if(active_migrations_, [&](const auto& kv) {
-        return kv.second.dup_until <= event_pane;
-      });
-    }
-    MaybeSteal(event_pane);
-  }
+  if (staged_any_ && event_pane > last_staged_pane_) MaybeSteal(event_pane);
   last_staged_pane_ = event_pane;
   staged_any_ = true;
   const int64_t key = router_.GroupKeyOf(event);
   const size_t target = router_.Route(event);
   StageTo(*shards_[target], event, now_seconds);
-  if (!active_migrations_.empty()) {
-    // Migrating key inside its duplication window: the victim's fenced
-    // windows (start < B, end > B) still need this event.
-    auto it = active_migrations_.find(key);
-    if (it != active_migrations_.end() &&
-        event.time < it->second.dup_until) {
-      StageTo(*shards_[it->second.victim], event, now_seconds);
-      dup_events_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   ++steal_load_cur_[target];
   ++steal_key_load_[key].cur;
   if (++steal_in_window_ >= ShardRouter::kRebalanceHalfWindow) {
@@ -550,9 +530,6 @@ void ShardedSession::MaybeSteal(Timestamp boundary) {
       const int64_t c = kl.cur + kl.prev;
       if (c <= 0 || min_load + c >= max_load) continue;
       if (router_.AssignedShardOfKey(key) != victim) continue;
-      // A key still inside a duplication window cannot re-steal: the next
-      // fence's boundary must be >= the previous fence's drop_after.
-      if (active_migrations_.count(key) != 0) continue;
       if (c > best_load || (c == best_load && key < best_key)) {
         best_key = key;
         best_load = c;
@@ -568,40 +545,35 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
                                   Timestamp boundary) {
   Shard& v = *shards_[victim];
   Shard& t = *shards_[thief];
-  const Timestamp drop_after = boundary + within_high_water_;
-  // From here on the key's events route to the thief; the duplication
-  // window below keeps the victim fed until its fenced windows all close.
+  // From here on the key's events route to the thief.
   router_.Reassign(key, thief, boundary);
-  // The fence/adopt pair is a barrier in stream order on both shards:
-  // staged events logically precede it.
+  // The detach/attach pair is a barrier in stream order on both shards:
+  // staged events (all before the boundary) logically precede it.
   FlushShard(v);
   FlushShard(t);
   const uint64_t seq = ++steal_seq_counter_;
-  ShardMsg fence;
-  fence.kind = ShardMsg::Kind::kStealFence;
-  fence.steal_key = key;
-  fence.steal_boundary = boundary;
-  fence.steal_drop_after = drop_after;
-  fence.steal_seq = seq;
-  v.Send(std::move(fence));
-  // Synchronous wait for the victim's hand-off payload (it has to work
-  // through its queued batches first). Emissions keep draining meanwhile
-  // so no worker outbox backs up.
+  ShardMsg detach;
+  detach.kind = ShardMsg::Kind::kStealDetach;
+  detach.steal_key = key;
+  detach.steal_boundary = boundary;
+  detach.steal_seq = seq;
+  v.Send(std::move(detach));
+  // Synchronous wait for the victim's runners (it has to work through its
+  // queued batches first). Emissions keep draining meanwhile so no worker
+  // outbox backs up.
   while (v.steal_ack.load(std::memory_order_acquire) < seq) {
     DrainEmissions();
     std::this_thread::yield();
   }
-  ShardMsg adopt;
-  adopt.kind = ShardMsg::Kind::kStealAdopt;
-  adopt.steal_key = key;
-  adopt.steal_boundary = boundary;
+  ShardMsg attach;
+  attach.kind = ShardMsg::Kind::kStealAttach;
+  attach.steal_key = key;
+  attach.steal_boundary = boundary;
   {
     MutexLock lock(v.steal_mu);
-    adopt.migration = std::move(v.steal_payload);
-    v.steal_payload = Session::GroupMigration{};
+    attach.moved = std::move(v.steal_payload);
   }
-  t.Send(std::move(adopt));
-  active_migrations_[key] = ActiveMigration{victim, drop_after};
+  t.Send(std::move(attach));
   // The key's window counts move with it so the next trigger evaluates
   // the post-steal balance (clamped: a key that migrated mid-window may
   // have contributed to more than one shard's buckets).
@@ -709,14 +681,20 @@ Status ShardedSession::Push(const Event& event) {
   // Single-producer mode: the calling thread is the front (see the
   // threading contract in the header).
   ThreadRoleGuard role(front_role_);
-  Status ordered = gate_.CheckEvent(event.time);
-  if (!ordered.ok()) return ordered;
+  Status valid = CheckEvent(event);
+  if (!valid.ok()) return valid;
   gate_.CommitEvent(event.time);
   if (reopt_enabled_) collector_.CountEvent(event.type);
   StageEvent(event, config_.adaptive_batching ? IngestNow() : 0.0);
   MaybeReoptimizeFront();
   DrainEmissions();
   return Status::Ok();
+}
+
+Status ShardedSession::CheckEvent(const Event& event) const {
+  Status ordered = gate_.CheckEvent(event.time);
+  if (!ordered.ok()) return ordered;
+  return CheckGroupKeys(event, group_by_attrs_, schema());
 }
 
 Status ShardedSession::PushBatch(std::span<const Event> events) {
@@ -734,8 +712,8 @@ Status ShardedSession::PushBatch(std::span<const Event> events) {
   // ~0, which is exactly what the burst detector should see).
   const double now = config_.adaptive_batching ? IngestNow() : 0.0;
   for (const Event& e : events) {
-    Status ordered = gate_.CheckEvent(e.time);
-    if (!ordered.ok()) return ordered;
+    Status valid = CheckEvent(e);
+    if (!valid.ok()) return valid;
     gate_.CommitEvent(e.time);
     if (reopt_enabled_) collector_.CountEvent(e.type);
     StageEvent(e, now);
@@ -758,8 +736,8 @@ Status ShardedSession::PushPrePartitioned(PartitionedBatch batches) {
   if (stealing_) {
     return Status::FailedPrecondition(
         "PushPrePartitioned with work_stealing enabled: caller-side "
-        "partitioning bypasses the steal controller's routing and "
-        "duplication window; use Push/PushBatch");
+        "partitioning bypasses the steal controller's routing; use "
+        "Push/PushBatch");
   }
   if (batches.size() != shards_.size()) {
     return Status::InvalidArgument(
@@ -779,6 +757,10 @@ Status ShardedSession::PushPrePartitioned(PartitionedBatch batches) {
     if (batch.empty()) continue;
     Status ordered = gate_.CheckEvent(batch.front().time);
     if (!ordered.ok()) return ordered;
+    for (const Event& e : batch) {
+      Status keys = CheckGroupKeys(e, group_by_attrs_, schema());
+      if (!keys.ok()) return keys;
+    }
     for (size_t j = 1; j < batch.size(); ++j) {
       if (batch[j].time <= batch[j - 1].time) {
         return Status::InvalidArgument(
@@ -952,6 +934,9 @@ Status ShardedSession::Producer::Push(const Event& event) {
   }
   Status ordered = gate_.CheckEvent(event.time);
   if (!ordered.ok()) return ordered;
+  Status keys =
+      CheckGroupKeys(event, owner_->group_by_attrs_, owner_->schema());
+  if (!keys.ok()) return keys;
   gate_.CommitEvent(event.time);
   Event copy = event;
   while (!owner_->hub_->TryPush(slot_, std::move(copy))) {
@@ -1171,8 +1156,8 @@ Result<Timestamp> ShardedSession::ApplySharingOverrides(
 Status ShardedSession::ChurnGuard(const char* op) const {
   // Query churn from the caller thread would race the sequencer's front
   // state in multi-producer mode, and a plan-epoch swap would break the
-  // steal protocol's single-epoch fence/adopt invariant (FenceGroup /
-  // AdoptGroup CHECK one live runtime).
+  // steal protocol's single-epoch runner hand-off (DetachGroup /
+  // AttachGroup CHECK one live runtime).
   if (mp_mode_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
         std::string(op) + " on a multi-producer session (query churn is "
@@ -1181,8 +1166,8 @@ Status ShardedSession::ChurnGuard(const char* op) const {
   if (stealing_) {
     return Status::Unsupported(
         std::string(op) +
-        " with work_stealing enabled: plan epoch swaps would race the "
-        "steal protocol's single-epoch fence/adopt invariant");
+        " with work_stealing enabled: plan epoch swaps would break the "
+        "steal protocol's single-epoch runner hand-off");
   }
   return Status::Ok();
 }
@@ -1228,6 +1213,7 @@ Result<Timestamp> ShardedSession::BroadcastChurn(
   for (const ExecQuery& eq : front_epoch_.plan->exec_queries) {
     within_high_water_ = std::max(within_high_water_, eq.window.within);
   }
+  AddGroupByAttrs(*front_epoch_.plan, &group_by_attrs_);
   if (reopt_enabled_) {
     OnlineReoptimizerOptions opts;
     opts.threshold = config_.reoptimize_threshold;
@@ -1380,13 +1366,6 @@ void ShardedSession::FillIngressMetrics(RunMetrics& merged) const {
   merged.rebalance_map_size = router_.map_size();
   // Shards never steal on their own; migrations execute on the front.
   merged.stolen_panes += stolen_panes_.load(std::memory_order_relaxed);
-  // Duplication-window events were processed by two shards each, so the
-  // summed per-shard counts overstate the ingested stream by exactly the
-  // duplicate count. shard_events stays honest per shard (it reflects
-  // real per-shard work); the merged total reverts to stream length.
-  const int64_t dup = dup_events_.load(std::memory_order_relaxed);
-  merged.duplicated_events += dup;
-  merged.events -= std::min(dup, merged.events);
   // Shards never self-reoptimize (reoptimize_every_panes is forced to 0 in
   // their configs), so the check/swap counts live on the front.
   merged.reopt_checks = std::max(merged.reopt_checks, reoptimizer_.checks());

@@ -126,26 +126,23 @@
 //    forever. With stealing, the front tracks per-shard and per-group
 //    staged-event loads over a sliding window; when an event-time pane
 //    crossing finds the max-loaded shard above steal_imbalance_ratio x the
-//    min-loaded shard plus a floor, whole established groups migrate at
-//    that pane boundary B: the router reassigns the key, the victim shard
-//    gets a FENCE message (bound the key's runners to windows starting
-//    before B, cancel its unfed windows at/after B, schedule the runner
-//    drop at B + max WITHIN), the front synchronously collects the fence's
-//    hand-off payload (which components had runners, plus HAMLET lane
-//    statistics as a warm start) and sends the thief an ADOPT message
-//    (advance panes to B, eagerly re-create exactly the victim's runners
-//    bounded to windows from B on). Events of a migrating key are staged
-//    to BOTH shards while windows still span the boundary (time < B + max
-//    WITHIN), so victim windows finish with full data; such events count
-//    twice in RunMetrics::events but never produce duplicate emissions
-//    (window ownership is partitioned by start time at B). Every steal
-//    decision derives from the event stream alone — never wall-clock or
-//    watermark arrival timing — so emissions stay bit-identical across
-//    producer counts and stealing on/off, for a fixed shard count.
-//    RunMetrics::stolen_panes counts executed migrations. Incompatible
-//    with evict_idle_groups and online re-optimization (Open rejects the
-//    combinations), and with query churn and PushPrePartitioned (rejected
-//    per call); see docs/API.md's knob matrix.
+//    min-loaded shard plus a floor, whole established groups move at that
+//    pane boundary B. Groups never interact (§3.1), so at B a group's whole
+//    state is its GroupRunners: the router reassigns the key, the victim
+//    gets a DETACH message (advance panes to B, take the key's runners out
+//    of its Session — HAMLET engine, open windows and per-window engines
+//    alike), the front synchronously collects the runners and sends them
+//    to the thief in an ATTACH message (advance panes to B, install them).
+//    Every event of the key before B reached the victim before the detach
+//    and every later one goes to the thief, so no event is processed twice
+//    (RunMetrics::duplicated_events stays 0). Every steal decision derives
+//    from the event stream alone — never wall-clock or watermark arrival
+//    timing — so emissions stay bit-identical across producer counts and
+//    stealing on/off, for a fixed shard count. RunMetrics::stolen_panes
+//    counts executed migrations. Incompatible with evict_idle_groups and
+//    online re-optimization (Open rejects the combinations), and with
+//    query churn and PushPrePartitioned (rejected per call); see
+//    docs/API.md's knob matrix.
 //
 // Threading contract: Open/Push/PushBatch/PushPrePartitioned/AdvanceTo/
 // AddQuery/RemoveQuery/ApplySharingOverrides/Close must all be called from
@@ -366,6 +363,9 @@ class ShardedSession {
   Status AdvanceToInternal(Timestamp watermark) HAMLET_REQUIRES(front_role_);
   /// Shared churn rejection for multi-producer mode and work stealing.
   Status ChurnGuard(const char* op) const;
+  /// The front gate plus CheckGroupKeys over group_by_attrs_.
+  Status CheckEvent(const Event& event) const HAMLET_REQUIRES(front_role_);
+  const Schema& schema() const { return *plan_->workload->schema(); }
 
   // --- multi-producer ingest (sequencer thread) ---
   /// The sequencer: drains the hub's merge until stuck, broadcasts the
@@ -390,9 +390,8 @@ class ShardedSession {
   /// executes up to kMaxStealsPerBoundary migrations while the load
   /// imbalance persists and a candidate key improves it.
   void MaybeSteal(Timestamp boundary) HAMLET_REQUIRES(front_role_);
-  /// One migration: reassign the key, fence the victim (synchronously
-  /// collecting the hand-off payload), adopt on the thief, open the
-  /// duplication window.
+  /// One migration: reassign the key, detach its runners from the victim
+  /// (a synchronous round-trip) and attach them on the thief.
   void ExecuteSteal(int64_t key, size_t victim, size_t thief,
                     Timestamp boundary) HAMLET_REQUIRES(front_role_);
   /// Rolls the two-bucket sliding load window (per shard and per key).
@@ -463,6 +462,11 @@ class ShardedSession {
   /// Largest WITHIN across every epoch ever compiled (old epochs' windows
   /// may still be draining) — the router-drain safety margin.
   Timestamp within_high_water_ HAMLET_GUARDED_BY(front_role_) = 0;
+  /// Group-by attributes of every epoch ever compiled — the same set each
+  /// shard's Session checks, so no event the front admits fails there.
+  /// Grown by Open and churn only; churn is rejected once producers exist,
+  /// so producer handles read it without the front role.
+  std::vector<AttrId> group_by_attrs_;
   Timestamp last_reopt_pane_ HAMLET_GUARDED_BY(front_role_) = 0;
   bool reopt_pane_seen_ HAMLET_GUARDED_BY(front_role_) = false;
   /// The vector itself is frozen by Open (workers receive raw Shard*);
@@ -540,27 +544,13 @@ class ShardedSession {
   /// would be nondeterministic across producer counts).
   Timestamp last_staged_pane_ HAMLET_GUARDED_BY(front_role_) = 0;
   bool staged_any_ HAMLET_GUARDED_BY(front_role_) = false;
-  /// One in-flight migration: events of the key with time < dup_until are
-  /// staged to the victim too, so its fenced windows finish with full
-  /// data. Entries retire at the first pane crossing past dup_until —
-  /// BEFORE trigger evaluation, so a re-steal's boundary is always >= the
-  /// previous fence's drop_after.
-  struct ActiveMigration {
-    size_t victim = 0;
-    Timestamp dup_until = 0;
-  };
-  std::unordered_map<int64_t, ActiveMigration> active_migrations_
-      HAMLET_GUARDED_BY(front_role_);
-  /// Monotone fence-request sequence; each Shard acks the last one it
+  /// Monotone detach-request sequence; each Shard acks the last one it
   /// served (steal_ack), which is what the front's synchronous wait spins
   /// on.
   uint64_t steal_seq_counter_ HAMLET_GUARDED_BY(front_role_) = 0;
   /// Executed migrations (RunMetrics::stolen_panes). Atomic so a monitor
   /// thread's MetricsSnapshot may read it while the front steals.
   std::atomic<int64_t> stolen_panes_{0};
-  /// Events double-staged into a duplication window
-  /// (RunMetrics::duplicated_events); same atomicity rationale.
-  std::atomic<int64_t> dup_events_{0};
 };
 
 }  // namespace hamlet

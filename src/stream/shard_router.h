@@ -98,8 +98,8 @@ class ShardRouter {
   /// Moves an EXISTING key's sticky assignment to `shard` — the
   /// work-stealing migration primitive. Unlike Route's first-sight
   /// placement this deliberately changes where an established group lands;
-  /// the caller (ShardedSession's steal protocol) owns the fence/adopt
-  /// hand-off that keeps per-group window order intact across the move.
+  /// the caller (ShardedSession's steal protocol) moves the group's state
+  /// with it, which keeps per-group window order intact across the move.
   /// Requires reassignment/rebalancing state (CHECK) and binds the key if
   /// it was somehow unseen. `last_seen` refreshes the DrainStale clock.
   void Reassign(int64_t key, size_t shard, Timestamp last_seen);

@@ -135,6 +135,44 @@ TEST_F(BehaviorFixture, HorizonPruningBoundsMemoryAcrossPanes) {
   EXPECT_LT(engine.MemoryBytes(), 3 * mem_after_5);
 }
 
+TEST_F(BehaviorFixture, SnapshotStoreStaysBoundedAcrossPanes) {
+  // Sliding two-pane windows over a steady shared stream, driven the way a
+  // session drives an engine: pane end, close expired windows, open the
+  // pane's windows, pane start, events.
+  WorkloadPlan plan = Plan({
+      "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 200 ms SLIDE 100 ms",
+      "RETURN COUNT(*) PATTERN SEQ(C, B+) WITHIN 200 ms SLIDE 100 ms",
+  });
+  AlwaysSharePolicy always;
+  HamletEngine engine(plan, plan.AllExec(), &always);
+  TypeId A = schema_.FindType("A"), B = schema_.FindType("B"),
+         C = schema_.FindType("C");
+  std::vector<std::pair<ContextId, Timestamp>> open;  // (ctx, window end)
+  int64_t store_after_100 = 0;
+  for (int pane = 0; pane < 400; ++pane) {
+    const Timestamp start = pane * 100;
+    if (pane > 0) engine.OnPaneEnd();
+    std::erase_if(open, [&](const auto& w) {
+      if (w.second > start) return false;
+      engine.CloseContext(w.first);
+      return true;
+    });
+    for (int q = 0; q < 2; ++q) {
+      open.emplace_back(engine.OpenContext(q, start, start + 200),
+                        start + 200);
+    }
+    engine.OnPaneStart(start);
+    engine.OnEvent(Event(start + 1, A));
+    engine.OnEvent(Event(start + 2, C));
+    for (int i = 0; i < 10; ++i) engine.OnEvent(Event(start + 3 + i, B));
+    if (pane == 99) store_after_100 = engine.snapshot_store().MemoryBytes();
+  }
+  ASSERT_GT(engine.stats().bursts_shared, 0);
+  // Only the panes inside the window horizon keep snapshot variables, so
+  // the store does not grow with the number of processed panes.
+  EXPECT_LE(engine.snapshot_store().MemoryBytes(), store_after_100 * 3 / 2);
+}
+
 TEST_F(BehaviorFixture, SnapshotStoreDropsClosedContexts) {
   WorkloadPlan plan = Plan({
       "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 1 min",

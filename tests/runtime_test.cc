@@ -362,6 +362,33 @@ TEST_F(RuntimeFixture, EdgeSharerScansAcrossPanesMatchOracle) {
   }
 }
 
+TEST_F(RuntimeFixture, SharedScanAcrossPanesMatchOracle) {
+  // Identical range edge predicates share B+ by scanning stored nodes, so
+  // a node's expression folds in those of earlier graphlets. Over many
+  // panes of sliding windows this reads snapshot variables of panes that
+  // have left the horizon.
+  schema_.AddAttr("v");
+  schema_.AddAttr("g");
+  Add("RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= next.v "
+      "WITHIN 20 ms SLIDE 10 ms");
+  Add("RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE prev.v <= next.v "
+      "WITHIN 20 ms SLIDE 10 ms");
+  WorkloadPlan plan = Analyze();
+  ASSERT_EQ(plan.share_groups.size(), 1u);
+  EXPECT_EQ(plan.share_groups[0].mode, PropagationMode::kSharedScan);
+  Rng rng(77);
+  EventVector ev = RandomStream(rng, 200, {"A", "B", "B", "C"}, 1, 2);
+  ASSERT_GT(ev.back().time, 250);
+  auto ref = Reference(plan, ev);
+  for (EngineKind kind :
+       {EngineKind::kHamletDynamic, EngineKind::kHamletStatic}) {
+    RunConfig config;
+    config.kind = kind;
+    StreamExecutor executor(plan, config);
+    ExpectEmissionsMatch(executor.Run(ev), ref, EngineKindName(kind));
+  }
+}
+
 TEST_F(RuntimeFixture, TwoStepBudgetProducesDnf) {
   schema_.AddAttr("v");
   schema_.AddAttr("g");

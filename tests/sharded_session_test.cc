@@ -430,6 +430,98 @@ TEST_F(ShardedContractTest, UseAfterCloseIsFailedPrecondition) {
   EXPECT_EQ(session.value()->MetricsSnapshot().events, first.value().events);
 }
 
+// NaN, +-inf and values beyond int64 have no group key. Every ingest path
+// rejects them like an out-of-order event: kInvalidArgument naming the
+// timestamp and the attribute, a batch stopping at its valid prefix, and
+// the rest of the stream emitting exactly as if the event never came.
+TEST_F(ShardedContractTest, UnusableGroupKeysRejectedOnEveryIngestPath) {
+  EventVector good;
+  for (Timestamp t = 1; t <= 300; ++t) {
+    good.push_back(Make(2 * t, t % 7 == 1 ? "A" : "B",
+                        static_cast<double>(t % 3)));
+  }
+  StreamExecutor executor(*plan_, RunConfig());
+  const std::vector<Emission> expected = executor.Run(good).emissions;
+  ASSERT_FALSE(expected.empty());
+  const size_t half = good.size() / 2;
+  const std::span<const Event> head(good.data(), half);
+  const std::span<const Event> tail(good.data() + half, good.size() - half);
+  const Timestamp bad_time = head.back().time + 1;  // odd: between events
+  auto expect_rejected = [&](const Status& s, const std::string& label) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_NE(s.message().find("t=" + std::to_string(bad_time)),
+              std::string::npos)
+        << label << ": " << s.ToString();
+    EXPECT_NE(s.message().find("'g'"), std::string::npos)
+        << label << ": " << s.ToString();
+  };
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e30}) {
+    const Event bad_event = Make(bad_time, "B", bad);
+    EventVector with_bad(head.begin(), head.end());
+    with_bad.push_back(bad_event);
+    with_bad.insert(with_bad.end(), tail.begin(), tail.end());
+    const std::span<const Event> after_bad(with_bad.data() + half + 1,
+                                           tail.size());
+    const std::string value = std::to_string(bad);
+    {
+      CollectingSink sink;
+      auto session = Session::Open(*plan_, RunConfig(), &sink).value();
+      for (const Event& e : head) ASSERT_TRUE(session->Push(e).ok());
+      expect_rejected(session->Push(bad_event), "Session::Push " + value);
+      for (const Event& e : tail) ASSERT_TRUE(session->Push(e).ok());
+      ASSERT_TRUE(session->Close().ok());
+      ExpectSameEmissionSet(expected, sink.Take(), "Session::Push " + value);
+    }
+    {
+      CollectingSink sink;
+      auto session = Session::Open(*plan_, RunConfig(), &sink).value();
+      expect_rejected(session->PushBatch(with_bad),
+                      "Session::PushBatch " + value);
+      ASSERT_TRUE(session->PushBatch(after_bad).ok());
+      ASSERT_TRUE(session->Close().ok());
+      ExpectSameEmissionSet(expected, sink.Take(),
+                            "Session::PushBatch " + value);
+    }
+    {
+      CollectingSink sink;
+      auto session = Open(/*num_shards=*/2, &sink).value();
+      for (const Event& e : head) ASSERT_TRUE(session->Push(e).ok());
+      expect_rejected(session->Push(bad_event), "Sharded::Push " + value);
+      for (const Event& e : tail) ASSERT_TRUE(session->Push(e).ok());
+      ASSERT_TRUE(session->Close().ok());
+      ExpectSameEmissionSet(expected, sink.Take(), "Sharded::Push " + value);
+    }
+    {
+      CollectingSink sink;
+      auto session = Open(/*num_shards=*/2, &sink).value();
+      expect_rejected(session->PushBatch(with_bad),
+                      "Sharded::PushBatch " + value);
+      // A pre-partitioned chunk holding the event is rejected whole.
+      PartitionedBatch chunk(2);
+      chunk[0].push_back(bad_event);
+      chunk[session->router().ShardOf(after_bad.front())].push_back(
+          after_bad.front());
+      expect_rejected(session->PushPrePartitioned(chunk),
+                      "Sharded::PushPrePartitioned " + value);
+      ASSERT_TRUE(session->PushBatch(after_bad).ok());
+      ASSERT_TRUE(session->Close().ok());
+      ExpectSameEmissionSet(expected, sink.Take(),
+                            "Sharded::PushBatch " + value);
+    }
+    {
+      CollectingSink sink;
+      auto session = Open(/*num_shards=*/2, &sink).value();
+      auto producer = session->AddProducer().value();
+      for (const Event& e : head) ASSERT_TRUE(producer->Push(e).ok());
+      expect_rejected(producer->Push(bad_event), "Producer::Push " + value);
+      for (const Event& e : tail) ASSERT_TRUE(producer->Push(e).ok());
+      ASSERT_TRUE(producer->Close().ok());
+      ASSERT_TRUE(session->Close().ok());
+      ExpectSameEmissionSet(expected, sink.Take(), "Producer::Push " + value);
+    }
+  }
+}
+
 TEST_F(ShardedContractTest, DestructorJoinsWithoutClose) {
   CollectingSink sink;
   {

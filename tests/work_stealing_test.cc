@@ -11,13 +11,17 @@
 // with each other including the steal count (the controller sees the
 // deterministic staged stream, so its decisions must replay exactly).
 //
+// A second stream flips its skew so a key is stolen and then stolen back,
+// with watermarks that open some steal boundaries' windows before the
+// steal: the moved runners carry those windows along.
+//
 // Also covered: the knob's compatibility matrix (evict_idle_groups and
 // online re-optimization rejected at Open, live churn and
 // PushPrePartitioned rejected per call), config validation, the inert
 // single-shard case, and stealing under concurrent multi-producer ingest.
 //
-// Runs under TSan and ASan in CI: the fence/adopt hand-off and the
-// fence-ack spin are cross-thread protocol steps.
+// Runs under TSan and ASan in CI: the runner hand-off between shard
+// threads and the detach-ack spin are cross-thread protocol steps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -125,6 +129,33 @@ class WorkStealingTest : public ::testing::Test {
     return ev;
   }
 
+  // Phase 1: shard 0 carries hot[0] three times per round plus hot[1] and
+  // hot[2] against one event of `cold` on shard 1, so hot[0], the heaviest
+  // key, is stolen to shard 1. Phase 2: only hot[0] (three times per round)
+  // and `cold` (twice) run, both on shard 1 now, so hot[0] is stolen back
+  // once shard 0's phase-1 load has left the window. With a steal ratio of
+  // 4 (see the test) the first phase-2 trigger fires late enough that
+  // moving hot[0] improves the balance, and as the heaviest candidate it
+  // goes first. Events are 2 ms apart, which keeps windows small for the
+  // two-step and SHARON baselines.
+  EventVector FlipStream(const std::vector<int64_t>& hot, int64_t cold,
+                         int rounds) {
+    EventVector ev;
+    Timestamp t = 2;
+    for (const std::vector<int64_t>& round :
+         {std::vector<int64_t>{hot[0], hot[1], hot[0], hot[2], hot[0], cold},
+          std::vector<int64_t>{hot[0], cold, hot[0], cold, hot[0]}}) {
+      for (int r = 0; r < rounds; ++r) {
+        const TypeId type = (r % 5 == 0) ? type_a_ : type_b_;
+        for (int64_t k : round) {
+          ev.push_back(Make(t, type, k));
+          t += 2;
+        }
+      }
+    }
+    return ev;
+  }
+
   ShardedResult RunSharded(RunConfig config, int num_shards,
                            const EventVector& ev) {
     config.num_shards = num_shards;
@@ -140,6 +171,35 @@ class WorkStealingTest : public ::testing::Test {
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
     EXPECT_TRUE(session.value()->AdvanceTo(ev.back().time).ok());
+    ShardedResult out;
+    out.metrics = session.value()->Close().value();
+    out.emissions = sink.Take();
+    return out;
+  }
+
+  // Per-event pushes. The first `mid` events get a watermark at the start
+  // of every 10 ms pane, so a steal among them finds the boundary's windows
+  // already open on the victim; later steals open them themselves.
+  // `key_shards` gets `key`'s shard after the first `mid` events and after
+  // the last one.
+  ShardedResult RunWithWatermarks(RunConfig config, const EventVector& ev,
+                                  int64_t key, size_t mid,
+                                  std::vector<size_t>* key_shards) {
+    config.num_shards = 2;
+    CollectingSink sink;
+    Result<std::unique_ptr<ShardedSession>> session =
+        ShardedSession::Open(*plan_, config, &sink);
+    HAMLET_CHECK(session.ok());
+    const ShardRouter& router = session.value()->router();
+    key_shards->clear();
+    for (size_t i = 0; i < ev.size(); ++i) {
+      if (i == mid) key_shards->push_back(router.AssignedShardOfKey(key));
+      if (i < mid && ev[i].time % 10 == 0) {
+        EXPECT_TRUE(session.value()->AdvanceTo(ev[i].time).ok());
+      }
+      EXPECT_TRUE(session.value()->Push(ev[i]).ok());
+    }
+    key_shards->push_back(router.AssignedShardOfKey(key));
     ShardedResult out;
     out.metrics = session.value()->Close().value();
     out.emissions = sink.Take();
@@ -183,6 +243,43 @@ TEST_F(WorkStealingTest, StealsFireAndEmissionsAreInvariantAllEngines) {
     ShardedResult again = RunSharded(config, 2, ev);
     ExpectSameEmissionSet(on.emissions, again.emissions, label + "/replay");
     EXPECT_EQ(on.metrics.stolen_panes, again.metrics.stolen_panes) << label;
+  }
+}
+
+TEST_F(WorkStealingTest, StealBackAcrossWatermarkOpenedWindowsAllEngines) {
+  std::vector<int64_t> hot;
+  int64_t cold = -1;
+  FindSkewKeys(&hot, &cold);
+  constexpr int kRounds = 800;
+  EventVector ev = FlipStream(hot, cold, kRounds);
+  const size_t phase2 = static_cast<size_t>(kRounds) * 6;
+  for (EngineKind kind : kAllKinds) {
+    const std::string label = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    config.steal_imbalance_ratio = 4.0;
+    // No key has more than 9 events in a window, so SHARON stays exact
+    // with a smaller (cheaper) provisioned match length.
+    config.sharon_max_length = 16;
+    StreamExecutor executor(*plan_, config);
+    RunOutput batch = executor.Run(ev);
+    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+
+    std::vector<size_t> key_shards;
+    ShardedResult off =
+        RunWithWatermarks(config, ev, hot[0], phase2, &key_shards);
+    ExpectSameEmissionSet(batch.emissions, off.emissions, label + "/off");
+    EXPECT_EQ(off.metrics.stolen_panes, 0) << label;
+
+    config.work_stealing = true;
+    ShardedResult on =
+        RunWithWatermarks(config, ev, hot[0], phase2, &key_shards);
+    ExpectSameEmissionSet(batch.emissions, on.emissions, label + "/on");
+    EXPECT_GE(on.metrics.stolen_panes, 2) << label;
+    EXPECT_EQ(on.metrics.duplicated_events, 0) << label;
+    EXPECT_EQ(on.metrics.events, static_cast<int64_t>(ev.size())) << label;
+    // hot[0] left its hash shard in phase 1 and came back in phase 2.
+    EXPECT_EQ(key_shards, (std::vector<size_t>{1, 0})) << label;
   }
 }
 
