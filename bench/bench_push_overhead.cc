@@ -7,18 +7,15 @@
 // busy-time sampling).
 //
 // Part 2 — scaling: the same stream through ShardedSession at 1/2/4/8
-// shards (capped by --threads=N) on a multi-group workload, four ingress
-// granularities per shard count:
+// shards (capped by --threads=N) on a multi-group workload, three ingress
+// granularities per shard count, all through session-level PushBatch:
 //  * hand-off: shard_batch_size=1, one queue message per event — the
 //    pre-batching baseline the batched path must beat;
 //  * batched: the default staging batch, one message per
 //    shard_batch_size events;
 //  * adaptive: RunConfig::adaptive_batching — the per-shard controller
 //    picks the batch size per burst (full speed here, so it should ramp to
-//    the fixed ceiling and match the batched column);
-//  * prepart: PushPrePartitioned over batches built ahead of time with the
-//    session's ShardRouter, so the timed loop does no per-event hashing at
-//    all — the closest measurable proxy for real multi-core engine scaling.
+//    the fixed ceiling and match the batched column).
 // Reported as end-to-end wall-clock events/s (first push to Close-join
 // inclusive), since summed per-shard busy-time throughput would hide
 // queueing effects. Expect near-linear speedup up to the machine's core
@@ -34,21 +31,26 @@
 // burst fills the batch); adaptive should match burst throughput while
 // delivering lull events in microseconds.
 //
-// Part 4 — skewed groups (hash vs rebalance): a hot-key stream (30% of
-// events on one group, the rest spread over 63 progressively appearing
-// groups) at 4 shards, pure-hash routing versus
-// RunConfig::shard_rebalance_threshold. Reported: wall events/s, the
-// busiest shard's event share (the bottleneck the rebalancer removes), and
-// the diverted-key count.
+// Part 4 — skewed groups, one row per placement policy: a hot-key stream
+// (30% of events on one group, the rest spread over 63 progressively
+// appearing groups) at 4 shards through session-level PushBatch, with pure
+// hash routing, RunConfig::shard_rebalance_threshold (first-sight
+// diversion of new keys), work_stealing (pane-boundary migration of placed
+// keys), and both together (one shared load window). Reported: wall
+// events/s, the busiest shard's event share (the bottleneck placement
+// removes), the diverted-key count and the executed steals. This is the
+// ingest knob audit's placement comparison; see docs/API.md for the
+// measured numbers.
 //
 // Part 5 — concurrent ingest + work stealing (hot-key preset): the Part 4
 // skewed stream pushed by --producers=N concurrent Producer handles
 // (strided split; the generator's strictly increasing timestamps make any
 // split per-producer ordered) through 1/2/4/8 shards, with pane-boundary
 // work stealing off vs on. Pure hash routing, so stealing is the only
-// balancer — this is the PR 5 gap the steal protocol closes: the
-// rebalancer only places NEW keys, a steal migrates a hot key that is
-// already placed. Reported: wall events/s both ways and executed steals.
+// balancer: the rebalancer only places NEW keys, a steal migrates a hot
+// key that is already placed. Reported: wall events/s both ways and
+// executed steals. Part 4 has the session-level comparison of the same
+// policies.
 //
 // Pass --json to append one machine-readable `JSON: {...}` line per table
 // so future PRs can track the scaling numbers.
@@ -58,7 +60,6 @@
 
 #include "src/benchlib/harness.h"
 #include "src/runtime/executor.h"
-#include "src/stream/shard_router.h"
 
 namespace hamlet {
 namespace {
@@ -123,25 +124,6 @@ double ShardedWallEps(const WorkloadPlan& plan, const RunConfig& config,
   return WallEps(events.size(), start);
 }
 
-/// Same measurement over PushPrePartitioned: the per-shard sub-batches are
-/// built before the clock starts (shard-aware generation), so the timed
-/// region is pure hand-off + engine work.
-double PrePartitionedWallEps(const WorkloadPlan& plan,
-                             const RunConfig& config,
-                             const EventVector& events) {
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, /*sink=*/nullptr);
-  HAMLET_CHECK(session.ok());
-  std::vector<PartitionedBatch> chunks =
-      PartitionBatches(events, session.value()->router(), /*batch_events=*/512);
-  const auto start = std::chrono::steady_clock::now();
-  for (PartitionedBatch& chunk : chunks) {
-    HAMLET_CHECK(session.value()->PushPrePartitioned(std::move(chunk)).ok());
-  }
-  HAMLET_CHECK(session.value()->Close().ok());
-  return WallEps(events.size(), start);
-}
-
 void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
   Table table({"engine", "batch Run()", "Push(e)", "PushBatch(512)",
                "push/batch"});
@@ -167,7 +149,7 @@ void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
 void RunScaling(const BenchWorkload& bw, const EventVector& events,
                 int max_shards, bool json) {
   Table table({"shards", "hand-off eps", "batched eps", "adaptive eps",
-               "prepart eps", "speedup vs 1"});
+               "speedup vs 1"});
   std::string json_rows;
   double base = 0;
   for (int shards = 1; shards <= max_shards; shards *= 2) {
@@ -182,23 +164,20 @@ void RunScaling(const BenchWorkload& bw, const EventVector& events,
     const double handoff = ShardedWallEps(*bw.plan, handoff_config, events);
     const double batched = ShardedWallEps(*bw.plan, config, events);
     const double adaptive = ShardedWallEps(*bw.plan, adaptive_config, events);
-    const double prepart = PrePartitionedWallEps(*bw.plan, config, events);
     if (shards == 1) base = batched;
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   base <= 0 ? 0.0 : batched / base);
     table.AddRow({std::to_string(shards), bench::Eps(handoff),
-                  bench::Eps(batched), bench::Eps(adaptive),
-                  bench::Eps(prepart), speedup});
+                  bench::Eps(batched), bench::Eps(adaptive), speedup});
     if (json) {
       char row[320];
       std::snprintf(row, sizeof(row),
                     "%s{\"shards\":%d,\"handoff_eps\":%.1f,"
                     "\"batched_eps\":%.1f,\"adaptive_eps\":%.1f,"
-                    "\"prepartitioned_eps\":%.1f,"
                     "\"speedup_batched\":%.3f}",
                     json_rows.empty() ? "" : ",", shards, handoff, batched,
-                    adaptive, prepart, base <= 0 ? 0.0 : batched / base);
+                    adaptive, base <= 0 ? 0.0 : batched / base);
       json_rows += row;
     }
   }
@@ -426,19 +405,29 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
 }
 
 // ---------------------------------------------------------------------------
-// Part 4: skewed groups, pure hash vs skew-aware rebalancing.
+// Part 4: skewed groups, one row per placement policy.
 // ---------------------------------------------------------------------------
 
 void RunSkewed(const BenchWorkload& bw, const EventVector& events,
                int max_shards, bool json) {
   const int shards = std::min(max_shards, 4);
-  Table table({"routing", "wall eps", "max shard share", "rebalanced keys"});
+  Table table({"routing", "wall eps", "max shard share", "rebalanced keys",
+               "stolen panes"});
   std::string json_rows;
-  for (int64_t threshold : {int64_t{0}, int64_t{64}}) {
+  struct Policy {
+    const char* name;
+    int64_t rebalance_threshold;
+    bool stealing;
+  };
+  for (const Policy& policy : {Policy{"hash", 0, false},
+                               Policy{"rebalance", 64, false},
+                               Policy{"steal", 0, true},
+                               Policy{"rebalance+steal", 64, true}}) {
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
-    config.shard_rebalance_threshold = threshold;
+    config.shard_rebalance_threshold = policy.rebalance_threshold;
+    config.work_stealing = policy.stealing;
     Result<std::unique_ptr<ShardedSession>> session =
         ShardedSession::Open(*bw.plan, config, /*sink=*/nullptr);
     HAMLET_CHECK(session.ok());
@@ -463,23 +452,26 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
                             static_cast<double>(m.events);
     char share_str[32];
     std::snprintf(share_str, sizeof(share_str), "%.1f%%", share * 100.0);
-    table.AddRow({threshold == 0 ? "hash" : "rebalance", bench::Eps(eps),
-                  share_str, std::to_string(m.rebalanced_keys)});
+    table.AddRow({policy.name, bench::Eps(eps), share_str,
+                  std::to_string(m.rebalanced_keys),
+                  std::to_string(m.stolen_panes)});
     if (json) {
       char row[256];
       std::snprintf(row, sizeof(row),
                     "%s{\"mode\":\"%s\",\"wall_eps\":%.1f,"
-                    "\"max_shard_share\":%.4f,\"rebalanced_keys\":%lld}",
-                    json_rows.empty() ? "" : ",",
-                    threshold == 0 ? "hash" : "rebalance", eps, share,
-                    static_cast<long long>(m.rebalanced_keys));
+                    "\"max_shard_share\":%.4f,\"rebalanced_keys\":%lld,"
+                    "\"stolen_panes\":%lld}",
+                    json_rows.empty() ? "" : ",", policy.name, eps, share,
+                    static_cast<long long>(m.rebalanced_keys),
+                    static_cast<long long>(m.stolen_panes));
       json_rows += row;
     }
   }
   bench::PrintFigure(
       "Skew routing (hot-key preset)",
-      "30% hot key + 63 progressively appearing groups; max shard share = "
-      "the bottleneck shard's fraction of all events",
+      "30% hot key + 63 progressively appearing groups, session-level "
+      "PushBatch; max shard share = the bottleneck shard's fraction of all "
+      "events",
       table);
   if (json) {
     std::printf(
@@ -582,7 +574,7 @@ void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
       "Concurrent ingest + work stealing (hot-key preset)",
       "strided stream over " + std::to_string(producers) +
           " producer handles, pure hash routing; stealing moves the "
-          "already-placed hot keys the PR 5 rebalancer cannot move",
+          "already-placed hot keys the rebalancer cannot move",
       table);
   if (json) {
     std::printf(

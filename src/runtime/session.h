@@ -84,8 +84,8 @@ struct RunConfig {
   /// ShardedSession ingress granularity: events staged per shard before the
   /// producer hands one batch message to that shard's queue. 1 reproduces
   /// per-event hand-off; larger values amortize the queue traffic across the
-  /// batch. Watermarks, Close and PushPrePartitioned flush staging, so
-  /// results never depend on this knob. Must be >= 1. Plain Session ignores
+  /// batch. Watermarks and Close flush staging, so results never depend on
+  /// this knob. Must be >= 1. Plain Session ignores
   /// it. With adaptive_batching this is the CEILING the per-shard effective
   /// batch grows toward.
   int shard_batch_size = 128;
@@ -99,9 +99,10 @@ struct RunConfig {
   /// Skew-aware routing (ShardedSession only): when > 0, a group key seen
   /// for the FIRST time whose hash shard leads the least-loaded shard by
   /// more than this many recently staged events is routed to the
-  /// least-loaded shard instead (ShardRouter::EnableRebalancing).
-  /// Assignments are sticky, so per-group window order is preserved. 0
-  /// disables (pure hash); must be >= 0.
+  /// least-loaded shard instead. The load is the ShardedSession front's
+  /// one sliding placement window, shared with work_stealing. Assignments
+  /// are sticky, so per-group window order is preserved. 0 disables (pure
+  /// hash); must be >= 0.
   int64_t shard_rebalance_threshold = 0;
   /// Online plan re-optimization cadence, in panes: every this many pane
   /// boundaries the session re-derives the cost-model inputs from live
@@ -292,16 +293,18 @@ struct RunMetrics {
   /// batching the spread shows how the controller moved between hand-off
   /// (bucket 0) and full batches.
   std::vector<int64_t> shard_batch_hist;
-  /// Group keys the skew-aware router diverted off their hash shard.
+  /// Group keys first-sight placement diverted off their hash shard.
   int64_t rebalanced_keys = 0;
   /// Deepest any shard's ingress queue got, in messages (producer-observed).
   int64_t max_queue_depth_msgs = 0;
   /// Events processed per shard (index = shard id) — the imbalance surface
   /// the rebalancer optimizes.
   std::vector<int64_t> shard_events;
-  /// Sticky key->shard assignments the rebalancing router currently holds
-  /// (0 when rebalancing is off). With evict_idle_groups the front drains
-  /// entries whose windows all closed, bounding this under key churn.
+  /// Key->shard overrides the router currently holds: every seen key with
+  /// shard_rebalance_threshold > 0, else only keys a steal left off their
+  /// hash shard (0 with neither policy). With rebalancing and
+  /// evict_idle_groups the front drains entries whose windows all closed,
+  /// bounding this under key churn.
   int64_t rebalance_map_size = 0;
   /// Query-lifecycle counters (src/runtime/query_lifecycle.h). In a
   /// ShardedSession every shard applies the same broadcast churn ops, so

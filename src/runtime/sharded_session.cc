@@ -86,6 +86,10 @@ constexpr size_t kBatchHistBuckets = 16;
 /// FlushShard).
 constexpr int kMemSampleEveryFlushes = 16;
 
+/// Placement-window half-length, in staged events: windowed load = the
+/// current half plus the whole previous half, so every load estimate covers
+/// between one and two halves of recent traffic.
+constexpr int64_t kLoadHalfWindow = 2048;
 /// Work stealing only triggers when the max-loaded shard exceeds
 /// ratio * min + this floor: tiny absolute imbalances (a few events) never
 /// justify a migration's synchronous round-trip.
@@ -260,17 +264,12 @@ Result<std::unique_ptr<ShardedSession>> ShardedSession::Open(
   s->config_ = config;
   s->sink_ = sink;
   s->router_ = router.value();
-  // Skew-aware routing: sticky per-key assignments shared with every copy
-  // of this router (incl. PartitionedBatchCursor built from router()).
-  s->router_.EnableRebalancing(config.shard_rebalance_threshold);
-  s->stealing_ = config.work_stealing && config.num_shards > 1;
-  if (s->stealing_) {
-    // The steal protocol moves ESTABLISHED keys, so the router must track
-    // assignments even when skew-aware first-sight placement is off.
-    s->router_.EnableReassignment();
-    s->steal_load_cur_.assign(static_cast<size_t>(config.num_shards), 0);
-    s->steal_load_prev_.assign(static_cast<size_t>(config.num_shards), 0);
+  if (config.num_shards > 1) {
+    s->rebalance_threshold_ = config.shard_rebalance_threshold;
+    s->stealing_ = config.work_stealing;
   }
+  s->load_cur_.assign(static_cast<size_t>(config.num_shards), 0);
+  s->load_prev_.assign(static_cast<size_t>(config.num_shards), 0);
   s->lifecycle_.Init(*plan.workload);
   s->front_pane_size_ = plan.pane_size;
   for (const ExecQuery& eq : plan.exec_queries) {
@@ -457,36 +456,66 @@ double ShardedSession::IngestNow() const {
 }
 
 void ShardedSession::StageEvent(const Event& event, double now_seconds) {
-  if (!stealing_) {
-    StageTo(*shards_[router_.Route(event)], event, now_seconds);
+  const int64_t key = router_.GroupKeyOf(event);
+  if (rebalance_threshold_ == 0 && !stealing_) {
+    StageTo(*shards_[router_.ShardOfKey(key)], event, now_seconds);
     return;
   }
-  // Work-stealing staging path. Order matters for determinism: pane
-  // crossings evaluate steal triggers BEFORE this event is routed, so the
-  // triggering event itself already lands on the thief — every decision
-  // is a pure function of the event stream prefix.
-  const Timestamp pane = front_pane_size_ > 0 ? front_pane_size_ : 1;
-  const Timestamp event_pane = (event.time / pane) * pane;
-  if (staged_any_ && event_pane > last_staged_pane_) MaybeSteal(event_pane);
-  last_staged_pane_ = event_pane;
-  staged_any_ = true;
-  const int64_t key = router_.GroupKeyOf(event);
-  const size_t target = router_.Route(event);
-  StageTo(*shards_[target], event, now_seconds);
-  ++steal_load_cur_[target];
-  ++steal_key_load_[key].cur;
-  if (++steal_in_window_ >= ShardRouter::kRebalanceHalfWindow) {
-    RollStealWindow();
+  if (stealing_) {
+    // Order matters for determinism: pane crossings evaluate steal
+    // triggers BEFORE this event is routed, so the triggering event itself
+    // already lands on the thief — every decision is a pure function of
+    // the event stream prefix.
+    const Timestamp pane = front_pane_size_ > 0 ? front_pane_size_ : 1;
+    const Timestamp event_pane = (event.time / pane) * pane;
+    if (staged_any_ && event_pane > last_staged_pane_) MaybeSteal(event_pane);
+    last_staged_pane_ = event_pane;
+    staged_any_ = true;
   }
+  size_t target;
+  if (rebalance_threshold_ > 0) {
+    bool first_sight = false;
+    target = router_.RouteSticky(key, event.time, &first_sight);
+    if (first_sight) target = PlaceNewKey(key, target, event.time);
+  } else {
+    target = router_.AssignedShardOfKey(key);
+  }
+  StageTo(*shards_[target], event, now_seconds);
+  ++load_cur_[target];
+  if (stealing_) ++key_load_[key].cur;
+  if (++in_window_ >= kLoadHalfWindow) RollLoadWindow();
 }
 
-void ShardedSession::RollStealWindow() {
-  steal_in_window_ = 0;
-  std::swap(steal_load_prev_, steal_load_cur_);
-  std::fill(steal_load_cur_.begin(), steal_load_cur_.end(), 0);
-  for (auto it = steal_key_load_.begin(); it != steal_key_load_.end();) {
+size_t ShardedSession::PlaceNewKey(int64_t key, size_t hash_shard,
+                                   Timestamp time) {
+  PublishMapSize();
+  size_t least = 0;
+  int64_t least_load = load_prev_[0] + load_cur_[0];
+  for (size_t s = 1; s < load_cur_.size(); ++s) {
+    const int64_t load = load_prev_[s] + load_cur_[s];
+    if (load < least_load) {
+      least = s;
+      least_load = load;
+    }
+  }
+  const int64_t hash_load = load_prev_[hash_shard] + load_cur_[hash_shard];
+  if (hash_load - least_load <= rebalance_threshold_) return hash_shard;
+  router_.Assign(key, least, time);
+  rebalanced_keys_.fetch_add(1, std::memory_order_relaxed);
+  return least;
+}
+
+void ShardedSession::PublishMapSize() {
+  route_map_size_.store(router_.map_size(), std::memory_order_relaxed);
+}
+
+void ShardedSession::RollLoadWindow() {
+  in_window_ = 0;
+  std::swap(load_prev_, load_cur_);
+  std::fill(load_cur_.begin(), load_cur_.end(), 0);
+  for (auto it = key_load_.begin(); it != key_load_.end();) {
     if (it->second.cur == 0 && it->second.prev == 0) {
-      it = steal_key_load_.erase(it);
+      it = key_load_.erase(it);
       continue;
     }
     it->second.prev = it->second.cur;
@@ -502,7 +531,7 @@ void ShardedSession::MaybeSteal(Timestamp boundary) {
     int64_t max_load = -1;
     int64_t min_load = std::numeric_limits<int64_t>::max();
     for (size_t s = 0; s < shards_.size(); ++s) {
-      const int64_t load = steal_load_prev_[s] + steal_load_cur_[s];
+      const int64_t load = load_prev_[s] + load_cur_[s];
       if (load > max_load) {
         max_load = load;
         victim = s;
@@ -526,7 +555,7 @@ void ShardedSession::MaybeSteal(Timestamp boundary) {
     int64_t best_key = 0;
     int64_t best_load = -1;
     bool found = false;
-    for (const auto& [key, kl] : steal_key_load_) {
+    for (const auto& [key, kl] : key_load_) {
       const int64_t c = kl.cur + kl.prev;
       if (c <= 0 || min_load + c >= max_load) continue;
       if (router_.AssignedShardOfKey(key) != victim) continue;
@@ -545,8 +574,15 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
                                   Timestamp boundary) {
   Shard& v = *shards_[victim];
   Shard& t = *shards_[thief];
-  // From here on the key's events route to the thief.
-  router_.Reassign(key, thief, boundary);
+  // From here on the key's events route to the thief. Without rebalancing
+  // only off-hash placements need an override, so a key stolen back home
+  // leaves the map; with it, every seen key stays (first-sight stickiness).
+  if (rebalance_threshold_ == 0 && thief == router_.ShardOfKey(key)) {
+    router_.Unassign(key);
+  } else {
+    router_.Assign(key, thief, boundary);
+  }
+  PublishMapSize();
   // The detach/attach pair is a barrier in stream order on both shards:
   // staged events (all before the boundary) logically precede it.
   FlushShard(v);
@@ -577,13 +613,13 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   // The key's window counts move with it so the next trigger evaluates
   // the post-steal balance (clamped: a key that migrated mid-window may
   // have contributed to more than one shard's buckets).
-  KeyLoad& kl = steal_key_load_[key];
-  const int64_t move_cur = std::min(kl.cur, steal_load_cur_[victim]);
-  const int64_t move_prev = std::min(kl.prev, steal_load_prev_[victim]);
-  steal_load_cur_[victim] -= move_cur;
-  steal_load_cur_[thief] += move_cur;
-  steal_load_prev_[victim] -= move_prev;
-  steal_load_prev_[thief] += move_prev;
+  KeyLoad& kl = key_load_[key];
+  const int64_t move_cur = std::min(kl.cur, load_cur_[victim]);
+  const int64_t move_prev = std::min(kl.prev, load_prev_[victim]);
+  load_cur_[victim] -= move_cur;
+  load_cur_[thief] += move_cur;
+  load_prev_[victim] -= move_prev;
+  load_prev_[thief] += move_prev;
   stolen_panes_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -717,108 +753,6 @@ Status ShardedSession::PushBatch(std::span<const Event> events) {
     gate_.CommitEvent(e.time);
     if (reopt_enabled_) collector_.CountEvent(e.type);
     StageEvent(e, now);
-  }
-  MaybeReoptimizeFront();
-  DrainEmissions();
-  return Status::Ok();
-}
-
-Status ShardedSession::PushPrePartitioned(PartitionedBatch batches) {
-  if (closed_) {
-    return Status::FailedPrecondition(
-        "PushPrePartitioned on a closed session");
-  }
-  if (mp_mode_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "PushPrePartitioned on a multi-producer session; push through the "
-        "Producer handles (AddProducer)");
-  }
-  if (stealing_) {
-    return Status::FailedPrecondition(
-        "PushPrePartitioned with work_stealing enabled: caller-side "
-        "partitioning bypasses the steal controller's routing; use "
-        "Push/PushBatch");
-  }
-  if (batches.size() != shards_.size()) {
-    return Status::InvalidArgument(
-        "PushPrePartitioned got " + std::to_string(batches.size()) +
-        " sub-batches for " + std::to_string(shards_.size()) + " shards");
-  }
-  ThreadRoleGuard role(front_role_);
-  // Validate everything before committing anything: each sub-batch must be
-  // internally strictly increasing and start after the previous call's
-  // events and watermark. Cross-shard interleaving inside the chunk is
-  // deliberately unconstrained — each shard's Session only ever compares
-  // timestamps within its own subsequence.
-  Timestamp max_time = 0;
-  bool any = false;
-  for (size_t i = 0; i < batches.size(); ++i) {
-    const EventVector& batch = batches[i];
-    if (batch.empty()) continue;
-    Status ordered = gate_.CheckEvent(batch.front().time);
-    if (!ordered.ok()) return ordered;
-    for (const Event& e : batch) {
-      Status keys = CheckGroupKeys(e, group_by_attrs_, schema());
-      if (!keys.ok()) return keys;
-    }
-    for (size_t j = 1; j < batch.size(); ++j) {
-      if (batch[j].time <= batch[j - 1].time) {
-        return Status::InvalidArgument(
-            "out-of-order event at t=" + std::to_string(batch[j].time) +
-            " in shard " + std::to_string(i) +
-            " sub-batch (previous at t=" +
-            std::to_string(batch[j - 1].time) + ")");
-      }
-    }
-#ifndef NDEBUG
-    // Pure-hash routing has exactly one valid placement per event. With
-    // rebalancing the binding pass below enforces the (looser) contract —
-    // agreement with sticky assignments, first sight binding — in all
-    // builds, so no DCHECK is needed there.
-    if (!router_.rebalancing()) {
-      for (const Event& e : batch) {
-        HAMLET_DCHECK(router_.ShardOf(e) == i);
-      }
-    }
-#endif
-    max_time = any ? std::max(max_time, batch.back().time)
-                   : batch.back().time;
-    any = true;
-  }
-  if (!any) return Status::Ok();
-  // With skew-aware routing the caller's placement is authoritative for
-  // keys this session has not seen, but must agree with existing
-  // assignments — otherwise one group's stream would be split across two
-  // shards (two independent Sessions, duplicate per-window results). A
-  // chunk built with a pure-hash RouterFor router while this session
-  // rebalances is exactly that hazard. BindChunk validates the whole
-  // chunk, then binds its new keys atomically — a rejected chunk commits
-  // neither events nor routing state.
-  if (router_.rebalancing()) {
-    const int bad_shard = router_.BindChunk(batches);
-    if (bad_shard >= 0) {
-      return Status::InvalidArgument(
-          "PushPrePartitioned sub-batch " + std::to_string(bad_shard) +
-          " places an event of an already-routed group on the wrong shard; "
-          "with shard_rebalance_threshold > 0, build chunks with this "
-          "session's router(), not a standalone RouterFor");
-    }
-  }
-  gate_.CommitEvent(max_time);
-  if (reopt_enabled_) {
-    for (const EventVector& batch : batches) {
-      for (const Event& e : batch) collector_.CountEvent(e.type);
-    }
-  }
-  // Staged events predate this chunk; flush them first so every shard's
-  // queue stays in per-shard time order.
-  FlushAllShards();
-  for (size_t i = 0; i < batches.size(); ++i) {
-    if (batches[i].empty()) continue;
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kBatch;
-    msg.batch = std::move(batches[i]);
-    shards_[i]->Send(std::move(msg));
   }
   MaybeReoptimizeFront();
   DrainEmissions();
@@ -1255,7 +1189,7 @@ void ShardedSession::MaybeReoptimizeFront() {
 }
 
 void ShardedSession::MaybeDrainRouter() {
-  if (!config_.evict_idle_groups || !router_.rebalancing()) return;
+  if (!config_.evict_idle_groups || rebalance_threshold_ == 0) return;
   if (!gate_.any_seen() || front_pane_size_ <= 0) return;
   // A diverted key last seen at E <= boundary - W_max has every window that
   // could contain its events closed AND (via evict_idle_groups) its engine
@@ -1266,6 +1200,7 @@ void ShardedSession::MaybeDrainRouter() {
   const Timestamp boundary =
       (gate_.max_seen() / front_pane_size_) * front_pane_size_;
   router_.DrainStale(boundary - within_high_water_);
+  PublishMapSize();
 }
 
 Result<RunMetrics> ShardedSession::Close() {
@@ -1362,8 +1297,9 @@ void ShardedSession::FillIngressMetrics(RunMetrics& merged) const {
     merged.shard_batch_hist.pop_back();
   }
   merged.max_queue_depth_msgs = max_depth;
-  merged.rebalanced_keys = router_.rebalanced_keys();
-  merged.rebalance_map_size = router_.map_size();
+  merged.rebalanced_keys = rebalanced_keys_.load(std::memory_order_relaxed);
+  merged.rebalance_map_size =
+      route_map_size_.load(std::memory_order_relaxed);
   // Shards never steal on their own; migrations execute on the front.
   merged.stolen_panes += stolen_panes_.load(std::memory_order_relaxed);
   // Shards never self-reoptimize (reoptimize_every_panes is forced to 0 in

@@ -29,24 +29,26 @@
 //    that grows toward shard_batch_size while the shard's queue is
 //    deep/busy (burst: amortize messages) and shrinks toward 1 as arrival
 //    gaps open or the queue drains (lull: cut delivery latency), one
-//    decision per staged event, no timers or extra threads. Watermarks,
-//    Close and PushPrePartitioned flush all staging first (they are
-//    barriers), so results never depend on either batching mode. A full
-//    queue applies backpressure by spinning the caller; idle workers park
-//    on a condition variable with a timed wait. Consumed batch buffers are
-//    recycled back to the producer through a second SPSC ring, so
-//    steady-state ingest allocates nothing.
-//  * Routing: events route to shards by group-by hash. With
-//    RunConfig::shard_rebalance_threshold > 0 the router is skew-aware: a
-//    NEW group key whose hash shard is overloaded (by more than the
-//    threshold over a sliding window of staged events) lands on the
-//    least-loaded shard instead. Assignments are sticky — a group's whole
-//    stream stays on one shard — so per-group results and ordering are
-//    unchanged; only the placement of newly appearing groups adapts.
-//  * Pre-partitioned ingress: PushPrePartitioned accepts per-shard
-//    sub-batches built ahead of time with the session's ShardRouter
-//    (src/stream/shard_router.h) — e.g. by a shard-aware generator cursor —
-//    and enqueues each directly, skipping the per-event hash entirely.
+//    decision per staged event, no timers or extra threads. Watermarks and
+//    Close flush all staging first (they are barriers), so results never
+//    depend on either batching mode. A full queue applies backpressure by
+//    spinning the caller; idle workers park on a condition variable with a
+//    timed wait. Consumed batch buffers are recycled back to the producer
+//    through a second SPSC ring, so steady-state ingest allocates nothing.
+//  * Placement: events route to shards by group-by hash
+//    (src/stream/shard_router.h). With no placement policy on, staging is
+//    exactly one hash per event. Either policy — skew-aware first-sight
+//    placement (RunConfig::shard_rebalance_threshold > 0) or work stealing
+//    (below) — makes the front keep ONE two-bucket sliding window of
+//    per-shard staged-event counts, and both read it: a NEW group key
+//    whose hash shard leads the least-loaded shard by more than the
+//    threshold lands on the least-loaded shard instead, and pane-boundary
+//    steals pick their victim and thief from the same counts. Placements
+//    are router overrides. First-sight placements are sticky — with
+//    rebalancing every seen key keeps its shard — so a group's whole
+//    stream stays on one shard and per-group results and ordering are
+//    unchanged; only steals move an established group, and they move its
+//    state with it.
 //  * Watermarks: AdvanceTo validates once, flushes staging, then broadcasts
 //    the watermark to every shard so pane-aligned window closure happens on
 //    all shards — including those that saw no recent events.
@@ -114,17 +116,17 @@
 //    cross-producer violations the handle gates cannot see — two producers
 //    pushing the same timestamp — poison the session with a sticky error
 //    instead of feeding engines a misordered stream. Once AddProducer is
-//    called, session-level Push/PushBatch/PushPrePartitioned/AdvanceTo and
-//    query churn return kFailedPrecondition for the session's lifetime
-//    (one ingest mode per session), and sink emissions are delivered on
-//    the sequencer thread. Close requires every producer handle closed
-//    first. Producers may join and leave mid-stream (AddProducer /
-//    Producer::Close) — the admission bound makes churn safe.
+//    called, session-level Push/PushBatch/AdvanceTo and query churn return
+//    kFailedPrecondition for the session's lifetime (one ingest mode per
+//    session), and sink emissions are delivered on the sequencer thread.
+//    Close requires every producer handle closed first. Producers may join
+//    and leave mid-stream (AddProducer / Producer::Close) — the admission
+//    bound makes churn safe.
 //  * Pane-boundary work stealing (RunConfig::work_stealing): closes the
 //    skew gap sticky routing leaves open — rebalancing only places NEW
 //    keys, so a group that becomes hot after placement pins its shard
-//    forever. With stealing, the front tracks per-shard and per-group
-//    staged-event loads over a sliding window; when an event-time pane
+//    forever. With stealing, the front tracks per-group staged-event loads
+//    next to the placement window's per-shard ones; when an event-time pane
 //    crossing finds the max-loaded shard above steal_imbalance_ratio x the
 //    min-loaded shard plus a floor, whole established groups move at that
 //    pane boundary B. Groups never interact (§3.1), so at B a group's whole
@@ -139,14 +141,15 @@
 //    from the event stream alone — never wall-clock or watermark arrival
 //    timing — so emissions stay bit-identical across producer counts and
 //    stealing on/off, for a fixed shard count. RunMetrics::stolen_panes
-//    counts executed migrations. Incompatible with evict_idle_groups and
+//    counts executed migrations. Without rebalancing the router keeps an
+//    override only for keys a steal left off their hash shard, so key
+//    churn cannot grow the map. Incompatible with evict_idle_groups and
 //    online re-optimization (Open rejects the combinations), and with
-//    query churn and PushPrePartitioned (rejected per call); see
-//    docs/API.md's knob matrix.
+//    query churn (rejected per call); see docs/API.md's knob matrix.
 //
-// Threading contract: Open/Push/PushBatch/PushPrePartitioned/AdvanceTo/
-// AddQuery/RemoveQuery/ApplySharingOverrides/Close must all be called from
-// one thread at a time (single producer — matching the SPSC ingress).
+// Threading contract: Open/Push/PushBatch/AdvanceTo/AddQuery/RemoveQuery/
+// ApplySharingOverrides/Close must all be called from one thread at a
+// time (single producer — matching the SPSC ingress).
 // AddProducer may be called from any thread; each Producer handle is
 // single-threaded, but DIFFERENT handles may run on different threads
 // concurrently — that is the point of the hub. MetricsSnapshot may be
@@ -194,10 +197,10 @@ class ShardedSession {
   static Result<std::unique_ptr<ShardedSession>> Open(
       const WorkloadPlan& plan, const RunConfig& config, EmissionSink* sink);
 
-  /// The event->shard map Open derived from the plan, without building a
-  /// session — for shard-aware stream sources that pre-partition batches.
-  /// Fails exactly when Open would: invalid num_shards, or num_shards > 1
-  /// on a plan whose exec queries mix group-by attributes.
+  /// The pure-hash event->shard map Open derives from the plan, without
+  /// building a session. Fails exactly when Open would: invalid
+  /// num_shards, or num_shards > 1 on a plan whose exec queries mix
+  /// group-by attributes.
   static Result<ShardRouter> RouterFor(const WorkloadPlan& plan,
                                        int num_shards);
 
@@ -276,20 +279,10 @@ class ShardedSession {
   /// are taken by open handles.
   Result<std::unique_ptr<Producer>> AddProducer();
 
-  /// Ingests one pre-partitioned chunk: batches[i] is shard i's
-  /// subsequence, in stream order (build with router() — e.g. via
-  /// PartitionedBatchCursor / PartitionBatches). Requires
-  /// batches.size() == num_shards(), each sub-batch strictly
-  /// time-increasing, and every event after the previous call's events and
-  /// watermark. Events of *different* shards may carry equal timestamps
-  /// (the per-shard sessions never compare them). Takes ownership so each
-  /// sub-batch moves into its shard's queue without copying.
-  Status PushPrePartitioned(PartitionedBatch batches);
-
   /// Validates the watermark once, flushes all staged events, then
   /// broadcasts it to every shard so all panes/windows ending at or before
   /// it close. Same contract as Session::AdvanceTo. Also the checkpoint at
-  /// which stale router rebalance-map entries drain, and — when online
+  /// which stale router overrides drain, and — when online
   /// re-optimization is enabled — the barrier at which the front waits for
   /// every shard's statistics before drift checks (see file comment).
   Status AdvanceTo(Timestamp watermark);
@@ -331,8 +324,8 @@ class ShardedSession {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// The session's event->shard map (identical to RouterFor on the same
-  /// plan and shard count).
+  /// The session's event->shard map: RouterFor's hash plus the overrides
+  /// placement wrote so far. Front thread only.
   const ShardRouter& router() const { return router_; }
 
  private:
@@ -352,10 +345,10 @@ class ShardedSession {
   /// Front-side re-optimization check at the configured pane cadence
   /// (no-op unless RunConfig::reoptimize_every_panes > 0).
   void MaybeReoptimizeFront() HAMLET_REQUIRES(front_role_);
-  /// Drains router rebalance-map entries whose diverted groups can no
-  /// longer have open windows anywhere (requires evict_idle_groups — the
-  /// group's engine state is then also gone from its old shard, so a
-  /// re-appearing key may re-route freely).
+  /// Drains router overrides whose groups can no longer have open windows
+  /// anywhere (requires evict_idle_groups — the group's engine state is
+  /// then also gone from its old shard, so a re-appearing key may re-route
+  /// freely).
   void MaybeDrainRouter() HAMLET_REQUIRES(front_role_);
 
   /// Body of AdvanceTo after the closed/mode checks — shared with the
@@ -385,7 +378,13 @@ class ShardedSession {
   void Poison(Status status) HAMLET_EXCLUDES(producer_mu_);
   Status PoisonStatus() HAMLET_EXCLUDES(producer_mu_);
 
-  // --- pane-boundary work stealing (front/sequencer thread) ---
+  // --- shard placement (front/sequencer thread) ---
+  /// The first-sight rule for a key the router just bound to its hash
+  /// shard: keep it there, or move it to the least-loaded shard when the
+  /// hash shard leads that one by more than the threshold. Returns the
+  /// key's shard.
+  size_t PlaceNewKey(int64_t key, size_t hash_shard, Timestamp time)
+      HAMLET_REQUIRES(front_role_);
   /// Steal-trigger evaluation at event-time pane boundary `boundary`:
   /// executes up to kMaxStealsPerBoundary migrations while the load
   /// imbalance persists and a candidate key improves it.
@@ -395,10 +394,14 @@ class ShardedSession {
   void ExecuteSteal(int64_t key, size_t victim, size_t thief,
                     Timestamp boundary) HAMLET_REQUIRES(front_role_);
   /// Rolls the two-bucket sliding load window (per shard and per key).
-  void RollStealWindow() HAMLET_REQUIRES(front_role_);
+  void RollLoadWindow() HAMLET_REQUIRES(front_role_);
+  /// Mirrors the router's override count into route_map_size_.
+  void PublishMapSize() HAMLET_REQUIRES(front_role_);
 
-  /// `now_seconds` feeds the shard's adaptive batch controller; pass 0 when
-  /// adaptive batching is off (the value is ignored).
+  /// Routes one event (hash, or override map + first-sight rule + window
+  /// update when a placement policy is on) and stages it. `now_seconds`
+  /// feeds the shard's adaptive batch controller; pass 0 when adaptive
+  /// batching is off (the value is ignored).
   void StageEvent(const Event& event, double now_seconds)
       HAMLET_REQUIRES(front_role_);
   /// The single-shard tail of StageEvent: append to `shard`'s staging
@@ -435,11 +438,10 @@ class ShardedSession {
   const WorkloadPlan* plan_ = nullptr;
   RunConfig config_;
   EmissionSink* sink_ = nullptr;
-  /// Front-mutated (Route/Reassign/DrainStale), but deliberately NOT
-  /// role-guarded: MetricsSnapshot reads its counters from monitor threads
-  /// through ShardRouter's internal atomics (rebalanced_keys/map_size).
-  /// TSA cannot split one field by member, so the split lives in
-  /// ShardRouter's own API contract.
+  /// Front-thread state (placement writes its overrides), left unannotated
+  /// only because router() hands front-thread callers a const view.
+  /// Monitor threads read the placement counters from the atomics below,
+  /// never the router.
   ShardRouter router_;
   /// Front-side query set + compiler (the single source of churn truth —
   /// workers only ever apply pre-validated ops).
@@ -448,7 +450,7 @@ class ShardedSession {
   /// churn op (before that, `plan_` is current). Kept alive because the
   /// front re-optimizer is bound to it; workers compile their own copies.
   QueryLifecycle::CompiledEpoch front_epoch_ HAMLET_GUARDED_BY(front_role_);
-  /// Front-mutated, but NOT role-guarded for the same reason as router_:
+  /// Front-mutated, but NOT role-guarded:
   /// FillIngressMetrics reads the check/swap counters from monitor threads
   /// (they are atomics inside OnlineReoptimizer), and reopt_log() is a
   /// post-Close/test accessor. All *mutating* uses sit behind
@@ -523,22 +525,31 @@ class ShardedSession {
   /// Largest pane boundary the sequencer has broadcast the frontier at.
   Timestamp last_frontier_pane_ HAMLET_GUARDED_BY(front_role_) = -1;
 
-  // --- work-stealing state (front-role state, except the atomic
+  // --- shard placement state (front-role state, except the atomic
   // counters) ---
-  bool stealing_ = false;  ///< set by Open, read-only afterwards
-  /// Two-bucket sliding window of per-shard staged-event counts (same
-  /// half-window length as the router's rebalancer).
-  std::vector<int64_t> steal_load_cur_ HAMLET_GUARDED_BY(front_role_);
-  std::vector<int64_t> steal_load_prev_ HAMLET_GUARDED_BY(front_role_);
+  /// Set by Open, read-only afterwards; both are off at one shard.
+  /// rebalance_threshold_ 0 disables first-sight placement.
+  int64_t rebalance_threshold_ = 0;
+  bool stealing_ = false;
+  /// Two-bucket sliding window of per-shard staged-event counts, kept
+  /// while either placement policy is on.
+  std::vector<int64_t> load_cur_ HAMLET_GUARDED_BY(front_role_);
+  std::vector<int64_t> load_prev_ HAMLET_GUARDED_BY(front_role_);
+  int64_t in_window_ HAMLET_GUARDED_BY(front_role_) = 0;
   struct KeyLoad {
     int64_t cur = 0;
     int64_t prev = 0;
   };
-  /// Per-group-key staged-event counts over the same window; entries idle
-  /// for two half-windows drop out, bounding the map by active keys.
-  std::unordered_map<int64_t, KeyLoad> steal_key_load_
+  /// Per-group-key staged-event counts over the same window (stealing
+  /// only); entries idle for two half-windows drop out, bounding the map
+  /// by active keys.
+  std::unordered_map<int64_t, KeyLoad> key_load_
       HAMLET_GUARDED_BY(front_role_);
-  int64_t steal_in_window_ HAMLET_GUARDED_BY(front_role_) = 0;
+  /// Placement counters (RunMetrics::rebalanced_keys /
+  /// rebalance_map_size). Atomic so a monitor thread's MetricsSnapshot may
+  /// read them while the front routes.
+  std::atomic<int64_t> rebalanced_keys_{0};
+  std::atomic<int64_t> route_map_size_{0};
   /// Pane of the last staged event — steal triggers fire exactly when this
   /// advances (event-time pane crossings; never watermark-driven, which
   /// would be nondeterministic across producer counts).

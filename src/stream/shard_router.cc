@@ -1,171 +1,22 @@
 #include "src/stream/shard_router.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/common/check.h"
 
 namespace hamlet {
 
-void ShardRouter::EnableRebalancing(int64_t threshold_events) {
-  if (threshold_events <= 0 || num_shards_ <= 1) return;
-  state_ = std::make_shared<RebalanceState>();
-  state_->threshold = threshold_events;
-  state_->current.assign(static_cast<size_t>(num_shards_), 0);
-  state_->previous.assign(static_cast<size_t>(num_shards_), 0);
-}
-
-void ShardRouter::EnableReassignment() {
-  if (num_shards_ <= 1 || state_ != nullptr) return;
-  // An unreachable threshold keeps Route's first-sight placement purely
-  // hash-based; the state exists only so assignments are tracked and
-  // Reassign can move them.
-  state_ = std::make_shared<RebalanceState>();
-  state_->threshold = std::numeric_limits<int64_t>::max();
-  state_->current.assign(static_cast<size_t>(num_shards_), 0);
-  state_->previous.assign(static_cast<size_t>(num_shards_), 0);
-}
-
-void ShardRouter::Reassign(int64_t key, size_t shard, Timestamp last_seen) {
-  HAMLET_CHECK(state_ != nullptr);
+void ShardRouter::Assign(int64_t key, size_t shard, Timestamp last_seen) {
   HAMLET_CHECK(shard < static_cast<size_t>(num_shards_));
-  Assignment& a = state_->assignment[key];
+  Assignment& a = overrides_[key];
   a.shard = static_cast<uint32_t>(shard);
   a.last_seen = std::max(a.last_seen, last_seen);
-  state_->map_size.store(static_cast<int64_t>(state_->assignment.size()),
-                         std::memory_order_relaxed);
 }
 
-size_t ShardRouter::Route(const Event& event) const {
-  if (state_ == nullptr) return ShardOf(event);
-  RebalanceState& st = *state_;
-  const int64_t key = KeyOf(event);
-  auto [it, is_new] = st.assignment.try_emplace(key, Assignment{});
-  if (is_new) {
-    size_t shard = ShardOf(event);
-    // Windowed load = previous half-window + current partial half-window.
-    auto load = [&st](size_t s) { return st.previous[s] + st.current[s]; };
-    size_t least = 0;
-    for (size_t s = 1; s < st.current.size(); ++s) {
-      if (load(s) < load(least)) least = s;
-    }
-    if (load(shard) - load(least) > st.threshold) {
-      shard = least;
-      st.rebalanced_keys.fetch_add(1, std::memory_order_relaxed);
-    }
-    it->second.shard = static_cast<uint32_t>(shard);
-    st.map_size.store(static_cast<int64_t>(st.assignment.size()),
-                      std::memory_order_relaxed);
-  }
-  it->second.last_seen = event.time;
-  const size_t shard = it->second.shard;
-  ++st.current[shard];
-  if (++st.in_window >= kRebalanceHalfWindow) {
-    st.previous.swap(st.current);
-    std::fill(st.current.begin(), st.current.end(), 0);
-    st.in_window = 0;
-  }
-  return shard;
-}
-
-size_t ShardRouter::AssignedShard(const Event& event) const {
-  if (state_ != nullptr) {
-    auto it = state_->assignment.find(KeyOf(event));
-    if (it != state_->assignment.end()) return it->second.shard;
-  }
-  return ShardOf(event);
-}
-
-int ShardRouter::BindChunk(const std::vector<EventVector>& batches) const {
-  if (state_ == nullptr) return -1;
-  // Pass 1 — validate only: every event must agree with the key's existing
-  // assignment, and a new key must not appear in two sub-batches.
-  std::unordered_map<int64_t, uint32_t> fresh;
-  for (size_t i = 0; i < batches.size(); ++i) {
-    for (const Event& e : batches[i]) {
-      const int64_t key = KeyOf(e);
-      auto existing = state_->assignment.find(key);
-      if (existing != state_->assignment.end()) {
-        if (existing->second.shard != i) return static_cast<int>(i);
-        continue;
-      }
-      auto [it, is_new] = fresh.try_emplace(key, static_cast<uint32_t>(i));
-      if (!is_new && it->second != i) return static_cast<int>(i);
-    }
-  }
-  // Pass 2 — commit: the whole chunk checked out, bind its new keys and
-  // refresh every touched key's last-seen time (pre-partitioned traffic
-  // must keep its keys out of DrainStale's reach exactly like routed
-  // traffic). A rejected chunk never leaves partial bindings behind.
-  for (size_t i = 0; i < batches.size(); ++i) {
-    for (const Event& e : batches[i]) {
-      Assignment& a = state_->assignment[KeyOf(e)];
-      a.shard = static_cast<uint32_t>(i);
-      a.last_seen = std::max(a.last_seen, e.time);
-    }
-  }
-  state_->map_size.store(static_cast<int64_t>(state_->assignment.size()),
-                         std::memory_order_relaxed);
-  return -1;
-}
-
-int64_t ShardRouter::DrainStale(Timestamp last_seen_cutoff) const {
-  if (state_ == nullptr) return 0;
-  int64_t dropped = 0;
-  for (auto it = state_->assignment.begin();
-       it != state_->assignment.end();) {
-    if (it->second.last_seen <= last_seen_cutoff) {
-      it = state_->assignment.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  if (dropped > 0) {
-    state_->map_size.store(static_cast<int64_t>(state_->assignment.size()),
-                           std::memory_order_relaxed);
-  }
-  return dropped;
-}
-
-PartitionedBatchCursor::PartitionedBatchCursor(EventCursor* cursor,
-                                               const ShardRouter& router,
-                                               size_t batch_events)
-    : cursor_(cursor), router_(router), batch_events_(batch_events) {
-  HAMLET_CHECK(cursor != nullptr);
-  HAMLET_CHECK(batch_events >= 1);
-}
-
-bool PartitionedBatchCursor::NextBatch(PartitionedBatch* out) {
-  out->resize(static_cast<size_t>(router_.num_shards()));
-  for (EventVector& shard_batch : *out) shard_batch.clear();
-  size_t pulled = 0;
-  Event e;
-  while (pulled < batch_events_ && cursor_->Next(&e)) {
-    // Route (not ShardOf): with a rebalancing router copied from the
-    // session, the cursor's placements share the session's sticky key
-    // assignments and feed the same load window.
-    (*out)[router_.Route(e)].push_back(e);
-    ++pulled;
-  }
-  return pulled > 0;
-}
-
-std::vector<PartitionedBatch> PartitionBatches(std::span<const Event> events,
-                                               const ShardRouter& router,
-                                               size_t batch_events) {
-  HAMLET_CHECK(batch_events >= 1);
-  std::vector<PartitionedBatch> chunks;
-  chunks.reserve(events.size() / batch_events + 1);
-  for (size_t i = 0; i < events.size(); i += batch_events) {
-    PartitionedBatch batch(static_cast<size_t>(router.num_shards()));
-    const size_t end = std::min(events.size(), i + batch_events);
-    for (size_t j = i; j < end; ++j) {
-      batch[router.Route(events[j])].push_back(events[j]);
-    }
-    chunks.push_back(std::move(batch));
-  }
-  return chunks;
+void ShardRouter::DrainStale(Timestamp last_seen_cutoff) {
+  std::erase_if(overrides_, [last_seen_cutoff](const auto& entry) {
+    return entry.second.last_seen <= last_seen_cutoff;
+  });
 }
 
 }  // namespace hamlet

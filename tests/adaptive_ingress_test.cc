@@ -124,70 +124,92 @@ TEST(AdaptiveBatchControllerTest, MaxBatchOneIsAlwaysHandOff) {
 }
 
 // ---------------------------------------------------------------------------
-// Skew-aware ShardRouter units.
+// Skew-aware placement units, read back through ShardedSession::router().
 // ---------------------------------------------------------------------------
 
-Event GroupEvent(Timestamp t, int64_t group) {
-  Event e(t, /*type=*/0);
-  e.set_attr(0, static_cast<double>(group));
-  return e;
-}
+class SkewRouterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    schema_.AddAttr("v");
+    schema_.AddAttr("g");
+    type_a_ = schema_.AddType("A");
+    ASSERT_TRUE(workload_
+                    .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
+                                    "GROUPBY g WITHIN 100 ms")
+                             .value())
+                    .ok());
+    plan_ = std::make_unique<WorkloadPlan>(AnalyzeWorkload(workload_).value());
+  }
 
-TEST(SkewRouterTest, PureRouterIsUnchangedByRouteCalls) {
-  ShardRouter router(/*partition_attr=*/0, /*num_shards=*/4);
-  EXPECT_FALSE(router.rebalancing());
+  std::unique_ptr<ShardedSession> Open(int64_t threshold) {
+    RunConfig config;
+    config.num_shards = 4;
+    config.shard_rebalance_threshold = threshold;
+    Result<std::unique_ptr<ShardedSession>> session =
+        ShardedSession::Open(*plan_, config, nullptr);
+    HAMLET_CHECK(session.ok());
+    return std::move(session).value();
+  }
+
+  Event GroupEvent(Timestamp t, int64_t group) {
+    Event e(t, type_a_);
+    e.set_attr(0, 1.0);
+    e.set_attr(1, static_cast<double>(group));
+    return e;
+  }
+
+  Schema schema_;
+  TypeId type_a_ = 0;
+  Workload workload_{&schema_};
+  std::unique_ptr<WorkloadPlan> plan_;
+};
+
+TEST_F(SkewRouterTest, PureRouterIsUnchangedByRouteCalls) {
+  std::unique_ptr<ShardedSession> session = Open(/*threshold=*/0);
+  const ShardRouter& router = session->router();
+  const ShardRouter pure = ShardedSession::RouterFor(*plan_, 4).value();
   for (int64_t g = 0; g < 32; ++g) {
     Event e = GroupEvent(10 + g, g);
-    EXPECT_EQ(router.Route(e), router.ShardOf(e));
-    EXPECT_EQ(router.AssignedShard(e), router.ShardOf(e));
+    ASSERT_TRUE(session->Push(e).ok());
+    EXPECT_EQ(router.Route(e), pure.Route(e));
+    EXPECT_EQ(router.AssignedShardOfKey(g), router.ShardOfKey(g));
   }
-  EXPECT_EQ(router.rebalanced_keys(), 0);
+  EXPECT_EQ(router.map_size(), 0);
+  EXPECT_EQ(session->MetricsSnapshot().rebalanced_keys, 0);
+  ASSERT_TRUE(session->Close().ok());
 }
 
-TEST(SkewRouterTest, HotShardShedsNewKeysAndAssignmentsStick) {
-  ShardRouter router(/*partition_attr=*/0, /*num_shards=*/4);
-  router.EnableRebalancing(/*threshold_events=*/8);
-  ASSERT_TRUE(router.rebalancing());
+TEST_F(SkewRouterTest, HotShardShedsNewKeysAndAssignmentsStick) {
+  std::unique_ptr<ShardedSession> session = Open(/*threshold=*/8);
+  const ShardRouter& router = session->router();
   const int64_t hot = 7;
-  const size_t hot_shard = router.ShardOf(GroupEvent(0, hot));
+  const size_t hot_shard = router.ShardOfKey(hot);
   // Pin one shard with a hot group.
-  for (int i = 0; i < 200; ++i) router.Route(GroupEvent(i, hot));
-  EXPECT_EQ(router.AssignedShard(GroupEvent(0, hot)), hot_shard)
+  Timestamp t = 1;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(session->Push(GroupEvent(t++, hot)).ok());
+  }
+  EXPECT_EQ(router.AssignedShardOfKey(hot), hot_shard)
       << "existing keys never move";
   // Every NEW key that hashes onto the hot shard must now be diverted
   // (the load lead is 200 >> threshold 8), and its assignment must stick.
   int diverted = 0;
   for (int64_t g = 1000; g < 1100; ++g) {
-    Event e = GroupEvent(2000 + g, g);
-    const size_t hashed = router.ShardOf(e);
-    const size_t routed = router.Route(e);
+    const size_t hashed = router.ShardOfKey(g);
+    ASSERT_TRUE(session->Push(GroupEvent(t++, g)).ok());
+    const size_t routed = router.AssignedShardOfKey(g);
     if (hashed == hot_shard) {
       EXPECT_NE(routed, hot_shard) << "new key pinned to the hot shard";
       ++diverted;
     }
-    EXPECT_EQ(router.AssignedShard(e), routed);
-    EXPECT_EQ(router.Route(GroupEvent(5000 + g, g)), routed)
+    ASSERT_TRUE(session->Push(GroupEvent(t++, g)).ok());
+    EXPECT_EQ(router.AssignedShardOfKey(g), routed)
         << "assignment must be sticky";
   }
   EXPECT_GT(diverted, 0) << "no new key hashed onto the hot shard — "
                             "test stream too small";
-  EXPECT_EQ(router.rebalanced_keys(), diverted);
-}
-
-TEST(SkewRouterTest, CopiesShareRebalanceState) {
-  ShardRouter router(/*partition_attr=*/0, /*num_shards=*/4);
-  router.EnableRebalancing(/*threshold_events=*/4);
-  for (int i = 0; i < 100; ++i) router.Route(GroupEvent(i, 3));
-  ShardRouter copy = router;  // a PartitionedBatchCursor holds such a copy
-  for (int64_t g = 50; g < 80; ++g) {
-    Event e = GroupEvent(1000 + g, g);
-    // Route first (it decides the new key's assignment), THEN read the
-    // assignment back through the other copy.
-    const size_t routed = copy.Route(e);
-    EXPECT_EQ(router.AssignedShard(e), routed)
-        << "cursor copy diverged from the session's assignments";
-  }
-  EXPECT_EQ(copy.rebalanced_keys(), router.rebalanced_keys());
+  EXPECT_EQ(session->MetricsSnapshot().rebalanced_keys, diverted);
+  ASSERT_TRUE(session->Close().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -369,83 +391,6 @@ TEST(RebalancedRoutingEquivalence, SkewedStreamRebalancesAndReportsShares) {
   EXPECT_EQ(std::accumulate(run.metrics.shard_events.begin(),
                             run.metrics.shard_events.end(), int64_t{0}),
             run.metrics.events);
-}
-
-// PushPrePartitioned under rebalancing: the caller's placement binds a key
-// on first sight, but must AGREE with existing assignments — a chunk built
-// with a pure-hash router that contradicts a rebalanced assignment would
-// split one group across two shards (duplicate per-window results), so it
-// is rejected before anything commits.
-TEST(RebalancedRoutingEquivalence, PrePartitionedRespectsBindings) {
-  Schema schema;
-  schema.AddAttr("v");
-  schema.AddAttr("g");
-  Workload workload(&schema);
-  ASSERT_TRUE(workload
-                  .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
-                                  "GROUPBY g WITHIN 100 ms")
-                           .value())
-                  .ok());
-  WorkloadPlan plan = AnalyzeWorkload(workload).value();
-  const TypeId type_a = schema.AddType("A");
-  auto make = [&](Timestamp t, int64_t g) {
-    Event e(t, type_a);
-    e.set_attr(0, 1.0);
-    e.set_attr(1, static_cast<double>(g));
-    return e;
-  };
-  RunConfig config;
-  config.num_shards = 4;
-  config.shard_rebalance_threshold = 1;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, nullptr);
-  ASSERT_TRUE(session.ok());
-  const ShardRouter& router = session.value()->router();
-  ShardRouter pure = ShardedSession::RouterFor(plan, 4).value();
-  // Load one shard with a hot key so the rebalancer has a reason to divert.
-  const int64_t hot = 5;
-  Timestamp t = 1;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(session.value()->Push(make(t++, hot)).ok());
-  }
-  const size_t hot_shard = router.AssignedShard(make(0, hot));
-  // A fresh key hashing onto the hot shard gets diverted by Push traffic.
-  int64_t diverted = -1;
-  for (int64_t g = 100; g < 200; ++g) {
-    if (pure.ShardOf(make(0, g)) == hot_shard) {
-      diverted = g;
-      break;
-    }
-  }
-  ASSERT_NE(diverted, -1);
-  ASSERT_TRUE(session.value()->Push(make(t++, diverted)).ok());
-  ASSERT_NE(router.AssignedShard(make(0, diverted)), hot_shard);
-  // A pure-hash chunk would put the diverted key back on its hash shard:
-  // kInvalidArgument, nothing committed.
-  PartitionedBatch bad(4);
-  bad[hot_shard].push_back(make(t, diverted));
-  Status split = session.value()->PushPrePartitioned(std::move(bad));
-  ASSERT_FALSE(split.ok());
-  EXPECT_EQ(split.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(split.message().find("already-routed"), std::string::npos);
-  // A brand-new key placed by the caller binds on first sight — even on
-  // the hot shard, where the rebalancer itself would not have put it —
-  // and later Push traffic follows the binding.
-  int64_t fresh = -1;
-  for (int64_t g = 200; g < 300; ++g) {
-    if (pure.ShardOf(make(0, g)) == hot_shard) {
-      fresh = g;
-      break;
-    }
-  }
-  ASSERT_NE(fresh, -1);
-  PartitionedBatch good(4);
-  good[hot_shard].push_back(make(t++, fresh));
-  ASSERT_TRUE(session.value()->PushPrePartitioned(std::move(good)).ok());
-  EXPECT_EQ(router.AssignedShard(make(0, fresh)), hot_shard);
-  ASSERT_TRUE(session.value()->Push(make(t++, fresh)).ok());
-  EXPECT_EQ(router.AssignedShard(make(0, fresh)), hot_shard);
-  ASSERT_TRUE(session.value()->Close().ok());
 }
 
 TEST(IngressMetricsTest, BatchHistogramCountsFlushes) {

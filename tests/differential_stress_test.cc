@@ -2,7 +2,8 @@
 // seeded random sample of runtime configurations — engine kind x shard
 // count x ingest mode (session-level batches of varying size, or 1/2/4
 // concurrent producers, optionally with mid-stream producer churn) x
-// staging batch size x adaptive batching x work stealing x queue capacity
+// staging batch size x adaptive batching x work stealing x skew-aware
+// first-sight placement x queue capacity
 // — asserting the emission set is bit-identical to the single-threaded
 // batch reference every time. Every documented
 // emission-neutral knob has to actually be neutral, in combination, under
@@ -47,6 +48,7 @@ struct StressConfig {
   int queue_capacity = 8192;
   bool adaptive = false;
   bool stealing = false;
+  int64_t rebalance_threshold = 0;
   bool churn = false;  // producer handles leave/join at mid-stream
 
   std::string Describe() const {
@@ -58,6 +60,9 @@ struct StressConfig {
     s += "/q=" + std::to_string(queue_capacity);
     if (adaptive) s += "/adaptive";
     if (stealing) s += "/steal";
+    if (rebalance_threshold > 0) {
+      s += "/rebal=" + std::to_string(rebalance_threshold);
+    }
     if (churn) s += "/churn";
     return s;
   }
@@ -77,6 +82,7 @@ StressConfig SampleConfig(Rng& rng) {
   c.queue_capacity = queue_choices[rng.NextBelow(2)];
   c.adaptive = rng.NextBelow(2) == 1;
   c.stealing = rng.NextBelow(2) == 1;
+  c.rebalance_threshold = rng.NextBelow(2) == 1 ? 4 : 0;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
   return c;
 }
@@ -176,6 +182,7 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     config.shard_queue_capacity = sc.queue_capacity;
     config.adaptive_batching = sc.adaptive;
     config.work_stealing = sc.stealing;
+    config.shard_rebalance_threshold = sc.rebalance_threshold;
     CollectingSink sink;
     Result<std::unique_ptr<ShardedSession>> opened =
         ShardedSession::Open(*bw.plan, config, &sink);

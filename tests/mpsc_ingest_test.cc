@@ -304,10 +304,6 @@ TEST_F(MpContractTest, SessionLevelIngestLockedOutInProducerMode) {
   EXPECT_EQ(session->PushBatch(std::span<const Event>(&e, 1)).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(session->AdvanceTo(100).code(), StatusCode::kFailedPrecondition);
-  std::vector<EventVector> chunk(2);
-  chunk[0].push_back(e);
-  EXPECT_EQ(session->PushPrePartitioned(chunk).code(),
-            StatusCode::kFailedPrecondition);
   // Live churn is front-thread-only and the front thread no longer owns
   // ingest ordering, so plan changes are refused in producer mode too.
   Query q = ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g "

@@ -1,4 +1,4 @@
-// Batched shard ingress + pre-partitioned ingest tests.
+// Batched shard ingress tests.
 //
 // The core property extends shard-count invariance to ingress granularity:
 // for every EngineKind, shard count (1/2/4/8) and shard_batch_size
@@ -6,11 +6,9 @@
 // of a ShardedSession equals the single-threaded batch Run() on the same
 // stream — staging, batch flushes, watermark barriers and the emission
 // fan-in must never change *what* is computed, only how it is handed off.
-// Also covered: PushPrePartitioned fed by the shard-aware
-// PartitionedBatchCursor (src/stream/shard_router.h), its fail-fast
-// contract (sub-batch count, per-shard ordering, cross-call ordering),
-// RouterFor consistency with the session's own router, and backpressure
-// with tiny queues and tiny batches at once.
+// Also covered: RouterFor consistency with the session's own router,
+// reentrant and closing sinks, Open's batching-knob validation, and
+// backpressure with tiny queues and tiny batches at once.
 //
 // Registered in the ASan and TSan CI jobs next to sharded_session_test:
 // together they drive every cross-thread path of the batched runtime —
@@ -184,97 +182,7 @@ TEST(BatchGranularityEquivalence, TinyQueueTinyBatchBackpressure) {
   EXPECT_EQ(batch.metrics.events, sharded.metrics.events);
 }
 
-// PushPrePartitioned driven by the shard-aware cursor: same emissions as
-// batch Run() for every shard count, without the session hashing a single
-// event.
-TEST(PrePartitionedEquivalence, CursorDrivenAllShardCounts) {
-  BenchWorkload bw =
-      MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
-  GeneratorConfig gen;
-  gen.seed = 94;
-  gen.events_per_minute = 600;
-  gen.duration_minutes = 1;
-  gen.num_groups = 8;
-  gen.burstiness = 0.6;
-  gen.max_burst = 8;
-  EventVector ev = bw.generator->Generate(gen);
-  for (EngineKind kind : {EngineKind::kHamletDynamic, EngineKind::kSharon}) {
-    RunConfig config;
-    config.kind = kind;
-    StreamExecutor executor(*bw.plan, config);
-    RunOutput batch = executor.Run(ev);
-    ASSERT_TRUE(batch.status.ok());
-    for (int shards : {1, 2, 4, 8}) {
-      config.num_shards = shards;
-      CollectingSink sink;
-      Result<std::unique_ptr<ShardedSession>> session =
-          ShardedSession::Open(*bw.plan, config, &sink);
-      ASSERT_TRUE(session.ok());
-      std::unique_ptr<EventCursor> cursor = bw.generator->Stream(gen);
-      PartitionedBatchCursor batches(cursor.get(), session.value()->router(),
-                                     /*batch_events=*/64);
-      PartitionedBatch chunk;
-      while (batches.NextBatch(&chunk)) {
-        Status s = session.value()->PushPrePartitioned(std::move(chunk));
-        ASSERT_TRUE(s.ok()) << s.ToString();
-      }
-      ASSERT_TRUE(session.value()->AdvanceTo(ev.back().time).ok());
-      RunMetrics m = session.value()->Close().value();
-      const std::string label = std::string(EngineKindName(kind)) +
-                                "/prepart/N=" + std::to_string(shards);
-      EXPECT_EQ(batch.metrics.events, m.events) << label;
-      ExpectSameEmissionSet(batch.emissions, sink.Take(), label);
-    }
-  }
-}
-
-// Mixing the three ingest styles (Push, PushBatch, PushPrePartitioned) in
-// one run stays equivalent: staging flushes keep every shard's queue in
-// per-shard time order.
-TEST(PrePartitionedEquivalence, MixedIngestStyles) {
-  BenchWorkload bw =
-      MakeWorkload1("ridesharing", 4, /*window_ms=*/2 * kMillisPerSecond);
-  EventVector ev = RidesharingStream(/*seed=*/95, /*num_groups=*/8);
-  RunConfig config;
-  config.kind = EngineKind::kHamletDynamic;
-  StreamExecutor executor(*bw.plan, config);
-  RunOutput batch = executor.Run(ev);
-  ASSERT_TRUE(batch.status.ok());
-  config.num_shards = 3;
-  config.shard_batch_size = 5;
-  CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*bw.plan, config, &sink);
-  ASSERT_TRUE(session.ok());
-  const ShardRouter& router = session.value()->router();
-  Rng rng(7);
-  size_t i = 0;
-  while (i < ev.size()) {
-    const uint64_t style = rng.NextBelow(3);
-    size_t len = 1 + static_cast<size_t>(rng.NextBelow(40));
-    len = std::min(len, ev.size() - i);
-    std::span<const Event> chunk(ev.data() + i, len);
-    Status s;
-    if (style == 0) {
-      s = session.value()->Push(ev[i]);
-      len = 1;
-    } else if (style == 1) {
-      s = session.value()->PushBatch(chunk);
-    } else {
-      std::vector<PartitionedBatch> parts =
-          PartitionBatches(chunk, router, len);
-      s = session.value()->PushPrePartitioned(std::move(parts.front()));
-    }
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    i += len;
-  }
-  ASSERT_TRUE(session.value()->AdvanceTo(ev.back().time).ok());
-  RunMetrics m = session.value()->Close().value();
-  EXPECT_EQ(batch.metrics.events, m.events);
-  ExpectSameEmissionSet(batch.emissions, sink.Take(), "mixed-ingest");
-}
-
-class PrePartitionedContractTest : public ::testing::Test {
+class ShardedContractTest : public ::testing::Test {
  protected:
   void SetUp() override {
     schema_.AddAttr("v");
@@ -296,85 +204,12 @@ class PrePartitionedContractTest : public ::testing::Test {
     return e;
   }
 
-  // A chunk routed with the session's router (all events into group 0's
-  // shard here, which is what the single group implies).
-  PartitionedBatch Routed(const ShardedSession& session,
-                          std::vector<Event> events) {
-    PartitionedBatch batch(
-        static_cast<size_t>(session.num_shards()));
-    for (const Event& e : events) {
-      batch[session.router().ShardOf(e)].push_back(e);
-    }
-    return batch;
-  }
-
   Schema schema_;
   Workload workload_{&schema_};
   std::unique_ptr<WorkloadPlan> plan_;
 };
 
-TEST_F(PrePartitionedContractTest, RejectsWrongSubBatchCount) {
-  RunConfig config;
-  config.num_shards = 3;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan_, config, nullptr);
-  ASSERT_TRUE(session.ok());
-  PartitionedBatch two(2);
-  Status s = session.value()->PushPrePartitioned(std::move(two));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("sub-batches"), std::string::npos);
-}
-
-TEST_F(PrePartitionedContractTest, RejectsOutOfOrderWithinShard) {
-  RunConfig config;
-  config.num_shards = 2;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan_, config, nullptr);
-  ASSERT_TRUE(session.ok());
-  PartitionedBatch batch = Routed(*session.value(),
-                                  {Make(10, "A"), Make(20, "B")});
-  // Corrupt per-shard order in whichever sub-batch got the events.
-  for (EventVector& sub : batch) {
-    if (sub.size() == 2) std::swap(sub[0], sub[1]);
-  }
-  Status s = session.value()->PushPrePartitioned(std::move(batch));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("t=10"), std::string::npos);
-  // Nothing was committed: the same events in order are still accepted.
-  EXPECT_TRUE(session.value()
-                  ->PushPrePartitioned(Routed(
-                      *session.value(), {Make(10, "A"), Make(20, "B")}))
-                  .ok());
-  EXPECT_EQ(session.value()->Close().value().events, 2);
-}
-
-TEST_F(PrePartitionedContractTest, RejectsEventsBehindPreviousCall) {
-  RunConfig config;
-  config.num_shards = 2;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan_, config, nullptr);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session.value()->Push(Make(50, "A")).ok());
-  Status s = session.value()->PushPrePartitioned(
-      Routed(*session.value(), {Make(20, "B")}));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find("t=20"), std::string::npos);
-  // Empty chunks are fine (a shard-aware source may have nothing buffered).
-  EXPECT_TRUE(session.value()
-                  ->PushPrePartitioned(PartitionedBatch(2))
-                  .ok());
-  RunMetrics m = session.value()->Close().value();
-  EXPECT_EQ(m.events, 1);
-  EXPECT_EQ(session.value()
-                ->PushPrePartitioned(PartitionedBatch(2))
-                .code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(PrePartitionedContractTest, RouterForMatchesSessionRouter) {
+TEST_F(ShardedContractTest, RouterForMatchesSessionRouter) {
   RunConfig config;
   config.num_shards = 4;
   Result<std::unique_ptr<ShardedSession>> session =
@@ -387,8 +222,7 @@ TEST_F(PrePartitionedContractTest, RouterForMatchesSessionRouter) {
             session.value()->router().partition_attr());
   for (int g = 0; g < 64; ++g) {
     Event e = Make(10 + g, "A", /*group=*/static_cast<double>(g));
-    EXPECT_EQ(standalone.value().ShardOf(e),
-              session.value()->router().ShardOf(e))
+    EXPECT_EQ(standalone.value().Route(e), session.value()->router().Route(e))
         << g;
   }
   ASSERT_TRUE(session.value()->Close().ok());
@@ -401,7 +235,7 @@ TEST_F(PrePartitionedContractTest, RouterForMatchesSessionRouter) {
 // from OnEmission. The reentrant call must neither corrupt the fan-in
 // scratch (reentrancy guard) nor, during Close's final drain, stage events
 // no worker will ever process (the session is closed by then).
-TEST_F(PrePartitionedContractTest, ReentrantFeedbackSinkIsSafe) {
+TEST_F(ShardedContractTest, ReentrantFeedbackSinkIsSafe) {
   RunConfig config;
   config.num_shards = 2;
   config.shard_batch_size = 1;  // surface emissions promptly
@@ -450,7 +284,7 @@ TEST_F(PrePartitionedContractTest, ReentrantFeedbackSinkIsSafe) {
 // deliver every remaining emission — including those of shards the
 // interrupted drain had already passed — and nothing may be delivered
 // twice.
-TEST_F(PrePartitionedContractTest, CloseFromSinkDeliversEverything) {
+TEST_F(ShardedContractTest, CloseFromSinkDeliversEverything) {
   RunConfig config;
   config.num_shards = 4;
   config.shard_batch_size = 1;
@@ -494,7 +328,7 @@ TEST_F(PrePartitionedContractTest, CloseFromSinkDeliversEverything) {
   EXPECT_EQ(raw->Close().status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST_F(PrePartitionedContractTest, OpenValidatesShardBatchSize) {
+TEST_F(ShardedContractTest, OpenValidatesShardBatchSize) {
   RunConfig config;
   config.shard_batch_size = 0;
   Result<std::unique_ptr<ShardedSession>> r =
@@ -508,7 +342,7 @@ TEST_F(PrePartitionedContractTest, OpenValidatesShardBatchSize) {
 // shard_batch_size: capacity=8192/batch=1 buffers at most 8192 events while
 // capacity=8192/batch=128 buffers ~1M. Open relates the two knobs
 // explicitly — both extremes of the documented contract.
-TEST_F(PrePartitionedContractTest, OpenRelatesQueueCapacityToBatchSize) {
+TEST_F(ShardedContractTest, OpenRelatesQueueCapacityToBatchSize) {
   // Low extreme: a big message queue of single-event batches is a small
   // event buffer — fine.
   RunConfig config;

@@ -496,13 +496,6 @@ TEST_F(ShardedContractTest, UnusableGroupKeysRejectedOnEveryIngestPath) {
       auto session = Open(/*num_shards=*/2, &sink).value();
       expect_rejected(session->PushBatch(with_bad),
                       "Sharded::PushBatch " + value);
-      // A pre-partitioned chunk holding the event is rejected whole.
-      PartitionedBatch chunk(2);
-      chunk[0].push_back(bad_event);
-      chunk[session->router().ShardOf(after_bad.front())].push_back(
-          after_bad.front());
-      expect_rejected(session->PushPrePartitioned(chunk),
-                      "Sharded::PushPrePartitioned " + value);
       ASSERT_TRUE(session->PushBatch(after_bad).ok());
       ASSERT_TRUE(session->Close().ok());
       ExpectSameEmissionSet(expected, sink.Take(),

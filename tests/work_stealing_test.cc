@@ -16,14 +16,17 @@
 // steal: the moved runners carry those windows along.
 //
 // Also covered: the knob's compatibility matrix (evict_idle_groups and
-// online re-optimization rejected at Open, live churn and
-// PushPrePartitioned rejected per call), config validation, the inert
-// single-shard case, and stealing under concurrent multi-producer ingest.
+// online re-optimization rejected at Open, live churn rejected per call),
+// config validation, the inert single-shard case, stealing under
+// concurrent multi-producer ingest, the router's override map staying
+// bounded under key churn, and stealing together with skew-aware
+// first-sight placement (both policies read one load window).
 //
 // Runs under TSan and ASan in CI: the runner hand-off between shard
 // threads and the detach-ack spin are cross-thread protocol steps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -118,6 +121,14 @@ class WorkStealingTest : public ::testing::Test {
   // carries 3/4 of the staged load, forever.
   EventVector SkewStream(const std::vector<int64_t>& hot, int64_t cold,
                          int rounds) {
+    return SkewStreamWith(hot, cold, rounds, [](int) { return int64_t{-1}; });
+  }
+
+  // SkewStream plus `extra(r)`: when it returns a key >= 0, that key gets
+  // one more event after round r's four.
+  template <typename ExtraKey>
+  EventVector SkewStreamWith(const std::vector<int64_t>& hot, int64_t cold,
+                             int rounds, ExtraKey extra) {
     EventVector ev;
     Timestamp t = 1;
     for (int r = 0; r < rounds; ++r) {
@@ -125,6 +136,8 @@ class WorkStealingTest : public ::testing::Test {
       for (int64_t k : {hot[0], hot[1], hot[2], cold}) {
         ev.push_back(Make(t++, type, k));
       }
+      const int64_t k = extra(r);
+      if (k >= 0) ev.push_back(Make(t++, (r % 4 == 0) ? type_a_ : type_b_, k));
     }
     return ev;
   }
@@ -154,6 +167,21 @@ class WorkStealingTest : public ::testing::Test {
       }
     }
     return ev;
+  }
+
+  // `count` keys hashing to shard 0 of a 2-shard router, none of them in
+  // `taken`.
+  std::vector<int64_t> ShardZeroKeys(const std::vector<int64_t>& taken,
+                                     size_t count) {
+    ShardRouter probe = ShardedSession::RouterFor(*plan_, 2).value();
+    std::vector<int64_t> keys;
+    for (int64_t k = 0; keys.size() < count; ++k) {
+      if (probe.ShardOfKey(k) == 0 &&
+          std::find(taken.begin(), taken.end(), k) == taken.end()) {
+        keys.push_back(k);
+      }
+    }
+    return keys;
   }
 
   ShardedResult RunSharded(RunConfig config, int num_shards,
@@ -352,6 +380,70 @@ TEST_F(WorkStealingTest, StealingUnderMultiProducerIngest) {
   EXPECT_GT(metrics.stolen_panes, 0);
 }
 
+// Without rebalancing the router holds an override only while a steal
+// keeps a key off its hash shard, so hundreds of short-lived keys (two
+// events each) leave no trace in the map: it never outgrows the steal
+// count.
+TEST_F(WorkStealingTest, KeyChurnKeepsOverrideMapBounded) {
+  std::vector<int64_t> hot;
+  int64_t cold = -1;
+  FindSkewKeys(&hot, &cold);
+  constexpr int kRounds = 600;
+  EventVector ev = SkewStreamWith(
+      hot, cold, kRounds, [](int r) { return int64_t{10'000} + r / 2; });
+  RunConfig config;
+  config.kind = EngineKind::kHamletDynamic;
+  StreamExecutor executor(*plan_, config);
+  RunOutput batch = executor.Run(ev);
+  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+
+  ShardedResult off = RunSharded(config, 2, ev);
+  ExpectSameEmissionSet(batch.emissions, off.emissions, "off");
+  config.work_stealing = true;
+  ShardedResult on = RunSharded(config, 2, ev);
+  ExpectSameEmissionSet(off.emissions, on.emissions, "on");
+  EXPECT_GT(on.metrics.stolen_panes, 0);
+  EXPECT_LE(on.metrics.rebalance_map_size, on.metrics.stolen_panes)
+      << "override map grew with the " << kRounds / 2 << " churned keys";
+}
+
+// Both placement policies on at once, sharing one load window: keys that
+// first appear once shard 0 is overloaded are diverted on first sight,
+// and the established hot keys still trigger steals. Neither may change
+// what is computed.
+TEST_F(WorkStealingTest, RebalanceAndStealTogetherAllEngines) {
+  std::vector<int64_t> hot;
+  int64_t cold = -1;
+  FindSkewKeys(&hot, &cold);
+  const std::vector<int64_t> late = ShardZeroKeys(hot, 4);
+  // One late-key event every 8 rounds from round 40 on, rotating through
+  // four keys that all hash to the overloaded shard 0.
+  EventVector ev = SkewStreamWith(hot, cold, /*rounds=*/600, [&](int r) {
+    return r >= 40 && r % 8 == 0 ? late[static_cast<size_t>(r / 8) % 4]
+                                 : int64_t{-1};
+  });
+  for (EngineKind kind : kAllKinds) {
+    const std::string label = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    StreamExecutor executor(*plan_, config);
+    RunOutput batch = executor.Run(ev);
+    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+
+    config.shard_rebalance_threshold = 4;
+    ShardedResult off = RunSharded(config, 2, ev);
+    ExpectSameEmissionSet(batch.emissions, off.emissions, label + "/off");
+    EXPECT_GT(off.metrics.rebalanced_keys, 0) << label;
+
+    config.work_stealing = true;
+    ShardedResult on = RunSharded(config, 2, ev);
+    ExpectSameEmissionSet(batch.emissions, on.emissions, label + "/on");
+    ExpectSameEmissionSet(off.emissions, on.emissions, label + "/on-off");
+    EXPECT_GT(on.metrics.rebalanced_keys, 0) << label;
+    EXPECT_GT(on.metrics.stolen_panes, 0) << label;
+  }
+}
+
 TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   CollectingSink sink;
   RunConfig config;
@@ -390,7 +482,7 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(WorkStealingTest, ChurnAndPrePartitionedRejectedWhileStealing) {
+TEST_F(WorkStealingTest, ChurnRejectedWhileStealing) {
   CollectingSink sink;
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
@@ -409,11 +501,6 @@ TEST_F(WorkStealingTest, ChurnAndPrePartitionedRejectedWhileStealing) {
   auto remove = session->RemoveQuery("q0");
   ASSERT_FALSE(remove.ok());
   EXPECT_EQ(remove.status().code(), StatusCode::kUnsupported);
-
-  std::vector<EventVector> chunk(2);
-  chunk[0].push_back(Make(2, type_b_, 1));
-  Status pre = session->PushPrePartitioned(chunk);
-  EXPECT_EQ(pre.code(), StatusCode::kFailedPrecondition) << pre.ToString();
 
   EXPECT_TRUE(session->Close().ok());
 }
