@@ -1,6 +1,7 @@
 #include "src/hamlet/hamlet_engine.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace hamlet {
 
@@ -177,6 +178,90 @@ ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
   ctx.boundary_mm.clear();
   ctx.boundary_mm.shrink_to_fit();
   return result;
+}
+
+HamletEngine::QueryState HamletEngine::ExportQuery(int exec_id) const {
+  HAMLET_DCHECK(active_lanes_.empty());
+  const size_t q = static_cast<size_t>(exec_id);
+  QueryState state;
+  state.last_leading = last_leading_[q];
+  state.last_boundary_neg = last_boundary_neg_[q];
+  Timestamp oldest = std::numeric_limits<Timestamp>::max();
+  for (ContextId c : open_ctxs_[q]) {
+    state.contexts.push_back(contexts_[static_cast<size_t>(c)]);
+    oldest = std::min(oldest, state.contexts.back().window_start);
+  }
+  if (!edge_queries_.Contains(exec_id)) return state;
+  // Only the query's own lanes are ever scanned for it (ScanPredecessors),
+  // and only graphlets opened inside one of its windows.
+  std::vector<int> scanned;
+  for (const SeqElement& el : Exec(exec_id).tmpl.pattern.elements) {
+    const int idx = lane_of_[q][static_cast<size_t>(el.type)];
+    if (std::find(scanned.begin(), scanned.end(), idx) != scanned.end())
+      continue;
+    scanned.push_back(idx);
+    for (const Graphlet* g : lanes_[static_cast<size_t>(idx)].history) {
+      if (g->open_time < oldest) continue;
+      QueryState::RetainedGraphlet out;
+      out.type = g->type;
+      out.open_time = g->open_time;
+      for (const GraphletNode& n : g->nodes) {
+        if (!n.members.Contains(exec_id)) continue;
+        QueryState::Node node;
+        node.event = n.event;
+        for (ContextId c : open_ctxs_[q]) {
+          NodeValue v;
+          v.lin = n.EvalLin(store_, c);
+          if (n.numeric) v.mm = n.values.Get(c, NodeValue()).mm;
+          node.values.push_back(v);
+        }
+        out.nodes.push_back(std::move(node));
+      }
+      if (!out.nodes.empty()) state.history.push_back(std::move(out));
+    }
+  }
+  return state;
+}
+
+std::vector<ContextId> HamletEngine::ImportQuery(int exec_id,
+                                                 QueryState state) {
+  HAMLET_CHECK(members_.Contains(exec_id));
+  const size_t q = static_cast<size_t>(exec_id);
+  last_leading_[q] = state.last_leading;
+  last_boundary_neg_[q] = std::move(state.last_boundary_neg);
+  std::vector<ContextId> ids;
+  for (ContextState& ctx : state.contexts) {
+    const ContextId id = static_cast<ContextId>(contexts_.size());
+    ctx.id = id;
+    ctx.exec_id = exec_id;
+    contexts_.push_back(std::move(ctx));
+    open_ctxs_[q].push_back(id);
+    ids.push_back(id);
+  }
+  for (QueryState::RetainedGraphlet& rg : state.history) {
+    Lane& lane = lanes_[static_cast<size_t>(
+        lane_of_[q][static_cast<size_t>(rg.type)])];
+    Graphlet* g = graphlet_pool_.Acquire();
+    g->type = rg.type;
+    g->sharers = QuerySet::Single(exec_id);
+    g->open_time = rg.open_time;
+    for (QueryState::Node& node : rg.nodes) {
+      GraphletNode& n = g->nodes.emplace_back();
+      n.event = node.event;
+      n.members = QuerySet::Single(exec_id);
+      n.numeric = true;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        const ContextState& ctx = contexts_[static_cast<size_t>(ids[i])];
+        if (ctx.window_start <= rg.open_time) {
+          n.values.Mut(ids[i]) = node.values[i];
+        }
+      }
+    }
+    g->closed_bytes = g->MemoryBytes();
+    lane.history.push_back(g);
+    lane.history_has_numeric = true;
+  }
+  return ids;
 }
 
 void HamletEngine::OnPaneStart(Timestamp pane_start) {

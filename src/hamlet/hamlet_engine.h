@@ -103,6 +103,37 @@ class HamletEngine {
   void OnRunFiltered(const EventBatch& batch, const RunSpan& run);
   void OnPaneEnd();
 
+  /// One query's state at a pane boundary. Graphlets are pane-confined, so
+  /// there it is numeric (paper §3.3 / Eq. 5): the open windows'
+  /// ContextStates and the query's negation timestamps. An edge-predicate
+  /// query's scans also read retained nodes; those inside its open windows
+  /// come along valued per window, as numeric nodes.
+  struct QueryState {
+    struct Node {
+      Event event;
+      /// Parallel to `contexts`; read only where the window starts at or
+      /// before the node's graphlet opened.
+      std::vector<NodeValue> values;
+    };
+    struct RetainedGraphlet {
+      TypeId type = Schema::kInvalidId;
+      Timestamp open_time = 0;
+      std::vector<Node> nodes;
+    };
+    std::vector<ContextState> contexts;
+    Timestamp last_leading = -1;
+    std::vector<Timestamp> last_boundary_neg;
+    std::vector<RetainedGraphlet> history;
+  };
+
+  /// `exec_id`'s state, between OnPaneEnd and the next OnPaneStart (the
+  /// plan-epoch hand-off, src/runtime/session.h). The engine is left as is.
+  QueryState ExportQuery(int exec_id) const;
+  /// Continues a state ExportQuery took from another engine for the same
+  /// query, as member `exec_id` here, before OnPaneStart. Returns the new
+  /// context ids, parallel to state.contexts.
+  std::vector<ContextId> ImportQuery(int exec_id, QueryState state);
+
   /// Logical memory footprint (paper's metric: stored events, snapshot
   /// expressions and values, per-context tables).
   int64_t MemoryBytes() const;

@@ -15,8 +15,8 @@
 //      against the best plan's cost: when the relative drift exceeds
 //      RunConfig::reoptimize_threshold, it emits SharingOverrides that the
 //      session applies as a pane-aligned hot swap (a fresh plan epoch —
-//      merged template, PredicateProgram and cohort masks rebuilt — with
-//      open windows of the old plan draining to completion).
+//      merged template, PredicateProgram and cohort masks rebuilt — that
+//      takes the old plan's open windows over at the boundary).
 //
 // Sharing decisions never change emission VALUES (the paper's correctness
 // invariant; CTest-enforced by the equivalence suites), so a swap can only

@@ -145,11 +145,10 @@ Status ValidateRunConfig(const RunConfig& config) {
   //   while off, mirroring reoptimize_threshold). Unsupported with
   //   evict_idle_groups — eviction erases the very runner state a steal
   //   moves, and a key evicted on the victim but live on the thief would
-  //   re-route ambiguously — and with online re-optimization
-  //   (reoptimize_every_panes > 0), whose epoch swaps would break the
-  //   runner hand-off's single-epoch invariant. Query churn on a
-  //   stealing ShardedSession is rejected per call, not here. Allowed at
-  //   num_shards == 1, where it is inert (no second shard to steal to).
+  //   re-route ambiguously. Query churn and re-optimization combine with
+  //   it freely: every shard runs one plan epoch and switches it at the
+  //   same boundary. Allowed at num_shards == 1, where it is inert (no
+  //   second shard to steal to).
   // producer_queue_capacity: only the multi-producer sharded ingest reads
   //   it, but it is validated unconditionally so AddProducer can never
   //   trip a latent bad value.
@@ -189,12 +188,6 @@ Status ValidateRunConfig(const RunConfig& config) {
         "work_stealing is incompatible with evict_idle_groups: eviction "
         "erases the runner state a steal moves, and an "
         "evicted-then-reappearing key would re-route ambiguously");
-  }
-  if (config.work_stealing && config.reoptimize_every_panes > 0) {
-    return Status::Unsupported(
-        "work_stealing is incompatible with online re-optimization: plan "
-        "epoch swaps would break the steal protocol's single-epoch runner "
-        "hand-off");
   }
   return Status::Ok();
 }
@@ -342,8 +335,45 @@ void CsvSink::OnEmission(const Emission& emission) {
   ++rows_written_;
 }
 
+/// A compiled plan generation plus what derives from it alone, immutable
+/// once built. The session's runtime runs one; a per-window engine slot
+/// keeps the one it was opened under alive across hand-offs.
+struct Session::PlanEpoch {
+  /// Owns the workload and plan of a churn epoch (its plan is null for the
+  /// plan the session was opened with); query_ids and bounds are always set.
+  QueryLifecycle::CompiledEpoch compiled;
+  const WorkloadPlan* plan = nullptr;
+  /// Per exec query: which event types its pattern mentions. Drives latency
+  /// attribution — only events a query can react to stamp its windows'
+  /// arrival clocks.
+  std::vector<std::vector<bool>> exec_type_masks;
+  /// A component's exec queries with one window spec: two-step and SHARON
+  /// run one engine per (cohort, window instance).
+  struct Cohort {
+    WindowSpec spec;
+    QuerySet members;
+    /// Union of the members' exec type masks.
+    std::vector<bool> type_mask;
+  };
+  std::vector<Cohort> cohorts;
+
+  /// Whether exec query `exec` opens the window starting at `ws`.
+  bool Opens(int exec, Timestamp ws) const {
+    const QueryId source = plan->exec_queries[static_cast<size_t>(exec)].source;
+    return compiled.bounds[static_cast<size_t>(source)].Contains(ws);
+  }
+  /// The lifecycle's stable id of `exec`'s query.
+  int64_t QueryIdOf(int exec) const {
+    const QueryId source = plan->exec_queries[static_cast<size_t>(exec)].source;
+    return compiled.query_ids[static_cast<size_t>(source)];
+  }
+};
+
 /// One open window instance inside a group runner.
-struct WindowSlot {
+struct Session::WindowSlot {
+  /// The epoch `owner` indexes: the runtime's for a HAMLET context (re-keyed
+  /// at every hand-off), the one a per-window engine was built on otherwise.
+  std::shared_ptr<const PlanEpoch> epoch;
   /// Exec id (HAMLET/GRETA kinds) or cohort index (two-step/SHARON).
   int owner = -1;
   Timestamp ws = 0;
@@ -353,22 +383,42 @@ struct WindowSlot {
   std::unique_ptr<GretaEngine> greta;
   std::unique_ptr<TwoStepEngine> two_step;
   std::unique_ptr<SharonEngine> sharon;
+
+  bool cohort() const { return two_step != nullptr || sharon != nullptr; }
+  /// Event types the window's queries react to.
+  const std::vector<bool>& types() const {
+    return cohort() ? epoch->cohorts[static_cast<size_t>(owner)].type_mask
+                    : epoch->exec_type_masks[static_cast<size_t>(owner)];
+  }
+  /// Calls fn(exec) for every query this window emits for.
+  template <typename Fn>
+  void ForEachEmitter(Fn&& fn) const {
+    if (!cohort()) {
+      fn(owner);
+      return;
+    }
+    epoch->cohorts[static_cast<size_t>(owner)].members.ForEach(
+        [&](QueryId q) {
+          if (epoch->Opens(q, ws)) fn(q);
+        });
+  }
 };
 
 struct Session::Component {
   QuerySet members;
   AttrId group_by = Schema::kInvalidId;
-  std::vector<bool> type_mask;  ///< relevant event types
-  /// Largest member WITHIN — once a pane boundary passes a group's last
-  /// event by this much, no window can still hold any of its events
-  /// (drives RunConfig::evict_idle_groups).
+  /// Relevant event types: one of them creates a new group key's runner.
+  std::vector<bool> type_mask;
+  /// type_mask plus the types of per-window engines carried in from an
+  /// older epoch whose queries now live in other components: runs of these
+  /// types still reach the runners that hold them.
+  std::vector<bool> dispatch_mask;
+  /// Largest WITHIN of the members and carried windows — once a pane
+  /// boundary passes a group's last event by this much, no window can still
+  /// hold any of its events (drives RunConfig::evict_idle_groups).
   Timestamp max_within = 0;
-  /// Unique window specs with the members using each; two-step/SHARON run
-  /// one engine per (cohort, window instance).
-  std::vector<std::pair<WindowSpec, QuerySet>> cohorts;
-  /// Union of the member exec queries' type masks, per cohort — the
-  /// cohort-kind analogue of Runtime::exec_type_masks.
-  std::vector<std::vector<bool>> cohort_type_masks;
+  /// Indices into the epoch's cohorts.
+  std::vector<int> cohorts;
   std::unique_ptr<SharingPolicy> policy;
   std::map<int64_t, std::unique_ptr<GroupRunner>> groups;
 };
@@ -379,15 +429,16 @@ struct Session::GroupRunner {
   /// Time of the group's last relevant event (seeded by the creating
   /// event); idle eviction compares pane boundaries against it.
   Timestamp last_event_time = 0;
+  /// The epoch `hamlet` reads its plan from (a stolen runner keeps its
+  /// victim's copy, identical to the thief's).
+  std::shared_ptr<const PlanEpoch> epoch;
   std::unique_ptr<HamletEngine> hamlet;
   std::vector<WindowSlot> windows;
 };
 
-/// One plan epoch (see the declaration in session.h). Epoch 0 borrows the
-/// caller's plan (owned_plan null); churn/swap epochs own plan + workload.
+/// The running epoch (see the declaration in session.h).
 struct Session::Runtime {
-  std::shared_ptr<const Workload> workload_keepalive;
-  std::unique_ptr<WorkloadPlan> owned_plan;
+  std::shared_ptr<const PlanEpoch> epoch;
   const WorkloadPlan* plan = nullptr;
   /// Schema-resolved predicate kernels, compiled once per epoch (compile-time
   /// validation is how unresolved names surface early).
@@ -403,26 +454,19 @@ struct Session::Runtime {
   /// like the staging scratch above.
   std::vector<RunSpan> run_spans;
   std::vector<std::unique_ptr<Component>> components;
-  /// Per exec query: which event types its pattern mentions. Drives latency
-  /// attribution — only events a query can react to stamp its windows'
-  /// arrival clocks.
-  std::vector<std::vector<bool>> exec_type_masks;
-  /// Branch values awaiting composition: (query, group, window) -> values.
-  std::map<std::tuple<QueryId, int64_t, Timestamp>, std::vector<double>>
-      pending_compositions;
-  /// The UNRESTRICTED share groups for this epoch's query set (the online
-  /// reoptimizer's search space) and the overrides currently applied.
-  std::vector<ShareGroup> potential_groups;
-  std::vector<SharingOverride> applied;
+  /// The component of each exec query.
+  std::vector<Component*> component_of;
+  /// First pane boundary at which a draining query's last window has
+  /// closed: the session drops such queries there (kNoEnd: none drains).
+  Timestamp drop_at = QueryLifecycle::Bounds::kNoEnd;
   Timestamp pane_start = 0;
   bool pane_started = false;
-  /// The epoch emits exactly the windows with ws in [emit_from,
-  /// emit_until). A window starting at/after the activation boundary only
-  /// holds events at/after it, so the bounds make epoch handover exact.
-  Timestamp emit_from = 0;
-  Timestamp emit_until = std::numeric_limits<Timestamp>::max();
-  /// Set when a newer epoch activated; the runtime drains, then retires.
-  bool superseded = false;
+};
+
+struct Session::PendingEpoch {
+  QueryLifecycle::CompiledEpoch compiled;
+  /// The activation boundary.
+  Timestamp at = 0;
 };
 
 Result<std::unique_ptr<Session>> Session::Open(const WorkloadPlan& plan,
@@ -436,7 +480,14 @@ Result<std::unique_ptr<Session>> Session::Open(const WorkloadPlan& plan,
   Result<PredicateProgram> program = CompilePredicateProgram(plan);
   if (!program.ok()) return program.status();
   auto session = std::unique_ptr<Session>(new Session(plan, config, sink));
-  session->runtimes_.back()->pred_program = std::move(program).value();
+  QueryLifecycle::CompiledEpoch opening;
+  opening.program = std::move(program).value();
+  opening.potential_groups = plan.share_groups;
+  for (QueryId q = 0; q < plan.workload->size(); ++q) {
+    opening.query_ids.push_back(q);
+    opening.bounds.emplace_back();
+  }
+  session->rt_ = session->BuildRuntime(std::move(opening), plan);
   return session;
 }
 
@@ -444,20 +495,30 @@ Session::Session(const WorkloadPlan& plan, const RunConfig& config,
                  EmissionSink* sink)
     : config_(config), sink_(sink) {
   lifecycle_.Init(*plan.workload);
-  auto rt = std::make_unique<Runtime>();
-  rt->plan = &plan;
-  rt->potential_groups = plan.share_groups;
-  InitRuntime(*rt);
-  runtimes_.push_back(std::move(rt));
+  AddGroupByAttrs(plan, &group_by_attrs_);
   reopt_enabled_ = config_.reoptimize_every_panes > 0;
   if (reopt_enabled_) {
     collector_.Reset(plan.workload->schema()->num_types());
   }
 }
 
-void Session::InitRuntime(Runtime& rt) {
-  const WorkloadPlan& plan = *rt.plan;
-  AddGroupByAttrs(plan, &group_by_attrs_);
+std::unique_ptr<Session::Runtime> Session::BuildRuntime(
+    QueryLifecycle::CompiledEpoch compiled, const WorkloadPlan& plan) {
+  auto epoch = std::make_shared<PlanEpoch>();
+  epoch->compiled = std::move(compiled);
+  epoch->plan = &plan;
+  auto rt = std::make_unique<Runtime>();
+  rt->plan = &plan;
+  rt->pred_program = std::move(epoch->compiled.program);
+  const Timestamp pane = plan.pane_size;
+  for (QueryId q = 0; q < plan.workload->size(); ++q) {
+    const QueryLifecycle::Bounds& b =
+        epoch->compiled.bounds[static_cast<size_t>(q)];
+    if (b.open_until == QueryLifecycle::Bounds::kNoEnd) continue;
+    const Timestamp closed =
+        b.open_until + plan.workload->query(q).window.within;
+    rt->drop_at = std::min(rt->drop_at, (closed + pane - 1) / pane * pane);
+  }
   // Connected components over share groups (union-find).
   const int n = plan.num_exec();
   std::vector<int> parent(static_cast<size_t>(n));
@@ -481,65 +542,63 @@ void Session::InitRuntime(Runtime& rt) {
     });
   }
   std::map<int, Component*> by_root;
+  rt->component_of.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     int root = find(i);
     auto it = by_root.find(root);
     Component* comp;
     if (it == by_root.end()) {
-      rt.components.push_back(std::make_unique<Component>());
-      comp = rt.components.back().get();
+      rt->components.push_back(std::make_unique<Component>());
+      comp = rt->components.back().get();
       by_root[root] = comp;
     } else {
       comp = it->second;
     }
     comp->members.Insert(i);
+    rt->component_of[static_cast<size_t>(i)] = comp;
   }
-  rt.all_execs = QuerySet::FirstN(n);
-  rt.batch_scratch.ResetSchema(plan.workload->schema()->num_attrs());
+  rt->all_execs = QuerySet::FirstN(n);
+  rt->batch_scratch.ResetSchema(plan.workload->schema()->num_attrs());
   const int num_types = plan.workload->schema()->num_types();
-  rt.exec_type_masks.resize(static_cast<size_t>(n));
+  auto& exec_masks = epoch->exec_type_masks;
+  exec_masks.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    rt.exec_type_masks[static_cast<size_t>(i)].assign(
-        static_cast<size_t>(num_types), false);
+    exec_masks[static_cast<size_t>(i)].assign(static_cast<size_t>(num_types),
+                                              false);
     for (TypeId t :
          plan.exec_queries[static_cast<size_t>(i)].tmpl.pattern.AllTypes()) {
-      rt.exec_type_masks[static_cast<size_t>(i)][static_cast<size_t>(t)] =
-          true;
+      exec_masks[static_cast<size_t>(i)][static_cast<size_t>(t)] = true;
     }
   }
-  for (auto& comp : rt.components) {
+  auto add_types = [](std::vector<bool>& into, const std::vector<bool>& from) {
+    for (size_t t = 0; t < from.size(); ++t) {
+      if (from[t]) into[t] = true;
+    }
+  };
+  for (auto& comp : rt->components) {
     comp->type_mask.assign(static_cast<size_t>(num_types), false);
     comp->members.ForEach([&](QueryId q) {
       const ExecQuery& eq = plan.exec_queries[static_cast<size_t>(q)];
       // Members of a component share the group-by attribute (Definition 5).
       comp->group_by = eq.group_by;
       comp->max_within = std::max(comp->max_within, eq.window.within);
-      const std::vector<bool>& qm =
-          rt.exec_type_masks[static_cast<size_t>(q)];
-      for (size_t t = 0; t < qm.size(); ++t) {
-        if (qm[t]) comp->type_mask[t] = true;
-      }
+      const std::vector<bool>& qm = exec_masks[static_cast<size_t>(q)];
+      add_types(comp->type_mask, qm);
       bool found = false;
-      for (auto& [spec, set] : comp->cohorts) {
-        if (spec == eq.window) {
-          set.Insert(q);
+      for (int c : comp->cohorts) {
+        PlanEpoch::Cohort& cohort = epoch->cohorts[static_cast<size_t>(c)];
+        if (cohort.spec == eq.window) {
+          cohort.members.Insert(q);
+          add_types(cohort.type_mask, qm);
           found = true;
         }
       }
-      if (!found) comp->cohorts.push_back({eq.window, QuerySet::Single(q)});
+      if (!found) {
+        comp->cohorts.push_back(static_cast<int>(epoch->cohorts.size()));
+        epoch->cohorts.push_back({eq.window, QuerySet::Single(q), qm});
+      }
     });
-    comp->cohort_type_masks.resize(comp->cohorts.size());
-    for (size_t c = 0; c < comp->cohorts.size(); ++c) {
-      std::vector<bool>& mask = comp->cohort_type_masks[c];
-      mask.assign(static_cast<size_t>(num_types), false);
-      comp->cohorts[c].second.ForEach([&](QueryId q) {
-        const std::vector<bool>& qm =
-            rt.exec_type_masks[static_cast<size_t>(q)];
-        for (size_t t = 0; t < qm.size(); ++t) {
-          if (qm[t]) mask[t] = true;
-        }
-      });
-    }
+    comp->dispatch_mask = comp->type_mask;
     switch (config_.kind) {
       case EngineKind::kHamletDynamic:
         comp->policy =
@@ -553,6 +612,8 @@ void Session::InitRuntime(Runtime& rt) {
         break;
     }
   }
+  rt->epoch = std::move(epoch);
+  return rt;
 }
 
 Session::~Session() = default;
@@ -560,36 +621,43 @@ Session::~Session() = default;
 void Session::OpenDueWindows(Runtime& rt, GroupRunner& runner,
                              Timestamp pane_start, bool retroactive) {
   Component& comp = *runner.comp;
+  const PlanEpoch& ep = *rt.epoch;
   const bool hamlet_kind = runner.hamlet != nullptr;
   const bool cohort_kind = config_.kind == EngineKind::kTwoStep ||
                            config_.kind == EngineKind::kSharon;
   auto open_one = [&](int owner, Timestamp ws, Timestamp within) {
-    // Epoch emission bounds: windows starting outside [emit_from,
-    // emit_until) belong to another epoch — the handover invariant.
-    if (ws < rt.emit_from || ws >= rt.emit_until) return;
     WindowSlot slot;
+    if (cohort_kind) {
+      // Only the members whose bounds hold ws run here: a query added later
+      // or already draining must not weigh on the window's engine.
+      QuerySet members;
+      ep.cohorts[static_cast<size_t>(owner)].members.ForEach([&](QueryId q) {
+        if (ep.Opens(q, ws)) members.Insert(q);
+      });
+      if (members.Empty()) return;
+      if (config_.kind == EngineKind::kTwoStep) {
+        slot.two_step = std::make_unique<TwoStepEngine>(
+            *rt.plan, members, config_.two_step_budget);
+      } else {
+        slot.sharon = std::make_unique<SharonEngine>(
+            *rt.plan, members, config_.sharon_max_length);
+      }
+    } else {
+      if (!ep.Opens(owner, ws)) return;
+      if (hamlet_kind) {
+        slot.ctx = runner.hamlet->OpenContext(owner, ws, ws + within);
+      } else {
+        slot.greta = std::make_unique<GretaEngine>(
+            rt.plan->exec_queries[static_cast<size_t>(owner)],
+            config_.kind == EngineKind::kGretaPrefix ? GretaMode::kPrefixSum
+                                                     : GretaMode::kGraph);
+      }
+    }
+    slot.epoch = rt.epoch;
     slot.owner = owner;
     slot.ws = ws;
     slot.we = ws + within;
     slot.last_arrival_wall = ClockNow(config_.clock_override);
-    if (cohort_kind) {
-      const QuerySet& cohort_members =
-          comp.cohorts[static_cast<size_t>(owner)].second;
-      if (config_.kind == EngineKind::kTwoStep) {
-        slot.two_step = std::make_unique<TwoStepEngine>(
-            *rt.plan, cohort_members, config_.two_step_budget);
-      } else {
-        slot.sharon = std::make_unique<SharonEngine>(
-            *rt.plan, cohort_members, config_.sharon_max_length);
-      }
-    } else if (hamlet_kind) {
-      slot.ctx = runner.hamlet->OpenContext(owner, ws, slot.we);
-    } else {
-      slot.greta = std::make_unique<GretaEngine>(
-          rt.plan->exec_queries[static_cast<size_t>(owner)],
-          config_.kind == EngineKind::kGretaPrefix ? GretaMode::kPrefixSum
-                                                   : GretaMode::kGraph);
-    }
     runner.windows.push_back(std::move(slot));
   };
   auto open_for = [&](int owner, const WindowSpec& spec) {
@@ -607,8 +675,8 @@ void Session::OpenDueWindows(Runtime& rt, GroupRunner& runner,
     }
   };
   if (cohort_kind) {
-    for (size_t c = 0; c < comp.cohorts.size(); ++c)
-      open_for(static_cast<int>(c), comp.cohorts[c].first);
+    for (int c : comp.cohorts)
+      open_for(c, ep.cohorts[static_cast<size_t>(c)].spec);
   } else {
     comp.members.ForEach([&](QueryId q) {
       open_for(q, rt.plan->exec_queries[static_cast<size_t>(q)].window);
@@ -616,29 +684,33 @@ void Session::OpenDueWindows(Runtime& rt, GroupRunner& runner,
   }
 }
 
-void Session::EmitExecValue(Runtime& rt, int exec_id, int64_t group_key,
-                            Timestamp window_start, Timestamp window_end,
-                            double value, double arrival_wall) {
-  // Belt-and-braces epoch bound: windows outside the emission range are
-  // never opened, so this only fires if that invariant breaks.
-  if (window_start < rt.emit_from || window_start >= rt.emit_until) return;
-  const ExecQuery& eq = rt.plan->exec_queries[static_cast<size_t>(exec_id)];
+void Session::EmitExecValue(const PlanEpoch& ep, int exec_id,
+                            int64_t group_key, Timestamp window_start,
+                            Timestamp window_end, double value,
+                            double arrival_wall) {
+  // Belt-and-braces query bound: windows outside it are never opened, so
+  // this only fires if that invariant breaks.
+  if (!ep.Opens(exec_id, window_start)) return;
+  const ExecQuery& eq = ep.plan->exec_queries[static_cast<size_t>(exec_id)];
   const CompositionRule& rule =
-      rt.plan->compositions[static_cast<size_t>(eq.source)];
+      ep.plan->compositions[static_cast<size_t>(eq.source)];
   double final_value = value;
   if (rule.kind != CompositionKind::kSingle) {
-    auto key = std::make_tuple(eq.source, group_key, window_start);
-    auto& values = rt.pending_compositions[key];
+    // Keyed by the lifecycle's query id: the branches of one window may
+    // close under different epochs, whose QueryIds differ.
+    auto key = std::make_tuple(ep.compiled.query_ids[static_cast<size_t>(
+                                   eq.source)],
+                               group_key, window_start);
+    auto& [end, values] = pending_compositions_[key];
+    end = window_end;
     values.resize(rule.exec_ids.size(),
                   std::numeric_limits<double>::quiet_NaN());
-    for (size_t b = 0; b < rule.exec_ids.size(); ++b) {
-      if (rule.exec_ids[b] == exec_id) values[b] = value;
-    }
+    values[static_cast<size_t>(eq.branch)] = value;
     for (double v : values) {
       if (std::isnan(v)) return;  // waiting for the other branch
     }
     final_value = ComposeQueryValue(rule, values);
-    rt.pending_compositions.erase(key);
+    pending_compositions_.erase(key);
   }
   const double latency = ClockNow(config_.clock_override) - arrival_wall;
   latency_sum_ += latency;
@@ -651,66 +723,58 @@ void Session::EmitExecValue(Runtime& rt, int exec_id, int64_t group_key,
     emission.window_start = window_start;
     emission.window_end = window_end;
     emission.value = final_value;
-    emission.query_name = rt.plan->workload->query(eq.source).name;
+    emission.query_name = ep.plan->workload->query(eq.source).name;
     sink_->OnEmission(emission);
   }
 }
 
-void Session::CloseExpiredWindows(Runtime& rt, GroupRunner& runner,
-                                  Timestamp now) {
-  Component& comp = *runner.comp;
+void Session::CloseExpiredWindows(GroupRunner& runner, Timestamp now) {
   for (size_t i = 0; i < runner.windows.size();) {
     WindowSlot& w = runner.windows[i];
     if (w.we > now) {
       ++i;
       continue;
     }
+    const PlanEpoch& ep = *w.epoch;
     if (runner.hamlet != nullptr) {
       ContextResult r = runner.hamlet->CloseContext(w.ctx);
-      EmitExecValue(rt, w.owner, runner.group_key, w.ws, w.we, r.value,
+      EmitExecValue(ep, w.owner, runner.group_key, w.ws, w.we, r.value,
                     w.last_arrival_wall);
     } else if (w.greta != nullptr) {
-      EmitExecValue(rt, w.owner, runner.group_key, w.ws, w.we,
+      EmitExecValue(ep, w.owner, runner.group_key, w.ws, w.we,
                     w.greta->Value(), w.last_arrival_wall);
     } else if (w.two_step != nullptr) {
       Status s = w.two_step->Finish();
       if (!s.ok()) {
         ++dnf_windows_;
       } else {
-        comp.cohorts[static_cast<size_t>(w.owner)].second.ForEach(
-            [&](QueryId q) {
-              EmitExecValue(rt, q, runner.group_key, w.ws, w.we,
-                            w.two_step->Value(q), w.last_arrival_wall);
-            });
+        w.ForEachEmitter([&](int q) {
+          EmitExecValue(ep, q, runner.group_key, w.ws, w.we,
+                        w.two_step->Value(q), w.last_arrival_wall);
+        });
       }
     } else if (w.sharon != nullptr) {
-      comp.cohorts[static_cast<size_t>(w.owner)].second.ForEach(
-          [&](QueryId q) {
-            if (!w.sharon->Supported(q)) return;
-            EmitExecValue(rt, q, runner.group_key, w.ws, w.we,
-                          w.sharon->Value(q), w.last_arrival_wall);
-          });
+      w.ForEachEmitter([&](int q) {
+        if (!w.sharon->Supported(q)) return;
+        EmitExecValue(ep, q, runner.group_key, w.ws, w.we, w.sharon->Value(q),
+                      w.last_arrival_wall);
+      });
     }
     runner.windows[i] = std::move(runner.windows.back());
     runner.windows.pop_back();
   }
 }
 
-void Session::EvictDeadCompositions(Runtime& rt, Timestamp boundary) {
-  for (auto it = rt.pending_compositions.begin();
-       it != rt.pending_compositions.end();) {
-    // Every branch of a source query shares its window spec, so the entry's
-    // window is [ws, ws + within). Once that window closed (all branch
-    // engines emitted or gave up at `boundary`), a still-pending entry has a
-    // branch that will never arrive — DNF'd two-step windows and
-    // SHARON-unsupported queries emit nothing.
-    const QueryId source = std::get<0>(it->first);
-    const Timestamp ws = std::get<2>(it->first);
-    const Timestamp within =
-        rt.plan->workload->query(source).window.within;
-    if (ws + within <= boundary) {
+void Session::EvictDeadCompositions(Timestamp boundary) {
+  for (auto it = pending_compositions_.begin();
+       it != pending_compositions_.end();) {
+    // Once the entry's window closed (all branch engines emitted or gave up
+    // at `boundary`), a still-pending entry has a branch that will never
+    // arrive — DNF'd two-step windows and SHARON-unsupported queries emit
+    // nothing.
+    if (it->second.first <= boundary) {
       ++evicted_compositions_;
-      it = rt.pending_compositions.erase(it);
+      it = pending_compositions_.erase(it);
     } else {
       ++it;
     }
@@ -719,56 +783,56 @@ void Session::EvictDeadCompositions(Runtime& rt, Timestamp boundary) {
 
 int64_t Session::CurrentMemory() const {
   int64_t bytes = 0;
-  for (const auto& rtp : runtimes_) {
-    for (const auto& comp : rtp->components) {
-      for (const auto& [key, runner] : comp->groups) {
-        if (runner->hamlet) bytes += runner->hamlet->MemoryBytes();
-        for (const WindowSlot& w : runner->windows) {
-          if (w.greta) bytes += w.greta->MemoryBytes();
-          if (w.two_step) bytes += w.two_step->MemoryBytes();
-          if (w.sharon) bytes += w.sharon->MemoryBytes();
-        }
+  for (const auto& comp : rt_->components) {
+    for (const auto& [key, runner] : comp->groups) {
+      if (runner->hamlet) bytes += runner->hamlet->MemoryBytes();
+      for (const WindowSlot& w : runner->windows) {
+        if (w.greta) bytes += w.greta->MemoryBytes();
+        if (w.two_step) bytes += w.two_step->MemoryBytes();
+        if (w.sharon) bytes += w.sharon->MemoryBytes();
       }
     }
-    // Pending branch values awaiting OR/AND composition are runtime state
-    // too; charging them here is what makes a composition leak visible in
-    // peak_memory_bytes.
-    for (const auto& [key, values] : rtp->pending_compositions) {
-      bytes += static_cast<int64_t>(sizeof(key) + sizeof(values) +
-                                    values.capacity() * sizeof(double));
-    }
+  }
+  // Pending branch values awaiting OR/AND composition are runtime state
+  // too; charging them here is what makes a composition leak visible in
+  // peak_memory_bytes.
+  for (const auto& [key, entry] : pending_compositions_) {
+    bytes += static_cast<int64_t>(sizeof(key) + sizeof(entry) +
+                                  entry.second.capacity() * sizeof(double));
   }
   return bytes;
 }
 
-void Session::AdvancePaneTo(Runtime& rt, Timestamp new_pane_start) {
-  const Timestamp pane = rt.plan->pane_size;
-  // Idle-group eviction applies only at boundaries supported by observed
-  // event time (committed events/watermarks). The synthetic Close flush
-  // sweeps past real time and must not evict: a shard whose flush horizon
-  // is local would otherwise evict at different boundaries than the
-  // single-threaded reference, changing which empty windows get dropped.
-  const Timestamp evict_horizon =
-      config_.evict_idle_groups && gate_.any_seen()
-          ? (gate_.max_seen() / pane) * pane
-          : Timestamp{-1};
-  while (!rt.pane_started || rt.pane_start < new_pane_start) {
+void Session::AdvancePaneTo(Timestamp time) {
+  for (;;) {
+    Runtime& rt = *rt_;
+    const Timestamp pane = rt.plan->pane_size;
     const Timestamp boundary =
-        rt.pane_started ? rt.pane_start + pane : new_pane_start;
+        rt.pane_started ? rt.pane_start + pane : (time / pane) * pane;
+    if (rt.pane_started && boundary > time) return;
+    // Idle-group eviction applies only at boundaries supported by observed
+    // event time (committed events/watermarks). The synthetic Close flush
+    // sweeps past real time and must not evict: a shard whose flush horizon
+    // is local would otherwise evict at different boundaries than the
+    // single-threaded reference, changing which empty windows get dropped.
+    const Timestamp evict_horizon =
+        config_.evict_idle_groups && gate_.any_seen()
+            ? (gate_.max_seen() / pane) * pane
+            : Timestamp{-1};
     // Sample before closures so full windows count toward the peak.
     peak_memory_ = std::max(peak_memory_, CurrentMemory());
     for (auto& comp : rt.components) {
       for (auto it = comp->groups.begin(); it != comp->groups.end();) {
         GroupRunner& runner = *it->second;
         if (runner.hamlet && rt.pane_started) runner.hamlet->OnPaneEnd();
-        CloseExpiredWindows(rt, runner, boundary);
-        // Evict BEFORE opening this boundary's windows: every window that
+        CloseExpiredWindows(runner, boundary);
+        // Evict BEFORE this boundary's windows open: every window that
         // could hold any of the group's events has closed above (boundary
-        // >= last_event + max member WITHIN), so all remaining and future
-        // state could only produce empty-window results. A later event
-        // recreates the runner with retroactive windows that provably
-        // contain no evicted events (events are strictly increasing past
-        // the boundary), so eviction timing is deterministic in event time.
+        // >= last_event + max WITHIN), so all remaining and future state
+        // could only produce empty-window results. A later event recreates
+        // the runner with retroactive windows that provably contain no
+        // evicted events (events are strictly increasing past the
+        // boundary), so eviction timing is deterministic in event time.
         if (evict_horizon >= 0 && boundary <= evict_horizon &&
             boundary >= runner.last_event_time + comp->max_within) {
           if (runner.hamlet) AddStats(retired_stats_, runner.hamlet->stats());
@@ -776,36 +840,179 @@ void Session::AdvancePaneTo(Runtime& rt, Timestamp new_pane_start) {
           it = comp->groups.erase(it);
           continue;
         }
-        OpenDueWindows(rt, runner, boundary, /*retroactive=*/false);
-        if (runner.hamlet) runner.hamlet->OnPaneStart(boundary);
         ++it;
       }
     }
     // All engines for windows ending at `boundary` have now emitted or
     // declined; whatever composition entries remain for them are dead.
-    EvictDeadCompositions(rt, boundary);
-    rt.pane_start = boundary;
-    rt.pane_started = true;
+    EvictDeadCompositions(boundary);
+    // A new epoch takes over between the closes and the opens: every
+    // graphlet is folded there, so the open windows' state is numeric.
+    if (!pending_.empty() && pending_.front().at <= boundary) {
+      QueryLifecycle::CompiledEpoch next = std::move(pending_.front().compiled);
+      pending_.erase(pending_.begin());
+      HandOff(std::move(next));
+    } else if (rt.drop_at <= boundary) {
+      DropDrained(boundary);
+    }
+    Runtime& cur = *rt_;
+    for (auto& comp : cur.components) {
+      for (auto& [key, runner] : comp->groups) {
+        OpenDueWindows(cur, *runner, boundary, /*retroactive=*/false);
+        if (runner->hamlet) runner->hamlet->OnPaneStart(boundary);
+      }
+    }
+    cur.pane_start = boundary;
+    cur.pane_started = true;
     peak_memory_ = std::max(peak_memory_, CurrentMemory());
   }
 }
 
-Session::GroupRunner& Session::NewGroupRunner(Runtime& rt, Component& comp,
-                                              int64_t key) {
-  auto created = std::make_unique<GroupRunner>();
-  created->comp = &comp;
-  created->group_key = key;
+std::unique_ptr<Session::GroupRunner> Session::MakeRunner(Runtime& rt,
+                                                          Component& comp,
+                                                          int64_t key) {
+  auto runner = std::make_unique<GroupRunner>();
+  runner->comp = &comp;
+  runner->group_key = key;
   if (config_.kind == EngineKind::kHamletDynamic ||
       config_.kind == EngineKind::kHamletStatic ||
       config_.kind == EngineKind::kHamletNoShare) {
-    created->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
-                                                     comp.policy.get());
+    runner->epoch = rt.epoch;
+    runner->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
+                                                    comp.policy.get());
   }
-  GroupRunner& runner = *created;
-  comp.groups[key] = std::move(created);
+  return runner;
+}
+
+Session::GroupRunner& Session::NewGroupRunner(Runtime& rt, Component& comp,
+                                              int64_t key) {
+  std::unique_ptr<GroupRunner>& slot = comp.groups[key];
+  slot = MakeRunner(rt, comp, key);
+  GroupRunner& runner = *slot;
   OpenDueWindows(rt, runner, rt.pane_start, /*retroactive=*/true);
   if (runner.hamlet) runner.hamlet->OnPaneStart(rt.pane_start);
   return runner;
+}
+
+void Session::HandOff(QueryLifecycle::CompiledEpoch compiled) {
+  const WorkloadPlan& plan = *compiled.plan;
+  std::unique_ptr<Runtime> next = BuildRuntime(std::move(compiled), plan);
+  const PlanEpoch& to = *next->epoch;
+  std::map<int64_t, QueryId> query_in_next;
+  for (size_t q = 0; q < to.compiled.query_ids.size(); ++q) {
+    query_in_next[to.compiled.query_ids[q]] = static_cast<QueryId>(q);
+  }
+  // The next epoch's exec id for exec `exec` of `ep`; -1 once its query is
+  // dropped (it had drained).
+  auto exec_in_next = [&](const PlanEpoch& ep, int exec) {
+    auto it = query_in_next.find(ep.QueryIdOf(exec));
+    if (it == query_in_next.end()) return -1;
+    const int branch = ep.plan->exec_queries[static_cast<size_t>(exec)].branch;
+    return to.plan->compositions[static_cast<size_t>(it->second)]
+        .exec_ids[static_cast<size_t>(branch)];
+  };
+  auto runner_in = [&](Component& comp, const GroupRunner& from)
+      -> GroupRunner& {
+    std::unique_ptr<GroupRunner>& runner = comp.groups[from.group_key];
+    if (runner == nullptr) runner = MakeRunner(*next, comp, from.group_key);
+    runner->last_event_time =
+        std::max(runner->last_event_time, from.last_event_time);
+    return *runner;
+  };
+  const Runtime& old = *rt_;
+  for (const auto& comp : old.components) {
+    for (const auto& [key, runner] : comp->groups) {
+      // Every component holding one of this component's queries keeps the
+      // group key running, so its next windows open as they would have.
+      comp->members.ForEach([&](QueryId q) {
+        const int nq = exec_in_next(*old.epoch, q);
+        if (nq >= 0) runner_in(*next->component_of[static_cast<size_t>(nq)],
+                               *runner);
+      });
+      if (runner->hamlet) {
+        // Contexts move query by query through the engines' export/import;
+        // a stolen runner's engine numbers exec queries like old.epoch.
+        AddStats(retired_stats_, runner->hamlet->stats());
+        comp->members.ForEach([&](QueryId q) {
+          HamletEngine::QueryState state = runner->hamlet->ExportQuery(q);
+          const int nq = exec_in_next(*old.epoch, q);
+          if (nq < 0) {
+            HAMLET_DCHECK(state.contexts.empty());
+            return;
+          }
+          std::vector<ContextId> from_ids;
+          for (const ContextState& ctx : state.contexts) {
+            from_ids.push_back(ctx.id);
+          }
+          GroupRunner& dst =
+              *next->component_of[static_cast<size_t>(nq)]->groups[key];
+          const std::vector<ContextId> ids =
+              dst.hamlet->ImportQuery(nq, std::move(state));
+          for (WindowSlot& w : runner->windows) {
+            if (w.owner != q) continue;
+            // The moved-from slot keeps owner q, so no later query's pass
+            // picks it up again.
+            WindowSlot& moved = dst.windows.emplace_back(std::move(w));
+            const auto i =
+                std::find(from_ids.begin(), from_ids.end(), moved.ctx) -
+                from_ids.begin();
+            moved.epoch = next->epoch;
+            moved.owner = nq;
+            moved.ctx = ids[static_cast<size_t>(i)];
+          }
+        });
+        continue;
+      }
+      // A per-window engine moves whole and keeps the epoch it was built
+      // on. It lands in the component of one of its queries, which learns
+      // the window's types so their runs keep reaching it.
+      for (WindowSlot& w : runner->windows) {
+        int nq = -1;
+        w.ForEachEmitter([&](int q) {
+          if (nq < 0) nq = exec_in_next(*w.epoch, q);
+        });
+        HAMLET_CHECK(nq >= 0);
+        Component& dst = *next->component_of[static_cast<size_t>(nq)];
+        const std::vector<bool>& types = w.types();
+        for (size_t t = 0; t < types.size(); ++t) {
+          if (types[t]) dst.dispatch_mask[t] = true;
+        }
+        dst.max_within = std::max(dst.max_within, w.we - w.ws);
+        runner_in(dst, *runner).windows.push_back(std::move(w));
+      }
+    }
+    if (config_.kind == EngineKind::kHamletDynamic) {
+      retired_decisions_ +=
+          static_cast<DynamicBenefitPolicy*>(comp->policy.get())->decisions();
+    }
+  }
+  rt_ = std::move(next);
+}
+
+void Session::DropDrained(Timestamp boundary) {
+  Result<QueryLifecycle::CompiledEpoch> next =
+      QueryLifecycle::CompileWithoutDrained(*rt_->plan, rt_->epoch->compiled,
+                                            boundary);
+  // A subset of a query set that compiled compiles.
+  HAMLET_CHECK(next.ok());
+  HandOff(std::move(next).value());
+  if (reopt_enabled_ && pending_.empty()) {
+    BindReoptimizer(*rt_->plan, rt_->epoch->compiled);
+    reopt_pane_seen_ = false;
+  }
+}
+
+Timestamp Session::NextHandOff() const {
+  return pending_.empty() ? rt_->drop_at
+                          : std::min(pending_.front().at, rt_->drop_at);
+}
+
+void Session::BindReoptimizer(const WorkloadPlan& plan,
+                              const QueryLifecycle::CompiledEpoch& compiled) {
+  OnlineReoptimizerOptions opts;
+  opts.threshold = config_.reoptimize_threshold;
+  opts.variant = config_.cost_variant;
+  reoptimizer_.Bind(plan, compiled.potential_groups, compiled.applied, opts);
 }
 
 Status Session::Push(const Event& event) {
@@ -827,7 +1034,7 @@ Status Session::CheckEvent(const Event& event) const {
   Status ordered = gate_.CheckEvent(event.time);
   if (!ordered.ok()) return ordered;
   return CheckGroupKeys(event, group_by_attrs_,
-                        *runtimes_.back()->plan->workload->schema());
+                        *rt_->plan->workload->schema());
 }
 
 Status Session::Ingest(std::span<const Event> events, bool per_event) {
@@ -838,21 +1045,12 @@ Status Session::Ingest(std::span<const Event> events, bool per_event) {
   Status result = CheckEvent(events.front());
   if (!result.ok()) return result;
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  // Transpose the events into each epoch's SoA staging batch and run its
-  // predicate kernels batch-wide up front. A mid-batch ordering violation
-  // stops dispatch at the valid prefix — kernels touched the invalid suffix
-  // but no engine does.
-  for (auto& rtp : runtimes_) {
-    Runtime& rt = *rtp;
-    rt.batch_scratch.Assign(events);
-    rt.pred_program.EvalBatch(rt.batch_scratch, &rt.selection);
-  }
   // Ordering-gate pre-pass: commit the valid prefix before dispatch. The
   // final gate state, counters and engine-visible events are identical to
   // a per-event interleaving (engines never see the invalid suffix; the
   // only mid-batch gate reader is the idle-eviction horizon, whose
   // event-triggered checks are insensitive to it).
-  int valid = 0;
+  size_t valid = 0;
   for (const Event& e : events) {
     if (valid > 0) {
       result = CheckEvent(e);
@@ -866,21 +1064,36 @@ Status Session::Ingest(std::span<const Event> events, bool per_event) {
   // A per-event Push is a 1-row run whose arrival time is the scope-entry
   // wall, keeping that hot path at two clock reads total.
   const double arrival = per_event ? busy.start() : -1.0;
-  for (auto& rtp : runtimes_) DispatchRuns(*rtp, events, valid, arrival);
-  ReapRuntimes();
+  std::span<const Event> rest = events.first(valid);
+  for (;;) {
+    // Rows from a hand-off boundary on belong to the next epoch: dispatch
+    // the rows before it, hand off, and stage the rest anew.
+    const Timestamp at = NextHandOff();
+    const auto split = std::partition_point(
+        rest.begin(), rest.end(), [&](const Event& e) { return e.time < at; });
+    if (split == rest.end()) break;
+    const size_t before = static_cast<size_t>(split - rest.begin());
+    DispatchRuns(rest.first(before), arrival);
+    AdvancePaneTo(at);
+    rest = rest.subspan(before);
+  }
+  DispatchRuns(rest, arrival);
   MaybeReoptimize();
   return result;
 }
 
-void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
-                           int rows, double arrival) {
-  if (rows <= 0) return;
-  SegmentRuns(rt.batch_scratch, rows, rt.plan->pane_size, rt.all_execs,
+void Session::DispatchRuns(std::span<const Event> events, double arrival) {
+  if (events.empty()) return;
+  Runtime& rt = *rt_;
+  // Transpose the rows into the SoA staging batch and run the predicate
+  // kernels batch-wide up front.
+  rt.batch_scratch.Assign(events);
+  rt.pred_program.EvalBatch(rt.batch_scratch, &rt.selection);
+  SegmentRuns(rt.batch_scratch, static_cast<int>(events.size()),
+              rt.plan->pane_size, rt.all_execs,
               rt.pred_program.predicated_queries(), rt.selection.masks,
               &rt.run_spans);
   const Timestamp pane = rt.plan->pane_size;
-  const bool cohort_kind = config_.kind == EngineKind::kTwoStep ||
-                           config_.kind == EngineKind::kSharon;
   for (const RunSpan& run : rt.run_spans) {
     // Run-shape metrics: bucket i counts runs of length [2^i, 2^(i+1)).
     ++runs_;
@@ -891,11 +1104,13 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
     ++run_len_hist_[bucket];
 
     // One pane advance per run: runs are pane-confined, so the first row's
-    // pane is every row's pane.
+    // pane is every row's pane. Ingest keeps hand-off boundaries out of the
+    // rows, so `rt` is still the running runtime after the advance.
     const Event& first = events[static_cast<size_t>(run.row_begin)];
     const Timestamp event_pane = (first.time / pane) * pane;
     if (!rt.pane_started || event_pane > rt.pane_start) {
-      AdvancePaneTo(rt, event_pane);
+      AdvancePaneTo(first.time);
+      HAMLET_CHECK(rt_.get() == &rt);
     }
     // One arrival sample per run unless the caller passed one (latency
     // attribution is a wall-clock metric, not part of emission values).
@@ -904,9 +1119,10 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
     for (auto& compp : rt.components) {
       Component& comp = *compp;
       if (run.type < 0 ||
-          run.type >= static_cast<TypeId>(comp.type_mask.size()) ||
-          !comp.type_mask[static_cast<size_t>(run.type)])
+          run.type >= static_cast<TypeId>(comp.dispatch_mask.size()) ||
+          !comp.dispatch_mask[static_cast<size_t>(run.type)])
         continue;
+      const bool creates = comp.type_mask[static_cast<size_t>(run.type)];
       // Sub-split at group-key changes: runs are segmented globally, group
       // partitioning is per component (group-by attrs differ), so the
       // per-group spans are carved here, straight off the key column.
@@ -926,9 +1142,15 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
         while (sub_end < run.row_end && key_at(sub_end) == key) ++sub_end;
         const Event& e0 = events[static_cast<size_t>(sub)];
         auto it = comp.groups.find(key);
-        GroupRunner* runner = it == comp.groups.end()
-                                  ? &NewGroupRunner(rt, comp, key)
-                                  : it->second.get();
+        GroupRunner* runner = nullptr;
+        if (it != comp.groups.end()) {
+          runner = it->second.get();
+        } else if (creates) {
+          runner = &NewGroupRunner(rt, comp, key);
+        } else {
+          sub = sub_end;  // only a carried window reacts to this type
+          continue;
+        }
         runner->last_event_time = events[static_cast<size_t>(sub_end - 1)].time;
         // Latency attribution: an event resets the arrival clock only of
         // windows it can contribute to — it must fall inside the window
@@ -937,11 +1159,7 @@ void Session::DispatchRuns(Runtime& rt, std::span<const Event> events,
         // emission latency of sibling queries and sliding instances the
         // event does not belong to.
         auto stamp_if_relevant = [&](WindowSlot& w, TypeId type) {
-          const std::vector<bool>& owner_mask =
-              cohort_kind
-                  ? comp.cohort_type_masks[static_cast<size_t>(w.owner)]
-                  : rt.exec_type_masks[static_cast<size_t>(w.owner)];
-          if (owner_mask[static_cast<size_t>(type)]) {
+          if (w.types()[static_cast<size_t>(type)]) {
             w.last_arrival_wall = run_arrival;
           }
         };
@@ -989,102 +1207,54 @@ Status Session::AdvanceTo(Timestamp watermark) {
   if (!ordered.ok()) return ordered;
   BusyScope busy(&busy_seconds_, config_.clock_override);
   gate_.CommitWatermark(watermark);
-  for (auto& rtp : runtimes_) {
-    Runtime& rt = *rtp;
-    const Timestamp pane = rt.plan->pane_size;
-    const Timestamp target = (watermark / pane) * pane;
-    if (!rt.pane_started || target > rt.pane_start) AdvancePaneTo(rt, target);
-  }
-  ReapRuntimes();
+  AdvancePaneTo(watermark);
   MaybeReoptimize();
   return Status::Ok();
 }
 
-Result<Timestamp> Session::Swap(QueryLifecycle::CompiledEpoch epoch,
-                                Timestamp activate_at) {
-  Result<PredicateProgram> program = CompilePredicateProgram(*epoch.plan);
-  if (!program.ok()) return program.status();
-  Timestamp activate = activate_at;
-  if (activate < 0) {
-    // Next boundary on the CURRENT lead epoch's grid strictly after
-    // everything seen. Adding a query can only shrink the pane gcd, and
-    // removing can only grow it to a multiple, so every boundary of the
-    // outgoing grid is also a boundary of the incoming one.
-    activate = QueryLifecycle::ActivationBoundary(
-        runtimes_.back()->plan->pane_size, gate_.any_seen(),
-        gate_.max_seen());
+Result<Timestamp> Session::Churn(
+    Timestamp activate_at,
+    const std::function<Result<QueryLifecycle::CompiledEpoch>(Timestamp)>&
+        compile) {
+  // The first boundary after everything seen, on the running grid; a
+  // pending epoch activates there too.
+  Timestamp activate = QueryLifecycle::ActivationBoundary(
+      rt_->plan->pane_size, gate_.any_seen(), gate_.max_seen());
+  if (activate_at >= 0) {
+    // A ShardedSession front's boundary. The front has seen everything this
+    // shard has, so it is not earlier; it lies on the grid of the last
+    // epoch the front knows of, and ops reach the shard in boundary order.
+    const Timestamp grid = pending_.empty()
+                               ? rt_->plan->pane_size
+                               : pending_.back().compiled.plan->pane_size;
+    HAMLET_CHECK(activate_at >= activate && activate_at % grid == 0 &&
+                 (pending_.empty() || activate_at >= pending_.back().at));
+    activate = activate_at;
   }
-  auto rt = std::make_unique<Runtime>();
-  rt->workload_keepalive = epoch.workload;
-  rt->owned_plan = std::move(epoch.plan);
-  rt->plan = rt->owned_plan.get();
-  rt->pred_program = std::move(program).value();
-  rt->potential_groups = std::move(epoch.potential_groups);
-  rt->applied = std::move(epoch.applied);
-  rt->emit_from = activate;
-  InitRuntime(*rt);
-  for (auto& old : runtimes_) {
-    old->superseded = true;
-    if (old->emit_until > activate) old->emit_until = activate;
+  Result<QueryLifecycle::CompiledEpoch> epoch = compile(activate);
+  if (!epoch.ok()) return epoch.status();
+  AddGroupByAttrs(*epoch.value().plan, &group_by_attrs_);
+  // The lifecycle compiled a pending epoch's op for the same boundary into
+  // this one too. One for an earlier boundary stays: a shard the front's
+  // clock has run ahead of hands it off first.
+  if (!pending_.empty() && pending_.back().at == activate) pending_.pop_back();
+  pending_.push_back({std::move(epoch).value(), activate});
+  if (!rt_->pane_started) {
+    // A runtime that has not started holds no state, and nothing was
+    // pending for it: replace it at once.
+    QueryLifecycle::CompiledEpoch next = std::move(pending_.front().compiled);
+    pending_.clear();
+    HandOff(std::move(next));
   }
-  runtimes_.push_back(std::move(rt));
-  // Epochs whose emission range collapsed (double churn inside one pane)
-  // or that never started retire immediately.
-  ReapRuntimes();
   if (reopt_enabled_) {
-    Runtime& lead = *runtimes_.back();
-    OnlineReoptimizerOptions opts;
-    opts.threshold = config_.reoptimize_threshold;
-    opts.variant = config_.cost_variant;
-    reoptimizer_.Bind(*lead.plan, lead.potential_groups, lead.applied, opts);
+    if (pending_.empty()) {
+      BindReoptimizer(*rt_->plan, rt_->epoch->compiled);
+    } else {
+      BindReoptimizer(*pending_.back().compiled.plan, pending_.back().compiled);
+    }
     reopt_pane_seen_ = false;
   }
   return activate;
-}
-
-void Session::RetireRuntime(size_t index) {
-  Runtime& rt = *runtimes_[index];
-  for (auto& comp : rt.components) {
-    for (auto& [key, runner] : comp->groups) {
-      if (runner->hamlet) AddStats(retired_stats_, runner->hamlet->stats());
-    }
-    if (config_.kind == EngineKind::kHamletDynamic) {
-      retired_decisions_ +=
-          static_cast<DynamicBenefitPolicy*>(comp->policy.get())->decisions();
-    }
-  }
-  // In-range windows all closed before retirement, so leftovers here are
-  // entries whose sibling branch never arrived.
-  evicted_compositions_ +=
-      static_cast<int64_t>(rt.pending_compositions.size());
-  runtimes_.erase(runtimes_.begin() + static_cast<std::ptrdiff_t>(index));
-}
-
-void Session::ReapRuntimes() {
-  for (size_t i = 0; i < runtimes_.size();) {
-    Runtime& rt = *runtimes_[i];
-    bool dead = false;
-    if (rt.superseded) {
-      if (!rt.pane_started) {
-        dead = true;  // never saw an event/watermark: nothing to drain
-      } else if (rt.emit_from >= rt.emit_until) {
-        dead = true;  // emission range collapsed: can never emit
-      } else if (rt.pane_start >= rt.emit_until) {
-        bool open_windows = false;
-        for (const auto& comp : rt.components) {
-          for (const auto& [key, runner] : comp->groups) {
-            if (!runner->windows.empty()) open_windows = true;
-          }
-        }
-        dead = !open_windows;  // past the cutoff and fully drained
-      }
-    }
-    if (dead) {
-      RetireRuntime(i);
-    } else {
-      ++i;
-    }
-  }
 }
 
 Result<Timestamp> Session::AddQuery(const Query& query,
@@ -1092,23 +1262,11 @@ Result<Timestamp> Session::AddQuery(const Query& query,
   if (closed_) {
     return Status::FailedPrecondition("AddQuery on a closed session");
   }
-  if (activate_at < 0 &&
-      live_epochs() >= QueryLifecycle::kMaxLiveEpochs) {
-    return Status::ResourceExhausted(
-        "too many plan epochs still draining (max " +
-        std::to_string(QueryLifecycle::kMaxLiveEpochs) +
-        "); advance the stream before further churn");
-  }
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  std::vector<Query> prev = lifecycle_.queries();
-  Result<QueryLifecycle::CompiledEpoch> epoch = lifecycle_.TryAdd(query, {});
-  if (!epoch.ok()) return epoch.status();
-  Result<Timestamp> activated = Swap(std::move(epoch).value(), activate_at);
-  if (!activated.ok()) {
-    lifecycle_.Reset(std::move(prev));
-    return activated;
-  }
-  ++queries_added_;
+  Result<Timestamp> activated = Churn(activate_at, [&](Timestamp at) {
+    return lifecycle_.TryAdd(query, {}, at);
+  });
+  if (activated.ok()) ++queries_added_;
   return activated;
 }
 
@@ -1117,24 +1275,11 @@ Result<Timestamp> Session::RemoveQuery(const std::string& name,
   if (closed_) {
     return Status::FailedPrecondition("RemoveQuery on a closed session");
   }
-  if (activate_at < 0 &&
-      live_epochs() >= QueryLifecycle::kMaxLiveEpochs) {
-    return Status::ResourceExhausted(
-        "too many plan epochs still draining (max " +
-        std::to_string(QueryLifecycle::kMaxLiveEpochs) +
-        "); advance the stream before further churn");
-  }
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  std::vector<Query> prev = lifecycle_.queries();
-  Result<QueryLifecycle::CompiledEpoch> epoch =
-      lifecycle_.TryRemove(name, {});
-  if (!epoch.ok()) return epoch.status();
-  Result<Timestamp> activated = Swap(std::move(epoch).value(), activate_at);
-  if (!activated.ok()) {
-    lifecycle_.Reset(std::move(prev));
-    return activated;
-  }
-  ++queries_removed_;
+  Result<Timestamp> activated = Churn(activate_at, [&](Timestamp at) {
+    return lifecycle_.TryRemove(name, {}, at);
+  });
+  if (activated.ok()) ++queries_removed_;
   return activated;
 }
 
@@ -1145,9 +1290,9 @@ Result<Timestamp> Session::ApplySharingOverrides(
         "ApplySharingOverrides on a closed session");
   }
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  Result<QueryLifecycle::CompiledEpoch> epoch = lifecycle_.Compile(overrides);
-  if (!epoch.ok()) return epoch.status();
-  Result<Timestamp> activated = Swap(std::move(epoch).value(), activate_at);
+  Result<Timestamp> activated = Churn(activate_at, [&](Timestamp at) {
+    return lifecycle_.Compile(overrides, at);
+  });
   if (activated.ok()) ++plan_swaps_;
   return activated;
 }
@@ -1160,14 +1305,13 @@ Session::DetachedGroup::~DetachedGroup() = default;
 
 Session::DetachedGroup Session::DetachGroup(int64_t group_key,
                                             Timestamp boundary) {
-  // Stealing excludes query churn and re-optimization, so exactly one plan
-  // epoch is live, with the same component list on both shards.
-  HAMLET_CHECK(runtimes_.size() == 1);
-  Runtime& rt = *runtimes_.back();
   // Every event of the key before the boundary is already here, so the
   // runners leave with all their windows before it closed and all windows
   // starting at it open: exactly the state the thief's pane clock expects.
-  if (!rt.pane_started || rt.pane_start < boundary) AdvancePaneTo(rt, boundary);
+  // Both shards run the same epoch at the boundary (churn reaches them in
+  // the same stream order), so their component lists match.
+  AdvancePaneTo(boundary);
+  Runtime& rt = *rt_;
   HAMLET_DCHECK(rt.pane_start == boundary);
   DetachedGroup group;
   group.runners.resize(rt.components.size());
@@ -1183,11 +1327,10 @@ Session::DetachedGroup Session::DetachGroup(int64_t group_key,
 
 void Session::AttachGroup(int64_t group_key, Timestamp boundary,
                           DetachedGroup group) {
-  HAMLET_CHECK(runtimes_.size() == 1);
-  Runtime& rt = *runtimes_.back();
   // Pane advancement is deterministic in event time: doing it here only
   // moves work the key's next event would trigger anyway.
-  if (!rt.pane_started || rt.pane_start < boundary) AdvancePaneTo(rt, boundary);
+  AdvancePaneTo(boundary);
+  Runtime& rt = *rt_;
   HAMLET_DCHECK(rt.pane_start == boundary);
   HAMLET_CHECK(group.runners.size() == rt.components.size());
   for (size_t c = 0; c < rt.components.size(); ++c) {
@@ -1205,11 +1348,9 @@ void Session::AttachGroup(int64_t group_key, Timestamp boundary,
 
 HamletStats Session::AggregateHamletStats() const {
   HamletStats s = retired_stats_;
-  for (const auto& rtp : runtimes_) {
-    for (const auto& comp : rtp->components) {
-      for (const auto& [key, runner] : comp->groups) {
-        if (runner->hamlet) AddStats(s, runner->hamlet->stats());
-      }
+  for (const auto& comp : rt_->components) {
+    for (const auto& [key, runner] : comp->groups) {
+      if (runner->hamlet) AddStats(s, runner->hamlet->stats());
     }
   }
   return s;
@@ -1217,10 +1358,10 @@ HamletStats Session::AggregateHamletStats() const {
 
 void Session::MaybeReoptimize() {
   if (!reopt_enabled_ || closed_) return;
-  // Only in steady state: while a churn epoch drains, the statistics mix
-  // two plans and a swap would stack a third.
-  if (runtimes_.size() != 1) return;
-  Runtime& lead = *runtimes_.back();
+  // A pending epoch already carries the plan for its boundary; check again
+  // once it runs.
+  if (!pending_.empty()) return;
+  Runtime& lead = *rt_;
   if (!lead.pane_started) return;
   const Timestamp every =
       lead.plan->pane_size *
@@ -1233,19 +1374,14 @@ void Session::MaybeReoptimize() {
   }
   if (lead.pane_start < last_reopt_pane_ + every) return;
   last_reopt_pane_ = lead.pane_start;
-  if (!reoptimizer_.bound()) {
-    OnlineReoptimizerOptions opts;
-    opts.threshold = config_.reoptimize_threshold;
-    opts.variant = config_.cost_variant;
-    reoptimizer_.Bind(*lead.plan, lead.potential_groups, lead.applied, opts);
-  }
+  if (!reoptimizer_.bound()) BindReoptimizer(*lead.plan, lead.epoch->compiled);
   OnlineReoptimizer::Outcome out =
       reoptimizer_.Check(lead.pane_start, AggregateHamletStats(), collector_);
   if (!out.swap) return;
-  Result<QueryLifecycle::CompiledEpoch> epoch =
-      lifecycle_.Compile(out.overrides);
-  if (!epoch.ok()) return;  // keep the running plan
-  Result<Timestamp> activated = Swap(std::move(epoch).value(), -1);
+  // A failed compile keeps the running plan.
+  Result<Timestamp> activated = Churn(-1, [&](Timestamp at) {
+    return lifecycle_.Compile(out.overrides, at);
+  });
   if (activated.ok()) ++plan_swaps_;
 }
 
@@ -1266,11 +1402,9 @@ void Session::FillMetrics(RunMetrics* m) const {
   m->hamlet = AggregateHamletStats();
   m->decisions = retired_decisions_;
   if (config_.kind == EngineKind::kHamletDynamic) {
-    for (const auto& rtp : runtimes_) {
-      for (const auto& comp : rtp->components) {
-        auto* dyn = static_cast<DynamicBenefitPolicy*>(comp->policy.get());
-        m->decisions += dyn->decisions();
-      }
+    for (const auto& comp : rt_->components) {
+      auto* dyn = static_cast<DynamicBenefitPolicy*>(comp->policy.get());
+      m->decisions += dyn->decisions();
     }
   }
   m->queries_added = queries_added_;
@@ -1278,7 +1412,7 @@ void Session::FillMetrics(RunMetrics* m) const {
   m->plan_swaps = plan_swaps_;
   m->reopt_checks = reoptimizer_.checks();
   m->reopt_swaps = reoptimizer_.swaps();
-  m->active_epochs = static_cast<int64_t>(runtimes_.size());
+  m->active_epochs = 1;
   m->evicted_idle_groups = evicted_idle_groups_;
   m->runs = runs_;
   m->run_len_hist = run_len_hist_;
@@ -1299,19 +1433,16 @@ Result<RunMetrics> Session::Close() {
   }
   {
     BusyScope busy(&busy_seconds_, config_.clock_override);
-    // Flush every epoch (draining ones included) to its last window end —
-    // window ends are pane-aligned on the epoch's own grid.
-    for (auto& rtp : runtimes_) {
-      Runtime& rt = *rtp;
-      Timestamp flush_to = rt.pane_started ? rt.pane_start : 0;
-      for (const auto& comp : rt.components) {
-        for (const auto& [key, runner] : comp->groups) {
-          for (const WindowSlot& w : runner->windows)
-            flush_to = std::max(flush_to, w.we);
-        }
+    // Flush to the last open window's end — a pending epoch activating on
+    // the way takes the windows over.
+    Timestamp flush_to = rt_->pane_started ? rt_->pane_start : 0;
+    for (const auto& comp : rt_->components) {
+      for (const auto& [key, runner] : comp->groups) {
+        for (const WindowSlot& w : runner->windows)
+          flush_to = std::max(flush_to, w.we);
       }
-      AdvancePaneTo(rt, flush_to);
     }
+    AdvancePaneTo(flush_to);
   }
   closed_ = true;
   FillMetrics(&final_metrics_);

@@ -14,6 +14,15 @@
 // After Close, every entry point (including a second Close) returns
 // kFailedPrecondition instead of relying on caller discipline.
 //
+// Query churn and plan swaps (src/runtime/query_lifecycle.h) never run two
+// plans at once. An op records a pending plan epoch; when the pane clock
+// reaches its activation boundary, the session builds the epoch's runtime,
+// hands every open window over — HAMLET state query by query through
+// HamletEngine::ExportQuery/ImportQuery, per-window baseline engines whole
+// — and frees the old runtime. Every event is processed once, by the one
+// runtime whose epoch covers it. A removed query leaves the plan the same
+// way, at the first pane boundary after its last window closed.
+//
 // The session owns all stream-time machinery (paper §3.1 pre-processing +
 // §6.1 metrics): partitioning exec queries into components connected by
 // share groups, partitioning each component's stream by its group-by
@@ -32,6 +41,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/baselines/sharon_engine.h"
@@ -142,8 +152,9 @@ struct RunConfig {
   /// shard_rebalance_threshold only places NEW keys. Steal decisions
   /// derive purely from the merged event stream, so emission sets stay
   /// bit-identical across stealing on/off, shard counts and producer
-  /// counts. Incompatible with evict_idle_groups, online re-optimization
-  /// and query churn (see ValidateRunConfig / docs/API.md knob matrix).
+  /// counts. Incompatible with evict_idle_groups (see ValidateRunConfig /
+  /// docs/API.md knob matrix); query churn and online re-optimization
+  /// combine with it.
   bool work_stealing = false;
   /// Work-stealing trigger: steal when the hottest shard's windowed load
   /// exceeds this multiple of the coldest shard's (plus a small absolute
@@ -318,8 +329,9 @@ struct RunMetrics {
   /// with re-optimization disabled and report 0).
   int64_t reopt_checks = 0;
   int64_t reopt_swaps = 0;
-  /// Plan epochs live at snapshot time (1 = no churn in flight; higher
-  /// values mean superseded epochs are still draining their open windows).
+  /// Plan epochs live at snapshot time: always 1, since a churn op hands
+  /// its state over at the activation boundary instead of draining a second
+  /// epoch. Kept only because the end-to-end benchmark reports it.
   int64_t active_epochs = 0;
   /// Group runners evicted by RunConfig::evict_idle_groups.
   int64_t evicted_idle_groups = 0;
@@ -441,32 +453,35 @@ class Session {
   Status AdvanceTo(Timestamp watermark);
 
   /// Adds a named query to the LIVE session (query lifecycle subsystem, see
-  /// src/runtime/query_lifecycle.h). The query starts emitting at the
-  /// returned pane boundary — the first boundary strictly after everything
-  /// already pushed — and queries that were already running keep their open
-  /// trend aggregations: existing windows drain under the old plan epoch
-  /// while windows from the boundary on run under the new one, so
-  /// per-interval emissions match a fresh session (query_churn_test).
-  /// `activate_at` < 0 (default) computes the boundary internally and
-  /// enforces the kMaxLiveEpochs cap; ShardedSession passes an explicit
-  /// front-computed boundary so every shard activates identically.
+  /// src/runtime/query_lifecycle.h). The query opens windows starting at or
+  /// after the returned pane boundary — the first boundary strictly after
+  /// everything already pushed. The op records a pending plan epoch; when
+  /// the pane clock reaches the boundary, the session builds its runtime,
+  /// hands every open window over to it and frees the old one, so running
+  /// queries keep their open trend aggregations and per-interval emissions
+  /// match a fresh session (query_churn_test).
   /// The query's event types and attributes must already exist in the
   /// schema; unknown names are rejected (validation never registers names).
-  Result<Timestamp> AddQuery(const Query& query, Timestamp activate_at = -1);
+  Result<Timestamp> AddQuery(const Query& query) { return AddQuery(query, -1); }
 
-  /// Removes a query by name at the returned pane boundary: its windows
-  /// open before the boundary drain and emit normally, then the old epoch's
-  /// state is evicted. Removing the last query is rejected — Close instead.
-  Result<Timestamp> RemoveQuery(const std::string& name,
-                                Timestamp activate_at = -1);
+  /// Removes a query by name at the returned pane boundary: it opens no
+  /// window from there on, and its windows that started earlier run to
+  /// completion and emit normally (the query drains inside the one running
+  /// plan, which drops it at the first pane boundary after its last window
+  /// closed). Removing the last query is rejected — Close instead.
+  Result<Timestamp> RemoveQuery(const std::string& name) {
+    return RemoveQuery(name, -1);
+  }
 
   /// Hot-swaps the sharing plan of the CURRENT query set (merged template,
-  /// predicate program and cohort masks rebuilt) at the returned boundary.
-  /// Sharing never changes emission values, so the swap is invisible in
-  /// results. This is the online re-optimizer's apply path, public for
-  /// tests/tools.
+  /// predicate program and cohort masks rebuilt) at the returned boundary,
+  /// by the same hand-off. Sharing never changes emission values, so the
+  /// swap is invisible in results. This is the online re-optimizer's apply
+  /// path, public for tests/tools.
   Result<Timestamp> ApplySharingOverrides(
-      std::span<const SharingOverride> overrides, Timestamp activate_at = -1);
+      std::span<const SharingOverride> overrides) {
+    return ApplySharingOverrides(overrides, -1);
+  }
 
   /// Online re-optimizer decision log (empty unless
   /// RunConfig::reoptimize_every_panes > 0).
@@ -474,11 +489,9 @@ class Session {
     return reoptimizer_.log();
   }
 
-  /// Plan epochs currently live (1 = steady state; >1 while churn drains).
-  int live_epochs() const { return static_cast<int>(runtimes_.size()); }
-
-  /// The session's CURRENT query set (reflects Add/RemoveQuery).
-  const std::vector<Query>& queries() const { return lifecycle_.queries(); }
+  /// The session's CURRENT query set (reflects Add/RemoveQuery; draining
+  /// queries are not in it).
+  std::vector<Query> queries() const { return lifecycle_.queries(); }
 
   /// A group key's runners taken out of a session by DetachGroup, for
   /// AttachGroup on another session over the same plan (work stealing):
@@ -492,12 +505,11 @@ class Session {
     std::vector<std::unique_ptr<GroupRunner>> runners;
   };
 
-  /// Victim side of a pane-boundary group steal (ShardedSession; requires
-  /// a single live plan epoch, so stealing excludes query churn). The
+  /// Victim side of a pane-boundary group steal (ShardedSession). The
   /// caller has pushed every event of the key before `boundary`. Advances
-  /// panes to `boundary`, then takes the key's runners out of every
-  /// component: HAMLET engine, open windows and per-window engines move
-  /// whole.
+  /// panes to `boundary` (activating a pending epoch on the way, exactly as
+  /// the thief does), then takes the key's runners out of every component:
+  /// HAMLET engine, open windows and per-window engines move whole.
   DetachedGroup DetachGroup(int64_t group_key, Timestamp boundary);
 
   /// Thief side: advances panes to `boundary` and installs the runners a
@@ -517,76 +529,119 @@ class Session {
 
  private:
   struct Component;
-  /// One plan epoch: a compiled plan plus ALL state that depends on it
-  /// (predicate program, components, engines, columnar staging, pane
-  /// clock), bounded to emitting windows starting in [emit_from,
-  /// emit_until). Query churn and plan swaps append a new epoch activated
-  /// at a pane boundary; superseded epochs drain and retire.
+  /// A compiled plan plus what derives from it alone (session.cc).
+  struct PlanEpoch;
+  struct WindowSlot;
+  /// The running plan epoch: a compiled plan (PlanEpoch, shared with the
+  /// per-window engines opened under it) plus the state that runs it —
+  /// predicate program, components with their group runners, columnar
+  /// staging and the pane clock. A session runs exactly one.
   struct Runtime;
+  /// A compiled epoch waiting for its activation boundary.
+  struct PendingEpoch;
+
+  /// A ShardedSession's shards apply the front's churn ops at the front's
+  /// boundary (`activate_at` >= 0) through these; < 0 is the public ops.
+  friend class ShardedSession;
+  Result<Timestamp> AddQuery(const Query& query, Timestamp activate_at);
+  Result<Timestamp> RemoveQuery(const std::string& name,
+                                Timestamp activate_at);
+  Result<Timestamp> ApplySharingOverrides(
+      std::span<const SharingOverride> overrides, Timestamp activate_at);
 
   Session(const WorkloadPlan& plan, const RunConfig& config,
           EmissionSink* sink);
 
-  /// Builds components/engines/masks for rt.plan (shared by Open and churn).
-  void InitRuntime(Runtime& rt);
-  /// Activates `epoch` as a new runtime at `activate_at` (< 0: next pane
-  /// boundary after the gate's max_seen), superseding the current runtimes.
-  Result<Timestamp> Swap(QueryLifecycle::CompiledEpoch epoch,
-                         Timestamp activate_at);
-  /// Retires superseded runtimes whose emitting windows all closed.
-  void ReapRuntimes();
-  void RetireRuntime(size_t index);
+  /// Builds components, masks and cohorts for `plan`, the plan of
+  /// `compiled` (or the one the session was opened with).
+  std::unique_ptr<Runtime> BuildRuntime(QueryLifecycle::CompiledEpoch compiled,
+                                        const WorkloadPlan& plan);
+  /// Shared body of the churn ops: `compile` runs the lifecycle op for an
+  /// epoch activating at the boundary (`activate_at`, or < 0: the next one
+  /// after the gate's max_seen), and the result becomes the pending epoch
+  /// for that boundary. A failure leaves the session and the lifecycle as
+  /// they were. An explicit `activate_at` must be at or after the next
+  /// boundary and every pending one, on the last pending epoch's grid
+  /// (checked).
+  Result<Timestamp> Churn(
+      Timestamp activate_at,
+      const std::function<Result<QueryLifecycle::CompiledEpoch>(Timestamp)>&
+          compile);
+  /// Replaces the runtime with one running `compiled`, at a pane boundary
+  /// after the old one closed its expiring windows: every open window moves
+  /// over (HAMLET contexts through HamletEngine::ExportQuery/ImportQuery,
+  /// per-window engines whole), and the old runtime is freed.
+  void HandOff(QueryLifecycle::CompiledEpoch compiled);
+  /// Hands off at `boundary` to the running plan without its draining
+  /// queries whose last window has closed (Runtime::drop_at).
+  void DropDrained(Timestamp boundary);
+  /// The next boundary where the runtime is replaced: the first pending
+  /// epoch's or the drop boundary (kNoEnd: none).
+  Timestamp NextHandOff() const;
+  void BindReoptimizer(const WorkloadPlan& plan,
+                       const QueryLifecycle::CompiledEpoch& compiled);
   /// Runs the pane-cadenced re-optimization check and hot-swaps on drift.
   void MaybeReoptimize();
   HamletStats AggregateHamletStats() const;
 
   /// The ordering gate plus CheckGroupKeys over group_by_attrs_.
   Status CheckEvent(const Event& event) const;
-  /// Shared body of Push and PushBatch (`events` non-empty): stages
-  /// `events` into every epoch's SoA batch, runs the predicate kernels,
-  /// commits the time-ordered prefix and dispatches it as runs.
-  /// `per_event` (Push) stamps the lone run with the call's entry time.
+  /// Shared body of Push and PushBatch (`events` non-empty): commits the
+  /// time-ordered prefix and dispatches it, handing off to a pending epoch
+  /// at its boundary. `per_event` (Push) stamps the lone run with the
+  /// call's entry time.
   Status Ingest(std::span<const Event> events, bool per_event);
-  /// Run-granular dispatch: segments staged rows [0, rows) of
-  /// `rt.batch_scratch` into runs and feeds each through the engines in one
-  /// call (`events` are the same rows, used where whole Events are needed).
-  /// `arrival` is the rows' arrival wall time; a negative value samples it
-  /// once per run.
-  void DispatchRuns(Runtime& rt, std::span<const Event> events, int rows,
-                    double arrival);
+  /// Run-granular dispatch: stages `events` into the runtime's SoA batch,
+  /// runs the predicate kernels, segments the rows into runs and feeds each
+  /// through the engines in one call. `arrival` is the rows' arrival wall
+  /// time; a negative value samples it once per run.
+  void DispatchRuns(std::span<const Event> events, double arrival);
+  /// A runner for `key` in `comp` with no window open yet.
+  std::unique_ptr<GroupRunner> MakeRunner(Runtime& rt, Component& comp,
+                                          int64_t key);
   /// Creates the runner for `key` in `comp`, opening every window instance
   /// covering the current pane.
   GroupRunner& NewGroupRunner(Runtime& rt, Component& comp, int64_t key);
-  void AdvancePaneTo(Runtime& rt, Timestamp new_pane_start);
-  void CloseExpiredWindows(Runtime& rt, GroupRunner& runner, Timestamp now);
+  /// Advances the pane clock to the pane containing `time`. At every
+  /// boundary crossed, windows ending there close, a pending epoch whose
+  /// boundary it is takes over, and windows starting there open.
+  void AdvancePaneTo(Timestamp time);
+  void CloseExpiredWindows(GroupRunner& runner, Timestamp now);
   void OpenDueWindows(Runtime& rt, GroupRunner& runner, Timestamp pane_start,
                       bool retroactive);
-  void EmitExecValue(Runtime& rt, int exec_id, int64_t group_key,
+  void EmitExecValue(const PlanEpoch& epoch, int exec_id, int64_t group_key,
                      Timestamp window_start, Timestamp window_end,
                      double value, double arrival_wall);
   /// Drops pending composition entries whose window closed at or before
   /// `boundary` with a branch missing — they can never complete (see
   /// RunMetrics::evicted_compositions).
-  void EvictDeadCompositions(Runtime& rt, Timestamp boundary);
+  void EvictDeadCompositions(Timestamp boundary);
   void FillMetrics(RunMetrics* m) const;
   int64_t CurrentMemory() const;
 
   RunConfig config_;
   EmissionSink* sink_;
-  /// Group-by attributes of every plan epoch this session has run: ingest
-  /// rejects events whose key in one of them is unusable.
+  /// Group-by attributes of every plan epoch this session has compiled:
+  /// ingest rejects events whose key in one of them is unusable.
   std::vector<AttrId> group_by_attrs_;
-  /// Live query set + epoch compiler (tentpole subsystem).
+  /// Query set + epoch compiler.
   QueryLifecycle lifecycle_;
-  /// Live plan epochs, oldest first; back() is the lead (newest) epoch.
-  /// Steady state holds exactly one.
-  std::vector<std::unique_ptr<Runtime>> runtimes_;
+  std::unique_ptr<Runtime> rt_;
+  /// Compiled by churn ops and plan swaps, in boundary order, each until
+  /// the pane clock reaches its boundary. A plain Session holds at most
+  /// one; a shard the front's clock ran ahead of may hold more.
+  std::vector<PendingEpoch> pending_;
+  /// Branch values awaiting OR/AND composition, keyed by (lifecycle query
+  /// id, group, window start); the value is (window end, branch values).
+  std::map<std::tuple<int64_t, int64_t, Timestamp>,
+           std::pair<Timestamp, std::vector<double>>>
+      pending_compositions_;
   OnlineReoptimizer reoptimizer_;
   BurstStatsCollector collector_;
   bool reopt_enabled_ = false;
   Timestamp last_reopt_pane_ = 0;
   bool reopt_pane_seen_ = false;
-  /// Accumulators for state that no longer exists: retired epochs' and
+  /// Accumulators for state that no longer exists: replaced runtimes' and
   /// evicted idle groups' engine stats and policy decisions.
   HamletStats retired_stats_;
   int64_t retired_decisions_ = 0;

@@ -305,6 +305,12 @@ Result<std::unique_ptr<ShardedSession>> ShardedSession::Open(
         Session::Open(plan, shard_config, shard_sink);
     if (!session.ok()) return session.status();
     shard->session = std::move(session).value();
+    {
+      // Monitors reading before the worker's first refresh see the idle
+      // session's metrics, not a zero-initialized struct.
+      MutexLock lock(shard->snapshot_mu);
+      shard->snapshot = shard->session->MetricsSnapshot();
+    }
     s->shards_.push_back(std::move(shard));
   }
   for (auto& shard : s->shards_) {
@@ -389,9 +395,7 @@ void ShardedSession::WorkerLoop(Shard* shard) {
         // The front validated and compiled this exact op against the same
         // schema before broadcasting, so per-shard failure is impossible
         // short of a bug — and MUST be fatal: a shard skipping a churn op
-        // would answer a different query set than its siblings. The
-        // explicit activation boundary also bypasses the per-session epoch
-        // cap (the front throttles churn; shards must not diverge).
+        // would answer a different query set than its siblings.
         Result<Timestamp> r =
             shard->session->AddQuery(msg.query, msg.activate_at);
         HAMLET_CHECK(r.ok());
@@ -455,7 +459,15 @@ double ShardedSession::IngestNow() const {
   return ClockNow(config_.clock_override);
 }
 
+void ShardedSession::SyncFrontPane(Timestamp time) {
+  if (pending_pane_at_ >= 0 && time >= pending_pane_at_) {
+    front_pane_size_ = pending_pane_size_;
+    pending_pane_at_ = -1;
+  }
+}
+
 void ShardedSession::StageEvent(const Event& event, double now_seconds) {
+  SyncFrontPane(event.time);
   const int64_t key = router_.GroupKeyOf(event);
   if (rebalance_threshold_ == 0 && !stealing_) {
     StageTo(*shards_[router_.ShardOfKey(key)], event, now_seconds);
@@ -777,6 +789,7 @@ Status ShardedSession::AdvanceToInternal(Timestamp watermark) {
   Status ordered = gate_.CheckWatermark(watermark);
   if (!ordered.ok()) return ordered;
   gate_.CommitWatermark(watermark);
+  SyncFrontPane(watermark);
   // The watermark is a barrier: staged events logically precede it, so
   // they must reach their shards first.
   FlushAllShards();
@@ -987,6 +1000,7 @@ void ShardedSession::MaybeBroadcastFrontier() {
   // watermarks still broadcast. <= 0 covers the pre-first-bound state;
   // +inf can only appear transiently mid-recycle.
   if (frontier >= MpscIngestHub<Event>::kTimeMax || frontier <= 0) return;
+  SyncFrontPane(gate_.max_seen());
   if (front_pane_size_ <= 0) return;
   const Timestamp fpane = (frontier / front_pane_size_) * front_pane_size_;
   // Broadcast one LESS than the frontier pane (floored at the largest
@@ -1046,12 +1060,6 @@ Result<Timestamp> ShardedSession::AddQuery(const Query& query) {
     return Status::FailedPrecondition("AddQuery on a closed session");
   }
   if (Status guard = ChurnGuard("AddQuery"); !guard.ok()) return guard;
-  if (MetricsSnapshot().active_epochs >= QueryLifecycle::kMaxLiveEpochs) {
-    return Status::ResourceExhausted(
-        "too many plan epochs still draining across shards (max " +
-        std::to_string(QueryLifecycle::kMaxLiveEpochs) +
-        "); advance the stream before further churn");
-  }
   // ChurnGuard rejected multi-producer mode above, so the caller is the
   // front.
   ThreadRoleGuard role(front_role_);
@@ -1063,12 +1071,6 @@ Result<Timestamp> ShardedSession::RemoveQuery(const std::string& name) {
     return Status::FailedPrecondition("RemoveQuery on a closed session");
   }
   if (Status guard = ChurnGuard("RemoveQuery"); !guard.ok()) return guard;
-  if (MetricsSnapshot().active_epochs >= QueryLifecycle::kMaxLiveEpochs) {
-    return Status::ResourceExhausted(
-        "too many plan epochs still draining across shards (max " +
-        std::to_string(QueryLifecycle::kMaxLiveEpochs) +
-        "); advance the stream before further churn");
-  }
   ThreadRoleGuard role(front_role_);
   return BroadcastChurn(ChurnKind::kRemoveQuery, nullptr, &name, {});
 }
@@ -1089,19 +1091,11 @@ Result<Timestamp> ShardedSession::ApplySharingOverrides(
 
 Status ShardedSession::ChurnGuard(const char* op) const {
   // Query churn from the caller thread would race the sequencer's front
-  // state in multi-producer mode, and a plan-epoch swap would break the
-  // steal protocol's single-epoch runner hand-off (DetachGroup /
-  // AttachGroup CHECK one live runtime).
+  // state in multi-producer mode.
   if (mp_mode_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition(
         std::string(op) + " on a multi-producer session (query churn is "
         "front-thread only; close the producer handles first)");
-  }
-  if (stealing_) {
-    return Status::Unsupported(
-        std::string(op) +
-        " with work_stealing enabled: plan epoch swaps would break the "
-        "steal protocol's single-epoch runner hand-off");
   }
   return Status::Ok();
 }
@@ -1109,18 +1103,20 @@ Status ShardedSession::ChurnGuard(const char* op) const {
 Result<Timestamp> ShardedSession::BroadcastChurn(
     ChurnKind kind, const Query* query, const std::string* name,
     std::vector<SharingOverride> overrides) {
+  // One activation boundary for everyone, on the running epoch's grid
+  // (the front gate dominates every shard's view of time).
+  const Timestamp activate = QueryLifecycle::ActivationBoundary(
+      front_pane_size_, gate_.any_seen(), gate_.max_seen());
   // Validate + compile ONCE, on the front, before anything is broadcast: a
   // rejected op must leave every shard (and the front lifecycle) untouched,
   // and a broadcast op must be infallible on the workers.
   Result<QueryLifecycle::CompiledEpoch> epoch =
-      kind == ChurnKind::kAddQuery    ? lifecycle_.TryAdd(*query, {})
-      : kind == ChurnKind::kRemoveQuery ? lifecycle_.TryRemove(*name, {})
-                                        : lifecycle_.Compile(overrides);
+      kind == ChurnKind::kAddQuery
+          ? lifecycle_.TryAdd(*query, {}, activate)
+      : kind == ChurnKind::kRemoveQuery
+          ? lifecycle_.TryRemove(*name, {}, activate)
+          : lifecycle_.Compile(overrides, activate);
   if (!epoch.ok()) return epoch.status();
-  // One activation boundary for everyone, on the grid of the epoch being
-  // superseded (the front gate dominates every shard's view of time).
-  const Timestamp activate = QueryLifecycle::ActivationBoundary(
-      front_pane_size_, gate_.any_seen(), gate_.max_seen());
   // The churn op is a barrier in stream order: staged events precede it.
   FlushAllShards();
   for (auto& shard : shards_) {
@@ -1143,7 +1139,11 @@ Result<Timestamp> ShardedSession::BroadcastChurn(
     shard->Send(std::move(msg));
   }
   front_epoch_ = std::move(epoch).value();
-  front_pane_size_ = front_epoch_.plan->pane_size;
+  // The shards keep the running grid until the boundary, and so does the
+  // front: a steal boundary before it must lie on that grid.
+  pending_pane_size_ = front_epoch_.plan->pane_size;
+  pending_pane_at_ = activate;
+  SyncFrontPane(gate_.max_seen());
   for (const ExecQuery& eq : front_epoch_.plan->exec_queries) {
     within_high_water_ = std::max(within_high_water_, eq.window.within);
   }

@@ -78,11 +78,15 @@
 //    re-optimizer) pre-validate and compile on the front thread, flush all
 //    staging (the churn op is a barrier in stream order), then broadcast a
 //    churn message carrying ONE explicit pane-aligned activation boundary —
-//    computed from the front gate, which has seen every event — so all
-//    shards swap epochs at the identical boundary and the union of shard
-//    emissions stays bit-identical to a single-threaded session (all
-//    lifecycle failure modes fire on the front; a worker-side failure would
-//    desynchronize the shards' query sets and is a CHECK). Per-shard
+//    computed from the front gate, which has seen every event — so every
+//    shard hands its open windows to the new plan epoch at the identical
+//    boundary and the union of shard emissions stays bit-identical to a
+//    single-threaded session (all lifecycle failure modes fire on the
+//    front; a worker-side failure would desynchronize the shards' query
+//    sets and is a CHECK). A shard that saw no event since an earlier op
+//    keeps that op's pending epoch and hands off at each boundary in turn.
+//    The front's own pane grid (steal boundaries,
+//    re-optimization cadence) also switches at that boundary. Per-shard
 //    self-reoptimization is disabled (shards get reoptimize_every_panes =
 //    0); only the front decides, from merged MetricsSnapshot statistics.
 //    Worker snapshots lag under sustained load, so an explicit AdvanceTo
@@ -143,9 +147,11 @@
 //    stealing on/off, for a fixed shard count. RunMetrics::stolen_panes
 //    counts executed migrations. Without rebalancing the router keeps an
 //    override only for keys a steal left off their hash shard, so key
-//    churn cannot grow the map. Incompatible with evict_idle_groups and
-//    online re-optimization (Open rejects the combinations), and with
-//    query churn (rejected per call); see docs/API.md's knob matrix.
+//    churn cannot grow the map. Query churn and plan swaps reach the
+//    victim and the thief in the same stream order, and a drained query
+//    leaves every shard's plan at the same boundary, so both run the same
+//    plan epoch at every steal boundary. Incompatible with
+//    evict_idle_groups (Open rejects it); see docs/API.md's knob matrix.
 //
 // Threading contract: Open/Push/PushBatch/AdvanceTo/AddQuery/RemoveQuery/
 // ApplySharingOverrides/Close must all be called from one thread at a
@@ -289,14 +295,11 @@ class ShardedSession {
 
   /// Registers `query` on every shard at one shared pane-aligned activation
   /// boundary (returned). Same validation as Session::AddQuery — performed
-  /// once, on the front — plus churn backpressure: while the merged
-  /// snapshot reports QueryLifecycle::kMaxLiveEpochs draining epochs, new
-  /// churn returns kResourceExhausted (the snapshot lags bounded-ly, so the
-  /// throttle is approximate but always recovers as shards drain).
+  /// once, on the front.
   Result<Timestamp> AddQuery(const Query& query);
 
   /// Deactivates `name` on every shard at one shared pane boundary; its
-  /// open windows drain and emit before the old epoch's state is evicted.
+  /// windows open there run to completion and emit.
   Result<Timestamp> RemoveQuery(const std::string& name);
 
   /// Hot-swaps the sharing plan (unchanged query set) on every shard — the
@@ -354,7 +357,7 @@ class ShardedSession {
   /// Body of AdvanceTo after the closed/mode checks — shared with the
   /// sequencer's frontier broadcasts, which are ordinary watermarks.
   Status AdvanceToInternal(Timestamp watermark) HAMLET_REQUIRES(front_role_);
-  /// Shared churn rejection for multi-producer mode and work stealing.
+  /// Churn rejection in multi-producer mode.
   Status ChurnGuard(const char* op) const;
   /// The front gate plus CheckGroupKeys over group_by_attrs_.
   Status CheckEvent(const Event& event) const HAMLET_REQUIRES(front_role_);
@@ -393,6 +396,9 @@ class ShardedSession {
   /// (a synchronous round-trip) and attach them on the thief.
   void ExecuteSteal(int64_t key, size_t victim, size_t thief,
                     Timestamp boundary) HAMLET_REQUIRES(front_role_);
+  /// Switches front_pane_size_ to the pending epoch's once the stream
+  /// reaches its activation boundary `time`, as the shards do.
+  void SyncFrontPane(Timestamp time) HAMLET_REQUIRES(front_role_);
   /// Rolls the two-bucket sliding load window (per shard and per key).
   void RollLoadWindow() HAMLET_REQUIRES(front_role_);
   /// Mirrors the router's override count into route_map_size_.
@@ -458,11 +464,15 @@ class ShardedSession {
   OnlineReoptimizer reoptimizer_;
   BurstStatsCollector collector_ HAMLET_GUARDED_BY(front_role_);
   bool reopt_enabled_ = false;  ///< set by Open, read-only afterwards
-  /// Pane size of the CURRENT front epoch — the grid activation boundaries
-  /// and the re-optimization cadence are computed on.
+  /// Pane size of the RUNNING front epoch — the grid activation boundaries,
+  /// steal boundaries and the re-optimization cadence are computed on.
   Timestamp front_pane_size_ HAMLET_GUARDED_BY(front_role_) = 1;
-  /// Largest WITHIN across every epoch ever compiled (old epochs' windows
-  /// may still be draining) — the router-drain safety margin.
+  /// The last churn op's pane size, taken over by SyncFrontPane at its
+  /// activation boundary (pending_pane_at_; -1 when none is pending).
+  Timestamp pending_pane_size_ HAMLET_GUARDED_BY(front_role_) = 1;
+  Timestamp pending_pane_at_ HAMLET_GUARDED_BY(front_role_) = -1;
+  /// Largest WITHIN across every epoch ever compiled (a removed query's
+  /// windows may still be open) — the router-drain safety margin.
   Timestamp within_high_water_ HAMLET_GUARDED_BY(front_role_) = 0;
   /// Group-by attributes of every epoch ever compiled — the same set each
   /// shard's Session checks, so no event the front admits fails there.

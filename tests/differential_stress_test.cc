@@ -1,13 +1,14 @@
 // Differential stress harness: ONE generated stream, replayed under a
 // seeded random sample of runtime configurations — engine kind x shard
-// count x ingest mode (session-level batches of varying size, or 1/2/4
-// concurrent producers, optionally with mid-stream producer churn) x
-// staging batch size x adaptive batching x work stealing x skew-aware
-// first-sight placement x queue capacity
+// count x ingest mode (session-level batches of varying size, optionally
+// with query churn, or 1/2/4 concurrent producers, optionally with
+// mid-stream producer churn) x staging batch size x adaptive batching x
+// work stealing x skew-aware first-sight placement x queue capacity
 // — asserting the emission set is bit-identical to the single-threaded
-// batch reference every time. Every documented
-// emission-neutral knob has to actually be neutral, in combination, under
-// real concurrency.
+// reference every time: the batch Run, or with query churn a plain
+// Session given the same AddQuery (at 1/3 of the stream) and RemoveQuery
+// (at 2/3). Every documented emission-neutral knob has to actually be
+// neutral, in combination, under real concurrency.
 //
 // The sample is drawn from a seed that is logged on entry and printed in
 // every failure label, and overridable via --seed= / HAMLET_TEST_SEED
@@ -50,6 +51,7 @@ struct StressConfig {
   bool stealing = false;
   int64_t rebalance_threshold = 0;
   bool churn = false;  // producer handles leave/join at mid-stream
+  bool query_churn = false;  // AddQuery at 1/3, RemoveQuery at 2/3
 
   std::string Describe() const {
     std::string s = EngineKindName(kind);
@@ -64,6 +66,7 @@ struct StressConfig {
       s += "/rebal=" + std::to_string(rebalance_threshold);
     }
     if (churn) s += "/churn";
+    if (query_churn) s += "/qchurn";
     return s;
   }
 };
@@ -84,6 +87,7 @@ StressConfig SampleConfig(Rng& rng) {
   c.stealing = rng.NextBelow(2) == 1;
   c.rebalance_threshold = rng.NextBelow(2) == 1 ? 4 : 0;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
+  c.query_churn = c.producers == 0 && rng.NextBelow(2) == 1;
   return c;
 }
 
@@ -140,6 +144,31 @@ void FeedProducers(ShardedSession* session, const EventVector& ev,
   }
 }
 
+// Session-level ingest in `push_batch` chunks; with `churn`, `add` joins
+// after the first third of the stream and `remove` leaves after the second.
+template <typename SessionT>
+void PushSessionLevel(SessionT& session, const EventVector& ev,
+                      size_t push_batch, bool churn, const Query& add,
+                      const std::string& remove) {
+  const size_t cuts[] = {ev.size() / 3, 2 * ev.size() / 3, ev.size()};
+  size_t j = 0;
+  for (int phase = 0; phase < 3; ++phase) {
+    const size_t end = churn ? cuts[phase] : ev.size();
+    for (; j < end; j += std::min(push_batch, end - j)) {
+      const size_t len = std::min(push_batch, end - j);
+      Status s = session.PushBatch(std::span<const Event>(ev.data() + j, len));
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    if (!churn) break;
+    if (phase == 0) {
+      ASSERT_TRUE(session.AddQuery(add).ok());
+    } else if (phase == 1) {
+      ASSERT_TRUE(session.RemoveQuery(remove).ok());
+    }
+  }
+  ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok());
+}
+
 TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
   const uint64_t seed = test::SeedOr(0x5EED5);
   BenchWorkload bw =
@@ -154,15 +183,34 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
   EventVector ev = bw.generator->Generate(gen);
   ASSERT_FALSE(ev.empty());
 
-  // One batch reference per engine kind, computed on demand.
-  std::map<EngineKind, RunOutput> references;
-  auto reference = [&](EngineKind kind) -> const RunOutput& {
-    auto it = references.find(kind);
+  // Query churn adds a finer-grained sibling of the first query (its
+  // windows span two panes) and removes the second query.
+  Query add = bw.plan->workload->query(0);
+  add.name = "churn_add";
+  add.window = WindowSpec::Sliding(add.window.within, add.window.within / 2);
+  const std::string remove = bw.plan->workload->query(1).name;
+
+  // One reference per (engine kind, query churn), computed on demand: the
+  // batch Run, or a plain Session with the churn ops.
+  std::map<std::pair<EngineKind, bool>, RunOutput> references;
+  auto reference = [&](EngineKind kind, bool churn) -> const RunOutput& {
+    auto it = references.find({kind, churn});
     if (it == references.end()) {
       RunConfig config;
       config.kind = kind;
-      StreamExecutor executor(*bw.plan, config);
-      it = references.emplace(kind, executor.Run(ev)).first;
+      RunOutput out;
+      if (churn) {
+        CollectingSink sink;
+        std::unique_ptr<Session> session =
+            Session::Open(*bw.plan, config, &sink).value();
+        PushSessionLevel(*session, ev, ev.size(), churn, add, remove);
+        out.metrics = session->Close().value();
+        out.emissions = sink.Take();
+      } else {
+        out = StreamExecutor(*bw.plan, config).Run(ev);
+      }
+      it = references.emplace(std::make_pair(kind, churn), std::move(out))
+               .first;
       EXPECT_TRUE(it->second.status.ok()) << it->second.status.ToString();
       EXPECT_GT(it->second.emissions.size(), 0u) << EngineKindName(kind);
     }
@@ -189,21 +237,14 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     ShardedSession& session = *opened.value();
     if (sc.producers == 0) {
-      for (size_t j = 0; j < ev.size();
-           j += static_cast<size_t>(sc.push_batch)) {
-        const size_t len = std::min(static_cast<size_t>(sc.push_batch),
-                                    ev.size() - j);
-        Status s =
-            session.PushBatch(std::span<const Event>(ev.data() + j, len));
-        ASSERT_TRUE(s.ok()) << s.ToString();
-      }
-      ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok());
+      PushSessionLevel(session, ev, static_cast<size_t>(sc.push_batch),
+                       sc.query_churn, add, remove);
     } else {
       FeedProducers(&session, ev, sc.producers, sc.churn);
     }
     Result<RunMetrics> metrics = session.Close();
     ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-    const RunOutput& ref = reference(sc.kind);
+    const RunOutput& ref = reference(sc.kind, sc.query_churn);
     ExpectSameEmissionSet(ref.emissions, sink.Take(), label);
     EXPECT_EQ(ref.metrics.events, metrics.value().events) << label;
     EXPECT_EQ(ref.metrics.emissions, metrics.value().emissions) << label;

@@ -11,14 +11,21 @@
 // instantiation is boundary-driven on both sides and the comparison is
 // exact, empty windows included.
 //
+// Each property runs on two query sets: the share-eligible COUNT trio, and
+// a set whose state the pane-boundary hand-off must carry beyond context
+// totals — an edge-predicate query's retained nodes, negation, MAX and an
+// OR composition — with windows spanning two and three panes.
+//
 // Also covers: plan hot swaps (explicit ApplySharingOverrides and the
 // online re-optimizer under a burst-shifted stream, with
 // RunConfig::clock_override pinning the clock) leaving
 // emissions identical to a frozen plan; the lifecycle error contracts
 // (unnamed/duplicate adds, schema-extending adds, unknown/last-query
-// removes, the kMaxLiveEpochs backpressure cap and recovery); the
-// reoptimize knob validation matrix; and evict_idle_groups determinism
-// plus the ShardRouter rebalance-map drain it enables.
+// removes); a churn storm with one AddQuery per pane, and one on sharded
+// sessions whose shards idle across ops; a removed query leaving the plan
+// once drained; the reoptimize knob validation matrix; and
+// evict_idle_groups determinism plus the ShardRouter rebalance-map drain
+// it enables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,6 +115,21 @@ std::vector<Event> DenseStream(int n) {
   return ev;
 }
 
+// DenseStream's density with a five-type cycle, so every group sees A, B
+// and C interleaved (DenseStream's groups each miss A or C).
+std::vector<Event> MixedStream(int n) {
+  static constexpr TypeId kCycle[] = {0, 1, 2, 1, 1};  // A B C B B
+  std::vector<Event> ev;
+  ev.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ev.emplace_back(Timestamp{1 + 3 * i}, kCycle[i % 5],
+                    std::initializer_list<double>{
+                        static_cast<double>(i % 7),
+                        static_cast<double>(i % 4)});
+  }
+  return ev;
+}
+
 // B-heavy first half, C-heavy second half: shifts which Kleene type
 // dominates mid-stream, the drift the online re-optimizer watches for.
 std::vector<Event> BurstShiftStream(int n) {
@@ -123,6 +145,47 @@ std::vector<Event> BurstShiftStream(int n) {
                         static_cast<double>(i % 4)});
   }
   return ev;
+}
+
+// One churn input: qa and qb open the session, qc is added and qa removed
+// mid-run; `extra` queries run throughout; `stream` makes the events.
+struct ChurnSet {
+  const char* qa;
+  const char* qb;
+  const char* qc;
+  std::vector<std::pair<std::string, std::string>> extra;
+  std::vector<Event> (*stream)(int n);
+};
+
+// The trio above, and a set with windows of two and three panes whose
+// hand-off carries more than context totals: qa's and qb's edge predicates
+// keep retained nodes (qb's scans also skip predecessors before its last
+// negated C), qd folds MAX and qc is an OR composition.
+std::vector<ChurnSet> ChurnSets() {
+  return {
+      {kQa, kQb, kQc, {}, DenseStream},
+      {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= next.v GROUPBY g "
+       "WITHIN 150 ms SLIDE 50 ms",
+       "RETURN COUNT(*) PATTERN SEQ(A, NOT C, B+) WHERE prev.v <= next.v "
+       "GROUPBY g WITHIN 150 ms SLIDE 50 ms",
+       "RETURN COUNT(*) PATTERN SEQ(A, B+) OR C+ GROUPBY g WITHIN 150 ms "
+       "SLIDE 50 ms",
+       {{"qd", "RETURN MAX(B.v) PATTERN SEQ(A, B+) GROUPBY g WITHIN 100 ms "
+               "SLIDE 50 ms"}},
+       MixedStream},
+  };
+}
+
+// `set`'s queries named by `names` ("qa", "qb", "qc"), then its extras.
+std::vector<std::pair<std::string, std::string>> SetQueries(
+    const ChurnSet& set, std::initializer_list<const char*> names) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const char* name : names) {
+    const std::string n = name;
+    out.emplace_back(n, n == "qa" ? set.qa : n == "qb" ? set.qb : set.qc);
+  }
+  for (const auto& q : set.extra) out.push_back(q);
+  return out;
 }
 
 // (query name, group, window start, window end, value bits): the identity
@@ -220,10 +283,14 @@ ChurnOut DriveChurn(SessionT& s, CollectingSink& sink,
   HAMLET_CHECK(p1.ok());
   out.p1 = p1.value();
   PushRange(s, ev, a, b);
+  // One plan epoch runs at every point: churn hands state over instead of
+  // draining a second epoch.
+  EXPECT_EQ(s.MetricsSnapshot().active_epochs, 1);
   Result<Timestamp> p2 = s.RemoveQuery("qa");
   HAMLET_CHECK(p2.ok());
   out.p2 = p2.value();
   PushRange(s, ev, b, ev.size());
+  EXPECT_EQ(s.MetricsSnapshot().active_epochs, 1);
   HAMLET_CHECK(s.AdvanceTo(ev.back().time).ok());
   Result<RunMetrics> m = s.Close();
   HAMLET_CHECK(m.ok());
@@ -238,73 +305,77 @@ ChurnOut DriveChurn(SessionT& s, CollectingSink& sink,
 TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
   Schema schema;
   SeedSchema(&schema);
-  const std::vector<Event> ev = DenseStream(600);
-  const Query add = MakeQuery("qc", kQc);
+  for (const ChurnSet& set : ChurnSets()) {
+    const std::vector<Event> ev = set.stream(600);
+    const Query add = MakeQuery("qc", set.qc);
 
-  Compiled base = Compile(&schema, {{"qa", kQa}, {"qb", kQb}});
-  Compiled mid = Compile(&schema, {{"qa", kQa}, {"qb", kQb}, {"qc", kQc}});
-  Compiled tail = Compile(&schema, {{"qb", kQb}, {"qc", kQc}});
+    Compiled base = Compile(&schema, SetQueries(set, {"qa", "qb"}));
+    Compiled mid = Compile(&schema, SetQueries(set, {"qa", "qb", "qc"}));
+    Compiled tail = Compile(&schema, SetQueries(set, {"qb", "qc"}));
 
-  for (EngineKind kind : kAllKinds) {
-    const std::string kl = EngineKindName(kind);
-    RunConfig config;
-    config.kind = kind;
+    for (EngineKind kind : kAllKinds) {
+      const std::string kl = std::string(EngineKindName(kind)) +
+                             (set.extra.empty() ? "" : " (carried state)");
+      RunConfig config;
+      config.kind = kind;
 
-    // Fresh full-stream references, one per interval query set.
-    const RunOut ref0 = RunPlain(*base.plan, config, ev);
-    const RunOut ref1 = RunPlain(*mid.plan, config, ev);
-    const RunOut ref2 = RunPlain(*tail.plan, config, ev);
+      // Fresh full-stream references, one per interval query set.
+      const RunOut ref0 = RunPlain(*base.plan, config, ev);
+      const RunOut ref1 = RunPlain(*mid.plan, config, ev);
+      const RunOut ref2 = RunPlain(*tail.plan, config, ev);
 
-    // Single-threaded churn run establishes the boundaries.
-    CollectingSink st_sink;
-    Result<std::unique_ptr<Session>> st =
-        Session::Open(*base.plan, config, &st_sink);
-    ASSERT_TRUE(st.ok()) << kl;
-    const ChurnOut churned = DriveChurn(*st.value(), st_sink, ev, add);
-    ASSERT_GT(churned.p1, 0) << kl;
-    ASSERT_GT(churned.p2, churned.p1) << kl;
+      // Single-threaded churn run establishes the boundaries.
+      CollectingSink st_sink;
+      Result<std::unique_ptr<Session>> st =
+          Session::Open(*base.plan, config, &st_sink);
+      ASSERT_TRUE(st.ok()) << kl;
+      const ChurnOut churned = DriveChurn(*st.value(), st_sink, ev, add);
+      ASSERT_GT(churned.p1, 0) << kl;
+      ASSERT_GT(churned.p2, churned.p1) << kl;
 
-    std::vector<Tuple> want = Tuples(ref0.emissions, kMinTs, churned.p1);
-    for (Tuple& t : Tuples(ref1.emissions, churned.p1, churned.p2)) {
-      want.push_back(std::move(t));
-    }
-    for (Tuple& t : Tuples(ref2.emissions, churned.p2, kMaxTs)) {
-      want.push_back(std::move(t));
-    }
-    std::sort(want.begin(), want.end());
-    ASSERT_FALSE(want.empty()) << kl;
-    // The added query does emit after activation, and the removed one
-    // does not emit past its deactivation boundary.
-    int added_emissions = 0;
-    for (const Tuple& t : want) {
-      if (std::get<0>(t) == "qc") ++added_emissions;
-      if (std::get<0>(t) == "qa") {
-        EXPECT_LT(std::get<2>(t), churned.p2) << kl;
+      std::vector<Tuple> want = Tuples(ref0.emissions, kMinTs, churned.p1);
+      for (Tuple& t : Tuples(ref1.emissions, churned.p1, churned.p2)) {
+        want.push_back(std::move(t));
       }
-    }
-    EXPECT_GT(added_emissions, 0) << kl;
+      for (Tuple& t : Tuples(ref2.emissions, churned.p2, kMaxTs)) {
+        want.push_back(std::move(t));
+      }
+      std::sort(want.begin(), want.end());
+      ASSERT_FALSE(want.empty()) << kl;
+      // The added query does emit after activation, and the removed one
+      // does not emit past its deactivation boundary.
+      int added_emissions = 0;
+      for (const Tuple& t : want) {
+        if (std::get<0>(t) == "qc") ++added_emissions;
+        if (std::get<0>(t) == "qa") {
+          EXPECT_LT(std::get<2>(t), churned.p2) << kl;
+        }
+      }
+      EXPECT_GT(added_emissions, 0) << kl;
 
-    ExpectSameTuples(want, Tuples(churned.emissions), kl + " single-threaded");
-    EXPECT_EQ(churned.metrics.queries_added, 1) << kl;
-    EXPECT_EQ(churned.metrics.queries_removed, 1) << kl;
-    EXPECT_EQ(churned.metrics.events, static_cast<int64_t>(ev.size())) << kl;
+      ExpectSameTuples(want, Tuples(churned.emissions),
+                       kl + " single-threaded");
+      EXPECT_EQ(churned.metrics.queries_added, 1) << kl;
+      EXPECT_EQ(churned.metrics.queries_removed, 1) << kl;
+      EXPECT_EQ(churned.metrics.events, static_cast<int64_t>(ev.size())) << kl;
 
-    for (int shards : {1, 2, 4}) {
-      const std::string sl = kl + " shards=" + std::to_string(shards);
-      RunConfig sharded_config = config;
-      sharded_config.num_shards = shards;
-      CollectingSink sink;
-      Result<std::unique_ptr<ShardedSession>> s =
-          ShardedSession::Open(*base.plan, sharded_config, &sink);
-      ASSERT_TRUE(s.ok()) << sl;
-      const ChurnOut out = DriveChurn(*s.value(), sink, ev, add);
-      // The front computes activation from the same gate state, so the
-      // boundaries must match the single-threaded run exactly.
-      EXPECT_EQ(out.p1, churned.p1) << sl;
-      EXPECT_EQ(out.p2, churned.p2) << sl;
-      ExpectSameTuples(want, Tuples(out.emissions), sl);
-      EXPECT_EQ(out.metrics.queries_added, 1) << sl;
-      EXPECT_EQ(out.metrics.queries_removed, 1) << sl;
+      for (int shards : {1, 2, 4}) {
+        const std::string sl = kl + " shards=" + std::to_string(shards);
+        RunConfig sharded_config = config;
+        sharded_config.num_shards = shards;
+        CollectingSink sink;
+        Result<std::unique_ptr<ShardedSession>> s =
+            ShardedSession::Open(*base.plan, sharded_config, &sink);
+        ASSERT_TRUE(s.ok()) << sl;
+        const ChurnOut out = DriveChurn(*s.value(), sink, ev, add);
+        // The front computes activation from the same gate state, so the
+        // boundaries must match the single-threaded run exactly.
+        EXPECT_EQ(out.p1, churned.p1) << sl;
+        EXPECT_EQ(out.p2, churned.p2) << sl;
+        ExpectSameTuples(want, Tuples(out.emissions), sl);
+        EXPECT_EQ(out.metrics.queries_added, 1) << sl;
+        EXPECT_EQ(out.metrics.queries_removed, 1) << sl;
+      }
     }
   }
 }
@@ -381,62 +452,67 @@ TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
 
 // Deterministic swap-path coverage: force a mid-stream plan swap that
 // splits the B+ share group and check the swap is invisible in results.
+// For two-step and SHARON the split leaves a carried cohort window whose
+// queries now live in two components with different event types.
 TEST(PlanHotSwap, ForcedOverrideKeepsEmissionsIdentical) {
   Schema schema;
   SeedSchema(&schema);
-  const std::vector<Event> ev = DenseStream(600);
-  Compiled w = Compile(&schema, {{"qa", kQa}, {"qb", kQb}, {"qc", kQc}});
-  ASSERT_FALSE(w.plan->share_groups.empty());
-  const ShareGroup& sg = w.plan->share_groups.front();
-  QueryId keep = -1;
-  sg.members.ForEach([&](QueryId q) {
-    if (keep < 0) keep = q;
-  });
-  ASSERT_GE(keep, 0);
-  const SharingOverride unshare{sg.type, sg.members, QuerySet::Single(keep)};
+  for (const ChurnSet& set : ChurnSets()) {
+    const std::vector<Event> ev = set.stream(600);
+    Compiled w = Compile(&schema, SetQueries(set, {"qa", "qb", "qc"}));
+    ASSERT_FALSE(w.plan->share_groups.empty());
+    const ShareGroup& sg = w.plan->share_groups.front();
+    QueryId keep = -1;
+    sg.members.ForEach([&](QueryId q) {
+      if (keep < 0) keep = q;
+    });
+    ASSERT_GE(keep, 0);
+    const SharingOverride unshare{sg.type, sg.members, QuerySet::Single(keep)};
 
-  for (EngineKind kind : {EngineKind::kHamletDynamic,
-                          EngineKind::kHamletStatic,
-                          EngineKind::kGretaGraph}) {
-    const std::string kl = EngineKindName(kind);
-    RunConfig config;
-    config.kind = kind;
-    const RunOut ref = RunPlain(*w.plan, config, ev);
+    for (EngineKind kind : kAllKinds) {
+      const std::string kl = std::string(EngineKindName(kind)) +
+                             (set.extra.empty() ? "" : " (carried state)");
+      RunConfig config;
+      config.kind = kind;
+      const RunOut ref = RunPlain(*w.plan, config, ev);
 
-    CollectingSink sink;
-    Result<std::unique_ptr<Session>> s =
-        Session::Open(*w.plan, config, &sink);
-    ASSERT_TRUE(s.ok()) << kl;
-    PushRange(*s.value(), ev, 0, ev.size() / 2);
-    Result<Timestamp> swapped =
-        s.value()->ApplySharingOverrides(std::span(&unshare, 1));
-    ASSERT_TRUE(swapped.ok()) << kl;
-    EXPECT_GT(swapped.value(), 0) << kl;
-    PushRange(*s.value(), ev, ev.size() / 2, ev.size());
-    ASSERT_TRUE(s.value()->AdvanceTo(ev.back().time).ok()) << kl;
-    Result<RunMetrics> m = s.value()->Close();
-    ASSERT_TRUE(m.ok()) << kl;
-    ExpectSameTuples(Tuples(ref.emissions), Tuples(sink.Take()), kl);
-    EXPECT_EQ(m.value().plan_swaps, 1) << kl;
+      CollectingSink sink;
+      Result<std::unique_ptr<Session>> s =
+          Session::Open(*w.plan, config, &sink);
+      ASSERT_TRUE(s.ok()) << kl;
+      PushRange(*s.value(), ev, 0, ev.size() / 2);
+      Result<Timestamp> swapped =
+          s.value()->ApplySharingOverrides(std::span(&unshare, 1));
+      ASSERT_TRUE(swapped.ok()) << kl;
+      EXPECT_GT(swapped.value(), 0) << kl;
+      PushRange(*s.value(), ev, ev.size() / 2, ev.size());
+      EXPECT_EQ(s.value()->MetricsSnapshot().active_epochs, 1) << kl;
+      ASSERT_TRUE(s.value()->AdvanceTo(ev.back().time).ok()) << kl;
+      Result<RunMetrics> m = s.value()->Close();
+      ASSERT_TRUE(m.ok()) << kl;
+      ExpectSameTuples(Tuples(ref.emissions), Tuples(sink.Take()), kl);
+      EXPECT_EQ(m.value().plan_swaps, 1) << kl;
 
-    RunConfig sharded_config = config;
-    sharded_config.num_shards = 2;
-    CollectingSink ssink;
-    Result<std::unique_ptr<ShardedSession>> sh =
-        ShardedSession::Open(*w.plan, sharded_config, &ssink);
-    ASSERT_TRUE(sh.ok()) << kl;
-    PushRange(*sh.value(), ev, 0, ev.size() / 2);
-    Result<Timestamp> ssw =
-        sh.value()->ApplySharingOverrides(std::span(&unshare, 1));
-    ASSERT_TRUE(ssw.ok()) << kl;
-    EXPECT_EQ(ssw.value(), swapped.value()) << kl;
-    PushRange(*sh.value(), ev, ev.size() / 2, ev.size());
-    ASSERT_TRUE(sh.value()->AdvanceTo(ev.back().time).ok()) << kl;
-    Result<RunMetrics> sm = sh.value()->Close();
-    ASSERT_TRUE(sm.ok()) << kl;
-    ExpectSameTuples(Tuples(ref.emissions), Tuples(ssink.Take()),
-                     kl + " sharded");
-    EXPECT_EQ(sm.value().plan_swaps, 1) << kl;
+      RunConfig sharded_config = config;
+      sharded_config.num_shards = 2;
+      CollectingSink ssink;
+      Result<std::unique_ptr<ShardedSession>> sh =
+          ShardedSession::Open(*w.plan, sharded_config, &ssink);
+      ASSERT_TRUE(sh.ok()) << kl;
+      PushRange(*sh.value(), ev, 0, ev.size() / 2);
+      Result<Timestamp> ssw =
+          sh.value()->ApplySharingOverrides(std::span(&unshare, 1));
+      ASSERT_TRUE(ssw.ok()) << kl;
+      EXPECT_EQ(ssw.value(), swapped.value()) << kl;
+      PushRange(*sh.value(), ev, ev.size() / 2, ev.size());
+      EXPECT_EQ(sh.value()->MetricsSnapshot().active_epochs, 1) << kl;
+      ASSERT_TRUE(sh.value()->AdvanceTo(ev.back().time).ok()) << kl;
+      Result<RunMetrics> sm = sh.value()->Close();
+      ASSERT_TRUE(sm.ok()) << kl;
+      ExpectSameTuples(Tuples(ref.emissions), Tuples(ssink.Take()),
+                       kl + " sharded");
+      EXPECT_EQ(sm.value().plan_swaps, 1) << kl;
+    }
   }
 }
 
@@ -489,43 +565,226 @@ TEST(QueryLifecycleErrors, RejectedChurnLeavesSessionIntact) {
   EXPECT_TRUE(sh.value()->Close().ok());
 }
 
-// The kMaxLiveEpochs cap: churn faster than old epochs can drain their
-// 1000 ms windows and AddQuery applies backpressure; draining the stream
-// recovers.
-TEST(QueryLifecycleErrors, EpochCapBackpressureAndRecovery) {
+// A churn storm: sixteen AddQuery ops one pane apart, against queries
+// whose 1000 ms windows span twenty panes. Every op succeeds (no epoch
+// drains, so nothing accumulates), and each activation interval's
+// emissions equal a fresh session with that interval's query set. The
+// storm then removes qa at 850; it leaves the plan at 1850, when its last
+// window closed, on the 50 ms grid. Two later ops follow: the first
+// activates at 2050, off the 100 ms grid the remaining queries alone would
+// use, and the second at 2400 moves onto that coarser grid.
+TEST(QueryLifecycleChurnStorm, OneAddPerPaneMatchesFreshSessions) {
   constexpr char kLongA[] =
       "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g WITHIN 1000 ms SLIDE 50 ms";
   constexpr char kLongC[] =
-      "RETURN COUNT(*) PATTERN SEQ(A, C+) GROUPBY g WITHIN 1000 ms SLIDE 50 ms";
+      "RETURN COUNT(*) PATTERN SEQ(A, C+) GROUPBY g WITHIN 1000 ms "
+      "SLIDE 100 ms";
+  constexpr int kStorm = 16;
+  struct Op {
+    Timestamp boundary;  // the op follows every event before it
+    std::string add;     // a kLongC query to add, or
+    std::string remove;  // a query to remove
+  };
+  std::vector<Op> ops;
+  for (int i = 0; i < kStorm; ++i) {
+    ops.push_back({50 * (i + 1), "add" + std::to_string(i), ""});
+  }
+  ops.push_back({850, "", "qa"});
+  ops.push_back({2050, "late0", ""});
+  ops.push_back({2400, "late1", ""});
+  Schema schema;
+  SeedSchema(&schema);
+  const std::vector<Event> ev = DenseStream(1000);
+  const std::vector<std::pair<std::string, std::string>> opening = {
+      {"qa", kLongA}};
+  Compiled w = Compile(&schema, opening);
+
+  for (EngineKind kind : {EngineKind::kHamletDynamic,
+                          EngineKind::kGretaPrefix}) {
+    const std::string kl = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    CollectingSink sink;
+    Result<std::unique_ptr<Session>> s = Session::Open(*w.plan, config, &sink);
+    ASSERT_TRUE(s.ok()) << kl;
+    Session& session = *s.value();
+    size_t pushed = 0;
+    for (const Op& op : ops) {
+      size_t upto = pushed;
+      while (upto < ev.size() && ev[upto].time < op.boundary) ++upto;
+      PushRange(session, ev, pushed, upto);
+      pushed = upto;
+      Result<Timestamp> r = op.add.empty()
+                                ? session.RemoveQuery(op.remove)
+                                : session.AddQuery(MakeQuery(op.add, kLongC));
+      ASSERT_TRUE(r.ok()) << kl << " op at " << op.boundary << ": "
+                          << r.status().ToString();
+      EXPECT_EQ(r.value(), op.boundary) << kl;
+      EXPECT_EQ(session.MetricsSnapshot().active_epochs, 1) << kl;
+    }
+    PushRange(session, ev, pushed, ev.size());
+    ASSERT_TRUE(session.AdvanceTo(ev.back().time).ok()) << kl;
+    Result<RunMetrics> m = session.Close();
+    ASSERT_TRUE(m.ok()) << kl;
+    EXPECT_EQ(m.value().queries_added, kStorm + 2) << kl;
+    const std::vector<Emission> churned = sink.Take();
+
+    std::vector<std::pair<std::string, std::string>> set = opening;
+    for (size_t i = 0; i <= ops.size(); ++i) {
+      const Timestamp lo = i == 0 ? kMinTs : ops[i - 1].boundary;
+      const Timestamp hi = i == ops.size() ? kMaxTs : ops[i].boundary;
+      Compiled fresh = Compile(&schema, set);
+      const RunOut ref = RunPlain(*fresh.plan, config, ev);
+      ExpectSameTuples(Tuples(ref.emissions, lo, hi),
+                       Tuples(churned, lo, hi),
+                       kl + " interval " + std::to_string(i));
+      if (i == ops.size()) break;
+      if (ops[i].add.empty()) {
+        std::erase_if(set, [&](const auto& q) {
+          return q.first == ops[i].remove;
+        });
+      } else {
+        set.emplace_back(ops[i].add, kLongC);
+      }
+    }
+  }
+}
+
+// Churn ops one pane apart on sharded sessions whose keys take turns: one
+// key per 150 ms phase, so a shard holding none of the phase's keys sees no
+// event across several ops and still holds earlier pending epochs when
+// later ones arrive. The ops add a query that refines the pane to 25 ms,
+// activate further ops on that finer grid, and remove queries (each then
+// leaves the plan at its drain boundary on every shard). Every engine and
+// shard count must emit what the single-threaded session with the same
+// ops emits.
+TEST(QueryLifecycleChurnStorm, ShardsIdleAcrossOpsMatchSingleThreaded) {
+  constexpr char kLongA[] =
+      "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g WITHIN 200 ms SLIDE 50 ms";
+  constexpr char kLongC[] =
+      "RETURN COUNT(*) PATTERN SEQ(A, C+) GROUPBY g WITHIN 200 ms SLIDE 100 ms";
+  constexpr char kFine[] =
+      "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g WITHIN 100 ms SLIDE 25 ms";
+  struct Op {
+    Timestamp boundary;  // the op follows every event before it
+    std::string name;
+    const char* add;  // the added query's text, or null for a removal
+  };
+  const std::vector<Op> ops = {
+      {100, "c0", kLongC}, {150, "f0", kFine},   {175, "c1", kLongC},
+      {200, "c0", nullptr}, {250, "c2", kLongC}, {300, "qa", nullptr},
+      {350, "f0", nullptr}, {400, "c3", kLongC}};
   Schema schema;
   SeedSchema(&schema);
   Compiled w = Compile(&schema, {{"qa", kLongA}});
-  RunConfig config;
-  CollectingSink sink;
-  Result<std::unique_ptr<Session>> s = Session::Open(*w.plan, config, &sink);
-  ASSERT_TRUE(s.ok());
-  Session& session = *s.value();
-
-  bool exhausted = false;
-  Timestamp t = 0;
-  for (int i = 0; i < 16 && !exhausted; ++i) {
-    t = 1 + 60 * i;
-    ASSERT_TRUE(session.Push(Event(t, /*B=*/1, {0.0, 0.0})).ok());
-    Result<Timestamp> r =
-        session.AddQuery(MakeQuery("add" + std::to_string(i), kLongC));
-    if (r.ok()) continue;
-    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-    exhausted = true;
+  static constexpr TypeId kCycle[] = {0, 1, 2, 1, 1};  // A B C B B
+  std::vector<Event> ev;
+  for (int i = 0; i < 300; ++i) {
+    const Timestamp t = 1 + 9 * i;
+    ev.emplace_back(t, kCycle[i % 5],
+                    std::initializer_list<double>{
+                        static_cast<double>(i % 7),
+                        static_cast<double>((t / 150 + 2) % 8)});
   }
-  ASSERT_TRUE(exhausted);
-  EXPECT_EQ(session.live_epochs(), QueryLifecycle::kMaxLiveEpochs);
+  for (int shards : {2, 4}) {
+    // Key 2 (t < 150) and key 3 (150 <= t < 300) land on different
+    // shards, so key 2's shard idles through the ops of key 3's phase.
+    ShardRouter router = ShardedSession::RouterFor(*w.plan, shards).value();
+    ASSERT_NE(router.ShardOfKey(2), router.ShardOfKey(3)) << shards;
+  }
 
-  // Advancing past every open window drains the superseded epochs and
-  // lifts the cap.
-  ASSERT_TRUE(session.AdvanceTo(t + 5000).ok());
-  EXPECT_EQ(session.live_epochs(), 1);
-  EXPECT_TRUE(session.AddQuery(MakeQuery("late", kLongC)).ok());
-  EXPECT_TRUE(session.Close().ok());
+  auto drive = [&](auto& session, CollectingSink& sink,
+                   const std::string& label) {
+    size_t pushed = 0;
+    for (const Op& op : ops) {
+      size_t upto = pushed;
+      while (upto < ev.size() && ev[upto].time < op.boundary) ++upto;
+      PushRange(session, ev, pushed, upto);
+      pushed = upto;
+      Result<Timestamp> r = op.add == nullptr
+                                ? session.RemoveQuery(op.name)
+                                : session.AddQuery(MakeQuery(op.name, op.add));
+      HAMLET_CHECK(r.ok());
+      EXPECT_EQ(r.value(), op.boundary) << label;
+    }
+    PushRange(session, ev, pushed, ev.size());
+    HAMLET_CHECK(session.AdvanceTo(ev.back().time).ok());
+    HAMLET_CHECK(session.Close().ok());
+    return Tuples(sink.Take());
+  };
+
+  for (EngineKind kind : kAllKinds) {
+    const std::string kl = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    CollectingSink st_sink;
+    Result<std::unique_ptr<Session>> st =
+        Session::Open(*w.plan, config, &st_sink);
+    ASSERT_TRUE(st.ok()) << kl;
+    const std::vector<Tuple> want = drive(*st.value(), st_sink, kl);
+    ASSERT_FALSE(want.empty()) << kl;
+    for (int shards : {2, 4}) {
+      const std::string sl = kl + " shards=" + std::to_string(shards);
+      RunConfig sharded_config = config;
+      sharded_config.num_shards = shards;
+      CollectingSink sink;
+      Result<std::unique_ptr<ShardedSession>> s =
+          ShardedSession::Open(*w.plan, sharded_config, &sink);
+      ASSERT_TRUE(s.ok()) << sl;
+      ExpectSameTuples(want, drive(*s.value(), sink, sl), sl);
+    }
+  }
+}
+
+// A removed query leaves the plan at the first pane boundary after its last
+// window closed, with no later op needed: from there on, events of the
+// types only it used reach no engine.
+TEST(QueryLifecycleDrain, RemovedQueryLeavesPlanAfterLastWindow) {
+  Schema schema;
+  SeedSchema(&schema);
+  Compiled w = Compile(&schema, {{"qa", kQa}, {"qc", kQc}});
+  // Interleaved A/B/C events up to t=301, then C events only, which only
+  // qc (SEQ(A, C+)) reacts to.
+  std::vector<Event> ev = MixedStream(101);
+  for (Timestamp t = 304; t < 700; t += 3) {
+    ev.emplace_back(t, TypeId{2},
+                    std::initializer_list<double>{1.0,
+                                                  static_cast<double>(t % 4)});
+  }
+  auto upto = [&](Timestamp time) {
+    return static_cast<size_t>(
+        std::partition_point(ev.begin(), ev.end(),
+                             [&](const Event& e) { return e.time < time; }) -
+        ev.begin());
+  };
+  for (EngineKind kind :
+       {EngineKind::kHamletDynamic, EngineKind::kHamletNoShare}) {
+    const std::string kl = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    CollectingSink sink;
+    Result<std::unique_ptr<Session>> s = Session::Open(*w.plan, config, &sink);
+    ASSERT_TRUE(s.ok()) << kl;
+    Session& session = *s.value();
+    PushRange(session, ev, 0, upto(300));
+    Result<Timestamp> removed = session.RemoveQuery("qc");
+    ASSERT_TRUE(removed.ok()) << kl;
+    ASSERT_EQ(removed.value(), 300) << kl;
+    // While qc drains, its open windows still take the C events.
+    PushRange(session, ev, upto(300), upto(380));
+    const HamletStats draining = session.MetricsSnapshot().hamlet;
+    PushRange(session, ev, upto(380), upto(400));
+    EXPECT_GT(session.MetricsSnapshot().hamlet.events, draining.events) << kl;
+    // qc's last window [250, 350) closed at 350; the boundary at 400 drops
+    // it, and the C events after that do no engine work.
+    PushRange(session, ev, upto(400), upto(410));
+    const HamletStats dropped = session.MetricsSnapshot().hamlet;
+    PushRange(session, ev, upto(410), ev.size());
+    const HamletStats after = session.MetricsSnapshot().hamlet;
+    EXPECT_EQ(after.events, dropped.events) << kl;
+    EXPECT_EQ(after.ops, dropped.ops) << kl;
+    ASSERT_TRUE(session.Close().ok()) << kl;
+  }
 }
 
 // The reoptimize knob validation matrix (see ValidateRunConfig).

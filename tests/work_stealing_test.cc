@@ -15,12 +15,12 @@
 // with watermarks that open some steal boundaries' windows before the
 // steal: the moved runners carry those windows along.
 //
-// Also covered: the knob's compatibility matrix (evict_idle_groups and
-// online re-optimization rejected at Open, live churn rejected per call),
-// config validation, the inert single-shard case, stealing under
-// concurrent multi-producer ingest, the router's override map staying
-// bounded under key churn, and stealing together with skew-aware
-// first-sight placement (both policies read one load window).
+// Also covered: the knob's compatibility matrix (evict_idle_groups
+// rejected at Open, online re-optimization accepted), query churn and a
+// plan swap while stealing, config validation, the inert single-shard
+// case, stealing under concurrent multi-producer ingest, the router's
+// override map staying bounded under key churn, and stealing together with
+// skew-aware first-sight placement (both policies read one load window).
 //
 // Runs under TSan and ASan in CI: the runner hand-off between shard
 // threads and the detach-ack spin are cross-thread protocol steps.
@@ -458,12 +458,13 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   EXPECT_EQ(r1.status().code(), StatusCode::kUnsupported)
       << r1.status().ToString();
 
+  // Online re-optimization combines with stealing: every shard runs one
+  // plan epoch and switches it at the same boundary.
   RunConfig reopt = config;
   reopt.reoptimize_every_panes = 4;
   auto r2 = ShardedSession::Open(*plan_, reopt, &sink);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kUnsupported)
-      << r2.status().ToString();
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_TRUE(r2.value()->Close().ok());
 
   // The ratio is validated even with stealing off, so a latent bad value
   // can never bite when the knob is flipped on later.
@@ -482,27 +483,85 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(WorkStealingTest, ChurnRejectedWhileStealing) {
-  CollectingSink sink;
-  RunConfig config;
-  config.kind = EngineKind::kHamletDynamic;
-  config.num_shards = 2;
-  config.work_stealing = true;
-  auto session = ShardedSession::Open(*plan_, config, &sink).value();
-  ASSERT_TRUE(session->Push(Make(1, type_a_, 1)).ok());
+// Query churn and a plan swap on a stealing session: an AddQuery that makes
+// the pane finer, a forced sharing override, and a RemoveQuery, while
+// the constructed skew keeps stealing. Every shard hands its windows to the
+// new plan epoch at the same boundary, and the front keeps steal boundaries
+// on the running grid until then, so the emission set equals the
+// single-threaded churn run.
+TEST_F(WorkStealingTest, ChurnAndPlanSwapWhileStealingAllEngines) {
+  std::vector<int64_t> hot;
+  int64_t cold = -1;
+  FindSkewKeys(&hot, &cold);
+  EventVector ev = SkewStream(hot, cold, /*rounds=*/500);
+  Query finer = ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g "
+                           "WITHIN 15 ms SLIDE 5 ms")
+                    .value();
+  finer.name = "finer";
+  // The swap splits a share group of the plan the session runs after the
+  // add: the fixture's queries, then `finer`.
+  Workload grown(&schema_);
+  for (const Query& q : workload_->queries()) ASSERT_TRUE(grown.Add(q).ok());
+  ASSERT_TRUE(grown.Add(finer).ok());
+  const WorkloadPlan grown_plan = AnalyzeWorkload(grown).value();
+  ASSERT_FALSE(grown_plan.share_groups.empty());
+  const ShareGroup& sg = grown_plan.share_groups.front();
+  QueryId keep = -1;
+  sg.members.ForEach([&](QueryId q) {
+    if (keep < 0) keep = q;
+  });
+  const SharingOverride unshare{sg.type, sg.members, QuerySet::Single(keep)};
 
-  Query q = ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g "
-                       "WITHIN 10 ms")
-                .value();
-  auto add = session->AddQuery(q);
-  ASSERT_FALSE(add.ok());
-  EXPECT_EQ(add.status().code(), StatusCode::kUnsupported)
-      << add.status().ToString();
-  auto remove = session->RemoveQuery("q0");
-  ASSERT_FALSE(remove.ok());
-  EXPECT_EQ(remove.status().code(), StatusCode::kUnsupported);
+  auto drive = [&](auto& session, CollectingSink& sink) {
+    auto push = [&](size_t from, size_t to) {
+      for (size_t i = from; i < to; i += 64) {
+        const size_t len = std::min<size_t>(64, to - i);
+        EXPECT_TRUE(
+            session.PushBatch(std::span<const Event>(ev.data() + i, len))
+                .ok());
+      }
+    };
+    // The add lands at t=257, just as the skew first passes the steal
+    // trigger (3T/4 > 2 * T/4 + 64 staged events), with its boundary at
+    // 260: a front on the finer 5 ms grid before then would steal at 255,
+    // off the grid the shards still run.
+    const size_t n = ev.size();
+    push(0, 257);
+    EXPECT_TRUE(session.AddQuery(finer).ok());
+    push(257, n / 2);
+    EXPECT_TRUE(session.ApplySharingOverrides(std::span(&unshare, 1)).ok());
+    push(n / 2, 3 * n / 4);
+    EXPECT_TRUE(session.RemoveQuery("q1").ok());
+    push(3 * n / 4, n);
+    EXPECT_TRUE(session.AdvanceTo(ev.back().time).ok());
+    ShardedResult out;
+    out.metrics = session.Close().value();
+    out.emissions = sink.Take();
+    return out;
+  };
 
-  EXPECT_TRUE(session->Close().ok());
+  for (EngineKind kind : kAllKinds) {
+    const std::string label = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    CollectingSink single_sink;
+    auto single = Session::Open(*plan_, config, &single_sink);
+    ASSERT_TRUE(single.ok()) << label;
+    const ShardedResult want = drive(*single.value(), single_sink);
+    ASSERT_GT(want.emissions.size(), 0u) << label;
+
+    config.num_shards = 2;
+    config.work_stealing = true;
+    CollectingSink sink;
+    auto sharded = ShardedSession::Open(*plan_, config, &sink);
+    ASSERT_TRUE(sharded.ok()) << label;
+    const ShardedResult got = drive(*sharded.value(), sink);
+    ExpectSameEmissionSet(want.emissions, got.emissions, label);
+    EXPECT_GT(got.metrics.stolen_panes, 0) << label;
+    EXPECT_EQ(got.metrics.queries_added, 1) << label;
+    EXPECT_EQ(got.metrics.queries_removed, 1) << label;
+    EXPECT_EQ(got.metrics.plan_swaps, 1) << label;
+  }
 }
 
 }  // namespace
