@@ -40,8 +40,8 @@ namespace hamlet {
 
 /// Accumulates per-type arrival counts between plan checks — the piece of
 /// Table 2's inputs (n: events per window, per relevant type) that
-/// HamletStats does not carry. Fed once per accepted event by the session
-/// front (NOT per epoch, so churn transitions never double-count).
+/// HamletStats does not carry. Fed once per accepted event by the session's
+/// control plane (NOT per epoch, so churn transitions never double-count).
 class BurstStatsCollector {
  public:
   /// Resets all counts and sizes the per-type table for `num_types`.
@@ -91,9 +91,10 @@ struct ReoptDecision {
   std::string detail;
 };
 
-/// See file comment. Single-threaded; owned by Session (plain sessions) or
-/// by the ShardedSession front (per-shard self-reoptimization is disabled —
-/// the plan must stay identical across shards, so only the front decides).
+/// See file comment. Single-threaded; owned by a session's one control
+/// plane (src/runtime/control_plane.h): a plain Session's or a
+/// ShardedSession front's, never a shard's, so every shard runs the plan it
+/// decides.
 class OnlineReoptimizer {
  public:
   /// Binds to a (re)compiled plan. `potential_groups` are the UNRESTRICTED

@@ -6,12 +6,26 @@
 
 namespace hamlet {
 
-void QueryLifecycle::Init(const Workload& initial) {
-  schema_ = initial.schema();
+Result<QueryLifecycle::Epoch> QueryLifecycle::Init(const WorkloadPlan& plan) {
+  // Resolve every event predicate against the schema ONCE: an unresolved
+  // type/attribute name fails Open with kInvalidArgument here instead of
+  // tripping a per-event DCHECK (or reading a zero) deep inside an engine.
+  Result<PredicateProgram> program = CompilePredicateProgram(plan);
+  if (!program.ok()) return program.status();
+  auto epoch = std::make_shared<CompiledEpoch>();
+  // Non-owning: the caller's plan outlives the session.
+  epoch->plan = std::shared_ptr<const WorkloadPlan>(
+      std::shared_ptr<const WorkloadPlan>(), &plan);
+  epoch->program = std::move(program).value();
+  epoch->potential_groups = plan.share_groups;
+  schema_ = plan.workload->schema();
   members_.clear();
-  for (const Query& q : initial.queries()) {
+  for (const Query& q : plan.workload->queries()) {
+    epoch->query_ids.push_back(next_id_);
+    epoch->bounds.emplace_back();
     members_.push_back({q, next_id_++, Bounds()});
   }
+  return Epoch(std::move(epoch));
 }
 
 std::vector<Query> QueryLifecycle::queries() const {
@@ -63,13 +77,12 @@ Status QueryLifecycle::ValidateRemove(const std::string& name) const {
   return Status::Ok();
 }
 
-Result<QueryLifecycle::CompiledEpoch> QueryLifecycle::TryAdd(
-    const Query& q, std::span<const SharingOverride> overrides,
-    Timestamp activate) {
+Result<QueryLifecycle::Epoch> QueryLifecycle::TryAdd(const Query& q,
+                                                     Timestamp activate) {
   Status s = ValidateAdd(q);
   if (!s.ok()) return s;
   members_.push_back({q, next_id_, Bounds{activate, Bounds::kNoEnd}});
-  Result<CompiledEpoch> epoch = Compile(overrides, activate);
+  Result<Epoch> epoch = Compile({}, activate);
   if (epoch.ok()) {
     ++next_id_;
   } else {
@@ -78,14 +91,13 @@ Result<QueryLifecycle::CompiledEpoch> QueryLifecycle::TryAdd(
   return epoch;
 }
 
-Result<QueryLifecycle::CompiledEpoch> QueryLifecycle::TryRemove(
-    const std::string& name, std::span<const SharingOverride> overrides,
-    Timestamp activate) {
+Result<QueryLifecycle::Epoch> QueryLifecycle::TryRemove(
+    const std::string& name, Timestamp activate) {
   Status s = ValidateRemove(name);
   if (!s.ok()) return s;
   const size_t i = static_cast<size_t>(FindLive(name));
   members_[i].bounds.open_until = activate;
-  Result<CompiledEpoch> epoch = Compile(overrides, activate);
+  Result<Epoch> epoch = Compile({}, activate);
   if (!epoch.ok()) members_[i].bounds.open_until = Bounds::kNoEnd;
   return epoch;
 }
@@ -102,63 +114,65 @@ std::vector<QueryLifecycle::Member> QueryLifecycle::Undrained(
   return members;
 }
 
-Result<QueryLifecycle::CompiledEpoch> QueryLifecycle::Build(
+Result<QueryLifecycle::Epoch> QueryLifecycle::Build(
     Schema* schema, const std::vector<Member>& members,
-    std::span<const SharingOverride> overrides) {
-  CompiledEpoch epoch;
+    std::span<const SharingOverride> overrides, Timestamp grid) {
+  auto epoch = std::make_shared<CompiledEpoch>();
   auto workload = std::make_shared<Workload>(schema);
   for (const Member& m : members) {
     // Re-resolving is a pure lookup here: every name was registered when
     // the query first entered the workload (or passed ValidateAdd).
     Result<QueryId> id = workload->Add(m.query);
     if (!id.ok()) return id.status();
-    epoch.query_ids.push_back(m.id);
-    epoch.bounds.push_back(m.bounds);
+    epoch->query_ids.push_back(m.id);
+    epoch->bounds.push_back(m.bounds);
   }
-  Result<WorkloadPlan> plan = AnalyzeWorkload(*workload);
-  if (!plan.ok()) return plan.status();
-  epoch.plan = std::make_unique<WorkloadPlan>(std::move(plan).value());
-  epoch.potential_groups = epoch.plan->share_groups;
-  RestrictShareGroups(*epoch.plan, overrides);
-  epoch.applied.assign(overrides.begin(), overrides.end());
-  Result<PredicateProgram> program = CompilePredicateProgram(*epoch.plan);
+  Result<WorkloadPlan> analyzed = AnalyzeWorkload(*workload);
+  if (!analyzed.ok()) return analyzed.status();
+  auto plan = std::make_shared<WorkloadPlan>(std::move(analyzed).value());
+  epoch->potential_groups = plan->share_groups;
+  RestrictShareGroups(*plan, overrides);
+  epoch->applied.assign(overrides.begin(), overrides.end());
+  plan->pane_size = std::gcd(plan->pane_size, grid);
+  Result<PredicateProgram> program = CompilePredicateProgram(*plan);
   if (!program.ok()) return program.status();
-  epoch.program = std::move(program).value();
-  epoch.workload = std::move(workload);
-  return epoch;
+  epoch->program = std::move(program).value();
+  const Timestamp pane = plan->pane_size;
+  for (const Member& m : members) {
+    if (m.live()) continue;
+    const Timestamp closed = m.bounds.open_until + m.query.window.within;
+    epoch->drop_at = std::min(epoch->drop_at, (closed + pane - 1) / pane * pane);
+  }
+  epoch->plan = std::move(plan);
+  epoch->workload = std::move(workload);
+  return Epoch(std::move(epoch));
 }
 
-Result<QueryLifecycle::CompiledEpoch> QueryLifecycle::Compile(
+Result<QueryLifecycle::Epoch> QueryLifecycle::Compile(
     std::span<const SharingOverride> overrides, Timestamp activate) {
   if (schema_ == nullptr)
     return Status::FailedPrecondition("lifecycle not initialized");
   std::vector<Member> kept = Undrained(members_, activate);
-  Result<CompiledEpoch> epoch = Build(schema_, kept, overrides);
-  if (!epoch.ok()) return epoch;
   // Removing a query can coarsen the pane gcd; the epoch takes over at
   // `activate`, which lies on the running grid, so keep it on this one.
-  WorkloadPlan& plan = *epoch.value().plan;
-  plan.pane_size = std::gcd(plan.pane_size, activate);
-  members_ = std::move(kept);
+  Result<Epoch> epoch = Build(schema_, kept, overrides, activate);
+  if (epoch.ok()) members_ = std::move(kept);
   return epoch;
 }
 
-Result<QueryLifecycle::CompiledEpoch> QueryLifecycle::CompileWithoutDrained(
-    const WorkloadPlan& plan, const CompiledEpoch& running, Timestamp at) {
+Result<QueryLifecycle::Epoch> QueryLifecycle::CompileWithoutDrained(
+    const CompiledEpoch& running, Timestamp at) {
+  const WorkloadPlan& plan = *running.plan;
   std::vector<Member> members;
   for (QueryId q = 0; q < plan.workload->size(); ++q) {
     const size_t i = static_cast<size_t>(q);
     members.push_back(
         {plan.workload->query(q), running.query_ids[i], running.bounds[i]});
   }
-  Result<CompiledEpoch> epoch = Build(plan.workload->schema(),
-                                      Undrained(std::move(members), at),
-                                      running.applied);
-  if (!epoch.ok()) return epoch;
-  // The running pane divides every remaining window; keeping it keeps
-  // every boundary a ShardedSession front picks on this session's grid.
-  epoch.value().plan->pane_size = plan.pane_size;
-  return epoch;
+  // The running pane divides every remaining window, so it stays the pane:
+  // every boundary the control plane picks stays on this session's grid.
+  return Build(plan.workload->schema(), Undrained(std::move(members), at),
+               running.applied, plan.pane_size);
 }
 
 }  // namespace hamlet

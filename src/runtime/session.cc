@@ -6,10 +6,12 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <utility>
 
 #include "src/query/run_segmenter.h"
+#include "src/runtime/control_plane.h"
 
 namespace hamlet {
 
@@ -134,8 +136,8 @@ Status ValidateRunConfig(const RunConfig& config) {
   //   requires reoptimize_threshold > 0 and a HAMLET kind with a sharing
   //   plan the optimizer can act on (dynamic or static — no-share and the
   //   baselines have no share groups to re-plan, so reopt is Unsupported).
-  //   Re-optimization IS supported at any shard count (only the
-  //   ShardedSession front decides; shards mirror its swaps).
+  //   Re-optimization IS supported at any shard count (the ShardedSession
+  //   front's control plane decides and hands each swap to every shard).
   // reoptimize_threshold: checked even while reopt is off, so flipping
   //   reoptimize_every_panes on later can never trip a latent bad value.
   // evict_idle_groups: engine-agnostic, no cross-checks; together with
@@ -296,17 +298,17 @@ void MergeRunMetrics(RunMetrics& into, const RunMetrics& from) {
       std::max(into.max_queue_depth_msgs, from.max_queue_depth_msgs);
   into.shard_events.insert(into.shard_events.end(), from.shard_events.begin(),
                            from.shard_events.end());
-  // Lifecycle counters are broadcast to and mirrored by every shard, so the
-  // merged value is the max, not the sum (summing would multiply each churn
-  // op by the shard count). Idle-group evictions are genuine per-shard
-  // state and sum like the other per-shard counters.
+  // Control-plane counters are counted once, by the one control plane: a
+  // shard reports 0, and the ShardedSession front fills them in after the
+  // merge. Idle-group evictions are genuine per-shard state and sum like
+  // the other per-shard counters.
   into.rebalance_map_size =
       std::max(into.rebalance_map_size, from.rebalance_map_size);
-  into.queries_added = std::max(into.queries_added, from.queries_added);
-  into.queries_removed = std::max(into.queries_removed, from.queries_removed);
-  into.plan_swaps = std::max(into.plan_swaps, from.plan_swaps);
-  into.reopt_checks = std::max(into.reopt_checks, from.reopt_checks);
-  into.reopt_swaps = std::max(into.reopt_swaps, from.reopt_swaps);
+  into.queries_added += from.queries_added;
+  into.queries_removed += from.queries_removed;
+  into.plan_swaps += from.plan_swaps;
+  into.reopt_checks += from.reopt_checks;
+  into.reopt_swaps += from.reopt_swaps;
   into.active_epochs = std::max(into.active_epochs, from.active_epochs);
   into.evicted_idle_groups += from.evicted_idle_groups;
   into.stolen_panes += from.stolen_panes;
@@ -339,9 +341,7 @@ void CsvSink::OnEmission(const Emission& emission) {
 /// once built. The session's runtime runs one; a per-window engine slot
 /// keeps the one it was opened under alive across hand-offs.
 struct Session::PlanEpoch {
-  /// Owns the workload and plan of a churn epoch (its plan is null for the
-  /// plan the session was opened with); query_ids and bounds are always set.
-  QueryLifecycle::CompiledEpoch compiled;
+  QueryLifecycle::Epoch compiled;
   const WorkloadPlan* plan = nullptr;
   /// Per exec query: which event types its pattern mentions. Drives latency
   /// attribution — only events a query can react to stamp its windows'
@@ -360,12 +360,12 @@ struct Session::PlanEpoch {
   /// Whether exec query `exec` opens the window starting at `ws`.
   bool Opens(int exec, Timestamp ws) const {
     const QueryId source = plan->exec_queries[static_cast<size_t>(exec)].source;
-    return compiled.bounds[static_cast<size_t>(source)].Contains(ws);
+    return compiled->bounds[static_cast<size_t>(source)].Contains(ws);
   }
   /// The lifecycle's stable id of `exec`'s query.
   int64_t QueryIdOf(int exec) const {
     const QueryId source = plan->exec_queries[static_cast<size_t>(exec)].source;
-    return compiled.query_ids[static_cast<size_t>(source)];
+    return compiled->query_ids[static_cast<size_t>(source)];
   }
 };
 
@@ -440,9 +440,6 @@ struct Session::GroupRunner {
 struct Session::Runtime {
   std::shared_ptr<const PlanEpoch> epoch;
   const WorkloadPlan* plan = nullptr;
-  /// Schema-resolved predicate kernels, compiled once per epoch (compile-time
-  /// validation is how unresolved names surface early).
-  PredicateProgram pred_program;
   /// All exec query ids — the starting pass-set every row narrows down.
   QuerySet all_execs;
   /// Reused columnar staging (SoA batch + per-query selection bitmaps);
@@ -456,17 +453,8 @@ struct Session::Runtime {
   std::vector<std::unique_ptr<Component>> components;
   /// The component of each exec query.
   std::vector<Component*> component_of;
-  /// First pane boundary at which a draining query's last window has
-  /// closed: the session drops such queries there (kNoEnd: none drains).
-  Timestamp drop_at = QueryLifecycle::Bounds::kNoEnd;
   Timestamp pane_start = 0;
   bool pane_started = false;
-};
-
-struct Session::PendingEpoch {
-  QueryLifecycle::CompiledEpoch compiled;
-  /// The activation boundary.
-  Timestamp at = 0;
 };
 
 Result<std::unique_ptr<Session>> Session::Open(const WorkloadPlan& plan,
@@ -474,51 +462,34 @@ Result<std::unique_ptr<Session>> Session::Open(const WorkloadPlan& plan,
                                                EmissionSink* sink) {
   Status valid = ValidateRunConfig(config);
   if (!valid.ok()) return valid;
-  // Resolve every event predicate against the schema ONCE: an unresolved
-  // type/attribute name fails Open with kInvalidArgument here instead of
-  // tripping a per-event DCHECK (or reading a zero) deep inside an engine.
-  Result<PredicateProgram> program = CompilePredicateProgram(plan);
-  if (!program.ok()) return program.status();
-  auto session = std::unique_ptr<Session>(new Session(plan, config, sink));
-  QueryLifecycle::CompiledEpoch opening;
-  opening.program = std::move(program).value();
-  opening.potential_groups = plan.share_groups;
-  for (QueryId q = 0; q < plan.workload->size(); ++q) {
-    opening.query_ids.push_back(q);
-    opening.bounds.emplace_back();
-  }
-  session->rt_ = session->BuildRuntime(std::move(opening), plan);
+  auto session = std::unique_ptr<Session>(new Session(config, sink));
+  Result<std::unique_ptr<ControlPlane>> control =
+      ControlPlane::Open(plan, config, session->gate_);
+  if (!control.ok()) return control.status();
+  session->control_ = std::move(control).value();
+  session->rt_ = session->BuildRuntime(session->control_->running());
   return session;
 }
 
-Session::Session(const WorkloadPlan& plan, const RunConfig& config,
-                 EmissionSink* sink)
-    : config_(config), sink_(sink) {
-  lifecycle_.Init(*plan.workload);
-  AddGroupByAttrs(plan, &group_by_attrs_);
-  reopt_enabled_ = config_.reoptimize_every_panes > 0;
-  if (reopt_enabled_) {
-    collector_.Reset(plan.workload->schema()->num_types());
-  }
+std::unique_ptr<Session> Session::OpenShard(QueryLifecycle::Epoch opening,
+                                            const RunConfig& config,
+                                            EmissionSink* sink) {
+  auto session = std::unique_ptr<Session>(new Session(config, sink));
+  session->rt_ = session->BuildRuntime(std::move(opening));
+  return session;
 }
 
+Session::Session(const RunConfig& config, EmissionSink* sink)
+    : config_(config), sink_(sink) {}
+
 std::unique_ptr<Session::Runtime> Session::BuildRuntime(
-    QueryLifecycle::CompiledEpoch compiled, const WorkloadPlan& plan) {
+    QueryLifecycle::Epoch compiled) {
+  const WorkloadPlan& plan = *compiled->plan;
   auto epoch = std::make_shared<PlanEpoch>();
   epoch->compiled = std::move(compiled);
   epoch->plan = &plan;
   auto rt = std::make_unique<Runtime>();
   rt->plan = &plan;
-  rt->pred_program = std::move(epoch->compiled.program);
-  const Timestamp pane = plan.pane_size;
-  for (QueryId q = 0; q < plan.workload->size(); ++q) {
-    const QueryLifecycle::Bounds& b =
-        epoch->compiled.bounds[static_cast<size_t>(q)];
-    if (b.open_until == QueryLifecycle::Bounds::kNoEnd) continue;
-    const Timestamp closed =
-        b.open_until + plan.workload->query(q).window.within;
-    rt->drop_at = std::min(rt->drop_at, (closed + pane - 1) / pane * pane);
-  }
   // Connected components over share groups (union-find).
   const int n = plan.num_exec();
   std::vector<int> parent(static_cast<size_t>(n));
@@ -698,9 +669,7 @@ void Session::EmitExecValue(const PlanEpoch& ep, int exec_id,
   if (rule.kind != CompositionKind::kSingle) {
     // Keyed by the lifecycle's query id: the branches of one window may
     // close under different epochs, whose QueryIds differ.
-    auto key = std::make_tuple(ep.compiled.query_ids[static_cast<size_t>(
-                                   eq.source)],
-                               group_key, window_start);
+    auto key = std::make_tuple(ep.QueryIdOf(exec_id), group_key, window_start);
     auto& [end, values] = pending_compositions_[key];
     end = window_end;
     values.resize(rule.exec_ids.size(),
@@ -849,11 +818,9 @@ void Session::AdvancePaneTo(Timestamp time) {
     // A new epoch takes over between the closes and the opens: every
     // graphlet is folded there, so the open windows' state is numeric.
     if (!pending_.empty() && pending_.front().at <= boundary) {
-      QueryLifecycle::CompiledEpoch next = std::move(pending_.front().compiled);
+      QueryLifecycle::Epoch next = std::move(pending_.front().epoch);
       pending_.erase(pending_.begin());
       HandOff(std::move(next));
-    } else if (rt.drop_at <= boundary) {
-      DropDrained(boundary);
     }
     Runtime& cur = *rt_;
     for (auto& comp : cur.components) {
@@ -894,13 +861,12 @@ Session::GroupRunner& Session::NewGroupRunner(Runtime& rt, Component& comp,
   return runner;
 }
 
-void Session::HandOff(QueryLifecycle::CompiledEpoch compiled) {
-  const WorkloadPlan& plan = *compiled.plan;
-  std::unique_ptr<Runtime> next = BuildRuntime(std::move(compiled), plan);
+void Session::HandOff(QueryLifecycle::Epoch compiled) {
+  std::unique_ptr<Runtime> next = BuildRuntime(std::move(compiled));
   const PlanEpoch& to = *next->epoch;
   std::map<int64_t, QueryId> query_in_next;
-  for (size_t q = 0; q < to.compiled.query_ids.size(); ++q) {
-    query_in_next[to.compiled.query_ids[q]] = static_cast<QueryId>(q);
+  for (size_t q = 0; q < to.compiled->query_ids.size(); ++q) {
+    query_in_next[to.compiled->query_ids[q]] = static_cast<QueryId>(q);
   }
   // The next epoch's exec id for exec `exec` of `ep`; -1 once its query is
   // dropped (it had drained).
@@ -989,32 +955,6 @@ void Session::HandOff(QueryLifecycle::CompiledEpoch compiled) {
   rt_ = std::move(next);
 }
 
-void Session::DropDrained(Timestamp boundary) {
-  Result<QueryLifecycle::CompiledEpoch> next =
-      QueryLifecycle::CompileWithoutDrained(*rt_->plan, rt_->epoch->compiled,
-                                            boundary);
-  // A subset of a query set that compiled compiles.
-  HAMLET_CHECK(next.ok());
-  HandOff(std::move(next).value());
-  if (reopt_enabled_ && pending_.empty()) {
-    BindReoptimizer(*rt_->plan, rt_->epoch->compiled);
-    reopt_pane_seen_ = false;
-  }
-}
-
-Timestamp Session::NextHandOff() const {
-  return pending_.empty() ? rt_->drop_at
-                          : std::min(pending_.front().at, rt_->drop_at);
-}
-
-void Session::BindReoptimizer(const WorkloadPlan& plan,
-                              const QueryLifecycle::CompiledEpoch& compiled) {
-  OnlineReoptimizerOptions opts;
-  opts.threshold = config_.reoptimize_threshold;
-  opts.variant = config_.cost_variant;
-  reoptimizer_.Bind(plan, compiled.potential_groups, compiled.applied, opts);
-}
-
 Status Session::Push(const Event& event) {
   if (closed_) {
     return Status::FailedPrecondition("Push on a closed session");
@@ -1032,8 +972,9 @@ Status Session::PushBatch(std::span<const Event> events) {
 
 Status Session::CheckEvent(const Event& event) const {
   Status ordered = gate_.CheckEvent(event.time);
-  if (!ordered.ok()) return ordered;
-  return CheckGroupKeys(event, group_by_attrs_,
+  // A shard's front has checked the group keys.
+  if (!ordered.ok() || control_ == nullptr) return ordered;
+  return CheckGroupKeys(event, control_->group_by_attrs(),
                         *rt_->plan->workload->schema());
 }
 
@@ -1050,6 +991,7 @@ Status Session::Ingest(std::span<const Event> events, bool per_event) {
   // a per-event interleaving (engines never see the invalid suffix; the
   // only mid-batch gate reader is the idle-eviction horizon, whose
   // event-triggered checks are insensitive to it).
+  ControlPlane* const control = control_.get();
   size_t valid = 0;
   for (const Event& e : events) {
     if (valid > 0) {
@@ -1058,17 +1000,18 @@ Status Session::Ingest(std::span<const Event> events, bool per_event) {
     }
     gate_.CommitEvent(e.time);
     ++events_;
-    if (reopt_enabled_) collector_.CountEvent(e.type);
+    if (control != nullptr) control->CountEvent(e.type);
     ++valid;
   }
+  SyncControl(gate_.max_seen());
   // A per-event Push is a 1-row run whose arrival time is the scope-entry
   // wall, keeping that hot path at two clock reads total.
   const double arrival = per_event ? busy.start() : -1.0;
   std::span<const Event> rest = events.first(valid);
-  for (;;) {
+  while (!pending_.empty()) {
     // Rows from a hand-off boundary on belong to the next epoch: dispatch
     // the rows before it, hand off, and stage the rest anew.
-    const Timestamp at = NextHandOff();
+    const Timestamp at = pending_.front().at;
     const auto split = std::partition_point(
         rest.begin(), rest.end(), [&](const Event& e) { return e.time < at; });
     if (split == rest.end()) break;
@@ -1087,12 +1030,12 @@ void Session::DispatchRuns(std::span<const Event> events, double arrival) {
   Runtime& rt = *rt_;
   // Transpose the rows into the SoA staging batch and run the predicate
   // kernels batch-wide up front.
+  const PredicateProgram& program = rt.epoch->compiled->program;
   rt.batch_scratch.Assign(events);
-  rt.pred_program.EvalBatch(rt.batch_scratch, &rt.selection);
+  program.EvalBatch(rt.batch_scratch, &rt.selection);
   SegmentRuns(rt.batch_scratch, static_cast<int>(events.size()),
-              rt.plan->pane_size, rt.all_execs,
-              rt.pred_program.predicated_queries(), rt.selection.masks,
-              &rt.run_spans);
+              rt.plan->pane_size, rt.all_execs, program.predicated_queries(),
+              rt.selection.masks, &rt.run_spans);
   const Timestamp pane = rt.plan->pane_size;
   for (const RunSpan& run : rt.run_spans) {
     // Run-shape metrics: bucket i counts runs of length [2^i, 2^(i+1)).
@@ -1207,95 +1150,73 @@ Status Session::AdvanceTo(Timestamp watermark) {
   if (!ordered.ok()) return ordered;
   BusyScope busy(&busy_seconds_, config_.clock_override);
   gate_.CommitWatermark(watermark);
+  SyncControl(watermark);
   AdvancePaneTo(watermark);
   MaybeReoptimize();
   return Status::Ok();
 }
 
-Result<Timestamp> Session::Churn(
-    Timestamp activate_at,
-    const std::function<Result<QueryLifecycle::CompiledEpoch>(Timestamp)>&
-        compile) {
-  // The first boundary after everything seen, on the running grid; a
-  // pending epoch activates there too.
-  Timestamp activate = QueryLifecycle::ActivationBoundary(
-      rt_->plan->pane_size, gate_.any_seen(), gate_.max_seen());
-  if (activate_at >= 0) {
-    // A ShardedSession front's boundary. The front has seen everything this
-    // shard has, so it is not earlier; it lies on the grid of the last
-    // epoch the front knows of, and ops reach the shard in boundary order.
-    const Timestamp grid = pending_.empty()
-                               ? rt_->plan->pane_size
-                               : pending_.back().compiled.plan->pane_size;
-    HAMLET_CHECK(activate_at >= activate && activate_at % grid == 0 &&
-                 (pending_.empty() || activate_at >= pending_.back().at));
-    activate = activate_at;
-  }
-  Result<QueryLifecycle::CompiledEpoch> epoch = compile(activate);
-  if (!epoch.ok()) return epoch.status();
-  AddGroupByAttrs(*epoch.value().plan, &group_by_attrs_);
-  // The lifecycle compiled a pending epoch's op for the same boundary into
-  // this one too. One for an earlier boundary stays: a shard the front's
-  // clock has run ahead of hands it off first.
-  if (!pending_.empty() && pending_.back().at == activate) pending_.pop_back();
-  pending_.push_back({std::move(epoch).value(), activate});
+void Session::Schedule(QueryLifecycle::Scheduled next) {
+  const QueryLifecycle::CompiledEpoch& last =
+      pending_.empty() ? *rt_->epoch->compiled : *pending_.back().epoch;
+  HAMLET_CHECK((!rt_->pane_started || next.at > rt_->pane_start) &&
+               next.at % last.plan->pane_size == 0 &&
+               (pending_.empty() || next.at >= pending_.back().at));
   if (!rt_->pane_started) {
-    // A runtime that has not started holds no state, and nothing was
-    // pending for it: replace it at once.
-    QueryLifecycle::CompiledEpoch next = std::move(pending_.front().compiled);
-    pending_.clear();
-    HandOff(std::move(next));
+    HandOff(std::move(next.epoch));
+    return;
   }
-  if (reopt_enabled_) {
-    if (pending_.empty()) {
-      BindReoptimizer(*rt_->plan, rt_->epoch->compiled);
-    } else {
-      BindReoptimizer(*pending_.back().compiled.plan, pending_.back().compiled);
-    }
-    reopt_pane_seen_ = false;
-  }
-  return activate;
+  // The control plane compiled the changes of an epoch pending for the
+  // same boundary into this one.
+  if (!pending_.empty() && pending_.back().at == next.at) pending_.pop_back();
+  pending_.push_back(std::move(next));
 }
 
-Result<Timestamp> Session::AddQuery(const Query& query,
-                                    Timestamp activate_at) {
+void Session::SyncControl(Timestamp time) {
+  if (control_ == nullptr || time < control_->next_change()) return;
+  for (QueryLifecycle::Scheduled& drop : control_->Advance(time)) {
+    Schedule(std::move(drop));
+  }
+}
+
+Result<Timestamp> Session::Apply(Result<QueryLifecycle::Scheduled> op) {
+  if (!op.ok()) return op.status();
+  const Timestamp at = op.value().at;
+  Schedule(std::move(op).value());
+  return at;
+}
+
+Result<Timestamp> Session::AddQuery(const Query& query) {
   if (closed_) {
     return Status::FailedPrecondition("AddQuery on a closed session");
   }
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  Result<Timestamp> activated = Churn(activate_at, [&](Timestamp at) {
-    return lifecycle_.TryAdd(query, {}, at);
-  });
-  if (activated.ok()) ++queries_added_;
-  return activated;
+  return Apply(control_->AddQuery(query));
 }
 
-Result<Timestamp> Session::RemoveQuery(const std::string& name,
-                                       Timestamp activate_at) {
+Result<Timestamp> Session::RemoveQuery(const std::string& name) {
   if (closed_) {
     return Status::FailedPrecondition("RemoveQuery on a closed session");
   }
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  Result<Timestamp> activated = Churn(activate_at, [&](Timestamp at) {
-    return lifecycle_.TryRemove(name, {}, at);
-  });
-  if (activated.ok()) ++queries_removed_;
-  return activated;
+  return Apply(control_->RemoveQuery(name));
 }
 
 Result<Timestamp> Session::ApplySharingOverrides(
-    std::span<const SharingOverride> overrides, Timestamp activate_at) {
+    std::span<const SharingOverride> overrides) {
   if (closed_) {
     return Status::FailedPrecondition(
         "ApplySharingOverrides on a closed session");
   }
   BusyScope busy(&busy_seconds_, config_.clock_override);
-  Result<Timestamp> activated = Churn(activate_at, [&](Timestamp at) {
-    return lifecycle_.Compile(overrides, at);
-  });
-  if (activated.ok()) ++plan_swaps_;
-  return activated;
+  return Apply(control_->ApplySharingOverrides(overrides));
 }
+
+const std::vector<ReoptDecision>& Session::reopt_log() const {
+  return control_->reopt_log();
+}
+
+std::vector<Query> Session::queries() const { return control_->queries(); }
 
 Session::DetachedGroup::DetachedGroup() = default;
 Session::DetachedGroup::DetachedGroup(DetachedGroup&&) noexcept = default;
@@ -1357,32 +1278,12 @@ HamletStats Session::AggregateHamletStats() const {
 }
 
 void Session::MaybeReoptimize() {
-  if (!reopt_enabled_ || closed_) return;
-  // A pending epoch already carries the plan for its boundary; check again
-  // once it runs.
-  if (!pending_.empty()) return;
-  Runtime& lead = *rt_;
-  if (!lead.pane_started) return;
-  const Timestamp every =
-      lead.plan->pane_size *
-      static_cast<Timestamp>(config_.reoptimize_every_panes);
-  if (!reopt_pane_seen_) {
-    // First boundary observation after (re)bind anchors the cadence.
-    last_reopt_pane_ = lead.pane_start;
-    reopt_pane_seen_ = true;
-    return;
-  }
-  if (lead.pane_start < last_reopt_pane_ + every) return;
-  last_reopt_pane_ = lead.pane_start;
-  if (!reoptimizer_.bound()) BindReoptimizer(*lead.plan, lead.epoch->compiled);
-  OnlineReoptimizer::Outcome out =
-      reoptimizer_.Check(lead.pane_start, AggregateHamletStats(), collector_);
-  if (!out.swap) return;
-  // A failed compile keeps the running plan.
-  Result<Timestamp> activated = Churn(-1, [&](Timestamp at) {
-    return lifecycle_.Compile(out.overrides, at);
-  });
-  if (activated.ok()) ++plan_swaps_;
+  if (control_ == nullptr) return;
+  const std::optional<Timestamp> due = control_->ReoptDue();
+  if (!due.has_value()) return;
+  std::optional<QueryLifecycle::Scheduled> swap =
+      control_->Reoptimize(*due, AggregateHamletStats());
+  if (swap.has_value()) Schedule(std::move(swap).value());
 }
 
 void Session::FillMetrics(RunMetrics* m) const {
@@ -1407,11 +1308,7 @@ void Session::FillMetrics(RunMetrics* m) const {
       m->decisions += dyn->decisions();
     }
   }
-  m->queries_added = queries_added_;
-  m->queries_removed = queries_removed_;
-  m->plan_swaps = plan_swaps_;
-  m->reopt_checks = reoptimizer_.checks();
-  m->reopt_swaps = reoptimizer_.swaps();
+  if (control_ != nullptr) control_->FillMetrics(m);
   m->active_epochs = 1;
   m->evicted_idle_groups = evicted_idle_groups_;
   m->runs = runs_;

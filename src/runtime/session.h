@@ -15,8 +15,10 @@
 // kFailedPrecondition instead of relying on caller discipline.
 //
 // Query churn and plan swaps (src/runtime/query_lifecycle.h) never run two
-// plans at once. An op records a pending plan epoch; when the pane clock
-// reaches its activation boundary, the session builds the epoch's runtime,
+// plans at once. The session's control plane (src/runtime/control_plane.h)
+// compiles each op into a plan epoch that the runtime holds pending; when
+// the pane clock reaches its activation boundary, the session builds the
+// epoch's runtime,
 // hands every open window over — HAMLET state query by query through
 // HamletEngine::ExportQuery/ImportQuery, per-window baseline engines whole
 // — and frees the old runtime. Every event is processed once, by the one
@@ -56,6 +58,8 @@
 #include "src/stream/event_batch.h"
 
 namespace hamlet {
+
+class ControlPlane;
 
 enum class EngineKind {
   kHamletDynamic,  ///< the paper's HAMLET: per-burst benefit decisions
@@ -121,9 +125,9 @@ struct RunConfig {
   /// the observed cost drifts past reoptimize_threshold. 0 (default)
   /// freezes the plan chosen at Open. Requires a HAMLET engine kind with a
   /// sharing plan to act on (kHamletDynamic or kHamletStatic); each plan
-  /// epoch compiles its own predicate program. In a ShardedSession only the
-  /// FRONT re-optimizes and broadcasts the swap, so all shards always run
-  /// the identical plan.
+  /// epoch compiles its own predicate program. In a ShardedSession the
+  /// front's control plane re-optimizes and hands the swap to every shard,
+  /// so all shards always run the identical plan.
   int reoptimize_every_panes = 0;
   /// Relative cost drift that triggers a plan swap: swap when
   /// (observed - best) / observed exceeds this. Must be > 0 — a zero or
@@ -317,16 +321,16 @@ struct RunMetrics {
   /// evict_idle_groups the front drains entries whose windows all closed,
   /// bounding this under key churn.
   int64_t rebalance_map_size = 0;
-  /// Query-lifecycle counters (src/runtime/query_lifecycle.h). In a
-  /// ShardedSession every shard applies the same broadcast churn ops, so
-  /// the merge takes the MAX across shards instead of summing.
+  /// Query-lifecycle counters (src/runtime/query_lifecycle.h), counted once
+  /// by the session's control plane (src/runtime/control_plane.h); shard
+  /// sessions report 0.
   int64_t queries_added = 0;
   int64_t queries_removed = 0;
   /// Pane-aligned sharing-plan hot swaps (explicit ApplySharingOverrides
   /// calls plus online re-optimizer swaps).
   int64_t plan_swaps = 0;
-  /// Online re-optimizer activity (front/session only; shard workers run
-  /// with re-optimization disabled and report 0).
+  /// Online re-optimizer activity (control plane only, like the lifecycle
+  /// counters).
   int64_t reopt_checks = 0;
   int64_t reopt_swaps = 0;
   /// Plan epochs live at snapshot time: always 1, since a churn op hands
@@ -353,11 +357,12 @@ struct RunMetrics {
 /// exactly the way summing per-shard rates overstated throughput, and the
 /// max is the always-true lower bound which ShardedSession then raises with
 /// its sampled concurrent high-water mark (see RunMetrics::
-/// peak_memory_bytes); lifecycle counters (queries_added/removed,
-/// plan_swaps, reopt_checks/swaps, active_epochs, rebalance_map_size) take
-/// the MAX — churn ops are broadcast to and mirrored by every shard, so
-/// summing would multiply them by the shard count; evicted idle groups are
-/// per-shard state and sum; elapsed and max queue depth are the max over shards
+/// peak_memory_bytes); the control-plane counters (queries_added/removed,
+/// plan_swaps, reopt_checks/swaps) sum — a shard has no control plane and
+/// reports 0, and the ShardedSession front fills them in after the merge;
+/// active_epochs and rebalance_map_size take the MAX (every shard runs one
+/// epoch, and the front fills the map size in too); evicted idle groups
+/// are per-shard state and sum; elapsed and max queue depth are the max over shards
 /// (shards run concurrently over overlapping busy intervals, so summing
 /// busy time would double-count wall time); throughput is recomputed as
 /// merged events / merged elapsed — never summed, since summing per-shard
@@ -462,16 +467,14 @@ class Session {
   /// match a fresh session (query_churn_test).
   /// The query's event types and attributes must already exist in the
   /// schema; unknown names are rejected (validation never registers names).
-  Result<Timestamp> AddQuery(const Query& query) { return AddQuery(query, -1); }
+  Result<Timestamp> AddQuery(const Query& query);
 
   /// Removes a query by name at the returned pane boundary: it opens no
   /// window from there on, and its windows that started earlier run to
   /// completion and emit normally (the query drains inside the one running
   /// plan, which drops it at the first pane boundary after its last window
   /// closed). Removing the last query is rejected — Close instead.
-  Result<Timestamp> RemoveQuery(const std::string& name) {
-    return RemoveQuery(name, -1);
-  }
+  Result<Timestamp> RemoveQuery(const std::string& name);
 
   /// Hot-swaps the sharing plan of the CURRENT query set (merged template,
   /// predicate program and cohort masks rebuilt) at the returned boundary,
@@ -479,19 +482,15 @@ class Session {
   /// swap is invisible in results. This is the online re-optimizer's apply
   /// path, public for tests/tools.
   Result<Timestamp> ApplySharingOverrides(
-      std::span<const SharingOverride> overrides) {
-    return ApplySharingOverrides(overrides, -1);
-  }
+      std::span<const SharingOverride> overrides);
 
   /// Online re-optimizer decision log (empty unless
   /// RunConfig::reoptimize_every_panes > 0).
-  const std::vector<ReoptDecision>& reopt_log() const {
-    return reoptimizer_.log();
-  }
+  const std::vector<ReoptDecision>& reopt_log() const;
 
   /// The session's CURRENT query set (reflects Add/RemoveQuery; draining
   /// queries are not in it).
-  std::vector<Query> queries() const { return lifecycle_.queries(); }
+  std::vector<Query> queries() const;
 
   /// A group key's runners taken out of a session by DetachGroup, for
   /// AttachGroup on another session over the same plan (work stealing):
@@ -534,53 +533,39 @@ class Session {
   struct WindowSlot;
   /// The running plan epoch: a compiled plan (PlanEpoch, shared with the
   /// per-window engines opened under it) plus the state that runs it —
-  /// predicate program, components with their group runners, columnar
-  /// staging and the pane clock. A session runs exactly one.
+  /// components with their group runners, columnar staging and the pane
+  /// clock. A session runs exactly one.
   struct Runtime;
-  /// A compiled epoch waiting for its activation boundary.
-  struct PendingEpoch;
-
-  /// A ShardedSession's shards apply the front's churn ops at the front's
-  /// boundary (`activate_at` >= 0) through these; < 0 is the public ops.
+  /// A ShardedSession opens its shards without a control plane and hands
+  /// them the front's epochs through Schedule.
   friend class ShardedSession;
-  Result<Timestamp> AddQuery(const Query& query, Timestamp activate_at);
-  Result<Timestamp> RemoveQuery(const std::string& name,
-                                Timestamp activate_at);
-  Result<Timestamp> ApplySharingOverrides(
-      std::span<const SharingOverride> overrides, Timestamp activate_at);
+  /// A session running `opening`, with no control plane.
+  static std::unique_ptr<Session> OpenShard(QueryLifecycle::Epoch opening,
+                                            const RunConfig& config,
+                                            EmissionSink* sink);
 
-  Session(const WorkloadPlan& plan, const RunConfig& config,
-          EmissionSink* sink);
+  Session(const RunConfig& config, EmissionSink* sink);
 
-  /// Builds components, masks and cohorts for `plan`, the plan of
-  /// `compiled` (or the one the session was opened with).
-  std::unique_ptr<Runtime> BuildRuntime(QueryLifecycle::CompiledEpoch compiled,
-                                        const WorkloadPlan& plan);
-  /// Shared body of the churn ops: `compile` runs the lifecycle op for an
-  /// epoch activating at the boundary (`activate_at`, or < 0: the next one
-  /// after the gate's max_seen), and the result becomes the pending epoch
-  /// for that boundary. A failure leaves the session and the lifecycle as
-  /// they were. An explicit `activate_at` must be at or after the next
-  /// boundary and every pending one, on the last pending epoch's grid
-  /// (checked).
-  Result<Timestamp> Churn(
-      Timestamp activate_at,
-      const std::function<Result<QueryLifecycle::CompiledEpoch>(Timestamp)>&
-          compile);
+  /// Builds components, masks and cohorts for `compiled`'s plan.
+  std::unique_ptr<Runtime> BuildRuntime(QueryLifecycle::Epoch compiled);
+  /// Has `next.epoch` take over at pane boundary `next.at`: pending until
+  /// the pane clock reaches it, or at once while the runtime has not
+  /// started (it holds no state). The boundary must lie ahead of the pane
+  /// clock, on the grid of the last epoch scheduled and not before its
+  /// boundary (checked); an epoch for the same boundary replaces it.
+  void Schedule(QueryLifecycle::Scheduled next);
   /// Replaces the runtime with one running `compiled`, at a pane boundary
   /// after the old one closed its expiring windows: every open window moves
   /// over (HAMLET contexts through HamletEngine::ExportQuery/ImportQuery,
   /// per-window engines whole), and the old runtime is freed.
-  void HandOff(QueryLifecycle::CompiledEpoch compiled);
-  /// Hands off at `boundary` to the running plan without its draining
-  /// queries whose last window has closed (Runtime::drop_at).
-  void DropDrained(Timestamp boundary);
-  /// The next boundary where the runtime is replaced: the first pending
-  /// epoch's or the drop boundary (kNoEnd: none).
-  Timestamp NextHandOff() const;
-  void BindReoptimizer(const WorkloadPlan& plan,
-                       const QueryLifecycle::CompiledEpoch& compiled);
-  /// Runs the pane-cadenced re-optimization check and hot-swaps on drift.
+  void HandOff(QueryLifecycle::Epoch compiled);
+  /// Tells the control plane that stream time reached `time` and schedules
+  /// the drops it compiles.
+  void SyncControl(Timestamp time);
+  /// Schedules a successful control-plane op; returns its boundary.
+  Result<Timestamp> Apply(Result<QueryLifecycle::Scheduled> op);
+  /// Runs the control plane's re-optimization check when one is due and
+  /// schedules the swap it asks for.
   void MaybeReoptimize();
   HamletStats AggregateHamletStats() const;
 
@@ -621,34 +606,23 @@ class Session {
 
   RunConfig config_;
   EmissionSink* sink_;
-  /// Group-by attributes of every plan epoch this session has compiled:
-  /// ingest rejects events whose key in one of them is unusable.
-  std::vector<AttrId> group_by_attrs_;
-  /// Query set + epoch compiler.
-  QueryLifecycle lifecycle_;
+  /// Null on a ShardedSession's shards.
+  std::unique_ptr<ControlPlane> control_;
   std::unique_ptr<Runtime> rt_;
-  /// Compiled by churn ops and plan swaps, in boundary order, each until
-  /// the pane clock reaches its boundary. A plain Session holds at most
-  /// one; a shard the front's clock ran ahead of may hold more.
-  std::vector<PendingEpoch> pending_;
+  /// Scheduled epochs, in boundary order, each until the pane clock
+  /// reaches its boundary: an op's and the drops after it, or on a shard
+  /// the front's clock ran ahead of, several ops'.
+  std::vector<QueryLifecycle::Scheduled> pending_;
   /// Branch values awaiting OR/AND composition, keyed by (lifecycle query
   /// id, group, window start); the value is (window end, branch values).
   std::map<std::tuple<int64_t, int64_t, Timestamp>,
            std::pair<Timestamp, std::vector<double>>>
       pending_compositions_;
-  OnlineReoptimizer reoptimizer_;
-  BurstStatsCollector collector_;
-  bool reopt_enabled_ = false;
-  Timestamp last_reopt_pane_ = 0;
-  bool reopt_pane_seen_ = false;
   /// Accumulators for state that no longer exists: replaced runtimes' and
   /// evicted idle groups' engine stats and policy decisions.
   HamletStats retired_stats_;
   int64_t retired_decisions_ = 0;
   int64_t evicted_idle_groups_ = 0;
-  int64_t queries_added_ = 0;
-  int64_t queries_removed_ = 0;
-  int64_t plan_swaps_ = 0;
   int64_t evicted_compositions_ = 0;
   /// Latency samples per emission.
   double latency_sum_ = 0.0;

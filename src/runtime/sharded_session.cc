@@ -19,36 +19,32 @@ namespace hamlet {
 
 namespace {
 
-/// One ingress-queue entry: a batch of events, a watermark, or the stop
-/// signal. Batch-granular hand-off is the point — one queue slot (and one
-/// wake-up check) per RunConfig::shard_batch_size events instead of per
-/// event.
+/// One ingress-queue entry: a batch of events, a watermark, a plan epoch,
+/// a steal, or the stop signal. Batch-granular hand-off is the point — one
+/// queue slot (and one wake-up check) per RunConfig::shard_batch_size
+/// events instead of per event.
 struct ShardMsg {
   enum class Kind : uint8_t {
     kBatch,
     kWatermark,
     kStop,
-    kAddQuery,
-    kRemoveQuery,
-    kSwapPlan,
+    kEpoch,
     kStealDetach,
     kStealAttach
   };
   Kind kind = Kind::kBatch;
   EventVector batch;
   Timestamp watermark = 0;
-  /// Churn payload (kAddQuery/kRemoveQuery/kSwapPlan). The activation
-  /// boundary is computed ONCE by the front — whose gate has seen every
-  /// event — so all shards swap plan epochs at the identical pane boundary
-  /// regardless of what subset of the stream each one saw.
-  Timestamp activate_at = -1;
-  Query query;                             ///< kAddQuery
-  std::string query_name;                  ///< kRemoveQuery
-  std::vector<SharingOverride> overrides;  ///< kSwapPlan
+  /// kEpoch: the front's control plane compiled it once; every shard runs
+  /// the same immutable epoch from `boundary` on.
+  QueryLifecycle::Epoch epoch;
+  /// The pane boundary of an epoch hand-off or of a steal. The front picks
+  /// it — its gate has seen every event — so all shards act on the
+  /// identical boundary regardless of what subset of the stream each saw.
+  Timestamp boundary = 0;
   /// Steal payload (kStealDetach/kStealAttach): the key's runners move
-  /// from the victim to the thief at pane boundary `steal_boundary`.
+  /// from the victim to the thief.
   int64_t steal_key = 0;
-  Timestamp steal_boundary = 0;
   uint64_t steal_seq = 0;                  ///< kStealDetach: ack token
   Session::DetachedGroup moved;            ///< kStealAttach: the runners
 };
@@ -270,25 +266,13 @@ Result<std::unique_ptr<ShardedSession>> ShardedSession::Open(
   }
   s->load_cur_.assign(static_cast<size_t>(config.num_shards), 0);
   s->load_prev_.assign(static_cast<size_t>(config.num_shards), 0);
-  s->lifecycle_.Init(*plan.workload);
-  s->front_pane_size_ = plan.pane_size;
+  Result<std::unique_ptr<ControlPlane>> control =
+      ControlPlane::Open(plan, config, s->gate_);
+  if (!control.ok()) return control.status();
+  s->control_ = std::move(control).value();
   for (const ExecQuery& eq : plan.exec_queries) {
     s->within_high_water_ = std::max(s->within_high_water_, eq.window.within);
   }
-  AddGroupByAttrs(plan, &s->group_by_attrs_);
-  s->reopt_enabled_ = config.reoptimize_every_panes > 0;
-  if (s->reopt_enabled_) {
-    s->collector_.Reset(plan.workload->schema()->num_types());
-    OnlineReoptimizerOptions opts;
-    opts.threshold = config.reoptimize_threshold;
-    opts.variant = config.cost_variant;
-    s->reoptimizer_.Bind(plan, plan.share_groups, {}, opts);
-  }
-  // Only the front re-optimizes: shards applying independent swaps from
-  // their partial statistics would diverge the plan across shards. Workers
-  // receive the front's decisions as kSwapPlan broadcasts instead.
-  RunConfig shard_config = config;
-  shard_config.reoptimize_every_panes = 0;
   s->shards_.reserve(static_cast<size_t>(config.num_shards));
   for (int i = 0; i < config.num_shards; ++i) {
     auto shard =
@@ -301,10 +285,8 @@ Result<std::unique_ptr<ShardedSession>> ShardedSession::Open(
       shard->sink = std::make_unique<BufferingSink>();
       shard_sink = shard->sink.get();
     }
-    Result<std::unique_ptr<Session>> session =
-        Session::Open(plan, shard_config, shard_sink);
-    if (!session.ok()) return session.status();
-    shard->session = std::move(session).value();
+    shard->session =
+        Session::OpenShard(s->control_->running(), config, shard_sink);
     {
       // Monitors reading before the worker's first refresh see the idle
       // session's metrics, not a zero-initialized struct.
@@ -391,28 +373,8 @@ void ShardedSession::WorkerLoop(Shard* shard) {
                                        std::memory_order_release);
         break;
       }
-      case ShardMsg::Kind::kAddQuery: {
-        // The front validated and compiled this exact op against the same
-        // schema before broadcasting, so per-shard failure is impossible
-        // short of a bug — and MUST be fatal: a shard skipping a churn op
-        // would answer a different query set than its siblings.
-        Result<Timestamp> r =
-            shard->session->AddQuery(msg.query, msg.activate_at);
-        HAMLET_CHECK(r.ok());
-        ++since_snapshot;
-        break;
-      }
-      case ShardMsg::Kind::kRemoveQuery: {
-        Result<Timestamp> r =
-            shard->session->RemoveQuery(msg.query_name, msg.activate_at);
-        HAMLET_CHECK(r.ok());
-        ++since_snapshot;
-        break;
-      }
-      case ShardMsg::Kind::kSwapPlan: {
-        Result<Timestamp> r = shard->session->ApplySharingOverrides(
-            msg.overrides, msg.activate_at);
-        HAMLET_CHECK(r.ok());
+      case ShardMsg::Kind::kEpoch: {
+        shard->session->Schedule({std::move(msg.epoch), msg.boundary});
         ++since_snapshot;
         break;
       }
@@ -420,7 +382,7 @@ void ShardedSession::WorkerLoop(Shard* shard) {
         // Victim side of a migration: hand the key's runners, advanced to
         // the boundary, back to the front for the thief.
         Session::DetachedGroup moved =
-            shard->session->DetachGroup(msg.steal_key, msg.steal_boundary);
+            shard->session->DetachGroup(msg.steal_key, msg.boundary);
         {
           MutexLock lock(shard->steal_mu);
           shard->steal_payload = std::move(moved);
@@ -430,7 +392,7 @@ void ShardedSession::WorkerLoop(Shard* shard) {
         break;
       }
       case ShardMsg::Kind::kStealAttach: {
-        shard->session->AttachGroup(msg.steal_key, msg.steal_boundary,
+        shard->session->AttachGroup(msg.steal_key, msg.boundary,
                                     std::move(msg.moved));
         ++since_snapshot;
         break;
@@ -459,15 +421,15 @@ double ShardedSession::IngestNow() const {
   return ClockNow(config_.clock_override);
 }
 
-void ShardedSession::SyncFrontPane(Timestamp time) {
-  if (pending_pane_at_ >= 0 && time >= pending_pane_at_) {
-    front_pane_size_ = pending_pane_size_;
-    pending_pane_at_ = -1;
+void ShardedSession::SyncControl(Timestamp time) {
+  if (time < control_->next_change()) return;
+  for (const QueryLifecycle::Scheduled& drop : control_->Advance(time)) {
+    Broadcast(drop);
   }
 }
 
 void ShardedSession::StageEvent(const Event& event, double now_seconds) {
-  SyncFrontPane(event.time);
+  SyncControl(event.time);
   const int64_t key = router_.GroupKeyOf(event);
   if (rebalance_threshold_ == 0 && !stealing_) {
     StageTo(*shards_[router_.ShardOfKey(key)], event, now_seconds);
@@ -478,7 +440,7 @@ void ShardedSession::StageEvent(const Event& event, double now_seconds) {
     // triggers BEFORE this event is routed, so the triggering event itself
     // already lands on the thief — every decision is a pure function of
     // the event stream prefix.
-    const Timestamp pane = front_pane_size_ > 0 ? front_pane_size_ : 1;
+    const Timestamp pane = PaneSize();
     const Timestamp event_pane = (event.time / pane) * pane;
     if (staged_any_ && event_pane > last_staged_pane_) MaybeSteal(event_pane);
     last_staged_pane_ = event_pane;
@@ -603,7 +565,7 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   ShardMsg detach;
   detach.kind = ShardMsg::Kind::kStealDetach;
   detach.steal_key = key;
-  detach.steal_boundary = boundary;
+  detach.boundary = boundary;
   detach.steal_seq = seq;
   v.Send(std::move(detach));
   // Synchronous wait for the victim's runners (it has to work through its
@@ -616,7 +578,7 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   ShardMsg attach;
   attach.kind = ShardMsg::Kind::kStealAttach;
   attach.steal_key = key;
-  attach.steal_boundary = boundary;
+  attach.boundary = boundary;
   {
     MutexLock lock(v.steal_mu);
     attach.moved = std::move(v.steal_payload);
@@ -732,9 +694,9 @@ Status ShardedSession::Push(const Event& event) {
   Status valid = CheckEvent(event);
   if (!valid.ok()) return valid;
   gate_.CommitEvent(event.time);
-  if (reopt_enabled_) collector_.CountEvent(event.type);
+  control_->CountEvent(event.type);
   StageEvent(event, config_.adaptive_batching ? IngestNow() : 0.0);
-  MaybeReoptimizeFront();
+  MaybeReoptimize();
   DrainEmissions();
   return Status::Ok();
 }
@@ -742,7 +704,7 @@ Status ShardedSession::Push(const Event& event) {
 Status ShardedSession::CheckEvent(const Event& event) const {
   Status ordered = gate_.CheckEvent(event.time);
   if (!ordered.ok()) return ordered;
-  return CheckGroupKeys(event, group_by_attrs_, schema());
+  return CheckGroupKeys(event, control_->group_by_attrs(), schema());
 }
 
 Status ShardedSession::PushBatch(std::span<const Event> events) {
@@ -763,10 +725,10 @@ Status ShardedSession::PushBatch(std::span<const Event> events) {
     Status valid = CheckEvent(e);
     if (!valid.ok()) return valid;
     gate_.CommitEvent(e.time);
-    if (reopt_enabled_) collector_.CountEvent(e.type);
+    control_->CountEvent(e.type);
     StageEvent(e, now);
   }
-  MaybeReoptimizeFront();
+  MaybeReoptimize();
   DrainEmissions();
   return Status::Ok();
 }
@@ -789,7 +751,7 @@ Status ShardedSession::AdvanceToInternal(Timestamp watermark) {
   Status ordered = gate_.CheckWatermark(watermark);
   if (!ordered.ok()) return ordered;
   gate_.CommitWatermark(watermark);
-  SyncFrontPane(watermark);
+  SyncControl(watermark);
   // The watermark is a barrier: staged events logically precede it, so
   // they must reach their shards first.
   FlushAllShards();
@@ -799,7 +761,7 @@ Status ShardedSession::AdvanceToInternal(Timestamp watermark) {
     msg.watermark = watermark;
     shard->Send(std::move(msg));
   }
-  if (reopt_enabled_) {
+  if (control_->reoptimizing()) {
     // With online re-optimization, an explicit watermark is the drift
     // check's synchronization point: wait until every shard acknowledged
     // it (publishing fresh metrics first), so the check below — and every
@@ -816,7 +778,7 @@ Status ShardedSession::AdvanceToInternal(Timestamp watermark) {
     }
   }
   MaybeDrainRouter();
-  MaybeReoptimizeFront();
+  MaybeReoptimize();
   DrainEmissions();
   return Status::Ok();
 }
@@ -881,8 +843,8 @@ Status ShardedSession::Producer::Push(const Event& event) {
   }
   Status ordered = gate_.CheckEvent(event.time);
   if (!ordered.ok()) return ordered;
-  Status keys =
-      CheckGroupKeys(event, owner_->group_by_attrs_, owner_->schema());
+  Status keys = CheckGroupKeys(event, owner_->control_->group_by_attrs(),
+                               owner_->schema());
   if (!keys.ok()) return keys;
   gate_.CommitEvent(event.time);
   Event copy = event;
@@ -986,9 +948,9 @@ void ShardedSession::IngestReleased(const Event& event) {
     return;
   }
   gate_.CommitEvent(event.time);
-  if (reopt_enabled_) collector_.CountEvent(event.type);
+  control_->CountEvent(event.type);
   StageEvent(event, config_.adaptive_batching ? IngestNow() : 0.0);
-  MaybeReoptimizeFront();
+  MaybeReoptimize();
   DrainEmissions();
 }
 
@@ -1000,9 +962,8 @@ void ShardedSession::MaybeBroadcastFrontier() {
   // watermarks still broadcast. <= 0 covers the pre-first-bound state;
   // +inf can only appear transiently mid-recycle.
   if (frontier >= MpscIngestHub<Event>::kTimeMax || frontier <= 0) return;
-  SyncFrontPane(gate_.max_seen());
-  if (front_pane_size_ <= 0) return;
-  const Timestamp fpane = (frontier / front_pane_size_) * front_pane_size_;
+  const Timestamp pane = PaneSize();
+  const Timestamp fpane = (frontier / pane) * pane;
   // Broadcast one LESS than the frontier pane (floored at the largest
   // released/committed time, which the gate requires). The raw frontier
   // must not go out: a push of event t publishes bound t+1, so a frontier
@@ -1023,8 +984,7 @@ void ShardedSession::MaybeBroadcastFrontier() {
   // raw frontier pane): watermarks sharing a boundary open and close the
   // same windows, so re-announcing one is pure per-shard queue overhead —
   // while a skipped boundary would change the emission set with timing.
-  const Timestamp boundary =
-      (watermark / front_pane_size_) * front_pane_size_;
+  const Timestamp boundary = (watermark / pane) * pane;
   if (boundary <= last_frontier_pane_) return;
   last_frontier_pane_ = boundary;
   // Joiners admit at or above the broadcast so they can never drag the
@@ -1056,40 +1016,33 @@ Status ShardedSession::PoisonStatus() {
 }
 
 Result<Timestamp> ShardedSession::AddQuery(const Query& query) {
-  if (closed_) {
-    return Status::FailedPrecondition("AddQuery on a closed session");
-  }
   if (Status guard = ChurnGuard("AddQuery"); !guard.ok()) return guard;
   // ChurnGuard rejected multi-producer mode above, so the caller is the
   // front.
   ThreadRoleGuard role(front_role_);
-  return BroadcastChurn(ChurnKind::kAddQuery, &query, nullptr, {});
+  return Apply(control_->AddQuery(query));
 }
 
 Result<Timestamp> ShardedSession::RemoveQuery(const std::string& name) {
-  if (closed_) {
-    return Status::FailedPrecondition("RemoveQuery on a closed session");
-  }
   if (Status guard = ChurnGuard("RemoveQuery"); !guard.ok()) return guard;
   ThreadRoleGuard role(front_role_);
-  return BroadcastChurn(ChurnKind::kRemoveQuery, nullptr, &name, {});
+  return Apply(control_->RemoveQuery(name));
 }
 
 Result<Timestamp> ShardedSession::ApplySharingOverrides(
     std::span<const SharingOverride> overrides) {
-  if (closed_) {
-    return Status::FailedPrecondition(
-        "ApplySharingOverrides on a closed session");
-  }
   if (Status guard = ChurnGuard("ApplySharingOverrides"); !guard.ok()) {
     return guard;
   }
   ThreadRoleGuard role(front_role_);
-  return BroadcastChurn(ChurnKind::kSwapPlan, nullptr, nullptr,
-                        {overrides.begin(), overrides.end()});
+  return Apply(control_->ApplySharingOverrides(overrides));
 }
 
 Status ShardedSession::ChurnGuard(const char* op) const {
+  if (closed_) {
+    return Status::FailedPrecondition(std::string(op) +
+                                      " on a closed session");
+  }
   // Query churn from the caller thread would race the sequencer's front
   // state in multi-producer mode.
   if (mp_mode_.load(std::memory_order_acquire)) {
@@ -1100,105 +1053,51 @@ Status ShardedSession::ChurnGuard(const char* op) const {
   return Status::Ok();
 }
 
-Result<Timestamp> ShardedSession::BroadcastChurn(
-    ChurnKind kind, const Query* query, const std::string* name,
-    std::vector<SharingOverride> overrides) {
-  // One activation boundary for everyone, on the running epoch's grid
-  // (the front gate dominates every shard's view of time).
-  const Timestamp activate = QueryLifecycle::ActivationBoundary(
-      front_pane_size_, gate_.any_seen(), gate_.max_seen());
-  // Validate + compile ONCE, on the front, before anything is broadcast: a
-  // rejected op must leave every shard (and the front lifecycle) untouched,
-  // and a broadcast op must be infallible on the workers.
-  Result<QueryLifecycle::CompiledEpoch> epoch =
-      kind == ChurnKind::kAddQuery
-          ? lifecycle_.TryAdd(*query, {}, activate)
-      : kind == ChurnKind::kRemoveQuery
-          ? lifecycle_.TryRemove(*name, {}, activate)
-          : lifecycle_.Compile(overrides, activate);
-  if (!epoch.ok()) return epoch.status();
-  // The churn op is a barrier in stream order: staged events precede it.
+Result<Timestamp> ShardedSession::Apply(
+    const Result<QueryLifecycle::Scheduled>& op) {
+  if (!op.ok()) return op.status();
+  Broadcast(op.value());
+  DrainEmissions();
+  return op.value().at;
+}
+
+void ShardedSession::Broadcast(const QueryLifecycle::Scheduled& next) {
+  // The epoch is a barrier in stream order: staged events precede it.
   FlushAllShards();
   for (auto& shard : shards_) {
     ShardMsg msg;
-    switch (kind) {
-      case ChurnKind::kAddQuery:
-        msg.kind = ShardMsg::Kind::kAddQuery;
-        msg.query = *query;
-        break;
-      case ChurnKind::kRemoveQuery:
-        msg.kind = ShardMsg::Kind::kRemoveQuery;
-        msg.query_name = *name;
-        break;
-      case ChurnKind::kSwapPlan:
-        msg.kind = ShardMsg::Kind::kSwapPlan;
-        msg.overrides = overrides;
-        break;
-    }
-    msg.activate_at = activate;
+    msg.kind = ShardMsg::Kind::kEpoch;
+    msg.epoch = next.epoch;
+    msg.boundary = next.at;
     shard->Send(std::move(msg));
   }
-  front_epoch_ = std::move(epoch).value();
-  // The shards keep the running grid until the boundary, and so does the
-  // front: a steal boundary before it must lie on that grid.
-  pending_pane_size_ = front_epoch_.plan->pane_size;
-  pending_pane_at_ = activate;
-  SyncFrontPane(gate_.max_seen());
-  for (const ExecQuery& eq : front_epoch_.plan->exec_queries) {
+  for (const ExecQuery& eq : next.epoch->plan->exec_queries) {
     within_high_water_ = std::max(within_high_water_, eq.window.within);
   }
-  AddGroupByAttrs(*front_epoch_.plan, &group_by_attrs_);
-  if (reopt_enabled_) {
-    OnlineReoptimizerOptions opts;
-    opts.threshold = config_.reoptimize_threshold;
-    opts.variant = config_.cost_variant;
-    reoptimizer_.Bind(*front_epoch_.plan, front_epoch_.potential_groups,
-                      front_epoch_.applied, opts);
-    reopt_pane_seen_ = false;
-  }
-  DrainEmissions();
-  return activate;
 }
 
-void ShardedSession::MaybeReoptimizeFront() {
-  if (!reopt_enabled_ || !gate_.any_seen() || front_pane_size_ <= 0) return;
-  const Timestamp boundary =
-      (gate_.max_seen() / front_pane_size_) * front_pane_size_;
-  const Timestamp every =
-      front_pane_size_ *
-      static_cast<Timestamp>(config_.reoptimize_every_panes);
-  if (!reopt_pane_seen_) {
-    // First boundary observation after (re)bind anchors the cadence.
-    last_reopt_pane_ = boundary;
-    reopt_pane_seen_ = true;
-    return;
-  }
-  if (boundary < last_reopt_pane_ + every) return;
-  last_reopt_pane_ = boundary;
+void ShardedSession::MaybeReoptimize() {
+  const std::optional<Timestamp> due = control_->ReoptDue();
+  if (!due.has_value()) return;
   // Worker snapshots lag by at most kSnapshotEveryEvents events per shard;
   // stale statistics only delay a swap by one check interval (both the
   // baseline and the cumulative reading come from the same snapshots, so
   // the deltas stay consistent).
-  OnlineReoptimizer::Outcome out =
-      reoptimizer_.Check(boundary, MetricsSnapshot().hamlet, collector_);
-  if (!out.swap) return;
-  // Compilation failure keeps the running plan (never a hard error on the
-  // re-optimization path) — hence the discarded result.
-  (void)BroadcastChurn(ChurnKind::kSwapPlan, nullptr, nullptr,
-                       std::move(out.overrides));
+  const std::optional<QueryLifecycle::Scheduled> swap =
+      control_->Reoptimize(*due, MetricsSnapshot().hamlet);
+  if (swap.has_value()) Broadcast(*swap);
 }
 
 void ShardedSession::MaybeDrainRouter() {
   if (!config_.evict_idle_groups || rebalance_threshold_ == 0) return;
-  if (!gate_.any_seen() || front_pane_size_ <= 0) return;
+  if (!gate_.any_seen()) return;
   // A diverted key last seen at E <= boundary - W_max has every window that
   // could contain its events closed AND (via evict_idle_groups) its engine
   // state evicted from the old shard by that boundary, so if the key
   // re-appears, re-routing it elsewhere can neither split live state nor
   // duplicate a (window, query, group) emission: the old shard's windows
   // all ended before any window the new shard will open.
-  const Timestamp boundary =
-      (gate_.max_seen() / front_pane_size_) * front_pane_size_;
+  const Timestamp boundary = (gate_.max_seen() / PaneSize()) * PaneSize();
   router_.DrainStale(boundary - within_high_water_);
   PublishMapSize();
 }
@@ -1302,10 +1201,8 @@ void ShardedSession::FillIngressMetrics(RunMetrics& merged) const {
       route_map_size_.load(std::memory_order_relaxed);
   // Shards never steal on their own; migrations execute on the front.
   merged.stolen_panes += stolen_panes_.load(std::memory_order_relaxed);
-  // Shards never self-reoptimize (reoptimize_every_panes is forced to 0 in
-  // their configs), so the check/swap counts live on the front.
-  merged.reopt_checks = std::max(merged.reopt_checks, reoptimizer_.checks());
-  merged.reopt_swaps = std::max(merged.reopt_swaps, reoptimizer_.swaps());
+  // Shards have no control plane; the front's counts every op once.
+  control_->FillMetrics(&merged);
   // The merge left peak at max(per-shard peaks) — the always-true floor;
   // the sampled concurrent sum can only raise it toward the true
   // simultaneous footprint (and never past the sum of peaks).

@@ -74,21 +74,23 @@
 //    the rebalanced-key count (RunMetrics ingress fields). Count fields
 //    are deterministic for a fixed shard count; the sampled peak is not.
 //
-//  * Query churn + plan swaps: AddQuery/RemoveQuery (and the front's online
-//    re-optimizer) pre-validate and compile on the front thread, flush all
-//    staging (the churn op is a barrier in stream order), then broadcast a
-//    churn message carrying ONE explicit pane-aligned activation boundary —
-//    computed from the front gate, which has seen every event — so every
-//    shard hands its open windows to the new plan epoch at the identical
-//    boundary and the union of shard emissions stays bit-identical to a
-//    single-threaded session (all lifecycle failure modes fire on the
-//    front; a worker-side failure would desynchronize the shards' query
-//    sets and is a CHECK). A shard that saw no event since an earlier op
+//  * Query churn + plan swaps: the session has ONE control plane
+//    (src/runtime/control_plane.h), on the front; shard sessions have none
+//    and compile nothing. It validates and compiles each AddQuery/
+//    RemoveQuery, plan swap (explicit, or from its online re-optimizer)
+//    and drained-query drop once, into an immutable plan epoch with ONE
+//    pane-aligned activation boundary — computed from the front gate, which
+//    has seen every event. The front flushes all staging (the epoch is a
+//    barrier in stream order) and sends the same epoch to every shard in
+//    one message, so every shard hands its open windows to it at the
+//    identical boundary and the union of shard emissions stays
+//    bit-identical to a single-threaded session; a rejected op touches no
+//    shard. A drop goes out before any event or watermark at or past its
+//    boundary is staged. A shard that saw no event since an earlier op
 //    keeps that op's pending epoch and hands off at each boundary in turn.
-//    The front's own pane grid (steal boundaries,
-//    re-optimization cadence) also switches at that boundary. Per-shard
-//    self-reoptimization is disabled (shards get reoptimize_every_panes =
-//    0); only the front decides, from merged MetricsSnapshot statistics.
+//    The front's own pane grid (steal boundaries, router drains) is the
+//    control plane's running epoch's. The re-optimizer reads the shards'
+//    merged MetricsSnapshot statistics, on the plain Session's cadence.
 //    Worker snapshots lag under sustained load, so an explicit AdvanceTo
 //    doubles as the re-optimizer's synchronization checkpoint: each worker
 //    publishes fresh metrics before acknowledging the watermark and the
@@ -147,10 +149,9 @@
 //    stealing on/off, for a fixed shard count. RunMetrics::stolen_panes
 //    counts executed migrations. Without rebalancing the router keeps an
 //    override only for keys a steal left off their hash shard, so key
-//    churn cannot grow the map. Query churn and plan swaps reach the
-//    victim and the thief in the same stream order, and a drained query
-//    leaves every shard's plan at the same boundary, so both run the same
-//    plan epoch at every steal boundary. Incompatible with
+//    churn cannot grow the map. Every plan epoch (churn op, plan swap or
+//    drop) reaches the victim and the thief in the same stream order, so
+//    both run the same plan epoch at every steal boundary. Incompatible with
 //    evict_idle_groups (Open rejects it); see docs/API.md's knob matrix.
 //
 // Threading contract: Open/Push/PushBatch/AdvanceTo/AddQuery/RemoveQuery/
@@ -186,6 +187,7 @@
 #include "src/common/mpsc_ingest.h"
 #include "src/common/mutex.h"
 #include "src/common/thread.h"
+#include "src/runtime/control_plane.h"
 #include "src/runtime/session.h"
 #include "src/stream/shard_router.h"
 
@@ -295,7 +297,7 @@ class ShardedSession {
 
   /// Registers `query` on every shard at one shared pane-aligned activation
   /// boundary (returned). Same validation as Session::AddQuery — performed
-  /// once, on the front.
+  /// and compiled once, by the front's control plane.
   Result<Timestamp> AddQuery(const Query& query);
 
   /// Deactivates `name` on every shard at one shared pane boundary; its
@@ -311,7 +313,7 @@ class ShardedSession {
   /// The front re-optimizer's decision log (empty when
   /// RunConfig::reoptimize_every_panes == 0).
   const std::vector<ReoptDecision>& reopt_log() const {
-    return reoptimizer_.log();
+    return control_->reopt_log();
   }
 
   /// Flushes staging, sends stop to every shard, joins the workers,
@@ -333,21 +335,25 @@ class ShardedSession {
 
  private:
   struct Shard;
-  enum class ChurnKind { kAddQuery, kRemoveQuery, kSwapPlan };
 
   ShardedSession() = default;
 
-  /// Shared tail of every churn op: front-side validate + compile, flush
-  /// staging, broadcast one message per shard with the shared activation
-  /// boundary, re-bind the front re-optimizer. Exactly one of query / name
-  /// / overrides is meaningful, per `kind`.
-  Result<Timestamp> BroadcastChurn(ChurnKind kind, const Query* query,
-                                   const std::string* name,
-                                   std::vector<SharingOverride> overrides)
+  /// Broadcasts a successful control-plane op; returns its boundary.
+  Result<Timestamp> Apply(const Result<QueryLifecycle::Scheduled>& op)
       HAMLET_REQUIRES(front_role_);
-  /// Front-side re-optimization check at the configured pane cadence
-  /// (no-op unless RunConfig::reoptimize_every_panes > 0).
-  void MaybeReoptimizeFront() HAMLET_REQUIRES(front_role_);
+  /// Flushes staging and sends the epoch to every shard in one message
+  /// each, to take over at its boundary.
+  void Broadcast(const QueryLifecycle::Scheduled& next)
+      HAMLET_REQUIRES(front_role_);
+  /// Tells the control plane that stream time reached `time` and
+  /// broadcasts the drops it compiles, before anything at `time` is staged.
+  void SyncControl(Timestamp time) HAMLET_REQUIRES(front_role_);
+  /// Runs the control plane's re-optimization check when one is due, on
+  /// the shards' merged statistics, and broadcasts the swap it asks for.
+  void MaybeReoptimize() HAMLET_REQUIRES(front_role_);
+  /// Pane size of the control plane's running epoch: the grid steal
+  /// boundaries and router drains are computed on.
+  Timestamp PaneSize() const { return control_->running()->plan->pane_size; }
   /// Drains router overrides whose groups can no longer have open windows
   /// anywhere (requires evict_idle_groups — the group's engine state is
   /// then also gone from its old shard, so a re-appearing key may re-route
@@ -357,7 +363,7 @@ class ShardedSession {
   /// Body of AdvanceTo after the closed/mode checks — shared with the
   /// sequencer's frontier broadcasts, which are ordinary watermarks.
   Status AdvanceToInternal(Timestamp watermark) HAMLET_REQUIRES(front_role_);
-  /// Churn rejection in multi-producer mode.
+  /// Churn rejection after Close and in multi-producer mode.
   Status ChurnGuard(const char* op) const;
   /// The front gate plus CheckGroupKeys over group_by_attrs_.
   Status CheckEvent(const Event& event) const HAMLET_REQUIRES(front_role_);
@@ -396,9 +402,6 @@ class ShardedSession {
   /// (a synchronous round-trip) and attach them on the thief.
   void ExecuteSteal(int64_t key, size_t victim, size_t thief,
                     Timestamp boundary) HAMLET_REQUIRES(front_role_);
-  /// Switches front_pane_size_ to the pending epoch's once the stream
-  /// reaches its activation boundary `time`, as the shards do.
-  void SyncFrontPane(Timestamp time) HAMLET_REQUIRES(front_role_);
   /// Rolls the two-bucket sliding load window (per shard and per key).
   void RollLoadWindow() HAMLET_REQUIRES(front_role_);
   /// Mirrors the router's override count into route_map_size_.
@@ -449,38 +452,17 @@ class ShardedSession {
   /// Monitor threads read the placement counters from the atomics below,
   /// never the router.
   ShardRouter router_;
-  /// Front-side query set + compiler (the single source of churn truth —
-  /// workers only ever apply pre-validated ops).
-  QueryLifecycle lifecycle_ HAMLET_GUARDED_BY(front_role_);
-  /// The front's own compiled copy of the current epoch after the first
-  /// churn op (before that, `plan_` is current). Kept alive because the
-  /// front re-optimizer is bound to it; workers compile their own copies.
-  QueryLifecycle::CompiledEpoch front_epoch_ HAMLET_GUARDED_BY(front_role_);
-  /// Front-mutated, but NOT role-guarded:
-  /// FillIngressMetrics reads the check/swap counters from monitor threads
-  /// (they are atomics inside OnlineReoptimizer), and reopt_log() is a
+  /// The session's one control plane (shards have none), created by Open
+  /// and never replaced. Front-mutated, but NOT role-guarded: monitor
+  /// threads read its counters (atomics) through MetricsSnapshot, producer
+  /// handles read its group-by attributes (churn is rejected once
+  /// producers exist, so they no longer change), and reopt_log() is a
   /// post-Close/test accessor. All *mutating* uses sit behind
   /// HAMLET_REQUIRES(front_role_) helpers.
-  OnlineReoptimizer reoptimizer_;
-  BurstStatsCollector collector_ HAMLET_GUARDED_BY(front_role_);
-  bool reopt_enabled_ = false;  ///< set by Open, read-only afterwards
-  /// Pane size of the RUNNING front epoch — the grid activation boundaries,
-  /// steal boundaries and the re-optimization cadence are computed on.
-  Timestamp front_pane_size_ HAMLET_GUARDED_BY(front_role_) = 1;
-  /// The last churn op's pane size, taken over by SyncFrontPane at its
-  /// activation boundary (pending_pane_at_; -1 when none is pending).
-  Timestamp pending_pane_size_ HAMLET_GUARDED_BY(front_role_) = 1;
-  Timestamp pending_pane_at_ HAMLET_GUARDED_BY(front_role_) = -1;
+  std::unique_ptr<ControlPlane> control_;
   /// Largest WITHIN across every epoch ever compiled (a removed query's
   /// windows may still be open) — the router-drain safety margin.
   Timestamp within_high_water_ HAMLET_GUARDED_BY(front_role_) = 0;
-  /// Group-by attributes of every epoch ever compiled — the same set each
-  /// shard's Session checks, so no event the front admits fails there.
-  /// Grown by Open and churn only; churn is rejected once producers exist,
-  /// so producer handles read it without the front role.
-  std::vector<AttrId> group_by_attrs_;
-  Timestamp last_reopt_pane_ HAMLET_GUARDED_BY(front_role_) = 0;
-  bool reopt_pane_seen_ HAMLET_GUARDED_BY(front_role_) = false;
   /// The vector itself is frozen by Open (workers receive raw Shard*);
   /// mutable cross-thread state lives INSIDE Shard behind its own locks.
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -19,7 +19,9 @@
 // Also covers: plan hot swaps (explicit ApplySharingOverrides and the
 // online re-optimizer under a burst-shifted stream, with
 // RunConfig::clock_override pinning the clock) leaving
-// emissions identical to a frozen plan; the lifecycle error contracts
+// emissions identical to a frozen plan, and the re-optimizer checking at the
+// same boundaries on a plain and a 1-shard sharded session across churn;
+// the lifecycle error contracts
 // (unnamed/duplicate adds, schema-extending adds, unknown/last-query
 // removes); a churn storm with one AddQuery per pane, and one on sharded
 // sessions whose shards idle across ops; a removed query leaving the plan
@@ -380,12 +382,42 @@ TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
   }
 }
 
+// Feeds `ev` to a re-optimizing session one 50 ms pane at a time, with
+// AdvanceTo(p) before the first event of every pane p, removes qc after
+// ev[800] and adds qc's text as qd after ev[807].
+template <typename SessionT>
+RunOut DriveReoptChurn(SessionT& s, CollectingSink& sink,
+                       const std::vector<Event>& ev) {
+  Timestamp pane = -1;
+  for (size_t i = 0; i < ev.size();) {
+    if (ev[i].time / 50 * 50 > pane) {
+      pane = ev[i].time / 50 * 50;
+      HAMLET_CHECK(s.AdvanceTo(pane).ok());
+    }
+    size_t end = i + 1;
+    while (end < ev.size() && ev[end].time < pane + 50 && end != 801 &&
+           end != 808) {
+      ++end;
+    }
+    HAMLET_CHECK(s.PushBatch(std::span(ev).subspan(i, end - i)).ok());
+    i = end;
+    if (i == 801) HAMLET_CHECK(s.RemoveQuery("qc").ok());
+    if (i == 808) HAMLET_CHECK(s.AddQuery(MakeQuery("qd", kQc)).ok());
+  }
+  HAMLET_CHECK(s.AdvanceTo(ev.back().time).ok());
+  Result<RunMetrics> m = s.Close();
+  HAMLET_CHECK(m.ok());
+  return {sink.Take(), m.value()};
+}
+
 // Hot-swap under burst: with the re-optimizer checking every 2 panes over
 // a stream whose dominant burst type flips mid-run, emissions stay
 // bit-identical to a frozen plan (sharing never changes values),
 // single-threaded and sharded. clock_override
 // pins the clock so latency accounting cannot perturb scheduling-visible
-// state under sanitizer load.
+// state under sanitizer load. With churn mid-run, a plain Session and a
+// 1-shard ShardedSession, each with its one control plane, run the same
+// checks at the same boundaries on the same statistics.
 TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
   Schema schema;
   SeedSchema(&schema);
@@ -447,6 +479,47 @@ TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
     ExpectSameTuples(Tuples(frozen_out.emissions), Tuples(ssink.Take()),
                      label + " sharded");
     EXPECT_GT(sm.value().reopt_checks, 0) << label;
+
+    for (int every : {1, 2}) {
+      const std::string el = label + " every=" + std::to_string(every);
+      RunConfig churn = reopt;
+      churn.reoptimize_every_panes = every;
+      CollectingSink psink;
+      Result<std::unique_ptr<Session>> plain =
+          Session::Open(*w.plan, churn, &psink);
+      ASSERT_TRUE(plain.ok()) << el;
+      const RunOut pout = DriveReoptChurn(*plain.value(), psink, ev);
+      const std::vector<ReoptDecision>& want = plain.value()->reopt_log();
+      ASSERT_GE(want.size(), 3u) << el;
+      EXPECT_EQ(pout.metrics.queries_added, 1) << el;
+      EXPECT_EQ(pout.metrics.queries_removed, 1) << el;
+      for (int shards : {1, 4}) {
+        const std::string sl = el + " shards=" + std::to_string(shards);
+        RunConfig sharded_churn = churn;
+        sharded_churn.num_shards = shards;
+        CollectingSink csink;
+        Result<std::unique_ptr<ShardedSession>> sc =
+            ShardedSession::Open(*w.plan, sharded_churn, &csink);
+        ASSERT_TRUE(sc.ok()) << sl;
+        const RunOut out = DriveReoptChurn(*sc.value(), csink, ev);
+        ExpectSameTuples(Tuples(pout.emissions), Tuples(out.emissions), sl);
+        EXPECT_EQ(out.metrics.queries_added, 1) << sl;
+        EXPECT_EQ(out.metrics.queries_removed, 1) << sl;
+        if (shards > 1) continue;
+        EXPECT_EQ(out.metrics.reopt_checks, pout.metrics.reopt_checks) << sl;
+        EXPECT_EQ(out.metrics.reopt_swaps, pout.metrics.reopt_swaps) << sl;
+        const std::vector<ReoptDecision>& got = sc.value()->reopt_log();
+        ASSERT_EQ(got.size(), want.size()) << sl;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].boundary, want[i].boundary) << sl << " entry " << i;
+          EXPECT_EQ(got[i].swapped, want[i].swapped) << sl << " entry " << i;
+          EXPECT_EQ(got[i].observed_cost, want[i].observed_cost)
+              << sl << " entry " << i;
+          EXPECT_EQ(got[i].best_cost, want[i].best_cost)
+              << sl << " entry " << i;
+        }
+      }
+    }
   }
 }
 
