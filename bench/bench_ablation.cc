@@ -80,7 +80,8 @@ void Run() {
     gen.burstiness = 0.992;
     gen.max_burst = 400;
     for (CostModelVariant variant :
-         {CostModelVariant::kRefined, CostModelVariant::kSimple}) {
+         {CostModelVariant::kRuntime, CostModelVariant::kRefined,
+          CostModelVariant::kSimple}) {
       RunConfig config;
       config.kind = EngineKind::kHamletDynamic;
       config.cost_variant = variant;
@@ -90,9 +91,12 @@ void Run() {
               ? 0
               : 100.0 * static_cast<double>(m.hamlet.bursts_shared) /
                     static_cast<double>(m.hamlet.bursts_total);
-      table.AddRow({variant == CostModelVariant::kRefined ? "refined(Def12)"
-                                                          : "simple(Def11)",
-                    bench::Seconds(m.avg_latency_seconds),
+      const char* name = variant == CostModelVariant::kRuntime
+                             ? "runtime(default)"
+                             : variant == CostModelVariant::kRefined
+                                   ? "refined(Def12)"
+                                   : "simple(Def11)";
+      table.AddRow({name, bench::Seconds(m.avg_latency_seconds),
                     bench::Eps(m.throughput_eps), Table::Num(shared_pct, 1)});
     }
     bench::PrintFigure("Ablation 3", "cost-model variant (workload 2)",

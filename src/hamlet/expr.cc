@@ -113,6 +113,39 @@ void Expr::AddExpr(const Expr& other) {
 int Expr::AppendFastSumEvent(SnapshotId start_var, SnapshotId entry_var,
                              bool is_target, double val, bool need_sum,
                              bool need_count_e) {
+  // Steady state: R already holds u and x, so the node's terms are R's and
+  // both merges happen in place, term by term, with the FP operations of
+  // the general path below in the same order (the results are
+  // bit-identical): node = (1 on u and x) + R, the target folds on the
+  // node, then R += node.
+  ExprTerm* data = mutable_terms();
+  const int n = num_terms();
+  int found = 0;
+  for (int i = 0; i < n && found < 2; ++i)
+    found += data[i].var == start_var || data[i].var == entry_var;
+  if (found == 2 && start_var != entry_var) {
+    LinAgg c0;
+    c0.Add(c0_);
+    if (is_target && need_sum) c0.sum += val * c0.count;
+    if (is_target && need_count_e) c0.count_e += c0.count;
+    c0_.Add(c0);
+    for (int i = 0; i < n; ++i) {
+      ExprTerm& r = data[i];
+      ExprTerm t = r;
+      if (r.var == start_var || r.var == entry_var) {
+        t = ExprTerm{r.var, 1.0, 0.0, 0.0};
+        t.alpha += r.alpha;
+        t.gamma += r.gamma;
+        t.delta += r.delta;
+      }
+      if (is_target && need_sum) t.gamma += val * t.alpha;
+      if (is_target && need_count_e) t.delta += t.alpha;
+      r.alpha += t.alpha;
+      r.gamma += t.gamma;
+      r.delta += t.delta;
+    }
+    return n;
+  }
   // The virtual node lives entirely in Expr's inline buffer: a FastSum
   // running sum carries the two vars {u, x}, so the merge below never spills
   // and the steady-state run loop stays heap-allocation-free.

@@ -71,12 +71,15 @@ void HamletEngine::BuildLanes() {
       }
       const int pos = eq.tmpl.pattern.PositionOf(lane.type);
       if (pos >= 0) {
-        for (int pp : eq.tmpl.pred_positions[static_cast<size_t>(pos)]) {
+        const auto& preds = eq.tmpl.pred_positions[static_cast<size_t>(pos)];
+        for (int pp : preds) {
           if (eq.tmpl.pattern.elements[static_cast<size_t>(pp)].type !=
               lane.type)
             lane.scan_has_cross = true;
         }
+        lane.p = std::max(lane.p, static_cast<int>(preds.size()));
       }
+      lane.t = std::max(lane.t, eq.tmpl.pattern.num_positions());
     });
     lane.avg_sc_member.assign(lane.member_list.size(), 0.0);
   };
@@ -122,6 +125,18 @@ void HamletEngine::BuildLanes() {
       lanes_.push_back(std::move(lane));
     }
   });
+
+  // n's predecessor lanes, now that every (query, type) has its lane. A
+  // lane counts the events of one horizon.
+  for (Lane& lane : lanes_) {
+    for (const WorkloadPlan::WindowTerm& term :
+         plan_->WindowTerms(lane.member_list, lane.type)) {
+      lane.n_terms.emplace_back(
+          lane_of_[static_cast<size_t>(term.exec_id)]
+                  [static_cast<size_t>(term.pred_type)],
+          term.weight / static_cast<double>(std::max<Timestamp>(1, horizon_)));
+    }
+  }
 
   if (options_.force_retain_history) {
     for (Lane& lane : lanes_) lane.retain_history = true;
@@ -266,13 +281,19 @@ std::vector<ContextId> HamletEngine::ImportQuery(int exec_id,
 
 void HamletEngine::OnPaneStart(Timestamp pane_start) {
   const Timestamp cutoff = pane_start - horizon_;
-  if (pane_start != pane_start_ || events_this_pane_ > 0) {
-    pane_event_counts_.emplace_back(pane_start_, events_this_pane_);
-    events_this_pane_ = 0;
-    while (!pane_event_counts_.empty() &&
-           pane_event_counts_.front().first < cutoff) {
-      pane_event_counts_.erase(pane_event_counts_.begin());
+  for (Lane& lane : lanes_) {
+    if (lane.events_this_pane > 0) {
+      lane.pane_events.emplace_back(pane_start_, lane.events_this_pane);
+      lane.events_this_pane = 0;
     }
+    size_t old = 0;
+    while (old < lane.pane_events.size() &&
+           lane.pane_events[old].first < cutoff) {
+      lane.window_events -= lane.pane_events[old++].second;
+    }
+    lane.pane_events.erase(
+        lane.pane_events.begin(),
+        lane.pane_events.begin() + static_cast<std::ptrdiff_t>(old));
   }
   pane_start_ = pane_start;
   // Snapshots take values only for the contexts open when they are
@@ -363,9 +384,8 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
 
   // Row 0 takes the per-row body: the run's one lane transition (after row
   // 0 no foreign lane can become active — only lanes of the run's type
-  // activate — so the remaining rows' sweeps would be no-ops), and the pane
-  // counter staged the way per-row processing observes it at the burst
-  // open, its only mid-run reader (WindowEventsEstimate()).
+  // activate — so the remaining rows' sweeps would be no-ops). Lane event
+  // counts are read only at burst opens, which happen at row 0 alone.
   ProcessRun(e0, run.passes);
   last_time_ = batch.time(run.row_end - 1);
   stats_.events += n - 1;
@@ -388,7 +408,6 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
       AppendRun(lane, batch, run.row_begin + 1, run.row_end, m);
     }
   }
-  events_this_pane_ += n - 1;
 }
 
 void HamletEngine::ProcessRun(const Event& e, const QuerySet& passes) {
@@ -406,7 +425,6 @@ void HamletEngine::ProcessRun(const Event& e, const QuerySet& passes) {
   HAMLET_DCHECK(e.time > last_time_);
   last_time_ = e.time;
   ++stats_.events;
-  ++events_this_pane_;
   if (touched.Empty()) return;
 
   CloseForeignLanes(e, touched);
@@ -526,6 +544,7 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
       });
     }
   }
+  CountLaneEvents(lane, matched, n);
 }
 
 void HamletEngine::CloseForeignLanes(const Event& e, const QuerySet& touched) {
@@ -661,32 +680,55 @@ void HamletEngine::InsertIntoLane(Lane& lane, const Event& e,
     active_lanes_.push_back(
         static_cast<int>(&lane - lanes_.data()));
   }
+  CountLaneEvents(lane, matched, 1);
+}
+
+void HamletEngine::CountLaneEvents(Lane& lane, const QuerySet& matched,
+                                   int rows) {
+  lane.events_this_pane += rows;
+  lane.window_events += rows;
+  if (!lane.shareable) return;
+  const bool divergent = matched != lane.static_members;
+  if (divergent) stats_.divergent_events += rows;
+  if (!divergent && lane.mode != PropagationMode::kPerEventSnapshot) return;
+  for (size_t i = 0; i < lane.member_list.size(); ++i) {
+    const int q = lane.member_list[i];
+    if (divergent ? !matched.Contains(q) : edge_queries_.Contains(q))
+      lane.avg_sc_member[i] += rows;
+  }
+}
+
+SnapshotId HamletEngine::CreateSnapshot() {
+  ++stats_.snapshots_created;
+  ++stats_.ops;
+  return store_.Create();
 }
 
 void HamletEngine::OpenGraphlets(Lane& lane, const Event& e) {
   QuerySet shared;
   if (lane.shareable) {
     ++stats_.bursts_total;
-    BurstStats bs;
-    bs.k = lane.static_members.Count();
+    BurstStats& bs = burst_stats_;
+    bs.k = static_cast<int>(lane.member_list.size());
     bs.b = std::max(1.0, lane.avg_burst);
-    bs.n = std::max(1.0, WindowEventsEstimate());
+    double n = 0.0;
+    for (const auto& [idx, weight] : lane.n_terms)
+      n += weight *
+           static_cast<double>(lanes_[static_cast<size_t>(idx)].window_events);
+    bs.n = std::max(1.0, n);
     bs.g = std::max(1.0, lane.avg_graphlet);
     bs.sc = lane.avg_sc + 1.0;  // +1: the graphlet-level snapshot itself
     bs.sp = std::max(1.0, lane.avg_sp);
     bs.sc_per_member = lane.avg_sc_member;
-    int p = 1;
-    int t = 1;
-    lane.static_members.ForEach([&](QueryId q) {
-      const ExecQuery& eq = Exec(q);
-      int pos = eq.tmpl.pattern.PositionOf(lane.type);
-      p = std::max(
-          p, static_cast<int>(
-                 eq.tmpl.pred_positions[static_cast<size_t>(pos)].size()));
-      t = std::max(t, eq.tmpl.pattern.num_positions());
-    });
-    bs.p = p;
-    bs.t = t;
+    bs.p = lane.p;
+    bs.t = lane.t;
+    bs.mode = lane.mode;
+    bs.scanners = lane.static_members.Intersect(edge_queries_).Count();
+    bs.min_max = lane.profile.need_min || lane.profile.need_max;
+    size_t contexts = 0;
+    for (int q : lane.member_list)
+      contexts += open_ctxs_[static_cast<size_t>(q)].size();
+    bs.c = static_cast<double>(contexts) / static_cast<double>(bs.k);
     SharingDecision decision = policy_->Decide(lane.member_list, bs);
     shared = decision.shared.Intersect(lane.static_members);
     if (shared.Count() < 2) shared = QuerySet();
@@ -713,16 +755,14 @@ Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
   g->mode = lane.mode;
   g->self_loop = true;
   g->open_time = e.time;
-  g->start_var = store_.Create();
-  ++stats_.snapshots_created;
+  g->start_var = CreateSnapshot();
   // The entry snapshot x is read by every kFastSum sharer and otherwise by
   // the sharers without edge predicates (count(e) = u + x + R in a
   // per-event-snapshot graphlet); edge-predicate sharers scan instead.
   const bool fast = lane.mode == PropagationMode::kFastSum;
   const QuerySet entry_readers = fast ? sharers : sharers.Minus(edge_queries_);
   if (!entry_readers.Empty()) {
-    g->entry_var = store_.Create();
-    ++stats_.snapshots_created;
+    g->entry_var = CreateSnapshot();
   }
   const bool need_mm = lane.profile.need_min || lane.profile.need_max;
   sharers.ForEach([&](QueryId q) {
@@ -780,14 +820,20 @@ NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
   const ExecQuery& eq = Exec(exec_id);
   const int pos = eq.tmpl.pattern.PositionOf(e.type);
   NodeValue out;
+  const NodeValue zero;
   auto scan_graphlet = [&](const Graphlet& g, Timestamp blocked_after) {
     for (const GraphletNode& n : g.nodes) {
       ++stats_.ops;
       if (!n.members.Contains(exec_id)) continue;
       if (n.event.time <= blocked_after) continue;
       if (!PassesEdgePredicates(eq.edge_predicates, n.event, e)) continue;
-      out.lin.Add(n.EvalLin(store_, ctx_id));
-      if (n.numeric) out.mm.Fold(n.values.Get(ctx_id, NodeValue()).mm);
+      if (n.numeric) {
+        const NodeValue& v = n.values.Get(ctx_id, zero);
+        out.lin.Add(v.lin);
+        out.mm.Fold(v.mm);
+      } else {
+        out.lin.Add(n.expr.Eval(store_, ctx_id));
+      }
     }
   };
   for (int pp : eq.tmpl.pred_positions[static_cast<size_t>(pos)]) {
@@ -802,8 +848,11 @@ NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
     const Lane* lane2 = ptype == own_lane.type ? &own_lane
                                                : LaneOf(exec_id, ptype);
     if (lane2 == nullptr) continue;
+    // A graphlet's nodes belong to its sharers only, so other members' solo
+    // graphlets are skipped whole.
     for (const Graphlet* g : lane2->history) {
-      if (g->open_time >= ctx.window_start) scan_graphlet(*g, blocked_after);
+      if (g->open_time >= ctx.window_start && g->sharers.Contains(exec_id))
+        scan_graphlet(*g, blocked_after);
     }
     if (lane2->shared_graphlet)
       scan_graphlet(*lane2->shared_graphlet, blocked_after);
@@ -863,8 +912,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     // stored nodes.
     node.expr.AddVar(g.start_var, 1.0);
     if (lane.scan_has_cross || lane.history_has_numeric) {
-      SnapshotId z = store_.Create();
-      ++stats_.snapshots_created;
+      SnapshotId z = CreateSnapshot();
       ++stats_.event_snapshots;
       g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
         for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
@@ -904,8 +952,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
         if (k == key) x_key = var;
       }
       if (x_key < 0) {
-        x_key = store_.Create();
-        ++stats_.snapshots_created;
+        x_key = CreateSnapshot();
         g.key_entry.emplace_back(key, x_key);
         for (const auto& [k, totals] : lane.key_totals) {
           if (k != key) continue;
@@ -956,8 +1003,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     // edge-predicate sharers scan stored nodes; a plain sharer of a
     // per-event-snapshot graphlet takes count(e) = u + x + R with R kept
     // per context in solo_sums, so its share of the snapshot is O(1).
-    SnapshotId z = store_.Create();
-    ++stats_.snapshots_created;
+    SnapshotId z = CreateSnapshot();
     ++stats_.event_snapshots;
     g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
       const bool plain = g.mode == PropagationMode::kPerEventSnapshot &&
@@ -1010,21 +1056,6 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
   if (need_mm) FoldNodeMinMax(lane, g, node, e);
   g.running_sum.AddExpr(node.expr);
   g.nodes.push_back(std::move(node));
-  // Snapshot-attribution statistics for Theorem 4.1's pruning: queries on
-  // the minority side of a divergence "introduce" the snapshot.
-  if (divergent) {
-    for (size_t i = 0; i < lane.member_list.size(); ++i) {
-      int q = lane.member_list[i];
-      if (!g.sharers.Contains(q)) continue;
-      if (!node.members.Contains(q)) lane.avg_sc_member[i] += 1.0;
-    }
-  } else if (g.mode == PropagationMode::kPerEventSnapshot) {
-    for (size_t i = 0; i < lane.member_list.size(); ++i) {
-      int q = lane.member_list[i];
-      if (g.sharers.Contains(q) && Exec(q).has_edge_predicates())
-        lane.avg_sc_member[i] += 1.0;
-    }
-  }
 }
 
 void HamletEngine::FoldNodeMinMax(Lane& lane, Graphlet& g,
@@ -1163,11 +1194,18 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
 }
 
 void HamletEngine::CloseLaneGraphlets(Lane& lane) {
+  // Only edge-predicate queries scan, and only the graphlets they share in
+  // (ScanPredecessors), so the others' graphlets are not kept.
+  auto retain = [&](const Graphlet& g) {
+    return lane.retain_history &&
+           (options_.force_retain_history ||
+            !g.sharers.Intersect(edge_queries_).Empty());
+  };
   bool had_any = false;
   if (lane.shared_graphlet != nullptr) {
     had_any = true;
     FoldGraphlet(lane, *lane.shared_graphlet);
-    if (lane.retain_history) {
+    if (retain(*lane.shared_graphlet)) {
       lane.shared_graphlet->closed_bytes = lane.shared_graphlet->MemoryBytes();
       lane.history.push_back(lane.shared_graphlet);
     } else {
@@ -1179,7 +1217,7 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
     (void)id;
     had_any = true;
     FoldGraphlet(lane, *g);
-    if (lane.retain_history) {
+    if (retain(*g)) {
       if (!g->nodes.empty()) lane.history_has_numeric = true;
       g->closed_bytes = g->MemoryBytes();
       lane.history.push_back(g);
@@ -1198,15 +1236,6 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
     }
     lane.avg_sc = (1 - d) * lane.avg_sc + d * sc_total;
   }
-}
-
-double HamletEngine::WindowEventsEstimate() const {
-  double n = static_cast<double>(events_this_pane_);
-  for (const auto& [start, count] : pane_event_counts_) {
-    (void)start;
-    n += static_cast<double>(count);
-  }
-  return n;
 }
 
 int64_t HamletEngine::MemoryBytes() const {

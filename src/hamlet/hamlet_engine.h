@@ -40,9 +40,13 @@ struct HamletStats {
   int64_t graphlets_shared = 0;
   int64_t snapshots_created = 0;
   int64_t event_snapshots = 0;
+  /// Events of shareable lanes that some lane member does not match (each
+  /// would be an event-level snapshot in a graphlet shared by all), counted
+  /// whether or not the lane shares.
+  int64_t divergent_events = 0;
   int64_t splits = 0;
   int64_t merges = 0;
-  int64_t ops = 0;  ///< node visits + expr term ops (cost-model unit)
+  int64_t ops = 0;  ///< node visits, expr term ops, snapshot creations
 };
 
 /// Result of a closed window instance.
@@ -164,6 +168,18 @@ class HamletEngine {
     Graphlet* shared_graphlet = nullptr;
     std::vector<std::pair<int, Graphlet*>> solo_graphlets;
     std::vector<Graphlet*> history;
+    /// Decision inputs that depend only on the members, cached so a burst
+    /// decision is O(m): predecessor positions of this type (p) and
+    /// pattern length (t).
+    int p = 1;
+    int t = 1;
+    /// The cost model's n: sum of weight * window_events over these
+    /// (predecessor lane, weight) pairs (WorkloadPlan::WindowTerms).
+    std::vector<std::pair<int, double>> n_terms;
+    /// Events appended to this lane within the horizon, and per pane.
+    int64_t window_events = 0;
+    int64_t events_this_pane = 0;
+    std::vector<std::pair<Timestamp, int64_t>> pane_events;
     /// Moving averages for the optimizer.
     double avg_burst = 4.0;
     double avg_graphlet = 4.0;
@@ -220,6 +236,13 @@ class HamletEngine {
   void AppendSolo(Lane& lane, Graphlet& g, const Event& e, int exec_id);
   void CloseLaneGraphlets(Lane& lane);
   void FoldGraphlet(Lane& lane, Graphlet& g);
+  /// Counts `rows` events that matched `matched` into the lane's window
+  /// events and its per-member snapshot attribution (Theorem 4.1: members
+  /// that miss an event introduce its snapshot; in kPerEventSnapshot lanes
+  /// the edge-predicate members introduce every event's), shared or not.
+  void CountLaneEvents(Lane& lane, const QuerySet& matched, int rows);
+  /// Creates a snapshot variable, counting it in snapshots_created and ops.
+  SnapshotId CreateSnapshot();
 
   // --- evaluation helpers ---
   /// Entry payload for a new graphlet of `type` for (exec, ctx): the sum of
@@ -293,10 +316,6 @@ class HamletEngine {
   Timestamp pane_start_ = 0;
   Timestamp last_time_ = -1;
   Timestamp horizon_ = 0;  ///< max window span over members
-  /// Events per recent pane within the horizon; feeds the benefit model's
-  /// "events per window" factor n.
-  std::vector<std::pair<Timestamp, int64_t>> pane_event_counts_;
-  int64_t events_this_pane_ = 0;
   /// (pane start, first snapshot id created in it) for the panes inside
   /// the horizon, oldest first: OnPaneStart drops the store's ids of every
   /// pane before the horizon cutoff.
@@ -307,8 +326,9 @@ class HamletEngine {
   /// slow sub-targets across multiple lanes materialize at most once.
   std::vector<Event> run_scratch_;
   bool run_scratch_valid_ = false;
-
-  double WindowEventsEstimate() const;
+  /// The burst decision's inputs; every field is rewritten per decision,
+  /// and sc_per_member keeps its capacity.
+  BurstStats burst_stats_;
 };
 
 }  // namespace hamlet

@@ -17,6 +17,7 @@ HamletStats StatsDelta(const HamletStats& cum, const HamletStats& base) {
   d.graphlets_shared = cum.graphlets_shared - base.graphlets_shared;
   d.snapshots_created = cum.snapshots_created - base.snapshots_created;
   d.event_snapshots = cum.event_snapshots - base.event_snapshots;
+  d.divergent_events = cum.divergent_events - base.divergent_events;
   d.splits = cum.splits - base.splits;
   d.merges = cum.merges - base.merges;
   d.ops = cum.ops - base.ops;
@@ -50,12 +51,12 @@ void OnlineReoptimizer::Bind(const WorkloadPlan& plan,
         if (gs.current_shared.Count() < 2) gs.current_shared = QuerySet();
       }
     }
-    gs.relevant_types.assign(static_cast<size_t>(num_types), false);
+    gs.mode = g.mode;
+    AggProfile profile;
+    double windows = 0.0;
     for (int q : gs.member_ids) {
       const ExecQuery& eq = plan.exec_queries[static_cast<size_t>(q)];
-      gs.max_within =
-          std::max(gs.max_within, static_cast<double>(eq.window.within));
-      // Mirror the engine's structural inputs (HamletEngine::OpenGraphlets):
+      // Mirror the engine's structural inputs (HamletEngine::BuildLanes):
       // p = predecessor positions of the Kleene type, t = pattern length.
       const int pos = eq.tmpl.pattern.PositionOf(g.type);
       if (pos >= 0) {
@@ -66,11 +67,15 @@ void OnlineReoptimizer::Bind(const WorkloadPlan& plan,
       gs.t = std::max(gs.t, eq.tmpl.pattern.num_positions());
       gs.snapshotty.push_back(!eq.event_predicates.empty() ||
                               eq.has_negations() || eq.has_edge_predicates());
-      for (TypeId ty : eq.tmpl.pattern.AllTypes()) {
-        if (ty >= 0 && ty < num_types)
-          gs.relevant_types[static_cast<size_t>(ty)] = true;
-      }
+      if (eq.has_edge_predicates()) ++gs.scanners;
+      profile.MergeWith(AggProfile::For(eq.aggregate));
+      windows += std::ceil(static_cast<double>(eq.window.within) /
+                           static_cast<double>(std::max<Timestamp>(
+                               1, eq.window.slide)));
     }
+    gs.c = windows / static_cast<double>(gs.member_ids.size());
+    gs.min_max = profile.need_min || profile.need_max;
+    gs.n_terms = plan.WindowTerms(gs.member_ids, g.type);
     groups_.push_back(std::move(gs));
   }
   base_stats_ = HamletStats{};
@@ -112,8 +117,10 @@ OnlineReoptimizer::Outcome OnlineReoptimizer::Check(
   const double sp = 1.0 + static_cast<double>(delta.event_snapshots) /
                               static_cast<double>(
                                   std::max<int64_t>(1, delta.events));
+  // Divergent events are counted whether or not a lane shares, so the
+  // attribution does not vanish while the running plan splits.
   const double sc_burst =
-      static_cast<double>(delta.snapshots_created) /
+      static_cast<double>(delta.divergent_events) /
       static_cast<double>(std::max<int64_t>(1, delta.bursts_total));
 
   double total_observed = 0.0;
@@ -124,20 +131,18 @@ OnlineReoptimizer::Outcome OnlineReoptimizer::Check(
   std::vector<QuerySet> proposal_local;
   for (GroupState& gs : groups_) {
     const int k = static_cast<int>(gs.member_ids.size());
-    // n: events per window over the group's relevant types, scaled from the
-    // observed interval to the widest member window.
-    int64_t relevant = 0;
-    const std::vector<int64_t>& now = collector.per_type();
-    for (size_t t = 0; t < now.size() && t < gs.relevant_types.size(); ++t) {
-      if (gs.relevant_types[t]) {
-        relevant += now[t] - (t < base_type_events_.size()
-                                  ? base_type_events_[t]
-                                  : 0);
-      }
+    // n: a member's predecessor-type arrivals scaled from the observed
+    // interval to its window.
+    double n = 0.0;
+    for (const WorkloadPlan::WindowTerm& term : gs.n_terms) {
+      const size_t t = static_cast<size_t>(term.pred_type);
+      const int64_t arrivals =
+          collector.type_events(term.pred_type) -
+          (t < base_type_events_.size() ? base_type_events_[t] : 0);
+      n += term.weight * static_cast<double>(arrivals) /
+           static_cast<double>(span);
     }
-    const double n = std::max(
-        1.0, static_cast<double>(relevant) * gs.max_within /
-                 static_cast<double>(span));
+    n = std::max(1.0, n);
 
     PlanSearchInputs in;
     in.base.b = std::max(1.0, b);
@@ -146,6 +151,10 @@ OnlineReoptimizer::Outcome OnlineReoptimizer::Check(
     in.base.p = gs.p;
     in.base.t = gs.t;
     in.base.sp = std::max(1.0, sp);
+    in.base.mode = gs.mode;
+    in.base.c = gs.c;
+    in.base.scanners = gs.scanners;
+    in.base.min_max = gs.min_max;
     in.variant = opts_.variant;
     int snapshotters = 0;
     for (bool s : gs.snapshotty) snapshotters += s ? 1 : 0;
@@ -164,7 +173,10 @@ OnlineReoptimizer::Outcome OnlineReoptimizer::Check(
         current_local.Insert(i);
     }
     if (current_local.Count() < 2) current_local = QuerySet();
-    const double observed = PlanCost(in, current_local);
+    double observed = PlanCost(in, current_local);
+    if (opts_.per_burst) {
+      observed = std::min(observed, PlanCost(in, QuerySet()));
+    }
     total_observed += observed;
     total_best += best.cost;
 

@@ -8,8 +8,10 @@
 // counters (bursts, graphlet sizes, snapshot churn) — and every
 // RunConfig::reoptimize_every_panes panes the OnlineReoptimizer:
 //
-//   1. rebuilds the cost-model inputs (Table 2's b, n, g, p, t, sc_q) for
-//      each potential share group from the observed deltas,
+//   1. rebuilds the cost-model inputs (Table 2's b, n, g, p, t, sc_q, and
+//      kRuntime's mode, c and scanners) for each potential share group from
+//      the observed deltas, with n and sc_q meaning what they mean at a
+//      burst decision (HamletEngine::OpenGraphlets),
 //   2. re-runs the existing PrunedPlanSearch (Theorems 4.1/4.2, O(m)), and
 //   3. compares the observed cost of the RUNNING sharing plan (PlanCost)
 //      against the best plan's cost: when the relative drift exceeds
@@ -71,7 +73,11 @@ struct OnlineReoptimizerOptions {
   /// Relative cost drift that triggers a swap: swap when
   /// (observed - best) / observed > threshold. Must be > 0.
   double threshold = 0.2;
-  CostModelVariant variant = CostModelVariant::kRefined;
+  CostModelVariant variant = CostModelVariant::kRuntime;
+  /// The engine re-decides sharing per burst (kHamletDynamic): a running
+  /// group costs the cheaper of sharing its plan's members and splitting,
+  /// so a swap only pays where the plan keeps the bursts from sharing.
+  bool per_burst = false;
   /// Evidence floor: checks observing fewer engine events than this since
   /// the previous check are skipped (not logged) — early panes would
   /// otherwise thrash the plan on noise.
@@ -133,14 +139,18 @@ class OnlineReoptimizer {
     QuerySet original_members;
     std::vector<int> member_ids;  ///< ascending exec ids; local index order
     QuerySet current_shared;      ///< exec-id space
-    double max_within = 1.0;
     int p = 1;
     int t = 1;
+    PropagationMode mode = PropagationMode::kFastSum;
+    /// Open windows per member and group key (within / slide), averaged.
+    double c = 1.0;
+    int scanners = 0;
+    bool min_max = false;
     /// Members that introduce snapshots (predicates/negations) — the ones
     /// Theorem 4.1 cannot keep shared for free.
     std::vector<bool> snapshotty;
-    /// Event types any member's pattern mentions (indexed by TypeId).
-    std::vector<bool> relevant_types;
+    /// n = sum of weight * (arrivals of pred_type) / interval.
+    std::vector<WorkloadPlan::WindowTerm> n_terms;
   };
 
   const WorkloadPlan* plan_ = nullptr;

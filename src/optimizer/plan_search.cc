@@ -15,6 +15,22 @@ double PlanCost(const PlanSearchInputs& in, const QuerySet& shared) {
   const int ks = shared.Count();
   const int kn = k_total - ks;
   double cost = 0.0;
+  if (in.variant == CostModelVariant::kRuntime) {
+    // The same separable terms the per-burst policy prices: the shared
+    // graphlet once, each member on its side, and each sharer's divergent
+    // snapshots. The scanners' scans cost every plan alike and are left
+    // out, so the re-optimizer's drift compares what sharing changes.
+    CostInputs base = in.base;
+    base.k = ks;
+    base.sc = 1.0;
+    shared.ForEach(
+        [&](QueryId q) { base.sc += in.sc_q[static_cast<size_t>(q)]; });
+    const RuntimeTerms t = RuntimeCostTerms(base);
+    if (ks > 0) {
+      cost += t.base + ks * t.member_shared + (base.sc - 1.0) * t.per_snapshot;
+    }
+    return cost + kn * t.member_solo;
+  }
   if (ks > 0) {
     CostInputs base = in.base;
     base.k = 1;
@@ -64,9 +80,13 @@ SharingPlan PrunedPlanSearch(const PlanSearchInputs& in, int k) {
   // members). O(m) plus the min-two scan.
   QuerySet shared;
   std::vector<int> failing;
+  // The group's k, as DynamicBenefitPolicy passes it (kRuntime prices a
+  // divergent snapshot for every sharer).
+  CostInputs marginal = in.base;
+  marginal.k = k;
   for (int q = 0; q < k; ++q) {
     const double sc_q = in.sc_q[static_cast<size_t>(q)];
-    if (sc_q <= 0.0 || MarginalShareWins(sc_q, in.base, in.variant)) {
+    if (sc_q <= 0.0 || MarginalShareWins(sc_q, marginal, in.variant)) {
       shared.Insert(q);
     } else {
       failing.push_back(q);

@@ -28,6 +28,10 @@ SharingDecision DynamicBenefitPolicy::Decide(const std::vector<int>& members,
   in.p = stats.p;
   in.t = stats.t;
   in.sp = stats.sp;
+  in.mode = stats.mode;
+  in.c = stats.c;
+  in.scanners = stats.scanners;
+  in.min_max = stats.min_max;
 
   // Level-2 pruning: Theorem 4.1 keeps zero-snapshot queries shared;
   // Theorem 4.2's marginal test decides each snapshot-introducing query.

@@ -8,8 +8,17 @@
 //                        snapshot-driven pruning (Theorem 4.1: queries that
 //                        introduce no snapshots always share), the
 //                        benefit-driven pruning (Theorem 4.2: marginal test
-//                        per snapshot-introducing query), and a final Eq. 8
-//                        benefit check of the chosen plan.
+//                        per snapshot-introducing query), and a final
+//                        benefit check of the chosen plan, all under one
+//                        CostModelVariant (src/optimizer/cost_model.h).
+//                        Sessions pass RunConfig::cost_variant, kRuntime by
+//                        default: it prices the lane's propagation mode
+//                        from the BurstStats the engine fills, with the
+//                        same terms the online re-optimizer's PlanCost uses.
+//                        A default-constructed policy keeps Definition 12
+//                        (kRefined), which optimizer_test's PolicyUnitTest
+//                        cases pin; kSimple/kRefined themselves are pinned
+//                        by CostModelTest and hamlet_paper_example_test.
 #ifndef HAMLET_OPTIMIZER_POLICIES_H_
 #define HAMLET_OPTIMIZER_POLICIES_H_
 

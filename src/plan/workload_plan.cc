@@ -40,6 +40,31 @@ const ShareGroup* WorkloadPlan::GroupOf(TypeId type, int exec_id) const {
   return nullptr;
 }
 
+std::vector<WorkloadPlan::WindowTerm> WorkloadPlan::WindowTerms(
+    std::span<const int> members, TypeId type) const {
+  auto scans = [&](int q) {
+    return exec_queries[static_cast<size_t>(q)].has_edge_predicates();
+  };
+  const bool any_scans = std::any_of(members.begin(), members.end(), scans);
+  std::vector<int> counted;
+  for (int q : members) {
+    if (!any_scans || scans(q)) counted.push_back(q);
+  }
+  std::vector<WindowTerm> terms;
+  for (int q : counted) {
+    const ExecQuery& eq = exec_queries[static_cast<size_t>(q)];
+    const int pos = eq.tmpl.pattern.PositionOf(type);
+    if (pos < 0) continue;
+    const double weight = static_cast<double>(eq.window.within) /
+                          static_cast<double>(counted.size());
+    for (int pp : eq.tmpl.pred_positions[static_cast<size_t>(pos)]) {
+      terms.push_back(
+          {q, eq.tmpl.pattern.elements[static_cast<size_t>(pp)].type, weight});
+    }
+  }
+  return terms;
+}
+
 std::string WorkloadPlan::Describe() const {
   const Schema& schema = *workload->schema();
   std::string out = "WorkloadPlan: " + std::to_string(num_exec()) +

@@ -105,6 +105,20 @@ struct WorkloadPlan {
   /// The share group for `type` containing `exec_id`, or nullptr.
   const ShareGroup* GroupOf(TypeId type, int exec_id) const;
 
+  /// One term of the sharing cost model's window size n for the `type`
+  /// events of `members` (src/optimizer/cost_model.h): n is the sum over
+  /// terms of weight * (pred_type events per millisecond), the predecessor
+  /// events a member's window holds, averaged over the members counted.
+  /// Members with edge predicates are counted when any has them (they
+  /// alone scan), all members otherwise.
+  struct WindowTerm {
+    int exec_id = -1;
+    TypeId pred_type = Schema::kInvalidId;
+    double weight = 0.0;  ///< window (ms) / members counted
+  };
+  std::vector<WindowTerm> WindowTerms(std::span<const int> members,
+                                      TypeId type) const;
+
   /// Analysis summary for logs/examples.
   std::string Describe() const;
 };

@@ -22,24 +22,6 @@ const char* CmpOpName(CmpOp op) {
   return "?";
 }
 
-bool EvalCmp(CmpOp op, double lhs, double rhs) {
-  switch (op) {
-    case CmpOp::kLt:
-      return lhs < rhs;
-    case CmpOp::kLe:
-      return lhs <= rhs;
-    case CmpOp::kGt:
-      return lhs > rhs;
-    case CmpOp::kGe:
-      return lhs >= rhs;
-    case CmpOp::kEq:
-      return lhs == rhs;
-    case CmpOp::kNe:
-      return lhs != rhs;
-  }
-  return false;
-}
-
 Status EventPredicate::Resolve(Schema* schema, bool register_missing) {
   type = register_missing ? schema->AddType(type_name)
                           : schema->FindType(type_name);
@@ -75,14 +57,6 @@ bool PassesEventPredicates(const std::vector<EventPredicate>& preds,
                            const Event& e) {
   for (const EventPredicate& p : preds) {
     if (!p.Eval(e)) return false;
-  }
-  return true;
-}
-
-bool PassesEdgePredicates(const std::vector<EdgePredicate>& preds,
-                          const Event& prev, const Event& next) {
-  for (const EdgePredicate& p : preds) {
-    if (!p.Eval(prev, next)) return false;
   }
   return true;
 }

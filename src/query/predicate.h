@@ -24,7 +24,23 @@ enum class CmpOp { kLt, kLe, kGt, kGe, kEq, kNe };
 const char* CmpOpName(CmpOp op);
 
 /// Applies `lhs op rhs`.
-bool EvalCmp(CmpOp op, double lhs, double rhs);
+inline bool EvalCmp(CmpOp op, double lhs, double rhs) {
+  switch (op) {
+    case CmpOp::kLt:
+      return lhs < rhs;
+    case CmpOp::kLe:
+      return lhs <= rhs;
+    case CmpOp::kGt:
+      return lhs > rhs;
+    case CmpOp::kGe:
+      return lhs >= rhs;
+    case CmpOp::kEq:
+      return lhs == rhs;
+    case CmpOp::kNe:
+      return lhs != rhs;
+  }
+  return false;
+}
 
 /// `<type>.<attr> <op> <constant>`; applies to events of `type` only.
 struct EventPredicate {
@@ -85,9 +101,15 @@ struct EdgePredicate {
 bool PassesEventPredicates(const std::vector<EventPredicate>& preds,
                            const Event& e);
 
-/// Evaluates all edge predicates of one query against an adjacency.
-bool PassesEdgePredicates(const std::vector<EdgePredicate>& preds,
-                          const Event& prev, const Event& next);
+/// Evaluates all edge predicates of one query against an adjacency. Inline:
+/// predecessor scans call it once per stored node.
+inline bool PassesEdgePredicates(const std::vector<EdgePredicate>& preds,
+                                 const Event& prev, const Event& next) {
+  for (const EdgePredicate& p : preds) {
+    if (!p.Eval(prev, next)) return false;
+  }
+  return true;
+}
 
 }  // namespace hamlet
 

@@ -8,6 +8,7 @@ ControlPlane::ControlPlane(const RunConfig& config, const OrderingGate& gate)
     : gate_(gate), every_panes_(config.reoptimize_every_panes) {
   reopt_options_.threshold = config.reoptimize_threshold;
   reopt_options_.variant = config.cost_variant;
+  reopt_options_.per_burst = config.kind == EngineKind::kHamletDynamic;
 }
 
 Result<std::unique_ptr<ControlPlane>> ControlPlane::Open(

@@ -50,6 +50,7 @@ void AddStats(HamletStats& into, const HamletStats& s) {
   into.graphlets_shared += s.graphlets_shared;
   into.snapshots_created += s.snapshots_created;
   into.event_snapshots += s.event_snapshots;
+  into.divergent_events += s.divergent_events;
   into.splits += s.splits;
   into.merges += s.merges;
   into.ops += s.ops;

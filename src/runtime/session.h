@@ -80,7 +80,10 @@ struct RunConfig {
   /// Two-step trend budget per window; exceeding it records a DNF.
   /// Must be > 0.
   int64_t two_step_budget = 20'000'000;
-  CostModelVariant cost_variant = CostModelVariant::kRefined;
+  /// The cost model of the dynamic policy and the online re-optimizer:
+  /// kRuntime prices the engine's code per propagation mode; kSimple and
+  /// kRefined are the paper's Definitions 11/12.
+  CostModelVariant cost_variant = CostModelVariant::kRuntime;
   /// Batch Run() only: keep per-window emissions (tests); disable for large
   /// benches. Sessions ignore this — the sink choice governs delivery.
   bool collect_emissions = true;

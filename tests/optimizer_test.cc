@@ -1,13 +1,19 @@
 // Optimizer tests: the benefit model reproduces the paper's worked decision
 // numbers (Eq. 9-11) exactly; the pruned plan search (Theorems 4.1/4.2)
-// matches exhaustive search; policies steer the engine as §4.2 describes.
+// matches exhaustive search; policies steer the engine as §4.2 describes;
+// the runtime cost model (kRuntime) shares where the engine's shared code
+// is cheaper and splits where it is not.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/benchlib/workloads.h"
 #include "src/common/rng.h"
 #include "src/hamlet/batch_eval.h"
 #include "src/optimizer/plan_search.h"
 #include "src/optimizer/policies.h"
 #include "src/query/parser.h"
+#include "src/runtime/session.h"
 #include "src/stream/stream_builder.h"
 
 namespace hamlet {
@@ -259,6 +265,179 @@ TEST(PolicyUnitTest, NeverAndAlwaysAreConstant) {
   EXPECT_TRUE(never.Decide({0, 1}, stats).shared.Empty());
   AlwaysSharePolicy always;
   EXPECT_EQ(always.Decide({0, 1}, stats).shared.Count(), 2);
+}
+
+// ---- kRuntime: one cost form per propagation mode ----
+
+CostInputs RuntimeInputs(PropagationMode mode, int k, double b, double c) {
+  CostInputs in;
+  in.mode = mode;
+  in.k = k;
+  in.b = b;
+  in.c = c;
+  in.sc = 1.0;  // no divergent event
+  return in;
+}
+
+TEST(RuntimeCostModelTest, LongNonDivergentFastSumBurstsShareAtTwoQueries) {
+  // One fast-sum append per event replaces two solo appends.
+  for (double b : {64.0, 200.0, 1000.0}) {
+    const CostInputs in = RuntimeInputs(PropagationMode::kFastSum, 2, b, 1.0);
+    EXPECT_GT(SharingBenefit(in, CostModelVariant::kRuntime), 0.0) << b;
+  }
+}
+
+TEST(RuntimeCostModelTest, OneOrTwoEventGraphletsWithOneContextSplit) {
+  // The shared graphlet's own open, snapshots and fold outweigh one or two
+  // solo appends per member.
+  for (double b : {1.0, 2.0}) {
+    const CostInputs in = RuntimeInputs(PropagationMode::kFastSum, 2, b, 1.0);
+    EXPECT_LT(SharingBenefit(in, CostModelVariant::kRuntime), 0.0) << b;
+  }
+}
+
+TEST(RuntimeCostModelTest, PerEventSnapshotLaneWithoutScannersNeverShares) {
+  // Every event is a snapshot set for every sharer context on top of the
+  // appends the members would do alone, and nobody's scan is saved.
+  DynamicBenefitPolicy policy(CostModelVariant::kRuntime);
+  for (int k : {2, 4, 12, 40}) {
+    for (double b : {1.0, 2.0, 8.0, 64.0, 500.0}) {
+      for (double c : {1.0, 2.0, 8.0}) {
+        for (double sc : {1.0, 3.0, 50.0}) {
+          CostInputs in =
+              RuntimeInputs(PropagationMode::kPerEventSnapshot, k, b, c);
+          in.sc = sc;
+          in.n = 1000.0;
+          EXPECT_GT(SharedCost(in, CostModelVariant::kRuntime),
+                    NonSharedCost(in, CostModelVariant::kRuntime))
+              << "k=" << k << " b=" << b << " c=" << c << " sc=" << sc;
+          BurstStats stats;
+          stats.mode = PropagationMode::kPerEventSnapshot;
+          stats.k = k;
+          stats.b = b;
+          stats.c = c;
+          stats.n = 1000.0;
+          stats.sc_per_member.assign(static_cast<size_t>(k), 0.0);
+          std::vector<int> members;
+          for (int q = 0; q < k; ++q) members.push_back(q);
+          EXPECT_TRUE(policy.Decide(members, stats).shared.Empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(RuntimeCostModelTest, ScannersWindowTermIsEqualOnBothSides) {
+  // An edge-predicate member scans its window's predecessor events whether
+  // it shares or not; members that do not scan never pay for n.
+  for (PropagationMode mode :
+       {PropagationMode::kFastSum, PropagationMode::kPerEventSnapshot}) {
+    for (int scanners : {0, 1, 3}) {
+      CostInputs small = RuntimeInputs(mode, 6, 40.0, 2.0);
+      small.scanners = scanners;
+      small.sc = 4.0;
+      small.n = 10.0;
+      CostInputs large = small;
+      large.n = 5000.0;
+      const double shared = SharedCost(large, CostModelVariant::kRuntime) -
+                            SharedCost(small, CostModelVariant::kRuntime);
+      const double solo = NonSharedCost(large, CostModelVariant::kRuntime) -
+                          NonSharedCost(small, CostModelVariant::kRuntime);
+      EXPECT_DOUBLE_EQ(shared, solo) << PropagationModeName(mode);
+      if (scanners == 0) {
+        EXPECT_EQ(shared, 0.0);
+      } else {
+        EXPECT_GT(shared, 0.0);
+      }
+    }
+  }
+}
+
+TEST(RuntimeCostModelTest, BurstChoiceAgreesWithPlanChoice) {
+  // DynamicBenefitPolicy and the re-optimizer's PrunedPlanSearch price the
+  // same terms: whenever a burst shares, the plan search shares the same
+  // members.
+  Rng rng(2027);
+  DynamicBenefitPolicy policy(CostModelVariant::kRuntime);
+  int shared_bursts = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const int k = static_cast<int>(rng.NextInt(2, 8));
+    BurstStats stats;
+    stats.mode = PropagationMode::kFastSum;
+    stats.k = k;
+    stats.b = static_cast<double>(rng.NextInt(1, 64));
+    stats.c = static_cast<double>(rng.NextInt(1, 3));
+    std::vector<int> members;
+    PlanSearchInputs in;
+    in.variant = CostModelVariant::kRuntime;
+    in.base.b = stats.b;
+    in.base.c = stats.c;
+    for (int q = 0; q < k; ++q) {
+      members.push_back(q);
+      const double sc_q = rng.NextBool(0.5)
+                              ? 0.0
+                              : static_cast<double>(rng.NextInt(1, 8)) / 4.0;
+      stats.sc_per_member.push_back(sc_q);
+      in.sc_q.push_back(sc_q);
+    }
+    const SharingDecision burst = policy.Decide(members, stats);
+    if (burst.shared.Empty()) continue;
+    ++shared_bursts;
+    EXPECT_EQ(PrunedPlanSearch(in, k).shared, burst.shared)
+        << "trial " << trial;
+  }
+  EXPECT_GT(shared_bursts, 100);
+}
+
+// The engine under the default configuration's dynamic policy: never more
+// work than the better of the two static choices, on a diverse stock
+// workload (where the paper's Definition 12 inputs made it share bursts
+// that cost more shared) and on ridesharing (where sharing wins).
+struct EngineOps {
+  BatchResult never, always, dynamic;
+};
+
+EngineOps RunAllPolicies(const BenchWorkload& bw, const GeneratorConfig& gen) {
+  const EventVector ev = bw.generator->Generate(gen);
+  NeverSharePolicy never;
+  AlwaysSharePolicy always;
+  DynamicBenefitPolicy dynamic(RunConfig().cost_variant);
+  return {EvalHamletBatch(*bw.plan, ev, &never),
+          EvalHamletBatch(*bw.plan, ev, &always),
+          EvalHamletBatch(*bw.plan, ev, &dynamic)};
+}
+
+TEST(RuntimePolicyEngineTest, StockDynamicDoesNoMoreOpsThanEitherStaticPlan) {
+  BenchWorkload bw = MakeWorkload2(20);
+  GeneratorConfig gen;
+  gen.seed = 1;
+  gen.events_per_minute = 400;
+  gen.duration_minutes = 5;
+  gen.num_groups = 1;
+  gen.burstiness = 0.992;
+  gen.max_burst = 150;
+  const EngineOps r = RunAllPolicies(bw, gen);
+  const int64_t best = std::min(r.never.stats.ops, r.always.stats.ops);
+  EXPECT_LE(static_cast<double>(r.dynamic.stats.ops),
+            1.05 * static_cast<double>(best))
+      << "never " << r.never.stats.ops << " always " << r.always.stats.ops;
+}
+
+TEST(RuntimePolicyEngineTest, RidesharingDynamicSharesAndBeatsNever) {
+  BenchWorkload bw = MakeWorkload1("ridesharing", 20, 2 * kMillisPerSecond,
+                                   /*with_predicate=*/false);
+  GeneratorConfig gen;
+  gen.seed = 1;
+  gen.events_per_minute = 6000;
+  gen.duration_minutes = 1;
+  gen.num_groups = 1;
+  gen.burstiness = 0.9;
+  gen.max_burst = 120;
+  const EngineOps r = RunAllPolicies(bw, gen);
+  ASSERT_GT(r.dynamic.stats.bursts_total, 0);
+  EXPECT_GE(static_cast<double>(r.dynamic.stats.bursts_shared),
+            0.9 * static_cast<double>(r.dynamic.stats.bursts_total));
+  EXPECT_LT(r.dynamic.stats.ops, r.never.stats.ops);
 }
 
 }  // namespace
