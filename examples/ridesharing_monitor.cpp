@@ -52,7 +52,6 @@ int main() {
                           EngineKind::kGretaGraph}) {
     RunConfig config;
     config.kind = kind;
-    config.collect_emissions = false;
     StreamExecutor executor(*plan, config);
     RunOutput out = executor.Run(events);
     std::printf(

@@ -4,88 +4,50 @@
 // The sharded runtime's ingress contract is single-producer: one caller
 // thread validates global event order and stages events to shard queues.
 // MpscIngestHub lifts that to N concurrent producers WITHOUT a global lock
-// or a CAS-contended MPSC ring: each producer owns a private SPSC ring
-// (src/common/spsc_queue.h) plus one atomic lower bound, and the sequencer
-// runs a k-way merge across the rings. The merge never blocks a producer
-// and producers never synchronize with each other — the only shared state
-// per producer is its ring indices and its bound.
+// on the push path: each producer owns a private SPSC ring
+// (src/common/spsc_queue.h) plus one published lower bound, and the
+// sequencer runs a k-way merge across the rings.
 //
-// The bound is the whole trick. Every producer slot publishes `next_min`:
-// the smallest timestamp that producer may still push. It advances on every
-// push (to t+1, since a producer's own stream is strictly increasing) and
-// on every producer-side watermark (to max(next_min, w)); closing a slot
-// pins it at +inf. The sequencer may release the globally smallest buffered
-// event e exactly when e.time <= the bound of every OTHER active slot: no
-// producer can later push anything earlier, so the release order equals the
-// order of a single merged stream. The same scan yields the FRONTIER —
-//     min over active slots of (front event time, or next_min when empty)
-// — which is simultaneously (a) the release horizon and (b) the merged
-// watermark the session may safely broadcast: after the sequencer drains
-// until stuck, frontier >= every released timestamp, so advancing the
-// downstream gate to the frontier can never regress it.
+// One owner. The sequencer alone owns the ROSTER — the list of rings it
+// merges — and every piece of merge state: the largest released time, the
+// floor that departed producers leave behind, the roster itself. Nothing a
+// producer does changes the roster; the roster never changes during a scan.
 //
-// Both monotone by construction: each slot's bound only grows (max-stores
-// by a single writer), a freed slot leaves at +inf, and a newly claimed
-// slot starts at max(released_max + 1, claim floor) — it can constrain the
-// future, never un-release the past.
+// The bound. Every admitted slot publishes `next_min`, the smallest time
+// its producer may still push: t+1 after pushing t (a producer's own stream
+// is strictly increasing), w after a producer-side watermark w. The
+// sequencer releases the globally smallest buffered element e exactly when
+// e.time <= the bound of every OTHER roster slot: no producer can later
+// push anything earlier, so the release order equals the order of a single
+// merged stream. The FRONTIER — min over the roster of (front element time,
+// or next_min when the ring is empty) — is the merge horizon; after the
+// sequencer drains until stuck it bounds every released time, so it is a
+// legal watermark for the merged stream.
 //
-// Ordering discipline (the two loads/stores that make the merge sound):
-//  * producer: ring push FIRST, then publish next_min (release). A bound
-//    of t+1 therefore proves event t is already visible in the ring.
-//  * sequencer: load next_min (acquire) BEFORE peeking the ring. A stale
-//    bound is merely conservative (delays a release); the acquire pairs
-//    with the producer's release so a bound of t+1 guarantees the peek
-//    sees event t if it is still queued.
+// Admission. A producer thread Requests a free slot (under the hub mutex,
+// the only lock in the hub) and waits in AwaitAdmission; the sequencer
+// admits requested slots between merge rounds (AdmitRequested), at
+//     max(largest released time + 1, the caller's floor)
+// — the runtime passes its last broadcast watermark — so a joiner can never
+// be admitted below anything already released or broadcast, and it joins
+// the roster before the next scan rather than in the middle of one.
 //
-// Per-atomic memory-order contract (keep in sync with the code):
+// Departure in stream order. CloseSlot is a flag the producer sets after
+// its last push and bound (release); the sequencer reads the flag before
+// it peeks the ring, so a closed slot seen empty is drained. Only then does
+// the sequencer take it off the roster, fold its final bound into the floor
+// and hand the slot back to the free list. With the roster empty the
+// frontier is that floor: a departed producer's last watermark still
+// reaches the merge, and it can never pass an element still in a ring.
 //
-//   Slot::next_min   Single writer (the owning producer; plus claim-time
-//                    init while the slot is kReserved, i.e. owned by the
-//                    claimer). Release stores publish "everything at times
-//                    < bound is already in the ring"; the sequencer's
-//                    acquire loads pair with them (the bound-before-peek
-//                    rule above). Owner-side reads are relaxed — the owner
-//                    sees its own stores. Monotone except the kTimeMax pin
-//                    on close.
+// What the hub does NOT do: validate. Producers enforce their own ordering
+// gates upstream; cross-producer violations (duplicate timestamps) surface
+// as ordinary ordering-gate rejections on the merged stream downstream.
 //
-//   Slot::state      The slot lifecycle CAS ring: kFree -CAS(acq_rel)->
-//                    kReserved -> kOpen (release, publishing ring + bound
-//                    init) -> kClosing (release, after the closed-floor
-//                    latch) -> kFree (sequencer release, after the drain).
-//                    Sequencer reads are acquire so a kOpen/kClosing
-//                    observation implies the slot's ring pointer and bound
-//                    are visible.
-//
-//   released_max_    Written only by the sequencer (release); claimers
-//                    acquire-read it so a new slot's bound starts above
-//                    every released timestamp THEY can observe. Relaxed
-//                    sequencer self-reads.
-//
-//   claim_floor_     Monotone max, sequencer release-stores (after a
-//                    watermark broadcast), claimers acquire-read. A stale
-//                    read is conservative: the per-producer gate and the
-//                    downstream ordering gate still reject anything below
-//                    the broadcast horizon.
-//
-//   closed_floor_    Monotone max via CAS(release) in CloseSlot — the
-//                    latch that makes a departing producer's final
-//                    watermark deterministic; Frontier acquire-reads it
-//                    only when no slot contributes.
-//
-//   active_          Claim/recycle counter, acq_rel RMWs; Quiescent's
-//                    acquire load pairs with the recycling fetch_sub so
-//                    "0 active" implies every ring drain is visible.
-//
-// What the hub does NOT do: validate. Producers enforce their own per-
-// producer ordering gates upstream; cross-producer violations (duplicate
-// timestamps, a late joiner pushing below the released horizon) surface as
-// ordinary ordering-gate rejections on the merged stream downstream —
-// never as silent misordering.
-//
-// Threading: ClaimSlot may be called from any thread (slot acquisition is
-// a CAS). After a claim, exactly ONE thread may use that slot's TryPush /
-// PublishBound / CloseSlot. Exactly one thread (the sequencer) may call
-// TryNext / Frontier / Quiescent / released_max.
+// Threading: Request / AwaitAdmission / open_producers may be called from
+// any thread. After AwaitAdmission, exactly ONE thread uses that slot's
+// TryPush / PublishBound / CloseSlot. Exactly one thread at a time (the
+// sequencer) calls AdmitRequested / TryNext / Frontier.
 #ifndef HAMLET_COMMON_MPSC_INGEST_H_
 #define HAMLET_COMMON_MPSC_INGEST_H_
 
@@ -94,8 +56,10 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/common/mutex.h"
 #include "src/common/spsc_queue.h"
 
 namespace hamlet {
@@ -111,141 +75,136 @@ class MpscIngestHub {
   static constexpr TimeT kTimeMin = std::numeric_limits<TimeT>::min();
 
   /// `ring_capacity` is each producer ring's capacity (rounded up to a
-  /// power of two, minimum 2). Rings allocate lazily on first claim of
-  /// their slot and are reused across claim/close cycles.
+  /// power of two, minimum 2). Rings allocate on a slot's first Request and
+  /// are reused afterwards.
   explicit MpscIngestHub(size_t ring_capacity)
-      : ring_capacity_(ring_capacity < 2 ? 2 : ring_capacity) {}
+      : ring_capacity_(ring_capacity < 2 ? 2 : ring_capacity) {
+    roster_.reserve(kMaxProducers);
+  }
 
   MpscIngestHub(const MpscIngestHub&) = delete;
   MpscIngestHub& operator=(const MpscIngestHub&) = delete;
 
   // ------------------------------------------------------------------
-  // Producer side (one thread per claimed slot)
+  // Hand-over (any thread)
   // ------------------------------------------------------------------
 
-  /// Claims a free slot, or returns -1 when all kMaxProducers are taken.
-  /// The new slot's bound starts at max(released_max + 1, claim floor):
-  /// anything this producer pushes below that is already merged past and
-  /// will be rejected downstream, so the bound excludes it up front and
-  /// the joiner can never stall the frontier behind history.
-  int ClaimSlot() {
+  /// Hands a free slot to the sequencer for admission, or returns -1 when
+  /// all kMaxProducers slots are held (a closed slot stays held until the
+  /// sequencer has drained it). The caller then waits in AwaitAdmission.
+  int Request() HAMLET_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
     for (int i = 0; i < kMaxProducers; ++i) {
-      Slot& s = slots_[i];
-      uint32_t expect = kFree;
-      if (!s.state.compare_exchange_strong(expect, kReserved,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
-        continue;
+      if (state_[i] != kFree) continue;
+      if (slots_[i].ring == nullptr) {
+        slots_[i].ring = std::make_unique<SpscQueue<T>>(ring_capacity_);
       }
-      if (s.ring == nullptr) {
-        s.ring = std::make_unique<SpscQueue<T>>(ring_capacity_);
-      }
-      const TimeT released = released_max_.load(std::memory_order_acquire);
-      const TimeT floor = claim_floor_.load(std::memory_order_acquire);
-      TimeT bound = released == kTimeMin ? kTimeMin : released + 1;
-      if (floor > bound) bound = floor;
-      s.next_min.store(bound, std::memory_order_release);
-      s.state.store(kOpen, std::memory_order_release);
-      active_.fetch_add(1, std::memory_order_acq_rel);
+      state_[i] = kRequested;
+      requests_.push_back(i);
       return i;
     }
     return -1;
   }
 
+  /// Blocks until the sequencer admitted `slot`; returns the admission
+  /// bound, below which the slot's producer must never push.
+  TimeT AwaitAdmission(int slot) HAMLET_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (state_[slot] != kAdmitted) admitted_.Wait(lock);
+    return slots_[slot].next_min.load(std::memory_order_relaxed);
+  }
+
+  /// Slots handed out whose producer has not closed them yet.
+  int open_producers() HAMLET_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    int open = 0;
+    for (int i = 0; i < kMaxProducers; ++i) {
+      if (state_[i] != kFree &&
+          !slots_[i].closed.load(std::memory_order_acquire)) {
+        ++open;
+      }
+    }
+    return open;
+  }
+
+  // ------------------------------------------------------------------
+  // Producer side (the one thread owning an admitted slot)
+  // ------------------------------------------------------------------
+
   /// Pushes one element into `slot`'s ring. Returns false when the ring is
   /// full (element intact — the caller decides how to wait; the sequencer
-  /// draining guarantees progress). The slot's bound advances to time+1
-  /// AFTER the push is visible (see file comment, ordering discipline).
+  /// draining guarantees progress). The bound advances to time+1 AFTER the
+  /// push is visible, so a bound of t+1 proves event t is in the ring.
   bool TryPush(int slot, T&& v) {
     Slot& s = slots_[static_cast<size_t>(slot)];
-    HAMLET_DCHECK(s.state.load(std::memory_order_relaxed) == kOpen);
     const TimeT t = v.time;
     if (!s.ring->TryPush(std::move(v))) return false;
-    const TimeT bound = t == kTimeMax ? kTimeMax : t + 1;
-    if (bound > s.next_min.load(std::memory_order_relaxed)) {
-      s.next_min.store(bound, std::memory_order_release);
-    }
+    PublishBound(slot, t == kTimeMax ? kTimeMax : t + 1);
     return true;
   }
 
   /// Producer-side watermark: promises this slot will never push an
-  /// element with time < `w`. Lets the frontier advance past an idle
-  /// producer. Monotone (a lower bound is ignored).
+  /// element with time < `w`. Monotone (a lower bound is ignored).
   void PublishBound(int slot, TimeT w) {
     Slot& s = slots_[static_cast<size_t>(slot)];
-    HAMLET_DCHECK(s.state.load(std::memory_order_relaxed) == kOpen);
     if (w > s.next_min.load(std::memory_order_relaxed)) {
       s.next_min.store(w, std::memory_order_release);
     }
   }
 
-  /// The slot's current bound — callable by the slot's owning thread, e.g.
-  /// right after ClaimSlot to seed the producer's own ordering gate with
-  /// the admission bound (events below it would be rejected downstream
-  /// anyway; rejecting them at the handle is synchronous and per-producer).
-  TimeT slot_bound(int slot) const {
-    return slots_[static_cast<size_t>(slot)].next_min.load(
-        std::memory_order_acquire);
-  }
-
-  /// Retires the slot: bound pins at +inf and the state moves to kClosing.
-  /// The sequencer frees the slot for reuse once it drains the remaining
-  /// ring contents; the producer must not touch the slot afterwards. The
-  /// slot's final bound is latched into the closed floor FIRST, so the
-  /// producer's last watermark survives its departure (see Frontier) —
-  /// without the latch, whether a final watermark took effect would race
-  /// against the close.
+  /// Departure: never blocks. The producer must not touch the slot
+  /// afterwards; the sequencer retires it once the ring is drained.
   void CloseSlot(int slot) {
-    Slot& s = slots_[static_cast<size_t>(slot)];
-    HAMLET_DCHECK(s.state.load(std::memory_order_relaxed) == kOpen);
-    const TimeT final_bound = s.next_min.load(std::memory_order_relaxed);
-    TimeT floor = closed_floor_.load(std::memory_order_relaxed);
-    while (floor < final_bound &&
-           !closed_floor_.compare_exchange_weak(floor, final_bound,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed)) {
-    }
-    s.next_min.store(kTimeMax, std::memory_order_release);
-    s.state.store(kClosing, std::memory_order_release);
+    slots_[static_cast<size_t>(slot)].closed.store(true,
+                                                   std::memory_order_release);
   }
 
   // ------------------------------------------------------------------
-  // Sequencer side (exactly one thread)
+  // Sequencer side (one thread at a time)
   // ------------------------------------------------------------------
+
+  /// Admits every requested slot at max(largest released time + 1,
+  /// `floor`) and wakes the waiting producers.
+  void AdmitRequested(TimeT floor) HAMLET_EXCLUDES(mu_) {
+    TimeT bound = released_max_ == kTimeMin ? kTimeMin : released_max_ + 1;
+    if (floor > bound) bound = floor;
+    MutexLock lock(mu_);
+    if (requests_.empty()) return;
+    for (const int i : requests_) {
+      slots_[i].next_min.store(bound, std::memory_order_relaxed);
+      state_[i] = kAdmitted;
+      roster_.push_back(i);
+    }
+    requests_.clear();
+    admitted_.NotifyAll();
+  }
 
   /// Pops the globally smallest releasable element into `*out`. Returns
-  /// false when nothing is releasable RIGHT NOW — either every ring is
-  /// empty, or the smallest buffered element is still blocked by an
-  /// emptier slot's bound (that producer might yet push something
-  /// earlier). Also garbage-collects drained kClosing slots back to kFree.
+  /// false when nothing is releasable RIGHT NOW: every ring is empty, or
+  /// the smallest buffered element is still blocked by another roster
+  /// slot's bound. Also retires closed slots it finds drained.
   bool TryNext(T* out) {
     int best = -1;
     TimeT best_time = kTimeMax;
-    // min over active slots' bounds, plus the runner-up so "min over the
-    // OTHER slots" needs no second scan.
+    // Smallest and second-smallest bound, so "min over the OTHER slots"
+    // needs no second walk.
     TimeT min1 = kTimeMax, min2 = kTimeMax;
     int min1_slot = -1;
-    for (int i = 0; i < kMaxProducers; ++i) {
+    for (size_t r = 0; r < roster_.size();) {
+      const int i = roster_[r];
       Slot& s = slots_[i];
-      const uint32_t state = s.state.load(std::memory_order_acquire);
-      if (state == kFree || state == kReserved) continue;
+      // Flag, then bound, then peek (see file comment).
+      const bool closed = s.closed.load(std::memory_order_acquire);
       const TimeT nm = s.next_min.load(std::memory_order_acquire);
       const T* front = s.ring->Peek();
-      TimeT bound;
-      if (front != nullptr) {
-        bound = front->time;
-        if (bound < best_time) {
-          best_time = bound;
-          best = i;
-        }
-      } else if (state == kClosing) {
-        // Closed and drained: recycle. The slot leaves the scan at +inf,
-        // so the frontier only ever grows from its departure.
-        s.state.store(kFree, std::memory_order_release);
-        active_.fetch_sub(1, std::memory_order_acq_rel);
+      if (front == nullptr && closed) {
+        Retire(r, nm);  // moves the last roster entry to r
         continue;
-      } else {
-        bound = nm;
+      }
+      const TimeT bound = front != nullptr ? front->time : nm;
+      if (front != nullptr && bound < best_time) {
+        best_time = bound;
+        best = i;
       }
       if (bound < min1) {
         min2 = min1;
@@ -254,109 +213,81 @@ class MpscIngestHub {
       } else if (bound < min2) {
         min2 = bound;
       }
+      ++r;
     }
     if (best < 0) return false;
     const TimeT min_others = min1_slot == best ? min2 : min1;
-    if (best_time > min_others) return false;  // an emptier slot may still
-                                               // produce something earlier
+    if (best_time > min_others) return false;
     const bool popped = slots_[best].ring->TryPop(out);
     HAMLET_DCHECK(popped);
     (void)popped;
-    if (out->time > released_max_.load(std::memory_order_relaxed)) {
-      released_max_.store(out->time, std::memory_order_release);
-    }
+    if (out->time > released_max_) released_max_ = out->time;
     return true;
   }
 
-  /// The merge horizon: min over active slots of (front element time, or
-  /// the slot's bound when its ring is empty). When NO slot contributes —
-  /// every producer closed and drained — the horizon is the closed floor:
-  /// the largest final bound any departed producer latched in CloseSlot.
-  /// A producer's last watermark therefore reaches the merge even if it
-  /// closes before the sequencer's next poll; kTimeMin before any slot
-  /// ever closed. After TryNext returns false, Frontier() >=
-  /// released_max(), so it is always a legal watermark for the merged
-  /// stream.
+  /// The merge horizon: min over the roster of (front element time, or the
+  /// slot's bound when its ring is empty); with the roster empty, the
+  /// largest final bound any retired slot left (kTimeMin before the
+  /// first). After TryNext returns false it is >= every released time.
   TimeT Frontier() const {
+    if (roster_.empty()) return floor_;
     TimeT frontier = kTimeMax;
-    for (int i = 0; i < kMaxProducers; ++i) {
+    for (const int i : roster_) {
       const Slot& s = slots_[i];
-      const uint32_t state = s.state.load(std::memory_order_acquire);
-      if (state == kFree || state == kReserved) continue;
       const TimeT nm = s.next_min.load(std::memory_order_acquire);
       const T* front = s.ring->Peek();
       const TimeT bound = front != nullptr ? front->time : nm;
       if (bound < frontier) frontier = bound;
     }
-    if (frontier == kTimeMax) {
-      return closed_floor_.load(std::memory_order_acquire);
-    }
     return frontier;
   }
 
-  /// Raises the floor a future ClaimSlot starts its bound at — the
-  /// sequencer sets this to each broadcast watermark so a joiner can never
-  /// drag the frontier back below what downstream already saw.
-  void SetClaimFloor(TimeT floor) {
-    if (floor > claim_floor_.load(std::memory_order_relaxed)) {
-      claim_floor_.store(floor, std::memory_order_release);
-    }
-  }
-
-  /// True when every slot is kFree: all producers closed AND their rings
-  /// fully drained by TryNext. (A reserved/open slot counts as active even
-  /// if it never pushes.)
-  bool Quiescent() const {
-    return active_.load(std::memory_order_acquire) == 0;
-  }
-
-  /// Largest timestamp ever released by TryNext (kTimeMin before the
-  /// first).
-  TimeT released_max() const {
-    return released_max_.load(std::memory_order_acquire);
-  }
-
-  /// Claimed-but-not-yet-recycled slots (producers still attached, or
-  /// closed with undrained rings).
-  int active_producers() const {
-    return active_.load(std::memory_order_acquire);
-  }
-
-  size_t ring_capacity() const { return ring_capacity_; }
-
  private:
-  // Producers spin on these atomics while pushing and the sequencer scans
-  // all 64 slots per merge round; a TimeT (or a platform) whose atomic
-  // degrades to a lock would turn every scan into 64 lock acquisitions.
   static_assert(std::atomic<TimeT>::is_always_lock_free,
                 "MpscIngestHub bounds must be lock-free atomics; use an "
                 "integral TimeT with native atomic support");
-  static_assert(std::atomic<uint32_t>::is_always_lock_free,
-                "slot lifecycle states must be lock-free atomics");
-  static_assert(std::atomic<int>::is_always_lock_free,
-                "the active-producer counter must be a lock-free atomic");
 
-  enum : uint32_t { kFree = 0, kReserved = 1, kOpen = 2, kClosing = 3 };
+  enum State : uint8_t { kFree, kRequested, kAdmitted };
 
   struct Slot {
-    /// Lazily allocated on first claim, reused across claim/close cycles.
+    /// Allocated on the slot's first Request, reused afterwards.
     std::unique_ptr<SpscQueue<T>> ring;
-    /// Smallest time this slot may still push (see file comment). Written
-    /// only by the owning producer (plus claim-time init), read by the
-    /// sequencer.
+    /// Smallest time this slot may still push. Written by the sequencer at
+    /// admission (before the producer is woken) and by the owning producer
+    /// afterwards; read by the sequencer.
     alignas(64) std::atomic<TimeT> next_min{kTimeMin};
-    std::atomic<uint32_t> state{kFree};
+    /// Set by the owning producer after its last push; cleared by the
+    /// sequencer when it retires the slot.
+    std::atomic<bool> closed{false};
   };
+
+  /// Takes the drained, closed slot at roster position `r` off the roster,
+  /// keeps its final bound in the floor and frees the slot.
+  void Retire(size_t r, TimeT final_bound) HAMLET_EXCLUDES(mu_) {
+    const int i = roster_[r];
+    if (final_bound > floor_) floor_ = final_bound;
+    roster_[r] = roster_.back();
+    roster_.pop_back();
+    MutexLock lock(mu_);
+    slots_[i].closed.store(false, std::memory_order_relaxed);
+    state_[i] = kFree;
+  }
 
   const size_t ring_capacity_;
   std::array<Slot, kMaxProducers> slots_;
-  /// Sequencer-written; claimers read it to start above the released past.
-  std::atomic<TimeT> released_max_{kTimeMin};
-  std::atomic<TimeT> claim_floor_{kTimeMin};
-  /// Max final bound over all closed slots — the frontier's resting value
-  /// once every producer has left (see CloseSlot / Frontier).
-  std::atomic<TimeT> closed_floor_{kTimeMin};
-  std::atomic<int> active_{0};
+
+  /// The hand-over lock: guards the slot states and the request list;
+  /// AwaitAdmission waits on `admitted_`.
+  Mutex mu_;
+  CondVar admitted_;
+  std::array<State, kMaxProducers> state_ HAMLET_GUARDED_BY(mu_) = {};
+  /// Requested slots in request order, waiting for AdmitRequested.
+  std::vector<int> requests_ HAMLET_GUARDED_BY(mu_);
+
+  // Sequencer-only state.
+  std::vector<int> roster_;
+  TimeT released_max_ = kTimeMin;
+  TimeT floor_ = kTimeMin;
 };
 
 }  // namespace hamlet

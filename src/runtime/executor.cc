@@ -5,8 +5,8 @@ namespace hamlet {
 RunOutput StreamExecutor::Run(const EventVector& events) {
   RunOutput out;
   CollectingSink sink;
-  Result<std::unique_ptr<Session>> session = Session::Open(
-      *plan_, config_, config_.collect_emissions ? &sink : nullptr);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(*plan_, config_, &sink);
   if (!session.ok()) {
     out.status = session.status();
     return out;

@@ -84,9 +84,6 @@ struct RunConfig {
   /// kRuntime prices the engine's code per propagation mode; kSimple and
   /// kRefined are the paper's Definitions 11/12.
   CostModelVariant cost_variant = CostModelVariant::kRuntime;
-  /// Batch Run() only: keep per-window emissions (tests); disable for large
-  /// benches. Sessions ignore this — the sink choice governs delivery.
-  bool collect_emissions = true;
   /// Worker shards for ShardedSession (src/runtime/sharded_session.h):
   /// events are hash-partitioned by group-by key across this many threads.
   /// Must be in [1, kMaxShards]. Plain Session ignores it (always 1).

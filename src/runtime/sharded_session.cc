@@ -98,6 +98,11 @@ constexpr int kMaxStealsPerBoundary = 8;
 constexpr int kSequencerIdleSpins = 64;
 constexpr auto kSequencerIdleSleep = std::chrono::microseconds(50);
 
+/// The session whose sequencer runs on this thread (nullptr elsewhere): an
+/// AddProducer from a sink's OnEmission admits its handle inline instead
+/// of waiting for the thread it is running on.
+thread_local const ShardedSession* sequencing_session = nullptr;
+
 size_t BatchHistBucket(size_t batch_size) {
   const size_t b = static_cast<size_t>(std::bit_width(batch_size)) - 1;
   return b < kBatchHistBuckets ? b : kBatchHistBuckets - 1;
@@ -785,47 +790,67 @@ Status ShardedSession::AdvanceToInternal(Timestamp watermark) {
 
 Result<std::unique_ptr<ShardedSession::Producer>>
 ShardedSession::AddProducer() {
-  if (closed_.load(std::memory_order_acquire)) {
+  // Once Close stopped the sequencer's loop, a handle (say, from a sink
+  // during the final drain) could push events nobody merges.
+  if (closed_.load(std::memory_order_acquire) ||
+      seq_stop_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("AddProducer on a closed session");
   }
-  MutexLock lock(producer_mu_);
-  if (!poison_status_.ok()) return poison_status_;
-  if (!mp_mode_.load(std::memory_order_relaxed)) {
-    // First producer: the session switches to multi-producer mode for
-    // good. The check against gate_ is safe here — the sequencer does not
-    // exist yet, no session-level push can run concurrently (threading
-    // contract), and once mp_mode_ is set this branch never re-runs — so
-    // the calling thread still IS the front for the duration of the check.
-    {
+  int slot = -1;
+  {
+    MutexLock lock(producer_mu_);
+    if (!poison_status_.ok()) return poison_status_;
+    if (!mp_mode_.load(std::memory_order_relaxed)) {
+      // First producer: the session switches to multi-producer mode for
+      // good. The sequencer does not exist yet, no session-level push can
+      // run concurrently (threading contract), and once mp_mode_ is set
+      // this branch never re-runs — so the calling thread still IS the
+      // front: it checks the gate and admits the first handle itself,
+      // before the sequencer starts.
       ThreadRoleGuard role(front_role_);
       if (gate_.any_seen()) {
         return Status::FailedPrecondition(
             "AddProducer after session-level Push/AdvanceTo: a session uses "
             "ONE ingest mode — open the producers first");
       }
+      hub_ = std::make_unique<MpscIngestHub<Event>>(
+          static_cast<size_t>(config_.producer_queue_capacity));
+      slot = hub_->Request();
+      AdmitRequested();
+      sequencer_ = Thread(&ShardedSession::SequencerLoop, this);
+      mp_mode_.store(true, std::memory_order_release);
+    } else {
+      slot = hub_->Request();
     }
-    hub_ = std::make_unique<MpscIngestHub<Event>>(
-        static_cast<size_t>(config_.producer_queue_capacity));
-    seq_stop_.store(false, std::memory_order_relaxed);
-    sequencer_ = Thread(&ShardedSession::SequencerLoop, this);
-    mp_mode_.store(true, std::memory_order_release);
   }
-  const int slot = hub_->ClaimSlot();
   if (slot < 0) {
     return Status::ResourceExhausted(
         "all " + std::to_string(MpscIngestHub<Event>::kMaxProducers) +
-        " producer slots are claimed by open handles");
+        " producer slots are held by open or undrained handles");
   }
-  producers_open_.fetch_add(1, std::memory_order_acq_rel);
+  if (sequencing_session == this) {
+    // A sink on the sequencer thread: no merge scan is running (the sink
+    // is called between releases), so the handle is admitted right here.
+    ThreadRoleGuard role(front_role_);
+    AdmitRequested();
+  }
   std::unique_ptr<Producer> producer(new Producer(this, slot));
-  // Seed the handle's gate with the slot's admission bound so a late
-  // joiner pushing below the merged horizon gets a synchronous
-  // kInvalidArgument from its own handle instead of poisoning the session.
-  const Timestamp bound = hub_->slot_bound(slot);
+  // Seed the handle's gate with the admission bound so a late joiner
+  // pushing below the merged horizon gets a synchronous kInvalidArgument
+  // from its own handle instead of poisoning the session.
+  const Timestamp bound = hub_->AwaitAdmission(slot);
   if (bound > MpscIngestHub<Event>::kTimeMin) {
     producer->gate_.CommitWatermark(bound);
   }
   return producer;
+}
+
+void ShardedSession::AdmitRequested() {
+  // The gate's max_seen() is the larger of the last merged event and the
+  // last broadcast watermark; the hub raises it to its largest released
+  // time + 1.
+  hub_->AdmitRequested(gate_.any_seen() ? gate_.max_seen()
+                                        : MpscIngestHub<Event>::kTimeMin);
 }
 
 ShardedSession::Producer::~Producer() {
@@ -889,7 +914,6 @@ Status ShardedSession::Producer::Close() {
   }
   closed_ = true;
   owner_->hub_->CloseSlot(slot_);
-  owner_->producers_open_.fetch_sub(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -898,9 +922,12 @@ void ShardedSession::SequencerLoop() {
   // staging, steal bookkeeping, and emission fan-in until it exits (the
   // join in StopSequencer hands the role back to the closing thread).
   ThreadRoleGuard role(front_role_);
+  sequencing_session = this;
   int idle = 0;
   Event event;
   for (;;) {
+    // Joiners enter the roster between merge rounds, never mid-scan.
+    AdmitRequested();
     bool did_work = false;
     while (hub_->TryNext(&event)) {
       did_work = true;
@@ -911,12 +938,12 @@ void ShardedSession::SequencerLoop() {
     MaybeBroadcastFrontier();
     if (seq_stop_.load(std::memory_order_acquire)) {
       // Close() guarantees every producer handle is closed before setting
-      // the stop flag, so this final drain empties the hub completely
-      // (closed slots' bounds are +inf — nothing blocks a release). The
-      // frontier now rests at the hub's closed floor (the max final
-      // producer bound) — broadcast it, so the producers' last watermarks
-      // reach the shards DETERMINISTICALLY rather than only when the idle
-      // loop happened to poll between the last AdvanceTo and the close.
+      // the stop flag, so this final drain empties the hub completely (a
+      // closed, drained slot leaves the roster and blocks nothing). The
+      // frontier then rests at the hub's floor (the max final producer
+      // bound) — broadcast it, so the producers' last watermarks reach the
+      // shards DETERMINISTICALLY rather than only when the idle loop
+      // happened to poll between the last AdvanceTo and the close.
       while (hub_->TryNext(&event)) IngestReleased(event);
       MaybeBroadcastFrontier();
       return;
@@ -958,10 +985,9 @@ void ShardedSession::MaybeBroadcastFrontier() {
   if (poisoned_.load(std::memory_order_relaxed)) return;
   const Timestamp frontier = hub_->Frontier();
   // With every producer closed and drained the frontier rests at the
-  // hub's closed floor (max final bound), so departed producers' last
-  // watermarks still broadcast. <= 0 covers the pre-first-bound state;
-  // +inf can only appear transiently mid-recycle.
-  if (frontier >= MpscIngestHub<Event>::kTimeMax || frontier <= 0) return;
+  // hub's floor (max final bound), so departed producers' last watermarks
+  // still broadcast. <= 0 covers the pre-first-bound state.
+  if (frontier <= 0) return;
   const Timestamp pane = PaneSize();
   const Timestamp fpane = (frontier / pane) * pane;
   // Broadcast one LESS than the frontier pane (floored at the largest
@@ -987,9 +1013,6 @@ void ShardedSession::MaybeBroadcastFrontier() {
   const Timestamp boundary = (watermark / pane) * pane;
   if (boundary <= last_frontier_pane_) return;
   last_frontier_pane_ = boundary;
-  // Joiners admit at or above the broadcast so they can never drag the
-  // frontier (or their own events) below what downstream already saw.
-  hub_->SetClaimFloor(watermark);
   Status st = AdvanceToInternal(watermark);
   // The value is >= every committed event and watermark by construction,
   // so the gate can never reject it.
@@ -1109,17 +1132,15 @@ Result<RunMetrics> ShardedSession::Close() {
         "metrics; use MetricsSnapshot to re-read them)");
   }
   if (mp_mode_.load(std::memory_order_acquire)) {
-    if (producers_open_.load(std::memory_order_acquire) > 0) {
+    if (const int open = hub_->open_producers(); open > 0) {
       return Status::FailedPrecondition(
-          "Close with " +
-          std::to_string(producers_open_.load(std::memory_order_relaxed)) +
+          "Close with " + std::to_string(open) +
           " producer handle(s) still open; close every producer first");
     }
     // All handles closed: the sequencer's final drain empties the hub,
     // merges the tail, and the join makes its front state (gate_, staging,
     // steal bookkeeping) visible to this thread for the close path below.
     StopSequencer();
-    HAMLET_CHECK(hub_->Quiescent());
   }
   // The sequencer (if one ever ran) has exited above, so the closing
   // thread is the front again for the final sweep.
@@ -1176,6 +1197,10 @@ Result<RunMetrics> ShardedSession::Close() {
       }
     }
   }
+  // A poisoned session shut down cleanly but its answer is incomplete:
+  // the poison, not the metrics, is the result (MetricsSnapshot keeps the
+  // final metrics readable).
+  if (poisoned_.load(std::memory_order_acquire)) return PoisonStatus();
   return merged;
 }
 

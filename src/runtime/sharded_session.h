@@ -125,9 +125,11 @@
 //    called, session-level Push/PushBatch/AdvanceTo and query churn return
 //    kFailedPrecondition for the session's lifetime (one ingest mode per
 //    session), and sink emissions are delivered on the sequencer thread.
-//    Close requires every producer handle closed first. Producers may join
-//    and leave mid-stream (AddProducer / Producer::Close) — the admission
-//    bound makes churn safe.
+//    Close requires every producer handle closed first, and returns the
+//    poison status on a poisoned session. Producers may join and leave
+//    mid-stream (AddProducer / Producer::Close): the sequencer alone admits
+//    a joiner, between merge rounds, above everything released or
+//    broadcast, and retires a departed handle once it drained its ring.
 //  * Pane-boundary work stealing (RunConfig::work_stealing): closes the
 //    skew gap sticky routing leaves open — rebalancing only places NEW
 //    keys, so a group that becomes hot after placement pins its shard
@@ -248,10 +250,11 @@ class ShardedSession {
     /// Same per-stream contract as Session::Push, enforced per producer:
     /// this handle's event times must strictly increase, never regress
     /// behind its own watermark, and start at or after the handle's
-    /// admission bound (the merged stream's frontier at AddProducer time —
-    /// older events are already merged past). Blocks while the handle's
-    /// ring is full (the sequencer is draining it). Returns the session's
-    /// sticky poison error after a cross-producer ordering violation.
+    /// admission bound (above every released event and every broadcast
+    /// watermark at AddProducer time — older events are already merged
+    /// past). Blocks while the handle's ring is full (the sequencer is
+    /// draining it). Returns the session's sticky poison error after a
+    /// cross-producer ordering violation.
     Status Push(const Event& event);
 
     /// Push for each event, stopping at the first invalid one.
@@ -263,9 +266,9 @@ class ShardedSession {
     /// everyone's window closure back until it advances (or closes).
     Status AdvanceTo(Timestamp watermark);
 
-    /// Retires the handle: its bound pins at +infinity, so the merged
-    /// frontier no longer waits on it. Events already pushed still drain.
-    /// Idempotent-ish: a second Close returns kFailedPrecondition.
+    /// Retires the handle without blocking: the sequencer drains what it
+    /// pushed, then the merged frontier no longer waits on it. Idempotent-
+    /// ish: a second Close returns kFailedPrecondition.
     Status Close();
 
    private:
@@ -282,9 +285,11 @@ class ShardedSession {
   /// multi-producer mode for good on first call (rejected once any
   /// session-level Push/AdvanceTo committed — one ingest mode per
   /// session). Callable from any thread, concurrently with other
-  /// producers' traffic — this is how producers join mid-stream. Fails
-  /// with kResourceExhausted when all MpscIngestHub::kMaxProducers slots
-  /// are taken by open handles.
+  /// producers' traffic — this is how producers join mid-stream — and
+  /// from a sink's OnEmission. Returns once the sequencer has admitted the
+  /// handle. Fails with kResourceExhausted when all
+  /// MpscIngestHub::kMaxProducers slots are held by open handles or by
+  /// closed ones the sequencer has not drained yet.
   Result<std::unique_ptr<Producer>> AddProducer();
 
   /// Validates the watermark once, flushes all staged events, then
@@ -318,8 +323,9 @@ class ShardedSession {
 
   /// Flushes staging, sends stop to every shard, joins the workers,
   /// delivers all remaining emissions to the sink, and returns the merged
-  /// final metrics. A second Close returns kFailedPrecondition (the first
-  /// call's metrics remain available through MetricsSnapshot).
+  /// final metrics — or, on a poisoned session, the poison status (after
+  /// the same shutdown). A second Close returns kFailedPrecondition (the
+  /// first call's metrics remain available through MetricsSnapshot).
   Result<RunMetrics> Close();
 
   /// Merged metrics over what the shards have processed so far (staged or
@@ -378,9 +384,12 @@ class ShardedSession {
   /// sequencer's equivalent of Push's body.
   void IngestReleased(const Event& event) HAMLET_REQUIRES(front_role_);
   /// Broadcasts the hub frontier as a session watermark when it crossed a
-  /// pane boundary since the last broadcast (and raises the claim floor so
-  /// joiners admit at or above it).
+  /// pane boundary since the last broadcast.
   void MaybeBroadcastFrontier() HAMLET_REQUIRES(front_role_);
+  /// Admits the hub's requested handles at or above everything released
+  /// or broadcast so far (the sequencer, or the thread that is the front
+  /// before the sequencer starts).
+  void AdmitRequested() HAMLET_REQUIRES(front_role_);
   void StopSequencer();
   /// Sticky cross-producer ordering error (set once, then returned by
   /// every producer call).
@@ -500,16 +509,15 @@ class ShardedSession {
   /// pattern TSA cannot express — the hub's own API is the thread-safe
   /// surface, so the pointer stays unannotated.
   std::unique_ptr<MpscIngestHub<Event>> hub_;
-  /// Spawned with hub_ under producer_mu_; joined only by Close/~ after
-  /// every producer handle closed. NOT guarded by producer_mu_: the
-  /// sequencer itself takes producer_mu_ in Poison(), so a join under the
-  /// lock could deadlock — the join-side exclusivity comes from the
-  /// single-front Close contract instead.
+  /// Spawned with hub_ under producer_mu_, after the first handle is
+  /// admitted; joined only by Close/~ after every producer handle closed.
+  /// NOT guarded by producer_mu_: the sequencer itself takes producer_mu_
+  /// in Poison(), so a join under the lock could deadlock — the join-side
+  /// exclusivity comes from the single-front Close contract instead.
   Thread sequencer_;
   std::atomic<bool> seq_stop_{false};
   /// Sticky: once true, session-level ingest entry points are rejected.
   std::atomic<bool> mp_mode_{false};
-  std::atomic<int> producers_open_{0};
   /// Guards AddProducer's one-time switch and poison_status_.
   Mutex producer_mu_;
   Status poison_status_ HAMLET_GUARDED_BY(producer_mu_);

@@ -152,7 +152,6 @@ TEST(ExecutorStressTest, MetricsScaleWithLoad) {
   big.events_per_minute = 2000;
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
-  config.collect_emissions = false;
   StreamExecutor a(*bw.plan, config);
   RunMetrics ma = a.Run(bw.generator->Generate(small)).metrics;
   StreamExecutor b(*bw.plan, config);

@@ -14,20 +14,28 @@
 // exclusivity (session-level ingest locked out after AddProducer and vice
 // versa), Close-with-open-handles, the sticky cross-producer duplicate
 // poison, late-joiner admission bounds, watermark merging across a
-// laggard, and producer churn (handles joining and leaving mid-stream).
+// laggard, producer churn (handles joining and leaving mid-stream, also
+// many short-lived handles beside a long-lived one), a sink that opens a
+// handle from OnEmission, and — driven by hand from one thread — the hub's
+// roster invariants: the frontier never passes an unreleased element, and
+// a joiner is admitted above everything released or broadcast.
 //
 // This suite runs under TSan and ASan in CI alongside sharded_session_test
 // — it is the primary concurrency torture for the MPSC hub + sequencer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/benchlib/workloads.h"
+#include "src/common/mpsc_ingest.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/sharded_session.h"
@@ -379,7 +387,9 @@ TEST_F(MpContractTest, CrossProducerDuplicateTimestampPoisons) {
   EXPECT_FALSE(session->AddProducer().ok());
   ASSERT_TRUE(p1->Close().ok());
   ASSERT_TRUE(p2->Close().ok());
-  EXPECT_TRUE(session->Close().ok());
+  // Close still shuts everything down, but the answer is incomplete, so
+  // it reports the poison instead of OK.
+  EXPECT_EQ(session->Close().status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(MpContractTest, LateJoinerAdmittedAtTheFrontier) {
@@ -392,7 +402,7 @@ TEST_F(MpContractTest, LateJoinerAdmittedAtTheFrontier) {
     ASSERT_TRUE(p1->Push(Make(t, t % 5 == 0 ? type_a_ : type_b_, 1)).ok());
   }
   // Wait for a frontier broadcast: the first window [0,100) closing
-  // proves the claim floor moved past t=100.
+  // proves a watermark past t=100 was broadcast.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (session->MetricsSnapshot().emissions < 1 &&
@@ -490,6 +500,258 @@ TEST_F(MpContractTest, ProducerChurnPreservesEmissions) {
   RunMetrics metrics = session->Close().value();
   ExpectSameEmissionSet(batch.emissions, sink.Take(), "producer-churn");
   EXPECT_EQ(metrics.events, batch.metrics.events);
+}
+
+TEST_F(MpContractTest, PoisonedCloseStillShutsDown) {
+  CollectingSink sink;
+  auto session = Open(2, &sink);
+  auto p1 = session->AddProducer().value();
+  auto p2 = session->AddProducer().value();
+  ASSERT_TRUE(p1->Push(Make(10, type_a_, 1)).ok());
+  ASSERT_TRUE(p2->Push(Make(10, type_b_, 1)).ok());
+  ASSERT_TRUE(p1->Close().ok());
+  ASSERT_TRUE(p2->Close().ok());
+  // Close drains both rings, so the duplicate has surely merged by the
+  // time it returns: it reports the poison, yet every thread is joined,
+  // the final metrics stay readable and the session counts as closed.
+  Result<RunMetrics> closed = session->Close();
+  EXPECT_EQ(closed.status().code(), StatusCode::kInvalidArgument)
+      << closed.status().ToString();
+  EXPECT_EQ(session->MetricsSnapshot().events, 1);
+  EXPECT_EQ(session->Close().status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// Many short-lived producers each join, push a few hundred events,
+// publish a watermark and close at once, while one long-lived producer
+// keeps pushing: the roster changes all the time under a running merge.
+// Segment k of the stream is [k * kSegment, (k + 1) * kSegment). Segment 0
+// belongs to the first short-lived producer alone, which joins before the
+// long-lived one; in every later segment short-lived producer k takes the
+// even times and the long-lived producer the odd ones, and the long-lived
+// producer enters segment k only once producer k was admitted. Every
+// admission bound is therefore at most k * kSegment, the joiner's first
+// time, and each round must reproduce the batch run exactly.
+TEST_F(MpContractTest, ShortLivedProducersBesideALongLivedOne) {
+  constexpr int kSegments = 8;
+  constexpr Timestamp kSegment = 400;
+  constexpr int kRounds = 10;
+  EventVector ev;
+  for (Timestamp t = 1; t < kSegments * kSegment; ++t) {
+    ev.push_back(Make(t, t % 7 == 0 ? type_a_ : type_b_,
+                      static_cast<double>(t % 3)));
+  }
+  const Timestamp last = ev.back().time;
+  RunConfig config;
+  config.kind = EngineKind::kHamletDynamic;
+  StreamExecutor executor(*plan_, config);
+  RunOutput batch = executor.Run(ev);
+  ASSERT_TRUE(batch.status.ok());
+  ASSERT_GT(batch.emissions.size(), 0u);
+  auto segment_of = [](Timestamp t) { return static_cast<int>(t / kSegment); };
+  auto short_lived = [&](Timestamp t) {
+    return segment_of(t) == 0 || t % 2 == 0;
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    CollectingSink sink;
+    auto session = Open(2, &sink, config);
+    std::atomic<int> admitted_segment{0};
+    auto run_short_lived = [&](int k) {
+      Result<std::unique_ptr<ShardedSession::Producer>> handle =
+          session->AddProducer();
+      admitted_segment.store(k, std::memory_order_release);
+      ASSERT_TRUE(handle.ok()) << label << ": " << handle.status().ToString();
+      ShardedSession::Producer& producer = *handle.value();
+      for (Timestamp t = std::max<Timestamp>(1, k * kSegment);
+           t < (k + 1) * kSegment; ++t) {
+        if (!short_lived(t)) continue;
+        const Status pushed = producer.Push(ev[static_cast<size_t>(t - 1)]);
+        ASSERT_TRUE(pushed.ok()) << label << ": " << pushed.ToString();
+      }
+      ASSERT_TRUE(
+          producer.AdvanceTo(std::min((k + 1) * kSegment - 1, last)).ok());
+      ASSERT_TRUE(producer.Close().ok());
+    };
+    run_short_lived(0);
+    auto long_lived = session->AddProducer().value();
+    std::thread long_thread([&] {
+      for (const Event& e : ev) {
+        if (short_lived(e.time)) continue;
+        while (admitted_segment.load(std::memory_order_acquire) <
+               segment_of(e.time)) {
+          std::this_thread::yield();
+        }
+        const Status pushed = long_lived->Push(e);
+        ASSERT_TRUE(pushed.ok()) << label << ": " << pushed.ToString();
+      }
+      ASSERT_TRUE(long_lived->AdvanceTo(last).ok());
+      ASSERT_TRUE(long_lived->Close().ok());
+    });
+    for (int k = 1; k < kSegments; ++k) run_short_lived(k);
+    long_thread.join();
+    Result<RunMetrics> closed = session->Close();
+    ASSERT_TRUE(closed.ok()) << label << ": " << closed.status().ToString();
+    EXPECT_EQ(closed.value().events, batch.metrics.events) << label;
+    ExpectSameEmissionSet(batch.emissions, sink.Take(), label);
+  }
+}
+
+// OnEmission runs on the sequencer thread. A sink that opens a producer
+// there, pushes one event above the frontier and closes the handle must
+// neither deadlock (AddProducer returns once the sequencer admitted the
+// handle, and here the caller IS the sequencer) nor lose the event.
+TEST_F(MpContractTest, SinkAddsAProducerFromOnEmission) {
+  constexpr Timestamp kLate = 5000;
+  constexpr double kLateGroup = 7;
+  class JoiningSink : public EmissionSink {
+   public:
+    JoiningSink(ShardedSession** session, Event late)
+        : session_(session), late_(late) {}
+    void OnEmission(const Emission& emission) override {
+      emissions.push_back(emission);
+      if (joined.load(std::memory_order_relaxed)) return;
+      Result<std::unique_ptr<ShardedSession::Producer>> handle =
+          (*session_)->AddProducer();
+      status = handle.status();
+      if (handle.ok()) {
+        status = handle.value()->Push(late_);
+        if (status.ok()) status = handle.value()->Close();
+      }
+      joined.store(true, std::memory_order_release);
+    }
+    std::vector<Emission> emissions;
+    Status status;
+    std::atomic<bool> joined{false};
+
+   private:
+    ShardedSession** session_;
+    Event late_;
+  };
+  ShardedSession* raw = nullptr;
+  JoiningSink sink(&raw, Make(kLate, type_a_, kLateGroup));
+  RunConfig config;
+  config.shard_batch_size = 1;
+  RunConfig opened = config;
+  opened.kind = EngineKind::kHamletDynamic;
+  opened.num_shards = 2;
+  auto session = ShardedSession::Open(*plan_, opened, &sink).value();
+  raw = session.get();
+  auto p1 = session->AddProducer().value();
+  for (Timestamp t = 1; t <= 250; ++t) {
+    ASSERT_TRUE(p1->Push(Make(t, t % 5 == 0 ? type_a_ : type_b_, 1)).ok());
+  }
+  // The first window [0,100) closes once the frontier passes it; its
+  // emission reaches the sink on the sequencer thread.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!sink.joined.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(sink.joined.load(std::memory_order_acquire));
+  EXPECT_TRUE(sink.status.ok()) << sink.status.ToString();
+  ASSERT_TRUE(p1->Close().ok());
+  Result<RunMetrics> closed = session->Close();
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(closed.value().events, 251);
+  const bool late_window_emitted = std::any_of(
+      sink.emissions.begin(), sink.emissions.end(), [&](const Emission& e) {
+        return e.group_key == static_cast<int64_t>(kLateGroup) &&
+               e.window_start <= kLate && kLate < e.window_end;
+      });
+  EXPECT_TRUE(late_window_emitted);
+}
+
+// The hub driven by hand from one thread, producer calls and sequencer
+// calls interleaved: at every step the frontier is at most the smallest
+// element still in a ring, and every admission bound lies above each
+// released time and at or above the floor the caller passes (the runtime
+// passes its last broadcast watermark).
+TEST(MpscIngestHubTest, SequencerOwnsTheRoster) {
+  struct Item {
+    int64_t time = 0;
+  };
+  using Hub = MpscIngestHub<Item>;
+  Hub hub(/*ring_capacity=*/4);
+  std::multiset<int64_t> unreleased;
+  int64_t released_max = Hub::kTimeMin;
+  auto expect_frontier_sound = [&](const std::string& at) {
+    if (!unreleased.empty()) {
+      EXPECT_LE(hub.Frontier(), *unreleased.begin()) << at;
+    }
+  };
+  auto push = [&](int slot, int64_t t) {
+    ASSERT_TRUE(hub.TryPush(slot, Item{t}));
+    unreleased.insert(t);
+    expect_frontier_sound("after push " + std::to_string(t));
+  };
+  auto drain = [&] {
+    Item item;
+    while (hub.TryNext(&item)) {
+      ASSERT_FALSE(unreleased.empty());
+      EXPECT_EQ(item.time, *unreleased.begin()) << "release order";
+      unreleased.erase(unreleased.begin());
+      released_max = std::max(released_max, item.time);
+      expect_frontier_sound("after release " + std::to_string(item.time));
+    }
+    // Stuck: the frontier bounds every released time.
+    EXPECT_GE(hub.Frontier(), released_max);
+  };
+  auto admit = [&](int slot, int64_t floor) {
+    hub.AdmitRequested(floor);
+    const int64_t bound = hub.AwaitAdmission(slot);  // admitted: no wait
+    if (released_max != Hub::kTimeMin) {
+      EXPECT_GT(bound, released_max);
+    }
+    EXPECT_GE(bound, floor);
+    return bound;
+  };
+
+  const int a = hub.Request();
+  ASSERT_GE(a, 0);
+  EXPECT_EQ(admit(a, Hub::kTimeMin), Hub::kTimeMin);
+  push(a, 10);
+  push(a, 20);
+  drain();
+  EXPECT_EQ(hub.Frontier(), 21);
+  // A requested slot is not on the roster yet: it cannot hold the merge
+  // back, and it is admitted above what the merge released meanwhile.
+  const int b = hub.Request();
+  ASSERT_GE(b, 0);
+  push(a, 30);
+  drain();
+  EXPECT_TRUE(unreleased.empty());
+  EXPECT_EQ(admit(b, /*floor=*/15), 31);
+  // Departure in stream order: a closes with an event still queued; the
+  // frontier waits for it, and the slot stays held until it is drained.
+  push(b, 40);
+  push(a, 35);
+  hub.CloseSlot(a);
+  EXPECT_EQ(hub.Frontier(), 35);
+  drain();
+  EXPECT_TRUE(unreleased.empty());
+  EXPECT_EQ(hub.Frontier(), 41);
+  // With the roster empty the frontier is the largest final bound, which
+  // only the sequencer writes, when it retires a drained slot.
+  hub.PublishBound(b, 100);
+  hub.CloseSlot(b);
+  const int c = hub.Request();
+  ASSERT_EQ(c, a) << "a drained slot is free again";
+  drain();
+  EXPECT_EQ(hub.Frontier(), 100);
+  EXPECT_EQ(admit(c, /*floor=*/99), 99);
+  EXPECT_EQ(hub.Frontier(), 99);
+  // A closed slot whose ring still holds an element is not handed out.
+  push(c, 150);
+  hub.CloseSlot(c);
+  for (int i = 1; i < Hub::kMaxProducers; ++i) {
+    ASSERT_GE(hub.Request(), 0) << i;
+  }
+  EXPECT_EQ(hub.Request(), -1);
+  drain();
+  EXPECT_TRUE(unreleased.empty());
+  EXPECT_EQ(hub.Request(), c);
 }
 
 }  // namespace
