@@ -546,6 +546,7 @@ void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
+    config.work_stealing = false;
     const double off_eps =
         MultiProducerWallEps(*bw.plan, config, events, producers, nullptr);
     config.work_stealing = true;

@@ -141,17 +141,16 @@ Status ValidateRunConfig(const RunConfig& config) {
   //   front's control plane decides and hands each swap to every shard).
   // reoptimize_threshold: checked even while reopt is off, so flipping
   //   reoptimize_every_panes on later can never trip a latent bad value.
-  // evict_idle_groups: engine-agnostic, no cross-checks; together with
-  //   shard_rebalance_threshold > 0 it enables router-map draining
-  //   (RunMetrics::rebalance_map_size).
+  // evict_idle_groups: engine-agnostic, no cross-checks; on a sharded
+  //   session it also enables router-map draining of placed and stolen
+  //   keys (RunMetrics::rebalance_map_size).
   // work_stealing: requires steal_imbalance_ratio > 1.0 (checked even
-  //   while off, mirroring reoptimize_threshold). Unsupported with
-  //   evict_idle_groups — eviction erases the very runner state a steal
-  //   moves, and a key evicted on the victim but live on the thief would
-  //   re-route ambiguously. Query churn and re-optimization combine with
-  //   it freely: every shard runs one plan epoch and switches it at the
-  //   same boundary. Allowed at num_shards == 1, where it is inert (no
-  //   second shard to steal to).
+  //   while off, mirroring reoptimize_threshold). Combines with every
+  //   other knob: query churn and re-optimization (every shard runs one
+  //   plan epoch and switches it at the same boundary) and
+  //   evict_idle_groups (a key evicted before its steal moves nothing and
+  //   recreates fresh on the thief). Inert at num_shards == 1 (no second
+  //   shard to steal to).
   // producer_queue_capacity: only the multi-producer sharded ingest reads
   //   it, but it is validated unconditionally so AddProducer can never
   //   trip a latent bad value.
@@ -185,12 +184,6 @@ Status ValidateRunConfig(const RunConfig& config) {
     return Status::InvalidArgument(
         "producer_queue_capacity must be >= 2, got " +
         std::to_string(config.producer_queue_capacity));
-  }
-  if (config.work_stealing && config.evict_idle_groups) {
-    return Status::Unsupported(
-        "work_stealing is incompatible with evict_idle_groups: eviction "
-        "erases the runner state a steal moves, and an "
-        "evicted-then-reappearing key would re-route ambiguously");
   }
   return Status::Ok();
 }
@@ -1232,7 +1225,7 @@ Session::DetachedGroup Session::DetachGroup(int64_t group_key,
   // starting at it open: exactly the state the thief's pane clock expects.
   // Both shards run the same epoch at the boundary (churn reaches them in
   // the same stream order), so their component lists match.
-  AdvancePaneTo(boundary);
+  AdvanceToStealBoundary(boundary);
   Runtime& rt = *rt_;
   HAMLET_DCHECK(rt.pane_start == boundary);
   DetachedGroup group;
@@ -1251,7 +1244,7 @@ void Session::AttachGroup(int64_t group_key, Timestamp boundary,
                           DetachedGroup group) {
   // Pane advancement is deterministic in event time: doing it here only
   // moves work the key's next event would trigger anyway.
-  AdvancePaneTo(boundary);
+  AdvanceToStealBoundary(boundary);
   Runtime& rt = *rt_;
   HAMLET_DCHECK(rt.pane_start == boundary);
   HAMLET_CHECK(group.runners.size() == rt.components.size());
@@ -1266,6 +1259,15 @@ void Session::AttachGroup(int64_t group_key, Timestamp boundary,
     HAMLET_CHECK(comp.groups.emplace(group_key, std::move(group.runners[c]))
                      .second);
   }
+}
+
+void Session::AdvanceToStealBoundary(Timestamp boundary) {
+  // The stream has reached the boundary (the sharded front staged an event
+  // at or past it, and every earlier event of this session precedes it),
+  // so it counts as observed: idle groups evict at it exactly as in a
+  // single-threaded run. A later watermark may already cover it.
+  if (gate_.CheckWatermark(boundary).ok()) gate_.CommitWatermark(boundary);
+  AdvancePaneTo(boundary);
 }
 
 HamletStats Session::AggregateHamletStats() const {

@@ -85,7 +85,8 @@ struct RunConfig {
   /// kRefined are the paper's Definitions 11/12.
   CostModelVariant cost_variant = CostModelVariant::kRuntime;
   /// Worker shards for ShardedSession (src/runtime/sharded_session.h):
-  /// events are hash-partitioned by group-by key across this many threads.
+  /// events are hash-partitioned by group-by key across this many threads,
+  /// and work_stealing rebalances the groups.
   /// Must be in [1, kMaxShards]. Plain Session ignores it (always 1).
   int num_shards = 1;
   /// Per-shard ingress queue capacity in *MESSAGES* — event batches plus
@@ -115,8 +116,8 @@ struct RunConfig {
   /// more than this many recently staged events is routed to the
   /// least-loaded shard instead. The load is the ShardedSession front's
   /// one sliding placement window, shared with work_stealing. Assignments
-  /// are sticky, so per-group window order is preserved. 0 disables (pure
-  /// hash); must be >= 0.
+  /// are sticky, so per-group window order is preserved. 0 disables
+  /// first-sight placement; must be >= 0.
   int64_t shard_rebalance_threshold = 0;
   /// Online plan re-optimization cadence, in panes: every this many pane
   /// boundaries the session re-derives the cost-model inputs from live
@@ -142,24 +143,25 @@ struct RunConfig {
   /// the (documented, opt-in) trade for bounded state under high group-key
   /// cardinality. Deterministic in event time, so single-threaded and
   /// sharded runs with the knob ON stay emission-identical; it is also the
-  /// prerequisite for ShardedSession draining stale rebalance-map entries
-  /// (RunMetrics::rebalance_map_size).
+  /// prerequisite for ShardedSession draining stale placement and steal
+  /// overrides (RunMetrics::rebalance_map_size).
   bool evict_idle_groups = false;
-  /// Pane-boundary work stealing (ShardedSession only): when an existing
-  /// group key's shard is overloaded (by more than steal_imbalance_ratio x
-  /// the least-loaded shard over a sliding window of staged events), the
-  /// front moves whole group keys to the least-loaded shard at the next
+  /// Pane-boundary work stealing (ShardedSession only, on by default; set
+  /// false to opt out into pure hash placement): when an existing group
+  /// key's shard is overloaded (by more than steal_imbalance_ratio x the
+  /// least-loaded shard over a sliding window of staged events), the front
+  /// moves whole group keys to the least-loaded shard at the next
   /// event-time pane boundary. The key's group runners (HAMLET engine, open
   /// windows, per-window baseline engines) leave the victim's Session and
   /// join the thief's, and the key's events from the boundary on route to
-  /// the thief; no event is processed twice. This closes the gap that
-  /// shard_rebalance_threshold only places NEW keys. Steal decisions
-  /// derive purely from the merged event stream, so emission sets stay
-  /// bit-identical across stealing on/off, shard counts and producer
-  /// counts. Incompatible with evict_idle_groups (see ValidateRunConfig /
-  /// docs/API.md knob matrix); query churn and online re-optimization
-  /// combine with it.
-  bool work_stealing = false;
+  /// the thief; no event is processed twice, and the front never waits for
+  /// the hand-off. This balances the few hot groups a hash puts on one
+  /// shard, and the groups that become hot after shard_rebalance_threshold
+  /// placed them. Steal decisions derive purely from the merged event
+  /// stream, so emission sets stay bit-identical across stealing on/off,
+  /// shard counts and producer counts. Combines with every other knob
+  /// (see ValidateRunConfig / docs/API.md knob matrix); inert at one shard.
+  bool work_stealing = true;
   /// Work-stealing trigger: steal when the hottest shard's windowed load
   /// exceeds this multiple of the coldest shard's (plus a small absolute
   /// floor, so near-idle streams never thrash). Must be > 1.0 — checked
@@ -317,9 +319,9 @@ struct RunMetrics {
   std::vector<int64_t> shard_events;
   /// Key->shard overrides the router currently holds: every seen key with
   /// shard_rebalance_threshold > 0, else only keys a steal left off their
-  /// hash shard (0 with neither policy). With rebalancing and
-  /// evict_idle_groups the front drains entries whose windows all closed,
-  /// bounding this under key churn.
+  /// hash shard (0 with neither policy). With evict_idle_groups the front
+  /// drains entries whose windows all closed, bounding this under key
+  /// churn.
   int64_t rebalance_map_size = 0;
   /// Query-lifecycle counters (src/runtime/query_lifecycle.h), counted once
   /// by the session's control plane (src/runtime/control_plane.h); shard
@@ -591,6 +593,9 @@ class Session {
   /// boundary crossed, windows ending there close, a pending epoch whose
   /// boundary it is takes over, and windows starting there open.
   void AdvancePaneTo(Timestamp time);
+  /// AdvancePaneTo(boundary) for a steal, with the boundary committed as
+  /// observed stream time first (DetachGroup / AttachGroup).
+  void AdvanceToStealBoundary(Timestamp boundary);
   void CloseExpiredWindows(GroupRunner& runner, Timestamp now);
   void OpenDueWindows(Runtime& rt, GroupRunner& runner, Timestamp pane_start,
                       bool retroactive);

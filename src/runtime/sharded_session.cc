@@ -19,6 +19,17 @@ namespace hamlet {
 
 namespace {
 
+/// One steal's runner hand-off: the victim fills it when it reaches the
+/// detach, the thief blocks at the attach until it is full. The thief is
+/// the idlest shard by construction, so it is where waiting is cheap; the
+/// front never waits (see ExecuteSteal).
+struct StealCell {
+  Mutex mu;
+  CondVar filled_cv;
+  bool filled HAMLET_GUARDED_BY(mu) = false;
+  Session::DetachedGroup moved HAMLET_GUARDED_BY(mu);
+};
+
 /// One ingress-queue entry: a batch of events, a watermark, a plan epoch,
 /// a steal, or the stop signal. Batch-granular hand-off is the point — one
 /// queue slot (and one wake-up check) per RunConfig::shard_batch_size
@@ -43,10 +54,10 @@ struct ShardMsg {
   /// identical boundary regardless of what subset of the stream each saw.
   Timestamp boundary = 0;
   /// Steal payload (kStealDetach/kStealAttach): the key's runners move
-  /// from the victim to the thief.
+  /// from the victim to the thief through the steal's one hand-off cell,
+  /// which both messages share.
   int64_t steal_key = 0;
-  uint64_t steal_seq = 0;                  ///< kStealDetach: ack token
-  Session::DetachedGroup moved;            ///< kStealAttach: the runners
+  std::shared_ptr<StealCell> steal_cell;
 };
 
 /// Worker-local emission buffer. Only the shard's worker thread touches it
@@ -88,7 +99,7 @@ constexpr int kMemSampleEveryFlushes = 16;
 constexpr int64_t kLoadHalfWindow = 2048;
 /// Work stealing only triggers when the max-loaded shard exceeds
 /// ratio * min + this floor: tiny absolute imbalances (a few events) never
-/// justify a migration's synchronous round-trip.
+/// justify moving a group.
 constexpr int64_t kStealLoadFloor = 64;
 /// Migrations per pane boundary are capped; persistent imbalance re-fires
 /// at the next crossing.
@@ -159,13 +170,6 @@ struct ShardedSession::Shard {
   /// Last watermark the worker has fully applied (after refreshing the
   /// snapshot) — the re-optimizing front's checkpoint acknowledgement.
   std::atomic<Timestamp> watermark_applied{-1};
-  /// Steal-detach reply: the worker stores the detached runners under
-  /// steal_mu, then acks the request's sequence number; the front spins on
-  /// steal_ack, then takes the runners. One detach is in flight at a time
-  /// (the front is synchronous), so one reply slot suffices.
-  Mutex steal_mu;
-  Session::DetachedGroup steal_payload HAMLET_GUARDED_BY(steal_mu);
-  std::atomic<uint64_t> steal_ack{0};
   /// Written by the worker on stop, read by the front after Join() — the
   /// join IS the synchronization, which TSA cannot model; unannotated.
   RunMetrics final_metrics;
@@ -384,21 +388,38 @@ void ShardedSession::WorkerLoop(Shard* shard) {
         break;
       }
       case ShardMsg::Kind::kStealDetach: {
-        // Victim side of a migration: hand the key's runners, advanced to
-        // the boundary, back to the front for the thief.
+        // Victim side of a migration: fill the steal's cell with the key's
+        // runners, advanced to the boundary.
         Session::DetachedGroup moved =
             shard->session->DetachGroup(msg.steal_key, msg.boundary);
+        // Publish the smaller footprint before the thief can attach the
+        // runners, so the front's concurrent-memory sample never counts
+        // them on both shards.
+        refresh_snapshot();
+        since_snapshot = 0;
+        StealCell& cell = *msg.steal_cell;
         {
-          MutexLock lock(shard->steal_mu);
-          shard->steal_payload = std::move(moved);
+          MutexLock lock(cell.mu);
+          cell.moved = std::move(moved);
+          cell.filled = true;
         }
-        shard->steal_ack.store(msg.steal_seq, std::memory_order_release);
-        ++since_snapshot;
+        cell.filled_cv.NotifyOne();
         break;
       }
       case ShardMsg::Kind::kStealAttach: {
+        // Thief side: wait for the victim's detach. It was queued before
+        // this attach, and any attach the victim meets first belongs to an
+        // earlier steal, so chains of waits shrink in steal order and never
+        // close into a cycle.
+        Session::DetachedGroup moved;
+        {
+          StealCell& cell = *msg.steal_cell;
+          MutexLock lock(cell.mu);
+          while (!cell.filled) cell.filled_cv.Wait(lock);
+          moved = std::move(cell.moved);
+        }
         shard->session->AttachGroup(msg.steal_key, msg.boundary,
-                                    std::move(msg.moved));
+                                    std::move(moved));
         ++since_snapshot;
         break;
       }
@@ -457,7 +478,7 @@ void ShardedSession::StageEvent(const Event& event, double now_seconds) {
     target = router_.RouteSticky(key, event.time, &first_sight);
     if (first_sight) target = PlaceNewKey(key, target, event.time);
   } else {
-    target = router_.AssignedShardOfKey(key);
+    target = router_.RouteKey(key, event.time);
   }
   StageTo(*shards_[target], event, now_seconds);
   ++load_cur_[target];
@@ -563,31 +584,19 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   }
   PublishMapSize();
   // The detach/attach pair is a barrier in stream order on both shards:
-  // staged events (all before the boundary) logically precede it.
+  // staged events (all before the boundary) logically precede it. Both
+  // messages go out back to back; the runners travel shard to shard
+  // through their cell, so the front never waits for the victim.
   FlushShard(v);
   FlushShard(t);
-  const uint64_t seq = ++steal_seq_counter_;
   ShardMsg detach;
   detach.kind = ShardMsg::Kind::kStealDetach;
   detach.steal_key = key;
   detach.boundary = boundary;
-  detach.steal_seq = seq;
-  v.Send(std::move(detach));
-  // Synchronous wait for the victim's runners (it has to work through its
-  // queued batches first). Emissions keep draining meanwhile so no worker
-  // outbox backs up.
-  while (v.steal_ack.load(std::memory_order_acquire) < seq) {
-    DrainEmissions();
-    std::this_thread::yield();
-  }
-  ShardMsg attach;
+  detach.steal_cell = std::make_shared<StealCell>();
+  ShardMsg attach = detach;
   attach.kind = ShardMsg::Kind::kStealAttach;
-  attach.steal_key = key;
-  attach.boundary = boundary;
-  {
-    MutexLock lock(v.steal_mu);
-    attach.moved = std::move(v.steal_payload);
-  }
+  v.Send(std::move(detach));
   t.Send(std::move(attach));
   // The key's window counts move with it so the next trigger evaluates
   // the post-steal balance (clamped: a key that migrated mid-window may
@@ -1112,11 +1121,10 @@ void ShardedSession::MaybeReoptimize() {
 }
 
 void ShardedSession::MaybeDrainRouter() {
-  if (!config_.evict_idle_groups || rebalance_threshold_ == 0) return;
-  if (!gate_.any_seen()) return;
-  // A diverted key last seen at E <= boundary - W_max has every window that
-  // could contain its events closed AND (via evict_idle_groups) its engine
-  // state evicted from the old shard by that boundary, so if the key
+  if (!config_.evict_idle_groups || router_.map_size() == 0) return;
+  // A diverted or stolen key last seen at E <= boundary - W_max has every
+  // window that could contain its events closed AND (via evict_idle_groups)
+  // its engine state evicted from its shard by that boundary, so if the key
   // re-appears, re-routing it elsewhere can neither split live state nor
   // duplicate a (window, query, group) emission: the old shard's windows
   // all ended before any window the new shard will open.

@@ -36,11 +36,13 @@
 //    timed wait. Consumed batch buffers are recycled back to the producer
 //    through a second SPSC ring, so steady-state ingest allocates nothing.
 //  * Placement: events route to shards by group-by hash
-//    (src/stream/shard_router.h). With no placement policy on, staging is
-//    exactly one hash per event. Either policy — skew-aware first-sight
-//    placement (RunConfig::shard_rebalance_threshold > 0) or work stealing
-//    (below) — makes the front keep ONE two-bucket sliding window of
-//    per-shard staged-event counts, and both read it: a NEW group key
+//    (src/stream/shard_router.h), balanced by work stealing (below), which
+//    is on by default at num_shards > 1. With no placement policy on
+//    (work_stealing = false, or one shard), staging is exactly one hash
+//    per event. Either policy — skew-aware first-sight placement
+//    (RunConfig::shard_rebalance_threshold > 0) or work stealing — makes
+//    the front keep ONE two-bucket sliding window of per-shard
+//    staged-event counts, and both read it: a NEW group key
 //    whose hash shard leads the least-loaded shard by more than the
 //    threshold lands on the least-loaded shard instead, and pane-boundary
 //    steals pick their victim and thief from the same counts. Placements
@@ -98,11 +100,11 @@
 //    every drift check after a watermark sees statistics covering the
 //    whole stream before it (only paid when reoptimize_every_panes > 0).
 //    With RunConfig::evict_idle_groups, AdvanceTo also drains router
-//    rebalance-map entries whose groups' windows have provably all closed
-//    (cutoff = current pane boundary minus the largest WITHIN ever
-//    compiled), and Close broadcasts a final watermark carrying the front's
-//    max seen time before stop so every shard's eviction horizon matches
-//    the single-threaded reference during the final flush.
+//    override entries (placed or stolen keys) whose groups' windows have
+//    provably all closed (cutoff = current pane boundary minus the largest
+//    WITHIN ever compiled), and Close broadcasts a final watermark carrying
+//    the front's max seen time before stop so every shard's eviction
+//    horizon matches the single-threaded reference during the final flush.
 //
 //  * Concurrent ingest (AddProducer): N producer threads may ingest
 //    concurrently through per-producer handles instead of the single
@@ -130,31 +132,40 @@
 //    mid-stream (AddProducer / Producer::Close): the sequencer alone admits
 //    a joiner, between merge rounds, above everything released or
 //    broadcast, and retires a departed handle once it drained its ring.
-//  * Pane-boundary work stealing (RunConfig::work_stealing): closes the
-//    skew gap sticky routing leaves open — rebalancing only places NEW
-//    keys, so a group that becomes hot after placement pins its shard
-//    forever. With stealing, the front tracks per-group staged-event loads
+//  * Pane-boundary work stealing (RunConfig::work_stealing, on by
+//    default): balances what the hash leaves skewed — a few hot groups on
+//    one shard, or a group that becomes hot after placement (rebalancing
+//    only places NEW keys). The front tracks per-group staged-event loads
 //    next to the placement window's per-shard ones; when an event-time pane
 //    crossing finds the max-loaded shard above steal_imbalance_ratio x the
 //    min-loaded shard plus a floor, whole established groups move at that
 //    pane boundary B. Groups never interact (§3.1), so at B a group's whole
-//    state is its GroupRunners: the router reassigns the key, the victim
-//    gets a DETACH message (advance panes to B, take the key's runners out
-//    of its Session — HAMLET engine, open windows and per-window engines
-//    alike), the front synchronously collects the runners and sends them
-//    to the thief in an ATTACH message (advance panes to B, install them).
-//    Every event of the key before B reached the victim before the detach
-//    and every later one goes to the thief, so no event is processed twice
-//    (RunMetrics::duplicated_events stays 0). Every steal decision derives
-//    from the event stream alone — never wall-clock or watermark arrival
-//    timing — so emissions stay bit-identical across producer counts and
-//    stealing on/off, for a fixed shard count. RunMetrics::stolen_panes
-//    counts executed migrations. Without rebalancing the router keeps an
-//    override only for keys a steal left off their hash shard, so key
-//    churn cannot grow the map. Every plan epoch (churn op, plan swap or
-//    drop) reaches the victim and the thief in the same stream order, so
-//    both run the same plan epoch at every steal boundary. Incompatible with
-//    evict_idle_groups (Open rejects it); see docs/API.md's knob matrix.
+//    state is its GroupRunners: the router reassigns the key, and the front
+//    sends, back to back, a DETACH to the victim and an ATTACH to the
+//    thief, both carrying one hand-off cell. The victim advances panes to
+//    B, takes the key's runners out of its Session (HAMLET engine, open
+//    windows and per-window engines alike) and fills the cell; the thief
+//    advances panes to B, blocks until the cell is full and installs the
+//    runners. The front never waits, so the steals of one boundary
+//    pipeline. No wait can deadlock: an attach waits only for a detach
+//    queued earlier, and whatever the victim meets before that detach
+//    belongs to an earlier steal, so chains of waits strictly shrink in
+//    steal order. Every event of the key before B reached the victim before
+//    the detach and every later one goes to the thief, so no event is
+//    processed twice (RunMetrics::duplicated_events stays 0). Every steal
+//    decision derives from the event stream alone — never wall-clock or
+//    watermark arrival timing — so emissions stay bit-identical across
+//    producer counts and stealing on/off, for a fixed shard count.
+//    RunMetrics::stolen_panes counts executed migrations. Without
+//    rebalancing the router keeps an override only for keys a steal left
+//    off their hash shard, so key churn cannot grow the map. Every plan
+//    epoch (churn op, plan swap or drop) reaches the victim and the thief
+//    in the same stream order, so both run the same plan epoch at every
+//    steal boundary. With evict_idle_groups, both shards treat B as
+//    observed stream time, so idle groups evict at B as in a
+//    single-threaded run; a key evicted before its steal moves nothing and
+//    the thief recreates it fresh, and a stolen key's override drains once
+//    the key has been idle past every WITHIN.
 //
 // Threading contract: Open/Push/PushBatch/AdvanceTo/AddQuery/RemoveQuery/
 // ApplySharingOverrides/Close must all be called from one thread at a
@@ -360,10 +371,10 @@ class ShardedSession {
   /// Pane size of the control plane's running epoch: the grid steal
   /// boundaries and router drains are computed on.
   Timestamp PaneSize() const { return control_->running()->plan->pane_size; }
-  /// Drains router overrides whose groups can no longer have open windows
-  /// anywhere (requires evict_idle_groups — the group's engine state is
-  /// then also gone from its old shard, so a re-appearing key may re-route
-  /// freely).
+  /// Drains router overrides — first-sight placements and steals alike —
+  /// whose groups can no longer have open windows anywhere (requires
+  /// evict_idle_groups — the group's engine state is then also gone from
+  /// its shard, so a re-appearing key may re-route freely).
   void MaybeDrainRouter() HAMLET_REQUIRES(front_role_);
 
   /// Body of AdvanceTo after the closed/mode checks — shared with the
@@ -407,8 +418,8 @@ class ShardedSession {
   /// executes up to kMaxStealsPerBoundary migrations while the load
   /// imbalance persists and a candidate key improves it.
   void MaybeSteal(Timestamp boundary) HAMLET_REQUIRES(front_role_);
-  /// One migration: reassign the key, detach its runners from the victim
-  /// (a synchronous round-trip) and attach them on the thief.
+  /// One migration: reassign the key, then send the victim its detach and
+  /// the thief its attach, back to back, sharing one hand-off cell.
   void ExecuteSteal(int64_t key, size_t victim, size_t thief,
                     Timestamp boundary) HAMLET_REQUIRES(front_role_);
   /// Rolls the two-bucket sliding load window (per shard and per key).
@@ -527,7 +538,8 @@ class ShardedSession {
 
   // --- shard placement state (front-role state, except the atomic
   // counters) ---
-  /// Set by Open, read-only afterwards; both are off at one shard.
+  /// Set by Open, read-only afterwards; both are off at one shard, where
+  /// staging is then one hash per event with no load bookkeeping.
   /// rebalance_threshold_ 0 disables first-sight placement.
   int64_t rebalance_threshold_ = 0;
   bool stealing_ = false;
@@ -555,10 +567,6 @@ class ShardedSession {
   /// would be nondeterministic across producer counts).
   Timestamp last_staged_pane_ HAMLET_GUARDED_BY(front_role_) = 0;
   bool staged_any_ HAMLET_GUARDED_BY(front_role_) = false;
-  /// Monotone detach-request sequence; each Shard acks the last one it
-  /// served (steal_ack), which is what the front's synchronous wait spins
-  /// on.
-  uint64_t steal_seq_counter_ HAMLET_GUARDED_BY(front_role_) = 0;
   /// Executed migrations (RunMetrics::stolen_panes). Atomic so a monitor
   /// thread's MetricsSnapshot may read it while the front steals.
   std::atomic<int64_t> stolen_panes_{0};

@@ -9,10 +9,11 @@
 //
 // The router holds no placement policy. ShardedSession
 // (src/runtime/sharded_session.h) owns one: its front keeps a sliding
-// per-shard load window and writes the overrides — first-sight diversion
-// of new keys (RunConfig::shard_rebalance_threshold) and pane-boundary
-// steals (RunConfig::work_stealing). Without overrides the route is the
-// pure hash, identical on every platform.
+// per-shard load window and writes the overrides — pane-boundary steals
+// (RunConfig::work_stealing, on by default at more than one shard) and
+// first-sight diversion of new keys (RunConfig::shard_rebalance_threshold).
+// Without overrides the route is the pure hash, identical on every
+// platform.
 #ifndef HAMLET_STREAM_SHARD_ROUTER_H_
 #define HAMLET_STREAM_SHARD_ROUTER_H_
 
@@ -64,6 +65,16 @@ class ShardRouter {
       if (it != overrides_.end()) return it->second.shard;
     }
     return ShardOfKey(key);
+  }
+
+  /// AssignedShardOfKey for a key routed at `time`: also refreshes an
+  /// override's last-seen time (the DrainStale clock), so a stolen key's
+  /// override drains only once the key went idle.
+  size_t RouteKey(int64_t key, Timestamp time) {
+    auto it = overrides_.empty() ? overrides_.end() : overrides_.find(key);
+    if (it == overrides_.end()) return ShardOfKey(key);
+    it->second.last_seen = time;
+    return it->second.shard;
   }
 
   /// The shard `event` routes to (AssignedShardOfKey of its group key).

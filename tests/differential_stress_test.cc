@@ -3,12 +3,13 @@
 // count x ingest mode (session-level batches of varying size, optionally
 // with query churn, or 1/2/4 concurrent producers, optionally with
 // mid-stream producer churn) x staging batch size x adaptive batching x
-// work stealing x skew-aware first-sight placement x queue capacity
-// — asserting the emission set is bit-identical to the single-threaded
-// reference every time: the batch Run, or with query churn a plain
-// Session given the same AddQuery (at 1/3 of the stream) and RemoveQuery
-// (at 2/3). Every documented emission-neutral knob has to actually be
-// neutral, in combination, under real concurrency.
+// work stealing (with or without idle-group eviction) x skew-aware
+// first-sight placement x queue capacity — asserting the emission set is
+// bit-identical to the single-threaded reference every time: the batch
+// Run, or with query churn a plain Session given the same AddQuery (at 1/3
+// of the stream) and RemoveQuery (at 2/3), each with the sampled
+// evict_idle_groups. Every documented emission-neutral knob has to
+// actually be neutral, in combination, under real concurrency.
 //
 // The sample is drawn from a seed that is logged on entry and printed in
 // every failure label, and overridable via --seed= / HAMLET_TEST_SEED
@@ -22,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/benchlib/workloads.h"
@@ -49,6 +51,7 @@ struct StressConfig {
   int queue_capacity = 8192;
   bool adaptive = false;
   bool stealing = false;
+  bool evict = false;  // evict_idle_groups, sampled only with stealing
   int64_t rebalance_threshold = 0;
   bool churn = false;  // producer handles leave/join at mid-stream
   bool query_churn = false;  // AddQuery at 1/3, RemoveQuery at 2/3
@@ -62,6 +65,7 @@ struct StressConfig {
     s += "/q=" + std::to_string(queue_capacity);
     if (adaptive) s += "/adaptive";
     if (stealing) s += "/steal";
+    if (evict) s += "/evict";
     if (rebalance_threshold > 0) {
       s += "/rebal=" + std::to_string(rebalance_threshold);
     }
@@ -88,6 +92,7 @@ StressConfig SampleConfig(Rng& rng) {
   c.rebalance_threshold = rng.NextBelow(2) == 1 ? 4 : 0;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
   c.query_churn = c.producers == 0 && rng.NextBelow(2) == 1;
+  c.evict = c.stealing && rng.NextBelow(2) == 1;
   return c;
 }
 
@@ -190,14 +195,16 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
   add.window = WindowSpec::Sliding(add.window.within, add.window.within / 2);
   const std::string remove = bw.plan->workload->query(1).name;
 
-  // One reference per (engine kind, query churn), computed on demand: the
-  // batch Run, or a plain Session with the churn ops.
-  std::map<std::pair<EngineKind, bool>, RunOutput> references;
-  auto reference = [&](EngineKind kind, bool churn) -> const RunOutput& {
-    auto it = references.find({kind, churn});
+  // One reference per (engine kind, query churn, eviction), computed on
+  // demand: the batch Run, or a plain Session with the churn ops.
+  std::map<std::tuple<EngineKind, bool, bool>, RunOutput> references;
+  auto reference = [&](EngineKind kind, bool churn,
+                       bool evict) -> const RunOutput& {
+    auto it = references.find({kind, churn, evict});
     if (it == references.end()) {
       RunConfig config;
       config.kind = kind;
+      config.evict_idle_groups = evict;
       RunOutput out;
       if (churn) {
         CollectingSink sink;
@@ -209,7 +216,8 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
       } else {
         out = StreamExecutor(*bw.plan, config).Run(ev);
       }
-      it = references.emplace(std::make_pair(kind, churn), std::move(out))
+      it = references.emplace(std::make_tuple(kind, churn, evict),
+                              std::move(out))
                .first;
       EXPECT_TRUE(it->second.status.ok()) << it->second.status.ToString();
       EXPECT_GT(it->second.emissions.size(), 0u) << EngineKindName(kind);
@@ -230,6 +238,7 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     config.shard_queue_capacity = sc.queue_capacity;
     config.adaptive_batching = sc.adaptive;
     config.work_stealing = sc.stealing;
+    config.evict_idle_groups = sc.evict;
     config.shard_rebalance_threshold = sc.rebalance_threshold;
     CollectingSink sink;
     Result<std::unique_ptr<ShardedSession>> opened =
@@ -244,7 +253,7 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     }
     Result<RunMetrics> metrics = session.Close();
     ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-    const RunOutput& ref = reference(sc.kind, sc.query_churn);
+    const RunOutput& ref = reference(sc.kind, sc.query_churn, sc.evict);
     ExpectSameEmissionSet(ref.emissions, sink.Take(), label);
     EXPECT_EQ(ref.metrics.events, metrics.value().events) << label;
     EXPECT_EQ(ref.metrics.emissions, metrics.value().emissions) << label;

@@ -15,15 +15,19 @@
 // with watermarks that open some steal boundaries' windows before the
 // steal: the moved runners carry those windows along.
 //
-// Also covered: the knob's compatibility matrix (evict_idle_groups
-// rejected at Open, online re-optimization accepted), query churn and a
-// plan swap while stealing, config validation, the inert single-shard
-// case, stealing under concurrent multi-producer ingest, the router's
-// override map staying bounded under key churn, and stealing together with
+// Also covered: the default config (stealing on) balancing the
+// constructed skew, the knob's compatibility matrix (evict_idle_groups and
+// online re-optimization accepted), a stolen key evicted, drained and
+// reappearing under evict_idle_groups, several steals from one victim at
+// one boundary with a key stolen back at the next, query churn and a plan
+// swap while stealing, config validation, the inert single-shard case,
+// stealing under concurrent multi-producer ingest, the router's override
+// map staying bounded under key churn, and stealing together with
 // skew-aware first-sight placement (both policies read one load window).
 //
 // Runs under TSan and ASan in CI: the runner hand-off between shard
-// threads and the detach-ack spin are cross-thread protocol steps.
+// threads (the victim fills a cell the thief waits on) is a cross-thread
+// protocol step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +35,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/query/parser.h"
@@ -255,6 +261,7 @@ TEST_F(WorkStealingTest, StealsFireAndEmissionsAreInvariantAllEngines) {
     ASSERT_GT(batch.emissions.size(), 0u) << EngineKindName(kind);
 
     const std::string label = EngineKindName(kind);
+    config.work_stealing = false;
     ShardedResult off = RunSharded(config, 2, ev);
     ExpectSameEmissionSet(batch.emissions, off.emissions, label + "/off");
     EXPECT_EQ(off.metrics.stolen_panes, 0) << label;
@@ -294,6 +301,7 @@ TEST_F(WorkStealingTest, StealBackAcrossWatermarkOpenedWindowsAllEngines) {
     ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
 
     std::vector<size_t> key_shards;
+    config.work_stealing = false;
     ShardedResult off =
         RunWithWatermarks(config, ev, hot[0], phase2, &key_shards);
     ExpectSameEmissionSet(batch.emissions, off.emissions, label + "/off");
@@ -397,6 +405,7 @@ TEST_F(WorkStealingTest, KeyChurnKeepsOverrideMapBounded) {
   RunOutput batch = executor.Run(ev);
   ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
 
+  config.work_stealing = false;
   ShardedResult off = RunSharded(config, 2, ev);
   ExpectSameEmissionSet(batch.emissions, off.emissions, "off");
   config.work_stealing = true;
@@ -431,6 +440,7 @@ TEST_F(WorkStealingTest, RebalanceAndStealTogetherAllEngines) {
     ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
 
     config.shard_rebalance_threshold = 4;
+    config.work_stealing = false;
     ShardedResult off = RunSharded(config, 2, ev);
     ExpectSameEmissionSet(batch.emissions, off.emissions, label + "/off");
     EXPECT_GT(off.metrics.rebalanced_keys, 0) << label;
@@ -451,12 +461,13 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   config.num_shards = 2;
   config.work_stealing = true;
 
+  // Idle-group eviction combines with stealing (EvictedStolenKey* below
+  // checks what it computes).
   RunConfig evict = config;
   evict.evict_idle_groups = true;
   auto r1 = ShardedSession::Open(*plan_, evict, &sink);
-  ASSERT_FALSE(r1.ok());
-  EXPECT_EQ(r1.status().code(), StatusCode::kUnsupported)
-      << r1.status().ToString();
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  EXPECT_TRUE(r1.value()->Close().ok());
 
   // Online re-optimization combines with stealing: every shard runs one
   // plan epoch and switches it at the same boundary.
@@ -562,6 +573,271 @@ TEST_F(WorkStealingTest, ChurnAndPlanSwapWhileStealingAllEngines) {
     EXPECT_EQ(got.metrics.queries_removed, 1) << label;
     EXPECT_EQ(got.metrics.plan_swaps, 1) << label;
   }
+}
+
+// The default config steals: a 2-shard session over the constructed 3:1
+// hash skew ends up balanced, and computes what the batch Run computes.
+TEST_F(WorkStealingTest, DefaultConfigBalancesHashSkew) {
+  std::vector<int64_t> hot;
+  int64_t cold = -1;
+  FindSkewKeys(&hot, &cold);
+  EventVector ev = SkewStream(hot, cold, /*rounds=*/1200);
+  const RunConfig config;
+  StreamExecutor executor(*plan_, config);
+  RunOutput batch = executor.Run(ev);
+  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+
+  ShardedResult out = RunSharded(config, 2, ev);
+  ExpectSameEmissionSet(batch.emissions, out.emissions, "default");
+  EXPECT_GE(out.metrics.stolen_panes, 1);
+  ASSERT_EQ(out.metrics.shard_events.size(), 2u);
+  const int64_t busiest = std::max(out.metrics.shard_events[0],
+                                   out.metrics.shard_events[1]);
+  EXPECT_LE(static_cast<double>(busiest) /
+                static_cast<double>(out.metrics.events),
+            0.6);
+}
+
+// Stealing x evict_idle_groups: a key stolen to the thief goes idle past
+// every WITHIN, so the thief evicts its runners and the front drains its
+// override; when the key comes back it routes by hash and starts fresh,
+// as it does in a single-threaded evicting session. The steal itself
+// fires on the first event after a 200 ms gap in which every group went
+// idle, and a tumbling query emits at every pane a live group spans, so
+// both shards must evict at exactly the single-threaded boundaries while
+// they advance to the steal boundary.
+TEST_F(WorkStealingTest, EvictedStolenKeyDrainsAndReappearsAllEngines) {
+  Workload tumbling(&schema_);
+  for (const Query& q : workload_->queries()) {
+    ASSERT_TRUE(tumbling.Add(q).ok());
+  }
+  ASSERT_TRUE(tumbling
+                  .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
+                                  "GROUPBY g WITHIN 10 ms SLIDE 10 ms")
+                           .value())
+                  .ok());
+  const WorkloadPlan plan = AnalyzeWorkload(tumbling).value();
+  std::vector<int64_t> hot;
+  int64_t cold = -1;
+  FindSkewKeys(&hot, &cold);
+  RunConfig config;
+  config.evict_idle_groups = true;
+  config.num_shards = 2;
+  // Phase 1: the 3:1 skew, long enough for one steal. The probe finds the
+  // event that fires it and the key it moves.
+  EventVector ev = SkewStream(hot, cold, /*rounds=*/150);
+  size_t trigger = ev.size();
+  int64_t stolen = -1;
+  {
+    auto probe = ShardedSession::Open(plan, config, nullptr).value();
+    for (size_t i = 0; i < ev.size() && stolen < 0; ++i) {
+      ASSERT_TRUE(probe->Push(ev[i]).ok());
+      if (probe->MetricsSnapshot().stolen_panes == 0) continue;
+      trigger = i;
+      for (int64_t k : hot) {
+        if (probe->router().AssignedShardOfKey(k) == 1) stolen = k;
+      }
+    }
+    ASSERT_TRUE(probe->Close().ok());
+  }
+  ASSERT_GE(stolen, 0) << "the 3:1 skew must steal a hot key";
+  // The gap leaves the loads the steal decision reads unchanged.
+  for (size_t i = trigger; i < ev.size(); ++i) ev[i].time += 200;
+  const size_t phase1 = ev.size();
+  std::vector<int64_t> stay;
+  for (int64_t k : hot) {
+    if (k != stolen) stay.push_back(k);
+  }
+  // A fresh key on shard 1 keeps the two shards level while `stolen` is
+  // idle (phase 2, 400 ms against a 30 ms WITHIN); in phase 3 `stolen`
+  // comes back, 3:2 on its hash shard, below the steal ratio.
+  int64_t filler = -1;
+  ShardRouter hash = ShardedSession::RouterFor(plan, 2).value();
+  for (int64_t k = 1000; filler < 0; ++k) {
+    if (hash.ShardOfKey(k) == 1) filler = k;
+  }
+  Timestamp t = ev.back().time + 1;
+  for (const std::vector<int64_t>& round :
+       {std::vector<int64_t>{stay[0], stay[1], cold, filler},
+        std::vector<int64_t>{stay[0], stay[1], stolen, cold, filler}}) {
+    for (int r = 0; r < 100; ++r) {
+      const TypeId type = (r % 5 == 0) ? type_a_ : type_b_;
+      for (int64_t k : round) ev.push_back(Make(t++, type, k));
+    }
+  }
+  const size_t phase2 = phase1 + 400;
+
+  // Per-event pushes with a watermark in the middle of every pane: the
+  // watermarks are the checkpoints at which the front drains overrides,
+  // and none of them reaches a pane before its first event does.
+  std::vector<int64_t> map_sizes;
+  auto drive = [&](auto& session, CollectingSink& sink) {
+    for (size_t i = 0; i < ev.size(); ++i) {
+      if (ev[i].time % 10 == 5) {
+        EXPECT_TRUE(session.AdvanceTo(ev[i].time).ok());
+      }
+      if constexpr (std::is_same_v<std::decay_t<decltype(session)>,
+                                   ShardedSession>) {
+        if (i == phase1 || i == phase2) {
+          map_sizes.push_back(session.MetricsSnapshot().rebalance_map_size);
+        }
+      }
+      EXPECT_TRUE(session.Push(ev[i]).ok());
+    }
+    EXPECT_TRUE(session.AdvanceTo(ev.back().time).ok());
+    ShardedResult out;
+    out.metrics = session.Close().value();
+    out.emissions = sink.Take();
+    return out;
+  };
+
+  for (EngineKind kind : kAllKinds) {
+    const std::string label = EngineKindName(kind);
+    config.kind = kind;
+    CollectingSink single_sink;
+    auto single = Session::Open(plan, config, &single_sink).value();
+    const ShardedResult want = drive(*single, single_sink);
+    ASSERT_GT(want.emissions.size(), 0u) << label;
+    EXPECT_GT(want.metrics.evicted_idle_groups, 0) << label;
+
+    CollectingSink sink;
+    auto sharded = ShardedSession::Open(plan, config, &sink).value();
+    map_sizes.clear();
+    const ShardedResult got = drive(*sharded, sink);
+    ExpectSameEmissionSet(want.emissions, got.emissions, label);
+    EXPECT_EQ(got.metrics.stolen_panes, 1) << label;
+    EXPECT_EQ(got.metrics.evicted_idle_groups,
+              want.metrics.evicted_idle_groups)
+        << label;
+    // One override after the steal, none once the idle key drained, and
+    // none after it came back on its hash shard.
+    EXPECT_EQ(map_sizes, (std::vector<int64_t>{1, 0})) << label;
+    EXPECT_EQ(got.metrics.rebalance_map_size, 0) << label;
+  }
+}
+
+// The asynchronous hand-off under load. Sixteen keys on shard 0 against
+// one on shard 1 make the first 1 s pane boundary steal several keys from
+// one victim; the next pane loads the thief so that one of them, `back`,
+// is stolen home at the very next boundary. The whole stream is staged
+// before the shards catch up, so the detach/attach pairs of both
+// boundaries are queued at once, on session-level and on producer ingest.
+TEST_F(WorkStealingTest, PipelinedStealsAndStealBackAcrossBoundaries) {
+  Workload coarse(&schema_);
+  for (const char* text :
+       {"RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g WITHIN 2 s SLIDE 1 s",
+        "RETURN SUM(B.v) PATTERN SEQ(A, B+) GROUPBY g WITHIN 1 s SLIDE 1 s"}) {
+    ASSERT_TRUE(coarse.Add(ParseQuery(text).value()).ok());
+  }
+  const WorkloadPlan plan = AnalyzeWorkload(coarse).value();
+  ShardRouter hash = ShardedSession::RouterFor(plan, 2).value();
+  std::vector<int64_t> victim_keys;
+  int64_t cold = -1;
+  for (int64_t k = 0; victim_keys.size() < 16 || cold < 0; ++k) {
+    if (hash.ShardOfKey(k) == 1) {
+      if (cold < 0) cold = k;
+    } else if (victim_keys.size() < 16) {
+      victim_keys.push_back(k);
+    }
+  }
+  auto type_at = [&](int r) { return r % 4 == 0 ? type_a_ : type_b_; };
+  // Pane [0, 1000): every key of both shards, one event per 2 ms. The
+  // first event of the next pane (a `cold` one) fires the steals.
+  EventVector ev;
+  Timestamp t = 2;
+  for (int r = 0; t < 1000; ++r) {
+    for (int64_t k : victim_keys) {
+      if (t < 1000) ev.push_back(Make(t, type_at(r), k));
+      t += 2;
+    }
+    if (t < 1000) ev.push_back(Make(t, type_at(r), cold));
+    t += 2;
+  }
+  ev.push_back(Make(1000, type_a_, cold));
+  const size_t first_boundary = ev.size();
+
+  RunConfig config;
+  config.num_shards = 2;
+  std::vector<int64_t> moved;
+  {
+    auto probe = ShardedSession::Open(plan, config, nullptr).value();
+    ASSERT_TRUE(probe->PushBatch(ev).ok());
+    for (int64_t k : victim_keys) {
+      if (probe->router().AssignedShardOfKey(k) == 1) moved.push_back(k);
+    }
+    EXPECT_GE(probe->MetricsSnapshot().stolen_panes, 3);
+    ASSERT_TRUE(probe->Close().ok());
+  }
+  ASSERT_GE(moved.size(), 3u) << "one boundary must steal several keys";
+  // Pane [1000, 2000): only the thief's keys, `back` twice per round, so
+  // the thief is overloaded and `back` is the heaviest key whose return
+  // improves the balance. Pane [2000, 3000): every key again.
+  const int64_t back = moved.front();
+  t = 1001;
+  for (int r = 0; t < 2000; ++r) {
+    ev.push_back(Make(t++, type_at(r), back));
+    for (int64_t k : moved) ev.push_back(Make(t++, type_at(r), k));
+    ev.push_back(Make(t++, type_at(r), cold));
+  }
+  while (ev.back().time >= 2000) ev.pop_back();
+  for (int r = 0; t < 3000; ++r) {
+    for (int64_t k : victim_keys) ev.push_back(Make(t++, type_at(r), k));
+    ev.push_back(Make(t++, type_at(r), cold));
+  }
+  while (ev.back().time >= 3000) ev.pop_back();
+
+  StreamExecutor executor(plan, config);
+  RunOutput batch = executor.Run(ev);
+  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+
+  // Session-level ingest in one PushBatch per pane.
+  CollectingSink sink;
+  auto session = ShardedSession::Open(plan, config, &sink).value();
+  size_t second_boundary = first_boundary;
+  while (ev[second_boundary].time < 2000) ++second_boundary;
+  for (auto [from, to] : {std::pair<size_t, size_t>{0, first_boundary},
+                          {first_boundary, second_boundary + 1},
+                          {second_boundary + 1, ev.size()}}) {
+    ASSERT_TRUE(session
+                    ->PushBatch(std::span<const Event>(ev.data() + from,
+                                                       to - from))
+                    .ok());
+    if (from == 0) {
+      EXPECT_EQ(session->router().AssignedShardOfKey(back), 1u);
+    } else if (from == first_boundary) {
+      EXPECT_EQ(session->router().AssignedShardOfKey(back), 0u)
+          << "`back` must return home at the next boundary";
+    }
+  }
+  ASSERT_TRUE(session->AdvanceTo(ev.back().time).ok());
+  const RunMetrics level = session->Close().value();
+  ExpectSameEmissionSet(batch.emissions, sink.Take(), "session-level");
+  EXPECT_GE(level.stolen_panes, static_cast<int64_t>(moved.size()) + 1);
+
+  // Producer ingest: the sequencer merges the same stream, so it steals
+  // the same keys at the same boundaries.
+  CollectingSink mp_sink;
+  auto mp = ShardedSession::Open(plan, config, &mp_sink).value();
+  constexpr int kProducers = 2;
+  std::vector<std::unique_ptr<ShardedSession::Producer>> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.push_back(mp->AddProducer().value());
+  }
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      ShardedSession::Producer& producer = *producers[static_cast<size_t>(p)];
+      for (size_t i = static_cast<size_t>(p); i < ev.size(); i += kProducers) {
+        ASSERT_TRUE(producer.Push(ev[i]).ok());
+      }
+      ASSERT_TRUE(producer.AdvanceTo(ev.back().time).ok());
+      ASSERT_TRUE(producer.Close().ok());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const RunMetrics multi = mp->Close().value();
+  ExpectSameEmissionSet(batch.emissions, mp_sink.Take(), "producers");
+  EXPECT_EQ(multi.stolen_panes, level.stolen_panes);
 }
 
 }  // namespace
