@@ -21,6 +21,10 @@
 // queueing effects. Expect near-linear speedup up to the machine's core
 // count; beyond it the extra shards only add hand-off overhead.
 //
+// Part 2b — run propagation: the bursty preset with one group and with four
+// interleaved groups through one Session in 512-row batches, with the mean
+// run length the engines see and the group-major partition's ns per row.
+//
 // Part 3 — bursty ingress (fixed vs adaptive): the stream is replayed as
 // alternating full-speed bursts and paced lulls (2 ms inter-arrival). Burst
 // throughput is timed over the burst phases only; after each lull phase the
@@ -38,7 +42,8 @@
 // diversion of new keys), work_stealing (pane-boundary migration of placed
 // keys), and both together (one shared load window). Reported: wall
 // events/s, the busiest shard's event share (the bottleneck placement
-// removes), the diverted-key count and the executed steals. This is the
+// removes), the diverted-key count and the executed steals, each row the
+// median of five replays with its wall events/s range. This is the
 // ingest knob audit's placement comparison; see docs/API.md for the
 // measured numbers.
 //
@@ -58,8 +63,11 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/benchlib/harness.h"
+#include "src/query/run_segmenter.h"
 #include "src/runtime/executor.h"
 
 namespace hamlet {
@@ -200,77 +208,115 @@ void RunScaling(const BenchWorkload& bw, const EventVector& events,
 // Part 2b: run-granular dispatch on the bursty preset.
 // ---------------------------------------------------------------------------
 
-/// PushBatch(512) chunks through one session: each staged batch is
-/// segmented into maximal same-type/same-pass-set runs, one engine call per
-/// run. Reports the throughput and the run-shape metrics: total runs, runs
-/// per pane, and the log2 run-length histogram (bucket i = runs of length
-/// [2^i, 2^(i+1))).
-void RunRunPropagation(const BenchWorkload& bw, const EventVector& events,
+/// PushBatch(512) chunks through one session, once per stream: each staged
+/// batch is ordered group-major, segmented into maximal same-type,
+/// same-pass-set, group-confined runs, and fed to the engines one call per
+/// run. Reports per stream the throughput, the run shape (total runs, mean
+/// run length = events / runs, runs per pane, the log2 run-length
+/// histogram: bucket i = runs of length [2^i, 2^(i+1))) and the partition's
+/// own cost: GroupMajorOrder replayed over the same chunks, ns per row.
+void RunRunPropagation(const BenchWorkload& bw,
+                       const std::vector<std::pair<int, EventVector>>& streams,
                        bool json) {
-  // Pane count of the replayed stream: runs are pane-confined, so this is
-  // the denominator of the runs-per-pane shape metric.
-  int64_t panes = 0;
-  if (bw.plan->pane_size > 0) {
-    const Timestamp pane = bw.plan->pane_size;
+  constexpr size_t kChunk = 512;
+  const Timestamp pane = bw.plan->pane_size;
+  const AttrId group_by = bw.plan->exec_queries[0].group_by;
+  Table table({"groups", "PushBatch eps", "runs", "mean run len",
+               "runs/pane", "partition ns/row", "run len hist (log2)"});
+  std::string json_rows;
+  for (const auto& [groups, events] : streams) {
+    // Pane count of the replayed stream: runs are pane-confined, so this
+    // is the denominator of the runs-per-pane shape metric.
+    int64_t panes = 0;
     Timestamp prev = 0;
-    bool first = true;
     for (const Event& e : events) {
       const Timestamp p = (e.time / pane) * pane;
-      if (first || p != prev) {
+      if (panes == 0 || p != prev) {
         ++panes;
         prev = p;
-        first = false;
       }
     }
-  }
-  RunConfig config;
-  config.kind = EngineKind::kHamletDynamic;
-  // Best of 3 replays: a single pass is below the noise floor of the wall
-  // clock.
-  RunMetrics m;
-  for (int rep = 0; rep < 3; ++rep) {
-    Result<std::unique_ptr<Session>> session =
-        Session::Open(*bw.plan, config, /*sink=*/nullptr);
-    HAMLET_CHECK(session.ok());
-    constexpr size_t kChunk = 512;
-    for (size_t i = 0; i < events.size(); i += kChunk) {
-      const size_t len = std::min(kChunk, events.size() - i);
-      HAMLET_CHECK(session.value()
-                       ->PushBatch(std::span<const Event>(
-                           events.data() + i, len))
-                       .ok());
+    RunConfig config;
+    config.kind = EngineKind::kHamletDynamic;
+    // Best of 3 replays: a single pass is below the noise floor of the
+    // wall clock.
+    RunMetrics m;
+    double partition_s = 0;
+    size_t reordered = 0;  // keeps the partition results live
+    for (int rep = 0; rep < 3; ++rep) {
+      Result<std::unique_ptr<Session>> session =
+          Session::Open(*bw.plan, config, /*sink=*/nullptr);
+      HAMLET_CHECK(session.ok());
+      for (size_t i = 0; i < events.size(); i += kChunk) {
+        const size_t len = std::min(kChunk, events.size() - i);
+        HAMLET_CHECK(session.value()
+                         ->PushBatch(std::span<const Event>(
+                             events.data() + i, len))
+                         .ok());
+      }
+      RunMetrics rm = session.value()->Close().value();
+      if (rep == 0 || rm.throughput_eps > m.throughput_eps) m = std::move(rm);
+
+      GroupMajorOrder order;
+      const auto start = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < events.size(); i += kChunk) {
+        const size_t len = std::min(kChunk, events.size() - i);
+        reordered += order
+                         .Of(std::span<const Event>(events.data() + i, len),
+                             pane, group_by)
+                         .size();
+      }
+      const double s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+      if (rep == 0 || s < partition_s) partition_s = s;
     }
-    RunMetrics rm = session.value()->Close().value();
-    if (rep == 0 || rm.throughput_eps > m.throughput_eps) m = std::move(rm);
+    const double rows = static_cast<double>(std::max<size_t>(events.size(), 1));
+    const double mean_len =
+        m.runs <= 0 ? 0.0 : static_cast<double>(m.events) /
+                                 static_cast<double>(m.runs);
+    const double rpp = panes <= 0 ? 0.0
+                                  : static_cast<double>(m.runs) /
+                                        static_cast<double>(panes);
+    const double partition_ns = partition_s * 1e9 / rows;
+    std::string hist = "[";
+    for (size_t b = 0; b < m.run_len_hist.size(); ++b) {
+      if (b > 0) hist += ",";
+      hist += std::to_string(m.run_len_hist[b]);
+    }
+    hist += "]";
+    char mean_str[32], rpp_str[32], ns_str[32];
+    std::snprintf(mean_str, sizeof(mean_str), "%.2f", mean_len);
+    std::snprintf(rpp_str, sizeof(rpp_str), "%.1f", rpp);
+    std::snprintf(ns_str, sizeof(ns_str), "%.1f", partition_ns);
+    table.AddRow({std::to_string(groups), bench::Eps(m.throughput_eps),
+                  std::to_string(m.runs), mean_str, rpp_str, ns_str, hist});
+    if (json) {
+      char row[512];
+      std::snprintf(row, sizeof(row),
+                    "%s{\"mode\":\"runs\",\"groups\":%d,\"events\":%zu,"
+                    "\"push_eps\":%.1f,\"runs\":%lld,\"mean_run_len\":%.3f,"
+                    "\"panes\":%lld,\"runs_per_pane\":%.2f,"
+                    "\"partition_ns_per_row\":%.2f,\"reordered_rows\":%zu,"
+                    "\"run_len_hist\":%s}",
+                    json_rows.empty() ? "" : ",", groups, events.size(),
+                    m.throughput_eps, static_cast<long long>(m.runs),
+                    mean_len, static_cast<long long>(panes), rpp,
+                    partition_ns, reordered / 3, hist.c_str());
+      json_rows += row;
+    }
   }
-  const double rpp = panes <= 0 ? 0.0
-                                : static_cast<double>(m.runs) /
-                                      static_cast<double>(panes);
-  char rpp_str[32];
-  std::snprintf(rpp_str, sizeof(rpp_str), "%.1f", rpp);
-  std::string hist = "[";
-  for (size_t b = 0; b < m.run_len_hist.size(); ++b) {
-    if (b > 0) hist += ",";
-    hist += std::to_string(m.run_len_hist[b]);
-  }
-  hist += "]";
-  Table table({"dispatch", "PushBatch eps", "runs", "runs/pane",
-               "run len hist (log2)"});
-  table.AddRow({"runs", bench::Eps(m.throughput_eps), std::to_string(m.runs),
-                rpp_str, hist});
   bench::PrintFigure(
       "Run propagation (bursty preset)",
-      "run-granular engine dispatch of staged batches; runs/pane and the "
-      "run-length histogram describe the stream's burst shape",
+      "run-granular engine dispatch of group-major staged batches; mean run "
+      "length, runs/pane and the run-length histogram describe the burst "
+      "shape the engines see, partition ns/row the cost of the ordering",
       table);
   if (json) {
     std::printf(
         "JSON: {\"bench\":\"push_overhead\",\"table\":\"run_propagation\","
-        "\"events\":%zu,\"rows\":[{\"mode\":\"runs\",\"push_eps\":%.1f,"
-        "\"runs\":%lld,\"panes\":%lld,\"runs_per_pane\":%.2f,"
-        "\"run_len_hist\":%s}]}\n",
-        events.size(), m.throughput_eps, static_cast<long long>(m.runs),
-        static_cast<long long>(panes), rpp, hist.c_str());
+        "\"rows\":[%s]}\n",
+        json_rows.c_str());
     std::fflush(stdout);
   }
 }
@@ -412,14 +458,18 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
 void RunSkewed(const BenchWorkload& bw, const EventVector& events,
                int max_shards, bool json) {
   const int shards = std::min(max_shards, 4);
-  Table table({"routing", "wall eps", "max shard share", "rebalanced keys",
-               "stolen panes"});
+  Table table({"routing", "wall eps (min-max)", "max shard share",
+               "rebalanced keys", "stolen panes"});
   std::string json_rows;
   struct Policy {
     const char* name;
     int64_t rebalance_threshold;
     bool stealing;
   };
+  // Each row is a 15-40 ms replay that scatters +-30% run to run on a
+  // shared host: it reports the median of kReps replays with their range,
+  // and the median replay's shape counters.
+  constexpr int kReps = 5;
   for (const Policy& policy : {Policy{"hash", 0, false},
                                Policy{"rebalance", 64, false},
                                Policy{"steal", 0, true},
@@ -429,20 +479,28 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
     config.num_shards = shards;
     config.shard_rebalance_threshold = policy.rebalance_threshold;
     config.work_stealing = policy.stealing;
-    Result<std::unique_ptr<ShardedSession>> session =
-        ShardedSession::Open(*bw.plan, config, /*sink=*/nullptr);
-    HAMLET_CHECK(session.ok());
-    constexpr size_t kChunk = 512;
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < events.size(); i += kChunk) {
-      const size_t len = std::min(kChunk, events.size() - i);
-      HAMLET_CHECK(session.value()
-                       ->PushBatch(std::span<const Event>(
-                           events.data() + i, len))
-                       .ok());
+    std::vector<std::pair<double, RunMetrics>> reps;
+    for (int rep = 0; rep < kReps; ++rep) {
+      Result<std::unique_ptr<ShardedSession>> session =
+          ShardedSession::Open(*bw.plan, config, /*sink=*/nullptr);
+      HAMLET_CHECK(session.ok());
+      constexpr size_t kChunk = 512;
+      const auto start = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < events.size(); i += kChunk) {
+        const size_t len = std::min(kChunk, events.size() - i);
+        HAMLET_CHECK(session.value()
+                         ->PushBatch(std::span<const Event>(
+                             events.data() + i, len))
+                         .ok());
+      }
+      RunMetrics m = session.value()->Close().value();
+      reps.emplace_back(WallEps(events.size(), start), std::move(m));
     }
-    RunMetrics m = session.value()->Close().value();
-    const double eps = WallEps(events.size(), start);
+    std::sort(reps.begin(), reps.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const auto& [eps, m] = reps[reps.size() / 2];
+    const double min_eps = reps.front().first;
+    const double max_eps = reps.back().first;
     int64_t busiest = 0;
     for (int64_t per_shard : m.shard_events) {
       busiest = std::max(busiest, per_shard);
@@ -453,18 +511,22 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
                             static_cast<double>(m.events);
     char share_str[32];
     std::snprintf(share_str, sizeof(share_str), "%.1f%%", share * 100.0);
-    table.AddRow({policy.name, bench::Eps(eps), share_str,
-                  std::to_string(m.rebalanced_keys),
+    table.AddRow({policy.name,
+                  bench::Eps(eps) + " (" + bench::Eps(min_eps) + "-" +
+                      bench::Eps(max_eps) + ")",
+                  share_str, std::to_string(m.rebalanced_keys),
                   std::to_string(m.stolen_panes)});
     if (json) {
-      char row[256];
+      char row[320];
       std::snprintf(row, sizeof(row),
                     "%s{\"mode\":\"%s\",\"wall_eps\":%.1f,"
                     "\"max_shard_share\":%.4f,\"rebalanced_keys\":%lld,"
-                    "\"stolen_panes\":%lld}",
+                    "\"stolen_panes\":%lld,\"wall_eps_min\":%.1f,"
+                    "\"wall_eps_max\":%.1f,\"reps\":%d}",
                     json_rows.empty() ? "" : ",", policy.name, eps, share,
                     static_cast<long long>(m.rebalanced_keys),
-                    static_cast<long long>(m.stolen_panes));
+                    static_cast<long long>(m.stolen_panes), min_eps, max_eps,
+                    kReps);
       json_rows += row;
     }
   }
@@ -600,15 +662,17 @@ void Run(int max_shards, int producers, bool json) {
     gen.max_burst = 120;
     EventVector events = bw.generator->Generate(gen);
     RunOverhead(bw, events);
-    // The run-propagation figure gets a single-group stream: with several
-    // groups the per-group same-type bursts interleave in time order and
-    // fragment into short runs, hiding the dispatch-granularity effect the
-    // figure isolates.
+    // The run-propagation figure compares a single-group stream, whose
+    // bursts arrive contiguous, with this four-group one, whose per-group
+    // bursts interleave in time order and reach the engines whole only
+    // through the group-major partition.
     GeneratorConfig run_gen = gen;
     run_gen.seed = 13;
     run_gen.num_groups = 1;
-    EventVector run_events = bw.generator->Generate(run_gen);
-    RunRunPropagation(bw, run_events, json);
+    std::vector<std::pair<int, EventVector>> run_streams;
+    run_streams.emplace_back(1, bw.generator->Generate(run_gen));
+    run_streams.emplace_back(gen.num_groups, events);
+    RunRunPropagation(bw, run_streams, json);
   }
   {
     // Scaling wants many independent groups so the hash spreads work evenly

@@ -1,6 +1,8 @@
 #include "src/query/run_segmenter.h"
 
+#include <cmath>
 #include <cstdint>
+#include <utility>
 
 namespace hamlet {
 
@@ -38,7 +40,8 @@ void SegmentRuns(const EventBatch& batch, int rows, Timestamp pane_size,
                  const QuerySet& all_execs,
                  const std::vector<int>& predicated_queries,
                  const std::vector<SelectionMask>& masks,
-                 std::vector<RunSpan>* out) {
+                 std::vector<RunSpan>* out,
+                 std::span<const AttrId> key_attrs) {
   out->clear();
   if (rows <= 0) return;
 
@@ -65,19 +68,64 @@ void SegmentRuns(const EventBatch& batch, int rows, Timestamp pane_size,
     // does one bit test instead of one Test() per predicated query.
     static thread_local std::vector<uint64_t> flip_words;
     BuildFlipBitmap(masks, rows, &flip_words);
+    auto key_break = [&](size_t i) {
+      for (AttrId a : key_attrs) {
+        const double* col = batch.column_data(a);
+        if (col != nullptr && col[i] != col[i - 1] &&
+            std::llround(col[i]) != std::llround(col[i - 1])) {
+          return true;
+        }
+      }
+      return false;
+    };
     Timestamp run_pane = pane_size > 0 ? times[0] / pane_size : 0;
     for (int i = 1; i < rows; ++i) {
       const bool type_break =
           types[static_cast<size_t>(i)] != types[static_cast<size_t>(begin)];
       const Timestamp pane =
           pane_size > 0 ? times[static_cast<size_t>(i)] / pane_size : 0;
-      if (type_break || pane != run_pane || TestBit(flip_words, i)) {
+      if (type_break || pane != run_pane || TestBit(flip_words, i) ||
+          key_break(static_cast<size_t>(i))) {
         close_run(i);
         run_pane = pane;
       }
     }
   }
   close_run(rows);
+}
+
+std::span<const int32_t> GroupMajorOrder::Of(std::span<const Event> rows,
+                                              Timestamp pane_size,
+                                              AttrId attr) {
+  ids_.resize(rows.size());
+  starts_.clear();
+  bool sorted = true;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Event& e = rows[i];
+    // Panes are monotone: a new pane's groups take ids above all before.
+    if (i == 0 || e.time / pane_size != rows[i - 1].time / pane_size) {
+      pane_ids_.clear();
+    }
+    const int64_t key =
+        std::llround(attr < e.num_attrs ? e.attr(attr) : 0.0);
+    const auto [it, fresh] =
+        pane_ids_.try_emplace(key, static_cast<int32_t>(starts_.size()));
+    if (fresh) starts_.push_back(0);
+    ids_[i] = it->second;
+    ++starts_[static_cast<size_t>(it->second)];
+    // Ids follow first appearance, so rows are already group-major iff
+    // no row returns to an earlier group.
+    if (i > 0 && ids_[i] < ids_[i - 1]) sorted = false;
+  }
+  if (sorted) return {};
+  int32_t first = 0;
+  for (int32_t& count : starts_) first += std::exchange(count, first);
+  order_.resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    order_[static_cast<size_t>(starts_[static_cast<size_t>(ids_[i])]++)] =
+        static_cast<int32_t>(i);
+  }
+  return order_;
 }
 
 }  // namespace hamlet

@@ -444,6 +444,14 @@ struct Session::Runtime {
   /// Staged run list over batch_scratch; capacity reused across batches
   /// like the staging scratch above.
   std::vector<RunSpan> run_spans;
+  /// The components' distinct group-by attributes: SegmentRuns cuts runs
+  /// at each one's key changes, so every run reaches one runner per
+  /// component.
+  std::vector<AttrId> key_attrs;
+  /// Every exec query groups by key_attrs[0]: batches are staged
+  /// group-major (DispatchRuns) in the order this computes.
+  bool group_major = false;
+  GroupMajorOrder group_major_order;
   std::vector<std::unique_ptr<Component>> components;
   /// The component of each exec query.
   std::vector<Component*> component_of;
@@ -523,6 +531,13 @@ std::unique_ptr<Session::Runtime> Session::BuildRuntime(
     rt->component_of[static_cast<size_t>(i)] = comp;
   }
   rt->all_execs = QuerySet::FirstN(n);
+  AddGroupByAttrs(plan, &rt->key_attrs);
+  rt->group_major =
+      rt->key_attrs.size() == 1 &&
+      std::all_of(plan.exec_queries.begin(), plan.exec_queries.end(),
+                  [](const ExecQuery& eq) {
+                    return eq.group_by != Schema::kInvalidId;
+                  });
   rt->batch_scratch.ResetSchema(plan.workload->schema()->num_attrs());
   const int num_types = plan.workload->schema()->num_types();
   auto& exec_masks = epoch->exec_type_masks;
@@ -1022,15 +1037,25 @@ Status Session::Ingest(std::span<const Event> events, bool per_event) {
 void Session::DispatchRuns(std::span<const Event> events, double arrival) {
   if (events.empty()) return;
   Runtime& rt = *rt_;
+  const Timestamp pane = rt.plan->pane_size;
+  // Stage group-major when every query groups by one attribute: each
+  // group's rows of a pane become contiguous, in arrival order, so the runs
+  // are the paper's per-group bursts. Groups share no state and close in
+  // key order, so the emissions do not change. Otherwise (and for a lone
+  // row) the rows keep arrival order.
+  const std::span<const int32_t> order =
+      rt.group_major && events.size() > 1
+          ? rt.group_major_order.Of(events, pane, rt.key_attrs.front())
+          : std::span<const int32_t>();
   // Transpose the rows into the SoA staging batch and run the predicate
   // kernels batch-wide up front.
   const PredicateProgram& program = rt.epoch->compiled->program;
-  rt.batch_scratch.Assign(events);
-  program.EvalBatch(rt.batch_scratch, &rt.selection);
-  SegmentRuns(rt.batch_scratch, static_cast<int>(events.size()),
-              rt.plan->pane_size, rt.all_execs, program.predicated_queries(),
-              rt.selection.masks, &rt.run_spans);
-  const Timestamp pane = rt.plan->pane_size;
+  EventBatch& batch = rt.batch_scratch;
+  batch.Assign(events, order);
+  program.EvalBatch(batch, &rt.selection);
+  SegmentRuns(batch, batch.size(), pane, rt.all_execs,
+              program.predicated_queries(), rt.selection.masks, &rt.run_spans,
+              rt.key_attrs);
   for (const RunSpan& run : rt.run_spans) {
     // Run-shape metrics: bucket i counts runs of length [2^i, 2^(i+1)).
     ++runs_;
@@ -1043,10 +1068,10 @@ void Session::DispatchRuns(std::span<const Event> events, double arrival) {
     // One pane advance per run: runs are pane-confined, so the first row's
     // pane is every row's pane. Ingest keeps hand-off boundaries out of the
     // rows, so `rt` is still the running runtime after the advance.
-    const Event& first = events[static_cast<size_t>(run.row_begin)];
-    const Timestamp event_pane = (first.time / pane) * pane;
+    const Timestamp first_time = batch.time(run.row_begin);
+    const Timestamp event_pane = (first_time / pane) * pane;
     if (!rt.pane_started || event_pane > rt.pane_start) {
-      AdvancePaneTo(first.time);
+      AdvancePaneTo(first_time);
       HAMLET_CHECK(rt_.get() == &rt);
     }
     // One arrival sample per run unless the caller passed one (latency
@@ -1059,78 +1084,62 @@ void Session::DispatchRuns(std::span<const Event> events, double arrival) {
           run.type >= static_cast<TypeId>(comp.dispatch_mask.size()) ||
           !comp.dispatch_mask[static_cast<size_t>(run.type)])
         continue;
-      const bool creates = comp.type_mask[static_cast<size_t>(run.type)];
-      // Sub-split at group-key changes: runs are segmented globally, group
-      // partitioning is per component (group-by attrs differ), so the
-      // per-group spans are carved here, straight off the key column.
-      // Without a key column (no GROUPBY, or no row carried the
-      // attribute) every row is group 0.
+      // Runs are group-confined, so the first row's key is the run's.
+      // Without a key column (no GROUPBY, or no row carried the attribute)
+      // every row is group 0.
       const double* key_col = comp.group_by == Schema::kInvalidId
                                   ? nullptr
-                                  : rt.batch_scratch.column_data(comp.group_by);
-      auto key_at = [&](int row) {
-        return static_cast<int64_t>(
-            std::llround(key_col[static_cast<size_t>(row)]));
+                                  : batch.column_data(comp.group_by);
+      const int64_t key =
+          key_col == nullptr
+              ? 0
+              : std::llround(key_col[static_cast<size_t>(run.row_begin)]);
+      auto it = comp.groups.find(key);
+      GroupRunner* runner = nullptr;
+      if (it != comp.groups.end()) {
+        runner = it->second.get();
+      } else if (comp.type_mask[static_cast<size_t>(run.type)]) {
+        runner = &NewGroupRunner(rt, comp, key);
+      } else {
+        continue;  // only a carried window reacts to this type
+      }
+      runner->last_event_time = batch.time(run.row_end - 1);
+      // Latency attribution: an event resets the arrival clock only of
+      // windows it can contribute to — it must fall inside the window
+      // span and its type must appear in the owner query's (or cohort's)
+      // pattern. Stamping every open slot would under-report the
+      // emission latency of sibling queries and sliding instances the
+      // event does not belong to.
+      auto stamp_if_relevant = [&](WindowSlot& w, TypeId type) {
+        if (w.types()[static_cast<size_t>(type)]) {
+          w.last_arrival_wall = run_arrival;
+        }
       };
-      int sub = run.row_begin;
-      while (sub < run.row_end) {
-        const int64_t key = key_col == nullptr ? 0 : key_at(sub);
-        int sub_end = key_col == nullptr ? run.row_end : sub + 1;
-        while (sub_end < run.row_end && key_at(sub_end) == key) ++sub_end;
-        const Event& e0 = events[static_cast<size_t>(sub)];
-        auto it = comp.groups.find(key);
-        GroupRunner* runner = nullptr;
-        if (it != comp.groups.end()) {
-          runner = it->second.get();
-        } else if (creates) {
-          runner = &NewGroupRunner(rt, comp, key);
-        } else {
-          sub = sub_end;  // only a carried window reacts to this type
-          continue;
+      if (runner->hamlet) {
+        // The latency-stamp window scan, hoisted to once per run: windows
+        // are pane-aligned and the run is pane-confined, so a window
+        // containing the first row contains every row.
+        for (WindowSlot& w : runner->windows) {
+          if (first_time < w.ws || first_time >= w.we) continue;
+          stamp_if_relevant(w, run.type);
         }
-        runner->last_event_time = events[static_cast<size_t>(sub_end - 1)].time;
-        // Latency attribution: an event resets the arrival clock only of
-        // windows it can contribute to — it must fall inside the window
-        // span and its type must appear in the owner query's (or cohort's)
-        // pattern. Stamping every open slot would under-report the
-        // emission latency of sibling queries and sliding instances the
-        // event does not belong to.
-        auto stamp_if_relevant = [&](WindowSlot& w, TypeId type) {
-          if (w.types()[static_cast<size_t>(type)]) {
-            w.last_arrival_wall = run_arrival;
-          }
-        };
-        if (runner->hamlet) {
-          // The latency-stamp window scan, hoisted to once per run: windows
-          // are pane-aligned and the run is pane-confined, so a window
-          // containing the first row contains every row.
+        runner->hamlet->OnRunFiltered(batch, run);
+      } else {
+        // Non-HAMLET engines are per-window and consume rows one at a
+        // time; the run still amortizes the pane advance, type gate and
+        // group lookup across the span. One pass per row: stamp and
+        // dispatch share the window-span check.
+        for (int i = run.row_begin; i < run.row_end; ++i) {
+          const Event& e = events[static_cast<size_t>(
+              order.empty() ? i : order[static_cast<size_t>(i)])];
           for (WindowSlot& w : runner->windows) {
-            if (e0.time < w.ws || e0.time >= w.we) continue;
-            stamp_if_relevant(w, run.type);
-          }
-          RunSpan group_run;
-          group_run.type = run.type;
-          group_run.row_begin = sub;
-          group_run.row_end = sub_end;
-          group_run.passes = run.passes;
-          runner->hamlet->OnRunFiltered(rt.batch_scratch, group_run);
-        } else {
-          // Non-HAMLET engines are per-window and consume rows one at a
-          // time; the run still amortizes the pane advance, type gate and
-          // group lookup across the span. One pass per row: stamp and
-          // dispatch share the window-span check.
-          for (int i = sub; i < sub_end; ++i) {
-            const Event& e = events[static_cast<size_t>(i)];
-            for (WindowSlot& w : runner->windows) {
-              if (e.time < w.ws || e.time >= w.we) continue;
-              stamp_if_relevant(w, e.type);
-              if (w.greta) w.greta->OnEvent(e);
-              if (w.two_step) w.two_step->OnEvent(e);
-              if (w.sharon) w.sharon->OnEvent(e);
-            }
+            if (e.time < w.ws || e.time >= w.we) continue;
+            stamp_if_relevant(w, e.type);
+            if (w.greta) w.greta->OnEvent(e);
+            if (w.two_step) w.two_step->OnEvent(e);
+            if (w.sharon) w.sharon->OnEvent(e);
           }
         }
-        sub = sub_end;
       }
     }
   }

@@ -293,10 +293,11 @@ struct RunMetrics {
   HamletStats hamlet;
   /// Sharing decisions taken (dynamic policy only).
   int64_t decisions = 0;
-  /// Runs dispatched to the engines: every pushed batch is segmented into
-  /// same-type, same-pass-set, pane-confined spans fed through the engines
-  /// in one call each, and every per-event Push is a 1-row run. events /
-  /// runs is the mean amortization the segmentation achieved.
+  /// Runs the pushed batches were cut into: same-type, same-pass-set,
+  /// pane- and group-confined spans, each fed in one call to its group's
+  /// runner in every component that reacts to its type, and counted once;
+  /// every per-event Push is a 1-row run. Every event lies in one run, so
+  /// events / runs is the mean run length the engines see.
   int64_t runs = 0;
   /// Histogram of dispatched run lengths: bucket i counts runs of length in
   /// [2^i, 2^(i+1)). Bucket 0 dominating means the stream interleaves types
@@ -578,10 +579,11 @@ class Session {
   /// at its boundary. `per_event` (Push) stamps the lone run with the
   /// call's entry time.
   Status Ingest(std::span<const Event> events, bool per_event);
-  /// Run-granular dispatch: stages `events` into the runtime's SoA batch,
-  /// runs the predicate kernels, segments the rows into runs and feeds each
-  /// through the engines in one call. `arrival` is the rows' arrival wall
-  /// time; a negative value samples it once per run.
+  /// Run-granular dispatch: stages `events` into the runtime's SoA batch
+  /// (group-major when every query groups by one attribute), runs the
+  /// predicate kernels, segments the rows into runs and feeds each through
+  /// the engines in one call. `arrival` is the rows' arrival wall time; a
+  /// negative value samples it once per run.
   void DispatchRuns(std::span<const Event> events, double arrival);
   /// A runner for `key` in `comp` with no window open yet.
   std::unique_ptr<GroupRunner> MakeRunner(Runtime& rt, Component& comp,

@@ -34,9 +34,13 @@ void EventBatch::AppendRows(std::span<const Event> rows) {
   WriteRows(times_.size(), rows);
 }
 
-void EventBatch::Assign(std::span<const Event> rows) { WriteRows(0, rows); }
+void EventBatch::Assign(std::span<const Event> rows,
+                        std::span<const int32_t> order) {
+  WriteRows(0, rows, order);
+}
 
-void EventBatch::WriteRows(size_t at, std::span<const Event> rows) {
+void EventBatch::WriteRows(size_t at, std::span<const Event> rows,
+                           std::span<const int32_t> order) {
   const size_t n = at + rows.size();
   times_.resize(n);
   types_.resize(n);
@@ -46,7 +50,8 @@ void EventBatch::WriteRows(size_t at, std::span<const Event> rows) {
   }
   for (auto& col : cols_) col.resize(n);
   for (size_t i = 0; i < rows.size(); ++i) {
-    const Event& e = rows[i];
+    const Event& e =
+        order.empty() ? rows[i] : rows[static_cast<size_t>(order[i])];
     times_[at + i] = e.time;
     types_[at + i] = e.type;
     num_attrs_[at + i] = e.num_attrs;

@@ -11,6 +11,7 @@
 #ifndef HAMLET_STREAM_EVENT_BATCH_H_
 #define HAMLET_STREAM_EVENT_BATCH_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -43,8 +44,10 @@ class EventBatch {
   /// Replaces the contents with `rows`: Clear() + AppendRows(rows), but
   /// overwriting rows in place, so re-staging a batch of the previous
   /// size (a per-event Push stages one row every call) moves no column
-  /// ends.
-  void Assign(std::span<const Event> rows);
+  /// ends. A non-empty `order` takes batch row i from rows[order[i]]: a
+  /// reordered staging gathers each row once, straight into the columns.
+  void Assign(std::span<const Event> rows,
+              std::span<const int32_t> order = {});
 
   int size() const { return static_cast<int>(times_.size()); }
   bool empty() const { return times_.empty(); }
@@ -103,9 +106,11 @@ class EventBatch {
 
  private:
   void WidenTo(int want);
-  /// Resizes to `at + rows.size()` rows and writes `rows` from row `at` on
-  /// (widening first if a row carries more attributes than the columns).
-  void WriteRows(size_t at, std::span<const Event> rows);
+  /// Resizes to `at + rows.size()` rows and writes `rows` from row `at` on,
+  /// in `order` when it is non-empty (widening first if a row carries more
+  /// attributes than the columns).
+  void WriteRows(size_t at, std::span<const Event> rows,
+                 std::span<const int32_t> order = {});
 
   std::vector<Timestamp> times_;
   std::vector<TypeId> types_;
