@@ -2,11 +2,6 @@
 
 namespace hamlet {
 
-BatchResult EvalHamletBatch(const WorkloadPlan& plan,
-                            const EventVector& events, SharingPolicy* policy) {
-  return EvalHamletBatch(plan, events, policy, HamletEngine::Options());
-}
-
 namespace {
 
 /// Epilogue: close contexts, compose query values, fold stats.
@@ -34,8 +29,7 @@ BatchResult FinishBatch(const WorkloadPlan& plan, HamletEngine& engine,
 }  // namespace
 
 BatchResult EvalHamletBatch(const WorkloadPlan& plan,
-                            const EventVector& events, SharingPolicy* policy,
-                            HamletEngine::Options options) {
+                            const EventVector& events, SharingPolicy* policy) {
   Result<PredicateProgram> program = CompilePredicateProgram(plan);
   HAMLET_CHECK(program.ok());
   const PredicateProgram& prog = program.value();
@@ -45,7 +39,7 @@ BatchResult EvalHamletBatch(const WorkloadPlan& plan,
   prog.EvalBatch(batch, &selection);
   const QuerySet all = QuerySet::FirstN(plan.num_exec());
 
-  HamletEngine engine(plan, all, policy, options);
+  HamletEngine engine(plan, all, policy);
   const Timestamp start = batch.empty() ? 0 : batch.time(0);
   const Timestamp end = batch.empty() ? 1 : batch.time(batch.size() - 1) + 1;
   std::vector<ContextId> ctxs;

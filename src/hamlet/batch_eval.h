@@ -35,9 +35,6 @@ struct BatchResult {
 /// lists must compile (they do if Session::Open would accept the plan) —
 /// CHECK-fails otherwise.
 BatchResult EvalHamletBatch(const WorkloadPlan& plan, const EventVector& events,
-                            SharingPolicy* policy,
-                            HamletEngine::Options options);
-BatchResult EvalHamletBatch(const WorkloadPlan& plan, const EventVector& events,
                             SharingPolicy* policy);
 
 }  // namespace hamlet

@@ -38,6 +38,9 @@ struct ContextState {
   Timestamp window_start = 0;
   Timestamp window_end = 0;  ///< exclusive
   bool open = false;
+  /// Edge-predicate queries: the window's scan columns in the engine
+  /// (HamletEngine::column_sets_); -1 otherwise.
+  int32_t column_set = -1;
 
   /// Running payload totals per event type (sum of count(e) payloads of all
   /// folded events of that type within this window).

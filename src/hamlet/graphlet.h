@@ -2,11 +2,12 @@
 //
 // A graphlet is a maximal run of same-type events, closed when an event of a
 // different relevant type arrives or the pane ends. Shared graphlets carry
-// symbolic node expressions over snapshot variables; solo (per-query)
-// graphlets carry numeric per-context payloads.
+// symbolic expressions over snapshot variables; solo (per-query) graphlets
+// carry numeric per-context payloads.
 #ifndef HAMLET_HAMLET_GRAPHLET_H_
 #define HAMLET_HAMLET_GRAPHLET_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "src/common/query_set.h"
@@ -17,42 +18,75 @@
 
 namespace hamlet {
 
-/// Numeric per-context payload of a solo node (LinAgg + guarded min/max).
+/// Numeric per-context payload of an event (LinAgg + guarded min/max).
 struct NodeValue {
   LinAgg lin;
   MinMax mm;
 };
 
-/// One matched event inside a graphlet.
+/// An edge-predicate query's predecessors at one pattern position within one
+/// window: a row per event the query appended there while the window was
+/// open, in time order (Definition 9's event-level values, kept numeric). A
+/// row holds only what a predecessor scan reads: the time (a boundary
+/// negation blocks a prefix), the attributes the query's edge predicates
+/// compare, and the event's payload in this window.
+struct ScanColumn {
+  std::vector<Timestamp> times;
+  /// Row-major, one value per edge predicate.
+  std::vector<double> attrs;
+  std::vector<LinAgg> lin;
+  /// Parallel to `lin` for MIN/MAX queries, empty otherwise.
+  std::vector<MinMax> mm;
+
+  size_t size() const { return times.size(); }
+
+  /// Appends rows [begin, end) of `from`, whose rows hold `stride` attrs.
+  void CopyRows(const ScanColumn& from, size_t begin, size_t end,
+                size_t stride) {
+    const auto b = static_cast<std::ptrdiff_t>(begin);
+    const auto e = static_cast<std::ptrdiff_t>(end);
+    const auto s = static_cast<std::ptrdiff_t>(stride);
+    times.insert(times.end(), from.times.begin() + b, from.times.begin() + e);
+    attrs.insert(attrs.end(), from.attrs.begin() + b * s,
+                 from.attrs.begin() + e * s);
+    lin.insert(lin.end(), from.lin.begin() + b, from.lin.begin() + e);
+    if (!from.mm.empty())
+      mm.insert(mm.end(), from.mm.begin() + b, from.mm.begin() + e);
+  }
+
+  /// Drops every row and keeps the capacities (recycled across windows).
+  void Clear() {
+    times.clear();
+    attrs.clear();
+    lin.clear();
+    mm.clear();
+  }
+
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>(
+        times.capacity() * sizeof(Timestamp) +
+        attrs.capacity() * sizeof(double) + lin.capacity() * sizeof(LinAgg) +
+        mm.capacity() * sizeof(MinMax));
+  }
+};
+
+/// One event of a shared graphlet. Only shared-scan graphlets store their
+/// nodes: their later events walk them symbolically.
 struct GraphletNode {
   Event event;
   /// Queries this event is matched by (event predicates applied).
   QuerySet members;
-  /// Symbolic payload (shared graphlets). Zero-const invariant: start
-  /// contributions go through the graphlet's start variable, so evaluating
-  /// in a context that predates none of the referenced variables yields 0.
-  /// Scans still bound themselves explicitly: a graphlet is confined to one
-  /// pane and windows start on pane boundaries, so ScanPredecessors skips
-  /// retained graphlets opened before the context's window start instead of
-  /// visiting nodes that would evaluate to 0 there.
+  /// Symbolic payload. Zero-const invariant: start contributions go through
+  /// the graphlet's start variable, so evaluating in a context that
+  /// predates none of the referenced variables yields 0. Scans still bound
+  /// themselves explicitly: a graphlet is confined to one pane and windows
+  /// start on pane boundaries, so ScanPredecessors skips retained graphlets
+  /// opened before the context's window start instead of visiting nodes
+  /// that would evaluate to 0 there.
   Expr expr;
-  /// Numeric payload per context (solo graphlets).
-  CtxMap<NodeValue> values;
-  bool numeric = false;
-
-  LinAgg EvalLin(const SnapshotStore& store, ContextId ctx) const {
-    if (numeric) return values.Get(ctx, NodeValue()).lin;
-    return expr.Eval(store, ctx);
-  }
-
-  double EvalCount(const SnapshotStore& store, ContextId ctx) const {
-    if (numeric) return values.Get(ctx, NodeValue()).lin.count;
-    return expr.EvalCount(store, ctx);
-  }
 
   int64_t MemoryBytes() const {
-    return static_cast<int64_t>(sizeof(GraphletNode)) + expr.MemoryBytes() +
-           values.MemoryBytes();
+    return static_cast<int64_t>(sizeof(GraphletNode)) + expr.MemoryBytes();
   }
 };
 
@@ -96,12 +130,13 @@ struct Graphlet {
   CtxMap<MinMax> entry_mm;
   CtxMap<MinMax> run_mm;
 
+  /// Stored only in shared kSharedScan graphlets: every other append keeps
+  /// its value in the running sums and, for an edge-predicate query, in the
+  /// query's scan columns (ScanColumn).
   std::vector<GraphletNode> nodes;
-  /// Events appended WITHOUT a stored node: node materialization is skipped
-  /// when no scan can ever read the node — a solo graphlet of a query
-  /// without edge predicates, or a kFastSum shared graphlet without min/max
-  /// on a lane that keeps no history. num_events() must still count them
-  /// — the burst-size averages and FoldGraphlet's empty guard depend on it.
+  /// Events appended WITHOUT a stored node. num_events() must still count
+  /// them — the burst-size averages and FoldGraphlet's empty guard depend
+  /// on it.
   int extra_events = 0;
   Timestamp open_time = 0;
   /// MemoryBytes() of a closed history graphlet, cached when it is retained

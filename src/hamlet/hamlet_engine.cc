@@ -1,16 +1,100 @@
 #include "src/hamlet/hamlet_engine.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace hamlet {
 
+namespace {
+
+/// Exponential moving-average factor for burst statistics.
+constexpr double kStatsDecay = 0.3;
+
+/// Visits `exec_id`'s predecessors of one lane in a window starting at `ws`,
+/// in append order: row ranges [begin, end) of its scan column `rows`
+/// through `on_rows`, and the nodes it appended to the shared-scan
+/// graphlets of `history` and `live` (each of which it either shared whole
+/// or not at all) through `on_node`.
+template <typename OnRows, typename OnNode>
+void ForEachPredecessor(const ScanColumn& rows,
+                        const std::vector<Graphlet*>& history,
+                        const Graphlet* live, int exec_id, Timestamp ws,
+                        OnRows on_rows, OnNode on_node) {
+  size_t r = 0;
+  auto walk = [&](const Graphlet& g) {
+    if (g.open_time < ws || !g.sharers.Contains(exec_id)) return;
+    const size_t end = static_cast<size_t>(
+        std::lower_bound(rows.times.begin() + static_cast<std::ptrdiff_t>(r),
+                         rows.times.end(), g.open_time) -
+        rows.times.begin());
+    if (end > r) on_rows(r, end);
+    r = end;
+    for (const GraphletNode& n : g.nodes) {
+      if (n.members.Contains(exec_id)) on_node(n);
+    }
+  };
+  for (const Graphlet* g : history) walk(*g);
+  if (live != nullptr) walk(*live);
+  if (rows.size() > r) on_rows(r, rows.size());
+}
+
+template <typename Pass>
+void FoldPassing(const ScanColumn& col, size_t begin, size_t end, Pass pass,
+                 NodeValue* out) {
+  const bool mm = !col.mm.empty();
+  for (size_t r = begin; r < end; ++r) {
+    if (!pass(r)) continue;
+    out->lin.Add(col.lin[r]);
+    if (mm) out->mm.Fold(col.mm[r]);
+  }
+}
+
+template <CmpOp kOp>
+void FoldOnePredicate(const ScanColumn& col, size_t begin, size_t end,
+                      double next, NodeValue* out) {
+  const double* a = col.attrs.data();
+  FoldPassing(col, begin, end,
+              [&](size_t r) { return EvalCmp(kOp, a[r], next); }, out);
+}
+
+/// FoldOnePredicate per CmpOp, in declaration order: a one-predicate scan
+/// (the common case) picks its comparison once, not per row.
+constexpr void (*kFoldOnePredicate[])(const ScanColumn&, size_t, size_t,
+                                      double, NodeValue*) = {
+    FoldOnePredicate<CmpOp::kLt>, FoldOnePredicate<CmpOp::kLe>,
+    FoldOnePredicate<CmpOp::kGt>, FoldOnePredicate<CmpOp::kGe>,
+    FoldOnePredicate<CmpOp::kEq>, FoldOnePredicate<CmpOp::kNe>};
+static_assert(static_cast<int>(CmpOp::kNe) == 5);
+
+/// Folds the rows in [begin, end) of `col` that `next` may follow under
+/// `preds` (PassesEdgePredicates on the stored attributes) into `out`.
+void FoldRows(const ScanColumn& col, size_t begin, size_t end,
+              const std::vector<EdgePredicate>& preds, const Event& next,
+              NodeValue* out) {
+  const size_t k = preds.size();
+  if (k == 1) {
+    return kFoldOnePredicate[static_cast<int>(preds[0].op)](
+        col, begin, end, next.attr(preds[0].attr), out);
+  }
+  FoldPassing(
+      col, begin, end,
+      [&](size_t r) {
+        for (size_t i = 0; i < k; ++i) {
+          if (!EvalCmp(preds[i].op, col.attrs[r * k + i],
+                       next.attr(preds[i].attr)))
+            return false;
+        }
+        return true;
+      },
+      out);
+}
+
+}  // namespace
+
 HamletEngine::HamletEngine(const WorkloadPlan& plan, QuerySet members,
-                           SharingPolicy* policy, Options options)
+                           SharingPolicy* policy)
     : plan_(&plan),
       members_(members),
       policy_(policy),
-      options_(options),
       num_types_(plan.workload->schema()->num_types()) {
   positive_of_type_.resize(static_cast<size_t>(num_types_));
   negated_of_type_.resize(static_cast<size_t>(num_types_));
@@ -56,12 +140,6 @@ void HamletEngine::BuildLanes() {
         lane.relevant[static_cast<size_t>(t)] = true;
       lane.profile.MergeWith(Profile(q));
       lane.member_list.push_back(q);
-      // Only a query with edge predicates scans stored nodes, and it scans
-      // exactly its own lanes (LaneOf), so those alone retain closed
-      // graphlets within the window horizon. kSharedScan members have edge
-      // predicates by construction; plain members of a per-event-snapshot
-      // group take the fast-sum recurrence (AppendShared) and read no node.
-      if (edge_queries_.Contains(q)) lane.retain_history = true;
       if (lane.shared_edge_preds == nullptr) {
         lane.shared_edge_preds = &eq.edge_predicates;
         lane.scan_all_equality = !eq.edge_predicates.empty();
@@ -137,10 +215,6 @@ void HamletEngine::BuildLanes() {
           term.weight / static_cast<double>(std::max<Timestamp>(1, horizon_)));
     }
   }
-
-  if (options_.force_retain_history) {
-    for (Lane& lane : lanes_) lane.retain_history = true;
-  }
 }
 
 const HamletEngine::Lane* HamletEngine::LaneOf(int exec_id,
@@ -156,10 +230,25 @@ ContextId HamletEngine::OpenContext(int exec_id, Timestamp window_start,
   contexts_.emplace_back();
   ContextState& ctx = contexts_.back();
   ctx.id = id;
-  ctx.ResetFor(exec_id, num_types_, Exec(exec_id).tmpl.pattern.num_positions(),
-               window_start, window_end);
+  const int positions = Exec(exec_id).tmpl.pattern.num_positions();
+  ctx.ResetFor(exec_id, num_types_, positions, window_start, window_end);
+  if (edge_queries_.Contains(exec_id))
+    ctx.column_set = AcquireColumnSet(positions);
   open_ctxs_[static_cast<size_t>(exec_id)].push_back(id);
   return id;
+}
+
+int32_t HamletEngine::AcquireColumnSet(int positions) {
+  int32_t set = static_cast<int32_t>(column_sets_.size());
+  if (free_column_sets_.empty()) {
+    column_sets_.emplace_back();
+  } else {
+    set = free_column_sets_.back();
+    free_column_sets_.pop_back();
+  }
+  column_sets_[static_cast<size_t>(set)].resize(
+      static_cast<size_t>(positions));
+  return set;
 }
 
 ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
@@ -182,8 +271,13 @@ ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
   for (Lane& lane : lanes_) {
     for (auto& [key, totals] : lane.key_totals) totals.Erase(ctx_id);
   }
+  if (ctx.column_set >= 0) {
+    for (ScanColumn& col : Columns(ctx)) col.Clear();
+    free_column_sets_.push_back(ctx.column_set);
+    ctx.column_set = -1;
+  }
   // Release the per-context vectors eagerly; the slot itself stays (ids are
-  // never reused, so stale CtxMap entries in retained nodes cannot alias).
+  // never reused, so stale per-context entries cannot alias).
   ctx.type_totals.clear();
   ctx.type_totals.shrink_to_fit();
   ctx.type_mm.clear();
@@ -201,38 +295,33 @@ HamletEngine::QueryState HamletEngine::ExportQuery(int exec_id) const {
   QueryState state;
   state.last_leading = last_leading_[q];
   state.last_boundary_neg = last_boundary_neg_[q];
-  Timestamp oldest = std::numeric_limits<Timestamp>::max();
-  for (ContextId c : open_ctxs_[q]) {
+  for (ContextId c : open_ctxs_[q])
     state.contexts.push_back(contexts_[static_cast<size_t>(c)]);
-    oldest = std::min(oldest, state.contexts.back().window_start);
-  }
   if (!edge_queries_.Contains(exec_id)) return state;
-  // Only the query's own lanes are ever scanned for it (ScanPredecessors),
-  // and only graphlets opened inside one of its windows.
-  std::vector<int> scanned;
-  for (const SeqElement& el : Exec(exec_id).tmpl.pattern.elements) {
-    const int idx = lane_of_[q][static_cast<size_t>(el.type)];
-    if (std::find(scanned.begin(), scanned.end(), idx) != scanned.end())
-      continue;
-    scanned.push_back(idx);
-    for (const Graphlet* g : lanes_[static_cast<size_t>(idx)].history) {
-      if (g->open_time < oldest) continue;
-      QueryState::RetainedGraphlet out;
-      out.type = g->type;
-      out.open_time = g->open_time;
-      for (const GraphletNode& n : g->nodes) {
-        if (!n.members.Contains(exec_id)) continue;
-        QueryState::Node node;
-        node.event = n.event;
-        for (ContextId c : open_ctxs_[q]) {
-          NodeValue v;
-          v.lin = n.EvalLin(store_, c);
-          if (n.numeric) v.mm = n.values.Get(c, NodeValue()).mm;
-          node.values.push_back(v);
-        }
-        out.nodes.push_back(std::move(node));
-      }
-      if (!out.nodes.empty()) state.history.push_back(std::move(out));
+  for (const ContextState& ctx : state.contexts)
+    state.columns.push_back(column_sets_[static_cast<size_t>(ctx.column_set)]);
+  // The query's appends to shared-scan graphlets are nodes, not rows: value
+  // them per window and merge them into the columns in time order.
+  const ExecQuery& eq = Exec(exec_id);
+  const size_t stride = eq.edge_predicates.size();
+  for (int pos = 0; pos < eq.tmpl.pattern.num_positions(); ++pos) {
+    const Lane& lane = *LaneOf(
+        exec_id, eq.tmpl.pattern.elements[static_cast<size_t>(pos)].type);
+    if (lane.history.empty()) continue;
+    for (size_t i = 0; i < state.contexts.size(); ++i) {
+      const ContextState& ctx = state.contexts[i];
+      ScanColumn& rows = state.columns[i][static_cast<size_t>(pos)];
+      ScanColumn merged;
+      ForEachPredecessor(
+          rows, lane.history, nullptr, exec_id, ctx.window_start,
+          [&](size_t begin, size_t end) {
+            merged.CopyRows(rows, begin, end, stride);
+          },
+          [&](const GraphletNode& n) {
+            AppendRow(merged, exec_id, n.event,
+                      NodeValue{n.expr.Eval(store_, ctx.id), MinMax()});
+          });
+      rows = std::move(merged);
     }
   }
   return state;
@@ -245,36 +334,18 @@ std::vector<ContextId> HamletEngine::ImportQuery(int exec_id,
   last_leading_[q] = state.last_leading;
   last_boundary_neg_[q] = std::move(state.last_boundary_neg);
   std::vector<ContextId> ids;
-  for (ContextState& ctx : state.contexts) {
+  for (size_t i = 0; i < state.contexts.size(); ++i) {
+    ContextState& ctx = state.contexts[i];
     const ContextId id = static_cast<ContextId>(contexts_.size());
     ctx.id = id;
     ctx.exec_id = exec_id;
+    if (!state.columns.empty()) {
+      ctx.column_set = AcquireColumnSet(0);
+      Columns(ctx) = std::move(state.columns[i]);
+    }
     contexts_.push_back(std::move(ctx));
     open_ctxs_[q].push_back(id);
     ids.push_back(id);
-  }
-  for (QueryState::RetainedGraphlet& rg : state.history) {
-    Lane& lane = lanes_[static_cast<size_t>(
-        lane_of_[q][static_cast<size_t>(rg.type)])];
-    Graphlet* g = graphlet_pool_.Acquire();
-    g->type = rg.type;
-    g->sharers = QuerySet::Single(exec_id);
-    g->open_time = rg.open_time;
-    for (QueryState::Node& node : rg.nodes) {
-      GraphletNode& n = g->nodes.emplace_back();
-      n.event = node.event;
-      n.members = QuerySet::Single(exec_id);
-      n.numeric = true;
-      for (size_t i = 0; i < ids.size(); ++i) {
-        const ContextState& ctx = contexts_[static_cast<size_t>(ids[i])];
-        if (ctx.window_start <= rg.open_time) {
-          n.values.Mut(ids[i]) = node.values[i];
-        }
-      }
-    }
-    g->closed_bytes = g->MemoryBytes();
-    lane.history.push_back(g);
-    lane.history_has_numeric = true;
   }
   return ids;
 }
@@ -469,8 +540,8 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
   if (shared != nullptr) {
     const bool divergent = matched.Intersect(shared->sharers) !=
                            shared->sharers;
-    shared_fast = shared->mode == PropagationMode::kFastSum && !divergent &&
-                  !lane_mm && !lane.retain_history;
+    shared_fast =
+        shared->mode == PropagationMode::kFastSum && !divergent && !lane_mm;
   }
   if (shared_fast) {
     const double* vals = (target_attr == Schema::kInvalidId || !is_target)
@@ -813,54 +884,60 @@ Graphlet* HamletEngine::OpenSoloGraphlet(Lane& lane, const Event& e,
 }
 
 NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
-                                         ContextId ctx_id,
                                          const ContextState& ctx,
                                          const Lane& own_lane,
                                          bool exclude_own_type) {
   const ExecQuery& eq = Exec(exec_id);
   const int pos = eq.tmpl.pattern.PositionOf(e.type);
   NodeValue out;
-  const NodeValue zero;
-  auto scan_graphlet = [&](const Graphlet& g, Timestamp blocked_after) {
-    for (const GraphletNode& n : g.nodes) {
-      ++stats_.ops;
-      if (!n.members.Contains(exec_id)) continue;
-      if (n.event.time <= blocked_after) continue;
-      if (!PassesEdgePredicates(eq.edge_predicates, n.event, e)) continue;
-      if (n.numeric) {
-        const NodeValue& v = n.values.Get(ctx_id, zero);
-        out.lin.Add(v.lin);
-        out.mm.Fold(v.mm);
-      } else {
-        out.lin.Add(n.expr.Eval(store_, ctx_id));
-      }
-    }
-  };
   for (int pp : eq.tmpl.pred_positions[static_cast<size_t>(pos)]) {
     const TypeId ptype =
         eq.tmpl.pattern.elements[static_cast<size_t>(pp)].type;
-    if (exclude_own_type && ptype == e.type) continue;
     const Timestamp blocked_after =
         (pp == pos - 1)
             ? last_boundary_neg_[static_cast<size_t>(exec_id)]
                                 [static_cast<size_t>(pos)]
             : -1;
-    const Lane* lane2 = ptype == own_lane.type ? &own_lane
-                                               : LaneOf(exec_id, ptype);
-    if (lane2 == nullptr) continue;
-    // A graphlet's nodes belong to its sharers only, so other members' solo
-    // graphlets are skipped whole.
-    for (const Graphlet* g : lane2->history) {
-      if (g->open_time >= ctx.window_start && g->sharers.Contains(exec_id))
-        scan_graphlet(*g, blocked_after);
+    // Rows are in time order, so a boundary negation blocks a prefix.
+    const ScanColumn& rows = Columns(ctx)[static_cast<size_t>(pp)];
+    const size_t first = static_cast<size_t>(
+        std::upper_bound(rows.times.begin(), rows.times.end(),
+                         blocked_after) -
+        rows.times.begin());
+    auto fold_rows = [&](size_t begin, size_t end) {
+      begin = std::max(begin, first);
+      if (begin >= end) return;
+      stats_.ops += static_cast<int64_t>(end - begin);
+      FoldRows(rows, begin, end, eq.edge_predicates, e, &out);
+    };
+    if (exclude_own_type && ptype == e.type) {
+      fold_rows(0, rows.size());
+      continue;
     }
-    if (lane2->shared_graphlet)
-      scan_graphlet(*lane2->shared_graphlet, blocked_after);
-    for (const auto& [id, g] : lane2->solo_graphlets) {
-      if (id == exec_id) scan_graphlet(*g, blocked_after);
-    }
+    const Lane* lane = ptype == own_lane.type ? &own_lane
+                                              : LaneOf(exec_id, ptype);
+    ForEachPredecessor(rows, lane->history, lane->shared_graphlet, exec_id,
+                       ctx.window_start, fold_rows,
+                       [&](const GraphletNode& n) {
+                         ++stats_.ops;
+                         if (n.event.time <= blocked_after ||
+                             !PassesEdgePredicates(eq.edge_predicates,
+                                                   n.event, e))
+                           return;
+                         out.lin.Add(n.expr.Eval(store_, ctx.id));
+                       });
   }
   return out;
+}
+
+void HamletEngine::AppendRow(ScanColumn& col, int exec_id, const Event& e,
+                             const NodeValue& v) const {
+  col.times.push_back(e.time);
+  for (const EdgePredicate& p : Exec(exec_id).edge_predicates)
+    col.attrs.push_back(e.attr(p.attr));
+  col.lin.push_back(v.lin);
+  const AggProfile& profile = Profile(exec_id);
+  if (profile.need_min || profile.need_max) col.mm.push_back(v.mm);
 }
 
 void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
@@ -875,14 +952,10 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
                                 : 0.0);
   const bool is_target = e.type == lane.profile.target_type;
 
-  if (g.mode == PropagationMode::kFastSum && !divergent && !need_mm &&
-      !lane.retain_history) {
-    // Node-free append: nothing will ever read this event's node (no
-    // scanner reaches a !retain_history lane, no min/max fold), so fold its
-    // count(e) = u + x + R straight into the running sum. Keeping the
-    // per-event path node-free here is what makes engine memory a function
-    // of burst structure alone, independent of ingestion chunking — the
-    // run path (AppendRun) applies the same rule for rows past the head.
+  if (g.mode == PropagationMode::kFastSum && !divergent && !need_mm) {
+    // Node-free append without a node expression (no min/max fold reads
+    // it): fold count(e) = u + x + R straight into the running sum. The run
+    // path (AppendRun) applies the same rule for rows past the head.
     stats_.ops += g.running_sum.AppendFastSumEvent(
         g.start_var, g.entry_var, is_target, val, lane.profile.need_sum,
         lane.profile.need_count_e);
@@ -890,8 +963,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     return;
   }
 
+  // Only a shared-scan graphlet's later events walk its nodes; every other
+  // graphlet keeps the node expression in its running sum alone.
+  const bool keep_node = g.mode == PropagationMode::kSharedScan;
   GraphletNode node;
-  node.event = e;
+  if (keep_node) node.event = e;
   node.members = members;
 
   if (g.mode == PropagationMode::kFastSum && !divergent) {
@@ -906,37 +982,24 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
   } else if (g.mode == PropagationMode::kSharedScan && !divergent) {
     // Shared scan: same-type predecessor validity is query-agnostic
     // (identical edge predicates), so ONE pass serves every sharer at once.
-    // Cross-type predecessors stay per query and ride one event-level
-    // snapshot. With equality-only predicates the same-type side uses
-    // per-key running sums (O(terms) per event); otherwise it scans the
-    // stored nodes.
+    // Cross-type predecessors and the sharers' own-type rows (appends from
+    // solo bursts) stay per query and ride one event-level snapshot. With
+    // equality-only predicates the same-type side uses per-key running
+    // sums (O(terms) per event); otherwise it walks the stored nodes.
     node.expr.AddVar(g.start_var, 1.0);
-    if (lane.scan_has_cross || lane.history_has_numeric) {
-      SnapshotId z = CreateSnapshot();
+    SnapshotId z = lane.scan_has_cross ? CreateSnapshot() : -1;
+    g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
+      for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
+        const NodeValue scanned =
+            ScanPredecessors(q, e, contexts_[static_cast<size_t>(c)], lane,
+                             /*exclude_own_type=*/true);
+        if (scanned.lin.IsZero()) continue;
+        if (z < 0) z = CreateSnapshot();
+        store_.Set(z, c, scanned.lin);
+      }
+    });
+    if (z >= 0) {
       ++stats_.event_snapshots;
-      g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
-        for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
-          const ContextState& cs = contexts_[static_cast<size_t>(c)];
-          NodeValue scanned = ScanPredecessors(q, e, c, cs, lane,
-                                               /*exclude_own_type=*/true);
-          // Solo-era (numeric) own-type nodes are invisible to the symbolic
-          // scan below; fold them into the per-query snapshot.
-          if (lane.history_has_numeric) {
-            for (const Graphlet* gg : lane.history) {
-              if (gg->open_time < cs.window_start) continue;
-              for (const GraphletNode& n : gg->nodes) {
-                ++stats_.ops;
-                if (!n.numeric || !n.members.Contains(q)) continue;
-                if (!PassesEdgePredicates(Exec(q).edge_predicates, n.event,
-                                          e))
-                  continue;
-                scanned.lin.Add(n.values.Get(c, NodeValue()).lin);
-              }
-            }
-          }
-          if (!scanned.lin.IsZero()) store_.Set(z, c, scanned.lin);
-        }
-      });
       node.expr.AddVar(z, 1.0);
     }
     if (lane.scan_all_equality) {
@@ -981,7 +1044,6 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
       auto scan = [&](const Graphlet& gg) {
         for (const GraphletNode& n : gg.nodes) {
           ++stats_.ops;
-          if (n.numeric) continue;  // folded into the per-query snapshot
           // Partial-membership nodes went through the event-snapshot path,
           // so their expressions already evaluate to 0 for non-member
           // contexts.
@@ -1000,14 +1062,18 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
   } else {
     // Event-level snapshot (Algorithm 1, Lines 19-20 / Definition 9):
     // evaluate per (query, context) and publish as a fresh variable. Only
-    // edge-predicate sharers scan stored nodes; a plain sharer of a
-    // per-event-snapshot graphlet takes count(e) = u + x + R with R kept
+    // edge-predicate sharers scan, and outside a shared-scan graphlet they
+    // also keep the value as a row of their scan column; a plain sharer of
+    // a per-event-snapshot graphlet takes count(e) = u + x + R with R kept
     // per context in solo_sums, so its share of the snapshot is O(1).
     SnapshotId z = CreateSnapshot();
     ++stats_.event_snapshots;
     g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
-      const bool plain = g.mode == PropagationMode::kPerEventSnapshot &&
-                         !edge_queries_.Contains(q);
+      const bool scans = edge_queries_.Contains(q);
+      const bool plain =
+          g.mode == PropagationMode::kPerEventSnapshot && !scans;
+      const size_t pos = static_cast<size_t>(
+          Exec(q).tmpl.pattern.PositionOf(lane.type));
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
         const ContextState& cs = contexts_[static_cast<size_t>(c)];
         LinAgg lin;
@@ -1022,8 +1088,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
           lin.Add(g.solo_sums.Get(c, LinAgg()));
           ++stats_.ops;
         } else {
-          NodeValue scanned = ScanPredecessors(q, e, c, cs, lane);
-          lin = scanned.lin;
+          lin = ScanPredecessors(q, e, cs, lane).lin;
           lin.count += StartValue(q, lane.type, cs);
         }
         if (is_target) {
@@ -1032,6 +1097,8 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
         }
         store_.Set(z, c, lin);
         if (plain) g.solo_sums.Mut(c).Add(lin);
+        if (scans && !keep_node)
+          AppendRow(Columns(cs)[pos], q, e, NodeValue{lin, MinMax()});
       }
     });
     node.expr.AddVar(z, 1.0);
@@ -1055,7 +1122,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
 
   if (need_mm) FoldNodeMinMax(lane, g, node, e);
   g.running_sum.AddExpr(node.expr);
-  g.nodes.push_back(std::move(node));
+  if (keep_node) {
+    g.nodes.push_back(std::move(node));
+  } else {
+    ++g.extra_events;
+  }
 }
 
 void HamletEngine::FoldNodeMinMax(Lane& lane, Graphlet& g,
@@ -1091,11 +1162,9 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
           : (is_target ? e.attr(profile.target_attr) : 0.0);
 
   if (!scans) {
-    // Node-free append, mirroring AppendShared's fast branch: only an
-    // edge-predicate query's scan reads solo nodes (its own), so a plain
-    // query's per-context values land in solo_sums (and run_mm) only, on
-    // retained lanes too. AppendRun's hoisted solo loop computes the same
-    // FP sequence for the min/max-free case.
+    // A plain query's per-context values land in solo_sums (and run_mm)
+    // only: no scan reads them. AppendRun's hoisted solo loop computes the
+    // same FP sequence for the min/max-free case.
     for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
       LinAgg v = g.solo_entry.Get(c, LinAgg());
       if (g.self_loop) v.Add(g.solo_sums.Get(c, LinAgg()));
@@ -1117,13 +1186,13 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
     return;
   }
 
-  GraphletNode node;
-  node.event = e;
-  node.members = QuerySet::Single(exec_id);
-  node.numeric = true;
+  // A scanning append keeps its per-window value as a row of the query's
+  // scan column, which later appends read instead of a stored node.
+  const size_t pos = static_cast<size_t>(
+      Exec(exec_id).tmpl.pattern.PositionOf(lane.type));
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
     const ContextState& ctx = contexts_[static_cast<size_t>(c)];
-    NodeValue v = ScanPredecessors(exec_id, e, c, ctx, lane);
+    NodeValue v = ScanPredecessors(exec_id, e, ctx, lane);
     v.lin.count += g.solo_start.Get(c, 0.0);
     if (is_target) {
       v.lin.count_e += v.lin.count;
@@ -1134,9 +1203,9 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
       g.run_mm.Mut(c).Fold(v.mm);
     }
     g.solo_sums.Mut(c).Add(v.lin);
-    node.values.Mut(c) = v;
+    AppendRow(Columns(ctx)[pos], exec_id, e, v);
   }
-  g.nodes.push_back(std::move(node));
+  ++g.extra_events;
 }
 
 void HamletEngine::AddToContext(ContextState& ctx, int exec_id, TypeId type,
@@ -1162,13 +1231,18 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
   // materialization, leaving their contribution only in the running sums.
   if (g.num_events() == 0) return;
   g.sharers.ForEach([&](QueryId q) {
+    // A plain sharer of a per-event-snapshot graphlet already holds the
+    // running sum's value, term by term in the same order, in solo_sums.
+    const bool symbolic =
+        g.shared && (g.mode != PropagationMode::kPerEventSnapshot ||
+                     edge_queries_.Contains(q));
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
       ContextState& ctx = contexts_[static_cast<size_t>(c)];
-      LinAgg v = g.shared ? g.running_sum.Eval(store_, c)
+      LinAgg v = symbolic ? g.running_sum.Eval(store_, c)
                           : g.solo_sums.Get(c, LinAgg());
       MinMax mm = g.run_mm.Get(c, MinMax());
       AddToContext(ctx, q, g.type, v, mm);
-      stats_.ops += g.shared ? g.running_sum.num_terms() : 1;
+      stats_.ops += symbolic ? g.running_sum.num_terms() : 1;
       // Keyed cross-graphlet totals for the equality-partitioned scan.
       for (const auto& [key, running] : g.key_running) {
         CtxMap<LinAgg>* totals = nullptr;
@@ -1185,7 +1259,7 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
     }
   });
   // Update the lane's moving averages feeding the optimizer.
-  const double d = options_.stats_decay;
+  const double d = kStatsDecay;
   lane.avg_graphlet =
       (1 - d) * lane.avg_graphlet + d * static_cast<double>(g.num_events());
   lane.avg_burst = lane.avg_graphlet;
@@ -1194,18 +1268,12 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
 }
 
 void HamletEngine::CloseLaneGraphlets(Lane& lane) {
-  // Only edge-predicate queries scan, and only the graphlets they share in
-  // (ScanPredecessors), so the others' graphlets are not kept.
-  auto retain = [&](const Graphlet& g) {
-    return lane.retain_history &&
-           (options_.force_retain_history ||
-            !g.sharers.Intersect(edge_queries_).Empty());
-  };
   bool had_any = false;
   if (lane.shared_graphlet != nullptr) {
     had_any = true;
     FoldGraphlet(lane, *lane.shared_graphlet);
-    if (retain(*lane.shared_graphlet)) {
+    // Only a shared-scan graphlet stores nodes that later scans walk.
+    if (lane.shared_graphlet->mode == PropagationMode::kSharedScan) {
       lane.shared_graphlet->closed_bytes = lane.shared_graphlet->MemoryBytes();
       lane.history.push_back(lane.shared_graphlet);
     } else {
@@ -1217,18 +1285,12 @@ void HamletEngine::CloseLaneGraphlets(Lane& lane) {
     (void)id;
     had_any = true;
     FoldGraphlet(lane, *g);
-    if (retain(*g)) {
-      if (!g->nodes.empty()) lane.history_has_numeric = true;
-      g->closed_bytes = g->MemoryBytes();
-      lane.history.push_back(g);
-    } else {
-      graphlet_pool_.Release(g);
-    }
+    graphlet_pool_.Release(g);
   }
   lane.solo_graphlets.clear();
   if (had_any) {
     // Decay the per-member snapshot attribution into a per-burst average.
-    const double d = options_.stats_decay;
+    const double d = kStatsDecay;
     double sc_total = 0.0;
     for (double& v : lane.avg_sc_member) {
       sc_total += v;
@@ -1252,8 +1314,16 @@ int64_t HamletEngine::MemoryBytes() const {
     bytes += g->closed_bytes >= 0 ? g->closed_bytes : g->MemoryBytes();
   }
   bytes += store_.MemoryBytes();
-  for (const ContextState& ctx : contexts_) {
-    if (ctx.open) bytes += ctx.MemoryBytes();
+  // Column sets of closed windows keep their capacities: charge them too.
+  for (const std::vector<ScanColumn>& set : column_sets_) {
+    bytes += static_cast<int64_t>(set.capacity() * sizeof(ScanColumn));
+    for (const ScanColumn& col : set) bytes += col.MemoryBytes();
+  }
+  // Closed slots stay in contexts_ (ids are never reused): visit the open
+  // ones only.
+  for (const std::vector<ContextId>& open : open_ctxs_) {
+    for (ContextId c : open)
+      bytes += contexts_[static_cast<size_t>(c)].MemoryBytes();
   }
   return bytes;
 }

@@ -60,21 +60,10 @@ struct ContextResult {
 /// See file comment.
 class HamletEngine {
  public:
-  struct Options {
-    /// Retain closed graphlets (needed for scan modes; the engine enables
-    /// this automatically when any member has edge predicates).
-    bool force_retain_history = false;
-    /// Exponential moving-average factor for burst statistics.
-    double stats_decay = 0.3;
-  };
-
   /// `plan` and `policy` must outlive the engine. `members` selects the exec
   /// queries this engine evaluates (a component).
   HamletEngine(const WorkloadPlan& plan, QuerySet members,
-               SharingPolicy* policy, Options options);
-  HamletEngine(const WorkloadPlan& plan, QuerySet members,
-               SharingPolicy* policy)
-      : HamletEngine(plan, members, policy, Options()) {}
+               SharingPolicy* policy);
 
   /// Opens a window instance for `exec_id` at [ws, we). Call at pane
   /// boundaries before feeding the pane's events.
@@ -109,25 +98,14 @@ class HamletEngine {
 
   /// One query's state at a pane boundary. Graphlets are pane-confined, so
   /// there it is numeric (paper §3.3 / Eq. 5): the open windows'
-  /// ContextStates and the query's negation timestamps. An edge-predicate
-  /// query's scans also read retained nodes; those inside its open windows
-  /// come along valued per window, as numeric nodes.
+  /// ContextStates, an edge-predicate query's scan columns, and the
+  /// query's negation timestamps.
   struct QueryState {
-    struct Node {
-      Event event;
-      /// Parallel to `contexts`; read only where the window starts at or
-      /// before the node's graphlet opened.
-      std::vector<NodeValue> values;
-    };
-    struct RetainedGraphlet {
-      TypeId type = Schema::kInvalidId;
-      Timestamp open_time = 0;
-      std::vector<Node> nodes;
-    };
     std::vector<ContextState> contexts;
+    /// Per context, its scan columns (edge-predicate queries only).
+    std::vector<std::vector<ScanColumn>> columns;
     Timestamp last_leading = -1;
     std::vector<Timestamp> last_boundary_neg;
-    std::vector<RetainedGraphlet> history;
   };
 
   /// `exec_id`'s state, between OnPaneEnd and the next OnPaneStart (the
@@ -163,8 +141,9 @@ class HamletEngine {
     /// Dynamic decision for the current burst round.
     QuerySet current_shared;
     /// Graphlets are pool-owned (graphlet_pool_); lanes hold raw pointers.
-    /// Non-retained graphlets recycle at burst/pane boundaries, retained
-    /// ones when they age past the window horizon in OnPaneStart.
+    /// Graphlets recycle at their close, except the shared graphlets of a
+    /// kSharedScan lane: later scans walk their nodes, so they are retained
+    /// in `history` until they age past the window horizon in OnPaneStart.
     Graphlet* shared_graphlet = nullptr;
     std::vector<std::pair<int, Graphlet*>> solo_graphlets;
     std::vector<Graphlet*> history;
@@ -187,12 +166,9 @@ class HamletEngine {
     double avg_sp = 1.0;
     std::vector<double> avg_sc_member;  ///< parallel to member_list
     std::vector<int> member_list;
-    bool retain_history = false;
     /// kSharedScan: whether any member has cross-type predecessors for this
     /// lane's type (they ride the per-event cross snapshot).
     bool scan_has_cross = false;
-    /// kSharedScan: retained history contains solo-era numeric nodes.
-    bool history_has_numeric = false;
     /// kSharedScan: all edge predicates are equality -> partitioned running
     /// sums replace per-event stored-node scans (O(terms) per event).
     bool scan_all_equality = false;
@@ -251,14 +227,23 @@ class HamletEngine {
   MinMax EntryMinMax(int exec_id, TypeId type, const ContextState& ctx) const;
   double StartValue(int exec_id, TypeId type, const ContextState& ctx) const;
   /// Scan-based predecessor accumulation for an edge-predicate query
-  /// `exec_id` (its per-event snapshots and its solo graphlets). Retained
-  /// graphlets opened before ctx's window start are skipped: their nodes
-  /// evaluate to 0 for ctx. With `exclude_own_type`, only cross-type
-  /// predecessors are folded (the per-query part of shared-scan
-  /// propagation).
-  NodeValue ScanPredecessors(int exec_id, const Event& e, ContextId ctx_id,
+  /// `exec_id` (its per-event snapshots and its solo graphlets): the rows of
+  /// ctx's scan columns, merged in time order with the nodes of the
+  /// kSharedScan graphlets the query shared in. With `exclude_own_type`,
+  /// same-type nodes are left out (the symbolic part of shared-scan
+  /// propagation walks them once for every sharer).
+  NodeValue ScanPredecessors(int exec_id, const Event& e,
                              const ContextState& ctx, const Lane& own_lane,
                              bool exclude_own_type = false);
+  /// Appends `e`'s row, valued `v` in the column's window, to a scan column
+  /// of edge-predicate query `exec_id`.
+  void AppendRow(ScanColumn& col, int exec_id, const Event& e,
+                 const NodeValue& v) const;
+  /// A column set of `positions` empty columns, recycled when one is free.
+  int32_t AcquireColumnSet(int positions);
+  std::vector<ScanColumn>& Columns(const ContextState& ctx) {
+    return column_sets_[static_cast<size_t>(ctx.column_set)];
+  }
   /// Folds min/max of a new node for every (sharer, ctx) eagerly.
   void FoldNodeMinMax(Lane& lane, Graphlet& g, const GraphletNode& node,
                       const Event& e);
@@ -277,13 +262,11 @@ class HamletEngine {
   const WorkloadPlan* plan_;
   QuerySet members_;
   SharingPolicy* policy_;
-  Options options_;
   int num_types_;
   /// AggProfile::For of each member's aggregate, indexed by exec id.
   std::vector<AggProfile> profiles_;
   /// Members with edge predicates: the only queries whose predecessor
-  /// values need a stored-node scan, hence the only ones that force
-  /// history retention.
+  /// values need a scan, hence the only ones with scan columns.
   QuerySet edge_queries_;
 
   /// Arena-backed graphlet storage (see src/common/arena.h): steady-state
@@ -304,8 +287,13 @@ class HamletEngine {
 
   SnapshotStore store_;
   std::vector<ContextState> contexts_;
+  /// Scan columns per pattern position of each edge-predicate window
+  /// (ContextState::column_set). A closed window's set is emptied with its
+  /// capacities kept and goes to free_column_sets_ for the next window, so
+  /// steady-state appends do not allocate.
+  std::vector<std::vector<ScanColumn>> column_sets_;
+  std::vector<int32_t> free_column_sets_;
   std::vector<std::vector<ContextId>> open_ctxs_;  ///< per exec id
-  std::vector<ContextId> free_ctx_slots_;
 
   /// Last arrival of a leading-negated event per exec (blocks starts for
   /// contexts whose window began before it).

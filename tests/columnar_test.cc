@@ -464,13 +464,25 @@ TEST(ObjectPoolTest, AcquireReleaseRecyclesWithCapacitiesKept) {
 // allocations. Kleene bursts are the paper's stress axis, so this is
 // exactly the loop that used to pay one malloc/free per graphlet and
 // several per event.
+//
+// With `scan_query`, an edge-predicate query joins (MAX does not share with
+// COUNT, so it scans in its own solo lane) and the measured burst moves to
+// the pane after the warm-up: its window opened at that boundary, so its
+// scan columns must be the closed window's, recycled with their capacity.
 
-void CheckZeroSteadyStateAllocations(EngineKind kind) {
+void CheckZeroSteadyStateAllocations(EngineKind kind,
+                                     bool scan_query = false) {
   Schema schema;
   Workload workload{&schema};
-  for (const char* text :
-       {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.x > 0 WITHIN 1 s",
-        "RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE B.x > 0 WITHIN 1 s"}) {
+  std::vector<const char*> texts = {
+      "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.x > 0 WITHIN 1 s",
+      "RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE B.x > 0 WITHIN 1 s"};
+  if (scan_query) {
+    texts.push_back(
+        "RETURN MAX(B.x) PATTERN SEQ(A, B+) WHERE prev.x <= next.x WITHIN "
+        "1 s");
+  }
+  for (const char* text : texts) {
     HAMLET_CHECK(workload.Add(ParseQuery(text).value()).ok());
   }
   WorkloadPlan plan = AnalyzeWorkload(workload).value();
@@ -514,12 +526,20 @@ void CheckZeroSteadyStateAllocations(EngineKind kind) {
 
   // Measured region: one more same-pane burst, the first half staged and
   // dispatched as one batch, the rest pushed one event at a time. Events
-  // stay inside pane 1, so no windows open or close and no graphlets are
-  // acquired — pure steady-state appends.
+  // stay inside one pane, so no windows open or close and no graphlets are
+  // acquired — pure steady-state appends. A scan query's burst comes in
+  // pane 2, after the A and C that open it and the B that opens the burst.
+  Timestamp start = 1700;
+  if (scan_query) {
+    push_run(2000, "A", 1, 1.0);
+    push_run(2005, "C", 1, 1.0);
+    push_run(2010, "B", 1, 1.0);
+    start = 2011;
+  }
   EventVector burst;
   for (int i = 0; i < 200; ++i) {
     Event e;
-    e.time = 1700 + i;
+    e.time = start + i;
     e.type = schema.FindType("B");
     e.num_attrs = 1;
     e.attrs[0] = 1.0;
@@ -547,6 +567,16 @@ TEST(ZeroAllocation, SharedPathSteadyStateAllocatesNothing) {
 
 TEST(ZeroAllocation, SoloPathSteadyStateAllocatesNothing) {
   CheckZeroSteadyStateAllocations(EngineKind::kHamletNoShare);
+}
+
+TEST(ZeroAllocation, ScanningSoloPathSteadyStateAllocatesNothing) {
+  CheckZeroSteadyStateAllocations(EngineKind::kHamletNoShare,
+                                  /*scan_query=*/true);
+}
+
+TEST(ZeroAllocation, ScanningDynamicSteadyStateAllocatesNothing) {
+  CheckZeroSteadyStateAllocations(EngineKind::kHamletDynamic,
+                                  /*scan_query=*/true);
 }
 
 }  // namespace

@@ -185,6 +185,26 @@ TEST_F(ComplexityFixture, PlainSharersOfEdgeQueryCostLinearOps) {
   EXPECT_LT(extra_large, 6 * extra_small);
 }
 
+TEST_F(ComplexityFixture, SoloEdgeQueryStateGrowsByOneCompactRowPerEvent) {
+  // A solo edge-predicate append keeps one scan-column row per open window
+  // (time, the compared attribute, the payload): a few dozen bytes, where a
+  // stored graphlet node with its full event took over 400.
+  WorkloadPlan plan = Plan(
+      {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v <= next.v WITHIN 1 "
+       "min"});
+  auto memory = [&](int n) {
+    // Falling B values: every B follows the A, none follows another B.
+    StreamBuilder sb(&schema_);
+    sb.Add("A", {-1e9});
+    for (int i = 0; i < n; ++i) sb.Add("B", {-static_cast<double>(i)});
+    NeverSharePolicy never;
+    return EvalHamletBatch(plan, sb.Take(), &never).memory_bytes;
+  };
+  const int64_t growth = memory(2000) - memory(1000);
+  EXPECT_GT(growth, 0);
+  EXPECT_LE(growth, 128 * 1000);
+}
+
 TEST_F(ComplexityFixture, SnapshotCountTracksBurstsNotEvents) {
   // Fast-sum sharing creates O(1) snapshots per burst (u and x), however
   // long the burst is (Definition 8's whole point).

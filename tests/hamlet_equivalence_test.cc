@@ -5,7 +5,10 @@
 // and stream mixes; any mismatch prints the full repro (seed, stream).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "src/brute/enumerator.h"
@@ -14,6 +17,7 @@
 #include "src/hamlet/batch_eval.h"
 #include "src/optimizer/policies.h"
 #include "src/query/parser.h"
+#include "src/runtime/session.h"
 #include "src/stream/stream_builder.h"
 
 namespace hamlet {
@@ -297,6 +301,309 @@ TEST(HamletCompositionTest, QueryValuesMatchBrute) {
           << "query " << q << " trial " << trial;
     }
   }
+}
+
+// Scan columns: an edge-predicate query keeps each predecessor once per
+// open window as a row (time, compared attributes, value), and scans those
+// rows instead of stored nodes. Each case below is checked against the
+// brute-force enumerator, an oracle that shares no code with the engine.
+// Attribute `w` carries the edge comparisons (NaN in about one event of
+// six, so a NaN lands on either side of a comparison) and `v` the
+// aggregated values. COUNT results are integers far below 2^53, so they
+// must match exactly: every summation order gives the same bits.
+
+constexpr AttrId kV = 0;
+constexpr AttrId kW = 1;
+constexpr AttrId kD = 2;
+
+void SeedScanSchema(Schema* schema) {
+  schema->AddAttr("v");
+  schema->AddAttr("w");
+  schema->AddAttr("d");
+}
+
+Event ScanEvent(Rng& rng, Schema* schema,
+                const std::vector<const char*>& alphabet, Timestamp t) {
+  Event e(t, schema->AddType(alphabet[rng.NextBelow(alphabet.size())]));
+  e.set_attr(kV, 0.25 * static_cast<double>(rng.NextInt(1, 8)));
+  e.set_attr(kW, rng.NextBelow(6) == 0
+                     ? std::nan("")
+                     : static_cast<double>(rng.NextInt(0, 4)));
+  e.set_attr(kD, static_cast<double>(rng.NextInt(1, 2)));
+  return e;
+}
+
+bool IsCount(AggKind kind) {
+  return kind == AggKind::kCountTrends || kind == AggKind::kCountEvents;
+}
+
+void ExpectOracle(const WorkloadPlan& plan, QueryId q, double got,
+                  const EventVector& window, const std::string& label) {
+  const double want = BruteForceQueryValue(plan, q, window).value();
+  if (IsCount(plan.workload->query(q).aggregate.kind)) {
+    EXPECT_EQ(got, want) << label;
+  } else {
+    EXPECT_DOUBLE_EQ(got, want) << label;
+  }
+}
+
+/// Shares every other burst of each lane: with kSharedScan, a sharer's
+/// scans then read its solo-burst rows and its shared-burst nodes in turn.
+class AlternatingPolicy : public SharingPolicy {
+ public:
+  SharingDecision Decide(const std::vector<int>& members,
+                         const BurstStats&) override {
+    SharingDecision d;
+    if (share_ = !share_; share_) {
+      for (int q : members) d.shared.Insert(q);
+    }
+    return d;
+  }
+  const char* name() const override { return "alternating"; }
+
+ private:
+  bool share_ = false;
+};
+
+struct ScanCase {
+  const char* name;
+  std::vector<const char*> queries;
+  std::vector<const char*> alphabet;
+  std::optional<PropagationMode> b_mode = std::nullopt;
+};
+
+class ScanColumnOracleTest : public ::testing::TestWithParam<ScanCase> {};
+
+TEST_P(ScanColumnOracleTest, MatchesBruteForce) {
+  const ScanCase& c = GetParam();
+  Rng rng(0x5CA9 ^ std::hash<std::string>{}(c.name));
+  for (int trial = 0; trial < 50; ++trial) {
+    Schema schema;
+    SeedScanSchema(&schema);
+    Workload workload(&schema);
+    for (const char* text : c.queries)
+      ASSERT_TRUE(workload.Add(ParseQuery(text).value()).ok()) << text;
+    WorkloadPlan plan = AnalyzeWorkload(workload).value();
+    if (c.b_mode.has_value()) {
+      ASSERT_EQ(plan.share_groups.size(), 1u);
+      EXPECT_EQ(plan.share_groups[0].members, plan.AllExec());
+      EXPECT_EQ(plan.share_groups[0].mode, *c.b_mode);
+    }
+    EventVector ev;
+    const int len = static_cast<int>(rng.NextInt(1, 18));
+    for (int i = 0; i < len; ++i)
+      ev.push_back(ScanEvent(rng, &schema, c.alphabet, i + 1));
+
+    NeverSharePolicy never;
+    AlwaysSharePolicy always;
+    DynamicBenefitPolicy dynamic;
+    AlternatingPolicy alternating;
+    SharingPolicy* policies[] = {&never, &always, &dynamic, &alternating};
+    for (SharingPolicy* policy : policies) {
+      BatchResult r = EvalHamletBatch(plan, ev, policy);
+      for (QueryId q = 0; q < workload.size(); ++q) {
+        ExpectOracle(plan, q, r.query_values[static_cast<size_t>(q)], ev,
+                     std::string(c.name) + " trial " +
+                         std::to_string(trial) + " " + policy->name() +
+                         " query " + std::to_string(q) + ": " +
+                         StreamToScript(ev, schema));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ScanColumnOracleTest,
+    ::testing::Values(
+        ScanCase{"every_cmp_op",
+                 {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.w < next.w "
+                  "WITHIN 1 min",
+                  "RETURN SUM(B.v) PATTERN SEQ(C, B+) WHERE prev.w <= next.w "
+                  "WITHIN 1 min",
+                  "RETURN COUNT(B) PATTERN B+ WHERE prev.w > next.w WITHIN 1 "
+                  "min",
+                  "RETURN AVG(B.v) PATTERN SEQ(A, B+) WHERE prev.w >= next.w "
+                  "WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE prev.w = next.w "
+                  "WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.w != next.w "
+                  "WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE [d] AND prev.w "
+                  "<= next.w WITHIN 1 min"},
+                 {"A", "B", "C"}},
+        ScanCase{"cross_type_kleene",
+                 {"RETURN COUNT(*) PATTERN SEQ(A+, B+) WHERE prev.w <= next.w "
+                  "WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN (SEQ(A, B+))+ WHERE prev.w < "
+                  "next.w WITHIN 1 min"},
+                 {"A", "B"}},
+        ScanCase{"boundary_negation",
+                 {"RETURN COUNT(*) PATTERN SEQ(A, NOT C, B+) WHERE prev.w <= "
+                  "next.w WITHIN 1 min",
+                  "RETURN SUM(B.v) PATTERN SEQ(A, NOT C, B+) WHERE prev.w <= "
+                  "next.w WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 1 min"},
+                 {"A", "B", "C"}},
+        ScanCase{"max_min_avg",
+                 {"RETURN MAX(B.v) PATTERN SEQ(A, B+) WHERE prev.w <= next.w "
+                  "WITHIN 1 min",
+                  "RETURN MIN(B.v) PATTERN SEQ(C, B+) WHERE prev.w > next.w "
+                  "WITHIN 1 min",
+                  "RETURN AVG(B.v) PATTERN SEQ(A, B+) WHERE prev.w < next.w "
+                  "WITHIN 1 min"},
+                 {"A", "B", "C"}},
+        // One edge query and plain sharers: the edge query's rows come from
+        // the event-snapshot branch, the plain sharers fold solo_sums.
+        ScanCase{"event_snapshot_plain_sharers",
+                 {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.w <= next.w "
+                  "WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN SEQ(C, B+) WITHIN 1 min",
+                  "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v > 1 WITHIN 1 "
+                  "min",
+                  "RETURN COUNT(*) PATTERN B+ WITHIN 1 min"},
+                 {"A", "B", "C"},
+                 PropagationMode::kPerEventSnapshot},
+        // Identical edge predicates: shared bursts walk stored nodes, solo
+        // bursts write rows, and scans merge both in time order.
+        ScanCase{"shared_scan_flips",
+                 {"RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE prev.w <= next.w "
+                  "WITHIN 1 min",
+                  "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE prev.w <= next.w "
+                  "AND B.v > 1 WITHIN 1 min",
+                  "RETURN COUNT(B) PATTERN B+ WHERE prev.w <= next.w WITHIN 1 "
+                  "min"},
+                 {"A", "B", "B", "C"},
+                 PropagationMode::kSharedScan}),
+    [](const ::testing::TestParamInfo<ScanCase>& info) {
+      return info.param.name;
+    });
+
+// Runs `queries` (named q0, q1, ...) through a Session over sliding windows
+// and checks every emission against the brute-force value of its window's
+// events. With `add`, the query `add` joins a third of the way in and q0
+// leaves two thirds in: both hand the open windows' state, scan columns
+// included, to the next plan epoch mid-window.
+RunMetrics CheckSessionOracle(EngineKind kind,
+                              const std::vector<const char*>& queries,
+                              const char* add, uint64_t seed) {
+  Schema schema;
+  SeedScanSchema(&schema);
+  Workload oracle(&schema);
+  Workload initial(&schema);
+  std::vector<const char*> all = queries;
+  if (add != nullptr) all.push_back(add);
+  for (size_t i = 0; i < all.size(); ++i) {
+    Query q = ParseQuery(all[i]).value();
+    q.name = "q" + std::to_string(i);
+    HAMLET_CHECK(oracle.Add(q).ok());
+    if (i < queries.size()) HAMLET_CHECK(initial.Add(q).ok());
+  }
+  WorkloadPlan oracle_plan = AnalyzeWorkload(oracle).value();
+  WorkloadPlan plan = AnalyzeWorkload(initial).value();
+
+  Rng rng(seed);
+  EventVector ev;
+  for (int i = 0; i < 240; ++i)
+    ev.push_back(ScanEvent(rng, &schema, {"A", "B", "B", "C"}, i + 1));
+
+  RunConfig config;
+  config.kind = kind;
+  CollectingSink sink;
+  std::unique_ptr<Session> session =
+      std::move(Session::Open(plan, config, &sink)).value();
+  for (size_t i = 0; i < ev.size(); i += 8) {
+    if (add != nullptr && i == 80) {
+      Query q = ParseQuery(add).value();
+      q.name = "q" + std::to_string(queries.size());
+      HAMLET_CHECK(session->AddQuery(q).ok());
+    }
+    if (add != nullptr && i == 160)
+      HAMLET_CHECK(session->RemoveQuery("q0").ok());
+    HAMLET_CHECK(session
+                     ->PushBatch(std::span<const Event>(
+                         ev.data() + i, std::min<size_t>(8, ev.size() - i)))
+                     .ok());
+  }
+  HAMLET_CHECK(session->AdvanceTo(ev.back().time).ok());
+  const RunMetrics metrics = session->Close().value();
+
+  const std::vector<Emission> emissions = sink.Take();
+  EXPECT_GT(emissions.size(), 100u);
+  for (const Emission& em : emissions) {
+    EventVector window;
+    for (const Event& e : ev) {
+      if (e.time >= em.window_start && e.time < em.window_end)
+        window.push_back(e);
+    }
+    const QueryId q = static_cast<QueryId>(std::stoi(em.query_name.substr(1)));
+    ExpectOracle(oracle_plan, q, em.value, window,
+                 std::string(EngineKindName(kind)) + " " + em.query_name +
+                     " [" + std::to_string(em.window_start) + ", " +
+                     std::to_string(em.window_end) + ")");
+  }
+  return metrics;
+}
+
+constexpr EngineKind kHamletKinds[] = {EngineKind::kHamletDynamic,
+                                       EngineKind::kHamletStatic,
+                                       EngineKind::kHamletNoShare};
+
+// Windows of 16 ms sliding by 4 ms: every event is a row in four open
+// windows at once.
+TEST(ScanColumnSessionOracleTest, SlidingWindowsKeepOneRowPerOpenWindow) {
+  for (EngineKind kind : kHamletKinds) {
+    CheckSessionOracle(
+        kind,
+        {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.w <= next.w WITHIN "
+         "16 ms SLIDE 4 ms",
+         "RETURN SUM(B.v) PATTERN SEQ(C, B+) WHERE prev.w > next.w WITHIN "
+         "16 ms SLIDE 4 ms",
+         "RETURN COUNT(*) PATTERN SEQ(A, NOT C, B+) WHERE prev.w != next.w "
+         "WITHIN 12 ms SLIDE 4 ms",
+         "RETURN AVG(B.v) PATTERN SEQ(C, B+) WITHIN 16 ms SLIDE 4 ms"},
+        nullptr, 11);
+  }
+}
+
+TEST(ScanColumnSessionOracleTest, MidWindowChurnHandsColumnsOver) {
+  // A per-event-snapshot group (mixed predicates) and a shared-scan group
+  // (identical ones): the latter's shared bursts leave stored nodes that
+  // ExportQuery values into rows.
+  for (EngineKind kind : kHamletKinds) {
+    CheckSessionOracle(
+        kind,
+        {"RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.w <= next.w WITHIN "
+         "16 ms SLIDE 4 ms",
+         "RETURN COUNT(*) PATTERN SEQ(C, B+) WITHIN 16 ms SLIDE 4 ms"},
+        "RETURN COUNT(*) PATTERN B+ WHERE prev.w < next.w WITHIN 12 ms "
+        "SLIDE 4 ms",
+        21);
+    CheckSessionOracle(
+        kind,
+        {"RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE prev.w <= next.w WITHIN "
+         "16 ms SLIDE 4 ms",
+         "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE prev.w <= next.w WITHIN "
+         "16 ms SLIDE 4 ms"},
+        "RETURN COUNT(B) PATTERN B+ WHERE prev.w <= next.w WITHIN 12 ms "
+        "SLIDE 4 ms",
+        22);
+  }
+}
+
+TEST(ScanColumnSessionOracleTest, SharedScanBurstsFlipUnderDynamic) {
+  // The event predicate makes the sharers diverge, so the dynamic policy
+  // splits the group after its first shared bursts: later scans read the
+  // shared bursts' nodes and the solo bursts' rows in one window.
+  const RunMetrics m = CheckSessionOracle(
+      EngineKind::kHamletDynamic,
+      {"RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE prev.w <= next.w WITHIN 16 "
+       "ms SLIDE 4 ms",
+       "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE prev.w <= next.w AND B.v > "
+       "1 WITHIN 16 ms SLIDE 4 ms"},
+      nullptr, 31);
+  EXPECT_GT(m.hamlet.bursts_shared, 0);
+  EXPECT_LT(m.hamlet.bursts_shared, m.hamlet.bursts_total);
+  EXPECT_GT(m.hamlet.splits, 0);
 }
 
 }  // namespace
