@@ -7,15 +7,13 @@
 // busy-time sampling).
 //
 // Part 2 — scaling: the same stream through ShardedSession at 1/2/4/8
-// shards (capped by --threads=N) on a multi-group workload, three ingress
+// shards (capped by --threads=N) on a multi-group workload, two ingress
 // granularities per shard count, all through session-level PushBatch:
 //  * hand-off: shard_batch_size=1, one queue message per event — the
 //    pre-batching baseline the batched path must beat;
-//  * batched: the default staging batch, one message per
-//    shard_batch_size events;
-//  * adaptive: RunConfig::adaptive_batching — the per-shard controller
-//    picks the batch size per burst (full speed here, so it should ramp to
-//    the fixed ceiling and match the batched column).
+//  * batched: the default staging rule — at most shard_batch_size events
+//    per message, fewer when a shard's queue is empty at the end of a
+//    PushBatch call.
 // Reported as end-to-end wall-clock events/s (first push to Close-join
 // inclusive), since summed per-shard busy-time throughput would hide
 // queueing effects. Expect near-linear speedup up to the machine's core
@@ -25,15 +23,16 @@
 // interleaved groups through one Session in 512-row batches, with the mean
 // run length the engines see and the group-major partition's ns per row.
 //
-// Part 3 — bursty ingress (fixed vs adaptive): the stream is replayed as
-// alternating full-speed bursts and paced lulls (2 ms inter-arrival). Burst
-// throughput is timed over the burst phases only; after each lull phase the
-// bench probes how long the lull tail takes to REACH its shard worker
-// (spin on MetricsSnapshot, capped at 4 ms) — the staging residency that
-// fixed batching turns into emission-delivery latency. Fixed batching
-// should win bursts and lose lulls badly (events sit staged until the next
-// burst fills the batch); adaptive should match burst throughput while
-// delivering lull events in microseconds.
+// Part 3 — bursty ingress (default rule vs hand-off): the stream is
+// replayed as alternating full-speed bursts and paced lulls (2 ms
+// inter-arrival). Burst throughput is timed over the burst phases only;
+// after each lull phase the bench probes how long the lull tail takes to
+// REACH its shard worker (spin on MetricsSnapshot, capped at 4 ms) — the
+// staging residency that turns into emission-delivery latency. The default
+// rule should batch bursts (the workers are behind, their queues busy) and
+// hand lull events over in microseconds (an idle worker's queue is empty),
+// matching the shard_batch_size=1 hand-off row's lull delivery without
+// paying its per-event queue traffic in bursts.
 //
 // Part 4 — skewed groups, one row per placement policy: a hot-key stream
 // (30% of events on one group, the rest spread over 63 progressively
@@ -157,8 +156,7 @@ void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
 
 void RunScaling(const BenchWorkload& bw, const EventVector& events,
                 int max_shards, bool json) {
-  Table table({"shards", "hand-off eps", "batched eps", "adaptive eps",
-               "speedup vs 1"});
+  Table table({"shards", "hand-off eps", "batched eps", "speedup vs 1"});
   std::string json_rows;
   double base = 0;
   for (int shards = 1; shards <= max_shards; shards *= 2) {
@@ -168,25 +166,21 @@ void RunScaling(const BenchWorkload& bw, const EventVector& events,
     // Per-event hand-off baseline: one queue message per event.
     RunConfig handoff_config = config;
     handoff_config.shard_batch_size = 1;
-    RunConfig adaptive_config = config;
-    adaptive_config.adaptive_batching = true;
     const double handoff = ShardedWallEps(*bw.plan, handoff_config, events);
     const double batched = ShardedWallEps(*bw.plan, config, events);
-    const double adaptive = ShardedWallEps(*bw.plan, adaptive_config, events);
     if (shards == 1) base = batched;
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
                   base <= 0 ? 0.0 : batched / base);
     table.AddRow({std::to_string(shards), bench::Eps(handoff),
-                  bench::Eps(batched), bench::Eps(adaptive), speedup});
+                  bench::Eps(batched), speedup});
     if (json) {
       char row[320];
       std::snprintf(row, sizeof(row),
                     "%s{\"shards\":%d,\"handoff_eps\":%.1f,"
-                    "\"batched_eps\":%.1f,\"adaptive_eps\":%.1f,"
-                    "\"speedup_batched\":%.3f}",
+                    "\"batched_eps\":%.1f,\"speedup_batched\":%.3f}",
                     json_rows.empty() ? "" : ",", shards, handoff, batched,
-                    adaptive, base <= 0 ? 0.0 : batched / base);
+                    base <= 0 ? 0.0 : batched / base);
       json_rows += row;
     }
   }
@@ -322,7 +316,7 @@ void RunRunPropagation(const BenchWorkload& bw,
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: bursty ingress, fixed vs adaptive.
+// Part 3: bursty ingress, default rule vs hand-off.
 // ---------------------------------------------------------------------------
 
 struct BurstyNumbers {
@@ -378,8 +372,8 @@ BurstyNumbers RunBurstyOnce(const WorkloadPlan& plan, const RunConfig& config,
       }
       // Hand-off probe: a lull event that sits in staging is an emission
       // the user sees late. Spin until every pushed event has reached its
-      // shard worker — or give up at the cap (fixed batching holds the lull
-      // tail hostage until the next burst fills the batch).
+      // shard worker — or give up at the cap (a rule that waits for a full
+      // batch holds the lull tail hostage until the next burst fills it).
       const auto t0 = std::chrono::steady_clock::now();
       while (session.value()->MetricsSnapshot().events <
                  static_cast<int64_t>(i) &&
@@ -411,16 +405,17 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
   Table table({"ingress", "burst eps", "lull hand-off us (mean)",
                "lull hand-off us (max)", "batches", "max qdepth"});
   std::string json_rows;
-  for (bool adaptive : {false, true}) {
+  for (bool handoff : {false, true}) {
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
-    config.adaptive_batching = adaptive;
+    if (handoff) config.shard_batch_size = 1;
+    const char* mode = handoff ? "handoff" : "default";
     BurstyNumbers n = RunBurstyOnce(*bw.plan, config, events);
     char mean_us[32], max_us[32];
     std::snprintf(mean_us, sizeof(mean_us), "%.0f", n.lull_handoff_mean_us);
     std::snprintf(max_us, sizeof(max_us), "%.0f", n.lull_handoff_max_us);
-    table.AddRow({adaptive ? "adaptive" : "fixed", bench::Eps(n.burst_eps),
+    table.AddRow({mode, bench::Eps(n.burst_eps),
                   mean_us, max_us, std::to_string(n.batches),
                   std::to_string(n.max_queue_depth)});
     if (json) {
@@ -430,7 +425,7 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
           "%s{\"mode\":\"%s\",\"burst_eps\":%.1f,"
           "\"lull_handoff_mean_us\":%.1f,\"lull_handoff_max_us\":%.1f,"
           "\"batches\":%lld,\"max_queue_depth\":%lld}",
-          json_rows.empty() ? "" : ",", adaptive ? "adaptive" : "fixed",
+          json_rows.empty() ? "" : ",", mode,
           n.burst_eps, n.lull_handoff_mean_us, n.lull_handoff_max_us,
           static_cast<long long>(n.batches),
           static_cast<long long>(n.max_queue_depth));
@@ -438,7 +433,7 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
     }
   }
   bench::PrintFigure(
-      "Adaptive ingress (bursty preset)",
+      "Bursty ingress (default rule vs hand-off)",
       "alternating full-speed bursts and 2 ms-paced lulls; hand-off = "
       "staging residency of the lull tail (capped at 4000 us)",
       table);

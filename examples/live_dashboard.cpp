@@ -9,11 +9,10 @@
 // single-threaded sink a plain Session would use: the shards buffer their
 // emissions and the session fans them in to the sink on THIS thread during
 // Push/AdvanceTo/Close, so the sink needs no locking and may even use
-// thread-locals. Delivery granularity follows the ingress batch: with
-// RunConfig::adaptive_batching (used here) each shard shrinks its batch
-// toward per-event hand-off whenever the feed goes quiet — dashboard lines
-// appear promptly through lulls — and grows it back toward
-// shard_batch_size when a burst needs amortizing. Contrast with
+// thread-locals. Delivery granularity follows the ingress batch: a shard
+// whose worker is idle gets each event as soon as it is pushed, so
+// dashboard lines appear promptly through lulls, while a busy one lets its
+// staging fill toward shard_batch_size to amortize a burst. Contrast with
 // examples/quickstart.cpp, which uses the batch Run() wrapper.
 //
 // The run also exercises the query lifecycle and the online optimizer: a
@@ -70,8 +69,7 @@ int main(int argc, char** argv) {
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   config.num_shards = num_shards;  // validated at Open like every knob
-  config.shard_batch_size = 16;    // ceiling for the adaptive controller
-  config.adaptive_batching = true;  // hand-off shrinks to 1 during lulls
+  config.shard_batch_size = 16;    // largest batch a busy shard is handed
   config.reoptimize_every_panes = 2;  // review the plan every 20 s pane pair
   Result<std::unique_ptr<ShardedSession>> session =
       ShardedSession::Open(*plan, config, &sink);

@@ -106,8 +106,8 @@ class SpscQueue {
 
   /// Number of occupied slots at some recent instant. Exact from the
   /// producer thread between its own pushes (the consumer can only have
-  /// drained more); the adaptive batcher uses it as its queue-occupancy
-  /// signal.
+  /// drained more): ShardedSession's front reads 0 as "the worker has taken
+  /// every message" and hands it the staged events.
   size_t ApproxSize() const {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     const uint64_t head = head_.load(std::memory_order_acquire);

@@ -226,15 +226,24 @@ const HamletEngine::Lane* HamletEngine::LaneOf(int exec_id,
 ContextId HamletEngine::OpenContext(int exec_id, Timestamp window_start,
                                     Timestamp window_end) {
   HAMLET_CHECK(members_.Contains(exec_id));
-  ContextId id = static_cast<ContextId>(contexts_.size());
-  contexts_.emplace_back();
-  ContextState& ctx = contexts_.back();
-  ctx.id = id;
+  const ContextId id = AcquireContextId();
+  ContextState& ctx = contexts_[static_cast<size_t>(id)];
   const int positions = Exec(exec_id).tmpl.pattern.num_positions();
   ctx.ResetFor(exec_id, num_types_, positions, window_start, window_end);
   if (edge_queries_.Contains(exec_id))
     ctx.column_set = AcquireColumnSet(positions);
   open_ctxs_[static_cast<size_t>(exec_id)].push_back(id);
+  return id;
+}
+
+ContextId HamletEngine::AcquireContextId() {
+  if (free_ctxs_.empty()) {
+    const ContextId id = static_cast<ContextId>(contexts_.size());
+    contexts_.emplace_back().id = id;
+    return id;
+  }
+  const ContextId id = free_ctxs_.back();
+  free_ctxs_.pop_back();
   return id;
 }
 
@@ -276,8 +285,10 @@ ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
     free_column_sets_.push_back(ctx.column_set);
     ctx.column_set = -1;
   }
-  // Release the per-context vectors eagerly; the slot itself stays (ids are
-  // never reused, so stale per-context entries cannot alias).
+  // Release the per-context vectors eagerly. The slot waits out the horizon
+  // before reuse (see closed_ctxs_), so stale per-context entries in
+  // retained graphlets cannot alias a new window.
+  closed_ctxs_.emplace_back(last_time_, ctx_id);
   ctx.type_totals.clear();
   ctx.type_totals.shrink_to_fit();
   ctx.type_mm.clear();
@@ -336,14 +347,14 @@ std::vector<ContextId> HamletEngine::ImportQuery(int exec_id,
   std::vector<ContextId> ids;
   for (size_t i = 0; i < state.contexts.size(); ++i) {
     ContextState& ctx = state.contexts[i];
-    const ContextId id = static_cast<ContextId>(contexts_.size());
+    const ContextId id = AcquireContextId();
     ctx.id = id;
     ctx.exec_id = exec_id;
     if (!state.columns.empty()) {
       ctx.column_set = AcquireColumnSet(0);
       Columns(ctx) = std::move(state.columns[i]);
     }
-    contexts_.push_back(std::move(ctx));
+    contexts_[static_cast<size_t>(id)] = std::move(ctx);
     open_ctxs_[q].push_back(id);
     ids.push_back(id);
   }
@@ -393,6 +404,15 @@ void HamletEngine::OnPaneStart(Timestamp pane_start) {
     }
     h.resize(keep);
   }
+  // Every graphlet opened at or before a stamp below the cutoff is gone.
+  size_t reusable = 0;
+  while (reusable < closed_ctxs_.size() &&
+         closed_ctxs_[reusable].first < cutoff) {
+    free_ctxs_.push_back(closed_ctxs_[reusable++].second);
+  }
+  closed_ctxs_.erase(
+      closed_ctxs_.begin(),
+      closed_ctxs_.begin() + static_cast<std::ptrdiff_t>(reusable));
 }
 
 void HamletEngine::OnPaneEnd() {
@@ -1319,8 +1339,7 @@ int64_t HamletEngine::MemoryBytes() const {
     bytes += static_cast<int64_t>(set.capacity() * sizeof(ScanColumn));
     for (const ScanColumn& col : set) bytes += col.MemoryBytes();
   }
-  // Closed slots stay in contexts_ (ids are never reused): visit the open
-  // ones only.
+  // Closed slots keep no heap payload: visit the open ones only.
   for (const std::vector<ContextId>& open : open_ctxs_) {
     for (ContextId c : open)
       bytes += contexts_[static_cast<size_t>(c)].MemoryBytes();

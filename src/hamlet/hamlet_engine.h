@@ -120,6 +120,11 @@ class HamletEngine {
   /// expressions and values, per-context tables).
   int64_t MemoryBytes() const;
 
+  /// Context slots held: open windows, closed ones waiting out the horizon
+  /// and reusable ones (bounded by the windows a horizon can hold, not by
+  /// the windows ever opened).
+  size_t context_slots() const { return contexts_.size(); }
+
   const HamletStats& stats() const { return stats_; }
   const SnapshotStore& snapshot_store() const { return store_; }
 
@@ -241,6 +246,8 @@ class HamletEngine {
                  const NodeValue& v) const;
   /// A column set of `positions` empty columns, recycled when one is free.
   int32_t AcquireColumnSet(int positions);
+  /// A context slot for a new window: a reusable closed one, or a new one.
+  ContextId AcquireContextId();
   std::vector<ScanColumn>& Columns(const ContextState& ctx) {
     return column_sets_[static_cast<size_t>(ctx.column_set)];
   }
@@ -286,7 +293,15 @@ class HamletEngine {
   std::vector<bool> type_relevant_;
 
   SnapshotStore store_;
+  /// Indexed by ContextId. A closed slot waits in closed_ctxs_, stamped
+  /// with the last event time at its close, until OnPaneStart's horizon
+  /// cutoff passes the stamp: a retained graphlet that could still name the
+  /// id in a CtxMap opened at or before the stamp, so the cutoff has
+  /// released it. Only then does the id move to free_ctxs_ for reuse, so
+  /// the table stays bounded by the windows one horizon holds.
   std::vector<ContextState> contexts_;
+  std::vector<std::pair<Timestamp, ContextId>> closed_ctxs_;
+  std::vector<ContextId> free_ctxs_;
   /// Scan columns per pattern position of each edge-predicate window
   /// (ContextState::column_set). A closed window's set is emptied with its
   /// capacities kept and goes to free_column_sets_ for the next window, so

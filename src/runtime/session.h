@@ -96,21 +96,14 @@ struct RunConfig {
   /// Open rejects configs whose product exceeds kMaxQueuedEventsPerShard so
   /// the two knobs cannot silently compound into gigabytes of queue.
   int shard_queue_capacity = 8192;
-  /// ShardedSession ingress granularity: events staged per shard before the
-  /// producer hands one batch message to that shard's queue. 1 reproduces
-  /// per-event hand-off; larger values amortize the queue traffic across the
-  /// batch. Watermarks and Close flush staging, so results never depend on
-  /// this knob. Must be >= 1. Plain Session ignores
-  /// it. With adaptive_batching this is the CEILING the per-shard effective
-  /// batch grows toward.
+  /// ShardedSession ingress granularity: the most events staged per shard
+  /// before the producer hands them to that shard's queue as one batch
+  /// message. A shard whose queue is empty gets its staging sooner, when
+  /// the front runs out of input (src/runtime/sharded_session.h), so this
+  /// caps the batch in a burst and costs nothing in a lull. 1 reproduces
+  /// per-event hand-off. Watermarks and Close flush staging, so results
+  /// never depend on this knob. Must be >= 1. Plain Session ignores it.
   int shard_batch_size = 128;
-  /// Burst-adaptive ingress (ShardedSession only): each shard's effective
-  /// staging batch adapts between 1 and shard_batch_size per staged event —
-  /// growing while the shard's queue is deep/busy (burst: amortize
-  /// messages), shrinking as arrival gaps open or the queue drains (lull:
-  /// cut emission-delivery latency). Driven by
-  /// stream/adaptive_batcher.h; emission sets are invariant either way.
-  bool adaptive_batching = false;
   /// Skew-aware routing (ShardedSession only): when > 0, a group key seen
   /// for the FIRST time whose hash shard leads the least-loaded shard by
   /// more than this many recently staged events is routed to the
@@ -174,8 +167,8 @@ struct RunConfig {
   /// two. Plain Session and the single-producer sharded path ignore it.
   int producer_queue_capacity = 16384;
   /// Test hook: overrides the monotonic wall clock (in seconds) used for
-  /// latency attribution, busy-time accounting and adaptive batching, so
-  /// timing-sensitive tests run deterministically under sanitizer/CI load.
+  /// latency attribution and busy-time accounting, so timing-sensitive
+  /// tests run deterministically under sanitizer/CI load.
   /// Null (the default) uses MonotonicSeconds().
   std::function<double()> clock_override;
 };
@@ -304,12 +297,11 @@ struct RunMetrics {
   /// too finely for run propagation to pay; mass in higher buckets is the
   /// paper's bursty regime. Merged across shards by bucket-wise sum.
   std::vector<int64_t> run_len_hist;
-  /// Sharded ingress only (empty/0 for plain Sessions) — the burst-adaptive
-  /// ingress surface:
+  /// Sharded ingress only (empty/0 for plain Sessions):
   /// Histogram of flushed staging-batch sizes across all shards: bucket i
-  /// counts batch messages of size in [2^i, 2^(i+1)). Under adaptive
-  /// batching the spread shows how the controller moved between hand-off
-  /// (bucket 0) and full batches.
+  /// counts batch messages of size in [2^i, 2^(i+1)). The spread shows how
+  /// often a shard got its staging while idle (small buckets, lulls) and
+  /// how often a busy queue let it fill (high buckets, bursts).
   std::vector<int64_t> shard_batch_hist;
   /// Group keys first-sight placement diverted off their hash shard.
   int64_t rebalanced_keys = 0;

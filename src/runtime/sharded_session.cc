@@ -13,7 +13,6 @@
 #include "src/common/mutex.h"
 #include "src/common/spsc_queue.h"
 #include "src/common/thread.h"
-#include "src/stream/adaptive_batcher.h"
 
 namespace hamlet {
 
@@ -122,8 +121,8 @@ size_t BatchHistBucket(size_t batch_size) {
 }  // namespace
 
 struct ShardedSession::Shard {
-  Shard(size_t queue_capacity, int max_batch)
-      : queue(queue_capacity), recycle(queue_capacity), batcher(max_batch) {}
+  explicit Shard(size_t queue_capacity)
+      : queue(queue_capacity), recycle(queue_capacity) {}
 
   SpscQueue<ShardMsg> queue;
   /// Worker -> producer return path for consumed batch buffers: the
@@ -132,12 +131,9 @@ struct ShardedSession::Shard {
   /// ring just lets the buffer deallocate.
   SpscQueue<EventVector> recycle;
   /// Producer-side staging buffer (front thread only): events accumulate
-  /// here until the batch threshold or a barrier flushes them as one
-  /// message.
+  /// here until a full batch, an idle queue or a barrier flushes them as one
+  /// message (see FlushIfIdle).
   EventVector staging;
-  /// Front-thread burst/lull controller: decides the staging threshold when
-  /// RunConfig::adaptive_batching is on (capped at shard_batch_size).
-  AdaptiveBatchController batcher;
   /// Histogram of this shard's flushed batch sizes (front thread writes at
   /// flush, a monitor thread may read through MetricsSnapshot — hence
   /// relaxed atomics).
@@ -284,9 +280,8 @@ Result<std::unique_ptr<ShardedSession>> ShardedSession::Open(
   }
   s->shards_.reserve(static_cast<size_t>(config.num_shards));
   for (int i = 0; i < config.num_shards; ++i) {
-    auto shard =
-        std::make_unique<Shard>(static_cast<size_t>(config.shard_queue_capacity),
-                                config.shard_batch_size);
+    auto shard = std::make_unique<Shard>(
+        static_cast<size_t>(config.shard_queue_capacity));
     shard->staging.reserve(static_cast<size_t>(config.shard_batch_size));
     shard->any_outbox_ready = &s->any_outbox_ready_;
     EmissionSink* shard_sink = nullptr;
@@ -443,10 +438,6 @@ void ShardedSession::WorkerLoop(Shard* shard) {
   }
 }
 
-double ShardedSession::IngestNow() const {
-  return ClockNow(config_.clock_override);
-}
-
 void ShardedSession::SyncControl(Timestamp time) {
   if (time < control_->next_change()) return;
   for (const QueryLifecycle::Scheduled& drop : control_->Advance(time)) {
@@ -454,12 +445,13 @@ void ShardedSession::SyncControl(Timestamp time) {
   }
 }
 
-void ShardedSession::StageEvent(const Event& event, double now_seconds) {
+ShardedSession::Shard& ShardedSession::StageEvent(const Event& event) {
   SyncControl(event.time);
   const int64_t key = router_.GroupKeyOf(event);
   if (rebalance_threshold_ == 0 && !stealing_) {
-    StageTo(*shards_[router_.ShardOfKey(key)], event, now_seconds);
-    return;
+    Shard& shard = *shards_[router_.ShardOfKey(key)];
+    StageTo(shard, event);
+    return shard;
   }
   if (stealing_) {
     // Order matters for determinism: pane crossings evaluate steal
@@ -480,10 +472,12 @@ void ShardedSession::StageEvent(const Event& event, double now_seconds) {
   } else {
     target = router_.RouteKey(key, event.time);
   }
-  StageTo(*shards_[target], event, now_seconds);
+  Shard& shard = *shards_[target];
+  StageTo(shard, event);
   ++load_cur_[target];
   if (stealing_) ++key_load_[key].cur;
   if (++in_window_ >= kLoadHalfWindow) RollLoadWindow();
+  return shard;
 }
 
 size_t ShardedSession::PlaceNewKey(int64_t key, size_t hash_shard,
@@ -611,18 +605,25 @@ void ShardedSession::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   stolen_panes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardedSession::StageTo(Shard& shard, const Event& event,
-                             double now_seconds) {
+void ShardedSession::StageTo(Shard& shard, const Event& event) {
   shard.staging.push_back(event);
-  size_t threshold = static_cast<size_t>(config_.shard_batch_size);
-  if (config_.adaptive_batching) {
-    // One burst/lull decision per staged event: deep/busy queue grows the
-    // threshold (amortize), opening gaps or a drained queue shrink it
-    // (deliver promptly). Capped at shard_batch_size either way.
-    threshold = static_cast<size_t>(shard.batcher.Observe(
-        now_seconds, shard.queue.ApproxSize(), shard.queue.capacity()));
+  if (shard.staging.size() >= static_cast<size_t>(config_.shard_batch_size)) {
+    FlushShard(shard);
   }
-  if (shard.staging.size() >= threshold) FlushShard(shard);
+}
+
+void ShardedSession::FlushIfIdle(Shard& shard) {
+  // ApproxSize is exact on the producer side, so 0 means the worker has
+  // taken every message: it is idle or about to be, and holding events back
+  // would only delay them. A busy queue keeps staging, so under load the
+  // batch grows with the backlog up to shard_batch_size.
+  if (!shard.staging.empty() && shard.queue.ApproxSize() == 0) {
+    FlushShard(shard);
+  }
+}
+
+void ShardedSession::FlushIdleShards() {
+  for (auto& shard : shards_) FlushIfIdle(*shard);
 }
 
 void ShardedSession::FlushShard(Shard& shard) {
@@ -636,10 +637,10 @@ void ShardedSession::FlushShard(Shard& shard) {
   msg.batch.swap(shard.staging);
   shard.Send(std::move(msg));
   // Sample the concurrent footprint at flush boundaries, throttled: with
-  // batch size 1 (hand-off baseline, or adaptive in lull posture) a flush
-  // happens per event, and an O(num_shards) scan there would tax exactly
-  // the per-event path the batching modes are measured against. The peak
-  // is documented as sampled, so coarser sampling loses nothing.
+  // batch size 1 (hand-off baseline, or an idle worker fed event by event)
+  // a flush happens per event, and an O(num_shards) scan there would tax
+  // exactly the per-event path batching is measured against. The peak is
+  // documented as sampled, so coarser sampling loses nothing.
   if (++flushes_since_mem_sample_ >= kMemSampleEveryFlushes) {
     flushes_since_mem_sample_ = 0;
     SampleConcurrentMemory();
@@ -709,7 +710,9 @@ Status ShardedSession::Push(const Event& event) {
   if (!valid.ok()) return valid;
   gate_.CommitEvent(event.time);
   control_->CountEvent(event.type);
-  StageEvent(event, config_.adaptive_batching ? IngestNow() : 0.0);
+  // Only the shard just staged to is checked, so a push stays O(1) in the
+  // shard count.
+  FlushIfIdle(StageEvent(event));
   MaybeReoptimize();
   DrainEmissions();
   return Status::Ok();
@@ -731,17 +734,18 @@ Status ShardedSession::PushBatch(std::span<const Event> events) {
         "the Producer handles (AddProducer)");
   }
   ThreadRoleGuard role(front_role_);
-  // One clock read per call, not per event: events of one batch arrived
-  // together, so they share an arrival instant (their inter-arrival gap is
-  // ~0, which is exactly what the burst detector should see).
-  const double now = config_.adaptive_batching ? IngestNow() : 0.0;
+  Status valid = Status::Ok();
   for (const Event& e : events) {
-    Status valid = CheckEvent(e);
-    if (!valid.ok()) return valid;
+    valid = CheckEvent(e);
+    if (!valid.ok()) break;
     gate_.CommitEvent(e.time);
     control_->CountEvent(e.type);
-    StageEvent(e, now);
+    StageEvent(e);
   }
+  // The events staged before an invalid one are committed: they go out
+  // under the same rule.
+  FlushIdleShards();
+  if (!valid.ok()) return valid;
   MaybeReoptimize();
   DrainEmissions();
   return Status::Ok();
@@ -942,6 +946,10 @@ void ShardedSession::SequencerLoop() {
       did_work = true;
       IngestReleased(event);
     }
+    // The merge is stuck, so the front has run out of input: idle shards
+    // get what is staged for them. Idle rounds check too, so a shard whose
+    // queue was busy when the input stopped gets its tail once it drains.
+    FlushIdleShards();
     // Broadcast only after draining until stuck: the frontier then bounds
     // every released timestamp, so it is a legal watermark.
     MaybeBroadcastFrontier();
@@ -985,7 +993,7 @@ void ShardedSession::IngestReleased(const Event& event) {
   }
   gate_.CommitEvent(event.time);
   control_->CountEvent(event.type);
-  StageEvent(event, config_.adaptive_batching ? IngestNow() : 0.0);
+  StageEvent(event);
   MaybeReoptimize();
   DrainEmissions();
 }

@@ -20,21 +20,23 @@
 //
 // Mechanics (batch-granular end to end):
 //  * Ingress: Push/PushBatch validate ordering once at the front, then
-//    stage each event into its shard's staging buffer; a buffer reaching
-//    the shard's batch threshold is handed to that shard's bounded SPSC
-//    ring (src/common/spsc_queue.h) as ONE batch message, so the per-event
-//    hot path is a hash plus an append — no queue traffic. The threshold is
-//    RunConfig::shard_batch_size, or — with RunConfig::adaptive_batching —
-//    a per-shard AdaptiveBatchController (src/stream/adaptive_batcher.h)
-//    that grows toward shard_batch_size while the shard's queue is
-//    deep/busy (burst: amortize messages) and shrinks toward 1 as arrival
-//    gaps open or the queue drains (lull: cut delivery latency), one
-//    decision per staged event, no timers or extra threads. Watermarks and
-//    Close flush all staging first (they are barriers), so results never
-//    depend on either batching mode. A full queue applies backpressure by
-//    spinning the caller; idle workers park on a condition variable with a
-//    timed wait. Consumed batch buffers are recycled back to the producer
-//    through a second SPSC ring, so steady-state ingest allocates nothing.
+//    stage each event into its shard's staging buffer, so the per-event hot
+//    path is a hash plus an append. A shard's staging goes to its bounded
+//    SPSC ring (src/common/spsc_queue.h) as ONE batch message when it
+//    reaches RunConfig::shard_batch_size, or when the front has run out of
+//    input (the end of Push/PushBatch, or of a sequencer merge round) and
+//    that shard's queue is empty. The rule decides per burst from what the
+//    stream does, with no clock, timer or knob: in a burst the worker is
+//    behind, its queue is busy and staging fills whole batches; in a lull
+//    the worker is idle and each event goes out as soon as it is pushed.
+//    Push checks only the shard it staged to (O(1) in the shard count);
+//    PushBatch and the sequencer check every shard.
+//    Watermarks, epochs, steals and Close flush all staging first (they are
+//    barriers), so results never depend on where batches are cut. A full
+//    queue applies backpressure by spinning the caller; idle workers park
+//    on a condition variable with a timed wait. Consumed batch buffers are
+//    recycled back to the producer through a second SPSC ring, so
+//    steady-state ingest allocates nothing.
 //  * Placement: events route to shards by group-by hash
 //    (src/stream/shard_router.h), balanced by work stealing (below), which
 //    is on by default at num_shards > 1. With no placement policy on
@@ -237,8 +239,8 @@ class ShardedSession {
   /// behind the last watermark; violations return kInvalidArgument naming
   /// the offending timestamp. After Close: kFailedPrecondition. A valid
   /// event is staged to the shard owning its group; the staging buffer is
-  /// enqueued when it reaches shard_batch_size (backpressure blocks here
-  /// when that shard's queue is full).
+  /// enqueued when it reaches shard_batch_size or when that shard's queue
+  /// is empty (backpressure blocks here when that shard's queue is full).
   Status Push(const Event& event);
 
   /// Ingests a time-ordered batch; stops at the first invalid event.
@@ -428,25 +430,23 @@ class ShardedSession {
   void PublishMapSize() HAMLET_REQUIRES(front_role_);
 
   /// Routes one event (hash, or override map + first-sight rule + window
-  /// update when a placement policy is on) and stages it. `now_seconds`
-  /// feeds the shard's adaptive batch controller; pass 0 when adaptive
-  /// batching is off (the value is ignored).
-  void StageEvent(const Event& event, double now_seconds)
-      HAMLET_REQUIRES(front_role_);
+  /// update when a placement policy is on) and stages it. Returns the shard
+  /// it was staged to.
+  Shard& StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
   /// The single-shard tail of StageEvent: append to `shard`'s staging
-  /// buffer and flush at the (adaptive) batch threshold.
-  void StageTo(Shard& shard, const Event& event, double now_seconds)
-      HAMLET_REQUIRES(front_role_);
+  /// buffer and flush at shard_batch_size.
+  void StageTo(Shard& shard, const Event& event) HAMLET_REQUIRES(front_role_);
   /// Hands the shard's staged events to its queue as one batch message.
   void FlushShard(Shard& shard) HAMLET_REQUIRES(front_role_);
   void FlushAllShards() HAMLET_REQUIRES(front_role_);
+  /// The out-of-input rule: flushes `shard`'s staging when its queue is
+  /// empty (the worker has taken every message).
+  void FlushIfIdle(Shard& shard) HAMLET_REQUIRES(front_role_);
+  void FlushIdleShards() HAMLET_REQUIRES(front_role_);
   /// Samples the sum of worker-published current footprints into
   /// mem_high_water_ (called every kMemSampleEveryFlushes staging flushes —
   /// cheap, amortized even at batch size 1).
   void SampleConcurrentMemory() HAMLET_REQUIRES(front_role_);
-  /// Reads the ingest clock (RunConfig::clock_override or the monotonic
-  /// clock) — only when adaptive batching needs it.
-  double IngestNow() const;
   /// Fills the merged metrics' ingress fields (batch histogram, queue
   /// depth, per-shard events, rebalanced keys, concurrent peak).
   void FillIngressMetrics(RunMetrics& merged) const;

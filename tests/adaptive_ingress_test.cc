@@ -1,21 +1,19 @@
 // Burst-adaptive shard ingress + skew-aware routing tests.
 //
 // Three layers, mirroring the feature's stack:
-//  * AdaptiveBatchController unit behavior under a synthetic clock — grow
-//    on queue depth, jump on deep occupancy, shrink on opening gaps, decay
-//    when drained, bounds always respected. The controller takes time as an
-//    argument, so these tests are fully deterministic.
-//  * End-to-end equivalence: for every EngineKind and shard count
-//    (1/2/4/8), a ShardedSession with adaptive batching (driven by a
-//    deliberately erratic fake clock) and one with skew-aware rebalancing
-//    (on a hot-key stream) emit exactly the batch Run() result — batch
-//    boundaries and key placement may change, WHAT is computed may not.
-//  * The new ingress metrics (batch-size histogram, max queue depth,
+//  * The staging rule: a shard gets its staged events when the batch fills
+//    or, once the front runs out of input, when its queue is empty — so an
+//    idle worker receives a pushed event without any barrier, and for every
+//    EngineKind and shard count (1/2/4/8) the sharded run emits exactly the
+//    batch Run() result: batch boundaries may move, WHAT is computed may
+//    not. Skew-aware rebalancing (on a hot-key stream) is held to the same
+//    equivalence.
+//  * Skew-aware placement units, read back through the session's router.
+//  * The ingress metrics (batch-size histogram, max queue depth,
 //    per-shard events, rebalanced keys) and the concurrent-peak-memory
 //    merge fix (sequential phases must not sum into a fictitious peak).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -29,7 +27,6 @@
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/sharded_session.h"
-#include "src/stream/adaptive_batcher.h"
 #include "src/stream/shard_router.h"
 
 namespace hamlet {
@@ -40,88 +37,6 @@ constexpr EngineKind kAllKinds[] = {
     EngineKind::kHamletNoShare, EngineKind::kGretaGraph,
     EngineKind::kGretaPrefix,   EngineKind::kTwoStep,
     EngineKind::kSharon};
-
-// ---------------------------------------------------------------------------
-// AdaptiveBatchController units (synthetic clock; no threads, no timers).
-// ---------------------------------------------------------------------------
-
-TEST(AdaptiveBatchControllerTest, StartsInHandOffPosture) {
-  AdaptiveBatchController c(/*max_batch=*/128);
-  EXPECT_EQ(c.target(), 1);
-  EXPECT_EQ(c.max_batch(), 128);
-}
-
-TEST(AdaptiveBatchControllerTest, GrowsWhileQueueBusyAndCapsAtMax) {
-  AdaptiveBatchController c(/*max_batch=*/64);
-  double t = 0.0;
-  // Steady arrivals with a non-empty queue: the worker is behind, so the
-  // target must ramp multiplicatively to the ceiling and stay there.
-  int last = c.target();
-  for (int i = 0; i < 20; ++i) {
-    t += 0.001;
-    int target = c.Observe(t, /*queue_depth=*/1, /*queue_capacity=*/1024);
-    EXPECT_GE(target, last);
-    EXPECT_LE(target, 64);
-    last = target;
-  }
-  EXPECT_EQ(last, 64);
-}
-
-TEST(AdaptiveBatchControllerTest, DeepQueueJumpsStraightToMax) {
-  AdaptiveBatchController c(/*max_batch=*/512);
-  // Occupancy >= kDeepOccupancy on the very first gap observation.
-  c.Observe(0.0, 0, 1024);
-  EXPECT_EQ(c.Observe(0.001, /*queue_depth=*/256, /*queue_capacity=*/1024),
-            512);
-}
-
-TEST(AdaptiveBatchControllerTest, ShrinksWhenArrivalGapOpens) {
-  AdaptiveBatchController c(/*max_batch=*/256);
-  double t = 0.0;
-  // Burst: establish a small EWMA gap and a maxed target.
-  for (int i = 0; i < 20; ++i) {
-    t += 0.0001;
-    c.Observe(t, 4, 1024);
-  }
-  ASSERT_EQ(c.target(), 256);
-  // Lull: queue drained, gaps far beyond the EWMA. Halving per event must
-  // walk the target back to hand-off.
-  int prev = c.target();
-  for (int i = 0; i < 12; ++i) {
-    t += 0.05;  // 500x the burst gap
-    int target = c.Observe(t, /*queue_depth=*/0, /*queue_capacity=*/1024);
-    EXPECT_LE(target, prev);
-    prev = target;
-  }
-  EXPECT_EQ(prev, 1);
-}
-
-TEST(AdaptiveBatchControllerTest, DrainedSteadyArrivalsDecayGently) {
-  AdaptiveBatchController c(/*max_batch=*/64);
-  double t = 0.0;
-  // 100 us cadence: fast enough that a drained queue is not a lull (below
-  // kLullGapSeconds, and steady relative to its own EWMA).
-  for (int i = 0; i < 12; ++i) {
-    t += 0.0001;
-    c.Observe(t, 2, 1024);
-  }
-  ASSERT_EQ(c.target(), 64);
-  // Same cadence, queue now drained: no lull gap, so only the gentle decay
-  // applies — down, but far slower than halving.
-  t += 0.0001;
-  const int after_one = c.Observe(t, 0, 1024);
-  EXPECT_LE(after_one, 64);
-  EXPECT_GT(after_one, 32);
-}
-
-TEST(AdaptiveBatchControllerTest, MaxBatchOneIsAlwaysHandOff) {
-  AdaptiveBatchController c(/*max_batch=*/1);
-  double t = 0.0;
-  for (int i = 0; i < 10; ++i) {
-    t += 0.001;
-    EXPECT_EQ(c.Observe(t, 512, 1024), 1);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Skew-aware placement units, read back through ShardedSession::router().
@@ -243,7 +158,7 @@ struct ShardedResult {
 
 // Pushes `ev` through a ShardedSession in mixed granularity with occasional
 // interleaved watermarks and a trailing one, then Close. `config` arrives
-// fully prepared (shard count, batching mode, rebalance threshold, clock).
+// fully prepared (shard count, batch size, rebalance threshold).
 ShardedResult RunSharded(const WorkloadPlan& plan, const RunConfig& config,
                          const EventVector& ev, uint64_t chunk_seed) {
   CollectingSink sink;
@@ -284,25 +199,10 @@ EventVector RidesharingStream(uint64_t seed, int num_groups) {
   return MakeGenerator("ridesharing")->Generate(gen);
 }
 
-/// A deliberately erratic fake clock: mostly tight 100 us steps with a long
-/// 50 ms "lull" gap every 97th read. The call counter is shared and atomic
-/// — the RunConfig (and its clock) is copied into every per-shard Session,
-/// whose worker threads read the clock concurrently with the front — and
-/// the timestamp is a pure function of the counter, so every reader sees a
-/// monotonic timeline. Exercises the controller's grow, shrink and decay
-/// paths inside a real session.
-std::function<double()> ErraticClock() {
-  auto calls = std::make_shared<std::atomic<int64_t>>(0);
-  return [calls] {
-    const int64_t n = calls->fetch_add(1, std::memory_order_relaxed) + 1;
-    return 0.0001 * static_cast<double>(n) +
-           0.05 * static_cast<double>(n / 97);
-  };
-}
-
-// The acceptance property: adaptive batching changes only WHERE batch
+// The acceptance property: the staging rule changes only WHERE batch
 // boundaries fall, never what is computed — for every engine and shard
-// count, against both the batch Run() reference and the fixed-batch run.
+// count, against the batch Run() reference, at a small batch (full batches
+// are common) and at the default one (idle flushes cut most batches).
 TEST(AdaptiveIngressEquivalence, AllEnginesAllShardCounts) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
@@ -315,26 +215,81 @@ TEST(AdaptiveIngressEquivalence, AllEnginesAllShardCounts) {
     ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
     ASSERT_GT(batch.emissions.size(), 0u) << EngineKindName(kind);
     for (int shards : {1, 2, 4, 8}) {
-      RunConfig fixed = config;
-      fixed.num_shards = shards;
-      fixed.shard_batch_size = 32;
-      RunConfig adaptive = fixed;
-      adaptive.adaptive_batching = true;
-      adaptive.clock_override = ErraticClock();
-      const std::string label = std::string(EngineKindName(kind)) + "/N=" +
-                                std::to_string(shards);
-      ShardedResult fixed_run = RunSharded(*bw.plan, fixed, ev, 7);
-      ShardedResult adaptive_run = RunSharded(*bw.plan, adaptive, ev, 7);
-      ExpectSameEmissionSet(batch.emissions, fixed_run.emissions,
-                            label + "/fixed");
-      ExpectSameEmissionSet(batch.emissions, adaptive_run.emissions,
-                            label + "/adaptive");
-      EXPECT_EQ(fixed_run.metrics.events, adaptive_run.metrics.events)
-          << label;
-      EXPECT_EQ(fixed_run.metrics.emissions, adaptive_run.metrics.emissions)
-          << label;
+      for (int batch_size : {32, RunConfig().shard_batch_size}) {
+        RunConfig sharded = config;
+        sharded.num_shards = shards;
+        sharded.shard_batch_size = batch_size;
+        const std::string label = std::string(EngineKindName(kind)) +
+                                  "/N=" + std::to_string(shards) +
+                                  "/B=" + std::to_string(batch_size);
+        ShardedResult run = RunSharded(*bw.plan, sharded, ev, 7);
+        ExpectSameEmissionSet(batch.emissions, run.emissions, label);
+        EXPECT_EQ(batch.metrics.events, run.metrics.events) << label;
+      }
     }
   }
+}
+
+// A lull: the workers are drained and one more event is pushed. Its shard's
+// queue is empty, so Push hands it over at once — no further push, batch
+// fill or watermark is needed for it to reach the worker.
+TEST(AdaptiveIngressTest, StagedEventReachesIdleWorkerWithoutBarrier) {
+  Schema schema;
+  schema.AddAttr("v");
+  schema.AddAttr("g");
+  Workload workload(&schema);
+  ASSERT_TRUE(workload
+                  .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
+                                  "GROUPBY g WITHIN 100 ms")
+                           .value())
+                  .ok());
+  WorkloadPlan plan = AnalyzeWorkload(workload).value();
+  const TypeId type_a = schema.FindType("A");
+  const TypeId type_b = schema.FindType("B");
+  // One group per shard, so the watermark below closes a window — and so
+  // leaves an emission to wait for — on both.
+  const ShardRouter router = ShardedSession::RouterFor(plan, 2).value();
+  std::vector<int64_t> groups;
+  for (int64_t g = 0; groups.size() < 2; ++g) {
+    if (router.ShardOfKey(g) == groups.size()) groups.push_back(g);
+  }
+  auto event = [&](Timestamp t, TypeId type, int64_t group) {
+    Event e(t, type);
+    e.set_attr(0, 1.0);
+    e.set_attr(1, static_cast<double>(group));
+    return e;
+  };
+  RunConfig config;
+  config.num_shards = 2;
+  CollectingSink sink;
+  Result<std::unique_ptr<ShardedSession>> opened =
+      ShardedSession::Open(plan, config, &sink);
+  ASSERT_TRUE(opened.ok());
+  ShardedSession& session = *opened.value();
+  auto wait_for = [&](const std::function<bool(const RunMetrics&)>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done(session.MetricsSnapshot())) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  Timestamp t = 1;
+  for (int64_t g : groups) {
+    ASSERT_TRUE(session.Push(event(t++, type_a, g)).ok());
+    ASSERT_TRUE(session.Push(event(t++, type_b, g)).ok());
+  }
+  // Each shard processes its events, then the watermark, which closes its
+  // group's window: once both emissions are counted, both queues are empty.
+  ASSERT_TRUE(session.AdvanceTo(100).ok());
+  ASSERT_TRUE(wait_for([](const RunMetrics& m) {
+    return m.events == 4 && m.emissions == 2;
+  })) << "the workers never drained";
+  ASSERT_TRUE(session.Push(event(150, type_b, groups[1])).ok());
+  EXPECT_TRUE(wait_for([](const RunMetrics& m) { return m.events == 5; }))
+      << "an event pushed to an idle shard stayed in staging";
+  ASSERT_TRUE(session.Close().ok());
 }
 
 // Same property for skew-aware routing on a hot-key stream: rebalancing

@@ -11,6 +11,7 @@
 
 #include "src/greta/greta_engine.h"
 #include "src/hamlet/batch_eval.h"
+#include "src/hamlet/hamlet_engine.h"
 #include "src/optimizer/policies.h"
 #include "src/query/parser.h"
 #include "src/stream/stream_builder.h"
@@ -203,6 +204,28 @@ TEST_F(ComplexityFixture, SoloEdgeQueryStateGrowsByOneCompactRowPerEvent) {
   const int64_t growth = memory(2000) - memory(1000);
   EXPECT_GT(growth, 0);
   EXPECT_LE(growth, 128 * 1000);
+}
+
+TEST_F(ComplexityFixture, ClosedContextSlotsAreReused) {
+  // One engine opens and closes a one-pane window per pane, 100k times. A
+  // closed window's slot is reused once the horizon passed it, so the
+  // context table stays as small as the windows one horizon holds.
+  WorkloadPlan plan = Plan({"RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10 ms"});
+  const TypeId a = schema_.FindType("A");
+  const TypeId b = schema_.FindType("B");
+  NeverSharePolicy never;
+  HamletEngine engine(plan, QuerySet::FirstN(1), &never);
+  constexpr Timestamp kPane = 10;
+  for (Timestamp start = 0; start < 100'000 * kPane; start += kPane) {
+    engine.OnPaneStart(start);
+    const ContextId ctx = engine.OpenContext(0, start, start + kPane);
+    engine.OnEvent(Event(start, a));
+    engine.OnEvent(Event(start + 1, b));
+    engine.OnEvent(Event(start + 2, b));
+    engine.OnPaneEnd();
+    ASSERT_EQ(engine.CloseContext(ctx).value, 3.0) << "window at " << start;
+  }
+  EXPECT_LE(engine.context_slots(), 4u);
 }
 
 TEST_F(ComplexityFixture, SnapshotCountTracksBurstsNotEvents) {

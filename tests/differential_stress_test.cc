@@ -2,7 +2,7 @@
 // seeded random sample of runtime configurations — engine kind x shard
 // count x ingest mode (session-level batches of varying size, optionally
 // with query churn, or 1/2/4 concurrent producers, optionally with
-// mid-stream producer churn) x staging batch size x adaptive batching x
+// mid-stream producer churn) x staging batch size x
 // work stealing (with or without idle-group eviction) x skew-aware
 // first-sight placement x queue capacity — asserting the emission set is
 // bit-identical to the single-threaded reference every time: the batch
@@ -49,7 +49,6 @@ struct StressConfig {
   int push_batch = 16;
   int shard_batch = 128;
   int queue_capacity = 8192;
-  bool adaptive = false;
   bool stealing = false;
   bool evict = false;  // evict_idle_groups, sampled only with stealing
   int64_t rebalance_threshold = 0;
@@ -63,7 +62,6 @@ struct StressConfig {
     s += "/push=" + std::to_string(push_batch);
     s += "/stage=" + std::to_string(shard_batch);
     s += "/q=" + std::to_string(queue_capacity);
-    if (adaptive) s += "/adaptive";
     if (stealing) s += "/steal";
     if (evict) s += "/evict";
     if (rebalance_threshold > 0) {
@@ -87,7 +85,6 @@ StressConfig SampleConfig(Rng& rng) {
   c.shard_batch = stage_choices[rng.NextBelow(3)];
   const int queue_choices[] = {64, 8192};
   c.queue_capacity = queue_choices[rng.NextBelow(2)];
-  c.adaptive = rng.NextBelow(2) == 1;
   c.stealing = rng.NextBelow(2) == 1;
   c.rebalance_threshold = rng.NextBelow(2) == 1 ? 4 : 0;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
@@ -236,7 +233,6 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     config.num_shards = sc.shards;
     config.shard_batch_size = sc.shard_batch;
     config.shard_queue_capacity = sc.queue_capacity;
-    config.adaptive_batching = sc.adaptive;
     config.work_stealing = sc.stealing;
     config.evict_idle_groups = sc.evict;
     config.shard_rebalance_threshold = sc.rebalance_threshold;

@@ -479,9 +479,9 @@ TEST(CompositionEviction, DeadBranchesEvictedAndMemoryBounded) {
 // An event only resets the emission-latency clock of windows it can
 // contribute to. Here C is relevant to the second query only: pushing it
 // late must not mask how long the first query's result actually waited.
-// Time comes from RunConfig::clock_override (the same hook the adaptive
-// batch controller's tests use), so the asserted wait is exact and immune
-// to sanitizer/CI scheduling jitter — the sleep-based original flaked.
+// Time comes from RunConfig::clock_override, so the asserted wait is exact
+// and immune to sanitizer/CI scheduling jitter — the sleep-based original
+// flaked.
 TEST(LatencyAttribution, IrrelevantEventsDoNotResetArrivalClock) {
   Schema schema;
   schema.AddAttr("v");
