@@ -6,18 +6,22 @@
 // itself a PushBatch, so any gap is pure per-call overhead (Status checks,
 // busy-time sampling).
 //
-// Part 2 — scaling: the same stream through ShardedSession at 1/2/4/8
-// shards (capped by --threads=N) on a multi-group workload, two ingress
+// Part 2 — scaling: the same stream through a Session at 1/2/4/8 shards
+// (capped by --threads=N) on a multi-group workload, two ingress
 // granularities per shard count, all through session-level PushBatch:
 //  * hand-off: shard_batch_size=1, one queue message per event — the
 //    pre-batching baseline the batched path must beat;
 //  * batched: the default staging rule — at most shard_batch_size events
 //    per message, fewer when a shard's queue is empty at the end of a
 //    PushBatch call.
-// Reported as end-to-end wall-clock events/s (first push to Close-join
-// inclusive), since summed per-shard busy-time throughput would hide
-// queueing effects. Expect near-linear speedup up to the machine's core
-// count; beyond it the extra shards only add hand-off overhead.
+// The 1-shard row measures the inline front: its one engine runs on the
+// calling thread with no queue or staging, so its two columns run the same
+// path and the speedups are against it. Reported as end-to-end wall-clock
+// events/s (first push to Close-join inclusive), since summed per-shard
+// busy-time throughput would hide queueing effects; each cell is the
+// median of 5 replays with its interquartile range. Expect near-linear
+// speedup up to the machine's core count; beyond it the extra shards only
+// add hand-off overhead.
 //
 // Part 2b — run propagation: the bursty preset with one group and with four
 // interleaved groups through one Session in 512-row batches, with the mean
@@ -111,13 +115,13 @@ double WallEps(size_t events,
   return wall <= 0 ? 0 : static_cast<double>(events) / wall;
 }
 
-/// Wall-clock events/s through a ShardedSession: pre-materialized stream,
+/// Wall-clock events/s through a Session: pre-materialized stream,
 /// PushBatch(512) chunks, timed from first push through Close (join
 /// included), so queue hand-off and imbalance count against the number.
 double ShardedWallEps(const WorkloadPlan& plan, const RunConfig& config,
                       const EventVector& events) {
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, /*sink=*/nullptr);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, /*sink=*/nullptr);
   HAMLET_CHECK(session.ok());
   constexpr size_t kChunk = 512;
   const auto start = std::chrono::steady_clock::now();
@@ -154,40 +158,67 @@ void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
                      table);
 }
 
+/// Median and interquartile range of a cell's replays.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+/// Replays `events` kReps times through ShardedWallEps. A 10-40 ms replay
+/// scatters run to run on a shared host, so a cell is the median of five
+/// with the spread of the middle half (quartiles by the nearest-rank rule).
+Spread ShardedWallSpread(const WorkloadPlan& plan, const RunConfig& config,
+                         const EventVector& events) {
+  constexpr int kReps = 5;
+  std::vector<double> eps;
+  for (int rep = 0; rep < kReps; ++rep) {
+    eps.push_back(ShardedWallEps(plan, config, events));
+  }
+  std::sort(eps.begin(), eps.end());
+  return {eps[kReps / 2], eps[(3 * kReps) / 4] - eps[kReps / 4]};
+}
+
 void RunScaling(const BenchWorkload& bw, const EventVector& events,
                 int max_shards, bool json) {
-  Table table({"shards", "hand-off eps", "batched eps", "speedup vs 1"});
+  Table table({"shards", "hand-off eps (IQR)", "batched eps (IQR)",
+               "speedup vs 1"});
   std::string json_rows;
   double base = 0;
   for (int shards = 1; shards <= max_shards; shards *= 2) {
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
-    // Per-event hand-off baseline: one queue message per event.
+    // Per-event hand-off baseline: one queue message per event. At one
+    // shard there is no hand-off: both columns run the engine inline.
     RunConfig handoff_config = config;
     handoff_config.shard_batch_size = 1;
-    const double handoff = ShardedWallEps(*bw.plan, handoff_config, events);
-    const double batched = ShardedWallEps(*bw.plan, config, events);
-    if (shards == 1) base = batched;
-    char speedup[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  base <= 0 ? 0.0 : batched / base);
-    table.AddRow({std::to_string(shards), bench::Eps(handoff),
-                  bench::Eps(batched), speedup});
+    const Spread handoff = ShardedWallSpread(*bw.plan, handoff_config, events);
+    const Spread batched = ShardedWallSpread(*bw.plan, config, events);
+    if (shards == 1) base = batched.median;
+    const double speedup = base <= 0 ? 0.0 : batched.median / base;
+    char speedup_str[32];
+    std::snprintf(speedup_str, sizeof(speedup_str), "%.2fx", speedup);
+    table.AddRow({std::to_string(shards),
+                  bench::Eps(handoff.median) + " (" + bench::Eps(handoff.iqr) +
+                      ")",
+                  bench::Eps(batched.median) + " (" + bench::Eps(batched.iqr) +
+                      ")",
+                  speedup_str});
     if (json) {
       char row[320];
       std::snprintf(row, sizeof(row),
                     "%s{\"shards\":%d,\"handoff_eps\":%.1f,"
-                    "\"batched_eps\":%.1f,\"speedup_batched\":%.3f}",
-                    json_rows.empty() ? "" : ",", shards, handoff, batched,
-                    base <= 0 ? 0.0 : batched / base);
+                    "\"handoff_eps_iqr\":%.1f,\"batched_eps\":%.1f,"
+                    "\"batched_eps_iqr\":%.1f,\"speedup_batched\":%.3f}",
+                    json_rows.empty() ? "" : ",", shards, handoff.median,
+                    handoff.iqr, batched.median, batched.iqr, speedup);
       json_rows += row;
     }
   }
   bench::PrintFigure(
       "Shard scaling",
-      "ShardedSession wall-clock throughput by ingress granularity, "
-      "hamlet dynamic, multi-group",
+      "Session wall-clock throughput by ingress granularity, median of 5 "
+      "replays (IQR), hamlet dynamic, multi-group; 1 shard runs inline",
       table);
   if (json) {
     std::printf(
@@ -332,8 +363,8 @@ struct BurstyNumbers {
 /// long its tail needs to reach the shard workers. See file comment.
 BurstyNumbers RunBurstyOnce(const WorkloadPlan& plan, const RunConfig& config,
                             const EventVector& events) {
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, /*sink=*/nullptr);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, /*sink=*/nullptr);
   HAMLET_CHECK(session.ok());
   constexpr size_t kBurstLen = 4096;
   constexpr size_t kLullLen = 16;
@@ -476,8 +507,8 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
     config.work_stealing = policy.stealing;
     std::vector<std::pair<double, RunMetrics>> reps;
     for (int rep = 0; rep < kReps; ++rep) {
-      Result<std::unique_ptr<ShardedSession>> session =
-          ShardedSession::Open(*bw.plan, config, /*sink=*/nullptr);
+      Result<std::unique_ptr<Session>> session =
+          Session::Open(*bw.plan, config, /*sink=*/nullptr);
       HAMLET_CHECK(session.ok());
       constexpr size_t kChunk = 512;
       const auto start = std::chrono::steady_clock::now();
@@ -551,10 +582,10 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
 double MultiProducerWallEps(const WorkloadPlan& plan, const RunConfig& config,
                             const EventVector& events, int producers,
                             RunMetrics* metrics_out) {
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, /*sink=*/nullptr);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, /*sink=*/nullptr);
   HAMLET_CHECK(session.ok());
-  std::vector<std::unique_ptr<ShardedSession::Producer>> handles;
+  std::vector<std::unique_ptr<Session::Producer>> handles;
   for (int p = 0; p < producers; ++p) {
     handles.push_back(session.value()->AddProducer().value());
   }
@@ -565,7 +596,7 @@ double MultiProducerWallEps(const WorkloadPlan& plan, const RunConfig& config,
       constexpr size_t kChunk = 512;
       EventVector chunk;
       chunk.reserve(kChunk);
-      ShardedSession::Producer& handle = *handles[static_cast<size_t>(p)];
+      Session::Producer& handle = *handles[static_cast<size_t>(p)];
       for (size_t i = static_cast<size_t>(p); i < events.size();
            i += static_cast<size_t>(producers)) {
         chunk.push_back(events[i]);

@@ -1,12 +1,12 @@
 // Live dashboard: push-based ingestion with incremental result delivery,
 // running sharded across worker threads.
 //
-// Streams a bursty ridesharing feed through a hamlet::ShardedSession one
-// event at a time — the shape of a production ingest loop — and prints
+// Streams a bursty ridesharing feed through a hamlet::Session one event
+// at a time — the shape of a production ingest loop — and prints
 // every query result shortly after its window closes (no end-of-run
 // buffering), plus a periodic status line with the dynamic optimizer's
-// per-burst sharing decisions. The CallbackSink below is the same
-// single-threaded sink a plain Session would use: the shards buffer their
+// per-burst sharing decisions. The CallbackSink below is a plain
+// single-threaded sink at every shard count: the shards buffer their
 // emissions and the session fans them in to the sink on THIS thread during
 // Push/AdvanceTo/Close, so the sink needs no locking and may even use
 // thread-locals. Delivery granularity follows the ingress batch: a shard
@@ -28,7 +28,7 @@
 
 #include "src/benchlib/harness.h"
 #include "src/query/parser.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 #include "src/stream/generators.h"
 
 int main(int argc, char** argv) {
@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
   config.num_shards = num_shards;  // validated at Open like every knob
   config.shard_batch_size = 16;    // largest batch a busy shard is handed
   config.reoptimize_every_panes = 2;  // review the plan every 20 s pane pair
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan, config, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(*plan, config, &sink);
   HAMLET_CHECK(session.ok());
   std::printf("running on %d shard(s)\n", session.value()->num_shards());
 

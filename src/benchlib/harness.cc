@@ -56,43 +56,27 @@ bool JsonFlag(int argc, char** argv) {
   return false;
 }
 
-namespace {
-
-/// Session and ShardedSession share the push surface but no base class;
-/// the drain loop is identical for both. Small fixed-size batches amortize
-/// the per-call timing overhead while keeping ingest memory constant.
-template <typename SessionT>
-RunMetrics DrainCursor(EventCursor& cursor, SessionT& session) {
+RunMetrics RunOnce(const BenchWorkload& bw, const GeneratorConfig& gen_config,
+                   RunConfig run_config) {
+  std::unique_ptr<EventCursor> cursor = bw.generator->Stream(gen_config);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(*bw.plan, run_config, /*sink=*/nullptr);
+  HAMLET_CHECK(session.ok());
+  // Small fixed-size batches amortize the per-call timing overhead while
+  // keeping ingest memory constant.
   constexpr size_t kBatch = 512;
   EventVector batch;
   batch.reserve(kBatch);
   Event e;
-  while (cursor.Next(&e)) {
+  while (cursor->Next(&e)) {
     batch.push_back(e);
     if (batch.size() == kBatch) {
-      HAMLET_CHECK(session.PushBatch(batch).ok());
+      HAMLET_CHECK(session.value()->PushBatch(batch).ok());
       batch.clear();
     }
   }
-  HAMLET_CHECK(session.PushBatch(batch).ok());
-  return session.Close().value();
-}
-
-}  // namespace
-
-RunMetrics RunOnce(const BenchWorkload& bw, const GeneratorConfig& gen_config,
-                   RunConfig run_config) {
-  std::unique_ptr<EventCursor> cursor = bw.generator->Stream(gen_config);
-  if (run_config.num_shards > 1) {
-    Result<std::unique_ptr<ShardedSession>> session =
-        ShardedSession::Open(*bw.plan, run_config, /*sink=*/nullptr);
-    HAMLET_CHECK(session.ok());
-    return DrainCursor(*cursor, *session.value());
-  }
-  Result<std::unique_ptr<Session>> session =
-      Session::Open(*bw.plan, run_config, /*sink=*/nullptr);
-  HAMLET_CHECK(session.ok());
-  return DrainCursor(*cursor, *session.value());
+  HAMLET_CHECK(session.value()->PushBatch(batch).ok());
+  return session.value()->Close().value();
 }
 
 void PrintFigure(const std::string& figure, const std::string& caption,

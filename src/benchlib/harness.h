@@ -15,7 +15,6 @@
 #include "src/benchlib/workloads.h"
 #include "src/common/table.h"
 #include "src/runtime/session.h"
-#include "src/runtime/sharded_session.h"
 
 namespace hamlet {
 namespace bench {
@@ -33,7 +32,7 @@ int ThreadsFlag(int argc, char** argv, int fallback = 1);
 
 /// Parses `--producers=N` (or `--producers N`) from argv; returns
 /// `fallback` when absent. Benches with a concurrent-ingest figure drive
-/// that many Producer handles (ShardedSession::AddProducer) in parallel;
+/// that many Producer handles (Session::AddProducer) in parallel;
 /// 0 disables the figure.
 int ProducersFlag(int argc, char** argv, int fallback = 0);
 
@@ -45,8 +44,7 @@ bool JsonFlag(int argc, char** argv);
 /// Streams the generator through a push session (no sink, no O(stream)
 /// input buffer — paper-scale rates fit in O(rate) memory) and returns the
 /// run's metrics. peak_memory_bytes therefore charges engine state only,
-/// never an input buffer. Runs a ShardedSession when
-/// run_config.num_shards > 1, a plain Session otherwise.
+/// never an input buffer, at run_config.num_shards shards.
 RunMetrics RunOnce(const BenchWorkload& bw, const GeneratorConfig& gen_config,
                    RunConfig run_config);
 

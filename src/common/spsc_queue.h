@@ -1,6 +1,6 @@
 // Bounded single-producer / single-consumer ring queue.
 //
-// The ShardedSession ingress path (src/runtime/sharded_session.h) moves one
+// The sharded Session ingress path (src/runtime/session.h) moves one
 // batch message per staging flush from the caller thread to a shard worker;
 // this queue keeps that hand-off wait-free in the common case: one release store per
 // TryPush, one release store per TryPop, no locks, no allocation after
@@ -106,7 +106,7 @@ class SpscQueue {
 
   /// Number of occupied slots at some recent instant. Exact from the
   /// producer thread between its own pushes (the consumer can only have
-  /// drained more): ShardedSession's front reads 0 as "the worker has taken
+  /// drained more): the Session front reads 0 as "the worker has taken
   /// every message" and hands it the staged events.
   size_t ApproxSize() const {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);

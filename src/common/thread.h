@@ -3,7 +3,7 @@
 // Runtime code outside src/common/ must use hamlet::Thread instead of raw
 // std::thread (enforced by tools/lint/). Centralizing thread creation keeps
 // the concurrency surface enumerable: every thread in the system is either
-// a ShardedSession worker, the MpscIngestHub sequencer, or a test/bench
+// a Session shard worker, the MpscIngestHub sequencer, or a test/bench
 // driver — and each one's role shows up in the thread-safety capability map
 // (see docs/STATIC_ANALYSIS.md).
 //

@@ -98,9 +98,8 @@ struct ReoptDecision {
 };
 
 /// See file comment. Single-threaded; owned by a session's one control
-/// plane (src/runtime/control_plane.h): a plain Session's or a
-/// ShardedSession front's, never a shard's, so every shard runs the plan it
-/// decides.
+/// plane (src/runtime/control_plane.h), on the Session front, never a
+/// shard's, so every shard runs the plan it decides.
 class OnlineReoptimizer {
  public:
   /// Binds to a (re)compiled plan. `potential_groups` are the UNRESTRICTED
@@ -127,7 +126,7 @@ class OnlineReoptimizer {
                 const BurstStatsCollector& collector);
 
   const std::vector<ReoptDecision>& log() const { return log_; }
-  /// Safe to read from any thread: ShardedSession::MetricsSnapshot reports
+  /// Safe to read from any thread: Session::MetricsSnapshot reports
   /// these counters from monitor threads while the front is mid-check.
   int64_t checks() const { return checks_.load(std::memory_order_relaxed); }
   int64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }

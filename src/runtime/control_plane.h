@@ -1,14 +1,14 @@
 // The control plane of a session: the one place that decides which plan
 // runs.
 //
-// A plain Session owns one, and so does a ShardedSession's front; shard
-// sessions own none. It holds the query lifecycle (query_lifecycle.h), the
-// union of the group-by attributes of every epoch it compiled, the online
-// re-optimizer with its statistics collector and its pane cadence
-// (online_optimizer.h), and the op counters. Every query add and removal,
+// A Session's front owns one; its shard engines own none. It holds the
+// query lifecycle (query_lifecycle.h), the union of the group-by
+// attributes of every epoch it compiled, the online re-optimizer with its
+// statistics collector and its pane cadence (online_optimizer.h), and the
+// op counters. Every query add and removal,
 // plan swap and drained-query drop is compiled here exactly once, into an
-// immutable epoch; the owner schedules that epoch at its pane boundary, a
-// plain session on its runtime and a front on every shard in one message.
+// immutable epoch; the front schedules that epoch at its pane boundary, on
+// its inline engine or on every shard in one message.
 //
 // It reads stream time from the owner's OrderingGate. An op activates at
 // the first pane boundary after everything the gate has seen (at once
@@ -115,7 +115,7 @@ class ControlPlane {
   /// The pane the cadence counts from; unset until the first pane seen
   /// after a rebind.
   std::optional<Timestamp> reopt_anchor_;
-  /// Atomic so a ShardedSession monitor thread may read them mid-op.
+  /// Atomic so a monitor thread's MetricsSnapshot may read them mid-op.
   std::atomic<int64_t> queries_added_{0};
   std::atomic<int64_t> queries_removed_{0};
   std::atomic<int64_t> plan_swaps_{0};

@@ -26,7 +26,7 @@
 // bit-identically for all engines).
 //
 // One lifecycle per session, owned by its control plane (control_plane.h):
-// a plain Session's, or a ShardedSession front's, never a shard's. Each op
+// a Session front's, never a shard's. Each op
 // validates, applies and compiles in one call, and a rejected op leaves
 // the lifecycle as it was. The compiled epoch is immutable, so the front
 // hands the same one to every shard.

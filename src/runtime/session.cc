@@ -1,17 +1,22 @@
 #include "src/runtime/session.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <optional>
+#include <string>
+#include <thread>  // std::this_thread only; threads spawn via common/thread.h
 #include <tuple>
 #include <utility>
 
-#include "src/query/run_segmenter.h"
+#include "src/common/spsc_queue.h"
 #include "src/runtime/control_plane.h"
+#include "src/runtime/shard_engine.h"
 
 namespace hamlet {
 
@@ -25,38 +30,6 @@ double ClockNow(const std::function<double()>& override_fn) {
   return override_fn ? override_fn() : MonotonicSeconds();
 }
 
-namespace {
-
-/// RAII accumulator for the session's busy-time metric.
-class BusyScope {
- public:
-  BusyScope(double* total, const std::function<double()>& clock)
-      : total_(total), clock_(clock), start_(ClockNow(clock)) {}
-  ~BusyScope() { *total_ += ClockNow(clock_) - start_; }
-
-  double start() const { return start_; }
-
- private:
-  double* total_;
-  const std::function<double()>& clock_;
-  double start_;
-};
-
-void AddStats(HamletStats& into, const HamletStats& s) {
-  into.events += s.events;
-  into.bursts_total += s.bursts_total;
-  into.bursts_shared += s.bursts_shared;
-  into.graphlets_opened += s.graphlets_opened;
-  into.graphlets_shared += s.graphlets_shared;
-  into.snapshots_created += s.snapshots_created;
-  into.event_snapshots += s.event_snapshots;
-  into.divergent_events += s.divergent_events;
-  into.splits += s.splits;
-  into.merges += s.merges;
-  into.ops += s.ops;
-}
-
-}  // namespace
 
 const char* EngineKindName(EngineKind kind) {
   switch (kind) {
@@ -137,12 +110,12 @@ Status ValidateRunConfig(const RunConfig& config) {
   //   requires reoptimize_threshold > 0 and a HAMLET kind with a sharing
   //   plan the optimizer can act on (dynamic or static — no-share and the
   //   baselines have no share groups to re-plan, so reopt is Unsupported).
-  //   Re-optimization IS supported at any shard count (the ShardedSession
-  //   front's control plane decides and hands each swap to every shard).
+  //   Re-optimization IS supported at any shard count (the front's control
+  //   plane decides and hands each swap to every shard).
   // reoptimize_threshold: checked even while reopt is off, so flipping
   //   reoptimize_every_panes on later can never trip a latent bad value.
-  // evict_idle_groups: engine-agnostic, no cross-checks; on a sharded
-  //   session it also enables router-map draining of placed and stolen
+  // evict_idle_groups: engine-agnostic, no cross-checks; on the front it
+  //   also enables router-map draining of placed and stolen
   //   keys (RunMetrics::rebalance_map_size).
   // work_stealing: requires steal_imbalance_ratio > 1.0 (checked even
   //   while off, mirroring reoptimize_threshold). Combines with every
@@ -265,7 +238,7 @@ void MergeRunMetrics(RunMetrics& into, const RunMetrics& from) {
           : static_cast<double>(into.events) / into.elapsed_seconds;
   // Shards peak at different times: summing per-shard peaks overstates the
   // concurrent footprint the same way summing rates overstated throughput.
-  // The max is the always-true lower bound; ShardedSession raises it with a
+  // The max is the always-true lower bound; the front raises it with a
   // sampled concurrent high-water mark over the sum of live footprints.
   into.peak_memory_bytes =
       std::max(into.peak_memory_bytes, from.peak_memory_bytes);
@@ -293,9 +266,9 @@ void MergeRunMetrics(RunMetrics& into, const RunMetrics& from) {
   into.shard_events.insert(into.shard_events.end(), from.shard_events.begin(),
                            from.shard_events.end());
   // Control-plane counters are counted once, by the one control plane: a
-  // shard reports 0, and the ShardedSession front fills them in after the
-  // merge. Idle-group evictions are genuine per-shard state and sum like
-  // the other per-shard counters.
+  // shard reports 0, and the front fills them in after the merge.
+  // Idle-group evictions are genuine per-shard state and sum like the
+  // other per-shard counters.
   into.rebalance_map_size =
       std::max(into.rebalance_map_size, from.rebalance_map_size);
   into.queries_added += from.queries_added;
@@ -331,887 +304,1120 @@ void CsvSink::OnEmission(const Emission& emission) {
   ++rows_written_;
 }
 
-/// A compiled plan generation plus what derives from it alone, immutable
-/// once built. The session's runtime runs one; a per-window engine slot
-/// keeps the one it was opened under alive across hand-offs.
-struct Session::PlanEpoch {
-  QueryLifecycle::Epoch compiled;
-  const WorkloadPlan* plan = nullptr;
-  /// Per exec query: which event types its pattern mentions. Drives latency
-  /// attribution — only events a query can react to stamp its windows'
-  /// arrival clocks.
-  std::vector<std::vector<bool>> exec_type_masks;
-  /// A component's exec queries with one window spec: two-step and SHARON
-  /// run one engine per (cohort, window instance).
-  struct Cohort {
-    WindowSpec spec;
-    QuerySet members;
-    /// Union of the members' exec type masks.
-    std::vector<bool> type_mask;
+namespace {
+
+/// One steal's runner hand-off: the victim fills it when it reaches the
+/// detach, the thief blocks at the attach until it is full. The thief is
+/// the idlest shard by construction, so it is where waiting is cheap; the
+/// front never waits (see ExecuteSteal).
+struct StealCell {
+  Mutex mu;
+  CondVar filled_cv;
+  bool filled HAMLET_GUARDED_BY(mu) = false;
+  ShardEngine::DetachedGroup moved HAMLET_GUARDED_BY(mu);
+};
+
+/// One ingress-queue entry: a batch of events, a watermark, a plan epoch,
+/// a steal, or the stop signal. Batch-granular hand-off is the point — one
+/// queue slot (and one wake-up check) per RunConfig::shard_batch_size
+/// events instead of per event.
+struct ShardMsg {
+  enum class Kind : uint8_t {
+    kBatch,
+    kWatermark,
+    kStop,
+    kEpoch,
+    kStealDetach,
+    kStealAttach
   };
-  std::vector<Cohort> cohorts;
-
-  /// Whether exec query `exec` opens the window starting at `ws`.
-  bool Opens(int exec, Timestamp ws) const {
-    const QueryId source = plan->exec_queries[static_cast<size_t>(exec)].source;
-    return compiled->bounds[static_cast<size_t>(source)].Contains(ws);
-  }
-  /// The lifecycle's stable id of `exec`'s query.
-  int64_t QueryIdOf(int exec) const {
-    const QueryId source = plan->exec_queries[static_cast<size_t>(exec)].source;
-    return compiled->query_ids[static_cast<size_t>(source)];
-  }
+  Kind kind = Kind::kBatch;
+  EventVector batch;
+  Timestamp watermark = 0;
+  /// kEpoch: the front's control plane compiled it once; every shard runs
+  /// the same immutable epoch from `boundary` on.
+  QueryLifecycle::Epoch epoch;
+  /// The pane boundary of an epoch hand-off or of a steal. The front picks
+  /// it — its gate has seen every event — so all shards act on the
+  /// identical boundary regardless of what subset of the stream each saw.
+  Timestamp boundary = 0;
+  /// Steal payload (kStealDetach/kStealAttach): the key's runners move
+  /// from the victim to the thief through the steal's one hand-off cell,
+  /// which both messages share.
+  int64_t steal_key = 0;
+  std::shared_ptr<StealCell> steal_cell;
 };
 
-/// One open window instance inside a group runner.
-struct Session::WindowSlot {
-  /// The epoch `owner` indexes: the runtime's for a HAMLET context (re-keyed
-  /// at every hand-off), the one a per-window engine was built on otherwise.
-  std::shared_ptr<const PlanEpoch> epoch;
-  /// Exec id (HAMLET/GRETA kinds) or cohort index (two-step/SHARON).
-  int owner = -1;
-  Timestamp ws = 0;
-  Timestamp we = 0;
-  ContextId ctx = -1;
-  double last_arrival_wall = 0.0;
-  std::unique_ptr<GretaEngine> greta;
-  std::unique_ptr<TwoStepEngine> two_step;
-  std::unique_ptr<SharonEngine> sharon;
+/// How many processed events between worker snapshot refreshes; idle
+/// workers refresh immediately, so this only bounds snapshot staleness
+/// under sustained load.
+constexpr int kSnapshotEveryEvents = 4096;
+/// Consumer-side spin budget before parking on the condition variable.
+constexpr int kIdleSpins = 64;
+/// Parked workers re-poll at this interval even without a wake-up, which
+/// bounds the cost of any missed notify to one period.
+constexpr auto kParkInterval = std::chrono::microseconds(500);
 
-  bool cohort() const { return two_step != nullptr || sharon != nullptr; }
-  /// Event types the window's queries react to.
-  const std::vector<bool>& types() const {
-    return cohort() ? epoch->cohorts[static_cast<size_t>(owner)].type_mask
-                    : epoch->exec_type_masks[static_cast<size_t>(owner)];
+/// Batch-size histogram buckets: bucket i counts flushed batches of size in
+/// [2^i, 2^(i+1)); the last bucket absorbs everything larger.
+constexpr size_t kBatchHistBuckets = 16;
+
+/// Concurrent-footprint sampling cadence, in staging flushes (see
+/// FlushShard).
+constexpr int kMemSampleEveryFlushes = 16;
+
+/// Placement-window half-length, in staged events: windowed load = the
+/// current half plus the whole previous half, so every load estimate covers
+/// between one and two halves of recent traffic.
+constexpr int64_t kLoadHalfWindow = 2048;
+/// Work stealing only triggers when the max-loaded shard exceeds
+/// ratio * min + this floor: tiny absolute imbalances (a few events) never
+/// justify moving a group.
+constexpr int64_t kStealLoadFloor = 64;
+/// Migrations per pane boundary are capped; persistent imbalance re-fires
+/// at the next crossing.
+constexpr int kMaxStealsPerBoundary = 8;
+/// Sequencer idle backoff: after this many empty merge rounds, sleep
+/// instead of yielding (bounds wake-up latency to ~the sleep length).
+constexpr int kSequencerIdleSpins = 64;
+constexpr auto kSequencerIdleSleep = std::chrono::microseconds(50);
+
+/// The session whose sequencer runs on this thread (nullptr elsewhere): an
+/// AddProducer from a sink's OnEmission admits its handle inline instead
+/// of waiting for the thread it is running on.
+thread_local const Session* sequencing_session = nullptr;
+
+/// Folds one shard's metrics into the session's.
+void AddShardMetrics(RunMetrics& merged, const RunMetrics& shard) {
+  MergeRunMetrics(merged, shard);
+  merged.shard_events.push_back(shard.events);
+}
+
+size_t BatchHistBucket(size_t batch_size) {
+  const size_t b = static_cast<size_t>(std::bit_width(batch_size)) - 1;
+  return b < kBatchHistBuckets ? b : kBatchHistBuckets - 1;
+}
+
+}  // namespace
+
+/// An engine's emission buffer, touched only by the thread running the
+/// engine: a worker publishes it to its shard's outbox at message
+/// boundaries (Shard::PublishEmissions); the inline engine's is drained by
+/// the front once the engine call returns (DrainEmissions).
+struct Session::BufferingSink : public EmissionSink {
+  void OnEmission(const Emission& emission) override {
+    buffered.push_back(emission);
   }
-  /// Calls fn(exec) for every query this window emits for.
-  template <typename Fn>
-  void ForEachEmitter(Fn&& fn) const {
-    if (!cohort()) {
-      fn(owner);
-      return;
+
+  std::vector<Emission> buffered;
+};
+
+struct Session::Shard {
+  explicit Shard(size_t queue_capacity)
+      : queue(queue_capacity), recycle(queue_capacity) {}
+
+  SpscQueue<ShardMsg> queue;
+  /// Worker -> producer return path for consumed batch buffers: the
+  /// producer reuses their capacity for the next staging flush, so
+  /// steady-state ingest allocates nothing. Best-effort — a full recycle
+  /// ring just lets the buffer deallocate.
+  SpscQueue<EventVector> recycle;
+  /// Producer-side staging buffer (front thread only): events accumulate
+  /// here until a full batch, an idle queue or a barrier flushes them as one
+  /// message (see FlushIfIdle).
+  EventVector staging;
+  /// Histogram of this shard's flushed batch sizes (front thread writes at
+  /// flush, a monitor thread may read through MetricsSnapshot — hence
+  /// relaxed atomics).
+  std::array<std::atomic<int64_t>, kBatchHistBuckets> batch_hist{};
+  /// Deepest the ingress queue has been, in messages (producer-observed
+  /// after each Send).
+  std::atomic<int64_t> max_queue_depth{0};
+  /// Worker-published current engine footprint, refreshed with the metrics
+  /// snapshot; the front sums these to sample the concurrent footprint.
+  std::atomic<int64_t> current_memory{0};
+  /// The shard's engine; touched only by `worker` after the thread starts
+  /// (a thread-start/join hand-off TSA cannot express; the worker is the
+  /// only caller by construction).
+  std::unique_ptr<ShardEngine> engine;
+  std::unique_ptr<BufferingSink> sink;
+  Thread worker;
+
+  /// Idle-parking handshake: the worker sets `parked` (then re-checks the
+  /// queue) before a timed wait; the producer notifies when it observes it.
+  /// wake_mu guards no data — it exists to order the notify against the
+  /// parked-store / queue-recheck (see Send and WorkerLoop). `parked` is 1
+  /// while the worker may be waiting; both sides touch it with seq_cst
+  /// read-modify-writes (see Send).
+  Mutex wake_mu;
+  CondVar wake_cv;
+  std::atomic<int> parked{0};
+
+  /// Worker-maintained copy of engine->MetricsSnapshot(), refreshed when
+  /// idle, every kSnapshotEveryEvents events, and at every watermark.
+  mutable Mutex snapshot_mu;
+  RunMetrics snapshot HAMLET_GUARDED_BY(snapshot_mu);
+  /// Last watermark the worker has fully applied (after refreshing the
+  /// snapshot) — the re-optimizing front's checkpoint acknowledgement.
+  std::atomic<Timestamp> watermark_applied{-1};
+  /// Written by the worker on stop, read by the front after Join() — the
+  /// join IS the synchronization, which TSA cannot model; unannotated.
+  RunMetrics final_metrics;
+
+  /// Emission fan-in hand-off: the worker appends under outbox_mu, the
+  /// front swaps the vector out under the same mutex. Contention is
+  /// worker-vs-front within one shard only — shards never share a lock —
+  /// and both sides take it once per *message*, not per emission.
+  Mutex outbox_mu;
+  std::vector<Emission> outbox HAMLET_GUARDED_BY(outbox_mu);
+  /// Cheap "anything to drain?" hint so the front skips the lock when the
+  /// outbox is empty (the common case on the per-push drain).
+  std::atomic<bool> outbox_ready{false};
+  /// Session-wide drain hint (Session::any_outbox_ready_): set after
+  /// outbox_ready so the front's single load covers all shards.
+  std::atomic<bool>* any_outbox_ready = nullptr;
+
+  /// Producer-side enqueue with backpressure and parked-consumer wake-up.
+  void Send(ShardMsg msg) {
+    if (!queue.TryPush(std::move(msg))) {
+      // Bounded-queue backpressure: the shard is saturated; yield the
+      // producer until the worker frees a slot.
+      max_queue_depth.store(static_cast<int64_t>(queue.capacity()),
+                            std::memory_order_relaxed);
+      do {
+        std::this_thread::yield();
+      } while (!queue.TryPush(std::move(msg)));
     }
-    epoch->cohorts[static_cast<size_t>(owner)].members.ForEach(
-        [&](QueryId q) {
-          if (epoch->Opens(q, ws)) fn(q);
-        });
+    const int64_t depth = static_cast<int64_t>(queue.ApproxSize());
+    if (depth > max_queue_depth.load(std::memory_order_relaxed)) {
+      max_queue_depth.store(depth, std::memory_order_relaxed);
+    }
+    // Dekker: the push above stores the tail and then this side reads
+    // `parked`; the worker stores `parked` and then reads the tail. A store
+    // followed by a load of another location is not ordered on either side
+    // (the store may still sit in its core's store buffer), so this side
+    // could read 0 while the worker reads an empty queue, and the worker
+    // would then sleep a whole kParkInterval with a message waiting. Both
+    // sides therefore access `parked` with a seq_cst read-modify-write,
+    // which acts as a full fence between their store and load: the two
+    // RMWs are totally ordered, so either ours comes first and the worker's
+    // exchange synchronizes with it (its re-check sees the message), or the
+    // worker's comes first and this one reads 1 and notifies. RMWs rather
+    // than std::atomic_thread_fence, which ThreadSanitizer does not model
+    // (GCC rejects it under -fsanitize=thread with -Werror).
+    if (parked.fetch_or(0, std::memory_order_seq_cst) != 0) {
+      // Taking wake_mu orders this notify against the worker's parked-store
+      // / queue-recheck, so the worker sees either the message or the wake.
+      MutexLock lock(wake_mu);
+      wake_cv.NotifyOne();
+    }
+  }
+
+  /// Worker side: moves the locally buffered emissions into the outbox.
+  void PublishEmissions() {
+    if (sink == nullptr || sink->buffered.empty()) return;
+    std::vector<Emission>& local = sink->buffered;
+    MutexLock lock(outbox_mu);
+    if (outbox.empty()) {
+      outbox.swap(local);
+    } else {
+      outbox.insert(outbox.end(), std::make_move_iterator(local.begin()),
+                    std::make_move_iterator(local.end()));
+      local.clear();
+    }
+    outbox_ready.store(true, std::memory_order_release);
+    any_outbox_ready->store(true, std::memory_order_release);
   }
 };
 
-struct Session::Component {
-  QuerySet members;
-  AttrId group_by = Schema::kInvalidId;
-  /// Relevant event types: one of them creates a new group key's runner.
-  std::vector<bool> type_mask;
-  /// type_mask plus the types of per-window engines carried in from an
-  /// older epoch whose queries now live in other components: runs of these
-  /// types still reach the runners that hold them.
-  std::vector<bool> dispatch_mask;
-  /// Largest WITHIN of the members and carried windows — once a pane
-  /// boundary passes a group's last event by this much, no window can still
-  /// hold any of its events (drives RunConfig::evict_idle_groups).
-  Timestamp max_within = 0;
-  /// Indices into the epoch's cohorts.
-  std::vector<int> cohorts;
-  std::unique_ptr<SharingPolicy> policy;
-  std::map<int64_t, std::unique_ptr<GroupRunner>> groups;
-};
+Result<ShardRouter> Session::RouterFor(const WorkloadPlan& plan,
+                                              int num_shards) {
+  if (num_shards < 1 || num_shards > kMaxShards) {
+    return Status::InvalidArgument(
+        "num_shards must be in [1, " + std::to_string(kMaxShards) +
+        "], got " + std::to_string(num_shards));
+  }
+  // A consistent event->shard route needs one partition attribute: with
+  // mixed group-by attributes, the same event would belong to different
+  // groups (hence shards) per component.
+  AttrId partition_attr = Schema::kInvalidId;
+  bool have_attr = false;
+  for (const ExecQuery& eq : plan.exec_queries) {
+    if (!have_attr) {
+      partition_attr = eq.group_by;
+      have_attr = true;
+    } else if (eq.group_by != partition_attr && num_shards > 1) {
+      return Status::Unsupported(
+          "Session with num_shards > 1 requires all queries to share "
+          "one group-by attribute; plan mixes attr " +
+          std::to_string(partition_attr) + " and attr " +
+          std::to_string(eq.group_by));
+    }
+  }
+  return ShardRouter(partition_attr, num_shards);
+}
 
-struct Session::GroupRunner {
-  Component* comp = nullptr;
-  int64_t group_key = 0;
-  /// Time of the group's last relevant event (seeded by the creating
-  /// event); idle eviction compares pane boundaries against it.
-  Timestamp last_event_time = 0;
-  /// The epoch `hamlet` reads its plan from (a stolen runner keeps its
-  /// victim's copy, identical to the thief's).
-  std::shared_ptr<const PlanEpoch> epoch;
-  std::unique_ptr<HamletEngine> hamlet;
-  std::vector<WindowSlot> windows;
-};
-
-/// The running epoch (see the declaration in session.h).
-struct Session::Runtime {
-  std::shared_ptr<const PlanEpoch> epoch;
-  const WorkloadPlan* plan = nullptr;
-  /// All exec query ids — the starting pass-set every row narrows down.
-  QuerySet all_execs;
-  /// Reused columnar staging (SoA batch + per-query selection bitmaps);
-  /// capacities persist across pushes so staging allocates only while a
-  /// batch is growing past all previous sizes.
-  EventBatch batch_scratch;
-  BatchSelection selection;
-  /// Staged run list over batch_scratch; capacity reused across batches
-  /// like the staging scratch above.
-  std::vector<RunSpan> run_spans;
-  /// The components' distinct group-by attributes: SegmentRuns cuts runs
-  /// at each one's key changes, so every run reaches one runner per
-  /// component.
-  std::vector<AttrId> key_attrs;
-  /// Every exec query groups by key_attrs[0]: batches are staged
-  /// group-major (DispatchRuns) in the order this computes.
-  bool group_major = false;
-  GroupMajorOrder group_major_order;
-  std::vector<std::unique_ptr<Component>> components;
-  /// The component of each exec query.
-  std::vector<Component*> component_of;
-  Timestamp pane_start = 0;
-  bool pane_started = false;
-};
-
-Result<std::unique_ptr<Session>> Session::Open(const WorkloadPlan& plan,
-                                               const RunConfig& config,
-                                               EmissionSink* sink) {
+Result<std::unique_ptr<Session>> Session::Open(
+    const WorkloadPlan& plan, const RunConfig& config, EmissionSink* sink) {
   Status valid = ValidateRunConfig(config);
   if (!valid.ok()) return valid;
-  auto session = std::unique_ptr<Session>(new Session(config, sink));
+  Result<ShardRouter> router = RouterFor(plan, config.num_shards);
+  if (!router.ok()) return router.status();
+  std::unique_ptr<Session> s(new Session());
+  // The opening thread is the front until Open returns: workers spawned
+  // below only ever see their own Shard*, and no producer/sequencer can
+  // exist yet, so holding the front role here is sound.
+  ThreadRoleGuard role(s->front_role_);
+  s->plan_ = &plan;
+  s->config_ = config;
+  s->sink_ = sink;
+  s->router_ = router.value();
+  if (config.num_shards > 1) {
+    s->rebalance_threshold_ = config.shard_rebalance_threshold;
+    s->stealing_ = config.work_stealing;
+  }
+  s->load_cur_.assign(static_cast<size_t>(config.num_shards), 0);
+  s->load_prev_.assign(static_cast<size_t>(config.num_shards), 0);
   Result<std::unique_ptr<ControlPlane>> control =
-      ControlPlane::Open(plan, config, session->gate_);
+      ControlPlane::Open(plan, config, s->gate_);
   if (!control.ok()) return control.status();
-  session->control_ = std::move(control).value();
-  session->rt_ = session->BuildRuntime(session->control_->running());
-  return session;
-}
-
-std::unique_ptr<Session> Session::OpenShard(QueryLifecycle::Epoch opening,
-                                            const RunConfig& config,
-                                            EmissionSink* sink) {
-  auto session = std::unique_ptr<Session>(new Session(config, sink));
-  session->rt_ = session->BuildRuntime(std::move(opening));
-  return session;
-}
-
-Session::Session(const RunConfig& config, EmissionSink* sink)
-    : config_(config), sink_(sink) {}
-
-std::unique_ptr<Session::Runtime> Session::BuildRuntime(
-    QueryLifecycle::Epoch compiled) {
-  const WorkloadPlan& plan = *compiled->plan;
-  auto epoch = std::make_shared<PlanEpoch>();
-  epoch->compiled = std::move(compiled);
-  epoch->plan = &plan;
-  auto rt = std::make_unique<Runtime>();
-  rt->plan = &plan;
-  // Connected components over share groups (union-find).
-  const int n = plan.num_exec();
-  std::vector<int> parent(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) parent[static_cast<size_t>(i)] = i;
-  std::function<int(int)> find = [&](int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
+  s->control_ = std::move(control).value();
+  for (const ExecQuery& eq : plan.exec_queries) {
+    s->within_high_water_ = std::max(s->within_high_water_, eq.window.within);
+  }
+  if (config.num_shards == 1) {
+    if (sink != nullptr) s->inline_sink_ = std::make_unique<BufferingSink>();
+    s->engine_ = std::make_unique<ShardEngine>(s->control_->running(), config,
+                                               s->inline_sink_.get());
+    return s;
+  }
+  s->shards_.reserve(static_cast<size_t>(config.num_shards));
+  for (int i = 0; i < config.num_shards; ++i) {
+    auto shard = std::make_unique<Shard>(
+        static_cast<size_t>(config.shard_queue_capacity));
+    shard->staging.reserve(static_cast<size_t>(config.shard_batch_size));
+    shard->any_outbox_ready = &s->any_outbox_ready_;
+    EmissionSink* shard_sink = nullptr;
+    if (sink != nullptr) {
+      shard->sink = std::make_unique<BufferingSink>();
+      shard_sink = shard->sink.get();
     }
-    return x;
+    shard->engine = std::make_unique<ShardEngine>(s->control_->running(),
+                                                  config, shard_sink);
+    {
+      // Monitors reading before the worker's first refresh see the idle
+      // engine's metrics, not a zero-initialized struct.
+      MutexLock lock(shard->snapshot_mu);
+      shard->snapshot = shard->engine->MetricsSnapshot();
+    }
+    s->shards_.push_back(std::move(shard));
+  }
+  for (auto& shard : s->shards_) {
+    shard->worker = Thread(&Session::WorkerLoop, shard.get());
+  }
+  return s;
+}
+
+Session::~Session() {
+  // A session whose Open failed before its control plane existed has
+  // nothing to close.
+  if (closed_.load(std::memory_order_acquire) || control_ == nullptr) return;
+  // A destructor cannot fail, so tear down even if producer handles are
+  // still open (using them afterwards is the caller's bug — Close() is the
+  // API that enforces handle closure). The sequencer drains what was
+  // already pushed, then the normal close path runs.
+  StopSequencer();
+  mp_mode_.store(false, std::memory_order_relaxed);
+  (void)Close();  // metrics discarded by documented contract
+}
+
+void Session::WorkerLoop(Shard* shard) {
+  auto refresh_snapshot = [shard] {
+    RunMetrics m = shard->engine->MetricsSnapshot();
+    // Published for the front's concurrent-footprint sampling, outside the
+    // snapshot mutex (the front reads it on the flush path and must not
+    // contend with a monitor thread holding snapshot_mu).
+    shard->current_memory.store(m.current_memory_bytes,
+                                std::memory_order_relaxed);
+    MutexLock lock(shard->snapshot_mu);
+    shard->snapshot = m;
   };
-  for (const ShareGroup& g : plan.share_groups) {
-    int root = -1;
-    g.members.ForEach([&](QueryId q) {
-      if (root < 0) {
-        root = find(q);
-      } else {
-        parent[static_cast<size_t>(find(q))] = root;
-      }
-    });
-  }
-  std::map<int, Component*> by_root;
-  rt->component_of.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    int root = find(i);
-    auto it = by_root.find(root);
-    Component* comp;
-    if (it == by_root.end()) {
-      rt->components.push_back(std::make_unique<Component>());
-      comp = rt->components.back().get();
-      by_root[root] = comp;
-    } else {
-      comp = it->second;
-    }
-    comp->members.Insert(i);
-    rt->component_of[static_cast<size_t>(i)] = comp;
-  }
-  rt->all_execs = QuerySet::FirstN(n);
-  AddGroupByAttrs(plan, &rt->key_attrs);
-  rt->group_major =
-      rt->key_attrs.size() == 1 &&
-      std::all_of(plan.exec_queries.begin(), plan.exec_queries.end(),
-                  [](const ExecQuery& eq) {
-                    return eq.group_by != Schema::kInvalidId;
-                  });
-  rt->batch_scratch.ResetSchema(plan.workload->schema()->num_attrs());
-  const int num_types = plan.workload->schema()->num_types();
-  auto& exec_masks = epoch->exec_type_masks;
-  exec_masks.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    exec_masks[static_cast<size_t>(i)].assign(static_cast<size_t>(num_types),
-                                              false);
-    for (TypeId t :
-         plan.exec_queries[static_cast<size_t>(i)].tmpl.pattern.AllTypes()) {
-      exec_masks[static_cast<size_t>(i)][static_cast<size_t>(t)] = true;
-    }
-  }
-  auto add_types = [](std::vector<bool>& into, const std::vector<bool>& from) {
-    for (size_t t = 0; t < from.size(); ++t) {
-      if (from[t]) into[t] = true;
-    }
-  };
-  for (auto& comp : rt->components) {
-    comp->type_mask.assign(static_cast<size_t>(num_types), false);
-    comp->members.ForEach([&](QueryId q) {
-      const ExecQuery& eq = plan.exec_queries[static_cast<size_t>(q)];
-      // Members of a component share the group-by attribute (Definition 5).
-      comp->group_by = eq.group_by;
-      comp->max_within = std::max(comp->max_within, eq.window.within);
-      const std::vector<bool>& qm = exec_masks[static_cast<size_t>(q)];
-      add_types(comp->type_mask, qm);
-      bool found = false;
-      for (int c : comp->cohorts) {
-        PlanEpoch::Cohort& cohort = epoch->cohorts[static_cast<size_t>(c)];
-        if (cohort.spec == eq.window) {
-          cohort.members.Insert(q);
-          add_types(cohort.type_mask, qm);
-          found = true;
-        }
-      }
-      if (!found) {
-        comp->cohorts.push_back(static_cast<int>(epoch->cohorts.size()));
-        epoch->cohorts.push_back({eq.window, QuerySet::Single(q), qm});
-      }
-    });
-    comp->dispatch_mask = comp->type_mask;
-    switch (config_.kind) {
-      case EngineKind::kHamletDynamic:
-        comp->policy =
-            std::make_unique<DynamicBenefitPolicy>(config_.cost_variant);
-        break;
-      case EngineKind::kHamletStatic:
-        comp->policy = std::make_unique<AlwaysSharePolicy>();
-        break;
-      default:
-        comp->policy = std::make_unique<NeverSharePolicy>();
-        break;
-    }
-  }
-  rt->epoch = std::move(epoch);
-  return rt;
-}
-
-Session::~Session() = default;
-
-void Session::OpenDueWindows(Runtime& rt, GroupRunner& runner,
-                             Timestamp pane_start, bool retroactive) {
-  Component& comp = *runner.comp;
-  const PlanEpoch& ep = *rt.epoch;
-  const bool hamlet_kind = runner.hamlet != nullptr;
-  const bool cohort_kind = config_.kind == EngineKind::kTwoStep ||
-                           config_.kind == EngineKind::kSharon;
-  auto open_one = [&](int owner, Timestamp ws, Timestamp within) {
-    WindowSlot slot;
-    if (cohort_kind) {
-      // Only the members whose bounds hold ws run here: a query added later
-      // or already draining must not weigh on the window's engine.
-      QuerySet members;
-      ep.cohorts[static_cast<size_t>(owner)].members.ForEach([&](QueryId q) {
-        if (ep.Opens(q, ws)) members.Insert(q);
-      });
-      if (members.Empty()) return;
-      if (config_.kind == EngineKind::kTwoStep) {
-        slot.two_step = std::make_unique<TwoStepEngine>(
-            *rt.plan, members, config_.two_step_budget);
-      } else {
-        slot.sharon = std::make_unique<SharonEngine>(
-            *rt.plan, members, config_.sharon_max_length);
-      }
-    } else {
-      if (!ep.Opens(owner, ws)) return;
-      if (hamlet_kind) {
-        slot.ctx = runner.hamlet->OpenContext(owner, ws, ws + within);
-      } else {
-        slot.greta = std::make_unique<GretaEngine>(
-            rt.plan->exec_queries[static_cast<size_t>(owner)],
-            config_.kind == EngineKind::kGretaPrefix ? GretaMode::kPrefixSum
-                                                     : GretaMode::kGraph);
-      }
-    }
-    slot.epoch = rt.epoch;
-    slot.owner = owner;
-    slot.ws = ws;
-    slot.we = ws + within;
-    slot.last_arrival_wall = ClockNow(config_.clock_override);
-    runner.windows.push_back(std::move(slot));
-  };
-  auto open_for = [&](int owner, const WindowSpec& spec) {
-    if (retroactive) {
-      // New runner: open every slide-aligned instance covering this pane.
-      // The group had no earlier events, so the retroactive spans are empty
-      // and the counts exact.
-      Timestamp first = (pane_start / spec.slide) * spec.slide;
-      for (Timestamp ws = first; ws > pane_start - spec.within && ws >= 0;
-           ws -= spec.slide) {
-        open_one(owner, ws, spec.within);
-      }
-    } else if (pane_start % spec.slide == 0) {
-      open_one(owner, pane_start, spec.within);
-    }
-  };
-  if (cohort_kind) {
-    for (int c : comp.cohorts)
-      open_for(c, ep.cohorts[static_cast<size_t>(c)].spec);
-  } else {
-    comp.members.ForEach([&](QueryId q) {
-      open_for(q, rt.plan->exec_queries[static_cast<size_t>(q)].window);
-    });
-  }
-}
-
-void Session::EmitExecValue(const PlanEpoch& ep, int exec_id,
-                            int64_t group_key, Timestamp window_start,
-                            Timestamp window_end, double value,
-                            double arrival_wall) {
-  // Belt-and-braces query bound: windows outside it are never opened, so
-  // this only fires if that invariant breaks.
-  if (!ep.Opens(exec_id, window_start)) return;
-  const ExecQuery& eq = ep.plan->exec_queries[static_cast<size_t>(exec_id)];
-  const CompositionRule& rule =
-      ep.plan->compositions[static_cast<size_t>(eq.source)];
-  double final_value = value;
-  if (rule.kind != CompositionKind::kSingle) {
-    // Keyed by the lifecycle's query id: the branches of one window may
-    // close under different epochs, whose QueryIds differ.
-    auto key = std::make_tuple(ep.QueryIdOf(exec_id), group_key, window_start);
-    auto& [end, values] = pending_compositions_[key];
-    end = window_end;
-    values.resize(rule.exec_ids.size(),
-                  std::numeric_limits<double>::quiet_NaN());
-    values[static_cast<size_t>(eq.branch)] = value;
-    for (double v : values) {
-      if (std::isnan(v)) return;  // waiting for the other branch
-    }
-    final_value = ComposeQueryValue(rule, values);
-    pending_compositions_.erase(key);
-  }
-  const double latency = ClockNow(config_.clock_override) - arrival_wall;
-  latency_sum_ += latency;
-  latency_max_ = std::max(latency_max_, latency);
-  ++latency_count_;
-  if (sink_ != nullptr) {
-    Emission emission;
-    emission.query = eq.source;
-    emission.group_key = group_key;
-    emission.window_start = window_start;
-    emission.window_end = window_end;
-    emission.value = final_value;
-    emission.query_name = ep.plan->workload->query(eq.source).name;
-    sink_->OnEmission(emission);
-  }
-}
-
-void Session::CloseExpiredWindows(GroupRunner& runner, Timestamp now) {
-  for (size_t i = 0; i < runner.windows.size();) {
-    WindowSlot& w = runner.windows[i];
-    if (w.we > now) {
-      ++i;
-      continue;
-    }
-    const PlanEpoch& ep = *w.epoch;
-    if (runner.hamlet != nullptr) {
-      ContextResult r = runner.hamlet->CloseContext(w.ctx);
-      EmitExecValue(ep, w.owner, runner.group_key, w.ws, w.we, r.value,
-                    w.last_arrival_wall);
-    } else if (w.greta != nullptr) {
-      EmitExecValue(ep, w.owner, runner.group_key, w.ws, w.we,
-                    w.greta->Value(), w.last_arrival_wall);
-    } else if (w.two_step != nullptr) {
-      Status s = w.two_step->Finish();
-      if (!s.ok()) {
-        ++dnf_windows_;
-      } else {
-        w.ForEachEmitter([&](int q) {
-          EmitExecValue(ep, q, runner.group_key, w.ws, w.we,
-                        w.two_step->Value(q), w.last_arrival_wall);
-        });
-      }
-    } else if (w.sharon != nullptr) {
-      w.ForEachEmitter([&](int q) {
-        if (!w.sharon->Supported(q)) return;
-        EmitExecValue(ep, q, runner.group_key, w.ws, w.we, w.sharon->Value(q),
-                      w.last_arrival_wall);
-      });
-    }
-    runner.windows[i] = std::move(runner.windows.back());
-    runner.windows.pop_back();
-  }
-}
-
-void Session::EvictDeadCompositions(Timestamp boundary) {
-  for (auto it = pending_compositions_.begin();
-       it != pending_compositions_.end();) {
-    // Once the entry's window closed (all branch engines emitted or gave up
-    // at `boundary`), a still-pending entry has a branch that will never
-    // arrive — DNF'd two-step windows and SHARON-unsupported queries emit
-    // nothing.
-    if (it->second.first <= boundary) {
-      ++evicted_compositions_;
-      it = pending_compositions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-int64_t Session::CurrentMemory() const {
-  int64_t bytes = 0;
-  for (const auto& comp : rt_->components) {
-    for (const auto& [key, runner] : comp->groups) {
-      if (runner->hamlet) bytes += runner->hamlet->MemoryBytes();
-      for (const WindowSlot& w : runner->windows) {
-        if (w.greta) bytes += w.greta->MemoryBytes();
-        if (w.two_step) bytes += w.two_step->MemoryBytes();
-        if (w.sharon) bytes += w.sharon->MemoryBytes();
-      }
-    }
-  }
-  // Pending branch values awaiting OR/AND composition are runtime state
-  // too; charging them here is what makes a composition leak visible in
-  // peak_memory_bytes.
-  for (const auto& [key, entry] : pending_compositions_) {
-    bytes += static_cast<int64_t>(sizeof(key) + sizeof(entry) +
-                                  entry.second.capacity() * sizeof(double));
-  }
-  return bytes;
-}
-
-void Session::AdvancePaneTo(Timestamp time) {
+  int since_snapshot = 0;
   for (;;) {
-    Runtime& rt = *rt_;
-    const Timestamp pane = rt.plan->pane_size;
-    const Timestamp boundary =
-        rt.pane_started ? rt.pane_start + pane : (time / pane) * pane;
-    if (rt.pane_started && boundary > time) return;
-    // Idle-group eviction applies only at boundaries supported by observed
-    // event time (committed events/watermarks). The synthetic Close flush
-    // sweeps past real time and must not evict: a shard whose flush horizon
-    // is local would otherwise evict at different boundaries than the
-    // single-threaded reference, changing which empty windows get dropped.
-    const Timestamp evict_horizon =
-        config_.evict_idle_groups && gate_.any_seen()
-            ? (gate_.max_seen() / pane) * pane
-            : Timestamp{-1};
-    // Sample before closures so full windows count toward the peak.
-    peak_memory_ = std::max(peak_memory_, CurrentMemory());
-    for (auto& comp : rt.components) {
-      for (auto it = comp->groups.begin(); it != comp->groups.end();) {
-        GroupRunner& runner = *it->second;
-        if (runner.hamlet && rt.pane_started) runner.hamlet->OnPaneEnd();
-        CloseExpiredWindows(runner, boundary);
-        // Evict BEFORE this boundary's windows open: every window that
-        // could hold any of the group's events has closed above (boundary
-        // >= last_event + max WITHIN), so all remaining and future state
-        // could only produce empty-window results. A later event recreates
-        // the runner with retroactive windows that provably contain no
-        // evicted events (events are strictly increasing past the
-        // boundary), so eviction timing is deterministic in event time.
-        if (evict_horizon >= 0 && boundary <= evict_horizon &&
-            boundary >= runner.last_event_time + comp->max_within) {
-          if (runner.hamlet) AddStats(retired_stats_, runner.hamlet->stats());
-          ++evicted_idle_groups_;
-          it = comp->groups.erase(it);
-          continue;
-        }
-        ++it;
+    ShardMsg msg;
+    if (!shard->queue.TryPop(&msg)) {
+      // Refresh once when the queue drains, not on every idle poll — a
+      // quiescent shard must not recompute identical metrics 2000x/s.
+      if (since_snapshot > 0) {
+        refresh_snapshot();
+        since_snapshot = 0;
       }
-    }
-    // All engines for windows ending at `boundary` have now emitted or
-    // declined; whatever composition entries remain for them are dead.
-    EvictDeadCompositions(boundary);
-    // A new epoch takes over between the closes and the opens: every
-    // graphlet is folded there, so the open windows' state is numeric.
-    if (!pending_.empty() && pending_.front().at <= boundary) {
-      QueryLifecycle::Epoch next = std::move(pending_.front().epoch);
-      pending_.erase(pending_.begin());
-      HandOff(std::move(next));
-    }
-    Runtime& cur = *rt_;
-    for (auto& comp : cur.components) {
-      for (auto& [key, runner] : comp->groups) {
-        OpenDueWindows(cur, *runner, boundary, /*retroactive=*/false);
-        if (runner->hamlet) runner->hamlet->OnPaneStart(boundary);
+      bool got = false;
+      for (int i = 0; i < kIdleSpins && !got; ++i) {
+        std::this_thread::yield();
+        got = shard->queue.TryPop(&msg);
       }
-    }
-    cur.pane_start = boundary;
-    cur.pane_started = true;
-    peak_memory_ = std::max(peak_memory_, CurrentMemory());
-  }
-}
-
-std::unique_ptr<Session::GroupRunner> Session::MakeRunner(Runtime& rt,
-                                                          Component& comp,
-                                                          int64_t key) {
-  auto runner = std::make_unique<GroupRunner>();
-  runner->comp = &comp;
-  runner->group_key = key;
-  if (config_.kind == EngineKind::kHamletDynamic ||
-      config_.kind == EngineKind::kHamletStatic ||
-      config_.kind == EngineKind::kHamletNoShare) {
-    runner->epoch = rt.epoch;
-    runner->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
-                                                    comp.policy.get());
-  }
-  return runner;
-}
-
-Session::GroupRunner& Session::NewGroupRunner(Runtime& rt, Component& comp,
-                                              int64_t key) {
-  std::unique_ptr<GroupRunner>& slot = comp.groups[key];
-  slot = MakeRunner(rt, comp, key);
-  GroupRunner& runner = *slot;
-  OpenDueWindows(rt, runner, rt.pane_start, /*retroactive=*/true);
-  if (runner.hamlet) runner.hamlet->OnPaneStart(rt.pane_start);
-  return runner;
-}
-
-void Session::HandOff(QueryLifecycle::Epoch compiled) {
-  std::unique_ptr<Runtime> next = BuildRuntime(std::move(compiled));
-  const PlanEpoch& to = *next->epoch;
-  std::map<int64_t, QueryId> query_in_next;
-  for (size_t q = 0; q < to.compiled->query_ids.size(); ++q) {
-    query_in_next[to.compiled->query_ids[q]] = static_cast<QueryId>(q);
-  }
-  // The next epoch's exec id for exec `exec` of `ep`; -1 once its query is
-  // dropped (it had drained).
-  auto exec_in_next = [&](const PlanEpoch& ep, int exec) {
-    auto it = query_in_next.find(ep.QueryIdOf(exec));
-    if (it == query_in_next.end()) return -1;
-    const int branch = ep.plan->exec_queries[static_cast<size_t>(exec)].branch;
-    return to.plan->compositions[static_cast<size_t>(it->second)]
-        .exec_ids[static_cast<size_t>(branch)];
-  };
-  auto runner_in = [&](Component& comp, const GroupRunner& from)
-      -> GroupRunner& {
-    std::unique_ptr<GroupRunner>& runner = comp.groups[from.group_key];
-    if (runner == nullptr) runner = MakeRunner(*next, comp, from.group_key);
-    runner->last_event_time =
-        std::max(runner->last_event_time, from.last_event_time);
-    return *runner;
-  };
-  const Runtime& old = *rt_;
-  for (const auto& comp : old.components) {
-    for (const auto& [key, runner] : comp->groups) {
-      // Every component holding one of this component's queries keeps the
-      // group key running, so its next windows open as they would have.
-      comp->members.ForEach([&](QueryId q) {
-        const int nq = exec_in_next(*old.epoch, q);
-        if (nq >= 0) runner_in(*next->component_of[static_cast<size_t>(nq)],
-                               *runner);
-      });
-      if (runner->hamlet) {
-        // Contexts move query by query through the engines' export/import;
-        // a stolen runner's engine numbers exec queries like old.epoch.
-        AddStats(retired_stats_, runner->hamlet->stats());
-        comp->members.ForEach([&](QueryId q) {
-          HamletEngine::QueryState state = runner->hamlet->ExportQuery(q);
-          const int nq = exec_in_next(*old.epoch, q);
-          if (nq < 0) {
-            HAMLET_DCHECK(state.contexts.empty());
-            return;
-          }
-          std::vector<ContextId> from_ids;
-          for (const ContextState& ctx : state.contexts) {
-            from_ids.push_back(ctx.id);
-          }
-          GroupRunner& dst =
-              *next->component_of[static_cast<size_t>(nq)]->groups[key];
-          const std::vector<ContextId> ids =
-              dst.hamlet->ImportQuery(nq, std::move(state));
-          for (WindowSlot& w : runner->windows) {
-            if (w.owner != q) continue;
-            // The moved-from slot keeps owner q, so no later query's pass
-            // picks it up again.
-            WindowSlot& moved = dst.windows.emplace_back(std::move(w));
-            const auto i =
-                std::find(from_ids.begin(), from_ids.end(), moved.ctx) -
-                from_ids.begin();
-            moved.epoch = next->epoch;
-            moved.owner = nq;
-            moved.ctx = ids[static_cast<size_t>(i)];
-          }
-        });
+      if (!got) {
+        MutexLock lock(shard->wake_mu);
+        // Re-check after publishing `parked`: a push that raced the
+        // exchange either sees the flag (and notifies) or lands in this
+        // poll (see the Dekker note in Send).
+        shard->parked.exchange(1, std::memory_order_seq_cst);
+        if (shard->queue.Empty()) shard->wake_cv.WaitFor(lock, kParkInterval);
+        shard->parked.store(0, std::memory_order_relaxed);
         continue;
       }
-      // A per-window engine moves whole and keeps the epoch it was built
-      // on. It lands in the component of one of its queries, which learns
-      // the window's types so their runs keep reaching it.
-      for (WindowSlot& w : runner->windows) {
-        int nq = -1;
-        w.ForEachEmitter([&](int q) {
-          if (nq < 0) nq = exec_in_next(*w.epoch, q);
-        });
-        HAMLET_CHECK(nq >= 0);
-        Component& dst = *next->component_of[static_cast<size_t>(nq)];
-        const std::vector<bool>& types = w.types();
-        for (size_t t = 0; t < types.size(); ++t) {
-          if (types[t]) dst.dispatch_mask[t] = true;
+    }
+    switch (msg.kind) {
+      case ShardMsg::Kind::kBatch: {
+        // The front already validated ordering, and a subsequence of a
+        // strictly increasing stream is strictly increasing.
+        shard->engine->Push(msg.batch, /*per_event=*/false);
+        since_snapshot += static_cast<int>(msg.batch.size());
+        msg.batch.clear();
+        // Return the buffer's capacity to the producer (best-effort).
+        shard->recycle.TryPush(std::move(msg.batch));
+        break;
+      }
+      case ShardMsg::Kind::kWatermark: {
+        shard->engine->AdvanceTo(msg.watermark);
+        // A watermark is a checkpoint: publish fresh metrics BEFORE
+        // acknowledging it, so a front that waits on the acknowledgement
+        // (online re-optimization) reads statistics covering every event
+        // logically before the watermark.
+        refresh_snapshot();
+        since_snapshot = 0;
+        shard->watermark_applied.store(msg.watermark,
+                                       std::memory_order_release);
+        break;
+      }
+      case ShardMsg::Kind::kEpoch: {
+        shard->engine->Schedule({std::move(msg.epoch), msg.boundary});
+        ++since_snapshot;
+        break;
+      }
+      case ShardMsg::Kind::kStealDetach: {
+        // Victim side of a migration: fill the steal's cell with the key's
+        // runners, advanced to the boundary.
+        ShardEngine::DetachedGroup moved =
+            shard->engine->DetachGroup(msg.steal_key, msg.boundary);
+        // Publish the smaller footprint before the thief can attach the
+        // runners, so the front's concurrent-memory sample never counts
+        // them on both shards.
+        refresh_snapshot();
+        since_snapshot = 0;
+        StealCell& cell = *msg.steal_cell;
+        {
+          MutexLock lock(cell.mu);
+          cell.moved = std::move(moved);
+          cell.filled = true;
         }
-        dst.max_within = std::max(dst.max_within, w.we - w.ws);
-        runner_in(dst, *runner).windows.push_back(std::move(w));
+        cell.filled_cv.NotifyOne();
+        break;
+      }
+      case ShardMsg::Kind::kStealAttach: {
+        // Thief side: wait for the victim's detach. It was queued before
+        // this attach, and any attach the victim meets first belongs to an
+        // earlier steal, so chains of waits shrink in steal order and never
+        // close into a cycle.
+        ShardEngine::DetachedGroup moved;
+        {
+          StealCell& cell = *msg.steal_cell;
+          MutexLock lock(cell.mu);
+          while (!cell.filled) cell.filled_cv.Wait(lock);
+          moved = std::move(cell.moved);
+        }
+        shard->engine->AttachGroup(msg.steal_key, msg.boundary,
+                                   std::move(moved));
+        ++since_snapshot;
+        break;
+      }
+      case ShardMsg::Kind::kStop: {
+        shard->final_metrics = shard->engine->Close();
+        shard->PublishEmissions();
+        shard->current_memory.store(shard->final_metrics.current_memory_bytes,
+                                    std::memory_order_relaxed);
+        MutexLock lock(shard->snapshot_mu);
+        shard->snapshot = shard->final_metrics;
+        return;
       }
     }
-    if (config_.kind == EngineKind::kHamletDynamic) {
-      retired_decisions_ +=
-          static_cast<DynamicBenefitPolicy*>(comp->policy.get())->decisions();
+    shard->PublishEmissions();
+    if (since_snapshot >= kSnapshotEveryEvents) {
+      refresh_snapshot();
+      since_snapshot = 0;
     }
   }
-  rt_ = std::move(next);
+}
+
+void Session::SyncControl(Timestamp time) {
+  if (time < control_->next_change()) return;
+  for (const QueryLifecycle::Scheduled& drop : control_->Advance(time)) {
+    Broadcast(drop);
+  }
+}
+
+Session::Shard& Session::StageEvent(const Event& event) {
+  SyncControl(event.time);
+  const int64_t key = router_.GroupKeyOf(event);
+  if (rebalance_threshold_ == 0 && !stealing_) {
+    Shard& shard = *shards_[router_.ShardOfKey(key)];
+    StageTo(shard, event);
+    return shard;
+  }
+  if (stealing_) {
+    // Order matters for determinism: pane crossings evaluate steal
+    // triggers BEFORE this event is routed, so the triggering event itself
+    // already lands on the thief — every decision is a pure function of
+    // the event stream prefix.
+    const Timestamp pane = PaneSize();
+    const Timestamp event_pane = (event.time / pane) * pane;
+    if (staged_any_ && event_pane > last_staged_pane_) MaybeSteal(event_pane);
+    last_staged_pane_ = event_pane;
+    staged_any_ = true;
+  }
+  size_t target;
+  if (rebalance_threshold_ > 0) {
+    bool first_sight = false;
+    target = router_.RouteSticky(key, event.time, &first_sight);
+    if (first_sight) target = PlaceNewKey(key, target, event.time);
+  } else {
+    target = router_.RouteKey(key, event.time);
+  }
+  Shard& shard = *shards_[target];
+  StageTo(shard, event);
+  ++load_cur_[target];
+  if (stealing_) ++key_load_[key].cur;
+  if (++in_window_ >= kLoadHalfWindow) RollLoadWindow();
+  return shard;
+}
+
+size_t Session::PlaceNewKey(int64_t key, size_t hash_shard,
+                                   Timestamp time) {
+  PublishMapSize();
+  size_t least = 0;
+  int64_t least_load = load_prev_[0] + load_cur_[0];
+  for (size_t s = 1; s < load_cur_.size(); ++s) {
+    const int64_t load = load_prev_[s] + load_cur_[s];
+    if (load < least_load) {
+      least = s;
+      least_load = load;
+    }
+  }
+  const int64_t hash_load = load_prev_[hash_shard] + load_cur_[hash_shard];
+  if (hash_load - least_load <= rebalance_threshold_) return hash_shard;
+  router_.Assign(key, least, time);
+  rebalanced_keys_.fetch_add(1, std::memory_order_relaxed);
+  return least;
+}
+
+void Session::PublishMapSize() {
+  route_map_size_.store(router_.map_size(), std::memory_order_relaxed);
+}
+
+void Session::RollLoadWindow() {
+  in_window_ = 0;
+  std::swap(load_prev_, load_cur_);
+  std::fill(load_cur_.begin(), load_cur_.end(), 0);
+  for (auto it = key_load_.begin(); it != key_load_.end();) {
+    if (it->second.cur == 0 && it->second.prev == 0) {
+      it = key_load_.erase(it);
+      continue;
+    }
+    it->second.prev = it->second.cur;
+    it->second.cur = 0;
+    ++it;
+  }
+}
+
+void Session::MaybeSteal(Timestamp boundary) {
+  for (int round = 0; round < kMaxStealsPerBoundary; ++round) {
+    size_t victim = 0;
+    size_t thief = 0;
+    int64_t max_load = -1;
+    int64_t min_load = std::numeric_limits<int64_t>::max();
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const int64_t load = load_prev_[s] + load_cur_[s];
+      if (load > max_load) {
+        max_load = load;
+        victim = s;
+      }
+      if (load < min_load) {
+        min_load = load;
+        thief = s;
+      }
+    }
+    if (victim == thief ||
+        static_cast<double>(max_load) <=
+            config_.steal_imbalance_ratio * static_cast<double>(min_load) +
+                static_cast<double>(kStealLoadFloor)) {
+      return;
+    }
+    // Candidate: the victim's heaviest key that actually improves the
+    // balance (moving it must leave the thief below the victim's old
+    // load, or keys ping-pong). Scanned with an explicit best-key rule —
+    // heaviest, then smallest key — because unordered_map iteration order
+    // must not leak into the (deterministic) decision.
+    int64_t best_key = 0;
+    int64_t best_load = -1;
+    bool found = false;
+    for (const auto& [key, kl] : key_load_) {
+      const int64_t c = kl.cur + kl.prev;
+      if (c <= 0 || min_load + c >= max_load) continue;
+      if (router_.AssignedShardOfKey(key) != victim) continue;
+      if (c > best_load || (c == best_load && key < best_key)) {
+        best_key = key;
+        best_load = c;
+        found = true;
+      }
+    }
+    if (!found) return;
+    ExecuteSteal(best_key, victim, thief, boundary);
+  }
+}
+
+void Session::ExecuteSteal(int64_t key, size_t victim, size_t thief,
+                                  Timestamp boundary) {
+  Shard& v = *shards_[victim];
+  Shard& t = *shards_[thief];
+  // From here on the key's events route to the thief. Without rebalancing
+  // only off-hash placements need an override, so a key stolen back home
+  // leaves the map; with it, every seen key stays (first-sight stickiness).
+  if (rebalance_threshold_ == 0 && thief == router_.ShardOfKey(key)) {
+    router_.Unassign(key);
+  } else {
+    router_.Assign(key, thief, boundary);
+  }
+  PublishMapSize();
+  // The detach/attach pair is a barrier in stream order on both shards:
+  // staged events (all before the boundary) logically precede it. Both
+  // messages go out back to back; the runners travel shard to shard
+  // through their cell, so the front never waits for the victim.
+  FlushShard(v);
+  FlushShard(t);
+  ShardMsg detach;
+  detach.kind = ShardMsg::Kind::kStealDetach;
+  detach.steal_key = key;
+  detach.boundary = boundary;
+  detach.steal_cell = std::make_shared<StealCell>();
+  ShardMsg attach = detach;
+  attach.kind = ShardMsg::Kind::kStealAttach;
+  v.Send(std::move(detach));
+  t.Send(std::move(attach));
+  // The key's window counts move with it so the next trigger evaluates
+  // the post-steal balance (clamped: a key that migrated mid-window may
+  // have contributed to more than one shard's buckets).
+  KeyLoad& kl = key_load_[key];
+  const int64_t move_cur = std::min(kl.cur, load_cur_[victim]);
+  const int64_t move_prev = std::min(kl.prev, load_prev_[victim]);
+  load_cur_[victim] -= move_cur;
+  load_cur_[thief] += move_cur;
+  load_prev_[victim] -= move_prev;
+  load_prev_[thief] += move_prev;
+  stolen_panes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Session::StageTo(Shard& shard, const Event& event) {
+  shard.staging.push_back(event);
+  if (shard.staging.size() >= static_cast<size_t>(config_.shard_batch_size)) {
+    FlushShard(shard);
+  }
+}
+
+void Session::FlushIfIdle(Shard& shard) {
+  // ApproxSize is exact on the producer side, so 0 means the worker has
+  // taken every message: it is idle or about to be, and holding events back
+  // would only delay them. A busy queue keeps staging, so under load the
+  // batch grows with the backlog up to shard_batch_size.
+  if (!shard.staging.empty() && shard.queue.ApproxSize() == 0) {
+    FlushShard(shard);
+  }
+}
+
+void Session::FlushIdleShards() {
+  for (auto& shard : shards_) FlushIfIdle(*shard);
+}
+
+void Session::FlushShard(Shard& shard) {
+  if (shard.staging.empty()) return;
+  const size_t bucket = BatchHistBucket(shard.staging.size());
+  shard.batch_hist[bucket].fetch_add(1, std::memory_order_relaxed);
+  ShardMsg msg;
+  msg.kind = ShardMsg::Kind::kBatch;
+  // Reuse a worker-returned buffer's capacity when one is available.
+  if (shard.recycle.TryPop(&msg.batch)) msg.batch.clear();
+  msg.batch.swap(shard.staging);
+  shard.Send(std::move(msg));
+  // Sample the concurrent footprint at flush boundaries, throttled: with
+  // batch size 1 (hand-off baseline, or an idle worker fed event by event)
+  // a flush happens per event, and an O(num_shards) scan there would tax
+  // exactly the per-event path batching is measured against. The peak is
+  // documented as sampled, so coarser sampling loses nothing.
+  if (++flushes_since_mem_sample_ >= kMemSampleEveryFlushes) {
+    flushes_since_mem_sample_ = 0;
+    SampleConcurrentMemory();
+  }
+}
+
+void Session::SampleConcurrentMemory() {
+  int64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->current_memory.load(std::memory_order_relaxed);
+  }
+  if (total > mem_high_water_.load(std::memory_order_relaxed)) {
+    mem_high_water_.store(total, std::memory_order_relaxed);
+  }
+}
+
+void Session::FlushAllShards() {
+  for (auto& shard : shards_) FlushShard(*shard);
+}
+
+void Session::DrainEmissions() {
+  if (sink_ == nullptr) return;
+  // Sinks run on this thread, so a feedback-style sink may legally call
+  // Push/AdvanceTo from OnEmission — which recurses into this function
+  // while drain_scratch_ is mid-iteration. The guard turns the nested
+  // drain into a no-op; whatever it would have delivered goes out with the
+  // enclosing drain (its next round or next shard) or the next call.
+  if (engine_ != nullptr) {
+    if (draining_) return;
+    draining_ = true;
+    while (!inline_sink_->buffered.empty()) {
+      drain_scratch_.clear();
+      drain_scratch_.swap(inline_sink_->buffered);
+      for (const Emission& emission : drain_scratch_) {
+        sink_->OnEmission(emission);
+      }
+    }
+    draining_ = false;
+    return;
+  }
+  // One load covers all shards in the common nothing-to-drain case, so a
+  // per-event Push ingest does not pay num_shards flag reads per event.
+  // Clearing before the scan cannot lose a publication: any per-shard flag
+  // set before the clear is still observed by the scan below, and one set
+  // after it re-raises this hint for the next drain (Close drains
+  // unconditionally).
+  if (!any_outbox_ready_.load(std::memory_order_acquire)) return;
+  if (draining_) return;
+  draining_ = true;
+  any_outbox_ready_.store(false, std::memory_order_relaxed);
+  for (auto& shard : shards_) {
+    if (!shard->outbox_ready.load(std::memory_order_acquire)) continue;
+    drain_scratch_.clear();
+    {
+      MutexLock lock(shard->outbox_mu);
+      drain_scratch_.swap(shard->outbox);
+      shard->outbox_ready.store(false, std::memory_order_relaxed);
+    }
+    // Deliver outside the lock: a slow sink must not stall the worker.
+    for (const Emission& emission : drain_scratch_) {
+      sink_->OnEmission(emission);
+    }
+  }
+  draining_ = false;
+}
+
+Status Session::FrontGuard(const char* op) const {
+  if (closed_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition(std::string(op) + " on a closed session");
+  }
+  // Session-level ingest and churn from the caller thread would race the
+  // sequencer's front state in multi-producer mode.
+  if (mp_mode_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition(
+        "session-level " + std::string(op) +
+        " on a multi-producer session; ingest through the Producer handles "
+        "(the session watermark is their merged frontier), and churn only "
+        "before AddProducer");
+  }
+  return Status::Ok();
+}
+
+void Session::RunInline(std::span<const Event> events, bool per_event) {
+  if (events.empty()) return;
+  // The engine splits the events at the boundaries of the drops this
+  // schedules.
+  SyncControl(gate_.max_seen());
+  MutexLock lock(engine_mu_);
+  engine_->Push(events, per_event);
 }
 
 Status Session::Push(const Event& event) {
-  if (closed_) {
-    return Status::FailedPrecondition("Push on a closed session");
+  if (Status guard = FrontGuard("Push"); !guard.ok()) return guard;
+  // Single-producer mode: the calling thread is the front (see the
+  // threading contract in the header).
+  ThreadRoleGuard role(front_role_);
+  Status valid = CheckEvent(event);
+  if (!valid.ok()) return valid;
+  gate_.CommitEvent(event.time);
+  control_->CountEvent(event.type);
+  if (engine_ != nullptr) {
+    RunInline(std::span<const Event>(&event, 1), /*per_event=*/true);
+  } else {
+    // Only the shard just staged to is checked, so a push stays O(1) in
+    // the shard count.
+    FlushIfIdle(StageEvent(event));
   }
-  return Ingest(std::span<const Event>(&event, 1), /*per_event=*/true);
-}
-
-Status Session::PushBatch(std::span<const Event> events) {
-  if (closed_) {
-    return Status::FailedPrecondition("PushBatch on a closed session");
-  }
-  if (events.empty()) return Status::Ok();
-  return Ingest(events, /*per_event=*/false);
+  MaybeReoptimize();
+  DrainEmissions();
+  return Status::Ok();
 }
 
 Status Session::CheckEvent(const Event& event) const {
   Status ordered = gate_.CheckEvent(event.time);
-  // A shard's front has checked the group keys.
-  if (!ordered.ok() || control_ == nullptr) return ordered;
-  return CheckGroupKeys(event, control_->group_by_attrs(),
-                        *rt_->plan->workload->schema());
+  if (!ordered.ok()) return ordered;
+  return CheckGroupKeys(event, control_->group_by_attrs(), schema());
 }
 
-Status Session::Ingest(std::span<const Event> events, bool per_event) {
-  // Rejected calls accrue no busy time: they do no engine work, and
-  // charging them would deflate the reported throughput of a caller that
-  // retries after errors. A mid-batch rejection keeps the time already
-  // spent on the valid prefix (that work was real and its effects stand).
-  Status result = CheckEvent(events.front());
-  if (!result.ok()) return result;
-  BusyScope busy(&busy_seconds_, config_.clock_override);
-  // Ordering-gate pre-pass: commit the valid prefix before dispatch. The
-  // final gate state, counters and engine-visible events are identical to
-  // a per-event interleaving (engines never see the invalid suffix; the
-  // only mid-batch gate reader is the idle-eviction horizon, whose
-  // event-triggered checks are insensitive to it).
-  ControlPlane* const control = control_.get();
-  size_t valid = 0;
+Status Session::PushBatch(std::span<const Event> events) {
+  if (Status guard = FrontGuard("PushBatch"); !guard.ok()) return guard;
+  ThreadRoleGuard role(front_role_);
+  // The events before an invalid one are committed and go out as usual.
+  Status valid = Status::Ok();
+  size_t committed = 0;
   for (const Event& e : events) {
-    if (valid > 0) {
-      result = CheckEvent(e);
-      if (!result.ok()) break;
-    }
+    valid = CheckEvent(e);
+    if (!valid.ok()) break;
     gate_.CommitEvent(e.time);
-    ++events_;
-    if (control != nullptr) control->CountEvent(e.type);
-    ++valid;
+    control_->CountEvent(e.type);
+    if (engine_ == nullptr) StageEvent(e);
+    ++committed;
   }
-  SyncControl(gate_.max_seen());
-  // A per-event Push is a 1-row run whose arrival time is the scope-entry
-  // wall, keeping that hot path at two clock reads total.
-  const double arrival = per_event ? busy.start() : -1.0;
-  std::span<const Event> rest = events.first(valid);
-  while (!pending_.empty()) {
-    // Rows from a hand-off boundary on belong to the next epoch: dispatch
-    // the rows before it, hand off, and stage the rest anew.
-    const Timestamp at = pending_.front().at;
-    const auto split = std::partition_point(
-        rest.begin(), rest.end(), [&](const Event& e) { return e.time < at; });
-    if (split == rest.end()) break;
-    const size_t before = static_cast<size_t>(split - rest.begin());
-    DispatchRuns(rest.first(before), arrival);
-    AdvancePaneTo(at);
-    rest = rest.subspan(before);
+  if (engine_ != nullptr) {
+    RunInline(events.first(committed), /*per_event=*/false);
+  } else {
+    FlushIdleShards();
   }
-  DispatchRuns(rest, arrival);
   MaybeReoptimize();
-  return result;
-}
-
-void Session::DispatchRuns(std::span<const Event> events, double arrival) {
-  if (events.empty()) return;
-  Runtime& rt = *rt_;
-  const Timestamp pane = rt.plan->pane_size;
-  // Stage group-major when every query groups by one attribute: each
-  // group's rows of a pane become contiguous, in arrival order, so the runs
-  // are the paper's per-group bursts. Groups share no state and close in
-  // key order, so the emissions do not change. Otherwise (and for a lone
-  // row) the rows keep arrival order.
-  const std::span<const int32_t> order =
-      rt.group_major && events.size() > 1
-          ? rt.group_major_order.Of(events, pane, rt.key_attrs.front())
-          : std::span<const int32_t>();
-  // Transpose the rows into the SoA staging batch and run the predicate
-  // kernels batch-wide up front.
-  const PredicateProgram& program = rt.epoch->compiled->program;
-  EventBatch& batch = rt.batch_scratch;
-  batch.Assign(events, order);
-  program.EvalBatch(batch, &rt.selection);
-  SegmentRuns(batch, batch.size(), pane, rt.all_execs,
-              program.predicated_queries(), rt.selection.masks, &rt.run_spans,
-              rt.key_attrs);
-  for (const RunSpan& run : rt.run_spans) {
-    // Run-shape metrics: bucket i counts runs of length [2^i, 2^(i+1)).
-    ++runs_;
-    const int len = run.row_end - run.row_begin;
-    const size_t bucket =
-        static_cast<size_t>(std::bit_width(static_cast<uint64_t>(len)) - 1);
-    if (run_len_hist_.size() <= bucket) run_len_hist_.resize(bucket + 1, 0);
-    ++run_len_hist_[bucket];
-
-    // One pane advance per run: runs are pane-confined, so the first row's
-    // pane is every row's pane. Ingest keeps hand-off boundaries out of the
-    // rows, so `rt` is still the running runtime after the advance.
-    const Timestamp first_time = batch.time(run.row_begin);
-    const Timestamp event_pane = (first_time / pane) * pane;
-    if (!rt.pane_started || event_pane > rt.pane_start) {
-      AdvancePaneTo(first_time);
-      HAMLET_CHECK(rt_.get() == &rt);
-    }
-    // One arrival sample per run unless the caller passed one (latency
-    // attribution is a wall-clock metric, not part of emission values).
-    const double run_arrival =
-        arrival >= 0 ? arrival : ClockNow(config_.clock_override);
-    for (auto& compp : rt.components) {
-      Component& comp = *compp;
-      if (run.type < 0 ||
-          run.type >= static_cast<TypeId>(comp.dispatch_mask.size()) ||
-          !comp.dispatch_mask[static_cast<size_t>(run.type)])
-        continue;
-      // Runs are group-confined, so the first row's key is the run's.
-      // Without a key column (no GROUPBY, or no row carried the attribute)
-      // every row is group 0.
-      const double* key_col = comp.group_by == Schema::kInvalidId
-                                  ? nullptr
-                                  : batch.column_data(comp.group_by);
-      const int64_t key =
-          key_col == nullptr
-              ? 0
-              : std::llround(key_col[static_cast<size_t>(run.row_begin)]);
-      auto it = comp.groups.find(key);
-      GroupRunner* runner = nullptr;
-      if (it != comp.groups.end()) {
-        runner = it->second.get();
-      } else if (comp.type_mask[static_cast<size_t>(run.type)]) {
-        runner = &NewGroupRunner(rt, comp, key);
-      } else {
-        continue;  // only a carried window reacts to this type
-      }
-      runner->last_event_time = batch.time(run.row_end - 1);
-      // Latency attribution: an event resets the arrival clock only of
-      // windows it can contribute to — it must fall inside the window
-      // span and its type must appear in the owner query's (or cohort's)
-      // pattern. Stamping every open slot would under-report the
-      // emission latency of sibling queries and sliding instances the
-      // event does not belong to.
-      auto stamp_if_relevant = [&](WindowSlot& w, TypeId type) {
-        if (w.types()[static_cast<size_t>(type)]) {
-          w.last_arrival_wall = run_arrival;
-        }
-      };
-      if (runner->hamlet) {
-        // The latency-stamp window scan, hoisted to once per run: windows
-        // are pane-aligned and the run is pane-confined, so a window
-        // containing the first row contains every row.
-        for (WindowSlot& w : runner->windows) {
-          if (first_time < w.ws || first_time >= w.we) continue;
-          stamp_if_relevant(w, run.type);
-        }
-        runner->hamlet->OnRunFiltered(batch, run);
-      } else {
-        // Non-HAMLET engines are per-window and consume rows one at a
-        // time; the run still amortizes the pane advance, type gate and
-        // group lookup across the span. One pass per row: stamp and
-        // dispatch share the window-span check.
-        for (int i = run.row_begin; i < run.row_end; ++i) {
-          const Event& e = events[static_cast<size_t>(
-              order.empty() ? i : order[static_cast<size_t>(i)])];
-          for (WindowSlot& w : runner->windows) {
-            if (e.time < w.ws || e.time >= w.we) continue;
-            stamp_if_relevant(w, e.type);
-            if (w.greta) w.greta->OnEvent(e);
-            if (w.two_step) w.two_step->OnEvent(e);
-            if (w.sharon) w.sharon->OnEvent(e);
-          }
-        }
-      }
-    }
-  }
+  DrainEmissions();
+  return valid;
 }
 
 Status Session::AdvanceTo(Timestamp watermark) {
-  if (closed_) {
-    return Status::FailedPrecondition("AdvanceTo on a closed session");
-  }
+  if (Status guard = FrontGuard("AdvanceTo"); !guard.ok()) return guard;
+  ThreadRoleGuard role(front_role_);
+  return AdvanceToInternal(watermark);
+}
+
+Status Session::AdvanceToInternal(Timestamp watermark) {
   Status ordered = gate_.CheckWatermark(watermark);
   if (!ordered.ok()) return ordered;
-  BusyScope busy(&busy_seconds_, config_.clock_override);
   gate_.CommitWatermark(watermark);
   SyncControl(watermark);
-  AdvancePaneTo(watermark);
+  if (engine_ != nullptr) {
+    MutexLock lock(engine_mu_);
+    engine_->AdvanceTo(watermark);
+  }
+  // The watermark is a barrier: staged events logically precede it, so
+  // they must reach their shards first.
+  FlushAllShards();
+  for (auto& shard : shards_) {
+    ShardMsg msg;
+    msg.kind = ShardMsg::Kind::kWatermark;
+    msg.watermark = watermark;
+    shard->Send(std::move(msg));
+  }
+  if (control_->reoptimizing()) {
+    // With online re-optimization, an explicit watermark is the drift
+    // check's synchronization point: wait until every shard acknowledged
+    // it (publishing fresh metrics first), so the check below — and every
+    // later one — reads statistics that cover the whole stream before the
+    // watermark instead of snapshots lagging by a queue depth. Emissions
+    // are drained while waiting so worker outboxes keep moving. Only the
+    // re-optimizing front pays this barrier, and only at watermarks.
+    for (auto& shard : shards_) {
+      while (shard->watermark_applied.load(std::memory_order_acquire) <
+             watermark) {
+        DrainEmissions();
+        std::this_thread::yield();
+      }
+    }
+  }
+  MaybeDrainRouter();
   MaybeReoptimize();
+  DrainEmissions();
   return Status::Ok();
 }
 
-void Session::Schedule(QueryLifecycle::Scheduled next) {
-  const QueryLifecycle::CompiledEpoch& last =
-      pending_.empty() ? *rt_->epoch->compiled : *pending_.back().epoch;
-  HAMLET_CHECK((!rt_->pane_started || next.at > rt_->pane_start) &&
-               next.at % last.plan->pane_size == 0 &&
-               (pending_.empty() || next.at >= pending_.back().at));
-  if (!rt_->pane_started) {
-    HandOff(std::move(next.epoch));
+Result<std::unique_ptr<Session::Producer>>
+Session::AddProducer() {
+  // Once Close stopped the sequencer's loop, a handle (say, from a sink
+  // during the final drain) could push events nobody merges.
+  if (closed_.load(std::memory_order_acquire) ||
+      seq_stop_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("AddProducer on a closed session");
+  }
+  int slot = -1;
+  {
+    MutexLock lock(producer_mu_);
+    if (!poison_status_.ok()) return poison_status_;
+    if (!mp_mode_.load(std::memory_order_relaxed)) {
+      // First producer: the session switches to multi-producer mode for
+      // good. The sequencer does not exist yet, no session-level push can
+      // run concurrently (threading contract), and once mp_mode_ is set
+      // this branch never re-runs — so the calling thread still IS the
+      // front: it checks the gate and admits the first handle itself,
+      // before the sequencer starts.
+      ThreadRoleGuard role(front_role_);
+      if (gate_.any_seen()) {
+        return Status::FailedPrecondition(
+            "AddProducer after session-level Push/AdvanceTo: a session uses "
+            "ONE ingest mode — open the producers first");
+      }
+      hub_ = std::make_unique<MpscIngestHub<Event>>(
+          static_cast<size_t>(config_.producer_queue_capacity));
+      slot = hub_->Request();
+      AdmitRequested();
+      sequencer_ = Thread(&Session::SequencerLoop, this);
+      mp_mode_.store(true, std::memory_order_release);
+    } else {
+      slot = hub_->Request();
+    }
+  }
+  if (slot < 0) {
+    return Status::ResourceExhausted(
+        "all " + std::to_string(MpscIngestHub<Event>::kMaxProducers) +
+        " producer slots are held by open or undrained handles");
+  }
+  if (sequencing_session == this) {
+    // A sink on the sequencer thread: no merge scan is running (the sink
+    // is called between releases), so the handle is admitted right here.
+    ThreadRoleGuard role(front_role_);
+    AdmitRequested();
+  }
+  std::unique_ptr<Producer> producer(new Producer(this, slot));
+  // Seed the handle's gate with the admission bound so a late joiner
+  // pushing below the merged horizon gets a synchronous kInvalidArgument
+  // from its own handle instead of poisoning the session.
+  const Timestamp bound = hub_->AwaitAdmission(slot);
+  if (bound > MpscIngestHub<Event>::kTimeMin) {
+    producer->gate_.CommitWatermark(bound);
+  }
+  return producer;
+}
+
+void Session::AdmitRequested() {
+  // The gate's max_seen() is the larger of the last merged event and the
+  // last broadcast watermark; the hub raises it to its largest released
+  // time + 1.
+  hub_->AdmitRequested(gate_.any_seen() ? gate_.max_seen()
+                                        : MpscIngestHub<Event>::kTimeMin);
+}
+
+Session::Producer::~Producer() {
+  // Dtor close is best-effort by documented contract; close explicitly to
+  // observe the status.
+  if (!closed_) (void)Close();
+}
+
+Status Session::Producer::Push(const Event& event) {
+  if (closed_) {
+    return Status::FailedPrecondition("Push on a closed producer handle");
+  }
+  if (owner_->poisoned_.load(std::memory_order_acquire)) {
+    return owner_->PoisonStatus();
+  }
+  Status ordered = gate_.CheckEvent(event.time);
+  if (!ordered.ok()) return ordered;
+  Status keys = CheckGroupKeys(event, owner_->control_->group_by_attrs(),
+                               owner_->schema());
+  if (!keys.ok()) return keys;
+  gate_.CommitEvent(event.time);
+  Event copy = event;
+  while (!owner_->hub_->TryPush(slot_, std::move(copy))) {
+    // Bounded-ring backpressure: the sequencer is behind; yield until it
+    // frees a slot. A poisoned session aborts the wait (the sequencer
+    // keeps draining, but delivering this event is pointless).
+    if (owner_->poisoned_.load(std::memory_order_acquire)) {
+      return owner_->PoisonStatus();
+    }
+    std::this_thread::yield();
+  }
+  return Status::Ok();
+}
+
+Status Session::Producer::PushBatch(std::span<const Event> events) {
+  for (const Event& event : events) {
+    Status st = Push(event);
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
+Status Session::Producer::AdvanceTo(Timestamp watermark) {
+  if (closed_) {
+    return Status::FailedPrecondition(
+        "AdvanceTo on a closed producer handle");
+  }
+  if (owner_->poisoned_.load(std::memory_order_acquire)) {
+    return owner_->PoisonStatus();
+  }
+  Status ordered = gate_.CheckWatermark(watermark);
+  if (!ordered.ok()) return ordered;
+  gate_.CommitWatermark(watermark);
+  owner_->hub_->PublishBound(slot_, watermark);
+  return Status::Ok();
+}
+
+Status Session::Producer::Close() {
+  if (closed_) {
+    return Status::FailedPrecondition("producer handle already closed");
+  }
+  closed_ = true;
+  owner_->hub_->CloseSlot(slot_);
+  return Status::Ok();
+}
+
+void Session::SequencerLoop() {
+  // In multi-producer mode the sequencer IS the front: it owns the gate,
+  // staging, steal bookkeeping, and emission fan-in until it exits (the
+  // join in StopSequencer hands the role back to the closing thread).
+  ThreadRoleGuard role(front_role_);
+  sequencing_session = this;
+  int idle = 0;
+  Event event;
+  for (;;) {
+    // Joiners enter the roster between merge rounds, never mid-scan.
+    AdmitRequested();
+    bool did_work = false;
+    while (hub_->TryNext(&event)) {
+      did_work = true;
+      IngestReleased(event);
+    }
+    // The merge is stuck, so the front has run out of input: idle shards
+    // get what is staged for them. Idle rounds check too, so a shard whose
+    // queue was busy when the input stopped gets its tail once it drains.
+    FlushIdleShards();
+    // Broadcast only after draining until stuck: the frontier then bounds
+    // every released timestamp, so it is a legal watermark.
+    MaybeBroadcastFrontier();
+    if (seq_stop_.load(std::memory_order_acquire)) {
+      // Close() guarantees every producer handle is closed before setting
+      // the stop flag, so this final drain empties the hub completely (a
+      // closed, drained slot leaves the roster and blocks nothing). The
+      // frontier then rests at the hub's floor (the max final producer
+      // bound) — broadcast it, so the producers' last watermarks reach the
+      // shards DETERMINISTICALLY rather than only when the idle loop
+      // happened to poll between the last AdvanceTo and the close.
+      while (hub_->TryNext(&event)) IngestReleased(event);
+      MaybeBroadcastFrontier();
+      return;
+    }
+    if (did_work) {
+      idle = 0;
+      continue;
+    }
+    DrainEmissions();
+    if (++idle < kSequencerIdleSpins) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(kSequencerIdleSleep);
+    }
+  }
+}
+
+void Session::IngestReleased(const Event& event) {
+  // A poisoned session still drains the hub — abandoning it would leave
+  // producers spinning on full rings — but discards the events.
+  if (poisoned_.load(std::memory_order_relaxed)) return;
+  Status ordered = gate_.CheckEvent(event.time);
+  if (!ordered.ok()) {
+    // A cross-producer violation the per-producer gates could not see
+    // (e.g. two producers pushing the same timestamp). The session
+    // poisons — a sticky error every producer observes — instead of
+    // feeding the engines a misordered stream.
+    Poison(std::move(ordered));
     return;
   }
-  // The control plane compiled the changes of an epoch pending for the
-  // same boundary into this one.
-  if (!pending_.empty() && pending_.back().at == next.at) pending_.pop_back();
-  pending_.push_back(std::move(next));
-}
-
-void Session::SyncControl(Timestamp time) {
-  if (control_ == nullptr || time < control_->next_change()) return;
-  for (QueryLifecycle::Scheduled& drop : control_->Advance(time)) {
-    Schedule(std::move(drop));
+  gate_.CommitEvent(event.time);
+  control_->CountEvent(event.type);
+  if (engine_ != nullptr) {
+    RunInline(std::span<const Event>(&event, 1), /*per_event=*/true);
+  } else {
+    StageEvent(event);
   }
+  MaybeReoptimize();
+  DrainEmissions();
 }
 
-Result<Timestamp> Session::Apply(Result<QueryLifecycle::Scheduled> op) {
-  if (!op.ok()) return op.status();
-  const Timestamp at = op.value().at;
-  Schedule(std::move(op).value());
-  return at;
+void Session::MaybeBroadcastFrontier() {
+  if (poisoned_.load(std::memory_order_relaxed)) return;
+  const Timestamp frontier = hub_->Frontier();
+  // With every producer closed and drained the frontier rests at the
+  // hub's floor (max final bound), so departed producers' last watermarks
+  // still broadcast. <= 0 covers the pre-first-bound state.
+  if (frontier <= 0) return;
+  const Timestamp pane = PaneSize();
+  const Timestamp fpane = (frontier / pane) * pane;
+  // Broadcast one LESS than the frontier pane (floored at the largest
+  // released/committed time, which the gate requires). The raw frontier
+  // must not go out: a push of event t publishes bound t+1, so a frontier
+  // landing exactly on a pane boundary would open a pane the event stream
+  // never reached — and whether that broadcast won the race against the
+  // producer closing would decide the emission set. Both max_seen and
+  // fpane-1 only ever advance panes a processed event or explicit
+  // watermark already reached, so the broadcast is emission-neutral no
+  // matter how the polling races; producer watermarks simply propagate
+  // with up to one pane of lag (the shutdown broadcast and Close's flush
+  // finish the tail).
+  Timestamp watermark = fpane - 1;
+  if (gate_.any_seen() && gate_.max_seen() > watermark) {
+    watermark = gate_.max_seen();
+  }
+  if (watermark <= 0) return;
+  // Throttle on the pane boundary the broadcast would ADVANCE TO (not the
+  // raw frontier pane): watermarks sharing a boundary open and close the
+  // same windows, so re-announcing one is pure per-shard queue overhead —
+  // while a skipped boundary would change the emission set with timing.
+  const Timestamp boundary = (watermark / pane) * pane;
+  if (boundary <= last_frontier_pane_) return;
+  last_frontier_pane_ = boundary;
+  Status st = AdvanceToInternal(watermark);
+  // The value is >= every committed event and watermark by construction,
+  // so the gate can never reject it.
+  HAMLET_CHECK(st.ok());
+}
+
+void Session::StopSequencer() {
+  if (!sequencer_.Joinable()) return;
+  seq_stop_.store(true, std::memory_order_release);
+  sequencer_.Join();
+}
+
+void Session::Poison(Status status) {
+  {
+    MutexLock lock(producer_mu_);
+    if (poison_status_.ok()) poison_status_ = std::move(status);
+  }
+  poisoned_.store(true, std::memory_order_release);
+}
+
+Status Session::PoisonStatus() {
+  MutexLock lock(producer_mu_);
+  return poison_status_;
 }
 
 Result<Timestamp> Session::AddQuery(const Query& query) {
-  if (closed_) {
-    return Status::FailedPrecondition("AddQuery on a closed session");
-  }
-  BusyScope busy(&busy_seconds_, config_.clock_override);
+  if (Status guard = FrontGuard("AddQuery"); !guard.ok()) return guard;
+  // FrontGuard rejected multi-producer mode above, so the caller is the
+  // front.
+  ThreadRoleGuard role(front_role_);
   return Apply(control_->AddQuery(query));
 }
 
 Result<Timestamp> Session::RemoveQuery(const std::string& name) {
-  if (closed_) {
-    return Status::FailedPrecondition("RemoveQuery on a closed session");
-  }
-  BusyScope busy(&busy_seconds_, config_.clock_override);
+  if (Status guard = FrontGuard("RemoveQuery"); !guard.ok()) return guard;
+  ThreadRoleGuard role(front_role_);
   return Apply(control_->RemoveQuery(name));
 }
 
 Result<Timestamp> Session::ApplySharingOverrides(
     std::span<const SharingOverride> overrides) {
-  if (closed_) {
-    return Status::FailedPrecondition(
-        "ApplySharingOverrides on a closed session");
+  if (Status guard = FrontGuard("ApplySharingOverrides"); !guard.ok()) {
+    return guard;
   }
-  BusyScope busy(&busy_seconds_, config_.clock_override);
+  ThreadRoleGuard role(front_role_);
   return Apply(control_->ApplySharingOverrides(overrides));
 }
 
@@ -1221,117 +1427,60 @@ const std::vector<ReoptDecision>& Session::reopt_log() const {
 
 std::vector<Query> Session::queries() const { return control_->queries(); }
 
-Session::DetachedGroup::DetachedGroup() = default;
-Session::DetachedGroup::DetachedGroup(DetachedGroup&&) noexcept = default;
-Session::DetachedGroup& Session::DetachedGroup::operator=(
-    DetachedGroup&&) noexcept = default;
-Session::DetachedGroup::~DetachedGroup() = default;
-
-Session::DetachedGroup Session::DetachGroup(int64_t group_key,
-                                            Timestamp boundary) {
-  // Every event of the key before the boundary is already here, so the
-  // runners leave with all their windows before it closed and all windows
-  // starting at it open: exactly the state the thief's pane clock expects.
-  // Both shards run the same epoch at the boundary (churn reaches them in
-  // the same stream order), so their component lists match.
-  AdvanceToStealBoundary(boundary);
-  Runtime& rt = *rt_;
-  HAMLET_DCHECK(rt.pane_start == boundary);
-  DetachedGroup group;
-  group.runners.resize(rt.components.size());
-  for (size_t c = 0; c < rt.components.size(); ++c) {
-    auto& groups = rt.components[c]->groups;
-    auto it = groups.find(group_key);
-    if (it == groups.end()) continue;
-    group.runners[c] = std::move(it->second);
-    groups.erase(it);
-  }
-  return group;
+Timestamp Session::PaneSize() const {
+  return control_->running()->plan->pane_size;
 }
 
-void Session::AttachGroup(int64_t group_key, Timestamp boundary,
-                          DetachedGroup group) {
-  // Pane advancement is deterministic in event time: doing it here only
-  // moves work the key's next event would trigger anyway.
-  AdvanceToStealBoundary(boundary);
-  Runtime& rt = *rt_;
-  HAMLET_DCHECK(rt.pane_start == boundary);
-  HAMLET_CHECK(group.runners.size() == rt.components.size());
-  for (size_t c = 0; c < rt.components.size(); ++c) {
-    if (group.runners[c] == nullptr) continue;
-    Component& comp = *rt.components[c];
-    GroupRunner& runner = *group.runners[c];
-    runner.comp = &comp;
-    // The dynamic policy counts decisions per session.
-    if (runner.hamlet) runner.hamlet->set_policy(comp.policy.get());
-    // The router sent the key elsewhere until this boundary.
-    HAMLET_CHECK(comp.groups.emplace(group_key, std::move(group.runners[c]))
-                     .second);
-  }
+Result<Timestamp> Session::Apply(
+    const Result<QueryLifecycle::Scheduled>& op) {
+  if (!op.ok()) return op.status();
+  Broadcast(op.value());
+  DrainEmissions();
+  return op.value().at;
 }
 
-void Session::AdvanceToStealBoundary(Timestamp boundary) {
-  // The stream has reached the boundary (the sharded front staged an event
-  // at or past it, and every earlier event of this session precedes it),
-  // so it counts as observed: idle groups evict at it exactly as in a
-  // single-threaded run. A later watermark may already cover it.
-  if (gate_.CheckWatermark(boundary).ok()) gate_.CommitWatermark(boundary);
-  AdvancePaneTo(boundary);
-}
-
-HamletStats Session::AggregateHamletStats() const {
-  HamletStats s = retired_stats_;
-  for (const auto& comp : rt_->components) {
-    for (const auto& [key, runner] : comp->groups) {
-      if (runner->hamlet) AddStats(s, runner->hamlet->stats());
-    }
+void Session::Broadcast(const QueryLifecycle::Scheduled& next) {
+  if (engine_ != nullptr) {
+    MutexLock lock(engine_mu_);
+    engine_->Schedule(next);
   }
-  return s;
+  // The epoch is a barrier in stream order: staged events precede it.
+  FlushAllShards();
+  for (auto& shard : shards_) {
+    ShardMsg msg;
+    msg.kind = ShardMsg::Kind::kEpoch;
+    msg.epoch = next.epoch;
+    msg.boundary = next.at;
+    shard->Send(std::move(msg));
+  }
+  for (const ExecQuery& eq : next.epoch->plan->exec_queries) {
+    within_high_water_ = std::max(within_high_water_, eq.window.within);
+  }
 }
 
 void Session::MaybeReoptimize() {
-  if (control_ == nullptr) return;
   const std::optional<Timestamp> due = control_->ReoptDue();
   if (!due.has_value()) return;
-  std::optional<QueryLifecycle::Scheduled> swap =
-      control_->Reoptimize(*due, AggregateHamletStats());
-  if (swap.has_value()) Schedule(std::move(swap).value());
+  // Exact at one shard. Worker snapshots lag by at most
+  // kSnapshotEveryEvents events per shard; stale statistics only delay a
+  // swap by one check interval (both the baseline and the cumulative
+  // reading come from the same snapshots, so the deltas stay consistent).
+  const std::optional<QueryLifecycle::Scheduled> swap =
+      control_->Reoptimize(*due, MetricsSnapshot().hamlet);
+  if (swap.has_value()) Broadcast(*swap);
 }
 
-void Session::FillMetrics(RunMetrics* m) const {
-  m->events = events_;
-  m->elapsed_seconds = busy_seconds_;
-  m->emissions = latency_count_;
-  m->avg_latency_seconds =
-      latency_count_ == 0 ? 0.0 : latency_sum_ / latency_count_;
-  m->max_latency_seconds = latency_max_;
-  m->throughput_eps = m->elapsed_seconds <= 0
-                          ? 0
-                          : static_cast<double>(events_) / m->elapsed_seconds;
-  m->peak_memory_bytes = std::max(peak_memory_, CurrentMemory());
-  m->current_memory_bytes = CurrentMemory();
-  m->dnf_windows = dnf_windows_;
-  m->evicted_compositions = evicted_compositions_;
-  m->hamlet = AggregateHamletStats();
-  m->decisions = retired_decisions_;
-  if (config_.kind == EngineKind::kHamletDynamic) {
-    for (const auto& comp : rt_->components) {
-      auto* dyn = static_cast<DynamicBenefitPolicy*>(comp->policy.get());
-      m->decisions += dyn->decisions();
-    }
-  }
-  if (control_ != nullptr) control_->FillMetrics(m);
-  m->active_epochs = 1;
-  m->evicted_idle_groups = evicted_idle_groups_;
-  m->runs = runs_;
-  m->run_len_hist = run_len_hist_;
-}
-
-RunMetrics Session::MetricsSnapshot() const {
-  if (closed_) return final_metrics_;
-  RunMetrics m;
-  FillMetrics(&m);
-  return m;
+void Session::MaybeDrainRouter() {
+  if (!config_.evict_idle_groups || router_.map_size() == 0) return;
+  // A diverted or stolen key last seen at E <= boundary - W_max has every
+  // window that could contain its events closed AND (via evict_idle_groups)
+  // its engine state evicted from its shard by that boundary, so if the key
+  // re-appears, re-routing it elsewhere can neither split live state nor
+  // duplicate a (window, query, group) emission: the old shard's windows
+  // all ended before any window the new shard will open.
+  const Timestamp boundary = (gate_.max_seen() / PaneSize()) * PaneSize();
+  router_.DrainStale(boundary - within_high_water_);
+  PublishMapSize();
 }
 
 Result<RunMetrics> Session::Close() {
@@ -1340,22 +1489,133 @@ Result<RunMetrics> Session::Close() {
         "Close on a closed session (first Close already returned the final "
         "metrics; use MetricsSnapshot to re-read them)");
   }
-  {
-    BusyScope busy(&busy_seconds_, config_.clock_override);
-    // Flush to the last open window's end — a pending epoch activating on
-    // the way takes the windows over.
-    Timestamp flush_to = rt_->pane_started ? rt_->pane_start : 0;
-    for (const auto& comp : rt_->components) {
-      for (const auto& [key, runner] : comp->groups) {
-        for (const WindowSlot& w : runner->windows)
-          flush_to = std::max(flush_to, w.we);
+  if (mp_mode_.load(std::memory_order_acquire)) {
+    if (const int open = hub_->open_producers(); open > 0) {
+      return Status::FailedPrecondition(
+          "Close with " + std::to_string(open) +
+          " producer handle(s) still open; close every producer first");
+    }
+    // All handles closed: the sequencer's final drain empties the hub,
+    // merges the tail, and the join makes its front state (gate_, staging,
+    // steal bookkeeping) visible to this thread for the close path below.
+    StopSequencer();
+  }
+  // The sequencer (if one ever ran) has exited above, so the closing
+  // thread is the front again for the final sweep.
+  ThreadRoleGuard role(front_role_);
+  RunMetrics merged;
+  if (engine_ != nullptr) {
+    MutexLock lock(engine_mu_);
+    AddShardMetrics(merged, engine_->Close());
+  }
+  FlushAllShards();
+  // Each shard saw only a subset of the stream, so its own max seen time
+  // can trail the front's. Broadcasting the front's max as a final
+  // watermark (never a regression: max_seen includes every watermark)
+  // brings every shard to the same final pane before the Close flush
+  // sweep: a shard with no event in that pane still opens its windows,
+  // and idle-group eviction horizons align with the single-threaded
+  // reference, so emissions match it at any shard count.
+  if (gate_.any_seen()) {
+    for (auto& shard : shards_) {
+      ShardMsg msg;
+      msg.kind = ShardMsg::Kind::kWatermark;
+      msg.watermark = gate_.max_seen();
+      shard->Send(std::move(msg));
+    }
+  }
+  for (auto& shard : shards_) {
+    ShardMsg msg;
+    msg.kind = ShardMsg::Kind::kStop;
+    shard->Send(std::move(msg));
+  }
+  for (auto& shard : shards_) {
+    shard->worker.Join();
+    AddShardMetrics(merged, shard->final_metrics);
+  }
+  FillIngressMetrics(merged);
+  final_metrics_ = merged;
+  closed_.store(true, std::memory_order_release);
+  // The inline engine and the workers buffered every remaining emission; this
+  // final fan-in empties those buffers into the sink. It runs after the session
+  // is marked closed, so a feedback sink pushing from OnEmission gets
+  // kFailedPrecondition instead of staging events no engine will ever process.
+  // It must NOT share DrainEmissions' guard/scratch: a sink may call Close from
+  // OnEmission mid-drain, and a guarded no-op here would silently lose the
+  // stop-flushed emissions of shards the interrupted drain already passed
+  // (nothing drains after Close). A local buffer keeps the interrupted drain's
+  // scratch intact.
+  if (sink_ != nullptr) {
+    std::vector<Emission> remaining;
+    if (inline_sink_ != nullptr) remaining.swap(inline_sink_->buffered);
+    for (const Emission& emission : remaining) sink_->OnEmission(emission);
+    for (auto& shard : shards_) {
+      remaining.clear();
+      {
+        MutexLock lock(shard->outbox_mu);
+        remaining.swap(shard->outbox);
+        shard->outbox_ready.store(false, std::memory_order_relaxed);
+      }
+      for (const Emission& emission : remaining) {
+        sink_->OnEmission(emission);
       }
     }
-    AdvancePaneTo(flush_to);
   }
-  closed_ = true;
-  FillMetrics(&final_metrics_);
-  return final_metrics_;
+  // A poisoned session shut down cleanly but its answer is incomplete:
+  // the poison, not the metrics, is the result (MetricsSnapshot keeps the
+  // final metrics readable).
+  if (poisoned_.load(std::memory_order_acquire)) return PoisonStatus();
+  return merged;
+}
+
+void Session::FillIngressMetrics(RunMetrics& merged) const {
+  merged.shard_batch_hist.assign(kBatchHistBuckets, 0);
+  int64_t max_depth = 0;
+  for (const auto& shard : shards_) {
+    for (size_t b = 0; b < kBatchHistBuckets; ++b) {
+      merged.shard_batch_hist[b] +=
+          shard->batch_hist[b].load(std::memory_order_relaxed);
+    }
+    max_depth = std::max(
+        max_depth, shard->max_queue_depth.load(std::memory_order_relaxed));
+  }
+  // Drop empty tail buckets so small-batch runs print compactly.
+  while (!merged.shard_batch_hist.empty() &&
+         merged.shard_batch_hist.back() == 0) {
+    merged.shard_batch_hist.pop_back();
+  }
+  merged.max_queue_depth_msgs = max_depth;
+  merged.rebalanced_keys = rebalanced_keys_.load(std::memory_order_relaxed);
+  merged.rebalance_map_size =
+      route_map_size_.load(std::memory_order_relaxed);
+  // Shards never steal on their own; migrations execute on the front.
+  merged.stolen_panes += stolen_panes_.load(std::memory_order_relaxed);
+  // Shards have no control plane; the front's counts every op once.
+  control_->FillMetrics(&merged);
+  // The merge left peak at max(per-shard peaks) — the always-true floor;
+  // the sampled concurrent sum can only raise it toward the true
+  // simultaneous footprint (and never past the sum of peaks).
+  merged.peak_memory_bytes = std::max(
+      merged.peak_memory_bytes, mem_high_water_.load(std::memory_order_relaxed));
+}
+
+RunMetrics Session::MetricsSnapshot() const {
+  if (closed_.load(std::memory_order_acquire)) return final_metrics_;
+  RunMetrics merged;
+  if (engine_ != nullptr) {
+    MutexLock lock(engine_mu_);
+    AddShardMetrics(merged, engine_->MetricsSnapshot());
+  }
+  for (const auto& shard : shards_) {
+    RunMetrics m;
+    {
+      MutexLock lock(shard->snapshot_mu);
+      m = shard->snapshot;
+    }
+    AddShardMetrics(merged, m);
+  }
+  FillIngressMetrics(merged);
+  return merged;
 }
 
 }  // namespace hamlet

@@ -1,11 +1,13 @@
-// Push-based streaming session: the runtime's primary entry point.
+// Push-based streaming session: the runtime's one entry point, at every
+// shard count.
 //
 // A Session evaluates a compiled workload incrementally: callers push events
 // (singly or in batches) as they arrive, and every query result is delivered
-// to a pluggable EmissionSink the moment its window closes — no O(stream)
-// input buffer and no grow-forever output buffer on the hot path.
+// to a pluggable EmissionSink once its window closes — no O(stream) input
+// buffer and no grow-forever output buffer on the hot path. The batch
+// StreamExecutor::Run in src/runtime/executor.h is a thin wrapper over this
+// class with a CollectingSink.
 //
-// Lifecycle:
 //   Result<std::unique_ptr<Session>> s = Session::Open(plan, config, &sink);
 //   s.value()->Push(event);              // or PushBatch(span)
 //   s.value()->AdvanceTo(watermark);     // force window closure, no event
@@ -14,48 +16,225 @@
 // After Close, every entry point (including a second Close) returns
 // kFailedPrecondition instead of relying on caller discipline.
 //
-// Query churn and plan swaps (src/runtime/query_lifecycle.h) never run two
-// plans at once. The session's control plane (src/runtime/control_plane.h)
-// compiles each op into a plan epoch that the runtime holds pending; when
-// the pane clock reaches its activation boundary, the session builds the
-// epoch's runtime,
-// hands every open window over — HAMLET state query by query through
-// HamletEngine::ExportQuery/ImportQuery, per-window baseline engines whole
-// — and frees the old runtime. Every event is processed once, by the one
-// runtime whose epoch covers it. A removed query leaves the plan the same
-// way, at the first pane boundary after its last window closed.
+// The paper's pre-processing step (§3.1) partitions each component's stream
+// by its group-by attribute precisely because groups never interact: a
+// trend, window, graphlet or snapshot only ever involves events of one
+// group. The session hash-partitions incoming events by group-by key across
+// RunConfig::num_shards shards, each running one ShardEngine
+// (src/runtime/shard_engine.h: panes, windows, engine dispatch, hand-off)
+// over the subsequence of events whose groups it owns. Because a group's
+// whole stream lands on one shard, every per-group result is bitwise
+// identical at every shard count — only the interleaving of emissions
+// across groups differs. The shard count is a setting, not a second API:
+// this class is the front for all of them. It owns the ordering gate and
+// the group-key checks, the one control plane, producers and sequencer,
+// placement and stealing, emission fan-in and metrics.
 //
-// The session owns all stream-time machinery (paper §3.1 pre-processing +
-// §6.1 metrics): partitioning exec queries into components connected by
-// share groups, partitioning each component's stream by its group-by
-// attribute, pane-aligned window management (tumbling and sliding),
-// dispatch to the selected engine (HAMLET dynamic/static/no-share, GRETA
-// graph/prefix, two-step, SHARON), OR/AND branch composition, and the
-// paper's latency / throughput / peak-memory accounting. The batch
-// StreamExecutor::Run in src/runtime/executor.h is a thin wrapper over this
-// class with a CollectingSink.
+// Mechanics:
+//  * One shard runs inline: the front calls its engine on the front thread
+//    (the caller, or the sequencer once producers exist). There is no
+//    worker thread, queue, staging or per-event copy: Push/PushBatch commit
+//    the valid prefix at the gate, bring the control plane up to date and
+//    hand the caller's span straight to the engine. The contracts are the
+//    multi-shard ones: emissions are buffered during the engine call and
+//    delivered after it returns, so a sink may call back into the session,
+//    and MetricsSnapshot is safe from any thread (the front holds
+//    engine_mu_ only across engine calls), exact at call boundaries.
+//  * Ingress at more than one shard: Push/PushBatch validate ordering once at
+//    the front, then stage each event into its shard's staging buffer, so the
+//    per-event hot path is a hash plus an append. A shard's staging goes to its
+//    bounded SPSC ring (src/common/spsc_queue.h) as ONE batch message when it
+//    reaches RunConfig::shard_batch_size, or when the front has run out of
+//    input (the end of Push/PushBatch, or of a sequencer merge round) and that
+//    shard's queue is empty. The rule decides per burst from what the stream
+//    does, with no clock, timer or knob: in a burst the worker is behind, its
+//    queue is busy and staging fills whole batches; in a lull the worker is
+//    idle and each event goes out as soon as it is pushed. Push checks only the
+//    shard it staged to (O(1) in the shard count); PushBatch and the sequencer
+//    check every shard. Watermarks, epochs, steals and Close flush all staging
+//    first (they are barriers), so results never depend on where batches are
+//    cut. A full queue applies backpressure by spinning the caller; idle
+//    workers park on a condition variable with a timed wait. Consumed batch
+//    buffers are recycled back to the producer through a second SPSC ring, so
+//    steady-state ingest allocates nothing.
+//  * Placement: events route to shards by group-by hash
+//    (src/stream/shard_router.h), balanced by work stealing (below), which
+//    is on by default at num_shards > 1. With no placement policy on
+//    (work_stealing = false, or one shard), staging is exactly one hash
+//    per event. Either policy — skew-aware first-sight placement
+//    (RunConfig::shard_rebalance_threshold > 0) or work stealing — makes
+//    the front keep ONE two-bucket sliding window of per-shard
+//    staged-event counts, and both read it: a NEW group key
+//    whose hash shard leads the least-loaded shard by more than the
+//    threshold lands on the least-loaded shard instead, and pane-boundary
+//    steals pick their victim and thief from the same counts. Placements
+//    are router overrides. First-sight placements are sticky — with
+//    rebalancing every seen key keeps its shard — so a group's whole
+//    stream stays on one shard and per-group results and ordering are
+//    unchanged; only steals move an established group, and they move its
+//    state with it.
+//  * Watermarks: AdvanceTo validates once, flushes staging, then broadcasts
+//    the watermark to every shard so pane-aligned window closure happens on
+//    all shards — including those that saw no recent events.
+//  * Emissions: each shard buffers its emissions locally and publishes them
+//    to a per-shard outbox at message boundaries (batch/watermark/stop);
+//    the caller thread fans them in to the user sink during subsequent
+//    Push/PushBatch/AdvanceTo calls and at Close. No cross-shard lock
+//    exists on the emission path, every OnEmission call happens on the
+//    caller thread, and per-group emissions arrive in window order
+//    (cross-group interleaving is unspecified). Any single-threaded sink
+//    works unmodified — including thread-local-keyed ones, which the old
+//    worker-side serialized delivery broke.
+//  * Metrics: Close() joins the workers and merges per-shard RunMetrics via
+//    MergeRunMetrics — counters sum, latency max/avg combine, elapsed is
+//    the max, and throughput is recomputed from merged events / elapsed
+//    (shards overlap in time, so rates never sum). Merged peak memory is a
+//    sampled CONCURRENT high-water mark: workers publish their current
+//    footprint, the front samples the sum at flush boundaries, and the
+//    result is max(samples, max per-shard peak) — never the sum of
+//    per-shard peaks, which overstates the concurrent footprint when
+//    shards peak at different times. The ingress layer also reports a
+//    batch-size histogram, the max queue depth, per-shard event counts and
+//    the rebalanced-key count (RunMetrics ingress fields). Count fields
+//    are deterministic for a fixed shard count; the sampled peak is not.
+//
+//  * Query churn + plan swaps: the session has ONE control plane
+//    (src/runtime/control_plane.h), on the front; shard engines have none
+//    and compile nothing. It validates and compiles each AddQuery/
+//    RemoveQuery, plan swap (explicit, or from its online re-optimizer)
+//    and drained-query drop once, into an immutable plan epoch with ONE
+//    pane-aligned activation boundary — computed from the front gate, which
+//    has seen every event. The front flushes all staging (the epoch is a
+//    barrier in stream order) and sends the same epoch to every shard in
+//    one message, so every shard hands its open windows to it at the
+//    identical boundary and the union of shard emissions stays
+//    bit-identical to a 1-shard session; a rejected op touches no shard.
+//    A drop goes out before any event or watermark at or past its
+//    boundary is staged. A shard that saw no event since an earlier op
+//    keeps that op's pending epoch and hands off at each boundary in turn.
+//    The front's own pane grid (steal boundaries, router drains) is the
+//    control plane's running epoch's. The re-optimizer reads the shards'
+//    merged MetricsSnapshot statistics (exact at one shard), on one cadence
+//    at every shard count.
+//    Worker snapshots lag under sustained load, so an explicit AdvanceTo
+//    doubles as the re-optimizer's synchronization checkpoint: each worker
+//    publishes fresh metrics before acknowledging the watermark and the
+//    re-optimizing front waits for all acknowledgements, guaranteeing that
+//    every drift check after a watermark sees statistics covering the
+//    whole stream before it (only paid when reoptimize_every_panes > 0).
+//    With RunConfig::evict_idle_groups, AdvanceTo also drains router
+//    override entries (placed or stolen keys) whose groups' windows have
+//    provably all closed (cutoff = current pane boundary minus the largest
+//    WITHIN ever compiled), and Close broadcasts a final watermark carrying
+//    the front's max seen time before stop so every shard's eviction
+//    horizon matches the 1-shard reference during the final flush.
+//
+//  * Concurrent ingest (AddProducer): N producer threads may ingest
+//    concurrently through per-producer handles instead of the single
+//    front thread. Each Producer owns a private SPSC ring plus a published
+//    lower bound inside an MpscIngestHub (src/common/mpsc_ingest.h); an
+//    internal sequencer thread k-way-merges the rings back into ONE
+//    time-ordered stream and becomes the front — it runs the same
+//    gate/stage/flush machinery, so everything downstream of the merge is
+//    identical to single-producer ingest and the emission SET is invariant
+//    across producer counts. Per-producer watermarks (Producer::AdvanceTo)
+//    merge through the hub frontier — min over producers of (buffered
+//    front event, or published bound) — which the sequencer broadcasts as
+//    the session watermark whenever it crosses a pane boundary. Producer
+//    handles enforce their OWN ordering gates (each producer's stream must
+//    be strictly increasing and respect the handle's admission bound, so a
+//    late joiner cannot push below what was already broadcast);
+//    cross-producer violations the handle gates cannot see — two producers
+//    pushing the same timestamp — poison the session with a sticky error
+//    instead of feeding engines a misordered stream. Once AddProducer is
+//    called, session-level Push/PushBatch/AdvanceTo and query churn return
+//    kFailedPrecondition for the session's lifetime (one ingest mode per
+//    session), and sink emissions are delivered on the sequencer thread.
+//    Close requires every producer handle closed first, and returns the
+//    poison status on a poisoned session. Producers may join and leave
+//    mid-stream (AddProducer / Producer::Close): the sequencer alone admits
+//    a joiner, between merge rounds, above everything released or
+//    broadcast, and retires a departed handle once it drained its ring.
+//  * Pane-boundary work stealing (RunConfig::work_stealing, on by
+//    default): balances what the hash leaves skewed — a few hot groups on
+//    one shard, or a group that becomes hot after placement (rebalancing
+//    only places NEW keys). The front tracks per-group staged-event loads
+//    next to the placement window's per-shard ones; when an event-time pane
+//    crossing finds the max-loaded shard above steal_imbalance_ratio x the
+//    min-loaded shard plus a floor, whole established groups move at that
+//    pane boundary B. Groups never interact (§3.1), so at B a group's whole
+//    state is its GroupRunners: the router reassigns the key, and the front
+//    sends, back to back, a DETACH to the victim and an ATTACH to the
+//    thief, both carrying one hand-off cell. The victim advances panes to
+//    B, takes the key's runners out of its engine (HAMLET engine, open
+//    windows and per-window engines alike) and fills the cell; the thief
+//    advances panes to B, blocks until the cell is full and installs the
+//    runners. The front never waits, so the steals of one boundary
+//    pipeline. No wait can deadlock: an attach waits only for a detach
+//    queued earlier, and whatever the victim meets before that detach
+//    belongs to an earlier steal, so chains of waits strictly shrink in
+//    steal order. Every event of the key before B reached the victim before
+//    the detach and every later one goes to the thief, so no event is
+//    processed twice (RunMetrics::duplicated_events stays 0). Every steal
+//    decision derives from the event stream alone — never wall-clock or
+//    watermark arrival timing — so emissions stay bit-identical across
+//    producer counts and stealing on/off, for a fixed shard count.
+//    RunMetrics::stolen_panes counts executed migrations. Without
+//    rebalancing the router keeps an override only for keys a steal left
+//    off their hash shard, so key churn cannot grow the map. Every plan
+//    epoch (churn op, plan swap or drop) reaches the victim and the thief
+//    in the same stream order, so both run the same plan epoch at every
+//    steal boundary. With evict_idle_groups, both shards treat B as
+//    observed stream time, so idle groups evict at B as in a 1-shard
+//    run; a key evicted before its steal moves nothing and
+//    the thief recreates it fresh, and a stolen key's override drains once
+//    the key has been idle past every WITHIN.
+//
+// Threading contract: Open/Push/PushBatch/AdvanceTo/AddQuery/RemoveQuery/
+// ApplySharingOverrides/Close must all be called from one thread at a
+// time (single producer — matching the SPSC ingress).
+// AddProducer may be called from any thread; each Producer handle is
+// single-threaded, but DIFFERENT handles may run on different threads
+// concurrently — that is the point of the hub. MetricsSnapshot may be
+// called concurrently with pushes from any mode.
+//
+// The contract is statically checked (Clang Thread Safety Analysis, see
+// src/common/mutex.h and docs/STATIC_ANALYSIS.md): `front_role_` is the
+// capability of "the front thread" — held by the caller in single-producer
+// mode and by the sequencer in multi-producer mode — and every front-state
+// field below is HAMLET_GUARDED_BY it; the inline engine at one shard is
+// guarded by engine_mu_, and the per-shard mutexes in Shard guard the
+// worker<->front hand-off state. A build with HAMLET_THREAD_SAFETY=ON
+// rejects any new code path that touches front state without the role or
+// shard hand-off state without its lock.
+//
+// Requirement: all exec queries in the plan must share one group-by
+// attribute (true for every paper workload; Definition 5 gives it per
+// component). Open returns kUnsupported for num_shards > 1 otherwise,
+// since a consistent event->shard route would not exist.
 #ifndef HAMLET_RUNTIME_SESSION_H_
 #define HAMLET_RUNTIME_SESSION_H_
 
+#include <atomic>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
-#include "src/baselines/sharon_engine.h"
-#include "src/baselines/two_step_engine.h"
+#include "src/common/mpsc_ingest.h"
+#include "src/common/mutex.h"
 #include "src/common/status.h"
-#include "src/greta/greta_engine.h"
+#include "src/common/thread.h"
 #include "src/hamlet/batch_eval.h"
 #include "src/optimizer/online_optimizer.h"
 #include "src/optimizer/policies.h"
 #include "src/query/columnar_predicate.h"
 #include "src/runtime/query_lifecycle.h"
 #include "src/stream/event_batch.h"
+#include "src/stream/shard_router.h"
 
 namespace hamlet {
 
@@ -84,10 +263,10 @@ struct RunConfig {
   /// kRuntime prices the engine's code per propagation mode; kSimple and
   /// kRefined are the paper's Definitions 11/12.
   CostModelVariant cost_variant = CostModelVariant::kRuntime;
-  /// Worker shards for ShardedSession (src/runtime/sharded_session.h):
-  /// events are hash-partitioned by group-by key across this many threads,
-  /// and work_stealing rebalances the groups.
-  /// Must be in [1, kMaxShards]. Plain Session ignores it (always 1).
+  /// Shards of the Session: events are hash-partitioned by group-by key
+  /// across this many engines, each on its own worker thread, and
+  /// work_stealing rebalances the groups. One shard runs its engine inline
+  /// on the front thread. Must be in [1, kMaxShards].
   int num_shards = 1;
   /// Per-shard ingress queue capacity in *MESSAGES* — event batches plus
   /// control messages, NOT events — before Push applies backpressure. Must
@@ -96,18 +275,18 @@ struct RunConfig {
   /// Open rejects configs whose product exceeds kMaxQueuedEventsPerShard so
   /// the two knobs cannot silently compound into gigabytes of queue.
   int shard_queue_capacity = 8192;
-  /// ShardedSession ingress granularity: the most events staged per shard
-  /// before the producer hands them to that shard's queue as one batch
-  /// message. A shard whose queue is empty gets its staging sooner, when
-  /// the front runs out of input (src/runtime/sharded_session.h), so this
-  /// caps the batch in a burst and costs nothing in a lull. 1 reproduces
-  /// per-event hand-off. Watermarks and Close flush staging, so results
-  /// never depend on this knob. Must be >= 1. Plain Session ignores it.
+  /// Sharded ingress granularity: the most events staged per shard before
+  /// the front hands them to that shard's queue as one batch message. A
+  /// shard whose queue is empty gets its staging sooner, when the front
+  /// runs out of input (see Session), so this caps the batch in a burst and
+  /// costs nothing in a lull. 1 reproduces per-event hand-off. Watermarks
+  /// and Close flush staging, so results never depend on this knob. Must be
+  /// >= 1; inert at one shard, which stages nothing.
   int shard_batch_size = 128;
-  /// Skew-aware routing (ShardedSession only): when > 0, a group key seen
+  /// Skew-aware routing: when > 0, a group key seen
   /// for the FIRST time whose hash shard leads the least-loaded shard by
   /// more than this many recently staged events is routed to the
-  /// least-loaded shard instead. The load is the ShardedSession front's
+  /// least-loaded shard instead. The load is the front's
   /// one sliding placement window, shared with work_stealing. Assignments
   /// are sticky, so per-group window order is preserved. 0 disables
   /// first-sight placement; must be >= 0.
@@ -119,9 +298,9 @@ struct RunConfig {
   /// the observed cost drifts past reoptimize_threshold. 0 (default)
   /// freezes the plan chosen at Open. Requires a HAMLET engine kind with a
   /// sharing plan to act on (kHamletDynamic or kHamletStatic); each plan
-  /// epoch compiles its own predicate program. In a ShardedSession the
-  /// front's control plane re-optimizes and hands the swap to every shard,
-  /// so all shards always run the identical plan.
+  /// epoch compiles its own predicate program. The front's control
+  /// plane re-optimizes and hands the swap to every shard, so all shards
+  /// always run the identical plan.
   int reoptimize_every_panes = 0;
   /// Relative cost drift that triggers a plan swap: swap when
   /// (observed - best) / observed exceeds this. Must be > 0 — a zero or
@@ -134,18 +313,18 @@ struct RunConfig {
   /// empty-window results. Eviction therefore DROPS the zero-valued
   /// emissions idle groups would otherwise produce every slide — that is
   /// the (documented, opt-in) trade for bounded state under high group-key
-  /// cardinality. Deterministic in event time, so single-threaded and
-  /// sharded runs with the knob ON stay emission-identical; it is also the
-  /// prerequisite for ShardedSession draining stale placement and steal
+  /// cardinality. Deterministic in event time, so runs at every shard
+  /// count with the knob ON stay emission-identical; it is also the
+  /// prerequisite for the front draining stale placement and steal
   /// overrides (RunMetrics::rebalance_map_size).
   bool evict_idle_groups = false;
-  /// Pane-boundary work stealing (ShardedSession only, on by default; set
+  /// Pane-boundary work stealing (on by default; set
   /// false to opt out into pure hash placement): when an existing group
   /// key's shard is overloaded (by more than steal_imbalance_ratio x the
   /// least-loaded shard over a sliding window of staged events), the front
   /// moves whole group keys to the least-loaded shard at the next
   /// event-time pane boundary. The key's group runners (HAMLET engine, open
-  /// windows, per-window baseline engines) leave the victim's Session and
+  /// windows, per-window baseline engines) leave the victim's engine and
   /// join the thief's, and the key's events from the boundary on route to
   /// the thief; no event is processed twice, and the front never waits for
   /// the hand-off. This balances the few hot groups a hash puts on one
@@ -161,10 +340,10 @@ struct RunConfig {
   /// even while work_stealing is off, so flipping the knob on later can
   /// never trip a latent bad value. Ignored while work_stealing is false.
   double steal_imbalance_ratio = 2.0;
-  /// Multi-producer ingest (ShardedSession::AddProducer only): capacity,
-  /// in events, of each producer's SPSC staging ring feeding the sequencer
+  /// Multi-producer ingest (Session::AddProducer): capacity, in events, of
+  /// each producer's SPSC staging ring feeding the sequencer
   /// (src/common/mpsc_ingest.h). Must be >= 2; rounded up to a power of
-  /// two. Plain Session and the single-producer sharded path ignore it.
+  /// two. Session-level Push ignores it.
   int producer_queue_capacity = 16384;
   /// Test hook: overrides the monotonic wall clock (in seconds) used for
   /// latency attribution and busy-time accounting, so timing-sensitive
@@ -183,8 +362,8 @@ inline constexpr int kMaxShards = 1024;
 inline constexpr int64_t kMaxQueuedEventsPerShard = int64_t{1} << 22;
 
 /// Monotonic wall clock in seconds (steady_clock) — the default behind
-/// RunConfig::clock_override, shared by Session, ShardedSession and the
-/// benches so all latency numbers are on one timebase.
+/// RunConfig::clock_override, shared by the session and the benches so all
+/// latency numbers are on one timebase.
 double MonotonicSeconds();
 
 /// Reads a session clock: the given override when set, MonotonicSeconds()
@@ -210,8 +389,8 @@ struct Emission {
   std::string query_name;
 };
 
-/// Tracks the ingestion-side ordering contract shared by Session and
-/// ShardedSession: event times strictly increase, watermarks never regress,
+/// Tracks the ingestion-side ordering contract of a Session and of each
+/// producer handle: event times strictly increase, watermarks never regress,
 /// and no event arrives behind a watermark. Check* report kInvalidArgument
 /// naming the offending timestamp; Commit* record an accepted call.
 class OrderingGate {
@@ -267,14 +446,15 @@ struct RunMetrics {
   double avg_latency_seconds = 0.0;
   double max_latency_seconds = 0.0;
   double throughput_eps = 0.0;
-  /// Peak engine-state footprint. Per Session: the exact high-water mark.
-  /// Merged (ShardedSession): a sampled CONCURRENT high-water mark — the
+  /// Peak engine-state footprint. Per engine (so at one shard): the exact
+  /// high-water mark.
+  /// Merged over shards: a sampled CONCURRENT high-water mark — the
   /// largest observed sum of simultaneous per-shard footprints, never the
   /// sum of per-shard peaks (shards peak at different times, so that sum
   /// overstated the concurrent footprint by up to the shard count).
   int64_t peak_memory_bytes = 0;
   /// Engine-state footprint at the time of the snapshot; per-shard workers
-  /// publish it so the sharded front can sample the concurrent sum.
+  /// publish it so the front can sample the concurrent sum.
   int64_t current_memory_bytes = 0;
   /// Two-step windows that exceeded the trend budget.
   int64_t dnf_windows = 0;
@@ -297,7 +477,7 @@ struct RunMetrics {
   /// too finely for run propagation to pay; mass in higher buckets is the
   /// paper's bursty regime. Merged across shards by bucket-wise sum.
   std::vector<int64_t> run_len_hist;
-  /// Sharded ingress only (empty/0 for plain Sessions):
+  /// Sharded ingress (empty/0 at one shard, which stages nothing):
   /// Histogram of flushed staging-batch sizes across all shards: bucket i
   /// counts batch messages of size in [2^i, 2^(i+1)). The spread shows how
   /// often a shard got its staging while idle (small buckets, lulls) and
@@ -318,7 +498,7 @@ struct RunMetrics {
   int64_t rebalance_map_size = 0;
   /// Query-lifecycle counters (src/runtime/query_lifecycle.h), counted once
   /// by the session's control plane (src/runtime/control_plane.h); shard
-  /// sessions report 0.
+  /// engines report 0.
   int64_t queries_added = 0;
   int64_t queries_removed = 0;
   /// Pane-aligned sharing-plan hot swaps (explicit ApplySharingOverrides
@@ -335,8 +515,8 @@ struct RunMetrics {
   /// Group runners evicted by RunConfig::evict_idle_groups.
   int64_t evicted_idle_groups = 0;
   /// Group-key migrations executed by pane-boundary work stealing
-  /// (RunConfig::work_stealing; counted on the ShardedSession front, 0
-  /// elsewhere). Deterministic for a fixed stream and shard count.
+  /// (RunConfig::work_stealing; counted on the front). Deterministic for a
+  /// fixed stream and shard count.
   int64_t stolen_panes = 0;
   /// Always 0: a steal moves the key's runners instead of staging its
   /// events to two shards. Kept only because the end-to-end benchmark
@@ -344,17 +524,17 @@ struct RunMetrics {
   int64_t duplicated_events = 0;
 };
 
-/// Folds `from` into `into` the way ShardedSession combines per-shard
+/// Folds `from` into `into` the way a Session combines per-shard
 /// metrics: counters (events, emissions, DNFs, evictions, decisions,
 /// rebalanced keys, HAMLET stats, batch histogram buckets) and CURRENT
 /// memory are summed; peak memory takes the max — shards peak at different
 /// times, so summing per-shard peaks overstated the concurrent footprint
 /// exactly the way summing per-shard rates overstated throughput, and the
-/// max is the always-true lower bound which ShardedSession then raises with
+/// max is the always-true lower bound which the front then raises with
 /// its sampled concurrent high-water mark (see RunMetrics::
 /// peak_memory_bytes); the control-plane counters (queries_added/removed,
 /// plan_swaps, reopt_checks/swaps) sum — a shard has no control plane and
-/// reports 0, and the ShardedSession front fills them in after the merge;
+/// reports 0, and the front fills them in after the merge;
 /// active_epochs and rebalance_map_size take the MAX (every shard runs one
 /// epoch, and the front fills the map size in too); evicted idle groups
 /// are per-shard state and sum; elapsed and max queue depth are the max over shards
@@ -421,47 +601,128 @@ class CsvSink : public EmissionSink {
   int64_t rows_written_ = 0;
 };
 
+class ControlPlane;
+class ShardEngine;
+
 /// See file comment. The plan must outlive the session; the sink (if any)
 /// must outlive every Push/AdvanceTo/Close call.
 class Session {
-  struct GroupRunner;
-
  public:
-  /// Validates `config` and builds the component/engine state. `sink` may be
-  /// nullptr to drop emissions (metrics-only runs, e.g. throughput benches).
+  /// Validates `config`, compiles the opening plan epoch and builds one
+  /// engine per shard, starting a worker per shard at num_shards > 1.
+  /// `sink` may be nullptr to drop emissions (metrics-only runs, e.g.
+  /// throughput benches); otherwise it receives OnEmission calls on the
+  /// front thread (see file comment, "Emissions").
   static Result<std::unique_ptr<Session>> Open(const WorkloadPlan& plan,
                                                const RunConfig& config,
                                                EmissionSink* sink);
 
+  /// The pure-hash event->shard map Open derives from the plan, without
+  /// building a session. Fails exactly when Open would: invalid
+  /// num_shards, or num_shards > 1 on a plan whose exec queries mix
+  /// group-by attributes.
+  static Result<ShardRouter> RouterFor(const WorkloadPlan& plan,
+                                       int num_shards);
+
+  /// Stops and joins the workers (an implicit Close when still open;
+  /// the metrics of an implicit Close are discarded, its emissions are
+  /// still delivered).
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   /// Ingests one event. Events must be strictly increasing in time (the
-  /// engines' contract) and at or after the last AdvanceTo watermark;
-  /// violations return kInvalidArgument naming the offending timestamp and
-  /// leave the session state untouched. After Close: kFailedPrecondition.
+  /// engines' contract) and at or after the last AdvanceTo watermark, with
+  /// usable group keys (CheckGroupKeys); violations return kInvalidArgument
+  /// naming the offending timestamp and leave the session state untouched.
+  /// After Close: kFailedPrecondition. At more than one shard a valid event
+  /// is staged to the shard owning its group; the staging buffer is
+  /// enqueued when it reaches shard_batch_size or when that shard's queue
+  /// is empty (backpressure blocks here when that shard's queue is full).
   Status Push(const Event& event);
 
   /// Ingests a time-ordered batch; stops at the first invalid event.
   Status PushBatch(std::span<const Event> events);
 
+  /// One concurrent-ingest handle (see file comment, "Concurrent
+  /// ingest"). Single-threaded per handle; different handles may push from
+  /// different threads concurrently. The handle must be closed (or
+  /// destroyed) before the session's Close, and must not outlive the
+  /// session.
+  class Producer {
+   public:
+    /// Closes the handle if still open (closure status is discarded —
+    /// close explicitly to observe it).
+    ~Producer();
+
+    Producer(const Producer&) = delete;
+    Producer& operator=(const Producer&) = delete;
+
+    /// Same per-stream contract as Session::Push, enforced per producer:
+    /// this handle's event times must strictly increase, never regress
+    /// behind its own watermark, and start at or after the handle's
+    /// admission bound (above every released event and every broadcast
+    /// watermark at AddProducer time — older events are already merged
+    /// past). Blocks while the handle's ring is full (the sequencer is
+    /// draining it). Returns the session's sticky poison error after a
+    /// cross-producer ordering violation.
+    Status Push(const Event& event);
+
+    /// Push for each event, stopping at the first invalid one.
+    Status PushBatch(std::span<const Event> events);
+
+    /// Per-producer watermark: promises this handle will never push an
+    /// event with time < `watermark`. The session watermark is the MERGED
+    /// frontier over all producers, so one lagging producer holds
+    /// everyone's window closure back until it advances (or closes).
+    Status AdvanceTo(Timestamp watermark);
+
+    /// Retires the handle without blocking: the sequencer drains what it
+    /// pushed, then the merged frontier no longer waits on it. Idempotent-
+    /// ish: a second Close returns kFailedPrecondition.
+    Status Close();
+
+   private:
+    friend class Session;
+    Producer(Session* owner, int slot) : owner_(owner), slot_(slot) {}
+
+    Session* owner_;
+    int slot_;
+    OrderingGate gate_;
+    bool closed_ = false;
+  };
+
+  /// Opens a concurrent-ingest handle, switching the session to
+  /// multi-producer mode for good on first call (rejected once any
+  /// session-level Push/AdvanceTo committed — one ingest mode per
+  /// session). Callable from any thread, concurrently with other
+  /// producers' traffic — this is how producers join mid-stream — and
+  /// from a sink's OnEmission. Returns once the sequencer has admitted the
+  /// handle. Fails with kResourceExhausted when all
+  /// MpscIngestHub::kMaxProducers slots are held by open handles or by
+  /// closed ones the sequencer has not drained yet.
+  Result<std::unique_ptr<Producer>> AddProducer();
+
   /// Declares that no event before `watermark` will arrive, closing every
-  /// pane/window that ends at or before it without waiting for an event.
-  /// The watermark must not regress below prior events or watermarks.
+  /// pane/window that ends at or before it on every shard without waiting
+  /// for an event. The watermark must not regress below prior events or
+  /// watermarks. Flushes all staged events first. Also the checkpoint at
+  /// which stale router overrides drain, and — when online
+  /// re-optimization is enabled — the barrier at which the front waits for
+  /// every shard's statistics before drift checks (see file comment).
   Status AdvanceTo(Timestamp watermark);
 
   /// Adds a named query to the LIVE session (query lifecycle subsystem, see
-  /// src/runtime/query_lifecycle.h). The query opens windows starting at or
-  /// after the returned pane boundary — the first boundary strictly after
-  /// everything already pushed. The op records a pending plan epoch; when
-  /// the pane clock reaches the boundary, the session builds its runtime,
-  /// hands every open window over to it and frees the old one, so running
-  /// queries keep their open trend aggregations and per-interval emissions
-  /// match a fresh session (query_churn_test).
-  /// The query's event types and attributes must already exist in the
-  /// schema; unknown names are rejected (validation never registers names).
+  /// src/runtime/query_lifecycle.h) at one pane-aligned activation boundary
+  /// shared by every shard, and returns it: the first boundary strictly
+  /// after everything already pushed, where the query opens its windows.
+  /// The front's control plane validates and compiles it once into a plan
+  /// epoch; at the boundary each shard hands every open window over to it,
+  /// so running queries keep their open trend aggregations and
+  /// per-interval emissions match a fresh session (query_churn_test). The
+  /// query's event types and attributes must already exist in the schema;
+  /// unknown names are rejected (validation never registers names).
   Result<Timestamp> AddQuery(const Query& query);
 
   /// Removes a query by name at the returned pane boundary: it opens no
@@ -471,173 +732,280 @@ class Session {
   /// closed). Removing the last query is rejected — Close instead.
   Result<Timestamp> RemoveQuery(const std::string& name);
 
-  /// Hot-swaps the sharing plan of the CURRENT query set (merged template,
-  /// predicate program and cohort masks rebuilt) at the returned boundary,
-  /// by the same hand-off. Sharing never changes emission values, so the
-  /// swap is invisible in results. This is the online re-optimizer's apply
-  /// path, public for tests/tools.
+  /// Hot-swaps the sharing plan of the CURRENT query set on every shard at
+  /// the returned boundary, by the same hand-off. Sharing never changes
+  /// emission values, so the swap is invisible in results. This is the
+  /// online re-optimizer's apply path, public for tests, tools and manual
+  /// plan pinning.
   Result<Timestamp> ApplySharingOverrides(
       std::span<const SharingOverride> overrides);
 
-  /// Online re-optimizer decision log (empty unless
-  /// RunConfig::reoptimize_every_panes > 0).
+  /// The re-optimizer's decision log (empty when
+  /// RunConfig::reoptimize_every_panes == 0).
   const std::vector<ReoptDecision>& reopt_log() const;
 
   /// The session's CURRENT query set (reflects Add/RemoveQuery; draining
-  /// queries are not in it).
+  /// queries are not in it). Front thread only.
   std::vector<Query> queries() const;
 
-  /// A group key's runners taken out of a session by DetachGroup, for
-  /// AttachGroup on another session over the same plan (work stealing):
-  /// one slot per component in the deterministic component order, null
-  /// where the session held no runner for the key.
-  struct DetachedGroup {
-    DetachedGroup();
-    DetachedGroup(DetachedGroup&&) noexcept;
-    DetachedGroup& operator=(DetachedGroup&&) noexcept;
-    ~DetachedGroup();
-    std::vector<std::unique_ptr<GroupRunner>> runners;
-  };
-
-  /// Victim side of a pane-boundary group steal (ShardedSession). The
-  /// caller has pushed every event of the key before `boundary`. Advances
-  /// panes to `boundary` (activating a pending epoch on the way, exactly as
-  /// the thief does), then takes the key's runners out of every component:
-  /// HAMLET engine, open windows and per-window engines move whole.
-  DetachedGroup DetachGroup(int64_t group_key, Timestamp boundary);
-
-  /// Thief side: advances panes to `boundary` and installs the runners a
-  /// DetachGroup(group_key, boundary) on another session returned. The
-  /// key's events from `boundary` on then feed them here.
-  void AttachGroup(int64_t group_key, Timestamp boundary,
-                   DetachedGroup group);
-
-  /// Flushes all remaining open windows and returns the final metrics.
-  /// A second Close returns kFailedPrecondition (the first call's metrics
-  /// remain available through MetricsSnapshot).
+  /// Flushes staging, closes every shard's open windows (joining the
+  /// workers), delivers all remaining emissions to the sink, and returns
+  /// the merged final metrics — or, on a poisoned session, the poison
+  /// status (after the same shutdown). A second Close returns
+  /// kFailedPrecondition (the first call's metrics remain available
+  /// through MetricsSnapshot).
   Result<RunMetrics> Close();
 
-  /// Metrics accumulated so far, without flushing open windows (live
-  /// dashboards; emission-dependent fields lag until windows close).
+  /// Merged metrics over what the shards have processed so far (staged or
+  /// queued but unprocessed events are not yet counted; emission-dependent
+  /// fields lag until windows close). Safe to call from any thread,
+  /// including while pushing; exact at one shard.
   RunMetrics MetricsSnapshot() const;
 
+  int num_shards() const { return config_.num_shards; }
+
+  /// The session's event->shard map: RouterFor's hash plus the overrides
+  /// placement wrote so far. Front thread only.
+  const ShardRouter& router() const { return router_; }
+
  private:
-  struct Component;
-  /// A compiled plan plus what derives from it alone (session.cc).
-  struct PlanEpoch;
-  struct WindowSlot;
-  /// The running plan epoch: a compiled plan (PlanEpoch, shared with the
-  /// per-window engines opened under it) plus the state that runs it —
-  /// components with their group runners, columnar staging and the pane
-  /// clock. A session runs exactly one.
-  struct Runtime;
-  /// A ShardedSession opens its shards without a control plane and hands
-  /// them the front's epochs through Schedule.
-  friend class ShardedSession;
-  /// A session running `opening`, with no control plane.
-  static std::unique_ptr<Session> OpenShard(QueryLifecycle::Epoch opening,
-                                            const RunConfig& config,
-                                            EmissionSink* sink);
+  struct Shard;
+  struct BufferingSink;
 
-  Session(const RunConfig& config, EmissionSink* sink);
+  Session() = default;
 
-  /// Builds components, masks and cohorts for `compiled`'s plan.
-  std::unique_ptr<Runtime> BuildRuntime(QueryLifecycle::Epoch compiled);
-  /// Has `next.epoch` take over at pane boundary `next.at`: pending until
-  /// the pane clock reaches it, or at once while the runtime has not
-  /// started (it holds no state). The boundary must lie ahead of the pane
-  /// clock, on the grid of the last epoch scheduled and not before its
-  /// boundary (checked); an epoch for the same boundary replaces it.
-  void Schedule(QueryLifecycle::Scheduled next);
-  /// Replaces the runtime with one running `compiled`, at a pane boundary
-  /// after the old one closed its expiring windows: every open window moves
-  /// over (HAMLET contexts through HamletEngine::ExportQuery/ImportQuery,
-  /// per-window engines whole), and the old runtime is freed.
-  void HandOff(QueryLifecycle::Epoch compiled);
-  /// Tells the control plane that stream time reached `time` and schedules
-  /// the drops it compiles.
-  void SyncControl(Timestamp time);
-  /// Schedules a successful control-plane op; returns its boundary.
-  Result<Timestamp> Apply(Result<QueryLifecycle::Scheduled> op);
-  /// Runs the control plane's re-optimization check when one is due and
-  /// schedules the swap it asks for.
-  void MaybeReoptimize();
-  HamletStats AggregateHamletStats() const;
+  /// Broadcasts a successful control-plane op; returns its boundary.
+  Result<Timestamp> Apply(const Result<QueryLifecycle::Scheduled>& op)
+      HAMLET_REQUIRES(front_role_);
+  /// Hands the epoch to every engine, to take over at its boundary: to the
+  /// inline engine directly, or after flushing staging in one message to
+  /// each shard.
+  void Broadcast(const QueryLifecycle::Scheduled& next)
+      HAMLET_REQUIRES(front_role_);
+  /// Tells the control plane that stream time reached `time` and
+  /// broadcasts the drops it compiles, before anything at `time` is staged.
+  void SyncControl(Timestamp time) HAMLET_REQUIRES(front_role_);
+  /// Runs the control plane's re-optimization check when one is due, on
+  /// the shards' merged statistics (the inline engine's own at one shard),
+  /// and broadcasts the swap it asks for.
+  void MaybeReoptimize() HAMLET_REQUIRES(front_role_);
+  /// Pane size of the control plane's running epoch: the grid steal
+  /// boundaries and router drains are computed on.
+  Timestamp PaneSize() const;
+  /// Drains router overrides — first-sight placements and steals alike —
+  /// whose groups can no longer have open windows anywhere (requires
+  /// evict_idle_groups — the group's engine state is then also gone from
+  /// its shard, so a re-appearing key may re-route freely).
+  void MaybeDrainRouter() HAMLET_REQUIRES(front_role_);
 
-  /// The ordering gate plus CheckGroupKeys over group_by_attrs_.
-  Status CheckEvent(const Event& event) const;
-  /// Shared body of Push and PushBatch (`events` non-empty): commits the
-  /// time-ordered prefix and dispatches it, handing off to a pending epoch
-  /// at its boundary. `per_event` (Push) stamps the lone run with the
-  /// call's entry time.
-  Status Ingest(std::span<const Event> events, bool per_event);
-  /// Run-granular dispatch: stages `events` into the runtime's SoA batch
-  /// (group-major when every query groups by one attribute), runs the
-  /// predicate kernels, segments the rows into runs and feeds each through
-  /// the engines in one call. `arrival` is the rows' arrival wall time; a
-  /// negative value samples it once per run.
-  void DispatchRuns(std::span<const Event> events, double arrival);
-  /// A runner for `key` in `comp` with no window open yet.
-  std::unique_ptr<GroupRunner> MakeRunner(Runtime& rt, Component& comp,
-                                          int64_t key);
-  /// Creates the runner for `key` in `comp`, opening every window instance
-  /// covering the current pane.
-  GroupRunner& NewGroupRunner(Runtime& rt, Component& comp, int64_t key);
-  /// Advances the pane clock to the pane containing `time`. At every
-  /// boundary crossed, windows ending there close, a pending epoch whose
-  /// boundary it is takes over, and windows starting there open.
-  void AdvancePaneTo(Timestamp time);
-  /// AdvancePaneTo(boundary) for a steal, with the boundary committed as
-  /// observed stream time first (DetachGroup / AttachGroup).
-  void AdvanceToStealBoundary(Timestamp boundary);
-  void CloseExpiredWindows(GroupRunner& runner, Timestamp now);
-  void OpenDueWindows(Runtime& rt, GroupRunner& runner, Timestamp pane_start,
-                      bool retroactive);
-  void EmitExecValue(const PlanEpoch& epoch, int exec_id, int64_t group_key,
-                     Timestamp window_start, Timestamp window_end,
-                     double value, double arrival_wall);
-  /// Drops pending composition entries whose window closed at or before
-  /// `boundary` with a branch missing — they can never complete (see
-  /// RunMetrics::evicted_compositions).
-  void EvictDeadCompositions(Timestamp boundary);
-  void FillMetrics(RunMetrics* m) const;
-  int64_t CurrentMemory() const;
+  /// Body of AdvanceTo after the closed/mode checks — shared with the
+  /// sequencer's frontier broadcasts, which are ordinary watermarks.
+  Status AdvanceToInternal(Timestamp watermark) HAMLET_REQUIRES(front_role_);
+  /// Rejects session-level ingest and churn after Close and in
+  /// multi-producer mode.
+  Status FrontGuard(const char* op) const;
+  /// The front gate plus CheckGroupKeys over group_by_attrs_.
+  Status CheckEvent(const Event& event) const HAMLET_REQUIRES(front_role_);
+  const Schema& schema() const { return *plan_->workload->schema(); }
 
+  // --- multi-producer ingest (sequencer thread) ---
+  /// The sequencer: drains the hub's merge until stuck, broadcasts the
+  /// frontier at pane crossings, exits on seq_stop_ after a final drain.
+  void SequencerLoop();
+  /// Front-side handling of one merged event: gate (poison on
+  /// cross-producer violations), stage, re-optimize, drain — the
+  /// sequencer's equivalent of Push's body.
+  void IngestReleased(const Event& event) HAMLET_REQUIRES(front_role_);
+  /// Broadcasts the hub frontier as a session watermark when it crossed a
+  /// pane boundary since the last broadcast.
+  void MaybeBroadcastFrontier() HAMLET_REQUIRES(front_role_);
+  /// Admits the hub's requested handles at or above everything released
+  /// or broadcast so far (the sequencer, or the thread that is the front
+  /// before the sequencer starts).
+  void AdmitRequested() HAMLET_REQUIRES(front_role_);
+  void StopSequencer();
+  /// Sticky cross-producer ordering error (set once, then returned by
+  /// every producer call).
+  void Poison(Status status) HAMLET_EXCLUDES(producer_mu_);
+  Status PoisonStatus() HAMLET_EXCLUDES(producer_mu_);
+
+  // --- shard placement (front/sequencer thread) ---
+  /// The first-sight rule for a key the router just bound to its hash
+  /// shard: keep it there, or move it to the least-loaded shard when the
+  /// hash shard leads that one by more than the threshold. Returns the
+  /// key's shard.
+  size_t PlaceNewKey(int64_t key, size_t hash_shard, Timestamp time)
+      HAMLET_REQUIRES(front_role_);
+  /// Steal-trigger evaluation at event-time pane boundary `boundary`:
+  /// executes up to kMaxStealsPerBoundary migrations while the load
+  /// imbalance persists and a candidate key improves it.
+  void MaybeSteal(Timestamp boundary) HAMLET_REQUIRES(front_role_);
+  /// One migration: reassign the key, then send the victim its detach and
+  /// the thief its attach, back to back, sharing one hand-off cell.
+  void ExecuteSteal(int64_t key, size_t victim, size_t thief,
+                    Timestamp boundary) HAMLET_REQUIRES(front_role_);
+  /// Rolls the two-bucket sliding load window (per shard and per key).
+  void RollLoadWindow() HAMLET_REQUIRES(front_role_);
+  /// Mirrors the router's override count into route_map_size_.
+  void PublishMapSize() HAMLET_REQUIRES(front_role_);
+
+  /// Routes one event (hash, or override map + first-sight rule + window
+  /// update when a placement policy is on) and stages it. Returns the shard
+  /// it was staged to.
+  Shard& StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
+  /// The single-shard tail of StageEvent: append to `shard`'s staging
+  /// buffer and flush at shard_batch_size.
+  void StageTo(Shard& shard, const Event& event) HAMLET_REQUIRES(front_role_);
+  /// Hands the shard's staged events to its queue as one batch message.
+  void FlushShard(Shard& shard) HAMLET_REQUIRES(front_role_);
+  void FlushAllShards() HAMLET_REQUIRES(front_role_);
+  /// The out-of-input rule: flushes `shard`'s staging when its queue is
+  /// empty (the worker has taken every message).
+  void FlushIfIdle(Shard& shard) HAMLET_REQUIRES(front_role_);
+  void FlushIdleShards() HAMLET_REQUIRES(front_role_);
+  /// Samples the sum of worker-published current footprints into
+  /// mem_high_water_ (called every kMemSampleEveryFlushes staging flushes —
+  /// cheap, amortized even at batch size 1).
+  void SampleConcurrentMemory() HAMLET_REQUIRES(front_role_);
+  /// Fills the merged metrics' ingress fields (batch histogram, queue
+  /// depth, per-shard events, rebalanced keys, concurrent peak).
+  void FillIngressMetrics(RunMetrics& merged) const;
+  /// Hands committed `events` (may be empty) straight to the inline
+  /// engine, after the control plane caught up with them.
+  void RunInline(std::span<const Event> events, bool per_event)
+      HAMLET_REQUIRES(front_role_);
+  /// Fans the inline engine's buffered emissions or the shard outboxes in
+  /// to the user sink (front thread only).
+  void DrainEmissions() HAMLET_REQUIRES(front_role_);
+  static void WorkerLoop(Shard* shard);
+
+  /// THE front capability (see the threading contract above): held by the
+  /// caller thread in single-producer mode, by the sequencer thread in
+  /// multi-producer mode, and by Open until it returns. Public entry points
+  /// acquire it with a ThreadRoleGuard (zero-cost — the capability is
+  /// phantom); private helpers declare HAMLET_REQUIRES(front_role_).
+  /// Mutable so const snapshots of role-guarded state could acquire it if
+  /// ever needed (mirrors the usual mutable-mutex idiom).
+  mutable ThreadRole front_role_;
+
+  /// Where the inline engine's emissions wait until its call returns
+  /// (declared before the engine, which points at it).
+  std::unique_ptr<BufferingSink> inline_sink_
+      HAMLET_PT_GUARDED_BY(front_role_);
+  /// The one engine at num_shards == 1 (null otherwise), run inline by the
+  /// front. The front holds engine_mu_ across each call into it and never
+  /// while delivering emissions, so MetricsSnapshot may read the engine
+  /// from any thread and a sink may call back into the session.
+  mutable Mutex engine_mu_;
+  std::unique_ptr<ShardEngine> engine_ HAMLET_PT_GUARDED_BY(engine_mu_);
+
+  /// Set once by Open, read-only afterwards (any thread).
+  const WorkloadPlan* plan_ = nullptr;
   RunConfig config_;
-  EmissionSink* sink_;
-  /// Null on a ShardedSession's shards.
+  EmissionSink* sink_ = nullptr;
+  /// Front-thread state (placement writes its overrides), left unannotated
+  /// only because router() hands front-thread callers a const view.
+  /// Monitor threads read the placement counters from the atomics below,
+  /// never the router.
+  ShardRouter router_;
+  /// The session's one control plane (engines have none), created by Open
+  /// and never replaced. Front-mutated, but NOT role-guarded: monitor
+  /// threads read its counters (atomics) through MetricsSnapshot, producer
+  /// handles read its group-by attributes (churn is rejected once
+  /// producers exist, so they no longer change), and reopt_log() is a
+  /// post-Close/test accessor. All *mutating* uses sit behind
+  /// HAMLET_REQUIRES(front_role_) helpers.
   std::unique_ptr<ControlPlane> control_;
-  std::unique_ptr<Runtime> rt_;
-  /// Scheduled epochs, in boundary order, each until the pane clock
-  /// reaches its boundary: an op's and the drops after it, or on a shard
-  /// the front's clock ran ahead of, several ops'.
-  std::vector<QueryLifecycle::Scheduled> pending_;
-  /// Branch values awaiting OR/AND composition, keyed by (lifecycle query
-  /// id, group, window start); the value is (window end, branch values).
-  std::map<std::tuple<int64_t, int64_t, Timestamp>,
-           std::pair<Timestamp, std::vector<double>>>
-      pending_compositions_;
-  /// Accumulators for state that no longer exists: replaced runtimes' and
-  /// evicted idle groups' engine stats and policy decisions.
-  HamletStats retired_stats_;
-  int64_t retired_decisions_ = 0;
-  int64_t evicted_idle_groups_ = 0;
-  int64_t evicted_compositions_ = 0;
-  /// Latency samples per emission.
-  double latency_sum_ = 0.0;
-  double latency_max_ = 0.0;
-  int64_t latency_count_ = 0;
-  int64_t peak_memory_ = 0;
-  int64_t dnf_windows_ = 0;
-  int64_t events_ = 0;
-  /// Run-shape counters behind RunMetrics::runs / run_len_hist.
-  int64_t runs_ = 0;
-  std::vector<int64_t> run_len_hist_;
-  OrderingGate gate_;
-  /// Sum of wall time spent inside session calls.
-  double busy_seconds_ = 0.0;
-  bool closed_ = false;
+  /// Largest WITHIN across every epoch ever compiled (a removed query's
+  /// windows may still be open) — the router-drain safety margin.
+  Timestamp within_high_water_ HAMLET_GUARDED_BY(front_role_) = 0;
+  /// The vector itself is frozen by Open (workers receive raw Shard*);
+  /// mutable cross-thread state lives INSIDE Shard behind its own locks.
+  std::vector<std::unique_ptr<Shard>> shards_;
+  OrderingGate gate_ HAMLET_GUARDED_BY(front_role_);
+  /// Reused scratch for DrainEmissions, so steady-state fan-in allocates
+  /// nothing.
+  std::vector<Emission> drain_scratch_ HAMLET_GUARDED_BY(front_role_);
+  /// Reentrancy guard: a sink that calls Push/AdvanceTo from OnEmission
+  /// recurses into DrainEmissions while drain_scratch_ is mid-iteration;
+  /// the nested drain must no-op (its emissions leave on the next drain).
+  bool draining_ HAMLET_GUARDED_BY(front_role_) = false;
+  /// Set by any worker publishing to its outbox, cleared by the front when
+  /// it drains: the per-push "anything to drain?" check is one load
+  /// regardless of shard count.
+  std::atomic<bool> any_outbox_ready_{false};
+  /// Atomic (release on Close, acquire in MetricsSnapshot) so a monitor
+  /// thread polling MetricsSnapshot during Close sees final_metrics_ fully
+  /// written, never a half-merged value.
+  std::atomic<bool> closed_{false};
+  /// Published through closed_'s release/acquire pair above — a
+  /// write-once-then-read hand-off TSA has no vocabulary for, so it stays
+  /// unannotated on purpose (the publication comment IS the contract).
   RunMetrics final_metrics_;
+  /// Largest observed sum of simultaneous per-shard footprints (see
+  /// SampleConcurrentMemory). Atomic so MetricsSnapshot may read it from a
+  /// monitor thread while the front samples.
+  std::atomic<int64_t> mem_high_water_{0};
+  /// Front-thread throttle for SampleConcurrentMemory.
+  int flushes_since_mem_sample_ HAMLET_GUARDED_BY(front_role_) = 0;
+
+  // --- multi-producer ingest state ---
+  /// Created once by the first AddProducer (under producer_mu_, before
+  /// mp_mode_'s release store publishes it); producers and the sequencer
+  /// then read the pointer lock-free. Init-once publication is another
+  /// pattern TSA cannot express — the hub's own API is the thread-safe
+  /// surface, so the pointer stays unannotated.
+  std::unique_ptr<MpscIngestHub<Event>> hub_;
+  /// Spawned with hub_ under producer_mu_, after the first handle is
+  /// admitted; joined only by Close/~ after every producer handle closed.
+  /// NOT guarded by producer_mu_: the sequencer itself takes producer_mu_
+  /// in Poison(), so a join under the lock could deadlock — the join-side
+  /// exclusivity comes from the single-front Close contract instead.
+  Thread sequencer_;
+  std::atomic<bool> seq_stop_{false};
+  /// Sticky: once true, session-level ingest entry points are rejected.
+  std::atomic<bool> mp_mode_{false};
+  /// Guards AddProducer's one-time switch and poison_status_.
+  Mutex producer_mu_;
+  Status poison_status_ HAMLET_GUARDED_BY(producer_mu_);
+  std::atomic<bool> poisoned_{false};   ///< lock-free "is poisoned" hint
+  /// Largest pane boundary the sequencer has broadcast the frontier at.
+  Timestamp last_frontier_pane_ HAMLET_GUARDED_BY(front_role_) = -1;
+
+  // --- shard placement state (front-role state, except the atomic
+  // counters) ---
+  /// Set by Open, read-only afterwards; both are off at one shard, and
+  /// with both off staging is one hash per event with no load bookkeeping.
+  /// rebalance_threshold_ 0 disables first-sight placement.
+  int64_t rebalance_threshold_ = 0;
+  bool stealing_ = false;
+  /// Two-bucket sliding window of per-shard staged-event counts, kept
+  /// while either placement policy is on.
+  std::vector<int64_t> load_cur_ HAMLET_GUARDED_BY(front_role_);
+  std::vector<int64_t> load_prev_ HAMLET_GUARDED_BY(front_role_);
+  int64_t in_window_ HAMLET_GUARDED_BY(front_role_) = 0;
+  struct KeyLoad {
+    int64_t cur = 0;
+    int64_t prev = 0;
+  };
+  /// Per-group-key staged-event counts over the same window (stealing
+  /// only); entries idle for two half-windows drop out, bounding the map
+  /// by active keys.
+  std::unordered_map<int64_t, KeyLoad> key_load_
+      HAMLET_GUARDED_BY(front_role_);
+  /// Placement counters (RunMetrics::rebalanced_keys /
+  /// rebalance_map_size). Atomic so a monitor thread's MetricsSnapshot may
+  /// read them while the front routes.
+  std::atomic<int64_t> rebalanced_keys_{0};
+  std::atomic<int64_t> route_map_size_{0};
+  /// Pane of the last staged event — steal triggers fire exactly when this
+  /// advances (event-time pane crossings; never watermark-driven, which
+  /// would be nondeterministic across producer counts).
+  Timestamp last_staged_pane_ HAMLET_GUARDED_BY(front_role_) = 0;
+  bool staged_any_ HAMLET_GUARDED_BY(front_role_) = false;
+  /// Executed migrations (RunMetrics::stolen_panes). Atomic so a monitor
+  /// thread's MetricsSnapshot may read it while the front steals.
+  std::atomic<int64_t> stolen_panes_{0};
 };
 
 }  // namespace hamlet

@@ -7,9 +7,9 @@
 // must not land on adjacent shards, or workloads with few groups would pile
 // onto a shard prefix), overlaid with a plain key->shard override map.
 //
-// The router holds no placement policy. ShardedSession
-// (src/runtime/sharded_session.h) owns one: its front keeps a sliding
-// per-shard load window and writes the overrides — pane-boundary steals
+// The router holds no placement policy. Session (src/runtime/session.h)
+// owns one: its front keeps a sliding per-shard load window and writes
+// the overrides — pane-boundary steals
 // (RunConfig::work_stealing, on by default at more than one shard) and
 // first-sight diversion of new keys (RunConfig::shard_rebalance_threshold).
 // Without overrides the route is the pure hash, identical on every

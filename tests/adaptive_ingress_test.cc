@@ -26,7 +26,7 @@
 #include "src/benchlib/workloads.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 #include "src/stream/shard_router.h"
 
 namespace hamlet {
@@ -39,7 +39,7 @@ constexpr EngineKind kAllKinds[] = {
     EngineKind::kSharon};
 
 // ---------------------------------------------------------------------------
-// Skew-aware placement units, read back through ShardedSession::router().
+// Skew-aware placement units, read back through Session::router().
 // ---------------------------------------------------------------------------
 
 class SkewRouterTest : public ::testing::Test {
@@ -56,12 +56,12 @@ class SkewRouterTest : public ::testing::Test {
     plan_ = std::make_unique<WorkloadPlan>(AnalyzeWorkload(workload_).value());
   }
 
-  std::unique_ptr<ShardedSession> Open(int64_t threshold) {
+  std::unique_ptr<Session> Open(int64_t threshold) {
     RunConfig config;
     config.num_shards = 4;
     config.shard_rebalance_threshold = threshold;
-    Result<std::unique_ptr<ShardedSession>> session =
-        ShardedSession::Open(*plan_, config, nullptr);
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*plan_, config, nullptr);
     HAMLET_CHECK(session.ok());
     return std::move(session).value();
   }
@@ -80,9 +80,9 @@ class SkewRouterTest : public ::testing::Test {
 };
 
 TEST_F(SkewRouterTest, PureRouterIsUnchangedByRouteCalls) {
-  std::unique_ptr<ShardedSession> session = Open(/*threshold=*/0);
+  std::unique_ptr<Session> session = Open(/*threshold=*/0);
   const ShardRouter& router = session->router();
-  const ShardRouter pure = ShardedSession::RouterFor(*plan_, 4).value();
+  const ShardRouter pure = Session::RouterFor(*plan_, 4).value();
   for (int64_t g = 0; g < 32; ++g) {
     Event e = GroupEvent(10 + g, g);
     ASSERT_TRUE(session->Push(e).ok());
@@ -95,7 +95,7 @@ TEST_F(SkewRouterTest, PureRouterIsUnchangedByRouteCalls) {
 }
 
 TEST_F(SkewRouterTest, HotShardShedsNewKeysAndAssignmentsStick) {
-  std::unique_ptr<ShardedSession> session = Open(/*threshold=*/8);
+  std::unique_ptr<Session> session = Open(/*threshold=*/8);
   const ShardRouter& router = session->router();
   const int64_t hot = 7;
   const size_t hot_shard = router.ShardOfKey(hot);
@@ -156,14 +156,14 @@ struct ShardedResult {
   RunMetrics metrics;
 };
 
-// Pushes `ev` through a ShardedSession in mixed granularity with occasional
+// Pushes `ev` through a Session in mixed granularity with occasional
 // interleaved watermarks and a trailing one, then Close. `config` arrives
 // fully prepared (shard count, batch size, rebalance threshold).
 ShardedResult RunSharded(const WorkloadPlan& plan, const RunConfig& config,
                          const EventVector& ev, uint64_t chunk_seed) {
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, &sink);
   HAMLET_CHECK(session.ok());
   Rng rng(chunk_seed);
   size_t i = 0;
@@ -248,7 +248,7 @@ TEST(AdaptiveIngressTest, StagedEventReachesIdleWorkerWithoutBarrier) {
   const TypeId type_b = schema.FindType("B");
   // One group per shard, so the watermark below closes a window — and so
   // leaves an emission to wait for — on both.
-  const ShardRouter router = ShardedSession::RouterFor(plan, 2).value();
+  const ShardRouter router = Session::RouterFor(plan, 2).value();
   std::vector<int64_t> groups;
   for (int64_t g = 0; groups.size() < 2; ++g) {
     if (router.ShardOfKey(g) == groups.size()) groups.push_back(g);
@@ -262,10 +262,10 @@ TEST(AdaptiveIngressTest, StagedEventReachesIdleWorkerWithoutBarrier) {
   RunConfig config;
   config.num_shards = 2;
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> opened =
-      ShardedSession::Open(plan, config, &sink);
+  Result<std::unique_ptr<Session>> opened =
+      Session::Open(plan, config, &sink);
   ASSERT_TRUE(opened.ok());
-  ShardedSession& session = *opened.value();
+  Session& session = *opened.value();
   auto wait_for = [&](const std::function<bool(const RunMetrics&)>& done) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -451,8 +451,8 @@ TEST(ConcurrentPeakMemoryTest, SequentialPhasesDoNotSumIntoThePeak) {
   ASSERT_GT(single_peak, 0);
 
   config.num_shards = 4;
-  Result<std::unique_ptr<ShardedSession>> sharded =
-      ShardedSession::Open(plan, config, nullptr);
+  Result<std::unique_ptr<Session>> sharded =
+      Session::Open(plan, config, nullptr);
   ASSERT_TRUE(sharded.ok());
   {
     size_t i = 0;

@@ -1,9 +1,9 @@
 // Columnar hot-path tests.
 //
 // Pins down the three contracts of the columnar hot path:
-//  1. EQUIVALENCE — for every engine kind and shard count, a ShardedSession
-//     yields the BIT-IDENTICAL emission set of a plain single-threaded
-//     Session (values compared with EXPECT_EQ, not tolerances).
+//  1. EQUIVALENCE — for every engine kind and shard count, a Session
+//     yields the BIT-IDENTICAL emission set of the batch Run (values
+//     compared with EXPECT_EQ, not tolerances).
 //  2. KERNEL SEMANTICS — CmpColumnKernel/TypeGateAnd/PackMask/
 //     MaskedLinAggKernel agree element-for-element with the scalar row path
 //     (EvalCmp), including IEEE NaN behaviour and empty/full selections.
@@ -34,7 +34,7 @@
 #include "src/query/columnar_predicate.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 #include "src/stream/event_batch.h"
 #include "src/stream/stream_builder.h"
 
@@ -111,7 +111,7 @@ void ExpectSameEmissionSet(const std::vector<Emission>& expected,
   }
 }
 
-// Runs `ev` through a ShardedSession in fixed-size chunks and returns the
+// Runs `ev` through a Session in fixed-size chunks and returns the
 // normalized emission set.
 std::vector<Emission> RunSharded(const WorkloadPlan& plan,
                                  const RunConfig& config, int shards,
@@ -119,8 +119,8 @@ std::vector<Emission> RunSharded(const WorkloadPlan& plan,
   RunConfig cfg = config;
   cfg.num_shards = shards;
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, cfg, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, cfg, &sink);
   HAMLET_CHECK(session.ok());
   constexpr size_t kChunk = 64;
   for (size_t i = 0; i < ev.size(); i += kChunk) {
@@ -137,13 +137,13 @@ std::vector<Emission> RunSharded(const WorkloadPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// 1. Sharded-vs-plain emission equivalence, all engines x shard counts.
+// 1. Emission equivalence with the batch Run, all engines x shard counts.
 
 void CheckRowColumnarEquivalence(const BenchWorkload& bw,
                                  const EventVector& ev,
                                  const std::string& workload_label) {
   for (EngineKind kind : kAllKinds) {
-    // Baseline: plain single-threaded Session.
+    // Baseline: the batch Run (one PushBatch into a 1-shard Session).
     RunConfig config;
     config.kind = kind;
     StreamExecutor executor(*bw.plan, config);

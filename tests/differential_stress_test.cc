@@ -5,9 +5,9 @@
 // mid-stream producer churn) x staging batch size x
 // work stealing (with or without idle-group eviction) x skew-aware
 // first-sight placement x queue capacity — asserting the emission set is
-// bit-identical to the single-threaded reference every time: the batch
-// Run, or with query churn a plain Session given the same AddQuery (at 1/3
-// of the stream) and RemoveQuery (at 2/3), each with the sampled
+// bit-identical to the 1-shard reference every time: the batch Run, or
+// with query churn a 1-shard Session given the same AddQuery (at 1/3 of
+// the stream) and RemoveQuery (at 2/3), each with the sampled
 // evict_idle_groups. Every documented emission-neutral knob has to
 // actually be neutral, in combination, under real concurrency.
 //
@@ -28,7 +28,7 @@
 
 #include "src/benchlib/workloads.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 #include "tests/test_seed.h"
 
 namespace hamlet {
@@ -117,20 +117,20 @@ void ExpectSameEmissionSet(const std::vector<Emission>& expected,
 // Feeds `ev` through P concurrent producer handles; with `churn`, the
 // first wave of handles retires at mid-stream and a fresh wave carries
 // the tail.
-void FeedProducers(ShardedSession* session, const EventVector& ev,
+void FeedProducers(Session* session, const EventVector& ev,
                    int num_producers, bool churn) {
   const size_t mid = churn ? ev.size() / 2 : ev.size();
   for (int phase = 0; phase < (churn ? 2 : 1); ++phase) {
     const size_t begin = phase == 0 ? 0 : mid;
     const size_t end = phase == 0 ? mid : ev.size();
-    std::vector<std::unique_ptr<ShardedSession::Producer>> producers;
+    std::vector<std::unique_ptr<Session::Producer>> producers;
     for (int p = 0; p < num_producers; ++p) {
       producers.push_back(session->AddProducer().value());
     }
     std::vector<std::thread> threads;
     for (int p = 0; p < num_producers; ++p) {
       threads.emplace_back([&, p, begin, end] {
-        ShardedSession::Producer& producer =
+        Session::Producer& producer =
             *producers[static_cast<size_t>(p)];
         for (size_t i = begin + static_cast<size_t>(p); i < end;
              i += static_cast<size_t>(num_producers)) {
@@ -148,8 +148,7 @@ void FeedProducers(ShardedSession* session, const EventVector& ev,
 
 // Session-level ingest in `push_batch` chunks; with `churn`, `add` joins
 // after the first third of the stream and `remove` leaves after the second.
-template <typename SessionT>
-void PushSessionLevel(SessionT& session, const EventVector& ev,
+void PushSessionLevel(Session& session, const EventVector& ev,
                       size_t push_batch, bool churn, const Query& add,
                       const std::string& remove) {
   const size_t cuts[] = {ev.size() / 3, 2 * ev.size() / 3, ev.size()};
@@ -193,7 +192,7 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
   const std::string remove = bw.plan->workload->query(1).name;
 
   // One reference per (engine kind, query churn, eviction), computed on
-  // demand: the batch Run, or a plain Session with the churn ops.
+  // demand: the batch Run, or a 1-shard Session with the churn ops.
   std::map<std::tuple<EngineKind, bool, bool>, RunOutput> references;
   auto reference = [&](EngineKind kind, bool churn,
                        bool evict) -> const RunOutput& {
@@ -237,10 +236,10 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     config.evict_idle_groups = sc.evict;
     config.shard_rebalance_threshold = sc.rebalance_threshold;
     CollectingSink sink;
-    Result<std::unique_ptr<ShardedSession>> opened =
-        ShardedSession::Open(*bw.plan, config, &sink);
+    Result<std::unique_ptr<Session>> opened =
+        Session::Open(*bw.plan, config, &sink);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    ShardedSession& session = *opened.value();
+    Session& session = *opened.value();
     if (sc.producers == 0) {
       PushSessionLevel(session, ev, static_cast<size_t>(sc.push_batch),
                        sc.query_churn, add, remove);

@@ -1,7 +1,7 @@
-// Multi-producer ingest tests (ShardedSession::AddProducer).
+// Multi-producer ingest tests (Session::AddProducer).
 //
 // The core property is producer-count invariance: for every EngineKind,
-// the emission set of a ShardedSession fed by P = 1/2/4 concurrent
+// the emission set of a Session fed by P = 1/2/4 concurrent
 // Producer handles over N = 1/2/4 shards equals the single-threaded batch
 // Run() on the same stream. The sequencer releases events in global time
 // order (timestamps are unique, so the merged order is a total order), the
@@ -38,7 +38,7 @@
 #include "src/common/mpsc_ingest.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 
 namespace hamlet {
 namespace {
@@ -100,12 +100,12 @@ MpResult RunMultiProducer(const WorkloadPlan& plan, RunConfig config,
                           const EventVector& ev) {
   config.num_shards = num_shards;
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, &sink);
   HAMLET_CHECK(session.ok());
-  std::vector<std::unique_ptr<ShardedSession::Producer>> producers;
+  std::vector<std::unique_ptr<Session::Producer>> producers;
   for (int p = 0; p < num_producers; ++p) {
-    Result<std::unique_ptr<ShardedSession::Producer>> handle =
+    Result<std::unique_ptr<Session::Producer>> handle =
         session.value()->AddProducer();
     HAMLET_CHECK(handle.ok());
     producers.push_back(std::move(handle).value());
@@ -116,7 +116,7 @@ MpResult RunMultiProducer(const WorkloadPlan& plan, RunConfig config,
   threads.reserve(producers.size());
   for (size_t p = 0; p < producers.size(); ++p) {
     threads.emplace_back([&, p] {
-      ShardedSession::Producer& producer = *producers[p];
+      Session::Producer& producer = *producers[p];
       const EventVector& mine = parts[p];
       constexpr size_t kChunk = 7;
       for (size_t i = 0; i < mine.size(); i += kChunk) {
@@ -179,6 +179,28 @@ TEST(MultiProducerInvariance, AllEnginesProducersShards) {
         EXPECT_EQ(batch.metrics.emissions, mp.metrics.emissions) << label;
       }
     }
+  }
+}
+
+// At one shard the sequencer runs the engine inline (no worker thread):
+// two concurrent handles must still compute exactly what the batch Run
+// computes, for every engine kind. Repeated under the sanitizers in CI.
+TEST(MultiProducerInvariance, OneShardTwoProducersAllEngines) {
+  BenchWorkload bw =
+      MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
+  EventVector ev = Workload1Stream(&bw, 78);
+  for (EngineKind kind : kAllKinds) {
+    const std::string label = EngineKindName(kind);
+    RunConfig config;
+    config.kind = kind;
+    RunOutput batch = StreamExecutor(*bw.plan, config).Run(ev);
+    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+    ASSERT_GT(batch.emissions.size(), 0u) << label;
+    MpResult mp = RunMultiProducer(*bw.plan, config, /*num_shards=*/1,
+                                   /*num_producers=*/2, ev);
+    ExpectSameEmissionSet(batch.emissions, mp.emissions, label);
+    EXPECT_EQ(batch.metrics.events, mp.metrics.events) << label;
+    EXPECT_EQ(batch.metrics.emissions, mp.metrics.emissions) << label;
   }
 }
 
@@ -251,12 +273,12 @@ class MpContractTest : public ::testing::Test {
     return e;
   }
 
-  std::unique_ptr<ShardedSession> Open(int num_shards, CollectingSink* sink,
-                                       RunConfig config = RunConfig{}) {
+  std::unique_ptr<Session> Open(int num_shards, CollectingSink* sink,
+                                RunConfig config = RunConfig{}) {
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = num_shards;
-    Result<std::unique_ptr<ShardedSession>> session =
-        ShardedSession::Open(*plan_, config, sink);
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*plan_, config, sink);
     EXPECT_TRUE(session.ok());
     return std::move(session).value();
   }
@@ -327,7 +349,7 @@ TEST_F(MpContractTest, AddProducerAfterSessionIngestRejected) {
   CollectingSink sink;
   auto session = Open(2, &sink);
   ASSERT_TRUE(session->Push(Make(10, type_a_, 1)).ok());
-  Result<std::unique_ptr<ShardedSession::Producer>> handle =
+  Result<std::unique_ptr<Session::Producer>> handle =
       session->AddProducer();
   ASSERT_FALSE(handle.ok());
   EXPECT_EQ(handle.status().code(), StatusCode::kFailedPrecondition);
@@ -558,11 +580,11 @@ TEST_F(MpContractTest, ShortLivedProducersBesideALongLivedOne) {
     auto session = Open(2, &sink, config);
     std::atomic<int> admitted_segment{0};
     auto run_short_lived = [&](int k) {
-      Result<std::unique_ptr<ShardedSession::Producer>> handle =
+      Result<std::unique_ptr<Session::Producer>> handle =
           session->AddProducer();
       admitted_segment.store(k, std::memory_order_release);
       ASSERT_TRUE(handle.ok()) << label << ": " << handle.status().ToString();
-      ShardedSession::Producer& producer = *handle.value();
+      Session::Producer& producer = *handle.value();
       for (Timestamp t = std::max<Timestamp>(1, k * kSegment);
            t < (k + 1) * kSegment; ++t) {
         if (!short_lived(t)) continue;
@@ -606,12 +628,12 @@ TEST_F(MpContractTest, SinkAddsAProducerFromOnEmission) {
   constexpr double kLateGroup = 7;
   class JoiningSink : public EmissionSink {
    public:
-    JoiningSink(ShardedSession** session, Event late)
+    JoiningSink(Session** session, Event late)
         : session_(session), late_(late) {}
     void OnEmission(const Emission& emission) override {
       emissions.push_back(emission);
       if (joined.load(std::memory_order_relaxed)) return;
-      Result<std::unique_ptr<ShardedSession::Producer>> handle =
+      Result<std::unique_ptr<Session::Producer>> handle =
           (*session_)->AddProducer();
       status = handle.status();
       if (handle.ok()) {
@@ -625,17 +647,17 @@ TEST_F(MpContractTest, SinkAddsAProducerFromOnEmission) {
     std::atomic<bool> joined{false};
 
    private:
-    ShardedSession** session_;
+    Session** session_;
     Event late_;
   };
-  ShardedSession* raw = nullptr;
+  Session* raw = nullptr;
   JoiningSink sink(&raw, Make(kLate, type_a_, kLateGroup));
   RunConfig config;
   config.shard_batch_size = 1;
   RunConfig opened = config;
   opened.kind = EngineKind::kHamletDynamic;
   opened.num_shards = 2;
-  auto session = ShardedSession::Open(*plan_, opened, &sink).value();
+  auto session = Session::Open(*plan_, opened, &sink).value();
   raw = session.get();
   auto p1 = session->AddProducer().value();
   for (Timestamp t = 1; t <= 250; ++t) {

@@ -5,8 +5,8 @@
 // session partition the stream into activation intervals [P_i, P_{i+1})
 // at pane boundaries, and within each interval the emission set must be
 // bit-identical to a fresh session compiled with that interval's query
-// set and fed the full stream — for every EngineKind, single-threaded and
-// sharded (1/2/4 shards). The test streams keep every group dense (an
+// set and fed the full stream — for every EngineKind at 1, 2 and 4
+// shards. The test streams keep every group dense (an
 // event at least every 12 ticks against a 100 ms window), so window
 // instantiation is boundary-driven on both sides and the comparison is
 // exact, empty windows included.
@@ -19,8 +19,8 @@
 // Also covers: plan hot swaps (explicit ApplySharingOverrides and the
 // online re-optimizer under a burst-shifted stream, with
 // RunConfig::clock_override pinning the clock) leaving
-// emissions identical to a frozen plan, and the re-optimizer checking at the
-// same boundaries on a plain and a 1-shard sharded session across churn;
+// emissions identical to a frozen plan, and the re-optimizer deciding the
+// same at the same boundaries in repeated 1-shard runs across churn;
 // the lifecycle error contracts
 // (unnamed/duplicate adds, schema-extending adds, unknown/last-query
 // removes); a churn storm with one AddQuery per pane, and one on sharded
@@ -41,7 +41,6 @@
 
 #include "src/query/parser.h"
 #include "src/runtime/session.h"
-#include "src/runtime/sharded_session.h"
 
 namespace hamlet {
 namespace {
@@ -236,8 +235,7 @@ void ExpectSameTuples(const std::vector<Tuple>& want,
   }
 }
 
-template <typename SessionT>
-void PushRange(SessionT& s, const std::vector<Event>& ev, size_t from,
+void PushRange(Session& s, const std::vector<Event>& ev, size_t from,
                size_t to) {
   size_t i = from;
   while (i < to) {
@@ -274,8 +272,7 @@ struct ChurnOut {
 
 // Pushes the first third, adds `add`, pushes the second third, removes
 // "qa", pushes the rest, then drains and closes.
-template <typename SessionT>
-ChurnOut DriveChurn(SessionT& s, CollectingSink& sink,
+ChurnOut DriveChurn(Session& s, CollectingSink& sink,
                     const std::vector<Event>& ev, const Query& add) {
   ChurnOut out;
   const size_t a = ev.size() / 3;
@@ -303,7 +300,7 @@ ChurnOut DriveChurn(SessionT& s, CollectingSink& sink,
 
 // The tentpole property: per activation interval, churned emissions are
 // bit-identical to a fresh session with that interval's query set, for
-// every engine, single-threaded and under 1/2/4 shards.
+// every engine at 1, 2 and 4 shards.
 TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
   Schema schema;
   SeedSchema(&schema);
@@ -326,7 +323,7 @@ TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
       const RunOut ref1 = RunPlain(*mid.plan, config, ev);
       const RunOut ref2 = RunPlain(*tail.plan, config, ev);
 
-      // Single-threaded churn run establishes the boundaries.
+      // The 1-shard churn run establishes the boundaries.
       CollectingSink st_sink;
       Result<std::unique_ptr<Session>> st =
           Session::Open(*base.plan, config, &st_sink);
@@ -355,23 +352,22 @@ TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
       }
       EXPECT_GT(added_emissions, 0) << kl;
 
-      ExpectSameTuples(want, Tuples(churned.emissions),
-                       kl + " single-threaded");
+      ExpectSameTuples(want, Tuples(churned.emissions), kl + " shards=1");
       EXPECT_EQ(churned.metrics.queries_added, 1) << kl;
       EXPECT_EQ(churned.metrics.queries_removed, 1) << kl;
       EXPECT_EQ(churned.metrics.events, static_cast<int64_t>(ev.size())) << kl;
 
-      for (int shards : {1, 2, 4}) {
+      for (int shards : {2, 4}) {
         const std::string sl = kl + " shards=" + std::to_string(shards);
         RunConfig sharded_config = config;
         sharded_config.num_shards = shards;
         CollectingSink sink;
-        Result<std::unique_ptr<ShardedSession>> s =
-            ShardedSession::Open(*base.plan, sharded_config, &sink);
+        Result<std::unique_ptr<Session>> s =
+            Session::Open(*base.plan, sharded_config, &sink);
         ASSERT_TRUE(s.ok()) << sl;
         const ChurnOut out = DriveChurn(*s.value(), sink, ev, add);
         // The front computes activation from the same gate state, so the
-        // boundaries must match the single-threaded run exactly.
+        // boundaries must match the 1-shard run exactly.
         EXPECT_EQ(out.p1, churned.p1) << sl;
         EXPECT_EQ(out.p2, churned.p2) << sl;
         ExpectSameTuples(want, Tuples(out.emissions), sl);
@@ -385,8 +381,7 @@ TEST(QueryChurnEquivalence, AllEnginesAllShardCounts) {
 // Feeds `ev` to a re-optimizing session one 50 ms pane at a time, with
 // AdvanceTo(p) before the first event of every pane p, removes qc after
 // ev[800] and adds qc's text as qd after ev[807].
-template <typename SessionT>
-RunOut DriveReoptChurn(SessionT& s, CollectingSink& sink,
+RunOut DriveReoptChurn(Session& s, CollectingSink& sink,
                        const std::vector<Event>& ev) {
   Timestamp pane = -1;
   for (size_t i = 0; i < ev.size();) {
@@ -412,12 +407,12 @@ RunOut DriveReoptChurn(SessionT& s, CollectingSink& sink,
 
 // Hot-swap under burst: with the re-optimizer checking every 2 panes over
 // a stream whose dominant burst type flips mid-run, emissions stay
-// bit-identical to a frozen plan (sharing never changes values),
-// single-threaded and sharded. clock_override
-// pins the clock so latency accounting cannot perturb scheduling-visible
-// state under sanitizer load. With churn mid-run, a plain Session and a
-// 1-shard ShardedSession, each with its one control plane, run the same
-// checks at the same boundaries on the same statistics.
+// bit-identical to a frozen plan (sharing never changes values), at 1 and
+// 2 shards. clock_override pins the clock so latency accounting cannot
+// perturb scheduling-visible state under sanitizer load. With churn
+// mid-run, two 1-shard runs take the same decisions at the same boundaries
+// on the same statistics (the inline engine's, read exactly), and a
+// 4-shard run emits the same.
 TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
   Schema schema;
   SeedSchema(&schema);
@@ -459,15 +454,15 @@ TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
         << label;
     EXPECT_GE(m.value().plan_swaps, m.value().reopt_swaps) << label;
 
-    // Sharded: only the front re-optimizes and broadcasts the swap. The
+    // 2 shards: only the front re-optimizes and broadcasts the swap. The
     // mid-stream watermark is the checkpoint where the front waits for
     // the shards' statistics, so the later drift checks are guaranteed
     // to see real evidence.
     RunConfig sharded = reopt;
     sharded.num_shards = 2;
     CollectingSink ssink;
-    Result<std::unique_ptr<ShardedSession>> sh =
-        ShardedSession::Open(*w.plan, sharded, &ssink);
+    Result<std::unique_ptr<Session>> sh =
+        Session::Open(*w.plan, sharded, &ssink);
     ASSERT_TRUE(sh.ok()) << label;
     PushRange(*sh.value(), ev, 0, ev.size() / 2);
     ASSERT_TRUE(sh.value()->AdvanceTo(ev[ev.size() / 2 - 1].time).ok())
@@ -485,11 +480,11 @@ TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
       RunConfig churn = reopt;
       churn.reoptimize_every_panes = every;
       CollectingSink psink;
-      Result<std::unique_ptr<Session>> plain =
+      Result<std::unique_ptr<Session>> first =
           Session::Open(*w.plan, churn, &psink);
-      ASSERT_TRUE(plain.ok()) << el;
-      const RunOut pout = DriveReoptChurn(*plain.value(), psink, ev);
-      const std::vector<ReoptDecision>& want = plain.value()->reopt_log();
+      ASSERT_TRUE(first.ok()) << el;
+      const RunOut pout = DriveReoptChurn(*first.value(), psink, ev);
+      const std::vector<ReoptDecision>& want = first.value()->reopt_log();
       ASSERT_GE(want.size(), 3u) << el;
       EXPECT_EQ(pout.metrics.queries_added, 1) << el;
       EXPECT_EQ(pout.metrics.queries_removed, 1) << el;
@@ -498,8 +493,8 @@ TEST(OnlineReoptimization, HotSwapUnderBurstMatchesFrozenPlan) {
         RunConfig sharded_churn = churn;
         sharded_churn.num_shards = shards;
         CollectingSink csink;
-        Result<std::unique_ptr<ShardedSession>> sc =
-            ShardedSession::Open(*w.plan, sharded_churn, &csink);
+        Result<std::unique_ptr<Session>> sc =
+            Session::Open(*w.plan, sharded_churn, &csink);
         ASSERT_TRUE(sc.ok()) << sl;
         const RunOut out = DriveReoptChurn(*sc.value(), csink, ev);
         ExpectSameTuples(Tuples(pout.emissions), Tuples(out.emissions), sl);
@@ -569,8 +564,8 @@ TEST(PlanHotSwap, ForcedOverrideKeepsEmissionsIdentical) {
       RunConfig sharded_config = config;
       sharded_config.num_shards = 2;
       CollectingSink ssink;
-      Result<std::unique_ptr<ShardedSession>> sh =
-          ShardedSession::Open(*w.plan, sharded_config, &ssink);
+      Result<std::unique_ptr<Session>> sh =
+          Session::Open(*w.plan, sharded_config, &ssink);
       ASSERT_TRUE(sh.ok()) << kl;
       PushRange(*sh.value(), ev, 0, ev.size() / 2);
       Result<Timestamp> ssw =
@@ -625,12 +620,12 @@ TEST(QueryLifecycleErrors, RejectedChurnLeavesSessionIntact) {
   EXPECT_EQ(session.RemoveQuery("qb").status().code(),
             StatusCode::kFailedPrecondition);
 
-  // Sharded front pre-validates without disturbing the workers.
+  // A 2-shard front pre-validates without disturbing the workers.
   RunConfig sharded_config;
   sharded_config.num_shards = 2;
   CollectingSink ssink;
-  Result<std::unique_ptr<ShardedSession>> sh =
-      ShardedSession::Open(*w.plan, sharded_config, &ssink);
+  Result<std::unique_ptr<Session>> sh =
+      Session::Open(*w.plan, sharded_config, &ssink);
   ASSERT_TRUE(sh.ok());
   EXPECT_FALSE(sh.value()->AddQuery(duplicate).ok());
   EXPECT_FALSE(sh.value()->RemoveQuery("nope").ok());
@@ -729,9 +724,8 @@ TEST(QueryLifecycleChurnStorm, OneAddPerPaneMatchesFreshSessions) {
 // later ones arrive. The ops add a query that refines the pane to 25 ms,
 // activate further ops on that finer grid, and remove queries (each then
 // leaves the plan at its drain boundary on every shard). Every engine and
-// shard count must emit what the single-threaded session with the same
-// ops emits.
-TEST(QueryLifecycleChurnStorm, ShardsIdleAcrossOpsMatchSingleThreaded) {
+// shard count must emit what the 1-shard session with the same ops emits.
+TEST(QueryLifecycleChurnStorm, ShardsIdleAcrossOpsMatchOneShard) {
   constexpr char kLongA[] =
       "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUPBY g WITHIN 200 ms SLIDE 50 ms";
   constexpr char kLongC[] =
@@ -762,11 +756,11 @@ TEST(QueryLifecycleChurnStorm, ShardsIdleAcrossOpsMatchSingleThreaded) {
   for (int shards : {2, 4}) {
     // Key 2 (t < 150) and key 3 (150 <= t < 300) land on different
     // shards, so key 2's shard idles through the ops of key 3's phase.
-    ShardRouter router = ShardedSession::RouterFor(*w.plan, shards).value();
+    ShardRouter router = Session::RouterFor(*w.plan, shards).value();
     ASSERT_NE(router.ShardOfKey(2), router.ShardOfKey(3)) << shards;
   }
 
-  auto drive = [&](auto& session, CollectingSink& sink,
+  auto drive = [&](Session& session, CollectingSink& sink,
                    const std::string& label) {
     size_t pushed = 0;
     for (const Op& op : ops) {
@@ -801,8 +795,8 @@ TEST(QueryLifecycleChurnStorm, ShardsIdleAcrossOpsMatchSingleThreaded) {
       RunConfig sharded_config = config;
       sharded_config.num_shards = shards;
       CollectingSink sink;
-      Result<std::unique_ptr<ShardedSession>> s =
-          ShardedSession::Open(*w.plan, sharded_config, &sink);
+      Result<std::unique_ptr<Session>> s =
+          Session::Open(*w.plan, sharded_config, &sink);
       ASSERT_TRUE(s.ok()) << sl;
       ExpectSameTuples(want, drive(*s.value(), sink, sl), sl);
     }
@@ -900,8 +894,8 @@ TEST(RunConfigValidation, ReoptimizeKnobMatrix) {
 }
 
 // evict_idle_groups drops exactly the zero-valued emissions of groups
-// whose windows all closed, deterministically in event time — so plain
-// and sharded runs agree bit-identically — and enables the ShardRouter
+// whose windows all closed, deterministically in event time — so runs at
+// every shard count agree bit-identically — and enables the ShardRouter
 // rebalance-map drain surfaced by RunMetrics::rebalance_map_size.
 TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
   Schema schema;
@@ -923,7 +917,7 @@ TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
                         0.0, static_cast<double>(8 + i % 8)});
   }
 
-  auto drive = [&](auto& session, CollectingSink& sink) -> RunOut {
+  auto drive = [&](Session& session, CollectingSink& sink) -> RunOut {
     PushRange(session, ev, 0, 200);
     HAMLET_CHECK(session.AdvanceTo(3000).ok());
     PushRange(session, ev, 200, 400);
@@ -935,12 +929,12 @@ TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
 
   RunConfig evict;
   evict.evict_idle_groups = true;
-  CollectingSink plain_sink;
-  Result<std::unique_ptr<Session>> plain =
-      Session::Open(*w.plan, evict, &plain_sink);
-  ASSERT_TRUE(plain.ok());
-  const RunOut plain_out = drive(*plain.value(), plain_sink);
-  EXPECT_GT(plain_out.metrics.evicted_idle_groups, 0);
+  CollectingSink one_sink;
+  Result<std::unique_ptr<Session>> one =
+      Session::Open(*w.plan, evict, &one_sink);
+  ASSERT_TRUE(one.ok());
+  const RunOut one_out = drive(*one.value(), one_sink);
+  EXPECT_GT(one_out.metrics.evicted_idle_groups, 0);
 
   // Eviction only ever removes emissions a non-evicting run would have
   // made (the idle groups' empty windows) — never adds or alters any.
@@ -950,7 +944,7 @@ TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
       Session::Open(*w.plan, keep, &keep_sink);
   ASSERT_TRUE(keep_s.ok());
   const RunOut keep_out = drive(*keep_s.value(), keep_sink);
-  const std::vector<Tuple> evicted = Tuples(plain_out.emissions);
+  const std::vector<Tuple> evicted = Tuples(one_out.emissions);
   const std::vector<Tuple> kept = Tuples(keep_out.emissions);
   EXPECT_LT(evicted.size(), kept.size());
   EXPECT_TRUE(std::includes(kept.begin(), kept.end(), evicted.begin(),
@@ -960,8 +954,8 @@ TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
     RunConfig config = evict;
     config.num_shards = shards;
     CollectingSink sink;
-    Result<std::unique_ptr<ShardedSession>> s =
-        ShardedSession::Open(*w.plan, config, &sink);
+    Result<std::unique_ptr<Session>> s =
+        Session::Open(*w.plan, config, &sink);
     ASSERT_TRUE(s.ok());
     const RunOut out = drive(*s.value(), sink);
     ExpectSameTuples(evicted, Tuples(out.emissions),
@@ -977,8 +971,8 @@ TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
   routed.num_shards = 2;
   routed.shard_rebalance_threshold = 1;
   CollectingSink rsink;
-  Result<std::unique_ptr<ShardedSession>> rs =
-      ShardedSession::Open(*w.plan, routed, &rsink);
+  Result<std::unique_ptr<Session>> rs =
+      Session::Open(*w.plan, routed, &rsink);
   ASSERT_TRUE(rs.ok());
   PushRange(*rs.value(), ev, 0, 200);
   ASSERT_TRUE(rs.value()->AdvanceTo(3000).ok());

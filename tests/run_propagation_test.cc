@@ -1,7 +1,7 @@
 // Run-granular propagation: segmenter unit tests plus the end-to-end
 // contract — emissions of chunked, sharded and multi-producer ingestion are
 // bit-identical for every engine kind, across shard counts and concurrent
-// producer counts. The baseline for every cell is a plain single-threaded
+// producer counts. The baseline for every cell is a 1-shard
 // Session fed the whole stream as one batch. Group-major dispatch (staged
 // rows ordered by pane and group key) is checked against per-event Push.
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "src/query/parser.h"
 #include "src/query/run_segmenter.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 
 namespace hamlet {
 namespace {
@@ -184,16 +184,16 @@ void ExpectSameEmissionSet(const std::vector<Emission>& expected,
   }
 }
 
-void FeedProducers(ShardedSession* session, const EventVector& ev,
+void FeedProducers(Session* session, const EventVector& ev,
                    int num_producers) {
-  std::vector<std::unique_ptr<ShardedSession::Producer>> producers;
+  std::vector<std::unique_ptr<Session::Producer>> producers;
   for (int p = 0; p < num_producers; ++p) {
     producers.push_back(session->AddProducer().value());
   }
   std::vector<std::thread> threads;
   for (int p = 0; p < num_producers; ++p) {
     threads.emplace_back([&, p] {
-      ShardedSession::Producer& producer = *producers[static_cast<size_t>(p)];
+      Session::Producer& producer = *producers[static_cast<size_t>(p)];
       for (size_t i = static_cast<size_t>(p); i < ev.size();
            i += static_cast<size_t>(num_producers)) {
         ASSERT_TRUE(producer.Push(ev[i]).ok());
@@ -221,7 +221,7 @@ TEST(RunPropagation, EmissionsIdenticalAcrossShardsAndProducers) {
   ASSERT_FALSE(ev.empty());
 
   for (EngineKind kind : kAllKinds) {
-    // Baseline: plain single-threaded Session, one batch.
+    // Baseline: a 1-shard Session, one batch.
     RunConfig ref_config;
     ref_config.kind = kind;
     StreamExecutor executor(*bw.plan, ref_config);
@@ -240,10 +240,10 @@ TEST(RunPropagation, EmissionsIdenticalAcrossShardsAndProducers) {
         config.kind = kind;
         config.num_shards = shards;
         CollectingSink sink;
-        Result<std::unique_ptr<ShardedSession>> opened =
-            ShardedSession::Open(*bw.plan, config, &sink);
+        Result<std::unique_ptr<Session>> opened =
+            Session::Open(*bw.plan, config, &sink);
         ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-        ShardedSession& session = *opened.value();
+        Session& session = *opened.value();
         if (producers == 0) {
           // Session-level chunked PushBatch: chunk length 48 keeps most
           // bursts whole while still exercising mid-burst chunk seams.
@@ -330,7 +330,7 @@ class GroupMajorBench {
   // 0 (the first is hot) and three on shard 1, so the steal controller has
   // an imbalance to correct.
   std::vector<int64_t> Keys(const WorkloadPlan& plan) {
-    const ShardRouter probe = ShardedSession::RouterFor(plan, 2).value();
+    const ShardRouter probe = Session::RouterFor(plan, 2).value();
     std::vector<int64_t> on0, on1;
     for (int64_t k = -40; on0.size() < 7 || on1.size() < 3; ++k) {
       std::vector<int64_t>& into = probe.ShardOfKey(k) == 0 ? on0 : on1;
@@ -381,7 +381,7 @@ class GroupMajorBench {
     return ev;
   }
 
-  // A plain Session fed `ev` in `chunk`-row PushBatch calls (Push when
+  // A 1-shard Session fed `ev` in `chunk`-row PushBatch calls (Push when
   // chunk is 1), then a watermark at the last event and Close.
   static SessionRun RunSession(const WorkloadPlan& plan,
                                const RunConfig& config, const EventVector& ev,
@@ -407,8 +407,8 @@ class GroupMajorBench {
                                const EventVector& ev) {
     config.num_shards = 2;
     CollectingSink sink;
-    std::unique_ptr<ShardedSession> session =
-        ShardedSession::Open(plan, config, &sink).value();
+    std::unique_ptr<Session> session =
+        Session::Open(plan, config, &sink).value();
     for (size_t i = 0; i < ev.size(); i += 512) {
       const size_t len = std::min<size_t>(512, ev.size() - i);
       EXPECT_TRUE(

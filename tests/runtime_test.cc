@@ -12,7 +12,7 @@
 #include "src/common/rng.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 #include "src/stream/stream_builder.h"
 
 namespace hamlet {
@@ -243,8 +243,7 @@ TEST_F(RuntimeFixture, OrCompositionAcrossComponents) {
 // ragged PushBatch chunks of 1-7 events.
 enum class Feed { kPerEvent, kOneBatch, kRagged };
 
-template <typename SessionT>
-RunOutput FeedAndClose(SessionT& session, CollectingSink& sink,
+RunOutput FeedAndClose(Session& session, CollectingSink& sink,
                        const EventVector& ev, Feed feed) {
   size_t i = 0;
   int chunk = 0;
@@ -272,8 +271,8 @@ RunOutput FeedAndClose(SessionT& session, CollectingSink& sink,
 // The runtime's one dispatch path against the oracle: event predicates
 // (the stream carries a NaN predicate attribute, which fails every
 // comparison but !=), sliding windows and GROUPBY, for every engine kind,
-// fed per event (1-row runs), as one batch, and in ragged chunks, on a
-// plain Session and on 2 shards.
+// fed per event (1-row runs), as one batch, and in ragged chunks, on 1 and
+// on 2 shards.
 TEST_F(RuntimeFixture, PredicatedStreamEveryFeedMatchesOracle) {
   schema_.AddAttr("v");
   schema_.AddAttr("g");
@@ -300,22 +299,24 @@ TEST_F(RuntimeFixture, PredicatedStreamEveryFeedMatchesOracle) {
     for (Feed feed : {Feed::kPerEvent, Feed::kOneBatch, Feed::kRagged}) {
       const std::string label = std::string(EngineKindName(kind)) + "/feed" +
                                 std::to_string(static_cast<int>(feed));
-      RunConfig config;
-      config.kind = kind;
-      CollectingSink plain_sink;
-      Result<std::unique_ptr<Session>> plain =
-          Session::Open(plan, config, &plain_sink);
-      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-      RunOutput single = FeedAndClose(*plain.value(), plain_sink, ev, feed);
-      ExpectEmissionsMatch(single, ref, label + "/session");
-      config.num_shards = 2;
-      CollectingSink sharded_sink;
-      Result<std::unique_ptr<ShardedSession>> sharded =
-          ShardedSession::Open(plan, config, &sharded_sink);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      RunOutput two = FeedAndClose(*sharded.value(), sharded_sink, ev, feed);
-      ExpectEmissionsMatch(two, ref, label + "/N=2");
-      EXPECT_EQ(single.emissions.size(), two.emissions.size()) << label;
+      size_t one_shard_emissions = 0;
+      for (int shards : {1, 2}) {
+        RunConfig config;
+        config.kind = kind;
+        config.num_shards = shards;
+        CollectingSink sink;
+        Result<std::unique_ptr<Session>> session =
+            Session::Open(plan, config, &sink);
+        ASSERT_TRUE(session.ok()) << session.status().ToString();
+        RunOutput out = FeedAndClose(*session.value(), sink, ev, feed);
+        ExpectEmissionsMatch(out, ref,
+                             label + "/N=" + std::to_string(shards));
+        if (shards == 1) {
+          one_shard_emissions = out.emissions.size();
+        } else {
+          EXPECT_EQ(out.emissions.size(), one_shard_emissions) << label;
+        }
+      }
     }
   }
 }

@@ -413,7 +413,7 @@ TEST(MergeRunMetricsTest, ThroughputRecomputedFromMergedTotals) {
   EXPECT_EQ(merged.evicted_compositions, 5);
   // Peaks at different times never sum: the merge keeps the always-true
   // floor (the largest single peak, 100 — not 160, the old sum);
-  // ShardedSession raises it with its sampled concurrent high-water mark.
+  // Session raises it with its sampled concurrent high-water mark.
   // Current footprints are simultaneous by definition, so they do sum.
   EXPECT_EQ(merged.peak_memory_bytes, 100);
   EXPECT_EQ(merged.current_memory_bytes, 65);

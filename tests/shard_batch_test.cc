@@ -3,12 +3,13 @@
 // The core property extends shard-count invariance to ingress granularity:
 // for every EngineKind, shard count (1/2/4/8) and shard_batch_size
 // (1 = per-event hand-off through 1024 ≫ stream chunks), the emission set
-// of a ShardedSession equals the single-threaded batch Run() on the same
+// of a Session equals the single-threaded batch Run() on the same
 // stream — staging, batch flushes, watermark barriers and the emission
 // fan-in must never change *what* is computed, only how it is handed off.
 // Also covered: RouterFor consistency with the session's own router,
-// reentrant and closing sinks, Open's batching-knob validation, and
-// backpressure with tiny queues and tiny batches at once.
+// reentrant and closing sinks at one shard (inline) and several, delivery
+// before AdvanceTo returns at one shard, Open's batching-knob validation,
+// and backpressure with tiny queues and tiny batches at once.
 //
 // Registered in the ASan and TSan CI jobs next to sharded_session_test:
 // together they drive every cross-thread path of the batched runtime —
@@ -25,7 +26,7 @@
 #include "src/benchlib/workloads.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 #include "src/stream/shard_router.h"
 
 namespace hamlet {
@@ -67,7 +68,7 @@ struct ShardedResult {
   RunMetrics metrics;
 };
 
-// Pushes `ev` through a ShardedSession in mixed granularity (singles via
+// Pushes `ev` through a Session in mixed granularity (singles via
 // Push, chunks via PushBatch) with occasional interleaved watermarks (each
 // one a staging-flush barrier) and a trailing watermark, then Close.
 ShardedResult RunSharded(const WorkloadPlan& plan, RunConfig config,
@@ -77,8 +78,8 @@ ShardedResult RunSharded(const WorkloadPlan& plan, RunConfig config,
   config.shard_batch_size = batch_size;
   config.shard_queue_capacity = queue_capacity;
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, &sink);
   HAMLET_CHECK(session.ok());
   Rng rng(static_cast<uint64_t>(num_shards) * 1000 +
           static_cast<uint64_t>(batch_size));
@@ -212,10 +213,10 @@ class ShardedContractTest : public ::testing::Test {
 TEST_F(ShardedContractTest, RouterForMatchesSessionRouter) {
   RunConfig config;
   config.num_shards = 4;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan_, config, nullptr);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(*plan_, config, nullptr);
   ASSERT_TRUE(session.ok());
-  Result<ShardRouter> standalone = ShardedSession::RouterFor(*plan_, 4);
+  Result<ShardRouter> standalone = Session::RouterFor(*plan_, 4);
   ASSERT_TRUE(standalone.ok());
   EXPECT_EQ(standalone.value().num_shards(), 4);
   EXPECT_EQ(standalone.value().partition_attr(),
@@ -227,112 +228,145 @@ TEST_F(ShardedContractTest, RouterForMatchesSessionRouter) {
   }
   ASSERT_TRUE(session.value()->Close().ok());
   // RouterFor fails exactly like Open on garbage shard counts.
-  EXPECT_EQ(ShardedSession::RouterFor(*plan_, 0).status().code(),
+  EXPECT_EQ(Session::RouterFor(*plan_, 0).status().code(),
             StatusCode::kInvalidArgument);
 }
 
-// Sinks run on the caller thread, so a feedback-style sink may call Push
+// Sinks run on the front thread, so a feedback-style sink may call Push
 // from OnEmission. The reentrant call must neither corrupt the fan-in
 // scratch (reentrancy guard) nor, during Close's final drain, stage events
-// no worker will ever process (the session is closed by then).
+// no engine will ever process (the session is closed by then). At one
+// shard the inline engine's emissions are delivered after its call
+// returns, so the same holds there.
 TEST_F(ShardedContractTest, ReentrantFeedbackSinkIsSafe) {
-  RunConfig config;
-  config.num_shards = 2;
-  config.shard_batch_size = 1;  // surface emissions promptly
-  ShardedSession* raw = nullptr;
-  int accepted = 0;
-  int rejected = 0;
-  // Far past every driver watermark below, near enough that Close's
-  // pane-by-pane flush to the feedback windows stays cheap.
-  Timestamp next_feedback = 100'000;
-  CallbackSink sink([&](const Emission&) {
-    if (raw == nullptr) return;
-    Status s = raw->Push(Make(next_feedback++, "A"));
-    if (s.ok()) {
-      ++accepted;
-    } else {
-      EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-      ++rejected;
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RunConfig config;
+    config.num_shards = shards;
+    config.shard_batch_size = 1;  // surface emissions promptly
+    Session* raw = nullptr;
+    int accepted = 0;
+    int rejected = 0;
+    // Far past every driver watermark below, near enough that Close's
+    // pane-by-pane flush to the feedback windows stays cheap.
+    Timestamp next_feedback = 100'000;
+    CallbackSink sink([&](const Emission&) {
+      if (raw == nullptr) return;
+      Status s = raw->Push(Make(next_feedback++, "A"));
+      if (s.ok()) {
+        ++accepted;
+      } else {
+        EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+        ++rejected;
+      }
+    });
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*plan_, config, &sink);
+    ASSERT_TRUE(session.ok());
+    raw = session.value().get();
+    ASSERT_TRUE(raw->Push(Make(10, "A")).ok());
+    ASSERT_TRUE(raw->Push(Make(20, "B")).ok());
+    // Drive drains with growing watermarks until the [0,100) emission fans
+    // in and the sink's reentrant Push lands (then stop: the feedback
+    // events are far in the future, so further small watermarks would
+    // regress).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    Timestamp w = 500;
+    while (accepted == 0 && std::chrono::steady_clock::now() < deadline) {
+      ASSERT_TRUE(raw->AdvanceTo(w++).ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-  });
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan_, config, &sink);
-  ASSERT_TRUE(session.ok());
-  raw = session.value().get();
-  ASSERT_TRUE(raw->Push(Make(10, "A")).ok());
-  ASSERT_TRUE(raw->Push(Make(20, "B")).ok());
-  // Drive drains with growing watermarks until the [0,100) emission fans in
-  // and the sink's reentrant Push lands (then stop: the feedback events are
-  // far in the future, so further small watermarks would regress).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  Timestamp w = 500;
-  while (accepted == 0 && std::chrono::steady_clock::now() < deadline) {
-    ASSERT_TRUE(raw->AdvanceTo(w++).ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(accepted, 1);
+    // Close flushes the feedback events' windows; their emissions hit the
+    // sink during the final drain, when the session is already closed.
+    RunMetrics m = raw->Close().value();
+    EXPECT_EQ(m.events, 2 + accepted);
+    EXPECT_GE(rejected, 1);
   }
-  EXPECT_GE(accepted, 1);
-  // Close flushes the feedback events' windows; their emissions hit the
-  // sink during the final drain, when the session is already closed.
-  RunMetrics m = raw->Close().value();
-  EXPECT_EQ(m.events, 2 + accepted);
-  EXPECT_GE(rejected, 1);
 }
 
 // A sink that calls Close() from OnEmission ("stop after first alert")
 // interrupts a drain mid-iteration. Close's final fan-in must still
 // deliver every remaining emission — including those of shards the
-// interrupted drain had already passed — and nothing may be delivered
-// twice.
+// interrupted drain had already passed, or at one shard those the inline
+// engine buffered behind the interrupted round — and nothing may be
+// delivered twice.
 TEST_F(ShardedContractTest, CloseFromSinkDeliversEverything) {
-  RunConfig config;
-  config.num_shards = 4;
-  config.shard_batch_size = 1;
-  ShardedSession* raw = nullptr;
-  int received = 0;
-  bool closed = false;
-  int64_t emissions_at_close = -1;
-  CallbackSink sink([&](const Emission&) {
-    ++received;
-    if (raw != nullptr && !closed) {
-      closed = true;
-      Result<RunMetrics> m = raw->Close();  // nested: inside a drain
-      ASSERT_TRUE(m.ok());
-      emissions_at_close = m.value().emissions;
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RunConfig config;
+    config.num_shards = shards;
+    config.shard_batch_size = 1;
+    Session* raw = nullptr;
+    int received = 0;
+    bool closed = false;
+    int64_t emissions_at_close = -1;
+    CallbackSink sink([&](const Emission&) {
+      ++received;
+      if (raw != nullptr && !closed) {
+        closed = true;
+        Result<RunMetrics> m = raw->Close();  // nested: inside a drain
+        ASSERT_TRUE(m.ok());
+        emissions_at_close = m.value().emissions;
+      }
+    });
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*plan_, config, &sink);
+    ASSERT_TRUE(session.ok());
+    raw = session.value().get();
+    // Several groups so multiple shards hold emissions when Close
+    // interrupts.
+    for (int g = 0; g < 8; ++g) {
+      ASSERT_TRUE(raw->Push(Make(10 + g, "A", static_cast<double>(g))).ok());
     }
-  });
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(*plan_, config, &sink);
+    for (int g = 0; g < 8; ++g) {
+      ASSERT_TRUE(
+          raw->Push(Make(30 + g * 2, "B", static_cast<double>(g))).ok());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    Timestamp w = 200;
+    while (!closed && std::chrono::steady_clock::now() < deadline) {
+      Status s = raw->AdvanceTo(w++);
+      if (!s.ok()) break;  // the sink closed the session mid-drive
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(closed);
+    // Every emission the closed session counted reached the sink exactly
+    // once, despite the drain interruption.
+    EXPECT_EQ(received, emissions_at_close);
+    EXPECT_EQ(raw->Close().status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+// One shard runs its engine inline on the front thread: the emission of a
+// window reaches the sink before the AdvanceTo that closes the window
+// returns, with no polling and no worker to wait for.
+TEST_F(ShardedContractTest, OneShardDeliversBeforeAdvanceToReturns) {
+  CollectingSink sink;
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(*plan_, RunConfig(), &sink);
   ASSERT_TRUE(session.ok());
-  raw = session.value().get();
-  // Several groups so multiple shards hold emissions when Close interrupts.
-  for (int g = 0; g < 8; ++g) {
-    ASSERT_TRUE(raw->Push(Make(10 + g, "A", static_cast<double>(g))).ok());
-  }
-  for (int g = 0; g < 8; ++g) {
-    ASSERT_TRUE(
-        raw->Push(Make(30 + g * 2, "B", static_cast<double>(g))).ok());
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  Timestamp w = 200;
-  while (!closed && std::chrono::steady_clock::now() < deadline) {
-    Status s = raw->AdvanceTo(w++);
-    if (!s.ok()) break;  // the sink closed the session mid-drive
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(closed);
-  // Every emission the closed session counted reached the sink exactly
-  // once, despite the drain interruption.
-  EXPECT_EQ(received, emissions_at_close);
-  EXPECT_EQ(raw->Close().status().code(), StatusCode::kFailedPrecondition);
+  Session& s = *session.value();
+  ASSERT_EQ(s.num_shards(), 1);
+  ASSERT_TRUE(s.Push(Make(10, "A")).ok());
+  ASSERT_TRUE(s.Push(Make(20, "B")).ok());
+  ASSERT_TRUE(s.AdvanceTo(99).ok());
+  EXPECT_TRUE(sink.emissions().empty());
+  ASSERT_TRUE(s.AdvanceTo(100).ok());
+  ASSERT_EQ(sink.emissions().size(), 1u);
+  EXPECT_EQ(sink.emissions()[0].window_start, 0);
+  EXPECT_EQ(sink.emissions()[0].window_end, 100);
+  EXPECT_EQ(sink.emissions()[0].value, 1.0);  // the trend (A@10, B@20)
+  ASSERT_TRUE(s.Close().ok());
 }
 
 TEST_F(ShardedContractTest, OpenValidatesShardBatchSize) {
   RunConfig config;
   config.shard_batch_size = 0;
-  Result<std::unique_ptr<ShardedSession>> r =
-      ShardedSession::Open(*plan_, config, nullptr);
+  Result<std::unique_ptr<Session>> r =
+      Session::Open(*plan_, config, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("shard_batch_size"), std::string::npos);
@@ -349,18 +383,18 @@ TEST_F(ShardedContractTest, OpenRelatesQueueCapacityToBatchSize) {
   config.num_shards = 2;
   config.shard_queue_capacity = 8192;
   config.shard_batch_size = 1;
-  EXPECT_TRUE(ShardedSession::Open(*plan_, config, nullptr).ok());
+  EXPECT_TRUE(Session::Open(*plan_, config, nullptr).ok());
   // Default-shaped product right at ~1M events — fine.
   config.shard_batch_size = 128;
-  EXPECT_TRUE(ShardedSession::Open(*plan_, config, nullptr).ok());
+  EXPECT_TRUE(Session::Open(*plan_, config, nullptr).ok());
   // High extreme: the same capacity with huge batches implies an event
   // buffer past kMaxQueuedEventsPerShard; rejected, naming both knobs.
   config.shard_batch_size = 2048;
   ASSERT_GT(static_cast<int64_t>(config.shard_queue_capacity) *
                 config.shard_batch_size,
             kMaxQueuedEventsPerShard);
-  Result<std::unique_ptr<ShardedSession>> r =
-      ShardedSession::Open(*plan_, config, nullptr);
+  Result<std::unique_ptr<Session>> r =
+      Session::Open(*plan_, config, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("shard_queue_capacity"),

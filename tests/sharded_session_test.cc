@@ -1,7 +1,7 @@
-// ShardedSession tests.
+// Sharded Session tests.
 //
 // The core property is shard-count invariance: for every EngineKind, the
-// emission set of a ShardedSession with N = 1/2/4 shards equals the
+// emission set of a Session with N = 1/2/4 shards equals the
 // single-threaded batch Run() on the same stream — a group's whole
 // subsequence lands on one shard, so per-group results are bitwise
 // identical and only cross-group interleaving (normalized away by
@@ -10,7 +10,8 @@
 // (windows close on shards that saw no events), backpressure under a tiny
 // ingress queue, and the fail-fast Status contracts (out-of-order
 // kInvalidArgument naming the timestamp, kFailedPrecondition after Close,
-// num_shards validation, mixed group-by rejection).
+// num_shards validation, mixed group-by rejection) and MetricsSnapshot
+// from a monitor thread at one shard and at two.
 //
 // This suite is a primary TSan target (the `tsan` CMake preset / CI job,
 // together with shard_batch_test): it drives every cross-thread path —
@@ -18,6 +19,8 @@
 // mirror — under real concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -27,7 +30,7 @@
 #include "src/benchlib/workloads.h"
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 
 namespace hamlet {
 namespace {
@@ -43,7 +46,7 @@ struct ShardedResult {
   RunMetrics metrics;
 };
 
-// Pushes `ev` through a ShardedSession in PushBatch(64) chunks with a
+// Pushes `ev` through a Session in PushBatch(64) chunks with a
 // trailing watermark, then Close. Emissions come back in Take()'s
 // normalized (window_start, query, group) order.
 ShardedResult RunSharded(const WorkloadPlan& plan, RunConfig config,
@@ -52,8 +55,8 @@ ShardedResult RunSharded(const WorkloadPlan& plan, RunConfig config,
   config.num_shards = num_shards;
   config.shard_queue_capacity = queue_capacity;
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, &sink);
   HAMLET_CHECK(session.ok());
   EXPECT_EQ(session.value()->num_shards(), num_shards);
   constexpr size_t kChunk = 64;
@@ -190,7 +193,7 @@ TEST(ShardCountInvariance, SlidingWindowsAcrossShards) {
 // path on nearly every push; results must not change.
 // Close without a trailing AdvanceTo: a shard that saw no event in the
 // final pane must still open (and flush) that pane's sliding windows for
-// its groups, exactly like a plain Session whose pane clock the last
+// its groups, exactly like a 1-shard session whose pane clock the last
 // event advanced for every group.
 TEST(ShardCountInvariance, CloseFlushesTrailingWindowsOnIdleShards) {
   Schema schema;
@@ -222,19 +225,19 @@ TEST(ShardCountInvariance, CloseFlushesTrailingWindowsOnIdleShards) {
   ev.push_back(last);
 
   StreamExecutor executor(plan, RunConfig());
-  RunOutput plain = executor.Run(ev);
-  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
-  ASSERT_GT(plain.emissions.size(), 0u);
+  RunOutput batch = executor.Run(ev);
+  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+  ASSERT_GT(batch.emissions.size(), 0u);
 
   RunConfig config;
   config.num_shards = 2;
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
-      ShardedSession::Open(plan, config, &sink);
+  Result<std::unique_ptr<Session>> session =
+      Session::Open(plan, config, &sink);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   ASSERT_TRUE(session.value()->PushBatch(ev).ok());
   ASSERT_TRUE(session.value()->Close().ok());
-  ExpectSameEmissionSet(plain.emissions, sink.Take(), "close/N=2");
+  ExpectSameEmissionSet(batch.emissions, sink.Take(), "close/N=2");
 }
 
 TEST(ShardCountInvariance, TinyQueueBackpressure) {
@@ -301,11 +304,11 @@ class ShardedContractTest : public ::testing::Test {
     return e;
   }
 
-  Result<std::unique_ptr<ShardedSession>> Open(int num_shards,
-                                               EmissionSink* sink = nullptr) {
+  Result<std::unique_ptr<Session>> Open(int num_shards,
+                                        EmissionSink* sink = nullptr) {
     RunConfig config;
     config.num_shards = num_shards;
-    return ShardedSession::Open(*plan_, config, sink);
+    return Session::Open(*plan_, config, sink);
   }
 
   Schema schema_;
@@ -317,16 +320,16 @@ TEST_F(ShardedContractTest, OpenValidatesNumShards) {
   for (int bad : {0, -1, kMaxShards + 1}) {
     RunConfig config;
     config.num_shards = bad;
-    Result<std::unique_ptr<ShardedSession>> r =
-        ShardedSession::Open(*plan_, config, nullptr);
+    Result<std::unique_ptr<Session>> r =
+        Session::Open(*plan_, config, nullptr);
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status().message().find("num_shards"), std::string::npos);
   }
   RunConfig bad_queue;
   bad_queue.shard_queue_capacity = 1;
-  Result<std::unique_ptr<ShardedSession>> r =
-      ShardedSession::Open(*plan_, bad_queue, nullptr);
+  Result<std::unique_ptr<Session>> r =
+      Session::Open(*plan_, bad_queue, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(r.status().message().find("shard_queue_capacity"),
@@ -344,16 +347,16 @@ TEST_F(ShardedContractTest, MixedGroupByIsUnsupportedWhenSharded) {
   WorkloadPlan mixed = AnalyzeWorkload(workload_).value();
   RunConfig config;
   config.num_shards = 2;
-  Result<std::unique_ptr<ShardedSession>> r =
-      ShardedSession::Open(mixed, config, nullptr);
+  Result<std::unique_ptr<Session>> r =
+      Session::Open(mixed, config, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
   config.num_shards = 1;
-  EXPECT_TRUE(ShardedSession::Open(mixed, config, nullptr).ok());
+  EXPECT_TRUE(Session::Open(mixed, config, nullptr).ok());
 }
 
 TEST_F(ShardedContractTest, PushRejectsOutOfOrderNamingTimestamp) {
-  Result<std::unique_ptr<ShardedSession>> session = Open(/*num_shards=*/3);
+  Result<std::unique_ptr<Session>> session = Open(/*num_shards=*/3);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session.value()->Push(Make(50, "A")).ok());
   Status s = session.value()->Push(Make(20, "B"));
@@ -371,7 +374,7 @@ TEST_F(ShardedContractTest, PushRejectsOutOfOrderNamingTimestamp) {
 
 TEST_F(ShardedContractTest, WatermarkBroadcastClosesWindowsOnAllShards) {
   CollectingSink sink;
-  Result<std::unique_ptr<ShardedSession>> session =
+  Result<std::unique_ptr<Session>> session =
       Open(/*num_shards=*/4, &sink);
   ASSERT_TRUE(session.ok());
   // Two groups — they may land on different shards; the broadcast must
@@ -392,7 +395,7 @@ TEST_F(ShardedContractTest, WatermarkBroadcastClosesWindowsOnAllShards) {
   }
   EXPECT_EQ(session.value()->MetricsSnapshot().emissions, 2);
   RunMetrics m = session.value()->Close().value();
-  // Same semantics as the single-threaded Session: the watermark also
+  // Same semantics as at one shard: the watermark also
   // opened the next pane's window [100,200) per group, which Close then
   // flushed empty — 4 emissions total.
   EXPECT_EQ(m.emissions, 4);
@@ -413,7 +416,7 @@ TEST_F(ShardedContractTest, WatermarkBroadcastClosesWindowsOnAllShards) {
 }
 
 TEST_F(ShardedContractTest, UseAfterCloseIsFailedPrecondition) {
-  Result<std::unique_ptr<ShardedSession>> session = Open(/*num_shards=*/2);
+  Result<std::unique_ptr<Session>> session = Open(/*num_shards=*/2);
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session.value()->Push(Make(10, "A")).ok());
   Result<RunMetrics> first = session.value()->Close();
@@ -462,63 +465,84 @@ TEST_F(ShardedContractTest, UnusableGroupKeysRejectedOnEveryIngestPath) {
     with_bad.insert(with_bad.end(), tail.begin(), tail.end());
     const std::span<const Event> after_bad(with_bad.data() + half + 1,
                                            tail.size());
-    const std::string value = std::to_string(bad);
-    {
-      CollectingSink sink;
-      auto session = Session::Open(*plan_, RunConfig(), &sink).value();
-      for (const Event& e : head) ASSERT_TRUE(session->Push(e).ok());
-      expect_rejected(session->Push(bad_event), "Session::Push " + value);
-      for (const Event& e : tail) ASSERT_TRUE(session->Push(e).ok());
-      ASSERT_TRUE(session->Close().ok());
-      ExpectSameEmissionSet(expected, sink.Take(), "Session::Push " + value);
+    for (int shards : {1, 2}) {
+      const std::string value =
+          std::to_string(bad) + " shards=" + std::to_string(shards);
+      {
+        CollectingSink sink;
+        auto session = Open(shards, &sink).value();
+        for (const Event& e : head) ASSERT_TRUE(session->Push(e).ok());
+        expect_rejected(session->Push(bad_event), "Push " + value);
+        for (const Event& e : tail) ASSERT_TRUE(session->Push(e).ok());
+        ASSERT_TRUE(session->Close().ok());
+        ExpectSameEmissionSet(expected, sink.Take(), "Push " + value);
+      }
+      {
+        CollectingSink sink;
+        auto session = Open(shards, &sink).value();
+        expect_rejected(session->PushBatch(with_bad), "PushBatch " + value);
+        ASSERT_TRUE(session->PushBatch(after_bad).ok());
+        ASSERT_TRUE(session->Close().ok());
+        ExpectSameEmissionSet(expected, sink.Take(), "PushBatch " + value);
+      }
+      {
+        CollectingSink sink;
+        auto session = Open(shards, &sink).value();
+        auto producer = session->AddProducer().value();
+        for (const Event& e : head) ASSERT_TRUE(producer->Push(e).ok());
+        expect_rejected(producer->Push(bad_event), "Producer::Push " + value);
+        for (const Event& e : tail) ASSERT_TRUE(producer->Push(e).ok());
+        ASSERT_TRUE(producer->Close().ok());
+        ASSERT_TRUE(session->Close().ok());
+        ExpectSameEmissionSet(expected, sink.Take(),
+                              "Producer::Push " + value);
+      }
     }
-    {
-      CollectingSink sink;
-      auto session = Session::Open(*plan_, RunConfig(), &sink).value();
-      expect_rejected(session->PushBatch(with_bad),
-                      "Session::PushBatch " + value);
-      ASSERT_TRUE(session->PushBatch(after_bad).ok());
-      ASSERT_TRUE(session->Close().ok());
-      ExpectSameEmissionSet(expected, sink.Take(),
-                            "Session::PushBatch " + value);
+  }
+}
+
+// MetricsSnapshot is safe from any thread while the front pushes: at one
+// shard it reads the inline engine under the mutex the front holds across
+// engine calls, at several the workers' published copies. At one shard a
+// snapshot the front takes between its calls is exact.
+TEST_F(ShardedContractTest, MetricsSnapshotFromAMonitorThread) {
+  constexpr int kEvents = 3000;
+  EventVector ev;
+  for (int i = 0; i < kEvents; ++i) {
+    ev.push_back(Make(10 + i, i % 4 == 0 ? "A" : "B",
+                      static_cast<double>(i % 5)));
+  }
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CollectingSink sink;
+    std::unique_ptr<Session> session = Open(shards, &sink).value();
+    std::atomic<bool> done{false};
+    int64_t most_seen = 0;
+    std::thread monitor([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        most_seen =
+            std::max(most_seen, session->MetricsSnapshot().events);
+        std::this_thread::yield();
+      }
+    });
+    for (int i = 0; i < kEvents; ++i) {
+      EXPECT_TRUE(session->Push(ev[static_cast<size_t>(i)]).ok());
+      if (shards == 1 && i % 512 == 0) {
+        EXPECT_EQ(session->MetricsSnapshot().events, i + 1);
+      }
     }
-    {
-      CollectingSink sink;
-      auto session = Open(/*num_shards=*/2, &sink).value();
-      for (const Event& e : head) ASSERT_TRUE(session->Push(e).ok());
-      expect_rejected(session->Push(bad_event), "Sharded::Push " + value);
-      for (const Event& e : tail) ASSERT_TRUE(session->Push(e).ok());
-      ASSERT_TRUE(session->Close().ok());
-      ExpectSameEmissionSet(expected, sink.Take(), "Sharded::Push " + value);
-    }
-    {
-      CollectingSink sink;
-      auto session = Open(/*num_shards=*/2, &sink).value();
-      expect_rejected(session->PushBatch(with_bad),
-                      "Sharded::PushBatch " + value);
-      ASSERT_TRUE(session->PushBatch(after_bad).ok());
-      ASSERT_TRUE(session->Close().ok());
-      ExpectSameEmissionSet(expected, sink.Take(),
-                            "Sharded::PushBatch " + value);
-    }
-    {
-      CollectingSink sink;
-      auto session = Open(/*num_shards=*/2, &sink).value();
-      auto producer = session->AddProducer().value();
-      for (const Event& e : head) ASSERT_TRUE(producer->Push(e).ok());
-      expect_rejected(producer->Push(bad_event), "Producer::Push " + value);
-      for (const Event& e : tail) ASSERT_TRUE(producer->Push(e).ok());
-      ASSERT_TRUE(producer->Close().ok());
-      ASSERT_TRUE(session->Close().ok());
-      ExpectSameEmissionSet(expected, sink.Take(), "Producer::Push " + value);
-    }
+    done.store(true, std::memory_order_release);
+    monitor.join();
+    EXPECT_LE(most_seen, kEvents);
+    EXPECT_EQ(session->Close().value().events, kEvents);
+    EXPECT_FALSE(sink.emissions().empty());
   }
 }
 
 TEST_F(ShardedContractTest, DestructorJoinsWithoutClose) {
   CollectingSink sink;
   {
-    Result<std::unique_ptr<ShardedSession>> session =
+    Result<std::unique_ptr<Session>> session =
         Open(/*num_shards=*/4, &sink);
     ASSERT_TRUE(session.ok());
     ASSERT_TRUE(session.value()->Push(Make(10, "A")).ok());

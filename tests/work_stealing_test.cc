@@ -1,7 +1,7 @@
 // Pane-boundary work stealing tests (RunConfig::work_stealing).
 //
 // The skew stream is CONSTRUCTED so steals provably occur: three hot keys
-// whose hash shard (probed through ShardedSession::RouterFor) is shard 0
+// whose hash shard (probed through Session::RouterFor) is shard 0
 // and one key on shard 1, at equal per-key rates, give shard 0 three
 // quarters of the load — past steal_imbalance_ratio x the min + floor
 // within the first sliding half-window. The suite asserts the steal
@@ -35,13 +35,12 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/query/parser.h"
 #include "src/runtime/executor.h"
-#include "src/runtime/sharded_session.h"
+#include "src/runtime/session.h"
 
 namespace hamlet {
 namespace {
@@ -110,7 +109,7 @@ class WorkStealingTest : public ::testing::Test {
   // shard 1, probed through the session's own route so the skew is real
   // on every platform.
   void FindSkewKeys(std::vector<int64_t>* hot, int64_t* cold) {
-    ShardRouter probe = ShardedSession::RouterFor(*plan_, 2).value();
+    ShardRouter probe = Session::RouterFor(*plan_, 2).value();
     *cold = -1;
     for (int64_t k = 0; k < 256 && (hot->size() < 3 || *cold < 0); ++k) {
       if (probe.ShardOfKey(k) == 0) {
@@ -179,7 +178,7 @@ class WorkStealingTest : public ::testing::Test {
   // `taken`.
   std::vector<int64_t> ShardZeroKeys(const std::vector<int64_t>& taken,
                                      size_t count) {
-    ShardRouter probe = ShardedSession::RouterFor(*plan_, 2).value();
+    ShardRouter probe = Session::RouterFor(*plan_, 2).value();
     std::vector<int64_t> keys;
     for (int64_t k = 0; keys.size() < count; ++k) {
       if (probe.ShardOfKey(k) == 0 &&
@@ -194,8 +193,8 @@ class WorkStealingTest : public ::testing::Test {
                            const EventVector& ev) {
     config.num_shards = num_shards;
     CollectingSink sink;
-    Result<std::unique_ptr<ShardedSession>> session =
-        ShardedSession::Open(*plan_, config, &sink);
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*plan_, config, &sink);
     HAMLET_CHECK(session.ok());
     constexpr size_t kChunk = 64;
     for (size_t i = 0; i < ev.size(); i += kChunk) {
@@ -221,8 +220,8 @@ class WorkStealingTest : public ::testing::Test {
                                   std::vector<size_t>* key_shards) {
     config.num_shards = 2;
     CollectingSink sink;
-    Result<std::unique_ptr<ShardedSession>> session =
-        ShardedSession::Open(*plan_, config, &sink);
+    Result<std::unique_ptr<Session>> session =
+        Session::Open(*plan_, config, &sink);
     HAMLET_CHECK(session.ok());
     const ShardRouter& router = session.value()->router();
     key_shards->clear();
@@ -364,9 +363,9 @@ TEST_F(WorkStealingTest, StealingUnderMultiProducerIngest) {
   config.work_stealing = true;
   config.num_shards = 2;
   CollectingSink sink;
-  auto session = ShardedSession::Open(*plan_, config, &sink).value();
+  auto session = Session::Open(*plan_, config, &sink).value();
   constexpr int kProducers = 2;
-  std::vector<std::unique_ptr<ShardedSession::Producer>> producers;
+  std::vector<std::unique_ptr<Session::Producer>> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.push_back(session->AddProducer().value());
   }
@@ -465,7 +464,7 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   // checks what it computes).
   RunConfig evict = config;
   evict.evict_idle_groups = true;
-  auto r1 = ShardedSession::Open(*plan_, evict, &sink);
+  auto r1 = Session::Open(*plan_, evict, &sink);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_TRUE(r1.value()->Close().ok());
 
@@ -473,7 +472,7 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   // plan epoch and switches it at the same boundary.
   RunConfig reopt = config;
   reopt.reoptimize_every_panes = 4;
-  auto r2 = ShardedSession::Open(*plan_, reopt, &sink);
+  auto r2 = Session::Open(*plan_, reopt, &sink);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_TRUE(r2.value()->Close().ok());
 
@@ -482,14 +481,14 @@ TEST_F(WorkStealingTest, CompatibilityMatrixRejectedAtOpen) {
   RunConfig ratio;
   ratio.kind = EngineKind::kHamletDynamic;
   ratio.steal_imbalance_ratio = 1.0;
-  auto r3 = ShardedSession::Open(*plan_, ratio, &sink);
+  auto r3 = Session::Open(*plan_, ratio, &sink);
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
 
   RunConfig ring;
   ring.kind = EngineKind::kHamletDynamic;
   ring.producer_queue_capacity = 1;
-  auto r4 = ShardedSession::Open(*plan_, ring, &sink);
+  auto r4 = Session::Open(*plan_, ring, &sink);
   ASSERT_FALSE(r4.ok());
   EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
 }
@@ -523,7 +522,7 @@ TEST_F(WorkStealingTest, ChurnAndPlanSwapWhileStealingAllEngines) {
   });
   const SharingOverride unshare{sg.type, sg.members, QuerySet::Single(keep)};
 
-  auto drive = [&](auto& session, CollectingSink& sink) {
+  auto drive = [&](Session& session, CollectingSink& sink) {
     auto push = [&](size_t from, size_t to) {
       for (size_t i = from; i < to; i += 64) {
         const size_t len = std::min<size_t>(64, to - i);
@@ -564,7 +563,7 @@ TEST_F(WorkStealingTest, ChurnAndPlanSwapWhileStealingAllEngines) {
     config.num_shards = 2;
     config.work_stealing = true;
     CollectingSink sink;
-    auto sharded = ShardedSession::Open(*plan_, config, &sink);
+    auto sharded = Session::Open(*plan_, config, &sink);
     ASSERT_TRUE(sharded.ok()) << label;
     const ShardedResult got = drive(*sharded.value(), sink);
     ExpectSameEmissionSet(want.emissions, got.emissions, label);
@@ -629,7 +628,7 @@ TEST_F(WorkStealingTest, EvictedStolenKeyDrainsAndReappearsAllEngines) {
   size_t trigger = ev.size();
   int64_t stolen = -1;
   {
-    auto probe = ShardedSession::Open(plan, config, nullptr).value();
+    auto probe = Session::Open(plan, config, nullptr).value();
     for (size_t i = 0; i < ev.size() && stolen < 0; ++i) {
       ASSERT_TRUE(probe->Push(ev[i]).ok());
       if (probe->MetricsSnapshot().stolen_panes == 0) continue;
@@ -652,7 +651,7 @@ TEST_F(WorkStealingTest, EvictedStolenKeyDrainsAndReappearsAllEngines) {
   // idle (phase 2, 400 ms against a 30 ms WITHIN); in phase 3 `stolen`
   // comes back, 3:2 on its hash shard, below the steal ratio.
   int64_t filler = -1;
-  ShardRouter hash = ShardedSession::RouterFor(plan, 2).value();
+  ShardRouter hash = Session::RouterFor(plan, 2).value();
   for (int64_t k = 1000; filler < 0; ++k) {
     if (hash.ShardOfKey(k) == 1) filler = k;
   }
@@ -671,16 +670,13 @@ TEST_F(WorkStealingTest, EvictedStolenKeyDrainsAndReappearsAllEngines) {
   // watermarks are the checkpoints at which the front drains overrides,
   // and none of them reaches a pane before its first event does.
   std::vector<int64_t> map_sizes;
-  auto drive = [&](auto& session, CollectingSink& sink) {
+  auto drive = [&](Session& session, CollectingSink& sink) {
     for (size_t i = 0; i < ev.size(); ++i) {
       if (ev[i].time % 10 == 5) {
         EXPECT_TRUE(session.AdvanceTo(ev[i].time).ok());
       }
-      if constexpr (std::is_same_v<std::decay_t<decltype(session)>,
-                                   ShardedSession>) {
-        if (i == phase1 || i == phase2) {
-          map_sizes.push_back(session.MetricsSnapshot().rebalance_map_size);
-        }
+      if (session.num_shards() > 1 && (i == phase1 || i == phase2)) {
+        map_sizes.push_back(session.MetricsSnapshot().rebalance_map_size);
       }
       EXPECT_TRUE(session.Push(ev[i]).ok());
     }
@@ -694,14 +690,16 @@ TEST_F(WorkStealingTest, EvictedStolenKeyDrainsAndReappearsAllEngines) {
   for (EngineKind kind : kAllKinds) {
     const std::string label = EngineKindName(kind);
     config.kind = kind;
+    RunConfig one_shard = config;
+    one_shard.num_shards = 1;
     CollectingSink single_sink;
-    auto single = Session::Open(plan, config, &single_sink).value();
+    auto single = Session::Open(plan, one_shard, &single_sink).value();
     const ShardedResult want = drive(*single, single_sink);
     ASSERT_GT(want.emissions.size(), 0u) << label;
     EXPECT_GT(want.metrics.evicted_idle_groups, 0) << label;
 
     CollectingSink sink;
-    auto sharded = ShardedSession::Open(plan, config, &sink).value();
+    auto sharded = Session::Open(plan, config, &sink).value();
     map_sizes.clear();
     const ShardedResult got = drive(*sharded, sink);
     ExpectSameEmissionSet(want.emissions, got.emissions, label);
@@ -730,7 +728,7 @@ TEST_F(WorkStealingTest, PipelinedStealsAndStealBackAcrossBoundaries) {
     ASSERT_TRUE(coarse.Add(ParseQuery(text).value()).ok());
   }
   const WorkloadPlan plan = AnalyzeWorkload(coarse).value();
-  ShardRouter hash = ShardedSession::RouterFor(plan, 2).value();
+  ShardRouter hash = Session::RouterFor(plan, 2).value();
   std::vector<int64_t> victim_keys;
   int64_t cold = -1;
   for (int64_t k = 0; victim_keys.size() < 16 || cold < 0; ++k) {
@@ -760,7 +758,7 @@ TEST_F(WorkStealingTest, PipelinedStealsAndStealBackAcrossBoundaries) {
   config.num_shards = 2;
   std::vector<int64_t> moved;
   {
-    auto probe = ShardedSession::Open(plan, config, nullptr).value();
+    auto probe = Session::Open(plan, config, nullptr).value();
     ASSERT_TRUE(probe->PushBatch(ev).ok());
     for (int64_t k : victim_keys) {
       if (probe->router().AssignedShardOfKey(k) == 1) moved.push_back(k);
@@ -792,7 +790,7 @@ TEST_F(WorkStealingTest, PipelinedStealsAndStealBackAcrossBoundaries) {
 
   // Session-level ingest in one PushBatch per pane.
   CollectingSink sink;
-  auto session = ShardedSession::Open(plan, config, &sink).value();
+  auto session = Session::Open(plan, config, &sink).value();
   size_t second_boundary = first_boundary;
   while (ev[second_boundary].time < 2000) ++second_boundary;
   for (auto [from, to] : {std::pair<size_t, size_t>{0, first_boundary},
@@ -817,16 +815,16 @@ TEST_F(WorkStealingTest, PipelinedStealsAndStealBackAcrossBoundaries) {
   // Producer ingest: the sequencer merges the same stream, so it steals
   // the same keys at the same boundaries.
   CollectingSink mp_sink;
-  auto mp = ShardedSession::Open(plan, config, &mp_sink).value();
+  auto mp = Session::Open(plan, config, &mp_sink).value();
   constexpr int kProducers = 2;
-  std::vector<std::unique_ptr<ShardedSession::Producer>> producers;
+  std::vector<std::unique_ptr<Session::Producer>> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.push_back(mp->AddProducer().value());
   }
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      ShardedSession::Producer& producer = *producers[static_cast<size_t>(p)];
+      Session::Producer& producer = *producers[static_cast<size_t>(p)];
       for (size_t i = static_cast<size_t>(p); i < ev.size(); i += kProducers) {
         ASSERT_TRUE(producer.Push(ev[i]).ok());
       }

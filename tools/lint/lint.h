@@ -4,8 +4,8 @@
 //
 //   1. MergeRunMetrics completeness — every field of RunMetrics must be
 //      handled in MergeRunMetrics. Adding a counter to the struct and
-//      forgetting the merge silently zeroes it in every ShardedSession
-//      report; this was a recurring review catch before the checker.
+//      forgetting the merge silently zeroes it in every multi-shard
+//      Session report; this was a recurring review catch before the checker.
 //   2. No raw threading primitives outside src/common/ — std::mutex,
 //      std::thread and friends must go through the annotated wrappers in
 //      src/common/mutex.h and src/common/thread.h so Clang Thread Safety
