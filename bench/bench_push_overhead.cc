@@ -15,13 +15,13 @@
 //    per message, fewer when a shard's queue is empty at the end of a
 //    PushBatch call.
 // The 1-shard row measures the inline front: its one engine runs on the
-// calling thread with no queue or staging, so its two columns run the same
-// path and the speedups are against it. Reported as end-to-end wall-clock
-// events/s (first push to Close-join inclusive), since summed per-shard
-// busy-time throughput would hide queueing effects; each cell is the
-// median of 5 replays with its interquartile range. Expect near-linear
-// speedup up to the machine's core count; beyond it the extra shards only
-// add hand-off overhead.
+// calling thread with no queue or staging, so it has no hand-off cell
+// ("-", JSON null) and the speedups are against its batched cell.
+// Reported as end-to-end wall-clock events/s (first push to Close-join
+// inclusive), since summed per-shard busy-time throughput would hide
+// queueing effects; each cell is the median of 5 replays with its
+// interquartile range. Expect near-linear speedup up to the machine's core
+// count; beyond it the extra shards only add hand-off overhead.
 //
 // Part 2b — run propagation: the bursty preset with one group and with four
 // interleaved groups through one Session in 512-row batches, with the mean
@@ -188,30 +188,40 @@ void RunScaling(const BenchWorkload& bw, const EventVector& events,
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
-    // Per-event hand-off baseline: one queue message per event. At one
-    // shard there is no hand-off: both columns run the engine inline.
+    // Per-event hand-off baseline: one queue message per event. One shard
+    // runs its engine inline and hands nothing off, so it has no such cell.
     RunConfig handoff_config = config;
     handoff_config.shard_batch_size = 1;
-    const Spread handoff = ShardedWallSpread(*bw.plan, handoff_config, events);
+    const bool has_handoff = shards > 1;
+    const Spread handoff =
+        has_handoff ? ShardedWallSpread(*bw.plan, handoff_config, events)
+                    : Spread{};
     const Spread batched = ShardedWallSpread(*bw.plan, config, events);
     if (shards == 1) base = batched.median;
     const double speedup = base <= 0 ? 0.0 : batched.median / base;
     char speedup_str[32];
     std::snprintf(speedup_str, sizeof(speedup_str), "%.2fx", speedup);
     table.AddRow({std::to_string(shards),
-                  bench::Eps(handoff.median) + " (" + bench::Eps(handoff.iqr) +
-                      ")",
+                  has_handoff ? bench::Eps(handoff.median) + " (" +
+                                    bench::Eps(handoff.iqr) + ")"
+                              : "-",
                   bench::Eps(batched.median) + " (" + bench::Eps(batched.iqr) +
                       ")",
                   speedup_str});
     if (json) {
+      // JSON null for the 1-shard hand-off cell.
+      char handoff_json[96] = "\"handoff_eps\":null,\"handoff_eps_iqr\":null";
+      if (has_handoff) {
+        std::snprintf(handoff_json, sizeof(handoff_json),
+                      "\"handoff_eps\":%.1f,\"handoff_eps_iqr\":%.1f",
+                      handoff.median, handoff.iqr);
+      }
       char row[320];
       std::snprintf(row, sizeof(row),
-                    "%s{\"shards\":%d,\"handoff_eps\":%.1f,"
-                    "\"handoff_eps_iqr\":%.1f,\"batched_eps\":%.1f,"
+                    "%s{\"shards\":%d,%s,\"batched_eps\":%.1f,"
                     "\"batched_eps_iqr\":%.1f,\"speedup_batched\":%.3f}",
-                    json_rows.empty() ? "" : ",", shards, handoff.median,
-                    handoff.iqr, batched.median, batched.iqr, speedup);
+                    json_rows.empty() ? "" : ",", shards, handoff_json,
+                    batched.median, batched.iqr, speedup);
       json_rows += row;
     }
   }

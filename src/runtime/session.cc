@@ -386,6 +386,41 @@ constexpr auto kSequencerIdleSleep = std::chrono::microseconds(50);
 /// of waiting for the thread it is running on.
 thread_local const Session* sequencing_session = nullptr;
 
+/// Times calls into an engine for its busy-time metric
+/// (RunMetrics::elapsed_seconds): each engine call on a shard's worker, and
+/// at one shard the front's whole call, from the gate commit through the
+/// re-optimization check. Each total has one writing thread, so a relaxed
+/// load and store add to it while monitor threads read it. A null total
+/// (a front with shard workers) reads no clock. Emission delivery is not
+/// busy time: Stop() ends the scope before the front drains, so a sink that
+/// pushes from OnEmission is not timed twice.
+class BusyScope {
+ public:
+  BusyScope(std::atomic<double>* total, const std::function<double()>& clock)
+      : total_(total),
+        clock_(clock),
+        start_(total != nullptr ? ClockNow(clock) : -1.0) {}
+  ~BusyScope() { Stop(); }
+  BusyScope(const BusyScope&) = delete;
+  BusyScope& operator=(const BusyScope&) = delete;
+
+  /// Entry wall time; negative when not timing.
+  double start() const { return start_; }
+
+  void Stop() {
+    if (total_ == nullptr) return;
+    total_->store(total_->load(std::memory_order_relaxed) +
+                      (ClockNow(clock_) - start_),
+                  std::memory_order_relaxed);
+    total_ = nullptr;
+  }
+
+ private:
+  std::atomic<double>* total_;
+  const std::function<double()>& clock_;
+  double start_;
+};
+
 /// Folds one shard's metrics into the session's.
 void AddShardMetrics(RunMetrics& merged, const RunMetrics& shard) {
   MergeRunMetrics(merged, shard);
@@ -441,6 +476,10 @@ struct Session::Shard {
   std::unique_ptr<ShardEngine> engine;
   std::unique_ptr<BufferingSink> sink;
   Thread worker;
+  /// The session's RunConfig::clock_override, and the engine's busy time,
+  /// which the worker accumulates around each engine call.
+  const std::function<double()>* clock = nullptr;
+  std::atomic<double> busy_seconds{0.0};
 
   /// Idle-parking handshake: the worker sets `parked` (then re-checks the
   /// queue) before a timed wait; the producer notifies when it observes it.
@@ -596,6 +635,7 @@ Result<std::unique_ptr<Session>> Session::Open(
         static_cast<size_t>(config.shard_queue_capacity));
     shard->staging.reserve(static_cast<size_t>(config.shard_batch_size));
     shard->any_outbox_ready = &s->any_outbox_ready_;
+    shard->clock = &s->config_.clock_override;
     EmissionSink* shard_sink = nullptr;
     if (sink != nullptr) {
       shard->sink = std::make_unique<BufferingSink>();
@@ -633,6 +673,7 @@ Session::~Session() {
 void Session::WorkerLoop(Shard* shard) {
   auto refresh_snapshot = [shard] {
     RunMetrics m = shard->engine->MetricsSnapshot();
+    m.elapsed_seconds = shard->busy_seconds.load(std::memory_order_relaxed);
     // Published for the front's concurrent-footprint sampling, outside the
     // snapshot mutex (the front reads it on the flush path and must not
     // contend with a monitor thread holding snapshot_mu).
@@ -671,7 +712,10 @@ void Session::WorkerLoop(Shard* shard) {
       case ShardMsg::Kind::kBatch: {
         // The front already validated ordering, and a subsequence of a
         // strictly increasing stream is strictly increasing.
-        shard->engine->Push(msg.batch, /*per_event=*/false);
+        {
+          BusyScope busy(&shard->busy_seconds, *shard->clock);
+          shard->engine->Push(msg.batch, /*arrival=*/-1.0);
+        }
         since_snapshot += static_cast<int>(msg.batch.size());
         msg.batch.clear();
         // Return the buffer's capacity to the producer (best-effort).
@@ -679,7 +723,10 @@ void Session::WorkerLoop(Shard* shard) {
         break;
       }
       case ShardMsg::Kind::kWatermark: {
-        shard->engine->AdvanceTo(msg.watermark);
+        {
+          BusyScope busy(&shard->busy_seconds, *shard->clock);
+          shard->engine->AdvanceTo(msg.watermark);
+        }
         // A watermark is a checkpoint: publish fresh metrics BEFORE
         // acknowledging it, so a front that waits on the acknowledgement
         // (online re-optimization) reads statistics covering every event
@@ -732,7 +779,12 @@ void Session::WorkerLoop(Shard* shard) {
         break;
       }
       case ShardMsg::Kind::kStop: {
-        shard->final_metrics = shard->engine->Close();
+        {
+          BusyScope busy(&shard->busy_seconds, *shard->clock);
+          shard->final_metrics = shard->engine->Close();
+        }
+        shard->final_metrics.elapsed_seconds =
+            shard->busy_seconds.load(std::memory_order_relaxed);
         shard->PublishEmissions();
         shard->current_memory.store(shard->final_metrics.current_memory_bytes,
                                     std::memory_order_relaxed);
@@ -1034,13 +1086,13 @@ Status Session::FrontGuard(const char* op) const {
   return Status::Ok();
 }
 
-void Session::RunInline(std::span<const Event> events, bool per_event) {
+void Session::RunInline(std::span<const Event> events, double arrival) {
   if (events.empty()) return;
   // The engine splits the events at the boundaries of the drops this
   // schedules.
   SyncControl(gate_.max_seen());
   MutexLock lock(engine_mu_);
-  engine_->Push(events, per_event);
+  engine_->Push(events, arrival);
 }
 
 Status Session::Push(const Event& event) {
@@ -1050,16 +1102,23 @@ Status Session::Push(const Event& event) {
   ThreadRoleGuard role(front_role_);
   Status valid = CheckEvent(event);
   if (!valid.ok()) return valid;
+  // Rejected calls accrue no busy time: they do no engine work, and
+  // charging them would deflate the reported throughput of a caller that
+  // retries after errors.
+  BusyScope busy(InlineBusy(), config_.clock_override);
   gate_.CommitEvent(event.time);
   control_->CountEvent(event.type);
   if (engine_ != nullptr) {
-    RunInline(std::span<const Event>(&event, 1), /*per_event=*/true);
+    // A lone event's arrival time is the scope-entry wall, keeping this
+    // hot path at two clock reads total.
+    RunInline(std::span<const Event>(&event, 1), busy.start());
   } else {
     // Only the shard just staged to is checked, so a push stays O(1) in
     // the shard count.
     FlushIfIdle(StageEvent(event));
   }
   MaybeReoptimize();
+  busy.Stop();
   DrainEmissions();
   return Status::Ok();
 }
@@ -1073,23 +1132,30 @@ Status Session::CheckEvent(const Event& event) const {
 Status Session::PushBatch(std::span<const Event> events) {
   if (Status guard = FrontGuard("PushBatch"); !guard.ok()) return guard;
   ThreadRoleGuard role(front_role_);
-  // The events before an invalid one are committed and go out as usual.
-  Status valid = Status::Ok();
+  // A batch rejected at its first event accrues no busy time (see Push);
+  // the events before a later invalid one are committed and go out as
+  // usual, and the time spent on them counts.
+  Status valid = events.empty() ? Status::Ok() : CheckEvent(events.front());
+  if (!valid.ok()) return valid;
+  BusyScope busy(InlineBusy(), config_.clock_override);
   size_t committed = 0;
   for (const Event& e : events) {
-    valid = CheckEvent(e);
-    if (!valid.ok()) break;
+    if (committed > 0) {
+      valid = CheckEvent(e);
+      if (!valid.ok()) break;
+    }
     gate_.CommitEvent(e.time);
     control_->CountEvent(e.type);
     if (engine_ == nullptr) StageEvent(e);
     ++committed;
   }
   if (engine_ != nullptr) {
-    RunInline(events.first(committed), /*per_event=*/false);
+    RunInline(events.first(committed), /*arrival=*/-1.0);
   } else {
     FlushIdleShards();
   }
   MaybeReoptimize();
+  busy.Stop();
   DrainEmissions();
   return valid;
 }
@@ -1103,6 +1169,7 @@ Status Session::AdvanceTo(Timestamp watermark) {
 Status Session::AdvanceToInternal(Timestamp watermark) {
   Status ordered = gate_.CheckWatermark(watermark);
   if (!ordered.ok()) return ordered;
+  BusyScope busy(InlineBusy(), config_.clock_override);
   gate_.CommitWatermark(watermark);
   SyncControl(watermark);
   if (engine_ != nullptr) {
@@ -1136,6 +1203,7 @@ Status Session::AdvanceToInternal(Timestamp watermark) {
   }
   MaybeDrainRouter();
   MaybeReoptimize();
+  busy.Stop();
   DrainEmissions();
   return Status::Ok();
 }
@@ -1285,6 +1353,7 @@ void Session::SequencerLoop() {
       did_work = true;
       IngestReleased(event);
     }
+    RunReleased();
     // The merge is stuck, so the front has run out of input: idle shards
     // get what is staged for them. Idle rounds check too, so a shard whose
     // queue was busy when the input stopped gets its tail once it drains.
@@ -1301,6 +1370,7 @@ void Session::SequencerLoop() {
       // shards DETERMINISTICALLY rather than only when the idle loop
       // happened to poll between the last AdvanceTo and the close.
       while (hub_->TryNext(&event)) IngestReleased(event);
+      RunReleased();
       MaybeBroadcastFrontier();
       return;
     }
@@ -1333,11 +1403,25 @@ void Session::IngestReleased(const Event& event) {
   gate_.CommitEvent(event.time);
   control_->CountEvent(event.type);
   if (engine_ != nullptr) {
-    RunInline(std::span<const Event>(&event, 1), /*per_event=*/true);
-  } else {
-    StageEvent(event);
+    // One engine call per merge round, as PushBatch makes one per batch.
+    released_.push_back(event);
+    if (released_.size() >= static_cast<size_t>(config_.shard_batch_size)) {
+      RunReleased();
+    }
+    return;
   }
+  StageEvent(event);
   MaybeReoptimize();
+  DrainEmissions();
+}
+
+void Session::RunReleased() {
+  if (released_.empty()) return;
+  BusyScope busy(InlineBusy(), config_.clock_override);
+  RunInline(released_, /*arrival=*/-1.0);
+  released_.clear();
+  MaybeReoptimize();
+  busy.Stop();
   DrainEmissions();
 }
 
@@ -1403,12 +1487,16 @@ Result<Timestamp> Session::AddQuery(const Query& query) {
   // FrontGuard rejected multi-producer mode above, so the caller is the
   // front.
   ThreadRoleGuard role(front_role_);
+  // Busy time covers Apply's drain too, which has nothing to deliver at
+  // one shard: scheduling an epoch closes no window.
+  BusyScope busy(InlineBusy(), config_.clock_override);
   return Apply(control_->AddQuery(query));
 }
 
 Result<Timestamp> Session::RemoveQuery(const std::string& name) {
   if (Status guard = FrontGuard("RemoveQuery"); !guard.ok()) return guard;
   ThreadRoleGuard role(front_role_);
+  BusyScope busy(InlineBusy(), config_.clock_override);
   return Apply(control_->RemoveQuery(name));
 }
 
@@ -1418,6 +1506,7 @@ Result<Timestamp> Session::ApplySharingOverrides(
     return guard;
   }
   ThreadRoleGuard role(front_role_);
+  BusyScope busy(InlineBusy(), config_.clock_override);
   return Apply(control_->ApplySharingOverrides(overrides));
 }
 
@@ -1465,8 +1554,15 @@ void Session::MaybeReoptimize() {
   // kSnapshotEveryEvents events per shard; stale statistics only delay a
   // swap by one check interval (both the baseline and the cumulative
   // reading come from the same snapshots, so the deltas stay consistent).
+  HamletStats stats;
+  if (engine_ != nullptr) {
+    MutexLock lock(engine_mu_);
+    stats = engine_->AggregateHamletStats();
+  } else {
+    stats = MetricsSnapshot().hamlet;
+  }
   const std::optional<QueryLifecycle::Scheduled> swap =
-      control_->Reoptimize(*due, MetricsSnapshot().hamlet);
+      control_->Reoptimize(*due, stats);
   if (swap.has_value()) Broadcast(*swap);
 }
 
@@ -1506,7 +1602,13 @@ Result<RunMetrics> Session::Close() {
   RunMetrics merged;
   if (engine_ != nullptr) {
     MutexLock lock(engine_mu_);
-    AddShardMetrics(merged, engine_->Close());
+    RunMetrics m;
+    {
+      BusyScope busy(InlineBusy(), config_.clock_override);
+      m = engine_->Close();
+    }
+    m.elapsed_seconds = inline_busy_seconds_.load(std::memory_order_relaxed);
+    AddShardMetrics(merged, m);
   }
   FlushAllShards();
   // Each shard saw only a subset of the stream, so its own max seen time
@@ -1604,7 +1706,9 @@ RunMetrics Session::MetricsSnapshot() const {
   RunMetrics merged;
   if (engine_ != nullptr) {
     MutexLock lock(engine_mu_);
-    AddShardMetrics(merged, engine_->MetricsSnapshot());
+    RunMetrics m = engine_->MetricsSnapshot();
+    m.elapsed_seconds = inline_busy_seconds_.load(std::memory_order_relaxed);
+    AddShardMetrics(merged, m);
   }
   for (const auto& shard : shards_) {
     RunMetrics m;

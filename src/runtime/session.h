@@ -35,11 +35,13 @@
 //    (the caller, or the sequencer once producers exist). There is no
 //    worker thread, queue, staging or per-event copy: Push/PushBatch commit
 //    the valid prefix at the gate, bring the control plane up to date and
-//    hand the caller's span straight to the engine. The contracts are the
-//    multi-shard ones: emissions are buffered during the engine call and
-//    delivered after it returns, so a sink may call back into the session,
-//    and MetricsSnapshot is safe from any thread (the front holds
-//    engine_mu_ only across engine calls), exact at call boundaries.
+//    hand the caller's span straight to the engine; the sequencer hands it
+//    the events of one merge round (at most shard_batch_size) per call.
+//    The contracts are the multi-shard ones: emissions are buffered during
+//    the engine call and delivered after it returns, so a sink may call
+//    back into the session, and MetricsSnapshot is safe from any thread
+//    (the front holds engine_mu_ only across engine calls), exact at call
+//    boundaries.
 //  * Ingress at more than one shard: Push/PushBatch validate ordering once at
 //    the front, then stage each event into its shard's staging buffer, so the
 //    per-event hot path is a hash plus an append. A shard's staging goes to its
@@ -86,10 +88,13 @@
 //    works unmodified — including thread-local-keyed ones, which the old
 //    worker-side serialized delivery broke.
 //  * Metrics: Close() joins the workers and merges per-shard RunMetrics via
-//    MergeRunMetrics — counters sum, latency max/avg combine, elapsed is
-//    the max, and throughput is recomputed from merged events / elapsed
-//    (shards overlap in time, so rates never sum). Merged peak memory is a
-//    sampled CONCURRENT high-water mark: workers publish their current
+//    MergeRunMetrics — counters sum, latency max/avg combine, elapsed (a
+//    shard's busy time: its worker's engine calls, or at one shard the
+//    front's whole calls from the gate commit through the re-optimization
+//    check, emission delivery excluded) is the max, and throughput is
+//    recomputed from merged events / elapsed (shards overlap in time, so
+//    rates never sum). Merged peak memory is a sampled CONCURRENT
+//    high-water mark: workers publish their current
 //    footprint, the front samples the sum at flush boundaries, and the
 //    result is max(samples, max per-shard peak) — never the sum of
 //    per-shard peaks, which overstates the concurrent footprint when
@@ -281,7 +286,8 @@ struct RunConfig {
   /// runs out of input (see Session), so this caps the batch in a burst and
   /// costs nothing in a lull. 1 reproduces per-event hand-off. Watermarks
   /// and Close flush staging, so results never depend on this knob. Must be
-  /// >= 1; inert at one shard, which stages nothing.
+  /// >= 1. One shard stages nothing; there it caps only the run of merged
+  /// producer events the sequencer hands the engine in one call.
   int shard_batch_size = 128;
   /// Skew-aware routing: when > 0, a group key seen
   /// for the FIRST time whose hash shard leads the least-loaded shard by
@@ -439,9 +445,11 @@ Status CheckGroupKeys(const Event& event, std::span<const AttrId> key_attrs,
 struct RunMetrics {
   int64_t events = 0;
   int64_t emissions = 0;
-  /// Time spent inside session calls (push/advance/close), excluding the
-  /// caller's time between pushes — so streaming and batch ingestion report
-  /// comparable engine throughput.
+  /// Busy time: at one shard the time spent inside session calls
+  /// (push/advance/churn/close) minus emission delivery; at more shards the
+  /// longest any worker spent inside its engine calls. Either way it
+  /// excludes the caller's time between pushes, so streaming and batch
+  /// ingestion report comparable engine throughput.
   double elapsed_seconds = 0.0;
   double avg_latency_seconds = 0.0;
   double max_latency_seconds = 0.0;
@@ -813,9 +821,14 @@ class Session {
   /// frontier at pane crossings, exits on seq_stop_ after a final drain.
   void SequencerLoop();
   /// Front-side handling of one merged event: gate (poison on
-  /// cross-producer violations), stage, re-optimize, drain — the
-  /// sequencer's equivalent of Push's body.
+  /// cross-producer violations), then stage, re-optimize and drain — the
+  /// sequencer's equivalent of Push's body. At one shard the event joins
+  /// released_ instead, which goes to the engine at the end of the merge
+  /// round or at shard_batch_size events.
   void IngestReleased(const Event& event) HAMLET_REQUIRES(front_role_);
+  /// Runs released_ through the inline engine in one call, then
+  /// re-optimizes and drains (no-op when it is empty).
+  void RunReleased() HAMLET_REQUIRES(front_role_);
   /// Broadcasts the hub frontier as a session watermark when it crossed a
   /// pane boundary since the last broadcast.
   void MaybeBroadcastFrontier() HAMLET_REQUIRES(front_role_);
@@ -871,9 +884,15 @@ class Session {
   /// depth, per-shard events, rebalanced keys, concurrent peak).
   void FillIngressMetrics(RunMetrics& merged) const;
   /// Hands committed `events` (may be empty) straight to the inline
-  /// engine, after the control plane caught up with them.
-  void RunInline(std::span<const Event> events, bool per_event)
+  /// engine, after the control plane caught up with them. `arrival` as in
+  /// ShardEngine::Push.
+  void RunInline(std::span<const Event> events, double arrival)
       HAMLET_REQUIRES(front_role_);
+  /// The busy-time total a front call adds to: the inline engine's at one
+  /// shard, none otherwise (each worker times its own engine).
+  std::atomic<double>* InlineBusy() {
+    return engine_ != nullptr ? &inline_busy_seconds_ : nullptr;
+  }
   /// Fans the inline engine's buffered emissions or the shard outboxes in
   /// to the user sink (front thread only).
   void DrainEmissions() HAMLET_REQUIRES(front_role_);
@@ -898,6 +917,14 @@ class Session {
   /// from any thread and a sink may call back into the session.
   mutable Mutex engine_mu_;
   std::unique_ptr<ShardEngine> engine_ HAMLET_PT_GUARDED_BY(engine_mu_);
+  /// The inline engine's busy time (RunMetrics::elapsed_seconds): the
+  /// front's calls that reach it, from the gate commit through the
+  /// re-optimization check, emission delivery excluded. Written by the
+  /// front only; atomic so MetricsSnapshot may read it from any thread.
+  std::atomic<double> inline_busy_seconds_{0.0};
+  /// Merged producer events waiting for one inline engine call (sequencer
+  /// at one shard only; see IngestReleased).
+  std::vector<Event> released_ HAMLET_GUARDED_BY(front_role_);
 
   /// Set once by Open, read-only afterwards (any thread).
   const WorkloadPlan* plan_ = nullptr;

@@ -15,25 +15,6 @@
 
 namespace hamlet {
 
-namespace {
-
-/// RAII accumulator for the engine's busy-time metric.
-class BusyScope {
- public:
-  BusyScope(double* total, const std::function<double()>& clock)
-      : total_(total), clock_(clock), start_(ClockNow(clock)) {}
-  ~BusyScope() { *total_ += ClockNow(clock_) - start_; }
-
-  double start() const { return start_; }
-
- private:
-  double* total_;
-  const std::function<double()>& clock_;
-  double start_;
-};
-
-}  // namespace
-
 void AddStats(HamletStats& into, const HamletStats& s) {
   into.events += s.events;
   into.bursts_total += s.bursts_total;
@@ -662,13 +643,9 @@ void ShardEngine::HandOff(QueryLifecycle::Epoch compiled) {
   rt_ = std::move(next);
 }
 
-void ShardEngine::Push(std::span<const Event> events, bool per_event) {
-  BusyScope busy(&busy_seconds_, config_.clock_override);
+void ShardEngine::Push(std::span<const Event> events, double arrival) {
   gate_.CommitEvent(events.back().time);
   events_ += static_cast<int64_t>(events.size());
-  // A per-event Push is a 1-row run whose arrival time is the scope-entry
-  // wall, keeping that hot path at two clock reads total.
-  const double arrival = per_event ? busy.start() : -1.0;
   std::span<const Event> rest = events;
   while (!pending_.empty()) {
     // Rows from a hand-off boundary on belong to the next epoch: dispatch
@@ -797,7 +774,6 @@ void ShardEngine::DispatchRuns(std::span<const Event> events, double arrival) {
 }
 
 void ShardEngine::AdvanceTo(Timestamp watermark) {
-  BusyScope busy(&busy_seconds_, config_.clock_override);
   gate_.CommitWatermark(watermark);
   AdvancePaneTo(watermark);
 }
@@ -888,14 +864,10 @@ HamletStats ShardEngine::AggregateHamletStats() const {
 
 void ShardEngine::FillMetrics(RunMetrics* m) const {
   m->events = events_;
-  m->elapsed_seconds = busy_seconds_;
   m->emissions = latency_count_;
   m->avg_latency_seconds =
       latency_count_ == 0 ? 0.0 : latency_sum_ / latency_count_;
   m->max_latency_seconds = latency_max_;
-  m->throughput_eps = m->elapsed_seconds <= 0
-                          ? 0
-                          : static_cast<double>(events_) / m->elapsed_seconds;
   m->peak_memory_bytes = std::max(peak_memory_, CurrentMemory());
   m->current_memory_bytes = CurrentMemory();
   m->dnf_windows = dnf_windows_;
@@ -921,19 +893,16 @@ RunMetrics ShardEngine::MetricsSnapshot() const {
 }
 
 RunMetrics ShardEngine::Close() {
-  {
-    BusyScope busy(&busy_seconds_, config_.clock_override);
-    // Flush to the last open window's end — a pending epoch activating on
-    // the way takes the windows over.
-    Timestamp flush_to = rt_->pane_started ? rt_->pane_start : 0;
-    for (const auto& comp : rt_->components) {
-      for (const auto& [key, runner] : comp->groups) {
-        for (const WindowSlot& w : runner->windows)
-          flush_to = std::max(flush_to, w.we);
-      }
+  // Flush to the last open window's end — a pending epoch activating on
+  // the way takes the windows over.
+  Timestamp flush_to = rt_->pane_started ? rt_->pane_start : 0;
+  for (const auto& comp : rt_->components) {
+    for (const auto& [key, runner] : comp->groups) {
+      for (const WindowSlot& w : runner->windows)
+        flush_to = std::max(flush_to, w.we);
     }
-    AdvancePaneTo(flush_to);
   }
+  AdvancePaneTo(flush_to);
   return MetricsSnapshot();
 }
 

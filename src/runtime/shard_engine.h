@@ -9,8 +9,8 @@
 // into components connected by share groups, pane-aligned window
 // management (tumbling and sliding), dispatch to the selected engine (HAMLET
 // dynamic/static/no-share, GRETA graph/prefix, two-step, SHARON), OR/AND
-// branch composition, and the paper's latency / throughput / peak-memory
-// accounting.
+// branch composition, and the paper's latency / peak-memory accounting
+// (its owner times its calls for throughput).
 //
 // It has no control plane and checks nothing: the Session front validated
 // every event and watermark (ordering gate, group keys), and compiles every
@@ -56,9 +56,10 @@ class ShardEngine {
 
   /// Ingests non-empty `events` the front validated: strictly increasing
   /// in time and at or after every watermark. Hands off to a pending epoch
-  /// at its boundary. `per_event` (a lone Session::Push event) stamps the
-  /// run with the call's entry time.
-  void Push(std::span<const Event> events, bool per_event);
+  /// at its boundary. `arrival` is the events' arrival wall time for
+  /// latency (a lone Session::Push event passes its call's entry time); a
+  /// negative value samples it once per run.
+  void Push(std::span<const Event> events, double arrival);
 
   /// Closes every pane/window that ends at or before `watermark`, which
   /// the front checked does not regress.
@@ -101,8 +102,13 @@ class ShardEngine {
   RunMetrics Close();
 
   /// Metrics accumulated so far, without flushing open windows. The
-  /// control-plane counters are the front's and stay 0 here.
+  /// control-plane counters are the front's and stay 0 here, and so do
+  /// elapsed_seconds and throughput_eps: the engine's owner (the front at
+  /// one shard, the shard's worker otherwise) times the calls it makes.
   RunMetrics MetricsSnapshot() const;
+  /// MetricsSnapshot().hamlet alone — what re-optimization reads — without
+  /// the footprint walk the full snapshot makes.
+  HamletStats AggregateHamletStats() const;
 
  private:
   struct Component;
@@ -122,7 +128,6 @@ class ShardEngine {
   /// over (HAMLET contexts through HamletEngine::ExportQuery/ImportQuery,
   /// per-window engines whole), and the old runtime is freed.
   void HandOff(QueryLifecycle::Epoch compiled);
-  HamletStats AggregateHamletStats() const;
 
   /// Run-granular dispatch: stages `events` into the runtime's SoA batch
   /// (group-major when every query groups by one attribute), runs the
@@ -187,8 +192,6 @@ class ShardEngine {
   /// Stream time this engine observed (its events, watermarks and steal
   /// boundaries): the idle-eviction horizon.
   OrderingGate gate_;
-  /// Sum of wall time spent inside engine calls.
-  double busy_seconds_ = 0.0;
 };
 
 }  // namespace hamlet

@@ -155,7 +155,9 @@ EventVector Workload1Stream(BenchWorkload* bw, uint64_t seed) {
   return bw->generator->Generate(gen);
 }
 
-TEST(MultiProducerInvariance, AllEnginesProducersShards) {
+// 1, 2 and 4 concurrent handles at `shards` shards compute exactly what
+// the batch Run computes, for every engine kind.
+void ExpectProducersMatchRun(int shards) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
   EventVector ev = Workload1Stream(&bw, 77);
@@ -166,42 +168,27 @@ TEST(MultiProducerInvariance, AllEnginesProducersShards) {
     RunOutput batch = executor.Run(ev);
     ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
     ASSERT_GT(batch.emissions.size(), 0u) << EngineKindName(kind);
-    for (int shards : {1, 2, 4}) {
-      for (int producers : {1, 2, 4}) {
-        MpResult mp =
-            RunMultiProducer(*bw.plan, config, shards, producers, ev);
-        const std::string label = std::string(EngineKindName(kind)) + "/N=" +
-                                  std::to_string(shards) + "/P=" +
-                                  std::to_string(producers);
-        ExpectSameEmissionSet(batch.emissions, mp.emissions, label);
-        // Every event is merged, routed and processed exactly once.
-        EXPECT_EQ(batch.metrics.events, mp.metrics.events) << label;
-        EXPECT_EQ(batch.metrics.emissions, mp.metrics.emissions) << label;
-      }
+    for (int producers : {1, 2, 4}) {
+      MpResult mp = RunMultiProducer(*bw.plan, config, shards, producers, ev);
+      const std::string label = std::string(EngineKindName(kind)) + "/N=" +
+                                std::to_string(shards) + "/P=" +
+                                std::to_string(producers);
+      ExpectSameEmissionSet(batch.emissions, mp.emissions, label);
+      // Every event is merged, routed and processed exactly once.
+      EXPECT_EQ(batch.metrics.events, mp.metrics.events) << label;
+      EXPECT_EQ(batch.metrics.emissions, mp.metrics.emissions) << label;
     }
   }
 }
 
-// At one shard the sequencer runs the engine inline (no worker thread):
-// two concurrent handles must still compute exactly what the batch Run
-// computes, for every engine kind. Repeated under the sanitizers in CI.
-TEST(MultiProducerInvariance, OneShardTwoProducersAllEngines) {
-  BenchWorkload bw =
-      MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
-  EventVector ev = Workload1Stream(&bw, 78);
-  for (EngineKind kind : kAllKinds) {
-    const std::string label = EngineKindName(kind);
-    RunConfig config;
-    config.kind = kind;
-    RunOutput batch = StreamExecutor(*bw.plan, config).Run(ev);
-    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
-    ASSERT_GT(batch.emissions.size(), 0u) << label;
-    MpResult mp = RunMultiProducer(*bw.plan, config, /*num_shards=*/1,
-                                   /*num_producers=*/2, ev);
-    ExpectSameEmissionSet(batch.emissions, mp.emissions, label);
-    EXPECT_EQ(batch.metrics.events, mp.metrics.events) << label;
-    EXPECT_EQ(batch.metrics.emissions, mp.metrics.emissions) << label;
-  }
+// At one shard the sequencer runs the engine inline (no worker thread).
+// Its own test, so CI can repeat it under the sanitizers.
+TEST(MultiProducerInvariance, AllEnginesProducersOneShard) {
+  ExpectProducersMatchRun(1);
+}
+
+TEST(MultiProducerInvariance, AllEnginesProducersShards) {
+  for (int shards : {2, 4}) ExpectProducersMatchRun(shards);
 }
 
 TEST(MultiProducerInvariance, SlidingWindowsAndTinyRings) {
