@@ -4,7 +4,8 @@
 // over one identical pre-materialized stream, per engine. The push path
 // must stay within a few percent of batch throughput — the batch wrapper is
 // itself a PushBatch, so any gap is pure per-call overhead (Status checks,
-// busy-time sampling).
+// busy-time sampling). A replay takes a few ms, so each cell is the median
+// of 5 replays with its interquartile range.
 //
 // Part 2 — scaling: the same stream through a Session at 1/2/4/8 shards
 // (capped by --threads=N) on a multi-group workload, two ingress
@@ -60,16 +61,27 @@
 // executed steals. Part 4 has the session-level comparison of the same
 // policies.
 //
+// Part 6 — plan-epoch hand-off: a 1-shard Session on the W2 stock plan (40
+// queries, 16 companies) fills one pane, then takes an AddQuery and later
+// a RemoveQuery. Each op's hand-off runs inside the PushBatch(512) whose
+// rows straddle its activation boundary; the bench times that call and the
+// same rows' PushBatch on a session without the op, in alternating
+// replays, and reports each as the median of 7 replays (IQR) plus the
+// median pairwise difference: the hand-off's cost, in total and per group
+// runner (group keys seen times the old epoch's components).
+//
 // Pass --json to append one machine-readable `JSON: {...}` line per table
 // so future PRs can track the scaling numbers.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/benchlib/harness.h"
+#include "src/query/parser.h"
 #include "src/query/run_segmenter.h"
 #include "src/runtime/executor.h"
 
@@ -136,46 +148,68 @@ double ShardedWallEps(const WorkloadPlan& plan, const RunConfig& config,
   return WallEps(events.size(), start);
 }
 
-void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
-  Table table({"engine", "batch Run()", "Push(e)", "PushBatch(512)",
-               "push/batch"});
-  for (EngineKind kind :
-       {EngineKind::kHamletDynamic, EngineKind::kGretaPrefix,
-        EngineKind::kSharon}) {
-    RunConfig config;
-    config.kind = kind;
-    const double batch = BatchEps(*bw.plan, config, events);
-    const double push1 = PushEps(*bw.plan, config, events, 1);
-    const double push512 = PushEps(*bw.plan, config, events, 512);
-    char ratio[32];
-    std::snprintf(ratio, sizeof(ratio), "%.3f",
-                  batch <= 0 ? 0.0 : push1 / batch);
-    table.AddRow({EngineKindName(kind), bench::Eps(batch), bench::Eps(push1),
-                  bench::Eps(push512), ratio});
-  }
-  bench::PrintFigure("Push overhead",
-                     "streaming push path vs batch wrapper, same stream",
-                     table);
-}
-
 /// Median and interquartile range of a cell's replays.
 struct Spread {
   double median = 0.0;
   double iqr = 0.0;
 };
 
+/// Replays per cell.
+constexpr int kReps = 5;
+
+/// The median of `samples` and the spread of their middle half (quartiles
+/// by the nearest-rank rule).
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return {samples[n / 2], samples[(3 * n) / 4] - samples[n / 4]};
+}
+
+std::string EpsCell(const Spread& s) {
+  return bench::Eps(s.median) + " (" + bench::Eps(s.iqr) + ")";
+}
+
+void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
+  Table table({"engine", "batch Run() (IQR)", "Push(e) (IQR)",
+               "PushBatch(512) (IQR)", "push/batch"});
+  for (EngineKind kind :
+       {EngineKind::kHamletDynamic, EngineKind::kGretaPrefix,
+        EngineKind::kSharon}) {
+    RunConfig config;
+    config.kind = kind;
+    // The three columns' replays interleave, so a slow phase of the host
+    // hits them alike.
+    std::vector<double> batch_eps, push1_eps, push512_eps;
+    for (int rep = 0; rep < kReps; ++rep) {
+      batch_eps.push_back(BatchEps(*bw.plan, config, events));
+      push1_eps.push_back(PushEps(*bw.plan, config, events, 1));
+      push512_eps.push_back(PushEps(*bw.plan, config, events, 512));
+    }
+    const Spread batch = SpreadOf(std::move(batch_eps));
+    const Spread push1 = SpreadOf(std::move(push1_eps));
+    const Spread push512 = SpreadOf(std::move(push512_eps));
+    char ratio[32];
+    std::snprintf(ratio, sizeof(ratio), "%.3f",
+                  batch.median <= 0 ? 0.0 : push1.median / batch.median);
+    table.AddRow({EngineKindName(kind), EpsCell(batch), EpsCell(push1),
+                  EpsCell(push512), ratio});
+  }
+  bench::PrintFigure("Push overhead",
+                     "streaming push path vs batch wrapper, same stream, "
+                     "median of 5 replays (IQR)",
+                     table);
+}
+
 /// Replays `events` kReps times through ShardedWallEps. A 10-40 ms replay
 /// scatters run to run on a shared host, so a cell is the median of five
-/// with the spread of the middle half (quartiles by the nearest-rank rule).
+/// with the spread of the middle half.
 Spread ShardedWallSpread(const WorkloadPlan& plan, const RunConfig& config,
                          const EventVector& events) {
-  constexpr int kReps = 5;
   std::vector<double> eps;
   for (int rep = 0; rep < kReps; ++rep) {
     eps.push_back(ShardedWallEps(plan, config, events));
   }
-  std::sort(eps.begin(), eps.end());
-  return {eps[kReps / 2], eps[(3 * kReps) / 4] - eps[kReps / 4]};
+  return SpreadOf(std::move(eps));
 }
 
 void RunScaling(const BenchWorkload& bw, const EventVector& events,
@@ -202,11 +236,7 @@ void RunScaling(const BenchWorkload& bw, const EventVector& events,
     char speedup_str[32];
     std::snprintf(speedup_str, sizeof(speedup_str), "%.2fx", speedup);
     table.AddRow({std::to_string(shards),
-                  has_handoff ? bench::Eps(handoff.median) + " (" +
-                                    bench::Eps(handoff.iqr) + ")"
-                              : "-",
-                  bench::Eps(batched.median) + " (" + bench::Eps(batched.iqr) +
-                      ")",
+                  has_handoff ? EpsCell(handoff) : "-", EpsCell(batched),
                   speedup_str});
     if (json) {
       // JSON null for the 1-shard hand-off cell.
@@ -505,7 +535,6 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
   // Each row is a 15-40 ms replay that scatters +-30% run to run on a
   // shared host: it reports the median of kReps replays with their range,
   // and the median replay's shape counters.
-  constexpr int kReps = 5;
   for (const Policy& policy : {Policy{"hash", 0, false},
                                Policy{"rebalance", 64, false},
                                Policy{"steal", 0, true},
@@ -685,6 +714,210 @@ void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Part 6: plan-epoch hand-off cost.
+// ---------------------------------------------------------------------------
+
+/// Pushes events [begin, end) in PushBatch(512) chunks.
+void PushChunks(Session& session, const EventVector& events, size_t begin,
+                size_t end) {
+  constexpr size_t kChunk = 512;
+  for (size_t i = begin; i < end; i += kChunk) {
+    const size_t len = std::min(kChunk, end - i);
+    HAMLET_CHECK(
+        session.PushBatch(std::span<const Event>(events.data() + i, len))
+            .ok());
+  }
+}
+
+/// Wall-clock microseconds of one PushBatch of events [begin, end).
+double TimedPushUs(Session& session, const EventVector& events, size_t begin,
+                   size_t end) {
+  const auto start = std::chrono::steady_clock::now();
+  HAMLET_CHECK(session
+                   .PushBatch(std::span<const Event>(events.data() + begin,
+                                                     end - begin))
+                   .ok());
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Exec queries of `plan` connected through share groups: a HAMLET
+/// session runs one engine per (component, group key).
+int CountComponents(const WorkloadPlan& plan) {
+  std::vector<int> parent(static_cast<size_t>(plan.num_exec()));
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
+  auto find = [&](int x) {
+    while (parent[static_cast<size_t>(x)] != x) {
+      x = parent[static_cast<size_t>(x)];
+    }
+    return x;
+  };
+  for (const ShareGroup& g : plan.share_groups) {
+    int root = -1;
+    g.members.ForEach([&](QueryId q) {
+      if (root < 0) {
+        root = find(q);
+      } else {
+        parent[static_cast<size_t>(find(q))] = root;
+      }
+    });
+  }
+  int components = 0;
+  for (size_t i = 0; i < parent.size(); ++i) {
+    components += find(static_cast<int>(i)) == static_cast<int>(i);
+  }
+  return components;
+}
+
+void RunEpochHandoff(bool json) {
+  BenchWorkload bw = MakeWorkload2(40);
+  // The stock stream of e2ebench's stock_diverse_churn: 16 companies, about
+  // 25 events per company-minute in bursts of up to 150.
+  GeneratorConfig gen;
+  gen.seed = 5;
+  gen.events_per_minute = 400;
+  gen.duration_minutes = 20;
+  gen.num_groups = 16;
+  gen.burstiness = 0.992;
+  gen.max_burst = 150;
+  const EventVector events = bw.generator->Generate(gen);
+  const Timestamp pane = bw.plan->pane_size;
+  // The first row at or after time `t`.
+  auto row_at = [&](Timestamp t) {
+    return static_cast<size_t>(
+        std::partition_point(events.begin(), events.end(),
+                             [&](const Event& e) { return e.time < t; }) -
+        events.begin());
+  };
+  // Each op is applied in pane k-1 and activates at boundary k * pane; the
+  // timed PushBatch(512) holds 256 rows on either side of it.
+  constexpr size_t kHalf = 256;
+  const Timestamp add_at = pane, remove_at = 2 * pane;
+  HAMLET_CHECK(row_at(add_at) >= kHalf &&
+               row_at(remove_at) >= row_at(add_at) + 2 * kHalf &&
+               row_at(remove_at) + kHalf <= events.size());
+  Query added =
+      ParseQuery("RETURN SUM(Up.price) PATTERN SEQ(Flat, Up+) WHERE "
+                 "Up.price > 35 GROUPBY company WITHIN 10 min")
+          .value();
+  added.name = "churn_add";
+  const std::string removed = bw.workload->query(7).name;
+  // Runners the two hand-offs walk: the keys seen times the components of
+  // the epoch handed off.
+  const AttrId company = bw.plan->exec_queries[0].group_by;
+  std::vector<int64_t> keys;
+  for (size_t i = 0; i < row_at(add_at); ++i) {
+    keys.push_back(std::llround(events[i].attr(company)));
+  }
+  std::sort(keys.begin(), keys.end());
+  const int64_t group_keys =
+      std::unique(keys.begin(), keys.end()) - keys.begin();
+  Workload with_added(bw.workload->schema());
+  for (const Query& q : bw.workload->queries()) {
+    HAMLET_CHECK(with_added.Add(q).ok());
+  }
+  HAMLET_CHECK(with_added.Add(added).ok());
+  const int components[] = {
+      CountComponents(*bw.plan),
+      CountComponents(AnalyzeWorkload(with_added).value())};
+
+  // One replay: `churn` applies the ops, otherwise the same rows are pushed
+  // plainly. Returns the two straddling pushes' microseconds.
+  auto replay = [&](bool churn) {
+    RunConfig config;
+    config.kind = EngineKind::kHamletDynamic;
+    Result<std::unique_ptr<Session>> opened =
+        Session::Open(*bw.plan, config, /*sink=*/nullptr);
+    HAMLET_CHECK(opened.ok());
+    Session& session = *opened.value();
+    std::pair<double, double> us;
+    PushChunks(session, events, 0, row_at(add_at) - kHalf);
+    if (churn) HAMLET_CHECK(session.AddQuery(added).value() == add_at);
+    us.first = TimedPushUs(session, events, row_at(add_at) - kHalf,
+                           row_at(add_at) + kHalf);
+    PushChunks(session, events, row_at(add_at) + kHalf,
+               row_at(remove_at) - kHalf);
+    if (churn) HAMLET_CHECK(session.RemoveQuery(removed).value() == remove_at);
+    us.second = TimedPushUs(session, events, row_at(remove_at) - kHalf,
+                            row_at(remove_at) + kHalf);
+    HAMLET_CHECK(session.Close().ok());
+    return us;
+  };
+  constexpr int kHandoffReps = 7;
+  std::vector<double> op_us[2], plain_us[2], diff_us[2];
+  for (int rep = 0; rep < kHandoffReps; ++rep) {
+    // Alternate which replay goes first, so warm-up favours neither.
+    std::pair<double, double> op, plain;
+    if (rep % 2 == 0) {
+      op = replay(true);
+      plain = replay(false);
+    } else {
+      plain = replay(false);
+      op = replay(true);
+    }
+    const double ops[] = {op.first, op.second};
+    const double plains[] = {plain.first, plain.second};
+    for (int k = 0; k < 2; ++k) {
+      op_us[k].push_back(ops[k]);
+      plain_us[k].push_back(plains[k]);
+      diff_us[k].push_back(ops[k] - plains[k]);
+    }
+  }
+
+  Table table({"op", "runners", "straddling push us (IQR)",
+               "plain push us (IQR)", "hand-off us (IQR)", "us per runner"});
+  std::string json_rows;
+  const char* names[] = {"add_query", "remove_query"};
+  for (int k = 0; k < 2; ++k) {
+    const Spread op = SpreadOf(op_us[k]);
+    const Spread plain = SpreadOf(plain_us[k]);
+    const Spread handoff = SpreadOf(diff_us[k]);
+    const int64_t runners = group_keys * components[k];
+    const double per_runner =
+        handoff.median / static_cast<double>(std::max<int64_t>(runners, 1));
+    auto cell = [](const Spread& s) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.0f (%.0f)", s.median, s.iqr);
+      return std::string(buf);
+    };
+    char per_runner_str[32];
+    std::snprintf(per_runner_str, sizeof(per_runner_str), "%.2f", per_runner);
+    table.AddRow({names[k], std::to_string(runners), cell(op), cell(plain),
+                  cell(handoff), per_runner_str});
+    if (json) {
+      char row[512];
+      std::snprintf(row, sizeof(row),
+                    "%s{\"op\":\"%s\",\"runners\":%lld,\"components\":%d,"
+                    "\"straddling_push_us\":%.1f,"
+                    "\"straddling_push_us_iqr\":%.1f,\"plain_push_us\":%.1f,"
+                    "\"plain_push_us_iqr\":%.1f,\"handoff_us\":%.1f,"
+                    "\"handoff_us_iqr\":%.1f,\"handoff_us_per_runner\":%.3f}",
+                    json_rows.empty() ? "" : ",", names[k],
+                    static_cast<long long>(runners), components[k], op.median,
+                    op.iqr, plain.median, plain.iqr, handoff.median,
+                    handoff.iqr, per_runner);
+      json_rows += row;
+    }
+  }
+  bench::PrintFigure(
+      "Plan-epoch hand-off (W2 stock, 40 queries, 16 companies, 1 shard)",
+      "the PushBatch(512) straddling an op's activation boundary vs the same "
+      "rows without the op; median of 7 alternating replays (IQR); runners "
+      "= group keys x components of the epoch handed off",
+      table);
+  if (json) {
+    std::printf(
+        "JSON: {\"bench\":\"push_overhead\",\"table\":\"epoch_handoff\","
+        "\"group_keys\":%lld,\"pane_events\":%zu,\"reps\":%d,"
+        "\"rows\":[%s]}\n",
+        static_cast<long long>(group_keys), row_at(add_at), kHandoffReps,
+        json_rows.c_str());
+    std::fflush(stdout);
+  }
+}
+
 void Run(int max_shards, int producers, bool json) {
   {
     BenchWorkload bw = MakeWorkload1("ridesharing", 8,
@@ -736,6 +969,7 @@ void Run(int max_shards, int producers, bool json) {
       RunMultiProducer(bw, skewed, max_shards, producers, json);
     }
   }
+  RunEpochHandoff(json);
 }
 
 }  // namespace

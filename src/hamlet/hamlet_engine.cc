@@ -90,55 +90,49 @@ void FoldRows(const ScanColumn& col, size_t begin, size_t end,
 
 }  // namespace
 
-HamletEngine::HamletEngine(const WorkloadPlan& plan, QuerySet members,
-                           SharingPolicy* policy)
-    : plan_(&plan),
-      members_(members),
-      policy_(policy),
-      num_types_(plan.workload->schema()->num_types()) {
-  positive_of_type_.resize(static_cast<size_t>(num_types_));
-  negated_of_type_.resize(static_cast<size_t>(num_types_));
-  type_relevant_.resize(static_cast<size_t>(num_types_), false);
-  lane_of_.assign(static_cast<size_t>(plan.num_exec()),
-                  std::vector<int>(static_cast<size_t>(num_types_), -1));
-  last_leading_.assign(static_cast<size_t>(plan.num_exec()), -1);
-  last_boundary_neg_.resize(static_cast<size_t>(plan.num_exec()));
-  open_ctxs_.resize(static_cast<size_t>(plan.num_exec()));
-  profiles_.resize(static_cast<size_t>(plan.num_exec()));
-
-  members_.ForEach([&](QueryId q) {
-    const ExecQuery& eq = Exec(q);
-    profiles_[static_cast<size_t>(q)] = AggProfile::For(eq.aggregate);
-    if (eq.has_edge_predicates()) edge_queries_.Insert(q);
+std::shared_ptr<const HamletEngine::Layout> HamletEngine::Layout::Build(
+    const WorkloadPlan& plan, QuerySet members) {
+  auto layout = std::make_shared<Layout>();
+  Layout& l = *layout;
+  l.plan = &plan;
+  l.members = members;
+  l.num_types = plan.workload->schema()->num_types();
+  const size_t num_types = static_cast<size_t>(l.num_types);
+  const size_t num_exec = static_cast<size_t>(plan.num_exec());
+  l.positive_of_type.resize(num_types);
+  l.negated_of_type.resize(num_types);
+  l.type_relevant.resize(num_types, false);
+  l.lane_of.assign(num_exec, std::vector<int>(num_types, -1));
+  l.profiles.resize(num_exec);
+  auto exec = [&](int q) -> const ExecQuery& {
+    return plan.exec_queries[static_cast<size_t>(q)];
+  };
+  members.ForEach([&](QueryId q) {
+    const ExecQuery& eq = exec(q);
+    l.profiles[static_cast<size_t>(q)] = AggProfile::For(eq.aggregate);
+    if (eq.has_edge_predicates()) l.edge_queries.Insert(q);
     for (const SeqElement& el : eq.tmpl.pattern.elements) {
-      positive_of_type_[static_cast<size_t>(el.type)].Insert(q);
-      type_relevant_[static_cast<size_t>(el.type)] = true;
+      l.positive_of_type[static_cast<size_t>(el.type)].Insert(q);
+      l.type_relevant[static_cast<size_t>(el.type)] = true;
     }
     for (const NegationMark& n : eq.tmpl.pattern.negations) {
-      negated_of_type_[static_cast<size_t>(n.type)].Insert(q);
-      type_relevant_[static_cast<size_t>(n.type)] = true;
+      l.negated_of_type[static_cast<size_t>(n.type)].Insert(q);
+      l.type_relevant[static_cast<size_t>(n.type)] = true;
     }
-    last_boundary_neg_[static_cast<size_t>(q)].assign(
-        static_cast<size_t>(eq.tmpl.pattern.num_positions()), -1);
-    horizon_ = std::max(horizon_, eq.window.within);
+    l.horizon = std::max(l.horizon, eq.window.within);
   });
-  BuildLanes();
-}
 
-void HamletEngine::BuildLanes() {
-  // Shared lanes from the plan's share groups (restricted to this engine's
-  // members); remaining (query, type) uses become solo lanes.
-  std::vector<std::vector<bool>> covered(
-      static_cast<size_t>(plan_->num_exec()),
-      std::vector<bool>(static_cast<size_t>(num_types_), false));
-
+  // Shared lanes from the plan's share groups (restricted to the members);
+  // remaining (query, type) uses become solo lanes.
+  std::vector<std::vector<bool>> covered(num_exec,
+                                         std::vector<bool>(num_types, false));
   auto finish_lane = [&](Lane& lane) {
-    lane.relevant.assign(static_cast<size_t>(num_types_), false);
+    lane.relevant.assign(num_types, false);
     lane.static_members.ForEach([&](QueryId q) {
-      const ExecQuery& eq = Exec(q);
+      const ExecQuery& eq = exec(q);
       for (TypeId t : eq.tmpl.pattern.AllTypes())
         lane.relevant[static_cast<size_t>(t)] = true;
-      lane.profile.MergeWith(Profile(q));
+      lane.profile.MergeWith(l.profiles[static_cast<size_t>(q)]);
       lane.member_list.push_back(q);
       if (lane.shared_edge_preds == nullptr) {
         lane.shared_edge_preds = &eq.edge_predicates;
@@ -159,11 +153,10 @@ void HamletEngine::BuildLanes() {
       }
       lane.t = std::max(lane.t, eq.tmpl.pattern.num_positions());
     });
-    lane.avg_sc_member.assign(lane.member_list.size(), 0.0);
   };
 
-  for (const ShareGroup& group : plan_->share_groups) {
-    QuerySet local = group.members.Intersect(members_);
+  for (const ShareGroup& group : plan.share_groups) {
+    QuerySet local = group.members.Intersect(members);
     if (local.Count() < 2) continue;
     Lane lane;
     lane.type = group.type;
@@ -178,14 +171,14 @@ void HamletEngine::BuildLanes() {
       continue;
     local.ForEach([&](QueryId q) {
       covered[static_cast<size_t>(q)][static_cast<size_t>(group.type)] = true;
-      lane_of_[static_cast<size_t>(q)][static_cast<size_t>(group.type)] =
-          static_cast<int>(lanes_.size());
+      l.lane_of[static_cast<size_t>(q)][static_cast<size_t>(group.type)] =
+          static_cast<int>(l.lanes.size());
     });
-    lanes_.push_back(std::move(lane));
+    l.lanes.push_back(std::move(lane));
   }
 
-  members_.ForEach([&](QueryId q) {
-    const ExecQuery& eq = Exec(q);
+  members.ForEach([&](QueryId q) {
+    const ExecQuery& eq = exec(q);
     for (const SeqElement& el : eq.tmpl.pattern.elements) {
       if (covered[static_cast<size_t>(q)][static_cast<size_t>(el.type)])
         continue;
@@ -198,39 +191,99 @@ void HamletEngine::BuildLanes() {
                       ? PropagationMode::kPerEventSnapshot
                       : PropagationMode::kFastSum;
       finish_lane(lane);
-      lane_of_[static_cast<size_t>(q)][static_cast<size_t>(el.type)] =
-          static_cast<int>(lanes_.size());
-      lanes_.push_back(std::move(lane));
+      l.lane_of[static_cast<size_t>(q)][static_cast<size_t>(el.type)] =
+          static_cast<int>(l.lanes.size());
+      l.lanes.push_back(std::move(lane));
     }
   });
 
   // n's predecessor lanes, now that every (query, type) has its lane. A
   // lane counts the events of one horizon.
-  for (Lane& lane : lanes_) {
+  for (Lane& lane : l.lanes) {
     for (const WorkloadPlan::WindowTerm& term :
-         plan_->WindowTerms(lane.member_list, lane.type)) {
+         plan.WindowTerms(lane.member_list, lane.type)) {
       lane.n_terms.emplace_back(
-          lane_of_[static_cast<size_t>(term.exec_id)]
-                  [static_cast<size_t>(term.pred_type)],
-          term.weight / static_cast<double>(std::max<Timestamp>(1, horizon_)));
+          l.lane_of[static_cast<size_t>(term.exec_id)]
+                   [static_cast<size_t>(term.pred_type)],
+          term.weight / static_cast<double>(std::max<Timestamp>(1, l.horizon)));
     }
   }
+  return layout;
+}
+
+HamletEngine::HamletEngine(std::shared_ptr<const Layout> layout,
+                           SharingPolicy* policy) {
+  Relay(std::move(layout), policy);
+}
+
+HamletEngine::HamletEngine(const WorkloadPlan& plan, QuerySet members,
+                           SharingPolicy* policy)
+    : HamletEngine(Layout::Build(plan, members), policy) {}
+
+void HamletEngine::Relay(std::shared_ptr<const Layout> layout,
+                         SharingPolicy* policy) {
+  // Graphlets go back to the pool, keeping their capacities.
+  for (Lane& lane : lanes_) {
+    if (lane.shared_graphlet != nullptr)
+      graphlet_pool_.Release(lane.shared_graphlet);
+    for (auto& [id, g] : lane.solo_graphlets) graphlet_pool_.Release(g);
+    for (Graphlet* g : lane.history) graphlet_pool_.Release(g);
+  }
+  layout_ = std::move(layout);
+  policy_ = policy;
+  const Layout& l = *layout_;
+  lanes_.assign(l.lanes.size(), Lane());
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    lanes_[i].spec = &l.lanes[i];
+    lanes_[i].avg_sc_member.assign(l.lanes[i].member_list.size(), 0.0);
+  }
+  active_lanes_.clear();
+  store_.Clear();
+  // Every context slot is free, lowest id first, so ids come out in a
+  // fresh engine's order. Scan columns go: kept, each would hold the
+  // largest window it ever served.
+  free_ctxs_.clear();
+  for (size_t c = contexts_.size(); c-- > 0;) {
+    contexts_[c].open = false;
+    contexts_[c].column_set = -1;
+    free_ctxs_.push_back(static_cast<ContextId>(c));
+  }
+  closed_ctxs_.clear();
+  column_sets_.clear();
+  free_column_sets_.clear();
+  const size_t num_exec = static_cast<size_t>(l.plan->num_exec());
+  open_ctxs_.resize(num_exec);
+  for (std::vector<ContextId>& open : open_ctxs_) open.clear();
+  last_leading_.assign(num_exec, -1);
+  last_boundary_neg_.resize(num_exec);
+  for (std::vector<Timestamp>& neg : last_boundary_neg_) neg.clear();
+  l.members.ForEach([&](QueryId q) {
+    last_boundary_neg_[static_cast<size_t>(q)].assign(
+        static_cast<size_t>(Exec(q).tmpl.pattern.num_positions()), -1);
+  });
+  pane_start_ = 0;
+  last_time_ = -1;
+  pane_first_snapshot_.clear();
+  stats_ = HamletStats();
+  run_scratch_valid_ = false;
 }
 
 const HamletEngine::Lane* HamletEngine::LaneOf(int exec_id,
                                                TypeId type) const {
-  int idx = lane_of_[static_cast<size_t>(exec_id)][static_cast<size_t>(type)];
+  const int idx = layout_->lane_of[static_cast<size_t>(exec_id)]
+                                  [static_cast<size_t>(type)];
   return idx < 0 ? nullptr : &lanes_[static_cast<size_t>(idx)];
 }
 
 ContextId HamletEngine::OpenContext(int exec_id, Timestamp window_start,
                                     Timestamp window_end) {
-  HAMLET_CHECK(members_.Contains(exec_id));
+  HAMLET_CHECK(layout_->members.Contains(exec_id));
   const ContextId id = AcquireContextId();
   ContextState& ctx = contexts_[static_cast<size_t>(id)];
   const int positions = Exec(exec_id).tmpl.pattern.num_positions();
-  ctx.ResetFor(exec_id, num_types_, positions, window_start, window_end);
-  if (edge_queries_.Contains(exec_id))
+  ctx.ResetFor(exec_id, layout_->num_types, positions, window_start,
+               window_end);
+  if (layout_->edge_queries.Contains(exec_id))
     ctx.column_set = AcquireColumnSet(positions);
   open_ctxs_[static_cast<size_t>(exec_id)].push_back(id);
   return id;
@@ -300,17 +353,20 @@ ContextResult HamletEngine::CloseContext(ContextId ctx_id) {
   return result;
 }
 
-HamletEngine::QueryState HamletEngine::ExportQuery(int exec_id) const {
+HamletEngine::QueryState HamletEngine::ExportQuery(int exec_id) {
   HAMLET_DCHECK(active_lanes_.empty());
   const size_t q = static_cast<size_t>(exec_id);
   QueryState state;
   state.last_leading = last_leading_[q];
-  state.last_boundary_neg = last_boundary_neg_[q];
+  state.last_boundary_neg = std::move(last_boundary_neg_[q]);
   for (ContextId c : open_ctxs_[q])
-    state.contexts.push_back(contexts_[static_cast<size_t>(c)]);
-  if (!edge_queries_.Contains(exec_id)) return state;
-  for (const ContextState& ctx : state.contexts)
-    state.columns.push_back(column_sets_[static_cast<size_t>(ctx.column_set)]);
+    state.contexts.push_back(std::move(contexts_[static_cast<size_t>(c)]));
+  open_ctxs_[q].clear();
+  if (!layout_->edge_queries.Contains(exec_id)) return state;
+  for (const ContextState& ctx : state.contexts) {
+    state.columns.push_back(
+        std::move(column_sets_[static_cast<size_t>(ctx.column_set)]));
+  }
   // The query's appends to shared-scan graphlets are nodes, not rows: value
   // them per window and merge them into the columns in time order.
   const ExecQuery& eq = Exec(exec_id);
@@ -340,7 +396,7 @@ HamletEngine::QueryState HamletEngine::ExportQuery(int exec_id) const {
 
 std::vector<ContextId> HamletEngine::ImportQuery(int exec_id,
                                                  QueryState state) {
-  HAMLET_CHECK(members_.Contains(exec_id));
+  HAMLET_CHECK(layout_->members.Contains(exec_id));
   const size_t q = static_cast<size_t>(exec_id);
   last_leading_[q] = state.last_leading;
   last_boundary_neg_[q] = std::move(state.last_boundary_neg);
@@ -362,7 +418,7 @@ std::vector<ContextId> HamletEngine::ImportQuery(int exec_id,
 }
 
 void HamletEngine::OnPaneStart(Timestamp pane_start) {
-  const Timestamp cutoff = pane_start - horizon_;
+  const Timestamp cutoff = pane_start - layout_->horizon;
   for (Lane& lane : lanes_) {
     if (lane.events_this_pane > 0) {
       lane.pane_events.emplace_back(pane_start_, lane.events_this_pane);
@@ -427,15 +483,15 @@ void HamletEngine::OnPaneEnd() {
 void HamletEngine::OnEvent(const Event& e) {
   // Evaluate this event's predicates here, then join the shared body that
   // OnRunFiltered feeds with batch-computed pass-sets.
-  if (e.type < 0 || e.type >= num_types_ ||
-      !type_relevant_[static_cast<size_t>(e.type)]) {
+  if (e.type < 0 || e.type >= layout_->num_types ||
+      !layout_->type_relevant[static_cast<size_t>(e.type)]) {
     HAMLET_DCHECK(e.time > last_time_);
     last_time_ = e.time;
     return;
   }
   QuerySet passes;
-  positive_of_type_[static_cast<size_t>(e.type)]
-      .Union(negated_of_type_[static_cast<size_t>(e.type)])
+  layout_->positive_of_type[static_cast<size_t>(e.type)]
+      .Union(layout_->negated_of_type[static_cast<size_t>(e.type)])
       .ForEach([&](QueryId q) {
         if (PassesEventPredicates(Exec(q).event_predicates, e))
           passes.Insert(q);
@@ -456,13 +512,15 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
   // Precondition: the run-granular dispatchers (run segmenter + Session's
   // component type gate, EvalHamletBatch's relevance filter) drop
   // irrelevant types before calling.
-  HAMLET_DCHECK(e0.type >= 0 && e0.type < num_types_ &&
-                type_relevant_[static_cast<size_t>(e0.type)]);
+  HAMLET_DCHECK(e0.type >= 0 && e0.type < layout_->num_types &&
+                layout_->type_relevant[static_cast<size_t>(e0.type)]);
 
   const QuerySet matched =
-      positive_of_type_[static_cast<size_t>(e0.type)].Intersect(run.passes);
+      layout_->positive_of_type[static_cast<size_t>(e0.type)].Intersect(
+          run.passes);
   const QuerySet neg_matched =
-      negated_of_type_[static_cast<size_t>(e0.type)].Intersect(run.passes);
+      layout_->negated_of_type[static_cast<size_t>(e0.type)].Intersect(
+          run.passes);
   if (!matched.Intersect(neg_matched).Empty()) {
     // Some query both matches this type positively and negates it: its
     // negation state interleaves with its own appends row by row, so the
@@ -493,8 +551,8 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
   }
   if (!matched.Empty()) {
     for (Lane& lane : lanes_) {
-      if (lane.type != e0.type) continue;
-      QuerySet m = lane.static_members.Intersect(matched);
+      if (lane.spec->type != e0.type) continue;
+      QuerySet m = lane.spec->static_members.Intersect(matched);
       if (m.Empty()) continue;
       AppendRun(lane, batch, run.row_begin + 1, run.row_end, m);
     }
@@ -504,13 +562,13 @@ void HamletEngine::OnRunFiltered(const EventBatch& batch, const RunSpan& run) {
 void HamletEngine::ProcessRun(const Event& e, const QuerySet& passes) {
   // Precondition: OnEvent and the run-granular dispatchers drop irrelevant
   // types before calling.
-  HAMLET_DCHECK(e.type >= 0 && e.type < num_types_ &&
-                type_relevant_[static_cast<size_t>(e.type)]);
+  HAMLET_DCHECK(e.type >= 0 && e.type < layout_->num_types &&
+                layout_->type_relevant[static_cast<size_t>(e.type)]);
 
   QuerySet matched =
-      positive_of_type_[static_cast<size_t>(e.type)].Intersect(passes);
+      layout_->positive_of_type[static_cast<size_t>(e.type)].Intersect(passes);
   QuerySet neg_matched =
-      negated_of_type_[static_cast<size_t>(e.type)].Intersect(passes);
+      layout_->negated_of_type[static_cast<size_t>(e.type)].Intersect(passes);
   QuerySet touched = matched.Union(neg_matched);
 
   HAMLET_DCHECK(e.time > last_time_);
@@ -523,8 +581,8 @@ void HamletEngine::ProcessRun(const Event& e, const QuerySet& passes) {
 
   if (!matched.Empty()) {
     for (Lane& lane : lanes_) {
-      if (lane.type != e.type) continue;
-      QuerySet m = lane.static_members.Intersect(matched);
+      if (lane.spec->type != e.type) continue;
+      QuerySet m = lane.spec->static_members.Intersect(matched);
       if (m.Empty()) continue;
       InsertIntoLane(lane, e, m);
     }
@@ -544,6 +602,7 @@ const Event* HamletEngine::MaterializedRows(const EventBatch& batch,
 
 void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
                              int end, const QuerySet& matched) {
+  const Layout::Lane& spec = *lane.spec;
   const int n = end - begin;
   // Row 0 already went through InsertIntoLane: the burst is open, the
   // sharing decision is made, and every graphlet this run appends to exists.
@@ -551,9 +610,9 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
   // scanned, no min/max, and for the shared graphlet not retained -> node
   // materialization and per-row dispatch overhead can be skipped) or slow
   // (replayed row-major below).
-  const bool lane_mm = lane.profile.need_min || lane.profile.need_max;
-  const bool is_target = lane.type == lane.profile.target_type;
-  const AttrId target_attr = lane.profile.target_attr;
+  const bool lane_mm = spec.profile.need_min || spec.profile.need_max;
+  const bool is_target = spec.type == spec.profile.target_type;
+  const AttrId target_attr = spec.profile.target_attr;
 
   Graphlet* shared = lane.shared_graphlet;
   bool shared_fast = false;
@@ -571,7 +630,7 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
       const double val = vals == nullptr ? 0.0 : vals[i];
       stats_.ops += shared->running_sum.AppendFastSumEvent(
           shared->start_var, shared->entry_var, is_target, val,
-          lane.profile.need_sum, lane.profile.need_count_e);
+          spec.profile.need_sum, spec.profile.need_count_e);
     }
     shared->extra_events += n;
   }
@@ -579,7 +638,8 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
   QuerySet slow_solo;
   matched.Minus(lane.current_shared).ForEach([&](QueryId q) {
     const AggProfile& profile = Profile(q);
-    if (edge_queries_.Contains(q) || profile.need_min || profile.need_max) {
+    if (layout_->edge_queries.Contains(q) || profile.need_min ||
+        profile.need_max) {
       slow_solo.Insert(q);
       return;
     }
@@ -591,7 +651,7 @@ void HamletEngine::AppendRun(Lane& lane, const EventBatch& batch, int begin,
     // per-context lookups lifted out of the row loop. The FP operation
     // sequence per row is identical to AppendSolo's, so the running sums
     // are bit-identical.
-    const bool q_target = lane.type == profile.target_type;
+    const bool q_target = spec.type == profile.target_type;
     const double* vals = profile.target_attr == Schema::kInvalidId
                              ? nullptr
                              : batch.column(profile.target_attr).data();
@@ -643,9 +703,9 @@ void HamletEngine::CloseForeignLanes(const Event& e, const QuerySet& touched) {
   for (size_t i = 0; i < active_lanes_.size(); ++i) {
     Lane& lane = lanes_[static_cast<size_t>(active_lanes_[i])];
     if (!lane.active) continue;  // compact stale entries
-    if (lane.type != e.type &&
-        lane.relevant[static_cast<size_t>(e.type)] &&
-        !lane.static_members.Intersect(touched).Empty()) {
+    if (lane.spec->type != e.type &&
+        lane.spec->relevant[static_cast<size_t>(e.type)] &&
+        !lane.spec->static_members.Intersect(touched).Empty()) {
       CloseLaneGraphlets(lane);
       lane.active = false;
       continue;
@@ -741,8 +801,9 @@ void HamletEngine::InsertIntoLane(Lane& lane, const Event& e,
     for (size_t i = 0; i < active_lanes_.size(); ++i) {
       Lane& other = lanes_[static_cast<size_t>(active_lanes_[i])];
       if (!other.active) continue;
-      if (other.type != lane.type &&
-          !other.static_members.Intersect(lane.static_members).Empty()) {
+      if (other.spec->type != lane.spec->type &&
+          !other.spec->static_members.Intersect(lane.spec->static_members)
+               .Empty()) {
         CloseLaneGraphlets(other);
         other.active = false;
         continue;
@@ -776,15 +837,16 @@ void HamletEngine::InsertIntoLane(Lane& lane, const Event& e,
 
 void HamletEngine::CountLaneEvents(Lane& lane, const QuerySet& matched,
                                    int rows) {
+  const Layout::Lane& spec = *lane.spec;
   lane.events_this_pane += rows;
   lane.window_events += rows;
-  if (!lane.shareable) return;
-  const bool divergent = matched != lane.static_members;
+  if (!spec.shareable) return;
+  const bool divergent = matched != spec.static_members;
   if (divergent) stats_.divergent_events += rows;
-  if (!divergent && lane.mode != PropagationMode::kPerEventSnapshot) return;
-  for (size_t i = 0; i < lane.member_list.size(); ++i) {
-    const int q = lane.member_list[i];
-    if (divergent ? !matched.Contains(q) : edge_queries_.Contains(q))
+  if (!divergent && spec.mode != PropagationMode::kPerEventSnapshot) return;
+  for (size_t i = 0; i < spec.member_list.size(); ++i) {
+    const int q = spec.member_list[i];
+    if (divergent ? !matched.Contains(q) : layout_->edge_queries.Contains(q))
       lane.avg_sc_member[i] += rows;
   }
 }
@@ -796,14 +858,15 @@ SnapshotId HamletEngine::CreateSnapshot() {
 }
 
 void HamletEngine::OpenGraphlets(Lane& lane, const Event& e) {
+  const Layout::Lane& spec = *lane.spec;
   QuerySet shared;
-  if (lane.shareable) {
+  if (spec.shareable) {
     ++stats_.bursts_total;
     BurstStats& bs = burst_stats_;
-    bs.k = static_cast<int>(lane.member_list.size());
+    bs.k = static_cast<int>(spec.member_list.size());
     bs.b = std::max(1.0, lane.avg_burst);
     double n = 0.0;
-    for (const auto& [idx, weight] : lane.n_terms)
+    for (const auto& [idx, weight] : spec.n_terms)
       n += weight *
            static_cast<double>(lanes_[static_cast<size_t>(idx)].window_events);
     bs.n = std::max(1.0, n);
@@ -811,20 +874,20 @@ void HamletEngine::OpenGraphlets(Lane& lane, const Event& e) {
     bs.sc = lane.avg_sc + 1.0;  // +1: the graphlet-level snapshot itself
     bs.sp = std::max(1.0, lane.avg_sp);
     bs.sc_per_member = lane.avg_sc_member;
-    bs.p = lane.p;
-    bs.t = lane.t;
-    bs.mode = lane.mode;
-    bs.scanners = lane.static_members.Intersect(edge_queries_).Count();
-    bs.min_max = lane.profile.need_min || lane.profile.need_max;
+    bs.p = spec.p;
+    bs.t = spec.t;
+    bs.mode = spec.mode;
+    bs.scanners = spec.static_members.Intersect(layout_->edge_queries).Count();
+    bs.min_max = spec.profile.need_min || spec.profile.need_max;
     size_t contexts = 0;
-    for (int q : lane.member_list)
+    for (int q : spec.member_list)
       contexts += open_ctxs_[static_cast<size_t>(q)].size();
     bs.c = static_cast<double>(contexts) / static_cast<double>(bs.k);
-    SharingDecision decision = policy_->Decide(lane.member_list, bs);
-    shared = decision.shared.Intersect(lane.static_members);
+    SharingDecision decision = policy_->Decide(spec.member_list, bs);
+    shared = decision.shared.Intersect(spec.static_members);
     if (shared.Count() < 2) shared = QuerySet();
   }
-  if (lane.shareable) {
+  if (spec.shareable) {
     const bool was_shared = !lane.current_shared.Empty();
     const bool now_shared = !shared.Empty();
     if (was_shared && !now_shared) ++stats_.splits;
@@ -839,35 +902,37 @@ void HamletEngine::OpenGraphlets(Lane& lane, const Event& e) {
 
 Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
                                            QuerySet sharers) {
+  const Layout::Lane& spec = *lane.spec;
   Graphlet* g = graphlet_pool_.Acquire();
-  g->type = lane.type;
+  g->type = spec.type;
   g->sharers = sharers;
   g->shared = true;
-  g->mode = lane.mode;
+  g->mode = spec.mode;
   g->self_loop = true;
   g->open_time = e.time;
   g->start_var = CreateSnapshot();
   // The entry snapshot x is read by every kFastSum sharer and otherwise by
   // the sharers without edge predicates (count(e) = u + x + R in a
   // per-event-snapshot graphlet); edge-predicate sharers scan instead.
-  const bool fast = lane.mode == PropagationMode::kFastSum;
-  const QuerySet entry_readers = fast ? sharers : sharers.Minus(edge_queries_);
+  const bool fast = spec.mode == PropagationMode::kFastSum;
+  const QuerySet entry_readers =
+      fast ? sharers : sharers.Minus(layout_->edge_queries);
   if (!entry_readers.Empty()) {
     g->entry_var = CreateSnapshot();
   }
-  const bool need_mm = lane.profile.need_min || lane.profile.need_max;
+  const bool need_mm = spec.profile.need_min || spec.profile.need_max;
   sharers.ForEach([&](QueryId q) {
     const bool reads_entry = entry_readers.Contains(q);
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
       const ContextState& ctx = contexts_[static_cast<size_t>(c)];
       LinAgg start;
-      start.count = StartValue(q, lane.type, ctx);
+      start.count = StartValue(q, spec.type, ctx);
       if (start.count != 0.0) store_.Set(g->start_var, c, start);
       if (reads_entry) {
-        LinAgg entry = EntryValue(q, lane.type, ctx);
+        LinAgg entry = EntryValue(q, spec.type, ctx);
         if (!entry.IsZero()) store_.Set(g->entry_var, c, entry);
       }
-      if (need_mm) g->entry_mm.Mut(c) = EntryMinMax(q, lane.type, ctx);
+      if (need_mm) g->entry_mm.Mut(c) = EntryMinMax(q, spec.type, ctx);
       ++stats_.ops;
     }
   });
@@ -878,13 +943,14 @@ Graphlet* HamletEngine::OpenSharedGraphlet(Lane& lane, const Event& e,
 
 Graphlet* HamletEngine::OpenSoloGraphlet(Lane& lane, const Event& e,
                                          int exec_id) {
+  const Layout::Lane& spec = *lane.spec;
   Graphlet* g = graphlet_pool_.Acquire();
-  g->type = lane.type;
+  g->type = spec.type;
   g->sharers = QuerySet::Single(exec_id);
   g->shared = false;
   g->open_time = e.time;
   const ExecQuery& eq = Exec(exec_id);
-  const int pos = eq.tmpl.pattern.PositionOf(lane.type);
+  const int pos = eq.tmpl.pattern.PositionOf(spec.type);
   bool self = false;
   for (int pp : eq.tmpl.pred_positions[static_cast<size_t>(pos)])
     self |= pp == pos;
@@ -893,9 +959,9 @@ Graphlet* HamletEngine::OpenSoloGraphlet(Lane& lane, const Event& e,
   const bool need_mm = profile.need_min || profile.need_max;
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
     const ContextState& ctx = contexts_[static_cast<size_t>(c)];
-    g->solo_start.Mut(c) = StartValue(exec_id, lane.type, ctx);
-    g->solo_entry.Mut(c) = EntryValue(exec_id, lane.type, ctx);
-    if (need_mm) g->entry_mm.Mut(c) = EntryMinMax(exec_id, lane.type, ctx);
+    g->solo_start.Mut(c) = StartValue(exec_id, spec.type, ctx);
+    g->solo_entry.Mut(c) = EntryValue(exec_id, spec.type, ctx);
+    if (need_mm) g->entry_mm.Mut(c) = EntryMinMax(exec_id, spec.type, ctx);
     ++stats_.ops;
   }
   ++stats_.graphlets_opened;
@@ -934,7 +1000,7 @@ NodeValue HamletEngine::ScanPredecessors(int exec_id, const Event& e,
       fold_rows(0, rows.size());
       continue;
     }
-    const Lane* lane = ptype == own_lane.type ? &own_lane
+    const Lane* lane = ptype == own_lane.spec->type ? &own_lane
                                               : LaneOf(exec_id, ptype);
     ForEachPredecessor(rows, lane->history, lane->shared_graphlet, exec_id,
                        ctx.window_start, fold_rows,
@@ -962,23 +1028,24 @@ void HamletEngine::AppendRow(ScanColumn& col, int exec_id, const Event& e,
 
 void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
                                 const QuerySet& matched) {
+  const Layout::Lane& spec = *lane.spec;
   const QuerySet members = matched.Intersect(g.sharers);
-  const bool need_mm = lane.profile.need_min || lane.profile.need_max;
+  const bool need_mm = spec.profile.need_min || spec.profile.need_max;
   const bool divergent = members != g.sharers;
-  const double val = lane.profile.target_attr == Schema::kInvalidId
+  const double val = spec.profile.target_attr == Schema::kInvalidId
                          ? 0.0
-                         : (e.type == lane.profile.target_type
-                                ? e.attr(lane.profile.target_attr)
+                         : (e.type == spec.profile.target_type
+                                ? e.attr(spec.profile.target_attr)
                                 : 0.0);
-  const bool is_target = e.type == lane.profile.target_type;
+  const bool is_target = e.type == spec.profile.target_type;
 
   if (g.mode == PropagationMode::kFastSum && !divergent && !need_mm) {
     // Node-free append without a node expression (no min/max fold reads
     // it): fold count(e) = u + x + R straight into the running sum. The run
     // path (AppendRun) applies the same rule for rows past the head.
     stats_.ops += g.running_sum.AppendFastSumEvent(
-        g.start_var, g.entry_var, is_target, val, lane.profile.need_sum,
-        lane.profile.need_count_e);
+        g.start_var, g.entry_var, is_target, val, spec.profile.need_sum,
+        spec.profile.need_count_e);
     ++g.extra_events;
     return;
   }
@@ -996,8 +1063,8 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     node.expr.AddVar(g.entry_var, 1.0);
     node.expr.AddExpr(g.running_sum);
     if (is_target)
-      node.expr.ApplyTargetEvent(val, lane.profile.need_sum,
-                                 lane.profile.need_count_e);
+      node.expr.ApplyTargetEvent(val, spec.profile.need_sum,
+                                 spec.profile.need_count_e);
     stats_.ops += node.expr.num_terms();
   } else if (g.mode == PropagationMode::kSharedScan && !divergent) {
     // Shared scan: same-type predecessor validity is query-agnostic
@@ -1007,7 +1074,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     // equality-only predicates the same-type side uses per-key running
     // sums (O(terms) per event); otherwise it walks the stored nodes.
     node.expr.AddVar(g.start_var, 1.0);
-    SnapshotId z = lane.scan_has_cross ? CreateSnapshot() : -1;
+    SnapshotId z = spec.scan_has_cross ? CreateSnapshot() : -1;
     g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
         const NodeValue scanned =
@@ -1022,11 +1089,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
       ++stats_.event_snapshots;
       node.expr.AddVar(z, 1.0);
     }
-    if (lane.scan_all_equality) {
+    if (spec.scan_all_equality) {
       // Equality partition key of this event.
       std::vector<double> key;
-      key.reserve(lane.shared_edge_preds->size());
-      for (const EdgePredicate& p : *lane.shared_edge_preds)
+      key.reserve(spec.shared_edge_preds->size());
+      for (const EdgePredicate& p : *spec.shared_edge_preds)
         key.push_back(e.attr(p.attr));
       // Lazy per-key entry variable covering closed graphlets' same-key
       // contributions (exact: equality is transitive).
@@ -1056,8 +1123,8 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
       }
       node.expr.AddExpr(*running);
       if (is_target)
-        node.expr.ApplyTargetEvent(val, lane.profile.need_sum,
-                                   lane.profile.need_count_e);
+        node.expr.ApplyTargetEvent(val, spec.profile.need_sum,
+                                   spec.profile.need_count_e);
       running->AddExpr(node.expr);
       stats_.ops += node.expr.num_terms();
     } else {
@@ -1067,7 +1134,7 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
           // Partial-membership nodes went through the event-snapshot path,
           // so their expressions already evaluate to 0 for non-member
           // contexts.
-          if (!PassesEdgePredicates(*lane.shared_edge_preds, n.event, e))
+          if (!PassesEdgePredicates(*spec.shared_edge_preds, n.event, e))
             continue;
           node.expr.AddExpr(n.expr);
         }
@@ -1075,8 +1142,8 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
       for (const Graphlet* gg : lane.history) scan(*gg);
       scan(g);
       if (is_target)
-        node.expr.ApplyTargetEvent(val, lane.profile.need_sum,
-                                   lane.profile.need_count_e);
+        node.expr.ApplyTargetEvent(val, spec.profile.need_sum,
+                                   spec.profile.need_count_e);
       stats_.ops += node.expr.num_terms();
     }
   } else {
@@ -1089,11 +1156,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     SnapshotId z = CreateSnapshot();
     ++stats_.event_snapshots;
     g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
-      const bool scans = edge_queries_.Contains(q);
+      const bool scans = layout_->edge_queries.Contains(q);
       const bool plain =
           g.mode == PropagationMode::kPerEventSnapshot && !scans;
       const size_t pos = static_cast<size_t>(
-          Exec(q).tmpl.pattern.PositionOf(lane.type));
+          Exec(q).tmpl.pattern.PositionOf(spec.type));
       for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
         const ContextState& cs = contexts_[static_cast<size_t>(c)];
         LinAgg lin;
@@ -1109,11 +1176,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
           ++stats_.ops;
         } else {
           lin = ScanPredecessors(q, e, cs, lane).lin;
-          lin.count += StartValue(q, lane.type, cs);
+          lin.count += StartValue(q, spec.type, cs);
         }
         if (is_target) {
-          if (lane.profile.need_count_e) lin.count_e += lin.count;
-          if (lane.profile.need_sum) lin.sum += val * lin.count;
+          if (spec.profile.need_count_e) lin.count_e += lin.count;
+          if (spec.profile.need_sum) lin.sum += val * lin.count;
         }
         store_.Set(z, c, lin);
         if (plain) g.solo_sums.Mut(c).Add(lin);
@@ -1124,9 +1191,9 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
     node.expr.AddVar(z, 1.0);
     // In equality-partitioned scan lanes, divergent nodes must still feed
     // their key's running sum so later same-key events see them.
-    if (g.mode == PropagationMode::kSharedScan && lane.scan_all_equality) {
+    if (g.mode == PropagationMode::kSharedScan && spec.scan_all_equality) {
       std::vector<double> key;
-      for (const EdgePredicate& p : *lane.shared_edge_preds)
+      for (const EdgePredicate& p : *spec.shared_edge_preds)
         key.push_back(e.attr(p.attr));
       Expr* running = nullptr;
       for (auto& [k, r] : g.key_running) {
@@ -1151,10 +1218,11 @@ void HamletEngine::AppendShared(Lane& lane, Graphlet& g, const Event& e,
 
 void HamletEngine::FoldNodeMinMax(Lane& lane, Graphlet& g,
                                   const GraphletNode& node, const Event& e) {
-  const bool is_target = e.type == lane.profile.target_type;
-  const double val = lane.profile.target_attr == Schema::kInvalidId
+  const Layout::Lane& spec = *lane.spec;
+  const bool is_target = e.type == spec.profile.target_type;
+  const double val = spec.profile.target_attr == Schema::kInvalidId
                          ? 0.0
-                         : (is_target ? e.attr(lane.profile.target_attr)
+                         : (is_target ? e.attr(spec.profile.target_attr)
                                       : 0.0);
   g.sharers.Intersect(node.members).ForEach([&](QueryId q) {
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
@@ -1173,7 +1241,7 @@ void HamletEngine::FoldNodeMinMax(Lane& lane, Graphlet& g,
 void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
                               int exec_id) {
   const AggProfile& profile = Profile(exec_id);
-  const bool scans = edge_queries_.Contains(exec_id);
+  const bool scans = layout_->edge_queries.Contains(exec_id);
   const bool need_mm = profile.need_min || profile.need_max;
   const bool is_target = e.type == profile.target_type;
   const double val =
@@ -1209,7 +1277,7 @@ void HamletEngine::AppendSolo(Lane& lane, Graphlet& g, const Event& e,
   // A scanning append keeps its per-window value as a row of the query's
   // scan column, which later appends read instead of a stored node.
   const size_t pos = static_cast<size_t>(
-      Exec(exec_id).tmpl.pattern.PositionOf(lane.type));
+      Exec(exec_id).tmpl.pattern.PositionOf(lane.spec->type));
   for (ContextId c : open_ctxs_[static_cast<size_t>(exec_id)]) {
     const ContextState& ctx = contexts_[static_cast<size_t>(c)];
     NodeValue v = ScanPredecessors(exec_id, e, ctx, lane);
@@ -1255,7 +1323,7 @@ void HamletEngine::FoldGraphlet(Lane& lane, Graphlet& g) {
     // running sum's value, term by term in the same order, in solo_sums.
     const bool symbolic =
         g.shared && (g.mode != PropagationMode::kPerEventSnapshot ||
-                     edge_queries_.Contains(q));
+                     layout_->edge_queries.Contains(q));
     for (ContextId c : open_ctxs_[static_cast<size_t>(q)]) {
       ContextState& ctx = contexts_[static_cast<size_t>(c)];
       LinAgg v = symbolic ? g.running_sum.Eval(store_, c)

@@ -60,10 +60,79 @@ struct ContextResult {
 /// See file comment.
 class HamletEngine {
  public:
-  /// `plan` and `policy` must outlive the engine. `members` selects the exec
-  /// queries this engine evaluates (a component).
+  /// The immutable part of an engine for one component of one plan: each
+  /// lane's type, members, propagation mode and cost-model inputs, plus the
+  /// per-(query, type) tables. Built once per (plan epoch, component) and
+  /// shared by every group engine of the component.
+  struct Layout {
+    /// One per (type, share group) and per (type, solo query).
+    struct Lane {
+      TypeId type = Schema::kInvalidId;
+      QuerySet static_members;
+      bool shareable = false;
+      PropagationMode mode = PropagationMode::kFastSum;
+      AggProfile profile;
+      /// Types whose matched events close this lane's graphlets.
+      std::vector<bool> relevant;
+      /// Decision inputs that depend only on the members, so a burst
+      /// decision is O(m): predecessor positions of this type (p) and
+      /// pattern length (t).
+      int p = 1;
+      int t = 1;
+      /// The cost model's n: sum of weight * window_events over these
+      /// (predecessor lane, weight) pairs (WorkloadPlan::WindowTerms).
+      std::vector<std::pair<int, double>> n_terms;
+      std::vector<int> member_list;
+      /// kSharedScan: whether any member has cross-type predecessors for
+      /// this lane's type (they ride the per-event cross snapshot).
+      bool scan_has_cross = false;
+      /// kSharedScan: all edge predicates are equality -> partitioned
+      /// running sums replace per-event stored-node scans (O(terms) per
+      /// event).
+      bool scan_all_equality = false;
+      /// kSharedScan: the members' (identical) edge predicates.
+      const std::vector<EdgePredicate>* shared_edge_preds = nullptr;
+    };
+
+    /// `plan` must outlive the layout. `members` selects the exec queries
+    /// the engines evaluate (a component).
+    static std::shared_ptr<const Layout> Build(const WorkloadPlan& plan,
+                                               QuerySet members);
+
+    const WorkloadPlan* plan = nullptr;
+    QuerySet members;
+    int num_types = 0;
+    std::vector<Lane> lanes;
+    /// lane index per (exec, type); -1 when unused.
+    std::vector<std::vector<int>> lane_of;
+    /// Exec ids having each type positive / negated.
+    std::vector<QuerySet> positive_of_type;
+    std::vector<QuerySet> negated_of_type;
+    /// Union of member types (positive or negated).
+    std::vector<bool> type_relevant;
+    /// AggProfile::For of each member's aggregate, indexed by exec id.
+    std::vector<AggProfile> profiles;
+    /// Members with edge predicates: the only queries whose predecessor
+    /// values need a scan, hence the only ones with scan columns.
+    QuerySet edge_queries;
+    Timestamp horizon = 0;  ///< max window span over members
+  };
+
+  /// An engine laid out by `layout`. `policy` must outlive the engine.
+  HamletEngine(std::shared_ptr<const Layout> layout, SharingPolicy* policy);
+  /// An engine with a layout of its own for `members` of `plan`, which
+  /// must outlive it.
   HamletEngine(const WorkloadPlan& plan, QuerySet members,
                SharingPolicy* policy);
+
+  /// Lays the engine out anew by `layout`, as the constructor does: every
+  /// window, graphlet, snapshot, counter and lane statistic is dropped, so
+  /// the engine is state-equal to a fresh one, but its graphlet pool (with
+  /// the graphlets' capacities), context table and snapshot-store capacity
+  /// stay allocated for reuse. The plan-epoch hand-off
+  /// (src/runtime/shard_engine.h) re-lays engines after ExportQuery instead
+  /// of building new ones.
+  void Relay(std::shared_ptr<const Layout> layout, SharingPolicy* policy);
 
   /// Opens a window instance for `exec_id` at [ws, we). Call at pane
   /// boundaries before feeding the pane's events.
@@ -108,9 +177,10 @@ class HamletEngine {
     std::vector<Timestamp> last_boundary_neg;
   };
 
-  /// `exec_id`'s state, between OnPaneEnd and the next OnPaneStart (the
-  /// plan-epoch hand-off, src/runtime/session.h). The engine is left as is.
-  QueryState ExportQuery(int exec_id) const;
+  /// Moves `exec_id`'s state out, between OnPaneEnd and the next
+  /// OnPaneStart (the plan-epoch hand-off). The query's windows are left
+  /// hollow: the engine is fit only for Relay or destruction afterwards.
+  QueryState ExportQuery(int exec_id);
   /// Continues a state ExportQuery took from another engine for the same
   /// query, as member `exec_id` here, before OnPaneStart. Returns the new
   /// context ids, parallel to state.contexts.
@@ -134,15 +204,9 @@ class HamletEngine {
   void set_policy(SharingPolicy* policy) { policy_ = policy; }
 
  private:
-  /// One per (type, share group) and per (type, solo query).
+  /// A lane's dynamic state; its layout is `spec`.
   struct Lane {
-    TypeId type = Schema::kInvalidId;
-    QuerySet static_members;
-    bool shareable = false;
-    PropagationMode mode = PropagationMode::kFastSum;
-    AggProfile profile;
-    /// Types whose matched events close this lane's graphlets.
-    std::vector<bool> relevant;
+    const Layout::Lane* spec = nullptr;
     /// Dynamic decision for the current burst round.
     QuerySet current_shared;
     /// Graphlets are pool-owned (graphlet_pool_); lanes hold raw pointers.
@@ -152,14 +216,6 @@ class HamletEngine {
     Graphlet* shared_graphlet = nullptr;
     std::vector<std::pair<int, Graphlet*>> solo_graphlets;
     std::vector<Graphlet*> history;
-    /// Decision inputs that depend only on the members, cached so a burst
-    /// decision is O(m): predecessor positions of this type (p) and
-    /// pattern length (t).
-    int p = 1;
-    int t = 1;
-    /// The cost model's n: sum of weight * window_events over these
-    /// (predecessor lane, weight) pairs (WorkloadPlan::WindowTerms).
-    std::vector<std::pair<int, double>> n_terms;
     /// Events appended to this lane within the horizon, and per pane.
     int64_t window_events = 0;
     int64_t events_this_pane = 0;
@@ -169,26 +225,14 @@ class HamletEngine {
     double avg_graphlet = 4.0;
     double avg_sc = 0.0;
     double avg_sp = 1.0;
-    std::vector<double> avg_sc_member;  ///< parallel to member_list
-    std::vector<int> member_list;
-    /// kSharedScan: whether any member has cross-type predecessors for this
-    /// lane's type (they ride the per-event cross snapshot).
-    bool scan_has_cross = false;
-    /// kSharedScan: all edge predicates are equality -> partitioned running
-    /// sums replace per-event stored-node scans (O(terms) per event).
-    bool scan_all_equality = false;
+    std::vector<double> avg_sc_member;  ///< parallel to spec->member_list
     /// Cross-graphlet per-equality-key payload totals, per context.
     std::vector<std::pair<std::vector<double>, CtxMap<LinAgg>>> key_totals;
-    /// kSharedScan: the members' (identical) edge predicates.
-    const std::vector<EdgePredicate>* shared_edge_preds = nullptr;
     /// Whether this lane currently has open graphlets (tracked in
     /// active_lanes_ so the per-event closure sweep touches only lanes with
     /// live graphlets instead of every lane).
     bool active = false;
   };
-
-  // --- construction helpers ---
-  void BuildLanes();
 
   // --- event path ---
   /// One filtered event through the full per-event pipeline (transition,
@@ -259,38 +303,25 @@ class HamletEngine {
 
   const Lane* LaneOf(int exec_id, TypeId type) const;
   const ExecQuery& Exec(int exec_id) const {
-    return plan_->exec_queries[static_cast<size_t>(exec_id)];
+    return layout_->plan->exec_queries[static_cast<size_t>(exec_id)];
   }
   const AggProfile& Profile(int exec_id) const {
-    return profiles_[static_cast<size_t>(exec_id)];
+    return layout_->profiles[static_cast<size_t>(exec_id)];
   }
 
   // --- members ---
-  const WorkloadPlan* plan_;
-  QuerySet members_;
-  SharingPolicy* policy_;
-  int num_types_;
-  /// AggProfile::For of each member's aggregate, indexed by exec id.
-  std::vector<AggProfile> profiles_;
-  /// Members with edge predicates: the only queries whose predecessor
-  /// values need a scan, hence the only ones with scan columns.
-  QuerySet edge_queries_;
+  std::shared_ptr<const Layout> layout_;
+  SharingPolicy* policy_ = nullptr;
 
   /// Arena-backed graphlet storage (see src/common/arena.h): steady-state
   /// opens recycle pool objects — with warmed vector capacities — instead of
   /// hitting the heap. Declared before lanes_ so the raw pointers in lanes
   /// never outlive the pool.
   ObjectPool<Graphlet> graphlet_pool_;
+  /// Parallel to layout_->lanes.
   std::vector<Lane> lanes_;
   /// Indices of lanes with open graphlets (compacted lazily).
   std::vector<int> active_lanes_;
-  /// lane index per (exec, type); -1 when unused.
-  std::vector<std::vector<int>> lane_of_;
-  /// Exec ids having each type positive / negated.
-  std::vector<QuerySet> positive_of_type_;
-  std::vector<QuerySet> negated_of_type_;
-  /// Union of member types (positive or negated).
-  std::vector<bool> type_relevant_;
 
   SnapshotStore store_;
   /// Indexed by ContextId. A closed slot waits in closed_ctxs_, stamped
@@ -318,7 +349,6 @@ class HamletEngine {
 
   Timestamp pane_start_ = 0;
   Timestamp last_time_ = -1;
-  Timestamp horizon_ = 0;  ///< max window span over members
   /// (pane start, first snapshot id created in it) for the panes inside
   /// the horizon, oldest first: OnPaneStart drops the store's ids of every
   /// pane before the horizon cutoff.

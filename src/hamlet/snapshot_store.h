@@ -67,6 +67,13 @@ class SnapshotStore {
     return LinAgg();
   }
 
+  /// Drops every variable and restarts ids at 0, keeping the table's
+  /// capacity.
+  void Clear() {
+    values_.clear();
+    base_ = 0;
+  }
+
   /// Drops all values of a closed context.
   void DropContext(ContextId ctx) {
     for (auto& column : values_) {

@@ -112,6 +112,10 @@ struct ShardEngine::Component {
   /// Indices into the epoch's cohorts.
   std::vector<int> cohorts;
   std::unique_ptr<SharingPolicy> policy;
+  /// HAMLET kinds: the members' engine layout, shared by every runner's
+  /// engine (built with the first runner, so a component no group reaches
+  /// costs none).
+  std::shared_ptr<const HamletEngine::Layout> layout;
   std::map<int64_t, std::unique_ptr<GroupRunner>> groups;
 };
 
@@ -524,7 +528,8 @@ void ShardEngine::AdvancePaneTo(Timestamp time) {
 }
 
 std::unique_ptr<ShardEngine::GroupRunner> ShardEngine::MakeRunner(
-    Runtime& rt, Component& comp, int64_t key) {
+    Runtime& rt, Component& comp, int64_t key,
+    std::vector<std::unique_ptr<HamletEngine>>* spare) {
   auto runner = std::make_unique<GroupRunner>();
   runner->comp = &comp;
   runner->group_key = key;
@@ -532,8 +537,17 @@ std::unique_ptr<ShardEngine::GroupRunner> ShardEngine::MakeRunner(
       config_.kind == EngineKind::kHamletStatic ||
       config_.kind == EngineKind::kHamletNoShare) {
     runner->epoch = rt.epoch;
-    runner->hamlet = std::make_unique<HamletEngine>(*rt.plan, comp.members,
-                                                    comp.policy.get());
+    if (comp.layout == nullptr) {
+      comp.layout = HamletEngine::Layout::Build(*rt.plan, comp.members);
+    }
+    if (spare != nullptr && !spare->empty()) {
+      runner->hamlet = std::move(spare->back());
+      spare->pop_back();
+      runner->hamlet->Relay(comp.layout, comp.policy.get());
+    } else {
+      runner->hamlet =
+          std::make_unique<HamletEngine>(comp.layout, comp.policy.get());
+    }
   }
   return runner;
 }
@@ -542,7 +556,7 @@ ShardEngine::GroupRunner& ShardEngine::NewGroupRunner(Runtime& rt,
                                                       Component& comp,
                                                       int64_t key) {
   std::unique_ptr<GroupRunner>& slot = comp.groups[key];
-  slot = MakeRunner(rt, comp, key);
+  slot = MakeRunner(rt, comp, key, nullptr);
   GroupRunner& runner = *slot;
   OpenDueWindows(rt, runner, rt.pane_start, /*retroactive=*/true);
   if (runner.hamlet) runner.hamlet->OnPaneStart(rt.pane_start);
@@ -565,27 +579,35 @@ void ShardEngine::HandOff(QueryLifecycle::Epoch compiled) {
     return to.plan->compositions[static_cast<size_t>(it->second)]
         .exec_ids[static_cast<size_t>(branch)];
   };
+  // HAMLET engines are re-laid, not rebuilt: an old engine whose queries
+  // are all exported waits here until a new runner takes it, and only the
+  // leftovers are freed.
+  std::vector<std::unique_ptr<HamletEngine>> spare;
   auto runner_in = [&](Component& comp, const GroupRunner& from)
       -> GroupRunner& {
     std::unique_ptr<GroupRunner>& runner = comp.groups[from.group_key];
-    if (runner == nullptr) runner = MakeRunner(*next, comp, from.group_key);
+    if (runner == nullptr) {
+      runner = MakeRunner(*next, comp, from.group_key, &spare);
+    }
     runner->last_event_time =
         std::max(runner->last_event_time, from.last_event_time);
     return *runner;
   };
+  struct Exported {
+    int exec = -1;
+    int next_exec = -1;
+    HamletEngine::QueryState state;
+  };
+  std::vector<Exported> exported;
   const Runtime& old = *rt_;
   for (const auto& comp : old.components) {
     for (const auto& [key, runner] : comp->groups) {
-      // Every component holding one of this component's queries keeps the
-      // group key running, so its next windows open as they would have.
-      comp->members.ForEach([&](QueryId q) {
-        const int nq = exec_in_next(*old.epoch, q);
-        if (nq >= 0) runner_in(*next->component_of[static_cast<size_t>(nq)],
-                               *runner);
-      });
-      if (runner->hamlet) {
+      const bool hamlet = runner->hamlet != nullptr;
+      exported.clear();
+      if (hamlet) {
         // Contexts move query by query through the engines' export/import;
         // a stolen runner's engine numbers exec queries like old.epoch.
+        // Every query leaves before the engine can be re-laid below.
         AddStats(retired_stats_, runner->hamlet->stats());
         comp->members.ForEach([&](QueryId q) {
           HamletEngine::QueryState state = runner->hamlet->ExportQuery(q);
@@ -594,29 +616,42 @@ void ShardEngine::HandOff(QueryLifecycle::Epoch compiled) {
             HAMLET_DCHECK(state.contexts.empty());
             return;
           }
-          std::vector<ContextId> from_ids;
-          for (const ContextState& ctx : state.contexts) {
-            from_ids.push_back(ctx.id);
-          }
-          GroupRunner& dst =
-              *next->component_of[static_cast<size_t>(nq)]->groups[key];
-          const std::vector<ContextId> ids =
-              dst.hamlet->ImportQuery(nq, std::move(state));
-          for (WindowSlot& w : runner->windows) {
-            if (w.owner != q) continue;
-            // The moved-from slot keeps owner q, so no later query's pass
-            // picks it up again.
-            WindowSlot& moved = dst.windows.emplace_back(std::move(w));
-            const auto i =
-                std::find(from_ids.begin(), from_ids.end(), moved.ctx) -
-                from_ids.begin();
-            moved.epoch = next->epoch;
-            moved.owner = nq;
-            moved.ctx = ids[static_cast<size_t>(i)];
-          }
+          exported.push_back({q, nq, std::move(state)});
         });
-        continue;
+        spare.push_back(std::move(runner->hamlet));
       }
+      // Every component holding one of this component's queries keeps the
+      // group key running, so its next windows open as they would have.
+      comp->members.ForEach([&](QueryId q) {
+        const int nq = exec_in_next(*old.epoch, q);
+        if (nq >= 0) runner_in(*next->component_of[static_cast<size_t>(nq)],
+                               *runner);
+      });
+      for (Exported& ex : exported) {
+        const int q = ex.exec;
+        const int nq = ex.next_exec;
+        std::vector<ContextId> from_ids;
+        for (const ContextState& ctx : ex.state.contexts) {
+          from_ids.push_back(ctx.id);
+        }
+        GroupRunner& dst =
+            *next->component_of[static_cast<size_t>(nq)]->groups[key];
+        const std::vector<ContextId> ids =
+            dst.hamlet->ImportQuery(nq, std::move(ex.state));
+        for (WindowSlot& w : runner->windows) {
+          if (w.owner != q) continue;
+          // The moved-from slot keeps owner q, so no later query's pass
+          // picks it up again.
+          WindowSlot& moved = dst.windows.emplace_back(std::move(w));
+          const auto i =
+              std::find(from_ids.begin(), from_ids.end(), moved.ctx) -
+              from_ids.begin();
+          moved.epoch = next->epoch;
+          moved.owner = nq;
+          moved.ctx = ids[static_cast<size_t>(i)];
+        }
+      }
+      if (hamlet) continue;
       // A per-window engine moves whole and keeps the epoch it was built
       // on. It lands in the component of one of its queries, which learns
       // the window's types so their runs keep reaching it.

@@ -17,11 +17,13 @@
 // query churn op, plan swap and drained-query drop once, into a plan epoch
 // (src/runtime/control_plane.h) that it hands to each engine through
 // Schedule. When the pane clock reaches the epoch's activation boundary,
-// the engine builds the epoch's runtime, hands every open window over —
+// the engine builds the epoch's runtime and hands every open window over:
 // HAMLET state query by query through HamletEngine::ExportQuery/
-// ImportQuery, per-window baseline engines whole — and frees the old
-// runtime. Every event is processed once, by the one runtime whose epoch
-// covers it.
+// ImportQuery, per-window baseline engines whole. The old runtime's HAMLET
+// engines are not freed but re-laid (HamletEngine::Relay) onto the new
+// components' layouts for the group runners the new runtime needs; only
+// the leftovers are freed. Every event is processed once, by the one
+// runtime whose epoch covers it.
 #ifndef HAMLET_RUNTIME_SHARD_ENGINE_H_
 #define HAMLET_RUNTIME_SHARD_ENGINE_H_
 
@@ -126,7 +128,9 @@ class ShardEngine {
   /// Replaces the runtime with one running `compiled`, at a pane boundary
   /// after the old one closed its expiring windows: every open window moves
   /// over (HAMLET contexts through HamletEngine::ExportQuery/ImportQuery,
-  /// per-window engines whole), and the old runtime is freed.
+  /// per-window engines whole). Each exported HAMLET engine is re-laid for
+  /// a runner of the new runtime; engines are built only past the old
+  /// count, and the rest of the old runtime is freed.
   void HandOff(QueryLifecycle::Epoch compiled);
 
   /// Run-granular dispatch: stages `events` into the runtime's SoA batch
@@ -135,9 +139,12 @@ class ShardEngine {
   /// the engines in one call. `arrival` is the rows' arrival wall time; a
   /// negative value samples it once per run.
   void DispatchRuns(std::span<const Event> events, double arrival);
-  /// A runner for `key` in `comp` with no window open yet.
-  std::unique_ptr<GroupRunner> MakeRunner(Runtime& rt, Component& comp,
-                                          int64_t key);
+  /// A runner for `key` in `comp` with no window open yet. Its HAMLET
+  /// engine is one of `spare` (may be null) re-laid, or a new one when
+  /// none is left.
+  std::unique_ptr<GroupRunner> MakeRunner(
+      Runtime& rt, Component& comp, int64_t key,
+      std::vector<std::unique_ptr<HamletEngine>>* spare);
   /// Creates the runner for `key` in `comp`, opening every window instance
   /// covering the current pane.
   GroupRunner& NewGroupRunner(Runtime& rt, Component& comp, int64_t key);

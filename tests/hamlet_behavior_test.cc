@@ -1,7 +1,11 @@
 // White-box behaviour tests of the HAMLET engine beyond value equivalence:
 // split/merge mechanics, snapshot lifecycle and GC, horizon pruning,
-// window-scoped negation, divergent-membership snapshots, memory accounting.
+// window-scoped negation, divergent-membership snapshots, memory accounting,
+// and re-laying an engine onto another component's layout.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
 
 #include "src/brute/enumerator.h"
 #include "src/hamlet/batch_eval.h"
@@ -281,6 +285,185 @@ TEST_F(BehaviorFixture, StatsCountersAreConsistent) {
   EXPECT_LE(r.stats.graphlets_shared, r.stats.graphlets_opened);
   EXPECT_GE(r.stats.snapshots_created, r.stats.event_snapshots);
   EXPECT_EQ(dynamic.decisions(), r.stats.bursts_total);
+}
+
+// Bursty runs over types A-E: run lengths 1-6, v in 0-9, one event every
+// 1-3 ms from `from`, up to `to`. Deterministic in `seed`.
+EventVector BurstyStream(Schema* schema, Timestamp from, Timestamp to,
+                         uint32_t seed) {
+  const AttrId v = schema->FindAttr("v");
+  const char* types[] = {"A", "B", "C", "D", "E"};
+  uint32_t x = seed;
+  auto next = [&](uint32_t n) {
+    x = x * 1664525u + 1013904223u;
+    return (x >> 8) % n;
+  };
+  EventVector ev;
+  Timestamp t = from;
+  while (t < to) {
+    const TypeId type = schema->FindType(types[next(5)]);
+    for (uint32_t i = 1 + next(6); i > 0 && t < to; --i) {
+      Event e(t, type);
+      e.set_attr(v, static_cast<double>(next(10)));
+      ev.push_back(e);
+      t += 1 + static_cast<Timestamp>(next(3));
+    }
+  }
+  return ev;
+}
+
+// Drives `engine` over `ev`'s panes in [from, to) the way the runtime does:
+// at each 20 ms boundary it closes the windows ending there, opens every
+// member's window starting there (100 ms, sliding by 20 ms), and feeds the
+// pane's events. Windows still open at `to` stay open. Returns the closed
+// windows' results in close order.
+std::vector<ContextResult> DriveWindows(HamletEngine& engine,
+                                        QuerySet members, const EventVector& ev,
+                                        Timestamp from, Timestamp to) {
+  constexpr Timestamp kPane = 20, kWithin = 100;
+  std::vector<std::pair<ContextId, Timestamp>> open;
+  std::vector<ContextResult> closed;
+  size_t i = 0;
+  for (Timestamp p = from; p < to; p += kPane) {
+    if (p > from) engine.OnPaneEnd();
+    for (size_t w = 0; w < open.size();) {
+      if (open[w].second > p) {
+        ++w;
+        continue;
+      }
+      closed.push_back(engine.CloseContext(open[w].first));
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(w));
+    }
+    members.ForEach([&](QueryId q) {
+      open.emplace_back(engine.OpenContext(q, p, p + kWithin), p + kWithin);
+    });
+    engine.OnPaneStart(p);
+    for (; i < ev.size() && ev[i].time < p + kPane; ++i) {
+      if (ev[i].time >= p) engine.OnEvent(ev[i]);
+    }
+  }
+  engine.OnPaneEnd();
+  return closed;
+}
+
+// Alternates split and share per lane (split first), recording each
+// decision's inputs: every lane statistic the engine keeps reaches the
+// policy through them.
+class RecordingPolicy : public SharingPolicy {
+ public:
+  SharingDecision Decide(const std::vector<int>& members,
+                         const BurstStats& stats) override {
+    std::vector<double> in = {stats.b, stats.n,  stats.g,
+                              stats.sc, stats.sp, stats.c};
+    for (int q : members) in.push_back(q);
+    in.insert(in.end(), stats.sc_per_member.begin(),
+              stats.sc_per_member.end());
+    inputs_.push_back(std::move(in));
+    SharingDecision d;
+    if (++calls_[members] % 2 == 0) {
+      for (int q : members) d.shared.Insert(q);
+    }
+    return d;
+  }
+  const char* name() const override { return "recording"; }
+  const std::vector<std::vector<double>>& inputs() const { return inputs_; }
+
+ private:
+  std::map<std::vector<int>, int> calls_;
+  std::vector<std::vector<double>> inputs_;
+};
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// A re-laid engine is state-equal to a fresh one: an engine that ran one
+// component's layout over a bursty stream (shared-scan history, scan
+// columns, closed and still-open windows, lane statistics, lanes left
+// shared) and is then re-laid onto another component's layout emits,
+// counts, decides and numbers snapshots exactly as a fresh engine fed only
+// the second stream.
+TEST_F(BehaviorFixture, RelaidEngineMatchesFreshEngine) {
+  constexpr char kWindow[] = " WITHIN 100 ms SLIDE 20 ms";
+  const std::string texts[] = {
+      // Component X: an equality shared-scan pair on B+ and a COUNT share
+      // group on C+ whose members diverge.
+      std::string("RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE prev.v = "
+                  "next.v") + kWindow,
+      std::string("RETURN COUNT(*) PATTERN SEQ(C, B+) WHERE prev.v = "
+                  "next.v") + kWindow,
+      std::string("RETURN COUNT(*) PATTERN SEQ(A, C+)") + kWindow,
+      std::string("RETURN COUNT(*) PATTERN SEQ(E, C+) WHERE C.v > 4") +
+          kWindow,
+      // Component Y: an equality shared-scan pair on D+, a MAX share group
+      // on D+ with a negation, and a query scanning alone. Both components'
+      // first lane is the shared-scan one.
+      std::string("RETURN SUM(D.v) PATTERN SEQ(A, NOT C, D+) WHERE prev.v = "
+                  "next.v") + kWindow,
+      std::string("RETURN SUM(D.v) PATTERN SEQ(E, D+) WHERE prev.v = next.v") +
+          kWindow,
+      std::string("RETURN MAX(D.v) PATTERN SEQ(A, D+)") + kWindow,
+      std::string("RETURN MAX(D.v) PATTERN SEQ(E, NOT C, D+)") + kWindow,
+      std::string("RETURN COUNT(*) PATTERN SEQ(A, D+) WHERE prev.v < next.v") +
+          kWindow,
+  };
+  for (const std::string& text : texts) {
+    HAMLET_CHECK(workload_.Add(ParseQuery(text).value()).ok());
+  }
+  WorkloadPlan plan = std::move(AnalyzeWorkload(workload_)).value();
+  QuerySet x, y;
+  for (int q = 0; q < 4; ++q) x.Insert(q);
+  for (int q = 4; q < 9; ++q) y.Insert(q);
+  const auto x_layout = HamletEngine::Layout::Build(plan, x);
+  const auto y_layout = HamletEngine::Layout::Build(plan, y);
+  const EventVector first = BurstyStream(&schema_, 0, 400, 7);
+  const EventVector second = BurstyStream(&schema_, 400, 900, 11);
+
+  RecordingPolicy fresh_policy;
+  HamletEngine fresh(y_layout, &fresh_policy);
+  const std::vector<ContextResult> want =
+      DriveWindows(fresh, y, second, 400, 900);
+
+  AlwaysSharePolicy x_policy;
+  RecordingPolicy y_policy;
+  HamletEngine relaid(x_layout, &x_policy);
+  DriveWindows(relaid, x, first, 0, 400);
+  ASSERT_GT(relaid.stats().snapshots_created, 0);
+  ASSERT_GT(relaid.stats().event_snapshots, 0);
+  relaid.Relay(y_layout, &y_policy);
+  const std::vector<ContextResult> got =
+      DriveWindows(relaid, y, second, 400, 900);
+
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(want[i].exec_id, got[i].exec_id);
+    EXPECT_EQ(want[i].window_start, got[i].window_start);
+    EXPECT_EQ(Bits(want[i].value), Bits(got[i].value));
+    EXPECT_EQ(Bits(want[i].agg.count), Bits(got[i].agg.count));
+    EXPECT_EQ(Bits(want[i].agg.sum), Bits(got[i].agg.sum));
+    EXPECT_EQ(Bits(want[i].agg.max), Bits(got[i].agg.max));
+  }
+  const HamletStats& a = fresh.stats();
+  const HamletStats& b = relaid.stats();
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.bursts_total, b.bursts_total);
+  EXPECT_EQ(a.bursts_shared, b.bursts_shared);
+  EXPECT_EQ(a.graphlets_opened, b.graphlets_opened);
+  EXPECT_EQ(a.graphlets_shared, b.graphlets_shared);
+  EXPECT_EQ(a.snapshots_created, b.snapshots_created);
+  EXPECT_EQ(a.event_snapshots, b.event_snapshots);
+  EXPECT_EQ(a.divergent_events, b.divergent_events);
+  EXPECT_EQ(a.splits, b.splits);
+  EXPECT_EQ(a.merges, b.merges);
+  EXPECT_EQ(a.ops, b.ops);
+  EXPECT_GT(a.bursts_shared, 0);
+  EXPECT_GT(a.splits, 0);
+  EXPECT_EQ(fresh_policy.inputs(), y_policy.inputs());
+  EXPECT_EQ(fresh.snapshot_store().total_created(),
+            relaid.snapshot_store().total_created());
 }
 
 }  // namespace

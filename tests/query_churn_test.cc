@@ -23,8 +23,9 @@
 // same at the same boundaries in repeated 1-shard runs across churn;
 // the lifecycle error contracts
 // (unnamed/duplicate adds, schema-extending adds, unknown/last-query
-// removes); a churn storm with one AddQuery per pane, and one on sharded
-// sessions whose shards idle across ops; a removed query leaving the plan
+// removes); a churn storm with one AddQuery per pane, one on sharded
+// sessions whose shards idle across ops, and one whose ops merge and split
+// components over eight group keys; a removed query leaving the plan
 // once drained; the reoptimize knob validation matrix; and
 // evict_idle_groups determinism plus the ShardRouter rebalance-map drain
 // it enables.
@@ -800,6 +801,111 @@ TEST(QueryLifecycleChurnStorm, ShardsIdleAcrossOpsMatchOneShard) {
           Session::Open(*w.plan, sharded_config, &sink);
       ASSERT_TRUE(s.ok()) << sl;
       ExpectSameTuples(want, drive(*s.value(), sink, sl), sl);
+    }
+  }
+}
+
+// Churn ops that merge and split components over eight group keys: each
+// added query shares B+ with qa and C+ with qc, so its epoch runs one
+// component where the one before ran two, and its removal splits them
+// again once it drained. The hand-off re-lays every key's engines onto the
+// next epoch's layouts, with fewer engines per key at a merge and more at a
+// split. Each activation interval must emit what a fresh session with that
+// interval's queries emits, for the HAMLET engines at 1, 2 and 4 shards.
+TEST(QueryLifecycleChurnStorm, MergeAndSplitMatchFreshSessions) {
+  constexpr char kBridge[] =
+      "RETURN COUNT(*) PATTERN SEQ(B+, C+) GROUPBY g WITHIN 100 ms SLIDE 50 ms";
+  struct Op {
+    Timestamp boundary;  // the op follows every event before it
+    std::string name;
+    bool add;  // adds a kBridge query, or removes `name`
+  };
+  const std::vector<Op> ops = {{100, "m0", true},  {200, "m0", false},
+                               {300, "m1", true},  {350, "m1", false},
+                               {500, "m2", true},  {550, "m2", false}};
+  Schema schema;
+  SeedSchema(&schema);
+  const std::vector<std::pair<std::string, std::string>> opening = {
+      {"qa", kQa}, {"qc", kQc}};
+  Compiled w = Compile(&schema, opening);
+  {
+    // The premise: the bridge joins qa's and qc's share groups.
+    Compiled merged = Compile(&schema, {{"qa", kQa}, {"qc", kQc},
+                                        {"m", kBridge}});
+    int bridged = 0;
+    for (const ShareGroup& g : merged.plan->share_groups) {
+      if (g.members.Contains(2) && g.members.Count() == 2) ++bridged;
+    }
+    ASSERT_EQ(bridged, 2);
+  }
+  // Eight keys, one event per tick, and a five-type cycle, so every key
+  // sees A, B and C every 40 ticks.
+  static constexpr TypeId kCycle[] = {0, 1, 2, 1, 1};  // A B C B B
+  std::vector<Event> ev;
+  for (int i = 0; i < 800; ++i) {
+    ev.emplace_back(Timestamp{1 + i}, kCycle[i % 5],
+                    std::initializer_list<double>{
+                        static_cast<double>(i % 7),
+                        static_cast<double>(i % 8)});
+  }
+
+  auto drive = [&](Session& session, CollectingSink& sink,
+                   const std::string& label) {
+    size_t pushed = 0;
+    for (const Op& op : ops) {
+      size_t upto = pushed;
+      while (upto < ev.size() && ev[upto].time < op.boundary) ++upto;
+      PushRange(session, ev, pushed, upto);
+      pushed = upto;
+      Result<Timestamp> r = op.add
+                                ? session.AddQuery(MakeQuery(op.name, kBridge))
+                                : session.RemoveQuery(op.name);
+      HAMLET_CHECK(r.ok());
+      EXPECT_EQ(r.value(), op.boundary) << label;
+    }
+    PushRange(session, ev, pushed, ev.size());
+    HAMLET_CHECK(session.AdvanceTo(ev.back().time).ok());
+    HAMLET_CHECK(session.Close().ok());
+    return sink.Take();
+  };
+
+  for (EngineKind kind : {EngineKind::kHamletDynamic,
+                          EngineKind::kHamletStatic,
+                          EngineKind::kHamletNoShare}) {
+    RunConfig config;
+    config.kind = kind;
+    // Fresh references, one per activation interval's query set.
+    std::vector<std::vector<Emission>> refs;
+    std::vector<std::pair<std::string, std::string>> set = opening;
+    for (size_t i = 0; i <= ops.size(); ++i) {
+      Compiled fresh = Compile(&schema, set);
+      refs.push_back(RunPlain(*fresh.plan, config, ev).emissions);
+      if (i == ops.size()) break;
+      if (ops[i].add) {
+        set.emplace_back(ops[i].name, kBridge);
+      } else {
+        std::erase_if(set,
+                      [&](const auto& q) { return q.first == ops[i].name; });
+      }
+    }
+    for (int shards : {1, 2, 4}) {
+      const std::string sl = std::string(EngineKindName(kind)) +
+                             " shards=" + std::to_string(shards);
+      RunConfig sharded_config = config;
+      sharded_config.num_shards = shards;
+      CollectingSink sink;
+      Result<std::unique_ptr<Session>> s =
+          Session::Open(*w.plan, sharded_config, &sink);
+      ASSERT_TRUE(s.ok()) << sl;
+      const std::vector<Emission> churned = drive(*s.value(), sink, sl);
+      for (size_t i = 0; i <= ops.size(); ++i) {
+        const Timestamp lo = i == 0 ? kMinTs : ops[i - 1].boundary;
+        const Timestamp hi = i == ops.size() ? kMaxTs : ops[i].boundary;
+        const std::vector<Tuple> want = Tuples(refs[i], lo, hi);
+        ASSERT_FALSE(want.empty()) << sl << " interval " << i;
+        ExpectSameTuples(want, Tuples(churned, lo, hi),
+                         sl + " interval " + std::to_string(i));
+      }
     }
   }
 }
