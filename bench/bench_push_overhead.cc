@@ -4,40 +4,36 @@
 // over one identical pre-materialized stream, per engine. The push path
 // must stay within a few percent of batch throughput — the batch wrapper is
 // itself a PushBatch, so any gap is pure per-call overhead (Status checks,
-// busy-time sampling). A replay takes a few ms, so each cell is the median
-// of 5 replays with its interquartile range.
+// busy-time sampling). Part 1 replays its own 100k-event stream (fast
+// mode; 13-30 ms per HAMLET replay), so a shared host's speed phases
+// average out within a replay, and SHARON its first fifth; each cell is
+// the median of 5 replays with its interquartile range.
 //
 // Part 2 — scaling: the same stream through a Session at 1/2/4/8 shards
-// (capped by --threads=N) on a multi-group workload, two ingress
-// granularities per shard count, all through session-level PushBatch:
-//  * hand-off: shard_batch_size=1, one queue message per event — the
-//    pre-batching baseline the batched path must beat;
-//  * batched: the default staging rule — at most shard_batch_size events
-//    per message, fewer when a shard's queue is empty at the end of a
-//    PushBatch call.
-// The 1-shard row measures the inline front: its one engine runs on the
-// calling thread with no queue or staging, so it has no hand-off cell
-// ("-", JSON null) and the speedups are against its batched cell.
-// Reported as end-to-end wall-clock events/s (first push to Close-join
-// inclusive), since summed per-shard busy-time throughput would hide
-// queueing effects; each cell is the median of 5 replays with its
-// interquartile range. Expect near-linear speedup up to the machine's core
-// count; beyond it the extra shards only add hand-off overhead.
+// (capped by --threads=N) on a multi-group workload, through session-level
+// PushBatch. The 1-shard row measures the inline front: its one engine runs
+// on the calling thread with no ring; at more shards the front writes each
+// event into its shard's ring and each worker runs its backlog. Reported as
+// end-to-end wall-clock events/s (first push to Close-join inclusive),
+// since summed per-shard busy-time throughput would hide queueing effects;
+// each cell is the median of 5 replays with its interquartile range.
+// Expect near-linear speedup up to the machine's core count; beyond it the
+// extra shards only add hand-off overhead.
 //
 // Part 2b — run propagation: the bursty preset with one group and with four
 // interleaved groups through one Session in 512-row batches, with the mean
 // run length the engines see and the group-major partition's ns per row.
 //
-// Part 3 — bursty ingress (default rule vs hand-off): the stream is
-// replayed as alternating full-speed bursts and paced lulls (2 ms
-// inter-arrival). Burst throughput is timed over the burst phases only;
-// after each lull phase the bench probes how long the lull tail takes to
-// REACH its shard worker (spin on MetricsSnapshot, capped at 4 ms) — the
-// staging residency that turns into emission-delivery latency. The default
-// rule should batch bursts (the workers are behind, their queues busy) and
-// hand lull events over in microseconds (an idle worker's queue is empty),
-// matching the shard_batch_size=1 hand-off row's lull delivery without
-// paying its per-event queue traffic in bursts.
+// Part 3 — bursty ingress: the stream is replayed at 2 shards as
+// alternating full-speed bursts and paced lulls (2 ms inter-arrival). Burst
+// throughput is timed over the burst phases only; after each lull phase the
+// bench probes how long the lull tail takes to REACH its shard worker (spin
+// on MetricsSnapshot, capped at 4 ms) — the hand-off delay that turns into
+// emission-delivery latency. A worker behind in a burst runs its backlog in
+// large engine calls; an idle one is woken for each lull event, so the
+// lull hand-off should take microseconds. Reported: burst events/s, the
+// mean, max and p99 of the lull probes, the worker engine calls and the
+// deepest ring backlog (the `default` row: the one ingress there is).
 //
 // Part 4 — skewed groups, one row per placement policy: a hot-key stream
 // (30% of events on one group, the rest spread over 63 progressively
@@ -75,6 +71,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <string>
 #include <thread>
 #include <utility>
@@ -169,14 +166,22 @@ std::string EpsCell(const Spread& s) {
   return bench::Eps(s.median) + " (" + bench::Eps(s.iqr) + ")";
 }
 
-void RunOverhead(const BenchWorkload& bw, const EventVector& events) {
+void RunOverhead(const BenchWorkload& bw, const EventVector& long_events) {
   Table table({"engine", "batch Run() (IQR)", "Push(e) (IQR)",
                "PushBatch(512) (IQR)", "push/batch"});
+  // SHARON runs about 300x slower than HAMLET, so a fifth of the stream
+  // already takes over a second per replay.
+  const EventVector short_events(
+      long_events.begin(),
+      long_events.begin() +
+          static_cast<std::ptrdiff_t>(long_events.size() / 5));
   for (EngineKind kind :
        {EngineKind::kHamletDynamic, EngineKind::kGretaPrefix,
         EngineKind::kSharon}) {
     RunConfig config;
     config.kind = kind;
+    const EventVector& events =
+        kind == EngineKind::kSharon ? short_events : long_events;
     // The three columns' replays interleave, so a slow phase of the host
     // hits them alike.
     std::vector<double> batch_eps, push1_eps, push512_eps;
@@ -214,51 +219,33 @@ Spread ShardedWallSpread(const WorkloadPlan& plan, const RunConfig& config,
 
 void RunScaling(const BenchWorkload& bw, const EventVector& events,
                 int max_shards, bool json) {
-  Table table({"shards", "hand-off eps (IQR)", "batched eps (IQR)",
-               "speedup vs 1"});
+  Table table({"shards", "eps (IQR)", "speedup vs 1"});
   std::string json_rows;
   double base = 0;
   for (int shards = 1; shards <= max_shards; shards *= 2) {
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
-    // Per-event hand-off baseline: one queue message per event. One shard
-    // runs its engine inline and hands nothing off, so it has no such cell.
-    RunConfig handoff_config = config;
-    handoff_config.shard_batch_size = 1;
-    const bool has_handoff = shards > 1;
-    const Spread handoff =
-        has_handoff ? ShardedWallSpread(*bw.plan, handoff_config, events)
-                    : Spread{};
     const Spread batched = ShardedWallSpread(*bw.plan, config, events);
     if (shards == 1) base = batched.median;
     const double speedup = base <= 0 ? 0.0 : batched.median / base;
     char speedup_str[32];
     std::snprintf(speedup_str, sizeof(speedup_str), "%.2fx", speedup);
-    table.AddRow({std::to_string(shards),
-                  has_handoff ? EpsCell(handoff) : "-", EpsCell(batched),
-                  speedup_str});
+    table.AddRow({std::to_string(shards), EpsCell(batched), speedup_str});
     if (json) {
-      // JSON null for the 1-shard hand-off cell.
-      char handoff_json[96] = "\"handoff_eps\":null,\"handoff_eps_iqr\":null";
-      if (has_handoff) {
-        std::snprintf(handoff_json, sizeof(handoff_json),
-                      "\"handoff_eps\":%.1f,\"handoff_eps_iqr\":%.1f",
-                      handoff.median, handoff.iqr);
-      }
-      char row[320];
+      char row[256];
       std::snprintf(row, sizeof(row),
-                    "%s{\"shards\":%d,%s,\"batched_eps\":%.1f,"
+                    "%s{\"shards\":%d,\"batched_eps\":%.1f,"
                     "\"batched_eps_iqr\":%.1f,\"speedup_batched\":%.3f}",
-                    json_rows.empty() ? "" : ",", shards, handoff_json,
-                    batched.median, batched.iqr, speedup);
+                    json_rows.empty() ? "" : ",", shards, batched.median,
+                    batched.iqr, speedup);
       json_rows += row;
     }
   }
   bench::PrintFigure(
       "Shard scaling",
-      "Session wall-clock throughput by ingress granularity, median of 5 "
-      "replays (IQR), hamlet dynamic, multi-group; 1 shard runs inline",
+      "Session wall-clock throughput, median of 5 replays (IQR), hamlet "
+      "dynamic, multi-group; 1 shard runs inline",
       table);
   if (json) {
     std::printf(
@@ -387,13 +374,14 @@ void RunRunPropagation(const BenchWorkload& bw,
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: bursty ingress, default rule vs hand-off.
+// Part 3: bursty ingress.
 // ---------------------------------------------------------------------------
 
 struct BurstyNumbers {
   double burst_eps = 0.0;
   double lull_handoff_mean_us = 0.0;
   double lull_handoff_max_us = 0.0;
+  double lull_handoff_p99_us = 0.0;
   int64_t batches = 0;
   int64_t max_queue_depth = 0;
 };
@@ -414,8 +402,7 @@ BurstyNumbers RunBurstyOnce(const WorkloadPlan& plan, const RunConfig& config,
   BurstyNumbers out;
   double burst_seconds = 0.0;
   size_t burst_events = 0;
-  double probe_sum_us = 0.0;
-  int probes = 0;
+  std::vector<double> probes_us;
   size_t i = 0;
   bool burst = true;
   while (i < events.size()) {
@@ -441,10 +428,11 @@ BurstyNumbers RunBurstyOnce(const WorkloadPlan& plan, const RunConfig& config,
         HAMLET_CHECK(session.value()->Push(events[i]).ok());
         ++i;
       }
-      // Hand-off probe: a lull event that sits in staging is an emission
-      // the user sees late. Spin until every pushed event has reached its
-      // shard worker — or give up at the cap (a rule that waits for a full
-      // batch holds the lull tail hostage until the next burst fills it).
+      // Hand-off probe: a lull event that has not reached its worker is an
+      // emission the user sees late. Spin until every pushed event has
+      // reached its shard worker — or give up at the cap (a front that
+      // held events back for a fuller batch would hold the lull tail
+      // hostage until the next burst).
       const auto t0 = std::chrono::steady_clock::now();
       while (session.value()->MetricsSnapshot().events <
                  static_cast<int64_t>(i) &&
@@ -454,9 +442,7 @@ BurstyNumbers RunBurstyOnce(const WorkloadPlan& plan, const RunConfig& config,
       const double us = std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-      probe_sum_us += us;
-      out.lull_handoff_max_us = std::max(out.lull_handoff_max_us, us);
-      ++probes;
+      probes_us.push_back(us);
     }
     burst = !burst;
   }
@@ -464,7 +450,17 @@ BurstyNumbers RunBurstyOnce(const WorkloadPlan& plan, const RunConfig& config,
   out.burst_eps = burst_seconds <= 0
                       ? 0.0
                       : static_cast<double>(burst_events) / burst_seconds;
-  out.lull_handoff_mean_us = probes == 0 ? 0.0 : probe_sum_us / probes;
+  if (!probes_us.empty()) {
+    std::sort(probes_us.begin(), probes_us.end());
+    double sum = 0.0;
+    for (double us : probes_us) sum += us;
+    out.lull_handoff_mean_us = sum / static_cast<double>(probes_us.size());
+    out.lull_handoff_max_us = probes_us.back();
+    // Nearest rank: the smallest probe at or above 99% of them.
+    const size_t rank = static_cast<size_t>(
+        std::ceil(0.99 * static_cast<double>(probes_us.size())));
+    out.lull_handoff_p99_us = probes_us[std::max<size_t>(rank, 1) - 1];
+  }
   for (int64_t bucket : m.shard_batch_hist) out.batches += bucket;
   out.max_queue_depth = m.max_queue_depth_msgs;
   return out;
@@ -474,45 +470,36 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
                int max_shards, bool json) {
   const int shards = std::min(max_shards, 2);
   Table table({"ingress", "burst eps", "lull hand-off us (mean)",
-               "lull hand-off us (max)", "batches", "max qdepth"});
-  std::string json_rows;
-  for (bool handoff : {false, true}) {
-    RunConfig config;
-    config.kind = EngineKind::kHamletDynamic;
-    config.num_shards = shards;
-    if (handoff) config.shard_batch_size = 1;
-    const char* mode = handoff ? "handoff" : "default";
-    BurstyNumbers n = RunBurstyOnce(*bw.plan, config, events);
-    char mean_us[32], max_us[32];
-    std::snprintf(mean_us, sizeof(mean_us), "%.0f", n.lull_handoff_mean_us);
-    std::snprintf(max_us, sizeof(max_us), "%.0f", n.lull_handoff_max_us);
-    table.AddRow({mode, bench::Eps(n.burst_eps),
-                  mean_us, max_us, std::to_string(n.batches),
-                  std::to_string(n.max_queue_depth)});
-    if (json) {
-      char row[320];
-      std::snprintf(
-          row, sizeof(row),
-          "%s{\"mode\":\"%s\",\"burst_eps\":%.1f,"
-          "\"lull_handoff_mean_us\":%.1f,\"lull_handoff_max_us\":%.1f,"
-          "\"batches\":%lld,\"max_queue_depth\":%lld}",
-          json_rows.empty() ? "" : ",", mode,
-          n.burst_eps, n.lull_handoff_mean_us, n.lull_handoff_max_us,
-          static_cast<long long>(n.batches),
-          static_cast<long long>(n.max_queue_depth));
-      json_rows += row;
-    }
-  }
+               "lull hand-off us (max)", "lull hand-off us (p99)",
+               "engine calls", "max ring depth"});
+  RunConfig config;
+  config.kind = EngineKind::kHamletDynamic;
+  config.num_shards = shards;
+  const BurstyNumbers n = RunBurstyOnce(*bw.plan, config, events);
+  char mean_us[32], max_us[32], p99_us[32];
+  std::snprintf(mean_us, sizeof(mean_us), "%.0f", n.lull_handoff_mean_us);
+  std::snprintf(max_us, sizeof(max_us), "%.0f", n.lull_handoff_max_us);
+  std::snprintf(p99_us, sizeof(p99_us), "%.0f", n.lull_handoff_p99_us);
+  table.AddRow({"default", bench::Eps(n.burst_eps), mean_us, max_us, p99_us,
+                std::to_string(n.batches),
+                std::to_string(n.max_queue_depth)});
   bench::PrintFigure(
-      "Bursty ingress (default rule vs hand-off)",
-      "alternating full-speed bursts and 2 ms-paced lulls; hand-off = "
-      "staging residency of the lull tail (capped at 4000 us)",
+      "Bursty ingress",
+      "alternating full-speed bursts and 2 ms-paced lulls; hand-off = time "
+      "until the lull tail reached its workers (capped at 4000 us)",
       table);
   if (json) {
+    // "batches" counts the workers' engine calls, and "max_queue_depth" the
+    // deepest ring backlog in events; the keys keep their old order.
     std::printf(
         "JSON: {\"bench\":\"push_overhead\",\"table\":\"adaptive_bursty\","
-        "\"shards\":%d,\"events\":%zu,\"rows\":[%s]}\n",
-        shards, events.size(), json_rows.c_str());
+        "\"shards\":%d,\"events\":%zu,\"rows\":[{\"mode\":\"default\","
+        "\"burst_eps\":%.1f,\"lull_handoff_mean_us\":%.1f,"
+        "\"lull_handoff_max_us\":%.1f,\"batches\":%lld,"
+        "\"max_queue_depth\":%lld,\"lull_handoff_p99_us\":%.1f}]}\n",
+        shards, events.size(), n.burst_eps, n.lull_handoff_mean_us,
+        n.lull_handoff_max_us, static_cast<long long>(n.batches),
+        static_cast<long long>(n.max_queue_depth), n.lull_handoff_p99_us);
     std::fflush(stdout);
   }
 }
@@ -930,7 +917,11 @@ void Run(int max_shards, int producers, bool json) {
     gen.burstiness = 0.9;
     gen.max_burst = 120;
     EventVector events = bw.generator->Generate(gen);
-    RunOverhead(bw, events);
+    // Part 1 times each replay on a stream five times longer (fast mode),
+    // so one replay outlasts a host speed phase's jitter.
+    GeneratorConfig overhead_gen = gen;
+    overhead_gen.events_per_minute = Scale(100'000, 200'000);
+    RunOverhead(bw, bw.generator->Generate(overhead_gen));
     // The run-propagation figure compares a single-group stream, whose
     // bursts arrive contiguous, with this four-group one, whose per-group
     // bursts interleave in time order and reach the engines whole only

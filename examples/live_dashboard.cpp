@@ -9,10 +9,10 @@
 // single-threaded sink at every shard count: the shards buffer their
 // emissions and the session fans them in to the sink on THIS thread during
 // Push/AdvanceTo/Close, so the sink needs no locking and may even use
-// thread-locals. Delivery granularity follows the ingress batch: a shard
-// whose worker is idle gets each event as soon as it is pushed, so
-// dashboard lines appear promptly through lulls, while a busy one lets its
-// staging fill toward shard_batch_size to amortize a burst. Contrast with
+// thread-locals. Each shard's worker takes whatever events are waiting in
+// its ring: an idle worker gets each event as soon as it is pushed, so
+// dashboard lines appear promptly through lulls, while a busy one takes a
+// burst's backlog in one engine call. Contrast with
 // examples/quickstart.cpp, which uses the batch Run() wrapper.
 //
 // The run also exercises the query lifecycle and the online optimizer: a
@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   config.num_shards = num_shards;  // validated at Open like every knob
-  config.shard_batch_size = 16;    // largest batch a busy shard is handed
   config.reoptimize_every_panes = 2;  // review the plan every 20 s pane pair
   Result<std::unique_ptr<Session>> session =
       Session::Open(*plan, config, &sink);

@@ -67,36 +67,12 @@ Status ValidateRunConfig(const RunConfig& config) {
         "num_shards must be in [1, " + std::to_string(kMaxShards) +
         "], got " + std::to_string(config.num_shards));
   }
-  if (config.shard_queue_capacity < 2) {
+  if (config.shard_queue_capacity < 2 ||
+      config.shard_queue_capacity > kMaxQueuedEventsPerShard) {
     return Status::InvalidArgument(
-        "shard_queue_capacity must be >= 2, got " +
+        "shard_queue_capacity must be in [2, " +
+        std::to_string(kMaxQueuedEventsPerShard) + "] events, got " +
         std::to_string(config.shard_queue_capacity));
-  }
-  if (config.shard_batch_size < 1) {
-    return Status::InvalidArgument(
-        "shard_batch_size must be >= 1, got " +
-        std::to_string(config.shard_batch_size));
-  }
-  // shard_queue_capacity counts MESSAGES; the event footprint a full queue
-  // implies is capacity * batch_size, so two individually-sane knobs can
-  // compound into gigabytes of buffered events. Relate them explicitly —
-  // against the power-of-two capacity the ring actually allocates, not the
-  // requested one, so the enforced cap matches the runtime footprint.
-  const int64_t ring_capacity = static_cast<int64_t>(std::bit_ceil(
-      static_cast<uint64_t>(std::max(config.shard_queue_capacity, 2))));
-  const int64_t implied_events =
-      ring_capacity * static_cast<int64_t>(config.shard_batch_size);
-  if (implied_events > kMaxQueuedEventsPerShard) {
-    return Status::InvalidArgument(
-        "shard_queue_capacity is counted in messages, so shard_queue_capacity"
-        " (" +
-        std::to_string(config.shard_queue_capacity) + ", ring-rounded to " +
-        std::to_string(ring_capacity) + ") * shard_batch_size (" +
-        std::to_string(config.shard_batch_size) + ") = " +
-        std::to_string(implied_events) +
-        " buffered events per shard exceeds the " +
-        std::to_string(kMaxQueuedEventsPerShard) +
-        " cap; shrink one of the two knobs");
   }
   if (config.shard_rebalance_threshold < 0) {
     return Status::InvalidArgument(
@@ -317,21 +293,22 @@ struct StealCell {
   ShardEngine::DetachedGroup moved HAMLET_GUARDED_BY(mu);
 };
 
-/// One ingress-queue entry: a batch of events, a watermark, a plan epoch,
-/// a steal, or the stop signal. Batch-granular hand-off is the point — one
-/// queue slot (and one wake-up check) per RunConfig::shard_batch_size
-/// events instead of per event.
+/// One control message of a shard: a watermark, a plan epoch, a steal, or
+/// the stop signal. Events travel on the shard's event ring instead; each
+/// message carries the count of events pushed to the shard before it, and
+/// the worker runs exactly those events before applying it.
 struct ShardMsg {
   enum class Kind : uint8_t {
-    kBatch,
     kWatermark,
     kStop,
     kEpoch,
     kStealDetach,
     kStealAttach
   };
-  Kind kind = Kind::kBatch;
-  EventVector batch;
+  Kind kind = Kind::kWatermark;
+  /// Events pushed to the shard's ring before this message (see
+  /// Shard::Send).
+  uint64_t events_before = 0;
   Timestamp watermark = 0;
   /// kEpoch: the front's control plane compiled it once; every shard runs
   /// the same immutable epoch from `boundary` on.
@@ -347,6 +324,11 @@ struct ShardMsg {
   std::shared_ptr<StealCell> steal_cell;
 };
 
+/// Capacity of a shard's control ring. Control messages are rare next to
+/// events (a watermark per AdvanceTo, an epoch per op, two per steal), and
+/// a full ring only makes the front wait like a full event ring does.
+constexpr size_t kControlQueueCapacity = 256;
+
 /// How many processed events between worker snapshot refreshes; idle
 /// workers refresh immediately, so this only bounds snapshot staleness
 /// under sustained load.
@@ -357,13 +339,25 @@ constexpr int kIdleSpins = 64;
 /// bounds the cost of any missed notify to one period.
 constexpr auto kParkInterval = std::chrono::microseconds(500);
 
-/// Batch-size histogram buckets: bucket i counts flushed batches of size in
-/// [2^i, 2^(i+1)); the last bucket absorbs everything larger.
+/// Engine-call histogram buckets: bucket i counts worker engine calls of
+/// [2^i, 2^(i+1)) events; the last bucket absorbs everything larger.
 constexpr size_t kBatchHistBuckets = 16;
 
-/// Concurrent-footprint sampling cadence, in staging flushes (see
-/// FlushShard).
-constexpr int kMemSampleEveryFlushes = 16;
+/// Concurrent-footprint sampling cadence, in front calls that wrote to a
+/// shard (see WakeTouched).
+constexpr int kMemSampleEveryCalls = 16;
+
+/// Backpressure: a front that finds a ring full sleeps, starting at the
+/// first interval and doubling to the last, until half of the ring is free
+/// again. Sleeping rather than yielding keeps a front that outruns its
+/// workers off the CPU, and waiting for half a ring makes each wake-up
+/// worth a large write instead of a single slot.
+constexpr std::chrono::microseconds kBackpressureFirstSleep(20);
+constexpr std::chrono::microseconds kBackpressureLastSleep(1000);
+
+/// The most merged producer events one inline engine call (one shard), or
+/// one wake-up of the workers (more shards), waits for.
+constexpr size_t kMaxReleasedRun = 128;
 
 /// Placement-window half-length, in staged events: windowed load = the
 /// current half plus the whole previous half, so every load estimate covers
@@ -447,25 +441,24 @@ struct Session::BufferingSink : public EmissionSink {
 };
 
 struct Session::Shard {
-  explicit Shard(size_t queue_capacity)
-      : queue(queue_capacity), recycle(queue_capacity) {}
+  explicit Shard(size_t ring_capacity)
+      : events(ring_capacity), control(kControlQueueCapacity) {}
 
-  SpscQueue<ShardMsg> queue;
-  /// Worker -> producer return path for consumed batch buffers: the
-  /// producer reuses their capacity for the next staging flush, so
-  /// steady-state ingest allocates nothing. Best-effort — a full recycle
-  /// ring just lets the buffer deallocate.
-  SpscQueue<EventVector> recycle;
-  /// Producer-side staging buffer (front thread only): events accumulate
-  /// here until a full batch, an idle queue or a barrier flushes them as one
-  /// message (see FlushIfIdle).
-  EventVector staging;
-  /// Histogram of this shard's flushed batch sizes (front thread writes at
-  /// flush, a monitor thread may read through MetricsSnapshot — hence
+  /// The shard's events in stream order: the front writes each event
+  /// routed here straight into a slot, and the worker hands its engine
+  /// every ready one in place (see WorkerLoop).
+  SpscQueue<Event> events;
+  /// Watermarks, epochs, steals and stop, each stamped with the number of
+  /// events pushed before it (see Send).
+  SpscQueue<ShardMsg> control;
+  /// Front thread only: the shard is in Session::touched_.
+  bool touched = false;
+  /// Histogram of this shard's engine-call sizes (the worker writes after
+  /// each call, a monitor thread may read through MetricsSnapshot — hence
   /// relaxed atomics).
   std::array<std::atomic<int64_t>, kBatchHistBuckets> batch_hist{};
-  /// Deepest the ingress queue has been, in messages (producer-observed
-  /// after each Send).
+  /// Deepest the event ring has been, in events (front-observed at the end
+  /// of its calls).
   std::atomic<int64_t> max_queue_depth{0};
   /// Worker-published current engine footprint, refreshed with the metrics
   /// snapshot; the front sums these to sample the concurrent footprint.
@@ -481,12 +474,12 @@ struct Session::Shard {
   const std::function<double()>* clock = nullptr;
   std::atomic<double> busy_seconds{0.0};
 
-  /// Idle-parking handshake: the worker sets `parked` (then re-checks the
-  /// queue) before a timed wait; the producer notifies when it observes it.
+  /// Idle-parking handshake: the worker sets `parked` (then re-checks both
+  /// rings) before a timed wait; the front notifies when it observes it.
   /// wake_mu guards no data — it exists to order the notify against the
-  /// parked-store / queue-recheck (see Send and WorkerLoop). `parked` is 1
+  /// parked-store / ring-recheck (see Wake and WorkerLoop). `parked` is 1
   /// while the worker may be waiting; both sides touch it with seq_cst
-  /// read-modify-writes (see Send).
+  /// read-modify-writes (see Wake).
   Mutex wake_mu;
   CondVar wake_cv;
   std::atomic<int> parked{0};
@@ -505,7 +498,8 @@ struct Session::Shard {
   /// Emission fan-in hand-off: the worker appends under outbox_mu, the
   /// front swaps the vector out under the same mutex. Contention is
   /// worker-vs-front within one shard only — shards never share a lock —
-  /// and both sides take it once per *message*, not per emission.
+  /// and both sides take it once per engine call or control message, not
+  /// per emission.
   Mutex outbox_mu;
   std::vector<Emission> outbox HAMLET_GUARDED_BY(outbox_mu);
   /// Cheap "anything to drain?" hint so the front skips the lock when the
@@ -515,41 +509,55 @@ struct Session::Shard {
   /// outbox_ready so the front's single load covers all shards.
   std::atomic<bool>* any_outbox_ready = nullptr;
 
-  /// Producer-side enqueue with backpressure and parked-consumer wake-up.
+  /// Front side: writes `v` into `ring`. A full ring wakes the worker, and
+  /// the front sleeps, with the doubling backpressure interval, until half
+  /// of the ring is free.
+  template <typename T, typename V>
+  void PushWaiting(SpscQueue<T>& ring, V&& v) {
+    while (!ring.TryPush(std::forward<V>(v))) {
+      Wake();
+      for (auto sleep = kBackpressureFirstSleep;
+           ring.ApproxSize() > ring.capacity() / 2;
+           sleep = std::min(2 * sleep, kBackpressureLastSleep)) {
+        std::this_thread::sleep_for(sleep);
+      }
+    }
+  }
+
+  /// Front side: queues a control message behind every event pushed so
+  /// far, then wakes the worker.
   void Send(ShardMsg msg) {
-    if (!queue.TryPush(std::move(msg))) {
-      // Bounded-queue backpressure: the shard is saturated; yield the
-      // producer until the worker frees a slot.
-      max_queue_depth.store(static_cast<int64_t>(queue.capacity()),
-                            std::memory_order_relaxed);
-      do {
-        std::this_thread::yield();
-      } while (!queue.TryPush(std::move(msg)));
-    }
-    const int64_t depth = static_cast<int64_t>(queue.ApproxSize());
-    if (depth > max_queue_depth.load(std::memory_order_relaxed)) {
-      max_queue_depth.store(depth, std::memory_order_relaxed);
-    }
-    // Dekker: the push above stores the tail and then this side reads
-    // `parked`; the worker stores `parked` and then reads the tail. A store
-    // followed by a load of another location is not ordered on either side
-    // (the store may still sit in its core's store buffer), so this side
-    // could read 0 while the worker reads an empty queue, and the worker
-    // would then sleep a whole kParkInterval with a message waiting. Both
+    msg.events_before = events.pushed();
+    PushWaiting(control, std::move(msg));
+    Wake();
+  }
+
+  /// Front side: wakes the worker if it parked. Call after publishing
+  /// events or a message.
+  void Wake() {
+    // Dekker: the push before this call stores a ring's tail and then this
+    // side reads `parked`; the worker stores `parked` and then reads the
+    // tails. A store followed by a load of another location is not ordered
+    // on either side (the store may still sit in its core's store buffer),
+    // so this side could read 0 while the worker reads empty rings, and the
+    // worker would then sleep a whole kParkInterval with work waiting. Both
     // sides therefore access `parked` with a seq_cst read-modify-write,
     // which acts as a full fence between their store and load: the two
     // RMWs are totally ordered, so either ours comes first and the worker's
-    // exchange synchronizes with it (its re-check sees the message), or the
+    // exchange synchronizes with it (its re-check sees the work), or the
     // worker's comes first and this one reads 1 and notifies. RMWs rather
     // than std::atomic_thread_fence, which ThreadSanitizer does not model
     // (GCC rejects it under -fsanitize=thread with -Werror).
     if (parked.fetch_or(0, std::memory_order_seq_cst) != 0) {
       // Taking wake_mu orders this notify against the worker's parked-store
-      // / queue-recheck, so the worker sees either the message or the wake.
+      // / ring-recheck, so the worker sees either the work or the wake.
       MutexLock lock(wake_mu);
       wake_cv.NotifyOne();
     }
   }
+
+  /// Worker side: true when neither ring holds anything.
+  bool Idle() const { return !events.Peek() && !control.Peek(); }
 
   /// Worker side: moves the locally buffered emissions into the outbox.
   void PublishEmissions() {
@@ -633,7 +641,6 @@ Result<std::unique_ptr<Session>> Session::Open(
   for (int i = 0; i < config.num_shards; ++i) {
     auto shard = std::make_unique<Shard>(
         static_cast<size_t>(config.shard_queue_capacity));
-    shard->staging.reserve(static_cast<size_t>(config.shard_batch_size));
     shard->any_outbox_ready = &s->any_outbox_ready_;
     shard->clock = &s->config_.clock_override;
     EmissionSink* shard_sink = nullptr;
@@ -675,7 +682,7 @@ void Session::WorkerLoop(Shard* shard) {
     RunMetrics m = shard->engine->MetricsSnapshot();
     m.elapsed_seconds = shard->busy_seconds.load(std::memory_order_relaxed);
     // Published for the front's concurrent-footprint sampling, outside the
-    // snapshot mutex (the front reads it on the flush path and must not
+    // snapshot mutex (the front reads it when it samples and must not
     // contend with a monitor thread holding snapshot_mu).
     shard->current_memory.store(m.current_memory_bytes,
                                 std::memory_order_relaxed);
@@ -684,44 +691,70 @@ void Session::WorkerLoop(Shard* shard) {
   };
   int since_snapshot = 0;
   for (;;) {
-    ShardMsg msg;
-    if (!shard->queue.TryPop(&msg)) {
-      // Refresh once when the queue drains, not on every idle poll — a
+    // What the last engine call or control message emitted goes out first.
+    shard->PublishEmissions();
+    if (since_snapshot >= kSnapshotEveryEvents) {
+      refresh_snapshot();
+      since_snapshot = 0;
+    }
+    // Read the event ring before peeking the next control message: a
+    // message pushed before any readable event is then visible too, so one
+    // still invisible is stamped behind every readable event. A visible
+    // one cuts the run at its stamp.
+    std::array<std::span<Event>, 2> ready = shard->events.Readable(SIZE_MAX);
+    const ShardMsg* next = shard->control.Peek();
+    if (next != nullptr) {
+      ready = shard->events.Readable(std::min<uint64_t>(
+          ready[0].size() + ready[1].size(),
+          next->events_before - shard->events.popped()));
+    }
+    const size_t n = ready[0].size() + ready[1].size();
+    if (n > 0) {
+      // The front already validated ordering, and a subsequence of a
+      // strictly increasing stream is strictly increasing. The engine
+      // reads the events in place; Consume then frees their slots.
+      {
+        BusyScope busy(&shard->busy_seconds, *shard->clock);
+        for (std::span<Event> span : ready) {
+          if (span.empty()) continue;
+          shard->engine->Push(span, /*arrival=*/-1.0);
+          shard->batch_hist[BatchHistBucket(span.size())].fetch_add(
+              1, std::memory_order_relaxed);
+        }
+      }
+      shard->events.Consume(n);
+      since_snapshot += static_cast<int>(n);
+      continue;
+    }
+    if (next == nullptr) {
+      // Refresh once when the rings drain, not on every idle poll — a
       // quiescent shard must not recompute identical metrics 2000x/s.
       if (since_snapshot > 0) {
         refresh_snapshot();
         since_snapshot = 0;
       }
-      bool got = false;
-      for (int i = 0; i < kIdleSpins && !got; ++i) {
+      bool idle = true;
+      for (int i = 0; i < kIdleSpins && idle; ++i) {
         std::this_thread::yield();
-        got = shard->queue.TryPop(&msg);
+        idle = shard->Idle();
       }
-      if (!got) {
+      if (idle) {
         MutexLock lock(shard->wake_mu);
         // Re-check after publishing `parked`: a push that raced the
         // exchange either sees the flag (and notifies) or lands in this
-        // poll (see the Dekker note in Send).
+        // poll (see the Dekker note in Wake).
         shard->parked.exchange(1, std::memory_order_seq_cst);
-        if (shard->queue.Empty()) shard->wake_cv.WaitFor(lock, kParkInterval);
+        if (shard->Idle()) shard->wake_cv.WaitFor(lock, kParkInterval);
         shard->parked.store(0, std::memory_order_relaxed);
-        continue;
       }
+      continue;
     }
+    // Every event stamped before `next` has run. Pop exactly the message
+    // peeked above: one queued since could be stamped behind events that
+    // have not run yet.
+    ShardMsg msg;
+    shard->control.TryPop(&msg);
     switch (msg.kind) {
-      case ShardMsg::Kind::kBatch: {
-        // The front already validated ordering, and a subsequence of a
-        // strictly increasing stream is strictly increasing.
-        {
-          BusyScope busy(&shard->busy_seconds, *shard->clock);
-          shard->engine->Push(msg.batch, /*arrival=*/-1.0);
-        }
-        since_snapshot += static_cast<int>(msg.batch.size());
-        msg.batch.clear();
-        // Return the buffer's capacity to the producer (best-effort).
-        shard->recycle.TryPush(std::move(msg.batch));
-        break;
-      }
       case ShardMsg::Kind::kWatermark: {
         {
           BusyScope busy(&shard->busy_seconds, *shard->clock);
@@ -793,11 +826,6 @@ void Session::WorkerLoop(Shard* shard) {
         return;
       }
     }
-    shard->PublishEmissions();
-    if (since_snapshot >= kSnapshotEveryEvents) {
-      refresh_snapshot();
-      since_snapshot = 0;
-    }
   }
 }
 
@@ -808,39 +836,43 @@ void Session::SyncControl(Timestamp time) {
   }
 }
 
-Session::Shard& Session::StageEvent(const Event& event) {
+void Session::StageEvent(const Event& event) {
   SyncControl(event.time);
   const int64_t key = router_.GroupKeyOf(event);
-  if (rebalance_threshold_ == 0 && !stealing_) {
-    Shard& shard = *shards_[router_.ShardOfKey(key)];
-    StageTo(shard, event);
-    return shard;
-  }
-  if (stealing_) {
-    // Order matters for determinism: pane crossings evaluate steal
-    // triggers BEFORE this event is routed, so the triggering event itself
-    // already lands on the thief — every decision is a pure function of
-    // the event stream prefix.
-    const Timestamp pane = PaneSize();
-    const Timestamp event_pane = (event.time / pane) * pane;
-    if (staged_any_ && event_pane > last_staged_pane_) MaybeSteal(event_pane);
-    last_staged_pane_ = event_pane;
-    staged_any_ = true;
-  }
   size_t target;
-  if (rebalance_threshold_ > 0) {
-    bool first_sight = false;
-    target = router_.RouteSticky(key, event.time, &first_sight);
-    if (first_sight) target = PlaceNewKey(key, target, event.time);
+  if (rebalance_threshold_ == 0 && !stealing_) {
+    target = router_.ShardOfKey(key);
   } else {
-    target = router_.RouteKey(key, event.time);
+    if (stealing_) {
+      // Order matters for determinism: pane crossings evaluate steal
+      // triggers BEFORE this event is routed, so the triggering event
+      // itself already lands on the thief — every decision is a pure
+      // function of the event stream prefix.
+      const Timestamp pane = PaneSize();
+      const Timestamp event_pane = (event.time / pane) * pane;
+      if (staged_any_ && event_pane > last_staged_pane_) {
+        MaybeSteal(event_pane);
+      }
+      last_staged_pane_ = event_pane;
+      staged_any_ = true;
+    }
+    if (rebalance_threshold_ > 0) {
+      bool first_sight = false;
+      target = router_.RouteSticky(key, event.time, &first_sight);
+      if (first_sight) target = PlaceNewKey(key, target, event.time);
+    } else {
+      target = router_.RouteKey(key, event.time);
+    }
+    ++load_cur_[target];
+    if (stealing_) ++key_load_[key].cur;
+    if (++in_window_ >= kLoadHalfWindow) RollLoadWindow();
   }
   Shard& shard = *shards_[target];
-  StageTo(shard, event);
-  ++load_cur_[target];
-  if (stealing_) ++key_load_[key].cur;
-  if (++in_window_ >= kLoadHalfWindow) RollLoadWindow();
-  return shard;
+  shard.PushWaiting(shard.events, event);
+  if (!shard.touched) {
+    shard.touched = true;
+    touched_.push_back(&shard);
+  }
 }
 
 size_t Session::PlaceNewKey(int64_t key, size_t hash_shard,
@@ -941,11 +973,9 @@ void Session::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   }
   PublishMapSize();
   // The detach/attach pair is a barrier in stream order on both shards:
-  // staged events (all before the boundary) logically precede it. Both
+  // the events pushed so far (all before the boundary) run before it. Both
   // messages go out back to back; the runners travel shard to shard
   // through their cell, so the front never waits for the victim.
-  FlushShard(v);
-  FlushShard(t);
   ShardMsg detach;
   detach.kind = ShardMsg::Kind::kStealDetach;
   detach.steal_key = key;
@@ -968,44 +998,21 @@ void Session::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   stolen_panes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Session::StageTo(Shard& shard, const Event& event) {
-  shard.staging.push_back(event);
-  if (shard.staging.size() >= static_cast<size_t>(config_.shard_batch_size)) {
-    FlushShard(shard);
+void Session::WakeTouched() {
+  for (Shard* shard : touched_) {
+    shard->touched = false;
+    shard->max_queue_depth.store(
+        std::max(shard->max_queue_depth.load(std::memory_order_relaxed),
+                 static_cast<int64_t>(shard->events.ApproxSize())),
+        std::memory_order_relaxed);
+    shard->Wake();
   }
-}
-
-void Session::FlushIfIdle(Shard& shard) {
-  // ApproxSize is exact on the producer side, so 0 means the worker has
-  // taken every message: it is idle or about to be, and holding events back
-  // would only delay them. A busy queue keeps staging, so under load the
-  // batch grows with the backlog up to shard_batch_size.
-  if (!shard.staging.empty() && shard.queue.ApproxSize() == 0) {
-    FlushShard(shard);
-  }
-}
-
-void Session::FlushIdleShards() {
-  for (auto& shard : shards_) FlushIfIdle(*shard);
-}
-
-void Session::FlushShard(Shard& shard) {
-  if (shard.staging.empty()) return;
-  const size_t bucket = BatchHistBucket(shard.staging.size());
-  shard.batch_hist[bucket].fetch_add(1, std::memory_order_relaxed);
-  ShardMsg msg;
-  msg.kind = ShardMsg::Kind::kBatch;
-  // Reuse a worker-returned buffer's capacity when one is available.
-  if (shard.recycle.TryPop(&msg.batch)) msg.batch.clear();
-  msg.batch.swap(shard.staging);
-  shard.Send(std::move(msg));
-  // Sample the concurrent footprint at flush boundaries, throttled: with
-  // batch size 1 (hand-off baseline, or an idle worker fed event by event)
-  // a flush happens per event, and an O(num_shards) scan there would tax
-  // exactly the per-event path batching is measured against. The peak is
-  // documented as sampled, so coarser sampling loses nothing.
-  if (++flushes_since_mem_sample_ >= kMemSampleEveryFlushes) {
-    flushes_since_mem_sample_ = 0;
+  touched_.clear();
+  // Sample the concurrent footprint every few calls: an O(num_shards) scan
+  // on every per-event Push would tax exactly the path it should not, and
+  // the peak is documented as sampled, so coarser sampling loses nothing.
+  if (++calls_since_mem_sample_ >= kMemSampleEveryCalls) {
+    calls_since_mem_sample_ = 0;
     SampleConcurrentMemory();
   }
 }
@@ -1018,10 +1025,6 @@ void Session::SampleConcurrentMemory() {
   if (total > mem_high_water_.load(std::memory_order_relaxed)) {
     mem_high_water_.store(total, std::memory_order_relaxed);
   }
-}
-
-void Session::FlushAllShards() {
-  for (auto& shard : shards_) FlushShard(*shard);
 }
 
 void Session::DrainEmissions() {
@@ -1113,9 +1116,10 @@ Status Session::Push(const Event& event) {
     // hot path at two clock reads total.
     RunInline(std::span<const Event>(&event, 1), busy.start());
   } else {
-    // Only the shard just staged to is checked, so a push stays O(1) in
-    // the shard count.
-    FlushIfIdle(StageEvent(event));
+    // Only the shard just staged to is woken, so a push stays O(1) in the
+    // shard count.
+    StageEvent(event);
+    WakeTouched();
   }
   MaybeReoptimize();
   busy.Stop();
@@ -1152,7 +1156,7 @@ Status Session::PushBatch(std::span<const Event> events) {
   if (engine_ != nullptr) {
     RunInline(events.first(committed), /*arrival=*/-1.0);
   } else {
-    FlushIdleShards();
+    WakeTouched();
   }
   MaybeReoptimize();
   busy.Stop();
@@ -1176,9 +1180,8 @@ Status Session::AdvanceToInternal(Timestamp watermark) {
     MutexLock lock(engine_mu_);
     engine_->AdvanceTo(watermark);
   }
-  // The watermark is a barrier: staged events logically precede it, so
-  // they must reach their shards first.
-  FlushAllShards();
+  // The watermark is a barrier: every shard runs the events pushed to it
+  // before applying it.
   for (auto& shard : shards_) {
     ShardMsg msg;
     msg.kind = ShardMsg::Kind::kWatermark;
@@ -1339,7 +1342,7 @@ Status Session::Producer::Close() {
 
 void Session::SequencerLoop() {
   // In multi-producer mode the sequencer IS the front: it owns the gate,
-  // staging, steal bookkeeping, and emission fan-in until it exits (the
+  // shard rings, steal bookkeeping, and emission fan-in until it exits (the
   // join in StopSequencer hands the role back to the closing thread).
   ThreadRoleGuard role(front_role_);
   sequencing_session = this;
@@ -1348,32 +1351,26 @@ void Session::SequencerLoop() {
   for (;;) {
     // Joiners enter the roster between merge rounds, never mid-scan.
     AdmitRequested();
+    // Close() guarantees every producer handle is closed before setting
+    // the stop flag, so a round that starts after it empties the hub
+    // completely (a closed, drained slot leaves the roster and blocks
+    // nothing). The frontier then rests at the hub's floor (the max final
+    // producer bound), and the round's broadcast sends it, so the
+    // producers' last watermarks reach the shards DETERMINISTICALLY rather
+    // than only when the idle loop happened to poll between the last
+    // AdvanceTo and the close.
+    const bool last_round = seq_stop_.load(std::memory_order_acquire);
     bool did_work = false;
-    while (hub_->TryNext(&event)) {
+    for (size_t run = 1; hub_->TryNext(&event); ++run) {
       did_work = true;
       IngestReleased(event);
+      if (run % kMaxReleasedRun == 0) RunReleased();
     }
     RunReleased();
-    // The merge is stuck, so the front has run out of input: idle shards
-    // get what is staged for them. Idle rounds check too, so a shard whose
-    // queue was busy when the input stopped gets its tail once it drains.
-    FlushIdleShards();
     // Broadcast only after draining until stuck: the frontier then bounds
     // every released timestamp, so it is a legal watermark.
     MaybeBroadcastFrontier();
-    if (seq_stop_.load(std::memory_order_acquire)) {
-      // Close() guarantees every producer handle is closed before setting
-      // the stop flag, so this final drain empties the hub completely (a
-      // closed, drained slot leaves the roster and blocks nothing). The
-      // frontier then rests at the hub's floor (the max final producer
-      // bound) — broadcast it, so the producers' last watermarks reach the
-      // shards DETERMINISTICALLY rather than only when the idle loop
-      // happened to poll between the last AdvanceTo and the close.
-      while (hub_->TryNext(&event)) IngestReleased(event);
-      RunReleased();
-      MaybeBroadcastFrontier();
-      return;
-    }
+    if (last_round) return;
     if (did_work) {
       idle = 0;
       continue;
@@ -1403,11 +1400,9 @@ void Session::IngestReleased(const Event& event) {
   gate_.CommitEvent(event.time);
   control_->CountEvent(event.type);
   if (engine_ != nullptr) {
-    // One engine call per merge round, as PushBatch makes one per batch.
+    // One engine call per run of the merge, as PushBatch makes one per
+    // batch.
     released_.push_back(event);
-    if (released_.size() >= static_cast<size_t>(config_.shard_batch_size)) {
-      RunReleased();
-    }
     return;
   }
   StageEvent(event);
@@ -1416,6 +1411,10 @@ void Session::IngestReleased(const Event& event) {
 }
 
 void Session::RunReleased() {
+  if (engine_ == nullptr) {
+    WakeTouched();
+    return;
+  }
   if (released_.empty()) return;
   BusyScope busy(InlineBusy(), config_.clock_override);
   RunInline(released_, /*arrival=*/-1.0);
@@ -1533,8 +1532,8 @@ void Session::Broadcast(const QueryLifecycle::Scheduled& next) {
     MutexLock lock(engine_mu_);
     engine_->Schedule(next);
   }
-  // The epoch is a barrier in stream order: staged events precede it.
-  FlushAllShards();
+  // The epoch is a barrier in stream order: every shard runs the events
+  // pushed to it before taking the epoch.
   for (auto& shard : shards_) {
     ShardMsg msg;
     msg.kind = ShardMsg::Kind::kEpoch;
@@ -1592,7 +1591,7 @@ Result<RunMetrics> Session::Close() {
           " producer handle(s) still open; close every producer first");
     }
     // All handles closed: the sequencer's final drain empties the hub,
-    // merges the tail, and the join makes its front state (gate_, staging,
+    // merges the tail, and the join makes its front state (gate_, rings,
     // steal bookkeeping) visible to this thread for the close path below.
     StopSequencer();
   }
@@ -1610,7 +1609,6 @@ Result<RunMetrics> Session::Close() {
     m.elapsed_seconds = inline_busy_seconds_.load(std::memory_order_relaxed);
     AddShardMetrics(merged, m);
   }
-  FlushAllShards();
   // Each shard saw only a subset of the stream, so its own max seen time
   // can trail the front's. Broadcasting the front's max as a final
   // watermark (never a regression: max_seen includes every watermark)

@@ -33,36 +33,36 @@
 // Mechanics:
 //  * One shard runs inline: the front calls its engine on the front thread
 //    (the caller, or the sequencer once producers exist). There is no
-//    worker thread, queue, staging or per-event copy: Push/PushBatch commit
-//    the valid prefix at the gate, bring the control plane up to date and
-//    hand the caller's span straight to the engine; the sequencer hands it
-//    the events of one merge round (at most shard_batch_size) per call.
+//    worker thread, ring or per-event copy: Push/PushBatch commit the valid
+//    prefix at the gate, bring the control plane up to date and hand the
+//    caller's span straight to the engine; the sequencer hands it the
+//    events of one merge round (at most 128) per call.
 //    The contracts are the multi-shard ones: emissions are buffered during
 //    the engine call and delivered after it returns, so a sink may call
 //    back into the session, and MetricsSnapshot is safe from any thread
 //    (the front holds engine_mu_ only across engine calls), exact at call
 //    boundaries.
 //  * Ingress at more than one shard: Push/PushBatch validate ordering once at
-//    the front, then stage each event into its shard's staging buffer, so the
-//    per-event hot path is a hash plus an append. A shard's staging goes to its
-//    bounded SPSC ring (src/common/spsc_queue.h) as ONE batch message when it
-//    reaches RunConfig::shard_batch_size, or when the front has run out of
-//    input (the end of Push/PushBatch, or of a sequencer merge round) and that
-//    shard's queue is empty. The rule decides per burst from what the stream
-//    does, with no clock, timer or knob: in a burst the worker is behind, its
-//    queue is busy and staging fills whole batches; in a lull the worker is
-//    idle and each event goes out as soon as it is pushed. Push checks only the
-//    shard it staged to (O(1) in the shard count); PushBatch and the sequencer
-//    check every shard. Watermarks, epochs, steals and Close flush all staging
-//    first (they are barriers), so results never depend on where batches are
-//    cut. A full queue applies backpressure by spinning the caller; idle
-//    workers park on a condition variable with a timed wait. Consumed batch
-//    buffers are recycled back to the producer through a second SPSC ring, so
-//    steady-state ingest allocates nothing.
+//    the front, then write each event straight into its shard's bounded
+//    SPSC event ring (src/common/spsc_queue.h), so the per-event hot path is
+//    a hash plus a slot copy. Watermarks, epochs, steals and stop travel on
+//    a small second ring per shard, each stamped with the number of events
+//    pushed to that shard before it. The worker hands its engine every
+//    ready event up to the next control message's stamp in one call (two at
+//    a ring wrap), then applies that message. So batches form from the
+//    worker's backlog: in a burst the worker is behind and each call takes
+//    hundreds of events; in a lull it is idle and takes each event as it is
+//    published. Every published event is ready, so none waits for a later
+//    push or barrier, and results never depend on where batches are cut.
+//    Idle workers park on a condition variable with a timed wait; the front
+//    wakes a parked worker once per shard it wrote to per call (the check
+//    is a seq_cst read-modify-write), never per event. A full ring wakes
+//    its worker and the front sleeps, with a doubling interval, until half
+//    of it is free.
 //  * Placement: events route to shards by group-by hash
 //    (src/stream/shard_router.h), balanced by work stealing (below), which
 //    is on by default at num_shards > 1. With no placement policy on
-//    (work_stealing = false, or one shard), staging is exactly one hash
+//    (work_stealing = false, or one shard), routing is exactly one hash
 //    per event. Either policy — skew-aware first-sight placement
 //    (RunConfig::shard_rebalance_threshold > 0) or work stealing — makes
 //    the front keep ONE two-bucket sliding window of per-shard
@@ -75,11 +75,11 @@
 //    stream stays on one shard and per-group results and ordering are
 //    unchanged; only steals move an established group, and they move its
 //    state with it.
-//  * Watermarks: AdvanceTo validates once, flushes staging, then broadcasts
-//    the watermark to every shard so pane-aligned window closure happens on
+//  * Watermarks: AdvanceTo validates once, then broadcasts the watermark,
+//    stamped behind every event already pushed, to every shard so pane-aligned window closure happens on
 //    all shards — including those that saw no recent events.
 //  * Emissions: each shard buffers its emissions locally and publishes them
-//    to a per-shard outbox at message boundaries (batch/watermark/stop);
+//    to a per-shard outbox after each engine call and control message;
 //    the caller thread fans them in to the user sink during subsequent
 //    Push/PushBatch/AdvanceTo calls and at Close. No cross-shard lock
 //    exists on the emission path, every OnEmission call happens on the
@@ -95,7 +95,7 @@
 //    recomputed from merged events / elapsed (shards overlap in time, so
 //    rates never sum). Merged peak memory is a sampled CONCURRENT
 //    high-water mark: workers publish their current
-//    footprint, the front samples the sum at flush boundaries, and the
+//    footprint, the front samples the sum every few calls, and the
 //    result is max(samples, max per-shard peak) — never the sum of
 //    per-shard peaks, which overstates the concurrent footprint when
 //    shards peak at different times. The ingress layer also reports a
@@ -109,9 +109,9 @@
 //    RemoveQuery, plan swap (explicit, or from its online re-optimizer)
 //    and drained-query drop once, into an immutable plan epoch with ONE
 //    pane-aligned activation boundary — computed from the front gate, which
-//    has seen every event. The front flushes all staging (the epoch is a
-//    barrier in stream order) and sends the same epoch to every shard in
-//    one message, so every shard hands its open windows to it at the
+//    has seen every event. The front sends the same epoch to every shard in
+//    one control message, stamped behind every event pushed before it (the
+//    epoch is a barrier in stream order), so every shard hands its open windows to it at the
 //    identical boundary and the union of shard emissions stays
 //    bit-identical to a 1-shard session; a rejected op touches no shard.
 //    A drop goes out before any event or watermark at or past its
@@ -140,7 +140,7 @@
 //    lower bound inside an MpscIngestHub (src/common/mpsc_ingest.h); an
 //    internal sequencer thread k-way-merges the rings back into ONE
 //    time-ordered stream and becomes the front — it runs the same
-//    gate/stage/flush machinery, so everything downstream of the merge is
+//    gate and ring machinery, so everything downstream of the merge is
 //    identical to single-producer ingest and the emission SET is invariant
 //    across producer counts. Per-producer watermarks (Producer::AdvanceTo)
 //    merge through the hub frontier — min over producers of (buffered
@@ -273,22 +273,13 @@ struct RunConfig {
   /// work_stealing rebalances the groups. One shard runs its engine inline
   /// on the front thread. Must be in [1, kMaxShards].
   int num_shards = 1;
-  /// Per-shard ingress queue capacity in *MESSAGES* — event batches plus
-  /// control messages, NOT events — before Push applies backpressure. Must
-  /// be >= 2; rounded up to a power of two. The implied per-shard event
-  /// buffer is therefore ~shard_queue_capacity * shard_batch_size events;
-  /// Open rejects configs whose product exceeds kMaxQueuedEventsPerShard so
-  /// the two knobs cannot silently compound into gigabytes of queue.
+  /// Per-shard ingress ring capacity, in events, before the front applies
+  /// backpressure (a full ring wakes its worker and the front sleeps until
+  /// half of it is free). Must be in [2, kMaxQueuedEventsPerShard]; rounded
+  /// up to a power of two. A worker hands its engine every ready event in
+  /// one call, so this also caps the batch an engine call gets. One shard
+  /// has no ring and ignores it.
   int shard_queue_capacity = 8192;
-  /// Sharded ingress granularity: the most events staged per shard before
-  /// the front hands them to that shard's queue as one batch message. A
-  /// shard whose queue is empty gets its staging sooner, when the front
-  /// runs out of input (see Session), so this caps the batch in a burst and
-  /// costs nothing in a lull. 1 reproduces per-event hand-off. Watermarks
-  /// and Close flush staging, so results never depend on this knob. Must be
-  /// >= 1. One shard stages nothing; there it caps only the run of merged
-  /// producer events the sequencer hands the engine in one call.
-  int shard_batch_size = 128;
   /// Skew-aware routing: when > 0, a group key seen
   /// for the FIRST time whose hash shard leads the least-loaded shard by
   /// more than this many recently staged events is routed to the
@@ -362,9 +353,9 @@ struct RunConfig {
 /// low enough to catch garbage (e.g. an uninitialized int) at Open.
 inline constexpr int kMaxShards = 1024;
 
-/// Upper bound on shard_queue_capacity * shard_batch_size, the per-shard
-/// buffered-event footprint a config may imply (~200 MB of Events at the
-/// default Event size). Catches knob combinations that each look sane alone.
+/// Upper bound on shard_queue_capacity, in events: the per-shard ring a
+/// config may ask for (~320 MB at the 80-byte Event). Catches garbage
+/// capacities at Open instead of at allocation.
 inline constexpr int64_t kMaxQueuedEventsPerShard = int64_t{1} << 22;
 
 /// Monotonic wall clock in seconds (steady_clock) — the default behind
@@ -485,15 +476,17 @@ struct RunMetrics {
   /// too finely for run propagation to pay; mass in higher buckets is the
   /// paper's bursty regime. Merged across shards by bucket-wise sum.
   std::vector<int64_t> run_len_hist;
-  /// Sharded ingress (empty/0 at one shard, which stages nothing):
-  /// Histogram of flushed staging-batch sizes across all shards: bucket i
-  /// counts batch messages of size in [2^i, 2^(i+1)). The spread shows how
-  /// often a shard got its staging while idle (small buckets, lulls) and
-  /// how often a busy queue let it fill (high buckets, bursts).
+  /// Sharded ingress (empty/0 at one shard, which has no ring):
+  /// Histogram of the workers' engine calls by size: bucket i counts calls
+  /// that handed the engine [2^i, 2^(i+1)) events from the shard's ring.
+  /// The spread shows how often a worker took events as they came (small
+  /// buckets, lulls) and how often a backlog formed (high buckets, bursts).
   std::vector<int64_t> shard_batch_hist;
   /// Group keys first-sight placement diverted off their hash shard.
   int64_t rebalanced_keys = 0;
-  /// Deepest any shard's ingress queue got, in messages (producer-observed).
+  /// Deepest event backlog any shard's ring held, in events, as the front
+  /// saw it at the end of its calls (the name predates the ring; the
+  /// end-to-end benchmark reads it).
   int64_t max_queue_depth_msgs = 0;
   /// Events processed per shard (index = shard id) — the imbalance surface
   /// the rebalancer optimizes.
@@ -645,9 +638,9 @@ class Session {
   /// usable group keys (CheckGroupKeys); violations return kInvalidArgument
   /// naming the offending timestamp and leave the session state untouched.
   /// After Close: kFailedPrecondition. At more than one shard a valid event
-  /// is staged to the shard owning its group; the staging buffer is
-  /// enqueued when it reaches shard_batch_size or when that shard's queue
-  /// is empty (backpressure blocks here when that shard's queue is full).
+  /// is written to the ring of the shard owning its group, and that shard's
+  /// worker is woken if it parked (backpressure blocks here while the ring
+  /// is full).
   Status Push(const Event& event);
 
   /// Ingests a time-ordered batch; stops at the first invalid event.
@@ -715,8 +708,8 @@ class Session {
   /// Declares that no event before `watermark` will arrive, closing every
   /// pane/window that ends at or before it on every shard without waiting
   /// for an event. The watermark must not regress below prior events or
-  /// watermarks. Flushes all staged events first. Also the checkpoint at
-  /// which stale router overrides drain, and — when online
+  /// watermarks. Every shard applies it after the events pushed before
+  /// it. Also the checkpoint at which stale router overrides drain, and — when online
   /// re-optimization is enabled — the barrier at which the front waits for
   /// every shard's statistics before drift checks (see file comment).
   Status AdvanceTo(Timestamp watermark);
@@ -756,16 +749,16 @@ class Session {
   /// queries are not in it). Front thread only.
   std::vector<Query> queries() const;
 
-  /// Flushes staging, closes every shard's open windows (joining the
-  /// workers), delivers all remaining emissions to the sink, and returns
+  /// Closes every shard's open windows once it has run the events pushed
+  /// to it (joining the workers), delivers all remaining emissions to the sink, and returns
   /// the merged final metrics — or, on a poisoned session, the poison
   /// status (after the same shutdown). A second Close returns
   /// kFailedPrecondition (the first call's metrics remain available
   /// through MetricsSnapshot).
   Result<RunMetrics> Close();
 
-  /// Merged metrics over what the shards have processed so far (staged or
-  /// queued but unprocessed events are not yet counted; emission-dependent
+  /// Merged metrics over what the shards have processed so far (events
+  /// still in a ring are not yet counted; emission-dependent
   /// fields lag until windows close). Safe to call from any thread,
   /// including while pushing; exact at one shard.
   RunMetrics MetricsSnapshot() const;
@@ -786,8 +779,7 @@ class Session {
   Result<Timestamp> Apply(const Result<QueryLifecycle::Scheduled>& op)
       HAMLET_REQUIRES(front_role_);
   /// Hands the epoch to every engine, to take over at its boundary: to the
-  /// inline engine directly, or after flushing staging in one message to
-  /// each shard.
+  /// inline engine directly, or in one control message to each shard.
   void Broadcast(const QueryLifecycle::Scheduled& next)
       HAMLET_REQUIRES(front_role_);
   /// Tells the control plane that stream time reached `time` and
@@ -823,11 +815,12 @@ class Session {
   /// Front-side handling of one merged event: gate (poison on
   /// cross-producer violations), then stage, re-optimize and drain — the
   /// sequencer's equivalent of Push's body. At one shard the event joins
-  /// released_ instead, which goes to the engine at the end of the merge
-  /// round or at shard_batch_size events.
+  /// released_ instead.
   void IngestReleased(const Event& event) HAMLET_REQUIRES(front_role_);
-  /// Runs released_ through the inline engine in one call, then
-  /// re-optimizes and drains (no-op when it is empty).
+  /// Ends a run of merged events (a merge round, or kMaxReleasedRun
+  /// events of one): at one shard runs released_ through the inline engine
+  /// in one call, then re-optimizes and drains (no-op when it is empty); at
+  /// more, wakes the workers the run was staged to.
   void RunReleased() HAMLET_REQUIRES(front_role_);
   /// Broadcasts the hub frontier as a session watermark when it crossed a
   /// pane boundary since the last broadcast.
@@ -863,22 +856,16 @@ class Session {
   void PublishMapSize() HAMLET_REQUIRES(front_role_);
 
   /// Routes one event (hash, or override map + first-sight rule + window
-  /// update when a placement policy is on) and stages it. Returns the shard
-  /// it was staged to.
-  Shard& StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
-  /// The single-shard tail of StageEvent: append to `shard`'s staging
-  /// buffer and flush at shard_batch_size.
-  void StageTo(Shard& shard, const Event& event) HAMLET_REQUIRES(front_role_);
-  /// Hands the shard's staged events to its queue as one batch message.
-  void FlushShard(Shard& shard) HAMLET_REQUIRES(front_role_);
-  void FlushAllShards() HAMLET_REQUIRES(front_role_);
-  /// The out-of-input rule: flushes `shard`'s staging when its queue is
-  /// empty (the worker has taken every message).
-  void FlushIfIdle(Shard& shard) HAMLET_REQUIRES(front_role_);
-  void FlushIdleShards() HAMLET_REQUIRES(front_role_);
+  /// update when a placement policy is on) and writes it into its shard's
+  /// ring, waiting while the ring is full. The shard joins touched_.
+  void StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
+  /// Ends a front call for every shard in touched_: records its backlog
+  /// and wakes its worker if it parked — once per shard per call, not per
+  /// event. Every kMemSampleEveryCalls calls it also samples the
+  /// concurrent footprint.
+  void WakeTouched() HAMLET_REQUIRES(front_role_);
   /// Samples the sum of worker-published current footprints into
-  /// mem_high_water_ (called every kMemSampleEveryFlushes staging flushes —
-  /// cheap, amortized even at batch size 1).
+  /// mem_high_water_.
   void SampleConcurrentMemory() HAMLET_REQUIRES(front_role_);
   /// Fills the merged metrics' ingress fields (batch histogram, queue
   /// depth, per-shard events, rebalanced keys, concurrent peak).
@@ -973,8 +960,10 @@ class Session {
   /// SampleConcurrentMemory). Atomic so MetricsSnapshot may read it from a
   /// monitor thread while the front samples.
   std::atomic<int64_t> mem_high_water_{0};
+  /// Shards the current front call has written to (see WakeTouched).
+  std::vector<Shard*> touched_ HAMLET_GUARDED_BY(front_role_);
   /// Front-thread throttle for SampleConcurrentMemory.
-  int flushes_since_mem_sample_ HAMLET_GUARDED_BY(front_role_) = 0;
+  int calls_since_mem_sample_ HAMLET_GUARDED_BY(front_role_) = 0;
 
   // --- multi-producer ingest state ---
   /// Created once by the first AddProducer (under producer_mu_, before
@@ -1002,7 +991,7 @@ class Session {
   // --- shard placement state (front-role state, except the atomic
   // counters) ---
   /// Set by Open, read-only afterwards; both are off at one shard, and
-  /// with both off staging is one hash per event with no load bookkeeping.
+  /// with both off routing is one hash per event with no load bookkeeping.
   /// rebalance_threshold_ 0 disables first-sight placement.
   int64_t rebalance_threshold_ = 0;
   bool stealing_ = false;

@@ -1,15 +1,15 @@
 // Burst-adaptive shard ingress + skew-aware routing tests.
 //
 // Three layers, mirroring the feature's stack:
-//  * The staging rule: a shard gets its staged events when the batch fills
-//    or, once the front runs out of input, when its queue is empty — so an
-//    idle worker receives a pushed event without any barrier, and for every
-//    EngineKind and shard count (1/2/4/8) the sharded run emits exactly the
-//    batch Run() result: batch boundaries may move, WHAT is computed may
-//    not. Skew-aware rebalancing (on a hot-key stream) is held to the same
-//    equivalence.
+//  * The event ring: a worker takes every event published to its shard's
+//    ring, so a pushed event reaches its worker without any barrier —
+//    also when the shard was busy and nothing is pushed to it afterwards —
+//    and for every EngineKind, shard count (1/2/4/8) and ring capacity the
+//    sharded run emits exactly the batch Run() result: where the engine
+//    calls are cut may move, WHAT is computed may not. Skew-aware
+//    rebalancing (on a hot-key stream) is held to the same equivalence.
 //  * Skew-aware placement units, read back through the session's router.
-//  * The ingress metrics (batch-size histogram, max queue depth,
+//  * The ingress metrics (engine-call histogram, max ring depth,
 //    per-shard events, rebalanced keys) and the concurrent-peak-memory
 //    merge fix (sequential phases must not sum into a fictitious peak).
 #include <gtest/gtest.h>
@@ -158,7 +158,7 @@ struct ShardedResult {
 
 // Pushes `ev` through a Session in mixed granularity with occasional
 // interleaved watermarks and a trailing one, then Close. `config` arrives
-// fully prepared (shard count, batch size, rebalance threshold).
+// fully prepared (shard count, ring capacity, rebalance threshold).
 ShardedResult RunSharded(const WorkloadPlan& plan, const RunConfig& config,
                          const EventVector& ev, uint64_t chunk_seed) {
   CollectingSink sink;
@@ -199,10 +199,11 @@ EventVector RidesharingStream(uint64_t seed, int num_groups) {
   return MakeGenerator("ridesharing")->Generate(gen);
 }
 
-// The acceptance property: the staging rule changes only WHERE batch
-// boundaries fall, never what is computed — for every engine and shard
-// count, against the batch Run() reference, at a small batch (full batches
-// are common) and at the default one (idle flushes cut most batches).
+// The acceptance property: the ring capacity changes only where the
+// workers' engine calls are cut and how often the front waits, never what
+// is computed — for every engine and shard count, against the batch Run()
+// reference, at capacities 2 and 16 (the ring wraps within every pushed
+// chunk and the front is in backpressure constantly) and at the default.
 TEST(AdaptiveIngressEquivalence, AllEnginesAllShardCounts) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
@@ -215,13 +216,13 @@ TEST(AdaptiveIngressEquivalence, AllEnginesAllShardCounts) {
     ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
     ASSERT_GT(batch.emissions.size(), 0u) << EngineKindName(kind);
     for (int shards : {1, 2, 4, 8}) {
-      for (int batch_size : {32, RunConfig().shard_batch_size}) {
+      for (int capacity : {2, 16, RunConfig().shard_queue_capacity}) {
         RunConfig sharded = config;
         sharded.num_shards = shards;
-        sharded.shard_batch_size = batch_size;
+        sharded.shard_queue_capacity = capacity;
         const std::string label = std::string(EngineKindName(kind)) +
                                   "/N=" + std::to_string(shards) +
-                                  "/B=" + std::to_string(batch_size);
+                                  "/Q=" + std::to_string(capacity);
         ShardedResult run = RunSharded(*bw.plan, sharded, ev, 7);
         ExpectSameEmissionSet(batch.emissions, run.emissions, label);
         EXPECT_EQ(batch.metrics.events, run.metrics.events) << label;
@@ -230,9 +231,9 @@ TEST(AdaptiveIngressEquivalence, AllEnginesAllShardCounts) {
   }
 }
 
-// A lull: the workers are drained and one more event is pushed. Its shard's
-// queue is empty, so Push hands it over at once — no further push, batch
-// fill or watermark is needed for it to reach the worker.
+// A lull: the workers are drained and one more event is pushed. Push
+// publishes it to its shard's ring and wakes the parked worker — no
+// further push or watermark is needed for it to reach the worker.
 TEST(AdaptiveIngressTest, StagedEventReachesIdleWorkerWithoutBarrier) {
   Schema schema;
   schema.AddAttr("v");
@@ -288,7 +289,68 @@ TEST(AdaptiveIngressTest, StagedEventReachesIdleWorkerWithoutBarrier) {
   })) << "the workers never drained";
   ASSERT_TRUE(session.Push(event(150, type_b, groups[1])).ok());
   EXPECT_TRUE(wait_for([](const RunMetrics& m) { return m.events == 5; }))
-      << "an event pushed to an idle shard stayed in staging";
+      << "an event pushed to an idle shard never reached its worker";
+  ASSERT_TRUE(session.Close().ok());
+}
+
+// A burst then a lull on ONE shard: shard A gets a large batch, then one
+// more event while its worker is still busy with that batch, and from then
+// on only shard B gets input, and then the input stops. Every event of A
+// must still reach A's worker, with no watermark, steal or Close to push it
+// there: a front that held A's last events back until A's queue looked idle
+// and re-checked only the shard each push went to stranded them.
+TEST(AdaptiveIngressTest, EventBehindBusyQueueReachesWorkerWithoutBarrier) {
+  Schema schema;
+  schema.AddAttr("v");
+  schema.AddAttr("g");
+  Workload workload(&schema);
+  ASSERT_TRUE(workload
+                  .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
+                                  "GROUPBY g WITHIN 100 ms")
+                           .value())
+                  .ok());
+  WorkloadPlan plan = AnalyzeWorkload(workload).value();
+  const TypeId type_a = schema.FindType("A");
+  const TypeId type_b = schema.FindType("B");
+  const ShardRouter router = Session::RouterFor(plan, 2).value();
+  std::vector<int64_t> groups;  // groups[s] hashes to shard s
+  for (int64_t g = 0; groups.size() < 2; ++g) {
+    if (router.ShardOfKey(g) == groups.size()) groups.push_back(g);
+  }
+  auto event = [&](Timestamp t, int64_t group) {
+    Event e(t, t % 4 == 0 ? type_a : type_b);
+    e.set_attr(0, 1.0);
+    e.set_attr(1, static_cast<double>(group));
+    return e;
+  };
+  RunConfig config;
+  config.num_shards = 2;
+  config.work_stealing = false;  // keep every event on its hash shard
+  Result<std::unique_ptr<Session>> opened =
+      Session::Open(plan, config, nullptr);
+  ASSERT_TRUE(opened.ok());
+  Session& session = *opened.value();
+  // Shard A's burst: enough events (milliseconds of engine work) that its
+  // worker is still running them when the next push lands.
+  constexpr int kBurst = 20'000;
+  EventVector burst;
+  Timestamp t = 1;
+  for (int i = 0; i < kBurst; ++i) burst.push_back(event(t++, groups[0]));
+  ASSERT_TRUE(session.PushBatch(burst).ok());
+  ASSERT_TRUE(session.Push(event(t++, groups[0])).ok());
+  // Input to shard B only, then the input stops.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(session.Push(event(t++, groups[1])).ok());
+  }
+  const int64_t total = kBurst + 1 + 8;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (session.MetricsSnapshot().events < total &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(session.MetricsSnapshot().events, total)
+      << "events pushed behind a busy shard never reached its worker";
   ASSERT_TRUE(session.Close().ok());
 }
 
@@ -311,7 +373,7 @@ TEST(RebalancedRoutingEquivalence, AllEnginesAllShardCounts) {
     for (int shards : {1, 2, 4, 8}) {
       RunConfig rebal = config;
       rebal.num_shards = shards;
-      rebal.shard_batch_size = 16;
+      rebal.shard_queue_capacity = 16;
       rebal.shard_rebalance_threshold = 4;  // aggressive: maximize diversions
       const std::string label = std::string(EngineKindName(kind)) +
                                 "/rebal/N=" + std::to_string(shards);
@@ -348,29 +410,28 @@ TEST(RebalancedRoutingEquivalence, SkewedStreamRebalancesAndReportsShares) {
             run.metrics.events);
 }
 
-TEST(IngressMetricsTest, BatchHistogramCountsFlushes) {
+// The histogram counts the workers' engine calls by size: a ring of 8
+// events caps every call at 8 (buckets past [8,16) stay empty), and every
+// event ran in exactly one call.
+TEST(IngressMetricsTest, BatchHistogramCountsEngineCalls) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 4, /*window_ms=*/2 * kMillisPerSecond);
   EventVector ev = RidesharingStream(/*seed=*/199, /*num_groups=*/8);
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   config.num_shards = 3;
-  config.shard_batch_size = 8;
+  config.shard_queue_capacity = 8;
   ShardedResult run = RunSharded(*bw.plan, config, ev, 17);
   ASSERT_FALSE(run.metrics.shard_batch_hist.empty());
-  int64_t batches = 0;
+  int64_t calls = 0;
   for (size_t b = 0; b < run.metrics.shard_batch_hist.size(); ++b) {
-    batches += run.metrics.shard_batch_hist[b];
-    // batch_size=8 caps every flush at 8 events: buckets past [8,16) must
-    // stay empty.
+    calls += run.metrics.shard_batch_hist[b];
     if (b > 3) {
       EXPECT_EQ(run.metrics.shard_batch_hist[b], 0) << b;
     }
   }
-  // Every event left staging in exactly one flushed batch of <= 8 events.
-  EXPECT_GE(batches,
-            run.metrics.events / config.shard_batch_size);
-  EXPECT_LE(batches, run.metrics.events);
+  EXPECT_GE(calls, run.metrics.events / config.shard_queue_capacity);
+  EXPECT_LE(calls, run.metrics.events);
 }
 
 TEST(IngressMetricsTest, QueueDepthObservedUnderBackpressure) {
@@ -380,11 +441,10 @@ TEST(IngressMetricsTest, QueueDepthObservedUnderBackpressure) {
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   config.num_shards = 2;
-  config.shard_batch_size = 1;  // one message per event: maximal traffic
   config.shard_queue_capacity = 2;
   ShardedResult run = RunSharded(*bw.plan, config, ev, 19);
-  // A 2-slot queue fed per-event batches must have been observed non-empty
-  // (and at most at capacity).
+  // A 2-event ring must have been observed non-empty (and at most at
+  // capacity).
   EXPECT_GE(run.metrics.max_queue_depth_msgs, 1);
   EXPECT_LE(run.metrics.max_queue_depth_msgs, 2);
 }

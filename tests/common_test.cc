@@ -1,8 +1,13 @@
-// Unit tests for src/common: QuerySet, Rng, Status/Result, Table, stats.
+// Unit tests for src/common: QuerySet, Rng, Status/Result, Table, stats,
+// the SPSC ring.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -170,7 +175,7 @@ TEST(MemoryMeterTest, TracksPeak) {
 TEST(SpscQueueTest, PushPopFifoAndCapacity) {
   SpscQueue<int> q(3);  // rounds up to 4
   EXPECT_EQ(q.capacity(), 4u);
-  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.Peek(), nullptr);
   EXPECT_EQ(q.ApproxSize(), 0u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.TryPush(std::move(i)));
   EXPECT_EQ(q.ApproxSize(), 4u);
@@ -214,6 +219,117 @@ TEST(SpscQueueTest, PopReleasesSlotPayload) {
   for (const auto& p : payloads) {
     EXPECT_EQ(p.use_count(), 1) << "ring slot retains a popped payload";
   }
+}
+
+// The consumer's span view: a readable run that crosses the end of the
+// storage comes back as two spans, in queue order.
+TEST(SpscQueueTest, ReadableWrapsIntoTwoSpans) {
+  SpscQueue<int> q(4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.TryPush(i));
+  std::array<std::span<int>, 2> r = q.Readable(2);
+  ASSERT_EQ(r[0].size(), 2u);
+  EXPECT_TRUE(r[1].empty());
+  q.Consume(2);
+  EXPECT_EQ(q.popped(), 2u);
+  // Slots 3, 0 and 1 take the next three: the readable run 2, 3, 4, 5
+  // starts at slot 2 and wraps after slot 3.
+  for (int i = 3; i < 6; ++i) ASSERT_TRUE(q.TryPush(i));
+  EXPECT_EQ(q.pushed(), 6u);
+  r = q.Readable(SIZE_MAX);
+  ASSERT_EQ(r[0].size(), 2u);
+  ASSERT_EQ(r[1].size(), 2u);
+  EXPECT_EQ(r[0][0], 2);
+  EXPECT_EQ(r[0][1], 3);
+  EXPECT_EQ(r[1][0], 4);
+  EXPECT_EQ(r[1][1], 5);
+  // A bound inside the first span cuts there; one inside the second cuts
+  // the second.
+  r = q.Readable(1);
+  EXPECT_EQ(r[0].size(), 1u);
+  EXPECT_TRUE(r[1].empty());
+  r = q.Readable(3);
+  EXPECT_EQ(r[0].size(), 2u);
+  EXPECT_EQ(r[1].size(), 1u);
+  q.Consume(4);
+  r = q.Readable(SIZE_MAX);
+  EXPECT_TRUE(r[0].empty());
+  EXPECT_TRUE(r[1].empty());
+  EXPECT_EQ(q.Peek(), nullptr);
+}
+
+// A 2-slot ring under backpressure: the producer is refused while both
+// slots are readable, and Consume frees exactly the slots it is given.
+TEST(SpscQueueTest, CapacityTwoBackpressureAndConsume) {
+  SpscQueue<int> q(2);
+  ASSERT_EQ(q.capacity(), 2u);
+  ASSERT_TRUE(q.TryPush(10));
+  ASSERT_TRUE(q.TryPush(11));
+  EXPECT_FALSE(q.TryPush(12));
+  EXPECT_EQ(q.ApproxSize(), 2u);
+  // Reading does not free a slot; only Consume does.
+  std::array<std::span<int>, 2> r = q.Readable(SIZE_MAX);
+  ASSERT_EQ(r[0].size() + r[1].size(), 2u);
+  EXPECT_FALSE(q.TryPush(12));
+  q.Consume(1);
+  EXPECT_EQ(q.ApproxSize(), 1u);
+  ASSERT_TRUE(q.TryPush(12));
+  EXPECT_FALSE(q.TryPush(13));
+  r = q.Readable(SIZE_MAX);
+  ASSERT_EQ(r[0].size(), 1u);
+  ASSERT_EQ(r[1].size(), 1u);
+  EXPECT_EQ(r[0][0], 11);
+  EXPECT_EQ(r[1][0], 12);
+  q.Consume(2);
+  EXPECT_EQ(q.Peek(), nullptr);
+  EXPECT_EQ(q.popped(), 3u);
+}
+
+// Consume destroys what it frees, so a consumed payload is released at
+// once, and the ring's destructor releases what was never consumed.
+TEST(SpscQueueTest, ConsumeReleasesPayloads) {
+  auto payload = std::make_shared<int>(7);
+  {
+    SpscQueue<std::shared_ptr<int>> q(4);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.TryPush(payload));
+    EXPECT_EQ(payload.use_count(), 4);
+    q.Consume(2);
+    EXPECT_EQ(payload.use_count(), 2);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+// One producer thread and one consumer thread: the consumer takes spans
+// and frees them, and sees every value once, in order, across many wraps.
+TEST(SpscQueueTest, SpanConsumerSeesEveryValueInOrder) {
+  constexpr uint64_t kValues = 200'000;
+  SpscQueue<uint64_t> q(64);
+  std::thread producer([&q] {
+    for (uint64_t v = 0; v < kValues; ++v) {
+      while (!q.TryPush(v)) std::this_thread::yield();
+    }
+  });
+  uint64_t expected = 0;
+  bool in_order = true;
+  while (expected < kValues) {
+    const std::array<std::span<uint64_t>, 2> r = q.Readable(SIZE_MAX);
+    size_t n = 0;
+    for (std::span<uint64_t> span : r) {
+      for (uint64_t v : span) {
+        in_order = in_order && v == expected;
+        ++expected;
+        ++n;
+      }
+    }
+    if (n == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    q.Consume(n);
+  }
+  producer.join();
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(q.popped(), kValues);
+  EXPECT_EQ(q.Peek(), nullptr);
 }
 
 }  // namespace

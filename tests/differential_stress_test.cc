@@ -2,9 +2,9 @@
 // seeded random sample of runtime configurations — engine kind x shard
 // count x ingest mode (session-level batches of varying size, optionally
 // with query churn, or 1/2/4 concurrent producers, optionally with
-// mid-stream producer churn) x staging batch size x
-// work stealing (with or without idle-group eviction) x skew-aware
-// first-sight placement x queue capacity — asserting the emission set is
+// mid-stream producer churn) x work stealing (with or without idle-group
+// eviction) x skew-aware first-sight placement x shard ring capacity (2
+// and 16 wrap the ring and hit backpressure constantly) — asserting the emission set is
 // bit-identical to the 1-shard reference every time: the batch Run, or
 // with query churn a 1-shard Session given the same AddQuery (at 1/3 of
 // the stream) and RemoveQuery (at 2/3), each with the sampled
@@ -47,7 +47,6 @@ struct StressConfig {
   int shards = 1;
   int producers = 0;  // 0 = session-level ingest
   int push_batch = 16;
-  int shard_batch = 128;
   int queue_capacity = 8192;
   bool stealing = false;
   bool evict = false;  // evict_idle_groups, sampled only with stealing
@@ -60,7 +59,6 @@ struct StressConfig {
     s += "/N=" + std::to_string(shards);
     s += producers == 0 ? "/session" : "/P=" + std::to_string(producers);
     s += "/push=" + std::to_string(push_batch);
-    s += "/stage=" + std::to_string(shard_batch);
     s += "/q=" + std::to_string(queue_capacity);
     if (stealing) s += "/steal";
     if (evict) s += "/evict";
@@ -81,10 +79,8 @@ StressConfig SampleConfig(Rng& rng) {
   c.producers = producer_choices[rng.NextBelow(4)];
   const int push_choices[] = {1, 16, 64};
   c.push_batch = push_choices[rng.NextBelow(3)];
-  const int stage_choices[] = {1, 32, 256};
-  c.shard_batch = stage_choices[rng.NextBelow(3)];
-  const int queue_choices[] = {64, 8192};
-  c.queue_capacity = queue_choices[rng.NextBelow(2)];
+  const int queue_choices[] = {2, 16, RunConfig().shard_queue_capacity};
+  c.queue_capacity = queue_choices[rng.NextBelow(3)];
   c.stealing = rng.NextBelow(2) == 1;
   c.rebalance_threshold = rng.NextBelow(2) == 1 ? 4 : 0;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
@@ -230,7 +226,6 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     RunConfig config;
     config.kind = sc.kind;
     config.num_shards = sc.shards;
-    config.shard_batch_size = sc.shard_batch;
     config.shard_queue_capacity = sc.queue_capacity;
     config.work_stealing = sc.stealing;
     config.evict_idle_groups = sc.evict;

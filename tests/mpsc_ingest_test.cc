@@ -403,9 +403,7 @@ TEST_F(MpContractTest, CrossProducerDuplicateTimestampPoisons) {
 
 TEST_F(MpContractTest, LateJoinerAdmittedAtTheFrontier) {
   CollectingSink sink;
-  RunConfig config;
-  config.shard_batch_size = 1;  // flush staging per event for fast polling
-  auto session = Open(2, &sink, config);
+  auto session = Open(2, &sink);
   auto p1 = session->AddProducer().value();
   for (Timestamp t = 1; t <= 250; ++t) {
     ASSERT_TRUE(p1->Push(Make(t, t % 5 == 0 ? type_a_ : type_b_, 1)).ok());
@@ -432,9 +430,7 @@ TEST_F(MpContractTest, LateJoinerAdmittedAtTheFrontier) {
 
 TEST_F(MpContractTest, WatermarkMergeHoldsForTheLaggard) {
   CollectingSink sink;
-  RunConfig config;
-  config.shard_batch_size = 1;
-  auto session = Open(2, &sink, config);
+  auto session = Open(2, &sink);
   auto fast = session->AddProducer().value();
   auto slow = session->AddProducer().value();
   ASSERT_TRUE(slow->Push(Make(5, type_a_, 2)).ok());
@@ -639,9 +635,7 @@ TEST_F(MpContractTest, SinkAddsAProducerFromOnEmission) {
   };
   Session* raw = nullptr;
   JoiningSink sink(&raw, Make(kLate, type_a_, kLateGroup));
-  RunConfig config;
-  config.shard_batch_size = 1;
-  RunConfig opened = config;
+  RunConfig opened;
   opened.kind = EngineKind::kHamletDynamic;
   opened.num_shards = 2;
   auto session = Session::Open(*plan_, opened, &sink).value();

@@ -1,19 +1,20 @@
 // Batched shard ingress tests.
 //
 // The core property extends shard-count invariance to ingress granularity:
-// for every EngineKind, shard count (1/2/4/8) and shard_batch_size
-// (1 = per-event hand-off through 1024 ≫ stream chunks), the emission set
-// of a Session equals the single-threaded batch Run() on the same
-// stream — staging, batch flushes, watermark barriers and the emission
-// fan-in must never change *what* is computed, only how it is handed off.
-// Also covered: RouterFor consistency with the session's own router,
-// reentrant and closing sinks at one shard (inline) and several, delivery
-// before AdvanceTo returns at one shard, Open's batching-knob validation,
-// and backpressure with tiny queues and tiny batches at once.
+// for every EngineKind, shard count (1/2/4/8) and shard ring capacity (2
+// and 16 wrap the ring every few events and keep the front in
+// backpressure; the default rarely fills), the emission set of a Session
+// equals the single-threaded batch Run() on the same stream — where the
+// workers cut their engine calls, the stamped control messages and the
+// emission fan-in must never change *what* is computed, only how it is
+// handed off. Also covered: RouterFor consistency with the session's own
+// router, reentrant and closing sinks at one shard (inline) and several,
+// delivery before AdvanceTo returns at one shard, and Open's ring-capacity
+// validation.
 //
 // Registered in the ASan and TSan CI jobs next to sharded_session_test:
-// together they drive every cross-thread path of the batched runtime —
-// SPSC batch hand-off, buffer recycling, parking, outbox fan-in — under
+// together they drive every cross-thread path of the sharded runtime —
+// the event ring's spans, control stamps, parking, outbox fan-in — under
 // real concurrency.
 #include <gtest/gtest.h>
 
@@ -70,19 +71,19 @@ struct ShardedResult {
 
 // Pushes `ev` through a Session in mixed granularity (singles via
 // Push, chunks via PushBatch) with occasional interleaved watermarks (each
-// one a staging-flush barrier) and a trailing watermark, then Close.
+// one a control message stamped behind the events before it) and a
+// trailing watermark, then Close.
 ShardedResult RunSharded(const WorkloadPlan& plan, RunConfig config,
-                         int num_shards, int batch_size,
-                         const EventVector& ev, int queue_capacity = 8192) {
+                         int num_shards, int queue_capacity,
+                         const EventVector& ev) {
   config.num_shards = num_shards;
-  config.shard_batch_size = batch_size;
   config.shard_queue_capacity = queue_capacity;
   CollectingSink sink;
   Result<std::unique_ptr<Session>> session =
       Session::Open(plan, config, &sink);
   HAMLET_CHECK(session.ok());
   Rng rng(static_cast<uint64_t>(num_shards) * 1000 +
-          static_cast<uint64_t>(batch_size));
+          static_cast<uint64_t>(queue_capacity));
   size_t i = 0;
   while (i < ev.size()) {
     size_t len = 1 + static_cast<size_t>(rng.NextBelow(100));
@@ -129,7 +130,7 @@ TEST(BatchGranularityEquivalence, AllEnginesAllShardCounts) {
     ASSERT_GT(batch.emissions.size(), 0u) << EngineKindName(kind);
     for (int shards : {1, 2, 4, 8}) {
       ShardedResult sharded =
-          RunSharded(*bw.plan, config, shards, /*batch_size=*/7, ev);
+          RunSharded(*bw.plan, config, shards, /*queue_capacity=*/7, ev);
       const std::string label = std::string(EngineKindName(kind)) + "/N=" +
                                 std::to_string(shards);
       ExpectSameEmissionSet(batch.emissions, sharded.emissions, label);
@@ -141,7 +142,7 @@ TEST(BatchGranularityEquivalence, AllEnginesAllShardCounts) {
   }
 }
 
-TEST(BatchGranularityEquivalence, BatchSizeSweep) {
+TEST(BatchGranularityEquivalence, QueueCapacitySweep) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
   EventVector ev = RidesharingStream(/*seed=*/92, /*num_groups=*/8);
@@ -150,37 +151,17 @@ TEST(BatchGranularityEquivalence, BatchSizeSweep) {
   StreamExecutor executor(*bw.plan, config);
   RunOutput batch = executor.Run(ev);
   ASSERT_TRUE(batch.status.ok());
-  // 1 is the per-event hand-off baseline; 1024 exceeds every chunk, so all
-  // flushes come from the watermark/Close barriers. The queue shrinks as
-  // the batch grows: capacity counts messages, and Open rejects
-  // capacity * batch products past kMaxQueuedEventsPerShard.
-  for (int batch_size : {1, 2, 64, 1024}) {
+  // 2 is the smallest ring: every other event wraps it and the front waits
+  // on nearly every push; 16 wraps it within each pushed chunk; the default
+  // holds the whole stream.
+  for (int capacity : {2, 16, RunConfig().shard_queue_capacity}) {
     ShardedResult sharded =
-        RunSharded(*bw.plan, config, /*num_shards=*/3, batch_size, ev,
-                   /*queue_capacity=*/batch_size >= 1024 ? 512 : 8192);
-    const std::string label = "batch=" + std::to_string(batch_size);
+        RunSharded(*bw.plan, config, /*num_shards=*/3, capacity, ev);
+    const std::string label = "capacity=" + std::to_string(capacity);
     ExpectSameEmissionSet(batch.emissions, sharded.emissions, label);
     EXPECT_EQ(batch.metrics.events, sharded.metrics.events) << label;
+    EXPECT_LE(sharded.metrics.max_queue_depth_msgs, capacity) << label;
   }
-}
-
-// Tiny everything: a two-slot queue and three-event batches force the
-// producer through backpressure on nearly every flush; results must not
-// change.
-TEST(BatchGranularityEquivalence, TinyQueueTinyBatchBackpressure) {
-  BenchWorkload bw =
-      MakeWorkload1("ridesharing", 4, /*window_ms=*/2 * kMillisPerSecond);
-  EventVector ev = RidesharingStream(/*seed=*/93, /*num_groups=*/8);
-  RunConfig config;
-  config.kind = EngineKind::kHamletDynamic;
-  StreamExecutor executor(*bw.plan, config);
-  RunOutput batch = executor.Run(ev);
-  ASSERT_TRUE(batch.status.ok());
-  ShardedResult sharded =
-      RunSharded(*bw.plan, config, /*num_shards=*/3, /*batch_size=*/3, ev,
-                 /*queue_capacity=*/2);
-  ExpectSameEmissionSet(batch.emissions, sharded.emissions, "tiny");
-  EXPECT_EQ(batch.metrics.events, sharded.metrics.events);
 }
 
 class ShardedContractTest : public ::testing::Test {
@@ -243,7 +224,6 @@ TEST_F(ShardedContractTest, ReentrantFeedbackSinkIsSafe) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     RunConfig config;
     config.num_shards = shards;
-    config.shard_batch_size = 1;  // surface emissions promptly
     Session* raw = nullptr;
     int accepted = 0;
     int rejected = 0;
@@ -297,7 +277,6 @@ TEST_F(ShardedContractTest, CloseFromSinkDeliversEverything) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     RunConfig config;
     config.num_shards = shards;
-    config.shard_batch_size = 1;
     Session* raw = nullptr;
     int received = 0;
     bool closed = false;
@@ -362,45 +341,29 @@ TEST_F(ShardedContractTest, OneShardDeliversBeforeAdvanceToReturns) {
   ASSERT_TRUE(s.Close().ok());
 }
 
-TEST_F(ShardedContractTest, OpenValidatesShardBatchSize) {
-  RunConfig config;
-  config.shard_batch_size = 0;
-  Result<std::unique_ptr<Session>> r =
-      Session::Open(*plan_, config, nullptr);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("shard_batch_size"), std::string::npos);
-}
-
-// shard_queue_capacity counts MESSAGES, so its event footprint scales with
-// shard_batch_size: capacity=8192/batch=1 buffers at most 8192 events while
-// capacity=8192/batch=128 buffers ~1M. Open relates the two knobs
-// explicitly — both extremes of the documented contract.
-TEST_F(ShardedContractTest, OpenRelatesQueueCapacityToBatchSize) {
-  // Low extreme: a big message queue of single-event batches is a small
-  // event buffer — fine.
+// shard_queue_capacity counts events: Open accepts [2,
+// kMaxQueuedEventsPerShard] and rejects the rest, naming the knob and its
+// unit.
+TEST_F(ShardedContractTest, OpenValidatesShardQueueCapacity) {
   RunConfig config;
   config.num_shards = 2;
-  config.shard_queue_capacity = 8192;
-  config.shard_batch_size = 1;
+  for (int bad : {-1, 0, 1, static_cast<int>(kMaxQueuedEventsPerShard) + 1}) {
+    config.shard_queue_capacity = bad;
+    Result<std::unique_ptr<Session>> r =
+        Session::Open(*plan_, config, nullptr);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(r.status().message().find("shard_queue_capacity"),
+              std::string::npos);
+    EXPECT_NE(r.status().message().find("events"), std::string::npos);
+  }
+  config.shard_queue_capacity = 2;
   EXPECT_TRUE(Session::Open(*plan_, config, nullptr).ok());
-  // Default-shaped product right at ~1M events — fine.
-  config.shard_batch_size = 128;
+  // The bound itself is valid; one shard has no ring, so this allocates
+  // nothing.
+  config.num_shards = 1;
+  config.shard_queue_capacity = static_cast<int>(kMaxQueuedEventsPerShard);
   EXPECT_TRUE(Session::Open(*plan_, config, nullptr).ok());
-  // High extreme: the same capacity with huge batches implies an event
-  // buffer past kMaxQueuedEventsPerShard; rejected, naming both knobs.
-  config.shard_batch_size = 2048;
-  ASSERT_GT(static_cast<int64_t>(config.shard_queue_capacity) *
-                config.shard_batch_size,
-            kMaxQueuedEventsPerShard);
-  Result<std::unique_ptr<Session>> r =
-      Session::Open(*plan_, config, nullptr);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().message().find("shard_queue_capacity"),
-            std::string::npos);
-  EXPECT_NE(r.status().message().find("shard_batch_size"), std::string::npos);
-  EXPECT_NE(r.status().message().find("messages"), std::string::npos);
 }
 
 }  // namespace
