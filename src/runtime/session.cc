@@ -344,14 +344,15 @@ constexpr auto kParkInterval = std::chrono::microseconds(500);
 constexpr size_t kBatchHistBuckets = 16;
 
 /// Concurrent-footprint sampling cadence, in front calls that wrote to a
-/// shard (see WakeTouched).
+/// shard (see WakeShards).
 constexpr int kMemSampleEveryCalls = 16;
 
-/// Backpressure: a front that finds a ring full sleeps, starting at the
-/// first interval and doubling to the last, until half of the ring is free
-/// again. Sleeping rather than yielding keeps a front that outruns its
-/// workers off the CPU, and waiting for half a ring makes each wake-up
-/// worth a large write instead of a single slot.
+/// Backpressure: a front that finds a shard ring full sleeps, starting at
+/// the first interval and doubling to the last, until half of the ring is
+/// free again; a producer handle on a full hub ring sleeps the same way
+/// until a slot is free. Sleeping rather than yielding keeps a writer that
+/// outruns its reader off the CPU, and waiting for half a shard ring makes
+/// each wake-up worth a large write instead of a single slot.
 constexpr std::chrono::microseconds kBackpressureFirstSleep(20);
 constexpr std::chrono::microseconds kBackpressureLastSleep(1000);
 
@@ -451,8 +452,6 @@ struct Session::Shard {
   /// Watermarks, epochs, steals and stop, each stamped with the number of
   /// events pushed before it (see Send).
   SpscQueue<ShardMsg> control;
-  /// Front thread only: the shard is in Session::touched_.
-  bool touched = false;
   /// Histogram of this shard's engine-call sizes (the worker writes after
   /// each call, a monitor thread may read through MetricsSnapshot — hence
   /// relaxed atomics).
@@ -700,13 +699,14 @@ void Session::WorkerLoop(Shard* shard) {
     // Read the event ring before peeking the next control message: a
     // message pushed before any readable event is then visible too, so one
     // still invisible is stamped behind every readable event. A visible
-    // one cuts the run at its stamp.
+    // one sets the run to exactly the events stamped before it, which its
+    // acquiring Peek made visible even when the first read saw fewer (the
+    // front may push events and the message between the two loads).
     std::array<std::span<Event>, 2> ready = shard->events.Readable(SIZE_MAX);
     const ShardMsg* next = shard->control.Peek();
     if (next != nullptr) {
-      ready = shard->events.Readable(std::min<uint64_t>(
-          ready[0].size() + ready[1].size(),
-          next->events_before - shard->events.popped()));
+      ready = shard->events.Readable(next->events_before -
+                                     shard->events.popped());
     }
     const size_t n = ready[0].size() + ready[1].size();
     if (n > 0) {
@@ -836,7 +836,7 @@ void Session::SyncControl(Timestamp time) {
   }
 }
 
-void Session::StageEvent(const Event& event) {
+Session::Shard& Session::StageEvent(const Event& event) {
   SyncControl(event.time);
   const int64_t key = router_.GroupKeyOf(event);
   size_t target;
@@ -869,10 +869,7 @@ void Session::StageEvent(const Event& event) {
   }
   Shard& shard = *shards_[target];
   shard.PushWaiting(shard.events, event);
-  if (!shard.touched) {
-    shard.touched = true;
-    touched_.push_back(&shard);
-  }
+  return shard;
 }
 
 size_t Session::PlaceNewKey(int64_t key, size_t hash_shard,
@@ -998,16 +995,19 @@ void Session::ExecuteSteal(int64_t key, size_t victim, size_t thief,
   stolen_panes_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Session::WakeTouched() {
-  for (Shard* shard : touched_) {
-    shard->touched = false;
-    shard->max_queue_depth.store(
-        std::max(shard->max_queue_depth.load(std::memory_order_relaxed),
-                 static_cast<int64_t>(shard->events.ApproxSize())),
+void Session::WakeShards(Shard* only) {
+  auto wake = [](Shard& shard) {
+    shard.max_queue_depth.store(
+        std::max(shard.max_queue_depth.load(std::memory_order_relaxed),
+                 static_cast<int64_t>(shard.events.ApproxSize())),
         std::memory_order_relaxed);
-    shard->Wake();
+    shard.Wake();
+  };
+  if (only != nullptr) {
+    wake(*only);
+  } else {
+    for (auto& shard : shards_) wake(*shard);
   }
-  touched_.clear();
   // Sample the concurrent footprint every few calls: an O(num_shards) scan
   // on every per-event Push would tax exactly the path it should not, and
   // the peak is documented as sampled, so coarser sampling loses nothing.
@@ -1118,8 +1118,7 @@ Status Session::Push(const Event& event) {
   } else {
     // Only the shard just staged to is woken, so a push stays O(1) in the
     // shard count.
-    StageEvent(event);
-    WakeTouched();
+    WakeShards(&StageEvent(event));
   }
   MaybeReoptimize();
   busy.Stop();
@@ -1156,7 +1155,7 @@ Status Session::PushBatch(std::span<const Event> events) {
   if (engine_ != nullptr) {
     RunInline(events.first(committed), /*arrival=*/-1.0);
   } else {
-    WakeTouched();
+    WakeShards(/*only=*/nullptr);
   }
   MaybeReoptimize();
   busy.Stop();
@@ -1296,14 +1295,17 @@ Status Session::Producer::Push(const Event& event) {
   if (!keys.ok()) return keys;
   gate_.CommitEvent(event.time);
   Event copy = event;
-  while (!owner_->hub_->TryPush(slot_, std::move(copy))) {
-    // Bounded-ring backpressure: the sequencer is behind; yield until it
-    // frees a slot. A poisoned session aborts the wait (the sequencer
-    // keeps draining, but delivering this event is pointless).
+  // Bounded-ring backpressure: the sequencer is behind. Sleep, with the
+  // doubling interval of a full shard ring, until it frees a slot. A
+  // poisoned session aborts the wait (the sequencer keeps draining, but
+  // delivering this event is pointless).
+  for (auto sleep = kBackpressureFirstSleep;
+       !owner_->hub_->TryPush(slot_, std::move(copy));
+       sleep = std::min(2 * sleep, kBackpressureLastSleep)) {
     if (owner_->poisoned_.load(std::memory_order_acquire)) {
       return owner_->PoisonStatus();
     }
-    std::this_thread::yield();
+    std::this_thread::sleep_for(sleep);
   }
   return Status::Ok();
 }
@@ -1366,7 +1368,7 @@ void Session::SequencerLoop() {
       IngestReleased(event);
       if (run % kMaxReleasedRun == 0) RunReleased();
     }
-    RunReleased();
+    if (did_work) RunReleased();
     // Broadcast only after draining until stuck: the frontier then bounds
     // every released timestamp, so it is a legal watermark.
     MaybeBroadcastFrontier();
@@ -1412,7 +1414,7 @@ void Session::IngestReleased(const Event& event) {
 
 void Session::RunReleased() {
   if (engine_ == nullptr) {
-    WakeTouched();
+    WakeShards(/*only=*/nullptr);
     return;
   }
   if (released_.empty()) return;

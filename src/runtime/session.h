@@ -55,10 +55,10 @@
 //    published. Every published event is ready, so none waits for a later
 //    push or barrier, and results never depend on where batches are cut.
 //    Idle workers park on a condition variable with a timed wait; the front
-//    wakes a parked worker once per shard it wrote to per call (the check
-//    is a seq_cst read-modify-write), never per event. A full ring wakes
-//    its worker and the front sleeps, with a doubling interval, until half
-//    of it is free.
+//    checks for them once per call, never per event: Push on the shard it
+//    wrote to, PushBatch on every shard (each check is a seq_cst
+//    read-modify-write). A full ring wakes its worker and the front
+//    sleeps, with a doubling interval, until half of it is free.
 //  * Placement: events route to shards by group-by hash
 //    (src/stream/shard_router.h), balanced by work stealing (below), which
 //    is on by default at num_shards > 1. With no placement policy on
@@ -820,7 +820,7 @@ class Session {
   /// Ends a run of merged events (a merge round, or kMaxReleasedRun
   /// events of one): at one shard runs released_ through the inline engine
   /// in one call, then re-optimizes and drains (no-op when it is empty); at
-  /// more, wakes the workers the run was staged to.
+  /// more, wakes every parked worker.
   void RunReleased() HAMLET_REQUIRES(front_role_);
   /// Broadcasts the hub frontier as a session watermark when it crossed a
   /// pane boundary since the last broadcast.
@@ -857,13 +857,13 @@ class Session {
 
   /// Routes one event (hash, or override map + first-sight rule + window
   /// update when a placement policy is on) and writes it into its shard's
-  /// ring, waiting while the ring is full. The shard joins touched_.
-  void StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
-  /// Ends a front call for every shard in touched_: records its backlog
-  /// and wakes its worker if it parked — once per shard per call, not per
-  /// event. Every kMemSampleEveryCalls calls it also samples the
-  /// concurrent footprint.
-  void WakeTouched() HAMLET_REQUIRES(front_role_);
+  /// ring, waiting while the ring is full. Returns that shard.
+  Shard& StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
+  /// Ends a front call that wrote to `only`, or to any shard when null:
+  /// records the backlog of that shard (of every shard) and wakes its
+  /// worker if it parked — once per shard per call, not per event. Every
+  /// kMemSampleEveryCalls calls it also samples the concurrent footprint.
+  void WakeShards(Shard* only) HAMLET_REQUIRES(front_role_);
   /// Samples the sum of worker-published current footprints into
   /// mem_high_water_.
   void SampleConcurrentMemory() HAMLET_REQUIRES(front_role_);
@@ -960,8 +960,6 @@ class Session {
   /// SampleConcurrentMemory). Atomic so MetricsSnapshot may read it from a
   /// monitor thread while the front samples.
   std::atomic<int64_t> mem_high_water_{0};
-  /// Shards the current front call has written to (see WakeTouched).
-  std::vector<Shard*> touched_ HAMLET_GUARDED_BY(front_role_);
   /// Front-thread throttle for SampleConcurrentMemory.
   int calls_since_mem_sample_ HAMLET_GUARDED_BY(front_role_) = 0;
 

@@ -4,6 +4,7 @@
 //  * The event ring: a worker takes every event published to its shard's
 //    ring, so a pushed event reaches its worker without any barrier —
 //    also when the shard was busy and nothing is pushed to it afterwards —
+//    a control message never runs ahead of the events stamped before it,
 //    and for every EngineKind, shard count (1/2/4/8) and ring capacity the
 //    sharded run emits exactly the batch Run() result: where the engine
 //    calls are cut may move, WHAT is computed may not. Skew-aware
@@ -352,6 +353,76 @@ TEST(AdaptiveIngressTest, EventBehindBusyQueueReachesWorkerWithoutBarrier) {
   EXPECT_EQ(session.MetricsSnapshot().events, total)
       << "events pushed behind a busy shard never reached its worker";
   ASSERT_TRUE(session.Close().ok());
+}
+
+// A control message never overtakes the events stamped before it. A worker
+// reads its event ring and then peeks its control ring; the front can push
+// events and then a message between those two loads, so the worker sees
+// the message but not yet the events. Each round here pushes one to three
+// events and follows them at once with a watermark just above them (Close
+// after the last round), while both workers spin on near-empty rings, so
+// rounds keep landing in that gap. A watermark applied early closes
+// windows before their events; a Close applied early drops the last
+// events. Both change the emissions or the event count against Run().
+TEST(AdaptiveIngressTest, ControlMessageNeverOvertakesItsEvents) {
+  Schema schema;
+  schema.AddAttr("v");
+  schema.AddAttr("g");
+  Workload workload(&schema);
+  ASSERT_TRUE(workload
+                  .Add(ParseQuery("RETURN COUNT(*) PATTERN SEQ(A, B+) "
+                                  "GROUPBY g WITHIN 8 ms")
+                           .value())
+                  .ok());
+  WorkloadPlan plan = AnalyzeWorkload(workload).value();
+  const TypeId type_a = schema.FindType("A");
+  const TypeId type_b = schema.FindType("B");
+  // Two groups per shard, so both rings see events and watermarks.
+  const ShardRouter router = Session::RouterFor(plan, 2).value();
+  std::vector<int64_t> groups;
+  for (int64_t g = 0; groups.size() < 4; ++g) {
+    if (router.ShardOfKey(g) == groups.size() % 2) groups.push_back(g);
+  }
+  Rng rng(/*seed=*/2024);
+  EventVector ev;
+  for (Timestamp t = 1; t <= 3000; ++t) {
+    Event e(t, rng.NextBelow(3) == 0 ? type_a : type_b);
+    e.set_attr(0, 1.0);
+    e.set_attr(1, static_cast<double>(groups[rng.NextBelow(4)]));
+    ev.push_back(e);
+  }
+  RunConfig config;
+  RunOutput batch = StreamExecutor(plan, config).Run(ev);
+  ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+  ASSERT_GT(batch.emissions.size(), 0u);
+  config.num_shards = 2;
+  // With online re-optimization each AdvanceTo returns only once both
+  // workers applied its watermark, so the next round's events and
+  // watermark land just as each worker goes back to read its rings.
+  config.reoptimize_every_panes = 1;
+  for (int session_run = 0; session_run < 10; ++session_run) {
+    CollectingSink sink;
+    Result<std::unique_ptr<Session>> opened =
+        Session::Open(plan, config, &sink);
+    ASSERT_TRUE(opened.ok());
+    Session& session = *opened.value();
+    for (size_t i = 0; i < ev.size();) {
+      const size_t len =
+          std::min<size_t>(1 + rng.NextBelow(3), ev.size() - i);
+      const std::span<const Event> round(ev.data() + i, len);
+      ASSERT_TRUE((len == 1 ? session.Push(round[0]) : session.PushBatch(round))
+                      .ok());
+      i += len;
+      if (i < ev.size()) {
+        ASSERT_TRUE(session.AdvanceTo(round.back().time + 1).ok());
+      }
+    }
+    Result<RunMetrics> closed = session.Close();
+    ASSERT_TRUE(closed.ok());
+    const std::string label = "run " + std::to_string(session_run);
+    EXPECT_EQ(closed.value().events, batch.metrics.events) << label;
+    ExpectSameEmissionSet(batch.emissions, sink.Take(), label);
+  }
 }
 
 // Same property for skew-aware routing on a hot-key stream: rebalancing

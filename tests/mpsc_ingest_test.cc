@@ -218,7 +218,7 @@ TEST(MultiProducerInvariance, SlidingWindowsAndTinyRings) {
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   // A two-slot producer ring forces every handle through the
-  // ring-full spin on nearly every push; results must not change.
+  // ring-full wait on nearly every push; results must not change.
   config.producer_queue_capacity = 2;
   StreamExecutor executor(plan, config);
   RunOutput batch = executor.Run(ev);
