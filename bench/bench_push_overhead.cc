@@ -35,27 +35,22 @@
 // mean, max and p99 of the lull probes, the worker engine calls and the
 // deepest ring backlog (the `default` row: the one ingress there is).
 //
-// Part 4 — skewed groups, one row per placement policy: a hot-key stream
-// (30% of events on one group, the rest spread over 63 progressively
-// appearing groups) at 4 shards through session-level PushBatch, with pure
-// hash routing, RunConfig::shard_rebalance_threshold (first-sight
-// diversion of new keys), work_stealing (pane-boundary migration of placed
-// keys), and both together (one shared load window). Reported: wall
-// events/s, the busiest shard's event share (the bottleneck placement
-// removes), the diverted-key count and the executed steals, each row the
-// median of five replays with its wall events/s range. This is the
-// ingest knob audit's placement comparison; see docs/API.md for the
-// measured numbers.
+// Part 4 — skewed groups, hash vs steal: a hot-key stream (30% of events
+// on one group, the rest spread over 63 progressively appearing groups) at
+// up to 4 shards through session-level PushBatch, with pure hash routing
+// (work_stealing off) and with pane-boundary work stealing, the one
+// balancer (on by default). Reported: wall events/s, the busiest shard's
+// event share (the bottleneck stealing evens out) and the executed steals,
+// each row the median of five replays with its wall events/s range. See
+// docs/BENCHMARKS.md for the measured numbers.
 //
 // Part 5 — concurrent ingest + work stealing (hot-key preset): the Part 4
 // skewed stream pushed by --producers=N concurrent Producer handles
 // (strided split; the generator's strictly increasing timestamps make any
 // split per-producer ordered) through 1/2/4/8 shards, with pane-boundary
-// work stealing off vs on. Pure hash routing, so stealing is the only
-// balancer: the rebalancer only places NEW keys, a steal migrates a hot
-// key that is already placed. Reported: wall events/s both ways and
-// executed steals. Part 4 has the session-level comparison of the same
-// policies.
+// work stealing off (pure hash routing) vs on. Reported: wall events/s
+// both ways and executed steals. Part 4 has the session-level comparison
+// of the same two settings.
 //
 // Part 6 — plan-epoch hand-off: a 1-shard Session on the W2 stock plan (40
 // queries, 16 companies) fills one pane, then takes an AddQuery and later
@@ -505,32 +500,24 @@ void RunBursty(const BenchWorkload& bw, const EventVector& events,
 }
 
 // ---------------------------------------------------------------------------
-// Part 4: skewed groups, one row per placement policy.
+// Part 4: skewed groups, hash vs steal.
 // ---------------------------------------------------------------------------
 
 void RunSkewed(const BenchWorkload& bw, const EventVector& events,
                int max_shards, bool json) {
   const int shards = std::min(max_shards, 4);
   Table table({"routing", "wall eps (min-max)", "max shard share",
-               "rebalanced keys", "stolen panes"});
+               "stolen panes"});
   std::string json_rows;
-  struct Policy {
-    const char* name;
-    int64_t rebalance_threshold;
-    bool stealing;
-  };
   // Each row is a 15-40 ms replay that scatters +-30% run to run on a
   // shared host: it reports the median of kReps replays with their range,
   // and the median replay's shape counters.
-  for (const Policy& policy : {Policy{"hash", 0, false},
-                               Policy{"rebalance", 64, false},
-                               Policy{"steal", 0, true},
-                               Policy{"rebalance+steal", 64, true}}) {
+  for (const bool stealing : {false, true}) {
+    const char* name = stealing ? "steal" : "hash";
     RunConfig config;
     config.kind = EngineKind::kHamletDynamic;
     config.num_shards = shards;
-    config.shard_rebalance_threshold = policy.rebalance_threshold;
-    config.work_stealing = policy.stealing;
+    config.work_stealing = stealing;
     std::vector<std::pair<double, RunMetrics>> reps;
     for (int rep = 0; rep < kReps; ++rep) {
       Result<std::unique_ptr<Session>> session =
@@ -563,20 +550,18 @@ void RunSkewed(const BenchWorkload& bw, const EventVector& events,
                             static_cast<double>(m.events);
     char share_str[32];
     std::snprintf(share_str, sizeof(share_str), "%.1f%%", share * 100.0);
-    table.AddRow({policy.name,
+    table.AddRow({name,
                   bench::Eps(eps) + " (" + bench::Eps(min_eps) + "-" +
                       bench::Eps(max_eps) + ")",
-                  share_str, std::to_string(m.rebalanced_keys),
-                  std::to_string(m.stolen_panes)});
+                  share_str, std::to_string(m.stolen_panes)});
     if (json) {
       char row[320];
       std::snprintf(row, sizeof(row),
                     "%s{\"mode\":\"%s\",\"wall_eps\":%.1f,"
-                    "\"max_shard_share\":%.4f,\"rebalanced_keys\":%lld,"
+                    "\"max_shard_share\":%.4f,"
                     "\"stolen_panes\":%lld,\"wall_eps_min\":%.1f,"
                     "\"wall_eps_max\":%.1f,\"reps\":%d}",
-                    json_rows.empty() ? "" : ",", policy.name, eps, share,
-                    static_cast<long long>(m.rebalanced_keys),
+                    json_rows.empty() ? "" : ",", name, eps, share,
                     static_cast<long long>(m.stolen_panes), min_eps, max_eps,
                     kReps);
       json_rows += row;
@@ -689,8 +674,8 @@ void RunMultiProducer(const BenchWorkload& bw, const EventVector& events,
   bench::PrintFigure(
       "Concurrent ingest + work stealing (hot-key preset)",
       "strided stream over " + std::to_string(producers) +
-          " producer handles, pure hash routing; stealing moves the "
-          "already-placed hot keys the rebalancer cannot move",
+          " producer handles; steal off is pure hash routing, steal on "
+          "moves keys off the hot shard at pane boundaries",
       table);
   if (json) {
     std::printf(

@@ -45,9 +45,9 @@ BenchWorkload MakeWorkload2(int num_queries);
 /// uniformly over keys [1, num_groups). Cold keys are INTRODUCED
 /// PROGRESSIVELY — cold event i may only draw keys whose first possible
 /// occurrence is before i — modeling new groups appearing over the stream's
-/// lifetime, which is the case skew-aware shard routing can fix (keys that
-/// all appear in the first instant give the rebalancer no load history to
-/// react to). Deterministic in `seed`; timestamps are untouched.
+/// lifetime, so the shard loads that work stealing evens out keep shifting
+/// after the first instant. Deterministic in `seed`; timestamps are
+/// untouched.
 void SkewGroups(EventVector& events, AttrId group_attr, int num_groups,
                 double hot_fraction, uint64_t seed);
 

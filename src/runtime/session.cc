@@ -74,12 +74,6 @@ Status ValidateRunConfig(const RunConfig& config) {
         std::to_string(kMaxQueuedEventsPerShard) + "] events, got " +
         std::to_string(config.shard_queue_capacity));
   }
-  if (config.shard_rebalance_threshold < 0) {
-    return Status::InvalidArgument(
-        "shard_rebalance_threshold must be >= 0 (0 disables rebalancing), "
-        "got " +
-        std::to_string(config.shard_rebalance_threshold));
-  }
   // ---- Lifecycle / re-optimization knob matrix (the single source of
   // truth; docs/API.md carries the prose version) ----
   // reoptimize_every_panes: 0 freezes the Open-time plan; > 0 additionally
@@ -91,8 +85,8 @@ Status ValidateRunConfig(const RunConfig& config) {
   // reoptimize_threshold: checked even while reopt is off, so flipping
   //   reoptimize_every_panes on later can never trip a latent bad value.
   // evict_idle_groups: engine-agnostic, no cross-checks; on the front it
-  //   also enables router-map draining of placed and stolen
-  //   keys (RunMetrics::rebalance_map_size).
+  //   also enables router-map draining of stolen keys
+  //   (RunMetrics::rebalance_map_size).
   // work_stealing: requires steal_imbalance_ratio > 1.0 (checked even
   //   while off, mirroring reoptimize_threshold). Combines with every
   //   other knob: query churn and re-optimization (every shard runs one
@@ -236,7 +230,6 @@ void MergeRunMetrics(RunMetrics& into, const RunMetrics& from) {
   for (size_t i = 0; i < from.shard_batch_hist.size(); ++i) {
     into.shard_batch_hist[i] += from.shard_batch_hist[i];
   }
-  into.rebalanced_keys += from.rebalanced_keys;
   into.max_queue_depth_msgs =
       std::max(into.max_queue_depth_msgs, from.max_queue_depth_msgs);
   into.shard_events.insert(into.shard_events.end(), from.shard_events.begin(),
@@ -617,10 +610,7 @@ Result<std::unique_ptr<Session>> Session::Open(
   s->config_ = config;
   s->sink_ = sink;
   s->router_ = router.value();
-  if (config.num_shards > 1) {
-    s->rebalance_threshold_ = config.shard_rebalance_threshold;
-    s->stealing_ = config.work_stealing;
-  }
+  s->stealing_ = config.num_shards > 1 && config.work_stealing;
   s->load_cur_.assign(static_cast<size_t>(config.num_shards), 0);
   s->load_prev_.assign(static_cast<size_t>(config.num_shards), 0);
   Result<std::unique_ptr<ControlPlane>> control =
@@ -840,55 +830,28 @@ Session::Shard& Session::StageEvent(const Event& event) {
   SyncControl(event.time);
   const int64_t key = router_.GroupKeyOf(event);
   size_t target;
-  if (rebalance_threshold_ == 0 && !stealing_) {
+  if (!stealing_) {
     target = router_.ShardOfKey(key);
   } else {
-    if (stealing_) {
-      // Order matters for determinism: pane crossings evaluate steal
-      // triggers BEFORE this event is routed, so the triggering event
-      // itself already lands on the thief — every decision is a pure
-      // function of the event stream prefix.
-      const Timestamp pane = PaneSize();
-      const Timestamp event_pane = (event.time / pane) * pane;
-      if (staged_any_ && event_pane > last_staged_pane_) {
-        MaybeSteal(event_pane);
-      }
-      last_staged_pane_ = event_pane;
-      staged_any_ = true;
+    // Order matters for determinism: pane crossings evaluate steal
+    // triggers BEFORE this event is routed, so the triggering event
+    // itself already lands on the thief — every decision is a pure
+    // function of the event stream prefix.
+    const Timestamp pane = PaneSize();
+    const Timestamp event_pane = (event.time / pane) * pane;
+    if (staged_any_ && event_pane > last_staged_pane_) {
+      MaybeSteal(event_pane);
     }
-    if (rebalance_threshold_ > 0) {
-      bool first_sight = false;
-      target = router_.RouteSticky(key, event.time, &first_sight);
-      if (first_sight) target = PlaceNewKey(key, target, event.time);
-    } else {
-      target = router_.RouteKey(key, event.time);
-    }
+    last_staged_pane_ = event_pane;
+    staged_any_ = true;
+    target = router_.RouteKey(key, event.time);
     ++load_cur_[target];
-    if (stealing_) ++key_load_[key].cur;
+    ++key_load_[key].cur;
     if (++in_window_ >= kLoadHalfWindow) RollLoadWindow();
   }
   Shard& shard = *shards_[target];
   shard.PushWaiting(shard.events, event);
   return shard;
-}
-
-size_t Session::PlaceNewKey(int64_t key, size_t hash_shard,
-                                   Timestamp time) {
-  PublishMapSize();
-  size_t least = 0;
-  int64_t least_load = load_prev_[0] + load_cur_[0];
-  for (size_t s = 1; s < load_cur_.size(); ++s) {
-    const int64_t load = load_prev_[s] + load_cur_[s];
-    if (load < least_load) {
-      least = s;
-      least_load = load;
-    }
-  }
-  const int64_t hash_load = load_prev_[hash_shard] + load_cur_[hash_shard];
-  if (hash_load - least_load <= rebalance_threshold_) return hash_shard;
-  router_.Assign(key, least, time);
-  rebalanced_keys_.fetch_add(1, std::memory_order_relaxed);
-  return least;
 }
 
 void Session::PublishMapSize() {
@@ -960,10 +923,9 @@ void Session::ExecuteSteal(int64_t key, size_t victim, size_t thief,
                                   Timestamp boundary) {
   Shard& v = *shards_[victim];
   Shard& t = *shards_[thief];
-  // From here on the key's events route to the thief. Without rebalancing
-  // only off-hash placements need an override, so a key stolen back home
-  // leaves the map; with it, every seen key stays (first-sight stickiness).
-  if (rebalance_threshold_ == 0 && thief == router_.ShardOfKey(key)) {
+  // From here on the key's events route to the thief. Only off-hash
+  // placements need an override, so a key stolen back home leaves the map.
+  if (thief == router_.ShardOfKey(key)) {
     router_.Unassign(key);
   } else {
     router_.Assign(key, thief, boundary);
@@ -1401,26 +1363,23 @@ void Session::IngestReleased(const Event& event) {
   }
   gate_.CommitEvent(event.time);
   control_->CountEvent(event.type);
+  // One engine call (or one shard wake-up) per run of the merge, as
+  // PushBatch makes one per batch.
   if (engine_ != nullptr) {
-    // One engine call per run of the merge, as PushBatch makes one per
-    // batch.
     released_.push_back(event);
-    return;
+  } else {
+    StageEvent(event);
   }
-  StageEvent(event);
-  MaybeReoptimize();
-  DrainEmissions();
 }
 
 void Session::RunReleased() {
+  BusyScope busy(InlineBusy(), config_.clock_override);
   if (engine_ == nullptr) {
     WakeShards(/*only=*/nullptr);
-    return;
+  } else if (!released_.empty()) {
+    RunInline(released_, /*arrival=*/-1.0);
+    released_.clear();
   }
-  if (released_.empty()) return;
-  BusyScope busy(InlineBusy(), config_.clock_override);
-  RunInline(released_, /*arrival=*/-1.0);
-  released_.clear();
   MaybeReoptimize();
   busy.Stop();
   DrainEmissions();
@@ -1569,7 +1528,7 @@ void Session::MaybeReoptimize() {
 
 void Session::MaybeDrainRouter() {
   if (!config_.evict_idle_groups || router_.map_size() == 0) return;
-  // A diverted or stolen key last seen at E <= boundary - W_max has every
+  // A stolen key last seen at E <= boundary - W_max has every
   // window that could contain its events closed AND (via evict_idle_groups)
   // its engine state evicted from its shard by that boundary, so if the key
   // re-appears, re-routing it elsewhere can neither split live state nor
@@ -1687,7 +1646,6 @@ void Session::FillIngressMetrics(RunMetrics& merged) const {
     merged.shard_batch_hist.pop_back();
   }
   merged.max_queue_depth_msgs = max_depth;
-  merged.rebalanced_keys = rebalanced_keys_.load(std::memory_order_relaxed);
   merged.rebalance_map_size =
       route_map_size_.load(std::memory_order_relaxed);
   // Shards never steal on their own; migrations execute on the front.

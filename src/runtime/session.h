@@ -61,20 +61,15 @@
 //    sleeps, with a doubling interval, until half of it is free.
 //  * Placement: events route to shards by group-by hash
 //    (src/stream/shard_router.h), balanced by work stealing (below), which
-//    is on by default at num_shards > 1. With no placement policy on
+//    is on by default at num_shards > 1. With stealing off
 //    (work_stealing = false, or one shard), routing is exactly one hash
-//    per event. Either policy — skew-aware first-sight placement
-//    (RunConfig::shard_rebalance_threshold > 0) or work stealing — makes
-//    the front keep ONE two-bucket sliding window of per-shard
-//    staged-event counts, and both read it: a NEW group key
-//    whose hash shard leads the least-loaded shard by more than the
-//    threshold lands on the least-loaded shard instead, and pane-boundary
-//    steals pick their victim and thief from the same counts. Placements
-//    are router overrides. First-sight placements are sticky — with
-//    rebalancing every seen key keeps its shard — so a group's whole
-//    stream stays on one shard and per-group results and ordering are
-//    unchanged; only steals move an established group, and they move its
-//    state with it.
+//    per event. With it on, the front keeps a two-bucket sliding window of
+//    per-shard and per-key staged-event counts, and pane-boundary steals
+//    pick their victim, thief and key from it. A stolen key is a router
+//    override (dropped again when a steal moves the key back to its hash
+//    shard); every other key routes by hash. A group's stream stays on
+//    one shard between steals, so per-group results and ordering are
+//    unchanged, and a steal moves the group's state with it.
 //  * Watermarks: AdvanceTo validates once, then broadcasts the watermark,
 //    stamped behind every event already pushed, to every shard so pane-aligned window closure happens on
 //    all shards — including those that saw no recent events.
@@ -100,7 +95,7 @@
 //    per-shard peaks, which overstates the concurrent footprint when
 //    shards peak at different times. The ingress layer also reports a
 //    batch-size histogram, the max queue depth, per-shard event counts and
-//    the rebalanced-key count (RunMetrics ingress fields). Count fields
+//    the override-map size (RunMetrics ingress fields). Count fields
 //    are deterministic for a fixed shard count; the sampled peak is not.
 //
 //  * Query churn + plan swaps: the session has ONE control plane
@@ -162,15 +157,15 @@
 //    broadcast, and retires a departed handle once it drained its ring.
 //  * Pane-boundary work stealing (RunConfig::work_stealing, on by
 //    default): balances what the hash leaves skewed — a few hot groups on
-//    one shard, or a group that becomes hot after placement (rebalancing
-//    only places NEW keys). The front tracks per-group staged-event loads
-//    next to the placement window's per-shard ones; when an event-time pane
-//    crossing finds the max-loaded shard above steal_imbalance_ratio x the
-//    min-loaded shard plus a floor, whole established groups move at that
-//    pane boundary B. Groups never interact (§3.1), so at B a group's whole
-//    state is its GroupRunners: the router reassigns the key, and the front
-//    sends, back to back, a DETACH to the victim and an ATTACH to the
-//    thief, both carrying one hand-off cell. The victim advances panes to
+//    one shard, or a group that becomes hot later. The front tracks
+//    per-group staged-event loads next to the per-shard ones; when an
+//    event-time pane crossing finds the max-loaded shard above
+//    steal_imbalance_ratio x the min-loaded shard plus a floor, whole
+//    established groups move at that pane boundary B. Groups never
+//    interact (§3.1), so at B a group's whole state is its GroupRunners:
+//    the router reassigns the key, and the front sends, back to back, a
+//    DETACH to the victim and an ATTACH to the thief, both carrying one
+//    hand-off cell. The victim advances panes to
 //    B, takes the key's runners out of its engine (HAMLET engine, open
 //    windows and per-window engines alike) and fills the cell; the thief
 //    advances panes to B, blocks until the cell is full and installs the
@@ -184,16 +179,15 @@
 //    decision derives from the event stream alone — never wall-clock or
 //    watermark arrival timing — so emissions stay bit-identical across
 //    producer counts and stealing on/off, for a fixed shard count.
-//    RunMetrics::stolen_panes counts executed migrations. Without
-//    rebalancing the router keeps an override only for keys a steal left
-//    off their hash shard, so key churn cannot grow the map. Every plan
-//    epoch (churn op, plan swap or drop) reaches the victim and the thief
-//    in the same stream order, so both run the same plan epoch at every
-//    steal boundary. With evict_idle_groups, both shards treat B as
-//    observed stream time, so idle groups evict at B as in a 1-shard
-//    run; a key evicted before its steal moves nothing and
-//    the thief recreates it fresh, and a stolen key's override drains once
-//    the key has been idle past every WITHIN.
+//    RunMetrics::stolen_panes counts executed migrations. The router keeps
+//    an override only for keys a steal left off their hash shard, so key
+//    churn cannot grow the map. Every plan epoch (churn op, plan swap or
+//    drop) reaches the victim and the thief in the same stream order, so
+//    both run the same plan epoch at every steal boundary. With
+//    evict_idle_groups, both shards treat B as observed stream time, so
+//    idle groups evict at B as in a 1-shard run; a key evicted before its
+//    steal moves nothing and the thief recreates it fresh, and a stolen
+//    key's override drains once the key has been idle past every WITHIN.
 //
 // Threading contract: Open/Push/PushBatch/AdvanceTo/AddQuery/RemoveQuery/
 // ApplySharingOverrides/Close must all be called from one thread at a
@@ -280,14 +274,6 @@ struct RunConfig {
   /// one call, so this also caps the batch an engine call gets. One shard
   /// has no ring and ignores it.
   int shard_queue_capacity = 8192;
-  /// Skew-aware routing: when > 0, a group key seen
-  /// for the FIRST time whose hash shard leads the least-loaded shard by
-  /// more than this many recently staged events is routed to the
-  /// least-loaded shard instead. The load is the front's
-  /// one sliding placement window, shared with work_stealing. Assignments
-  /// are sticky, so per-group window order is preserved. 0 disables
-  /// first-sight placement; must be >= 0.
-  int64_t shard_rebalance_threshold = 0;
   /// Online plan re-optimization cadence, in panes: every this many pane
   /// boundaries the session re-derives the cost-model inputs from live
   /// statistics (src/optimizer/online_optimizer.h), re-runs the pruned plan
@@ -312,8 +298,8 @@ struct RunConfig {
   /// the (documented, opt-in) trade for bounded state under high group-key
   /// cardinality. Deterministic in event time, so runs at every shard
   /// count with the knob ON stay emission-identical; it is also the
-  /// prerequisite for the front draining stale placement and steal
-  /// overrides (RunMetrics::rebalance_map_size).
+  /// prerequisite for the front draining stale steal overrides
+  /// (RunMetrics::rebalance_map_size).
   bool evict_idle_groups = false;
   /// Pane-boundary work stealing (on by default; set
   /// false to opt out into pure hash placement): when an existing group
@@ -325,10 +311,10 @@ struct RunConfig {
   /// join the thief's, and the key's events from the boundary on route to
   /// the thief; no event is processed twice, and the front never waits for
   /// the hand-off. This balances the few hot groups a hash puts on one
-  /// shard, and the groups that become hot after shard_rebalance_threshold
-  /// placed them. Steal decisions derive purely from the merged event
-  /// stream, so emission sets stay bit-identical across stealing on/off,
-  /// shard counts and producer counts. Combines with every other knob
+  /// shard, and the groups that become hot later. Steal decisions derive
+  /// purely from the merged event stream, so emission sets stay
+  /// bit-identical across stealing on/off, shard counts and producer
+  /// counts. Combines with every other knob
   /// (see ValidateRunConfig / docs/API.md knob matrix); inert at one shard.
   bool work_stealing = true;
   /// Work-stealing trigger: steal when the hottest shard's windowed load
@@ -482,20 +468,17 @@ struct RunMetrics {
   /// The spread shows how often a worker took events as they came (small
   /// buckets, lulls) and how often a backlog formed (high buckets, bursts).
   std::vector<int64_t> shard_batch_hist;
-  /// Group keys first-sight placement diverted off their hash shard.
-  int64_t rebalanced_keys = 0;
   /// Deepest event backlog any shard's ring held, in events, as the front
   /// saw it at the end of its calls (the name predates the ring; the
   /// end-to-end benchmark reads it).
   int64_t max_queue_depth_msgs = 0;
   /// Events processed per shard (index = shard id) — the imbalance surface
-  /// the rebalancer optimizes.
+  /// work stealing evens out.
   std::vector<int64_t> shard_events;
-  /// Key->shard overrides the router currently holds: every seen key with
-  /// shard_rebalance_threshold > 0, else only keys a steal left off their
-  /// hash shard (0 with neither policy). With evict_idle_groups the front
-  /// drains entries whose windows all closed, bounding this under key
-  /// churn.
+  /// Key->shard overrides the router currently holds: the keys a steal
+  /// left off their hash shard (0 with stealing off). With
+  /// evict_idle_groups the front drains entries whose windows all closed,
+  /// bounding this under key churn.
   int64_t rebalance_map_size = 0;
   /// Query-lifecycle counters (src/runtime/query_lifecycle.h), counted once
   /// by the session's control plane (src/runtime/control_plane.h); shard
@@ -527,7 +510,7 @@ struct RunMetrics {
 
 /// Folds `from` into `into` the way a Session combines per-shard
 /// metrics: counters (events, emissions, DNFs, evictions, decisions,
-/// rebalanced keys, HAMLET stats, batch histogram buckets) and CURRENT
+/// HAMLET stats, batch histogram buckets) and CURRENT
 /// memory are summed; peak memory takes the max — shards peak at different
 /// times, so summing per-shard peaks overstated the concurrent footprint
 /// exactly the way summing per-shard rates overstated throughput, and the
@@ -792,10 +775,10 @@ class Session {
   /// Pane size of the control plane's running epoch: the grid steal
   /// boundaries and router drains are computed on.
   Timestamp PaneSize() const;
-  /// Drains router overrides — first-sight placements and steals alike —
-  /// whose groups can no longer have open windows anywhere (requires
-  /// evict_idle_groups — the group's engine state is then also gone from
-  /// its shard, so a re-appearing key may re-route freely).
+  /// Drains the overrides of stolen keys whose groups can no longer have
+  /// open windows anywhere (requires evict_idle_groups — the group's engine
+  /// state is then also gone from its shard, so a re-appearing key may
+  /// re-route freely).
   void MaybeDrainRouter() HAMLET_REQUIRES(front_role_);
 
   /// Body of AdvanceTo after the closed/mode checks — shared with the
@@ -813,14 +796,13 @@ class Session {
   /// frontier at pane crossings, exits on seq_stop_ after a final drain.
   void SequencerLoop();
   /// Front-side handling of one merged event: gate (poison on
-  /// cross-producer violations), then stage, re-optimize and drain — the
-  /// sequencer's equivalent of Push's body. At one shard the event joins
-  /// released_ instead.
+  /// cross-producer violations), then stage it into its shard's ring, or at
+  /// one shard add it to released_.
   void IngestReleased(const Event& event) HAMLET_REQUIRES(front_role_);
   /// Ends a run of merged events (a merge round, or kMaxReleasedRun
-  /// events of one): at one shard runs released_ through the inline engine
-  /// in one call, then re-optimizes and drains (no-op when it is empty); at
-  /// more, wakes every parked worker.
+  /// events of one), as PushBatch ends a batch: at one shard runs
+  /// released_ through the inline engine in one call, at more wakes every
+  /// parked worker; then re-optimizes and drains once for the run.
   void RunReleased() HAMLET_REQUIRES(front_role_);
   /// Broadcasts the hub frontier as a session watermark when it crossed a
   /// pane boundary since the last broadcast.
@@ -836,12 +818,6 @@ class Session {
   Status PoisonStatus() HAMLET_EXCLUDES(producer_mu_);
 
   // --- shard placement (front/sequencer thread) ---
-  /// The first-sight rule for a key the router just bound to its hash
-  /// shard: keep it there, or move it to the least-loaded shard when the
-  /// hash shard leads that one by more than the threshold. Returns the
-  /// key's shard.
-  size_t PlaceNewKey(int64_t key, size_t hash_shard, Timestamp time)
-      HAMLET_REQUIRES(front_role_);
   /// Steal-trigger evaluation at event-time pane boundary `boundary`:
   /// executes up to kMaxStealsPerBoundary migrations while the load
   /// imbalance persists and a candidate key improves it.
@@ -855,9 +831,9 @@ class Session {
   /// Mirrors the router's override count into route_map_size_.
   void PublishMapSize() HAMLET_REQUIRES(front_role_);
 
-  /// Routes one event (hash, or override map + first-sight rule + window
-  /// update when a placement policy is on) and writes it into its shard's
-  /// ring, waiting while the ring is full. Returns that shard.
+  /// Routes one event (hash, or steal triggers + override map + window
+  /// update with stealing on) and writes it into its shard's ring, waiting
+  /// while the ring is full. Returns that shard.
   Shard& StageEvent(const Event& event) HAMLET_REQUIRES(front_role_);
   /// Ends a front call that wrote to `only`, or to any shard when null:
   /// records the backlog of that shard (of every shard) and wakes its
@@ -868,7 +844,8 @@ class Session {
   /// mem_high_water_.
   void SampleConcurrentMemory() HAMLET_REQUIRES(front_role_);
   /// Fills the merged metrics' ingress fields (batch histogram, queue
-  /// depth, per-shard events, rebalanced keys, concurrent peak).
+  /// depth, per-shard events, override-map size, steals, concurrent
+  /// peak).
   void FillIngressMetrics(RunMetrics& merged) const;
   /// Hands committed `events` (may be empty) straight to the inline
   /// engine, after the control plane caught up with them. `arrival` as in
@@ -988,13 +965,11 @@ class Session {
 
   // --- shard placement state (front-role state, except the atomic
   // counters) ---
-  /// Set by Open, read-only afterwards; both are off at one shard, and
-  /// with both off routing is one hash per event with no load bookkeeping.
-  /// rebalance_threshold_ 0 disables first-sight placement.
-  int64_t rebalance_threshold_ = 0;
+  /// Set by Open, read-only afterwards; off at one shard, and while off
+  /// routing is one hash per event with no load bookkeeping.
   bool stealing_ = false;
   /// Two-bucket sliding window of per-shard staged-event counts, kept
-  /// while either placement policy is on.
+  /// while stealing is on.
   std::vector<int64_t> load_cur_ HAMLET_GUARDED_BY(front_role_);
   std::vector<int64_t> load_prev_ HAMLET_GUARDED_BY(front_role_);
   int64_t in_window_ HAMLET_GUARDED_BY(front_role_) = 0;
@@ -1002,15 +977,12 @@ class Session {
     int64_t cur = 0;
     int64_t prev = 0;
   };
-  /// Per-group-key staged-event counts over the same window (stealing
-  /// only); entries idle for two half-windows drop out, bounding the map
-  /// by active keys.
+  /// Per-group-key staged-event counts over the same window; entries idle
+  /// for two half-windows drop out, bounding the map by active keys.
   std::unordered_map<int64_t, KeyLoad> key_load_
       HAMLET_GUARDED_BY(front_role_);
-  /// Placement counters (RunMetrics::rebalanced_keys /
-  /// rebalance_map_size). Atomic so a monitor thread's MetricsSnapshot may
-  /// read them while the front routes.
-  std::atomic<int64_t> rebalanced_keys_{0};
+  /// Override count (RunMetrics::rebalance_map_size). Atomic so a monitor
+  /// thread's MetricsSnapshot may read it while the front routes.
   std::atomic<int64_t> route_map_size_{0};
   /// Pane of the last staged event — steal triggers fire exactly when this
   /// advances (event-time pane crossings; never watermark-driven, which

@@ -9,9 +9,8 @@
 //
 // The router holds no placement policy. Session (src/runtime/session.h)
 // owns one: its front keeps a sliding per-shard load window and writes
-// the overrides — pane-boundary steals
-// (RunConfig::work_stealing, on by default at more than one shard) and
-// first-sight diversion of new keys (RunConfig::shard_rebalance_threshold).
+// an override for each key a pane-boundary steal moved off its hash shard
+// (RunConfig::work_stealing, on by default at more than one shard).
 // Without overrides the route is the pure hash, identical on every
 // platform.
 #ifndef HAMLET_STREAM_SHARD_ROUTER_H_
@@ -80,17 +79,6 @@ class ShardRouter {
   /// The shard `event` routes to (AssignedShardOfKey of its group key).
   size_t Route(const Event& event) const {
     return AssignedShardOfKey(GroupKeyOf(event));
-  }
-
-  /// Sticky routing in one map lookup: returns the key's override, first
-  /// binding a key without one to its hash shard (`*first_sight` = true),
-  /// and refreshes the entry's last-seen time (the DrainStale clock).
-  size_t RouteSticky(int64_t key, Timestamp time, bool* first_sight) {
-    auto [it, is_new] = overrides_.try_emplace(key);
-    if (is_new) it->second.shard = static_cast<uint32_t>(ShardOfKey(key));
-    it->second.last_seen = time;
-    *first_sight = is_new;
-    return it->second.shard;
   }
 
   /// Overrides the key's route to `shard`; `last_seen` only ever raises

@@ -1,4 +1,4 @@
-// Burst-adaptive shard ingress + skew-aware routing tests.
+// Burst-adaptive shard ingress + skewed routing tests.
 //
 // Three layers, mirroring the feature's stack:
 //  * The event ring: a worker takes every event published to its shard's
@@ -7,11 +7,11 @@
 //    a control message never runs ahead of the events stamped before it,
 //    and for every EngineKind, shard count (1/2/4/8) and ring capacity the
 //    sharded run emits exactly the batch Run() result: where the engine
-//    calls are cut may move, WHAT is computed may not. Skew-aware
-//    rebalancing (on a hot-key stream) is held to the same equivalence.
-//  * Skew-aware placement units, read back through the session's router.
+//    calls are cut may move, WHAT is computed may not. Work stealing on
+//    a hot-key stream is held to the same equivalence.
+//  * A router unit, read back through the session's router.
 //  * The ingress metrics (engine-call histogram, max ring depth,
-//    per-shard events, rebalanced keys) and the concurrent-peak-memory
+//    per-shard events, steals) and the concurrent-peak-memory
 //    merge fix (sequential phases must not sum into a fictitious peak).
 #include <gtest/gtest.h>
 
@@ -40,7 +40,7 @@ constexpr EngineKind kAllKinds[] = {
     EngineKind::kSharon};
 
 // ---------------------------------------------------------------------------
-// Skew-aware placement units, read back through Session::router().
+// Router unit, read back through Session::router().
 // ---------------------------------------------------------------------------
 
 class SkewRouterTest : public ::testing::Test {
@@ -57,10 +57,9 @@ class SkewRouterTest : public ::testing::Test {
     plan_ = std::make_unique<WorkloadPlan>(AnalyzeWorkload(workload_).value());
   }
 
-  std::unique_ptr<Session> Open(int64_t threshold) {
+  std::unique_ptr<Session> Open() {
     RunConfig config;
     config.num_shards = 4;
-    config.shard_rebalance_threshold = threshold;
     Result<std::unique_ptr<Session>> session =
         Session::Open(*plan_, config, nullptr);
     HAMLET_CHECK(session.ok());
@@ -81,7 +80,7 @@ class SkewRouterTest : public ::testing::Test {
 };
 
 TEST_F(SkewRouterTest, PureRouterIsUnchangedByRouteCalls) {
-  std::unique_ptr<Session> session = Open(/*threshold=*/0);
+  std::unique_ptr<Session> session = Open();
   const ShardRouter& router = session->router();
   const ShardRouter pure = Session::RouterFor(*plan_, 4).value();
   for (int64_t g = 0; g < 32; ++g) {
@@ -91,40 +90,6 @@ TEST_F(SkewRouterTest, PureRouterIsUnchangedByRouteCalls) {
     EXPECT_EQ(router.AssignedShardOfKey(g), router.ShardOfKey(g));
   }
   EXPECT_EQ(router.map_size(), 0);
-  EXPECT_EQ(session->MetricsSnapshot().rebalanced_keys, 0);
-  ASSERT_TRUE(session->Close().ok());
-}
-
-TEST_F(SkewRouterTest, HotShardShedsNewKeysAndAssignmentsStick) {
-  std::unique_ptr<Session> session = Open(/*threshold=*/8);
-  const ShardRouter& router = session->router();
-  const int64_t hot = 7;
-  const size_t hot_shard = router.ShardOfKey(hot);
-  // Pin one shard with a hot group.
-  Timestamp t = 1;
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(session->Push(GroupEvent(t++, hot)).ok());
-  }
-  EXPECT_EQ(router.AssignedShardOfKey(hot), hot_shard)
-      << "existing keys never move";
-  // Every NEW key that hashes onto the hot shard must now be diverted
-  // (the load lead is 200 >> threshold 8), and its assignment must stick.
-  int diverted = 0;
-  for (int64_t g = 1000; g < 1100; ++g) {
-    const size_t hashed = router.ShardOfKey(g);
-    ASSERT_TRUE(session->Push(GroupEvent(t++, g)).ok());
-    const size_t routed = router.AssignedShardOfKey(g);
-    if (hashed == hot_shard) {
-      EXPECT_NE(routed, hot_shard) << "new key pinned to the hot shard";
-      ++diverted;
-    }
-    ASSERT_TRUE(session->Push(GroupEvent(t++, g)).ok());
-    EXPECT_EQ(router.AssignedShardOfKey(g), routed)
-        << "assignment must be sticky";
-  }
-  EXPECT_GT(diverted, 0) << "no new key hashed onto the hot shard — "
-                            "test stream too small";
-  EXPECT_EQ(session->MetricsSnapshot().rebalanced_keys, diverted);
   ASSERT_TRUE(session->Close().ok());
 }
 
@@ -159,7 +124,7 @@ struct ShardedResult {
 
 // Pushes `ev` through a Session in mixed granularity with occasional
 // interleaved watermarks and a trailing one, then Close. `config` arrives
-// fully prepared (shard count, ring capacity, rebalance threshold).
+// fully prepared (shard count, ring capacity, stealing).
 ShardedResult RunSharded(const WorkloadPlan& plan, const RunConfig& config,
                          const EventVector& ev, uint64_t chunk_seed) {
   CollectingSink sink;
@@ -425,9 +390,9 @@ TEST(AdaptiveIngressTest, ControlMessageNeverOvertakesItsEvents) {
   }
 }
 
-// Same property for skew-aware routing on a hot-key stream: rebalancing
-// moves whole groups, so every per-group result is untouched.
-TEST(RebalancedRoutingEquivalence, AllEnginesAllShardCounts) {
+// Same property on a hot-key stream, where work stealing moves whole
+// groups between shards: every per-group result is untouched.
+TEST(SkewedRoutingEquivalence, AllEnginesAllShardCounts) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
   EventVector ev = RidesharingStream(/*seed=*/193, /*num_groups=*/8);
@@ -442,25 +407,24 @@ TEST(RebalancedRoutingEquivalence, AllEnginesAllShardCounts) {
     RunOutput batch = executor.Run(ev);
     ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
     for (int shards : {1, 2, 4, 8}) {
-      RunConfig rebal = config;
-      rebal.num_shards = shards;
-      rebal.shard_queue_capacity = 16;
-      rebal.shard_rebalance_threshold = 4;  // aggressive: maximize diversions
+      RunConfig skewed = config;
+      skewed.num_shards = shards;
+      skewed.shard_queue_capacity = 16;
       const std::string label = std::string(EngineKindName(kind)) +
-                                "/rebal/N=" + std::to_string(shards);
-      ShardedResult run = RunSharded(*bw.plan, rebal, ev, 11);
+                                "/skew/N=" + std::to_string(shards);
+      ShardedResult run = RunSharded(*bw.plan, skewed, ev, 11);
       ExpectSameEmissionSet(batch.emissions, run.emissions, label);
       EXPECT_EQ(batch.metrics.events, run.metrics.events) << label;
       if (shards == 1) {
-        EXPECT_EQ(run.metrics.rebalanced_keys, 0) << label;
+        EXPECT_EQ(run.metrics.stolen_panes, 0) << label;
       }
     }
   }
 }
 
-// The hot-key stream must actually trigger diversions at >1 shard, and the
+// The hot-key stream must actually trigger steals at >1 shard, and the
 // merged metrics must expose them alongside the per-shard event counts.
-TEST(RebalancedRoutingEquivalence, SkewedStreamRebalancesAndReportsShares) {
+TEST(SkewedRoutingEquivalence, SkewedStreamStealsAndReportsShares) {
   BenchWorkload bw =
       MakeWorkload1("ridesharing", 6, /*window_ms=*/5 * kMillisPerSecond);
   EventVector ev = RidesharingStream(/*seed=*/197, /*num_groups=*/8);
@@ -470,11 +434,10 @@ TEST(RebalancedRoutingEquivalence, SkewedStreamRebalancesAndReportsShares) {
   RunConfig config;
   config.kind = EngineKind::kHamletDynamic;
   config.num_shards = 4;
-  config.shard_rebalance_threshold = 4;
   ShardedResult run = RunSharded(*bw.plan, config, ev, 13);
-  EXPECT_GT(run.metrics.rebalanced_keys, 0)
-      << "a 50% hot key over 24 progressively introduced groups must divert "
-         "at least one new key";
+  EXPECT_GT(run.metrics.stolen_panes, 0)
+      << "a 50% hot key over 24 progressively introduced groups must steal "
+         "at least one key";
   ASSERT_EQ(run.metrics.shard_events.size(), 4u);
   EXPECT_EQ(std::accumulate(run.metrics.shard_events.begin(),
                             run.metrics.shard_events.end(), int64_t{0}),

@@ -1,15 +1,14 @@
-// Differential stress harness: ONE generated stream, replayed under a
-// seeded random sample of runtime configurations — engine kind x shard
-// count x ingest mode (session-level batches of varying size, optionally
-// with query churn, or 1/2/4 concurrent producers, optionally with
-// mid-stream producer churn) x work stealing (with or without idle-group
-// eviction) x skew-aware first-sight placement x shard ring capacity (2
-// and 16 wrap the ring and hit backpressure constantly) — asserting the emission set is
-// bit-identical to the 1-shard reference every time: the batch Run, or
-// with query churn a 1-shard Session given the same AddQuery (at 1/3 of
-// the stream) and RemoveQuery (at 2/3), each with the sampled
-// evict_idle_groups. Every documented emission-neutral knob has to
-// actually be neutral, in combination, under real concurrency.
+// Differential stress harness: ONE generated stream, replayed under a seeded
+// random sample of runtime configurations — engine kind x shard count x ingest
+// mode (session-level batches of varying size, optionally with query churn, or
+// 1/2/4 concurrent producers, optionally with mid-stream producer churn) x work
+// stealing (with or without idle-group eviction) x shard ring capacity (2 and
+// 16 wrap the ring and hit backpressure constantly) — asserting the emission
+// set is bit-identical to the 1-shard reference every time: the batch Run, or
+// with query churn a 1-shard Session given the same AddQuery (at 1/3 of the
+// stream) and RemoveQuery (at 2/3), each with the sampled evict_idle_groups.
+// Every documented emission-neutral knob has to actually be neutral, in
+// combination, under real concurrency.
 //
 // The sample is drawn from a seed that is logged on entry and printed in
 // every failure label, and overridable via --seed= / HAMLET_TEST_SEED
@@ -50,7 +49,6 @@ struct StressConfig {
   int queue_capacity = 8192;
   bool stealing = false;
   bool evict = false;  // evict_idle_groups, sampled only with stealing
-  int64_t rebalance_threshold = 0;
   bool churn = false;  // producer handles leave/join at mid-stream
   bool query_churn = false;  // AddQuery at 1/3, RemoveQuery at 2/3
 
@@ -62,9 +60,6 @@ struct StressConfig {
     s += "/q=" + std::to_string(queue_capacity);
     if (stealing) s += "/steal";
     if (evict) s += "/evict";
-    if (rebalance_threshold > 0) {
-      s += "/rebal=" + std::to_string(rebalance_threshold);
-    }
     if (churn) s += "/churn";
     if (query_churn) s += "/qchurn";
     return s;
@@ -82,7 +77,6 @@ StressConfig SampleConfig(Rng& rng) {
   const int queue_choices[] = {2, 16, RunConfig().shard_queue_capacity};
   c.queue_capacity = queue_choices[rng.NextBelow(3)];
   c.stealing = rng.NextBelow(2) == 1;
-  c.rebalance_threshold = rng.NextBelow(2) == 1 ? 4 : 0;
   c.churn = c.producers >= 2 && rng.NextBelow(2) == 1;
   c.query_churn = c.producers == 0 && rng.NextBelow(2) == 1;
   c.evict = c.stealing && rng.NextBelow(2) == 1;
@@ -229,7 +223,6 @@ TEST(DifferentialStress, SampledConfigsMatchBatchReference) {
     config.shard_queue_capacity = sc.queue_capacity;
     config.work_stealing = sc.stealing;
     config.evict_idle_groups = sc.evict;
-    config.shard_rebalance_threshold = sc.rebalance_threshold;
     CollectingSink sink;
     Result<std::unique_ptr<Session>> opened =
         Session::Open(*bw.plan, config, &sink);

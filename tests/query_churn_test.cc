@@ -27,8 +27,8 @@
 // sessions whose shards idle across ops, and one whose ops merge and split
 // components over eight group keys; a removed query leaving the plan
 // once drained; the reoptimize knob validation matrix; and
-// evict_idle_groups determinism plus the ShardRouter rebalance-map drain
-// it enables.
+// evict_idle_groups determinism across shard counts (the router drain it
+// enables for stolen keys is covered in work_stealing_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1002,9 +1002,8 @@ TEST(RunConfigValidation, ReoptimizeKnobMatrix) {
 
 // evict_idle_groups drops exactly the zero-valued emissions of groups
 // whose windows all closed, deterministically in event time — so runs at
-// every shard count agree bit-identically — and enables the ShardRouter
-// rebalance-map drain surfaced by RunMetrics::rebalance_map_size.
-TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
+// every shard count agree bit-identically.
+TEST(IdleGroupEviction, DeterministicAcrossShards) {
   Schema schema;
   SeedSchema(&schema);
   Compiled w = Compile(&schema, {{"qa", kQa}, {"qb", kQb}});
@@ -1069,28 +1068,6 @@ TEST(IdleGroupEviction, DeterministicAcrossShardsAndDrainsRouter) {
                      "evict shards=" + std::to_string(shards));
     EXPECT_GT(out.metrics.evicted_idle_groups, 0);
   }
-
-  // Rebalance-map drain: with skew routing on, the watermark checkpoints
-  // retire assignments whose windows all closed, so the first key
-  // generation is gone from the map by the mid-run checkpoint and the
-  // final map never holds both generations.
-  RunConfig routed = evict;
-  routed.num_shards = 2;
-  routed.shard_rebalance_threshold = 1;
-  CollectingSink rsink;
-  Result<std::unique_ptr<Session>> rs =
-      Session::Open(*w.plan, routed, &rsink);
-  ASSERT_TRUE(rs.ok());
-  PushRange(*rs.value(), ev, 0, 200);
-  ASSERT_TRUE(rs.value()->AdvanceTo(3000).ok());
-  EXPECT_EQ(rs.value()->MetricsSnapshot().rebalance_map_size, 0);
-  PushRange(*rs.value(), ev, 200, 400);
-  EXPECT_GT(rs.value()->MetricsSnapshot().rebalance_map_size, 0);
-  ASSERT_TRUE(rs.value()->AdvanceTo(6000).ok());
-  Result<RunMetrics> rm = rs.value()->Close();
-  ASSERT_TRUE(rm.ok());
-  EXPECT_LE(rm.value().rebalance_map_size, 8);
-  ExpectSameTuples(evicted, Tuples(rsink.Take()), "evict rebalanced");
 }
 
 }  // namespace
